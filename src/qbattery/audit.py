@@ -218,7 +218,7 @@ def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
         l_c = components_in_basis(ch.operator, eig.eigenvectors)
         thetas.append(theta_eigenstate(k0, w, l_c))
         thetas_t.append(_theta_column_order(k0, w, l_c))
-    condition = vanishing_condition(ctx, k0, tol=tol)
+    condition = vanishing_condition(ctx, k0, spectrum=eig, tol=tol)
     return ClaimInstance(
         label=label, model=model, k0=int(k0), beta=float(beta),
         scale=_claim_scale(model),

@@ -236,7 +236,9 @@ def theta_index_form(w, rho_components, l_components, *,
                     (w_i^2 - w_i w_l - w_k w_i + w_l w_k)
 
     The weight factors as (w_i - w_l)(w_i - w_k), so the sum is invariant
-    under a common shift of w and vanishes when w is constant.
+    under a common shift of w and vanishes when w is constant.  With
+    W^{ki} = L^{ki} (w_i - w_k) it is sum_{l,i} conj(W^{li}) (rho W)^{li},
+    which is how it is evaluated.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     rho_c = as_square_matrix(rho_components, "rho components")
@@ -244,16 +246,8 @@ def theta_index_form(w, rho_components, l_components, *,
     d = w.size
     if rho_c.shape != (d, d) or l_c.shape != (d, d):
         raise DimensionError("component arrays must match the length of w")
-    l_conj = np.conj(l_c)
-    total = 0.0 + 0.0j
-    for i in range(d):
-        wi = w[i]
-        for k in range(d):
-            wk = w[k]
-            for el in range(d):
-                wl = w[el]
-                weight = wi * wi - wi * wl - wk * wi + wl * wk
-                total += rho_c[el, k] * l_c[k, i] * l_conj[el, i] * weight
+    weighted = l_c * (w[None, :] - w[:, None])
+    total = complex(np.sum(np.conj(weighted) * (rho_c @ weighted)))
     if abs(total.imag) > tol.theta_imag * max(1.0, abs(total)):
         raise ConsistencyError(f"index-form Theta has imaginary residual {total.imag:.3e}")
     return float(total.real)
@@ -370,6 +364,7 @@ class VanishingConditionReport:
 
 
 def vanishing_condition(ctx: BatteryContext, k0: int, *,
+                        spectrum: Spectrum | None = None,
                         tol: ToleranceConfig = DEFAULT_TOLERANCES) -> VanishingConditionReport:
     """Evaluate the structural vanishing condition at eigenstate k0.
 
@@ -378,8 +373,9 @@ def vanishing_condition(ctx: BatteryContext, k0: int, *,
     is nonzero at the same tolerance.  With degenerate nonzero eigenvalues
     this reading depends on the eigenbasis the solver picked; the report is
     therefore evidence about one deterministic basis, not a basis-free proof.
+    Pass `spectrum` to reuse a cached decomposition of H.
     """
-    eig = hermitian_eig(ctx.model.hamiltonian, tol=tol)
+    eig = hermitian_eig(ctx.model.hamiltonian, tol=tol) if spectrum is None else spectrum
     if not 0 <= int(k0) < ctx.dim:
         raise ParameterError(f"k0 must lie in [0, {ctx.dim}), got {k0!r}")
     k0 = int(k0)

@@ -18,10 +18,10 @@ class ToleranceConfig:
     hermiticity: float = 1e-12          # x max(1, ||M||_max) defect allowed at construction
     unitarity: float = 1e-10            # ||U^dag U - I||_max for eigenvector matrices
     reconstruction: float = 1e-10       # x max(1, ||M||_max) eigendecomposition residual
-    psd: float = 1e-10                  # positivity slack for states and |A|^2
+    psd: float = 1e-10                  # positivity slack for states
     density_trace: float = 1e-10        # |tr(rho) - 1| at construction
 
-    # cyclic Jacobi eigensolver
+    # Jacobi eigensolver (round-robin order)
     jacobi_offdiag: float = 1e-13       # x ||M||_F convergence target
     jacobi_max_sweeps: int = 100
 

@@ -15,7 +15,7 @@ from qbattery.free_energy import (BatteryContext, compute_theta_report,
                                   power_eigenstate, power_fd, theta_eigenstate,
                                   theta_index_form, theta_operator_form,
                                   vanishing_condition)
-from qbattery.linalg import HermitianMatrix, max_abs
+from qbattery.linalg import HermitianMatrix, hermitian_eig, max_abs
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -193,11 +193,12 @@ class TestThetaIndexForm:
             assert theta_index_form(w + c, rho_c, l_c) == pytest.approx(base, abs=1e-10)
 
     def test_against_einsum_oracle(self, rng):
-        w = rng.uniform(-2.0, 2.0, size=5)
-        rho_c = oracles.random_density(rng, 5)
-        l_c = oracles.random_ginibre(rng, 5)
-        want = oracles.theta_index_einsum(w, rho_c, l_c)
-        assert theta_index_form(w, rho_c, l_c) == pytest.approx(want, abs=1e-11)
+        for d in (5, 32):
+            w = rng.uniform(-2.0, 2.0, size=d)
+            rho_c = oracles.random_density(rng, d)
+            l_c = oracles.random_ginibre(rng, d)
+            want = oracles.theta_index_einsum(w, rho_c, l_c)
+            assert theta_index_form(w, rho_c, l_c) == pytest.approx(want, abs=1e-11)
 
     def test_matches_operator_form_d5(self, rng):
         h_m = oracles.random_hermitian(rng, 5)
@@ -308,6 +309,13 @@ class TestVanishingCondition:
         report = vanishing_condition(qubit_ctx(np.diag([2.0, 5.0])), 0)
         assert report.holds and report.trivial_action
         assert report.theta_values[0] == 0.0
+
+    def test_cached_spectrum_gives_the_same_report(self, rng):
+        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 4)),
+                              (JumpChannel(0.5, oracles.random_ginibre(rng, 4)),))
+        ctx = BatteryContext(1.0, model)
+        spectrum = hermitian_eig(model.hamiltonian)
+        assert vanishing_condition(ctx, 2, spectrum=spectrum) == vanishing_condition(ctx, 2)
 
     def test_projector_hamiltonian_holds_despite_nonzero_theta(self):
         # H = 1 * |1><1| exactly, yet the raising channel has unit fluctuation:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import complex_square_matrices, hermitian_matrices
 from qbattery.errors import ConvergenceError, DimensionError, DomainError, ValidationError
-from qbattery.linalg import (HermitianMatrix, abs_sq, as_square_matrix, commutator,
-                             hermitian_eig, matrix_function, max_abs, reconstruct)
+from qbattery.linalg import (HermitianMatrix, _round_robin, abs_sq, as_square_matrix,
+                             commutator, hermitian_eig, matrix_function, max_abs,
+                             reconstruct)
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -134,7 +135,8 @@ class TestHermitianEig:
         assert max_abs(oracles.dag(u) @ u - np.eye(8)) <= 1e-10
 
     def test_matches_numpy_up_to_dim_12(self, rng):
-        for d in range(2, 13):
+        # d = 16, 24 and 32 ride along: the sizes where rounds hold many pairs
+        for d in [*range(2, 13), 16, 24, 32]:
             m = oracles.random_hermitian(rng, d, scale=10.0 / 3.0)
             spec = hermitian_eig(HermitianMatrix(m))
             want = np.linalg.eigvalsh(m)
@@ -147,6 +149,50 @@ class TestHermitianEig:
         b = hermitian_eig(HermitianMatrix(m))
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+    def test_block_diagonal_with_exact_zero_pairs(self, rng):
+        # blocks {0, 3}, {1, 4, 5} and {2}: most pairs have a_pq == 0 exactly,
+        # so rounds mix skipped and live pairs and some rounds skip entirely
+        blocks = ([0, 3], [1, 4, 5], [2])
+        m = np.zeros((6, 6), dtype=complex)
+        for idx in blocks:
+            m[np.ix_(idx, idx)] = oracles.random_hermitian(rng, len(idx), scale=2.0)
+        h = HermitianMatrix(m)
+        spec = hermitian_eig(h)
+        assert np.all(np.diff(spec.eigenvalues) >= 0.0)
+        assert max_abs(spec.eigenvalues - np.linalg.eigvalsh(m)) <= 1e-12
+        u = spec.eigenvectors
+        assert max_abs(oracles.dag(u) @ u - np.eye(6)) <= 1e-12
+        assert max_abs(reconstruct(spec) - h.matrix) <= 1e-12
+        # rotations never leave a block: every eigenvector lives on one block
+        for j in range(6):
+            support = {int(i) for i in np.flatnonzero(u[:, j])}
+            assert any(support <= set(idx) for idx in blocks)
+        again = hermitian_eig(HermitianMatrix(m))
+        assert np.array_equal(again.eigenvalues, spec.eigenvalues)
+        assert np.array_equal(again.eigenvectors, spec.eigenvectors)
+
+    def test_degenerate_non_diagonal(self, rng):
+        u0 = oracles.random_unitary(rng, 4)
+        m = (u0 * np.array([1.0, 1.0, 2.0, 2.0])) @ oracles.dag(u0)
+        h = HermitianMatrix(m)
+        spec = hermitian_eig(h)
+        assert np.all(np.diff(spec.eigenvalues) >= 0.0)
+        assert max_abs(spec.eigenvalues - np.array([1.0, 1.0, 2.0, 2.0])) <= 1e-12
+        u = spec.eigenvectors
+        assert max_abs(oracles.dag(u) @ u - np.eye(4)) <= 1e-12
+        assert max_abs(reconstruct(spec) - h.matrix) <= 1e-12
+        # the basis inside each eigenspace is the solver's choice; the
+        # eigenspace itself is not
+        for cols in ([0, 1], [2, 3]):
+            want = u0[:, cols] @ oracles.dag(u0[:, cols])
+            assert max_abs(u[:, cols] @ oracles.dag(u[:, cols]) - want) <= 1e-12
+        for j in range(4):
+            pivot = u[np.argmax(np.abs(u[:, j])), j]
+            assert abs(pivot.imag) <= 1e-15 and pivot.real > 0.0
+        again = hermitian_eig(HermitianMatrix(m))
+        assert np.array_equal(again.eigenvalues, spec.eigenvalues)
+        assert np.array_equal(again.eigenvectors, spec.eigenvectors)
 
     def test_convergence_budget_exhaustion(self):
         tol = DEFAULT_TOLERANCES.replace(jacobi_max_sweeps=0)
@@ -165,6 +211,56 @@ class TestHermitianEig:
         scale = max(1.0, max_abs(h.matrix))
         assert max_abs(oracles.dag(u) @ u - np.eye(d)) <= 1e-10
         assert max_abs(reconstruct(spec) - h.matrix) <= 1e-10 * scale
+
+
+class TestRoundRobinSchedule:
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_every_pair_exactly_once_per_sweep(self, d):
+        rounds = _round_robin(d)
+        assert len(rounds) == d - 1 + d % 2
+        seen = []
+        for p, q, idx in rounds:
+            assert np.all(p < q) and np.all(q < d)
+            touched = np.concatenate((p, q))
+            assert np.unique(touched).size == touched.size   # disjoint pairs
+            assert p.size == d // 2   # odd d: the dummy's pair is dropped
+            rows, cols = np.unravel_index(idx, (d, d))
+            assert np.array_equal(rows, np.concatenate((p, p, q, q)))
+            assert np.array_equal(cols, np.concatenate((p, q, p, q)))
+            seen.extend(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(d) for q in range(p + 1, d)]
+
+    def test_small_dims_keep_the_cyclic_order(self):
+        for d, want in ((2, [(0, 1)]), (3, [(0, 1), (0, 2), (1, 2)])):
+            got = [(int(p[0]), int(q[0])) for p, q, _ in _round_robin(d)]
+            assert got == want
+
+    def test_schedule_is_computed_once_per_dim(self):
+        assert _round_robin(7) is _round_robin(7)
+
+
+class TestAccuracyNearRankThreshold:
+    """Eigenvalues of ill-conditioned density matrices against 50 digits."""
+
+    @pytest.mark.parametrize("lam_min", [1e-12, 1e-9, 1e-6, 1e-2])
+    def test_within_backward_stable_bound(self, lam_min):
+        mp = pytest.importorskip("mpmath")
+        d = 8
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(int(round(-math.log10(lam_min))))
+        for _ in range(3):
+            tail = np.exp(rng.uniform(math.log(1e-3), 0.0, size=d - 1))
+            lam = np.concatenate(([lam_min], tail))
+            lam = lam / lam.sum()
+            u = oracles.random_unitary(rng, d)
+            h = HermitianMatrix((u * lam) @ oracles.dag(u))
+            with mp.workdps(50):
+                exact = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in h.matrix])
+                ref = sorted(mp.eighe(exact, eigvals_only=True))
+                norm2 = float(ref[-1])
+                got = hermitian_eig(h).eigenvalues
+                errors = [float(abs(mp.mpf(float(g)) - r)) for g, r in zip(got, ref)]
+            assert max(errors) <= 8 * d * eps * norm2
 
 
 class TestMatrixFunction:
