@@ -43,7 +43,8 @@ from .free_energy import (BatteryContext, _eigenstate_power_forms,
                           components_in_basis, free_energy_operator,
                           power_analytic, theta_eigenstate, vanishing_condition)
 from .jsonio import model_from_json, model_to_json
-from .linalg import HermitianMatrix, dagger, hermitian_eig, matrix_function, max_abs
+from .linalg import (HermitianMatrix, Spectrum, dagger, hermitian_eig, matrix_function,
+                     max_abs)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -203,11 +204,13 @@ def _theta_column_order(k0: int, w: np.ndarray, l_components: np.ndarray) -> flo
 
 
 def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
+                      spectrum: Spectrum | None = None,
                       tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ClaimInstance:
     """Closed-form Theta (both index orders), power (both forms), and the
-    vanishing condition for one instance."""
+    vanishing condition for one instance.  Pass `spectrum` to reuse a cached
+    decomposition of H."""
     ctx = BatteryContext(beta, model)
-    trace_form, index_form, eig = _eigenstate_power_forms(k0, ctx, tol=tol)
+    trace_form, index_form, eig = _eigenstate_power_forms(k0, ctx, spectrum=spectrum, tol=tol)
     if abs(trace_form - index_form) > tol.power_agreement * max(1.0, abs(trace_form)):
         raise ConsistencyError(
             f"{label}: power forms disagree: trace {trace_form!r} vs index {index_form!r}")
@@ -323,7 +326,8 @@ def eigenstate_audit(spec: ScenarioSpec, *,
         raise ScenarioError(
             f"index {spec.k0} is not an eigenvector of H: residual {residual:.3e}")
 
-    instance = evaluate_instance(spec.model, spec.k0, spec.beta, "scenario", tol=tol)
+    instance = evaluate_instance(spec.model, spec.k0, spec.beta, "scenario",
+                                 spectrum=spectrum, tol=tol)
 
     projector = np.outer(vec, np.conj(vec))
     rate = _generator_matrix(h, _generator_terms(spec.model), projector)
@@ -429,7 +433,7 @@ def epsilon_sweep(spec: ScenarioSpec, *,
         log_rho = matrix_function(rho_eps.hermitian, math.log,
                                   spectrum=rho_eps.spectrum, tol=tol)
         entropy_rate = -float(np.real(np.trace(rate.matrix @ log_rho.matrix)))
-        decomp = free_energy_operator(rho_eps, ctx, tol=tol)
+        decomp = free_energy_operator(rho_eps, ctx, log_rho=log_rho, tol=tol)
         p_num = power_analytic(rho_eps, ctx, decomp=decomp, tol=tol)
         step_error = None
         try:

@@ -129,13 +129,15 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     header = ",".join(columns)
     h_mat = cfg.model.hamiltonian.matrix
     n = len(traj.times)
+    basis = None   # the previous row's deltaF eigenbasis warm-starts the next
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for i in range(n):
             state = traj.states[i]
             energy = float(np.real(np.trace(state.matrix @ h_mat)))
             entropy = von_neumann_entropy(state)
-            decomp = free_energy_operator(state, ctx, tol=tol)
+            decomp = free_energy_operator(state, ctx, basis=basis, tol=tol)
+            basis = decomp.basis
             p_an = power_analytic(state, ctx, decomp=decomp, tol=tol)
             p_fd = None
             if 1 <= i <= n - 2:

@@ -43,14 +43,15 @@ class DensityMatrix:
     Construction validates all three invariants.  The eigendecomposition is
     computed once and cached; the positivity check, entropy, and matrix
     logarithm all reuse it.  `trace_tol`, `psd_tol` and `herm_tol` override
-    the construction tolerances (the propagator passes its looser ones).
+    the construction tolerances (the propagator passes its looser ones), and
+    `basis` warm-starts the eigensolver from nearby eigenvectors.
     """
 
     __slots__ = ("hermitian", "matrix", "trace_defect", "_spectrum")
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                  trace_tol: float | None = None, psd_tol: float | None = None,
-                 herm_tol: float | None = None):
+                 herm_tol: float | None = None, basis: np.ndarray | None = None):
         self.hermitian = HermitianMatrix(matrix, tol=tol, defect_tol=herm_tol)
         self.matrix = self.hermitian.matrix
         trace = complex(np.trace(self.matrix))
@@ -59,7 +60,7 @@ class DensityMatrix:
         if self.trace_defect > limit:
             raise ValidationError(
                 f"trace defect {self.trace_defect:.3e} exceeds tolerance {limit:.3e}")
-        self._spectrum = hermitian_eig(self.hermitian, tol=tol)
+        self._spectrum = hermitian_eig(self.hermitian, basis=basis, tol=tol)
         floor = tol.psd if psd_tol is None else psd_tol
         if self.min_eigenvalue < -floor:
             raise ValidationError(
@@ -260,7 +261,9 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
     (trace defect <= propagation_trace, smallest eigenvalue >=
     -propagation_psd, hermiticity within propagation_hermiticity); a breach
     raises PropagationError carrying the step index, the defects, and the
-    partial trajectory.  No renormalization is applied at any point.
+    partial trajectory.  No renormalization is applied at any point.  The
+    eigendecomposition behind each revalidation starts from the previous
+    state's eigenvectors, which differ from the new ones by O(h).
     """
     if rho0.dim != model.dim:
         raise DimensionError(f"state dimension {rho0.dim} vs model {model.dim}")
@@ -292,7 +295,8 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
             state = DensityMatrix(y, tol=tol,
                                   trace_tol=tol.propagation_trace,
                                   psd_tol=tol.propagation_psd,
-                                  herm_tol=tol.propagation_hermiticity)
+                                  herm_tol=tol.propagation_hermiticity,
+                                  basis=states[-1].spectrum.eigenvectors)
         except ValidationError as exc:
             partial = Trajectory(grid[:i], tuple(states), np.array(trace_defects),
                                  np.array(herm_defects), np.array(min_eigs))
@@ -330,7 +334,11 @@ def regularize(rho: DensityMatrix, eps: float, *,
 
 def thermal_state(hamiltonian, beta: float, *,
                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DensityMatrix:
-    """Gibbs state exp(-beta H)/Z through the spectral decomposition of H."""
+    """Gibbs state exp(-beta H)/Z through the spectral decomposition of H.
+
+    The state is diagonal in the eigenbasis of H, so its own eigensolve starts
+    there and has nothing left to rotate.
+    """
     ham = hamiltonian if isinstance(hamiltonian, HermitianMatrix) \
         else HermitianMatrix(hamiltonian, tol=tol)
     if not (isinstance(beta, (int, float)) and math.isfinite(float(beta)) and float(beta) > 0.0):
@@ -340,4 +348,4 @@ def thermal_state(hamiltonian, beta: float, *,
     weights = np.exp(-float(beta) * (eig.eigenvalues - eig.eigenvalues[0]))
     weights = weights / weights.sum()
     matrix = (eig.eigenvectors * weights) @ dagger(eig.eigenvectors)
-    return DensityMatrix(matrix, tol=tol)
+    return DensityMatrix(matrix, tol=tol, basis=eig.eigenvectors)

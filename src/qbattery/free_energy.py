@@ -100,12 +100,13 @@ class FreeEnergyDecomposition:
 
 
 def _build_decomposition(f_op: HermitianMatrix, mean: float, rho: DensityMatrix,
-                         tol: ToleranceConfig) -> FreeEnergyDecomposition:
+                         tol: ToleranceConfig, basis: np.ndarray | None = None
+                         ) -> FreeEnergyDecomposition:
     delta = HermitianMatrix(f_op.matrix - mean * np.eye(f_op.dim), tol=tol)
     zero_mean = abs(complex(np.trace(rho.matrix @ delta.matrix)))
     if zero_mean > tol.zero_mean:
         raise ValidationError(f"tr(rho deltaF) = {zero_mean:.3e} is not zero")
-    eig = hermitian_eig(delta, tol=tol)
+    eig = hermitian_eig(delta, basis=basis, tol=tol)
     residual = max_abs((eig.eigenvectors * eig.eigenvalues) @ dagger(eig.eigenvectors)
                        - delta.matrix)
     if residual > tol.decomposition_residual:
@@ -115,12 +116,17 @@ def _build_decomposition(f_op: HermitianMatrix, mean: float, rho: DensityMatrix,
 
 
 def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
+                         basis: np.ndarray | None = None,
+                         log_rho: HermitianMatrix | None = None,
                          tol: ToleranceConfig = DEFAULT_TOLERANCES) -> FreeEnergyDecomposition:
     """F = H + (1/beta) ln(rho) for a full-rank state.
 
     The mean is computed both as tr(F rho) and as tr(rho H) - S(rho)/beta and
     cross-checked before deltaF is formed.  A state eigenvalue at or below
-    ctx.rank_threshold raises RankDeficientError naming it.
+    ctx.rank_threshold raises RankDeficientError naming it.  `basis`
+    warm-starts the deltaF eigensolver, e.g. from the deltaF eigenvectors of
+    the previous trajectory row; pass `log_rho` to reuse ln(rho) already
+    lifted from rho.spectrum.
     """
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
@@ -130,7 +136,8 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
             f"state is rank deficient for ln(rho): smallest eigenvalue "
             f"{smallest:.3e} <= threshold {ctx.rank_threshold:.3e}",
             smallest_eigenvalue=smallest)
-    log_rho = matrix_function(rho.hermitian, math.log, spectrum=rho.spectrum, tol=tol)
+    if log_rho is None:
+        log_rho = matrix_function(rho.hermitian, math.log, spectrum=rho.spectrum, tol=tol)
     f_op = HermitianMatrix(
         ctx.model.hamiltonian.matrix + log_rho.matrix / ctx.beta, tol=tol)
     mean_from_trace = float(np.real(np.trace(f_op.matrix @ rho.matrix)))
@@ -140,7 +147,7 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
         raise ConsistencyError(
             f"<F> disagrees between forms: trace {mean_from_trace!r} "
             f"vs energy-entropy {mean_from_entropy!r}")
-    return _build_decomposition(f_op, mean_from_trace, rho, tol)
+    return _build_decomposition(f_op, mean_from_trace, rho, tol, basis)
 
 
 def eigenstate_decomposition(ctx: BatteryContext, k0: int, *,
@@ -307,10 +314,14 @@ def compute_theta_report(decomp: FreeEnergyDecomposition, rho: DensityMatrix,
 
 
 def _eigenstate_power_forms(k0: int, ctx: BatteryContext, *,
+                            spectrum: Spectrum | None = None,
                             tol: ToleranceConfig = DEFAULT_TOLERANCES
                             ) -> tuple[float, float, Spectrum]:
-    """Both eigenstate power forms plus the H spectrum they were built from."""
-    eig = hermitian_eig(ctx.model.hamiltonian, tol=tol)
+    """Both eigenstate power forms plus the H spectrum they were built from.
+
+    Pass `spectrum` to reuse a cached decomposition of H.
+    """
+    eig = hermitian_eig(ctx.model.hamiltonian, tol=tol) if spectrum is None else spectrum
     if not 0 <= int(k0) < ctx.dim:
         raise ParameterError(f"k0 must lie in [0, {ctx.dim}), got {k0!r}")
     k0 = int(k0)

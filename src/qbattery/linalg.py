@@ -11,6 +11,9 @@ once, applied as one matrix product.  Jacobi is kept over LAPACK for its
 accuracy on small eigenvalues (Demmel & Veselic, SIAM J. Matrix Anal. Appl.
 13(4), 1992), which ln(rho) needs, and because it keeps the resident memory
 of a run flat; the tie and phase conventions do not depend on the ordering.
+Along a trajectory the solver is warm-started from the eigenvectors of the
+previous state, which leaves a nearly diagonal matrix that converges in a few
+sweeps; exact ties then follow the order of that start basis.
 
 Matrices are plain complex numpy arrays.  HermitianMatrix and Spectrum wrap
 them where extra guarantees have to travel with the data: the symmetrization
@@ -124,7 +127,8 @@ class HermitianMatrix:
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix.
 
-    `eigenvalues` ascend (exact ties keep the original diagonal order) and the
+    `eigenvalues` ascend (exact ties keep the order of the start basis: the
+    original diagonal order, or the columns of a warm-start basis) and the
     columns of the unitary `eigenvectors` are the matching eigenvectors, each
     phased so its largest-magnitude component is real positive.
     """
@@ -186,7 +190,8 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return tuple(rounds)
 
 
-def hermitian_eig(m: HermitianMatrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Spectrum:
+def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
+                  tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Spectrum:
     """Eigendecomposition by Jacobi rotations in round-robin order.
 
     Each sweep visits every pair p < q once, in the rounds of `_round_robin`
@@ -196,11 +201,20 @@ def hermitian_eig(m: HermitianMatrix, *, tol: ToleranceConfig = DEFAULT_TOLERANC
     to zero and the diagonal to its real part.  Pairs whose entry is exactly zero
     are skipped.  Sweeps run until the off-diagonal Frobenius norm falls below
     jacobi_offdiag * ||M||_F; convergence is quadratic, and exhausting the
-    sweep budget raises ConvergenceError carrying the residual.  Output is
-    deterministic: ascending eigenvalues with stable tie-breaking (ties keep
-    the diagonal order) and eigenvectors phased so that their largest-magnitude
-    component is real positive.  Unitarity and reconstruction are verified
-    before returning.
+    sweep budget raises ConvergenceError carrying the residual.
+
+    `basis` warm-starts the sweeps from a unitary B close to the eigenvectors,
+    such as those of a nearby matrix: unless M is already diagonal to the
+    target, B is first pulled back onto the unitary group by one Newton-Schulz
+    step B <- B (3I - B^dag B)/2, which keeps the round-off of a long chain of
+    warm starts from accumulating, and the sweeps start from A = B^dag M B,
+    V = B.  A nearly diagonal A then converges in a few sweeps.
+
+    Output is deterministic: ascending eigenvalues with stable tie-breaking
+    (exact ties keep the order of the diagonal the sweeps ended on, that is of
+    the columns of the starting basis: the identity, or B) and eigenvectors
+    phased so that their largest-magnitude component is real positive.
+    Unitarity and reconstruction against M are verified before returning.
     """
     d = m.dim
     a = np.array(m.matrix, dtype=complex)
@@ -209,8 +223,14 @@ def hermitian_eig(m: HermitianMatrix, *, tol: ToleranceConfig = DEFAULT_TOLERANC
     fro = float(np.linalg.norm(m.matrix))
     target = tol.jacobi_offdiag * fro
 
-    sweeps = 0
     off = _offdiag_norm(a)
+    if basis is not None and off > target:
+        v = basis @ (1.5 * eye - 0.5 * (dagger(basis) @ basis))
+        a = dagger(v) @ m.matrix @ v
+        a = 0.5 * (a + dagger(a))
+        off = _offdiag_norm(a)
+
+    sweeps = 0
     while off > target:
         if sweeps >= tol.jacobi_max_sweeps:
             raise ConvergenceError(

@@ -9,7 +9,7 @@ from qbattery.audit import (EnsembleSpec, ScenarioSpec, bundled_witnesses, claim
                             reevaluate_witness)
 from qbattery.dynamics import JumpChannel, LindbladModel
 from qbattery.errors import ParameterError, ScenarioError
-from qbattery.linalg import HermitianMatrix
+from qbattery.linalg import HermitianMatrix, hermitian_eig
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
@@ -95,6 +95,12 @@ class TestEigenstateAudit:
         tol = DEFAULT_TOLERANCES.replace(eigenvector_residual=0.0)
         with pytest.raises(ScenarioError):
             eigenstate_audit(ScenarioSpec(model=model, beta=1.0, k0=0), tol=tol)
+
+    def test_cached_spectrum_gives_the_same_instance(self, rng):
+        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 4)),
+                              (JumpChannel(0.5, oracles.random_ginibre(rng, 4)),))
+        cached = evaluate_instance(model, 1, 1.0, "x", spectrum=hermitian_eig(model.hamiltonian))
+        assert cached.to_record() == evaluate_instance(model, 1, 1.0, "x").to_record()
 
 
 class TestEpsilonSweep:

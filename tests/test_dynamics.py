@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import complex_square_matrices, density_matrices
+from qbattery.cli import main
 from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, dissipator,
                                liouvillian, propagate, regularize, thermal_state,
                                von_neumann_entropy)
@@ -199,6 +202,52 @@ class TestPropagate:
     def test_descending_grid_rejected(self):
         with pytest.raises(ParameterError):
             propagate(decay_model(), DensityMatrix(EXCITED), [0.0, -0.1, -0.2])
+
+
+def _pairs(matrix):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+
+
+class TestRunAgainstOracles:
+    def test_every_row_of_a_dense_run(self, rng, tmp_path):
+        # every eigendecomposition after the first row is warm-started from
+        # the row before; each row must still match the numpy-only references
+        d, beta, step, steps = 8, 1.0, 1e-3, 40
+        h = oracles.random_hermitian(rng, d)
+        channels = [(0.5, oracles.random_ginibre(rng, d) / math.sqrt(d)) for _ in range(2)]
+        rho = oracles.random_density(rng, d)
+        cfg = tmp_path / "dense.json"
+        cfg.write_text(json.dumps({
+            "dim": d, "beta": beta, "hamiltonian": _pairs(h),
+            "channels": [{"rate": r, "matrix": _pairs(l)} for r, l in channels],
+            "initial_state": {"kind": "matrix", "matrix": _pairs(rho)},
+            "time": {"t0": 0.0, "step": step, "horizon": steps * step},
+        }))
+        out = tmp_path / "dense.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == steps + 1
+
+        def close(got, want):
+            return abs(float(got) - want) <= 1e-11 * max(1.0, abs(want))
+
+        for i, row in enumerate(rows):
+            if i:
+                k1 = oracles.generator(h, channels, rho)
+                k2 = oracles.generator(h, channels, rho + 0.5 * step * k1)
+                k3 = oracles.generator(h, channels, rho + 0.5 * step * k2)
+                k4 = oracles.generator(h, channels, rho + step * k3)
+                rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            f = oracles.free_energy_matrix(rho, h, beta)
+            assert close(row["energy"], float(np.trace(rho @ h).real))
+            assert close(row["entropy"], oracles.entropy(rho))
+            assert close(row["free_energy"], float(np.trace(f @ rho).real))
+            assert close(row["power_analytic"],
+                         float(np.trace(oracles.generator(h, channels, rho) @ f).real))
+            for j, (_, l) in enumerate(channels):
+                assert close(row[f"theta_{j + 1}"], oracles.theta(rho, h, beta, l))
+            assert close(row["min_eig"], float(np.linalg.eigvalsh(rho)[0]))
 
 
 class TestRegularize:

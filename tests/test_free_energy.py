@@ -15,7 +15,7 @@ from qbattery.free_energy import (BatteryContext, compute_theta_report,
                                   power_eigenstate, power_fd, theta_eigenstate,
                                   theta_index_form, theta_operator_form,
                                   vanishing_condition)
-from qbattery.linalg import HermitianMatrix, hermitian_eig, max_abs
+from qbattery.linalg import HermitianMatrix, hermitian_eig, matrix_function, max_abs
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -73,6 +73,30 @@ class TestFreeEnergyOperator:
         decomp = free_energy_operator(DensityMatrix(rho_m), ctx)
         want = oracles.free_energy_matrix(rho_m, h_m, beta)
         assert max_abs(decomp.f_op.matrix - want) <= 1e-9
+
+    def test_reused_log_rho_gives_the_same_decomposition(self, rng):
+        rho = DensityMatrix(oracles.random_density(rng, 4))
+        ctx = BatteryContext(0.8, LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 4))))
+        log_rho = matrix_function(rho.hermitian, math.log, spectrum=rho.spectrum)
+        a = free_energy_operator(rho, ctx, log_rho=log_rho)
+        b = free_energy_operator(rho, ctx)
+        assert np.array_equal(a.f_op.matrix, b.f_op.matrix)
+        assert np.array_equal(a.w, b.w) and np.array_equal(a.basis, b.basis)
+
+    def test_warm_start_from_a_nearby_state(self, rng):
+        # the deltaF basis of one trajectory row warm-starts the next row's
+        d = 6
+        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, d)),
+                              (JumpChannel(0.5, oracles.random_ginibre(rng, d)),))
+        ctx = BatteryContext(1.0, model)
+        traj = propagate(model, DensityMatrix(oracles.random_density(rng, d)),
+                         np.linspace(0.0, 2e-3, 3))
+        previous = free_energy_operator(traj.states[1], ctx)
+        warm = free_energy_operator(traj.states[2], ctx, basis=previous.basis)
+        cold = free_energy_operator(traj.states[2], ctx)
+        assert max_abs(warm.w - cold.w) <= 1e-12 * max(1.0, max_abs(cold.w))
+        assert max_abs((warm.basis * warm.w) @ oracles.dag(warm.basis)
+                       - warm.delta_f.matrix) <= 1e-12
 
 
 class TestMeanFreeEnergy:

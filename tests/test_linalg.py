@@ -213,6 +213,73 @@ class TestHermitianEig:
         assert max_abs(reconstruct(spec) - h.matrix) <= 1e-10 * scale
 
 
+def rotation(rng, d, angle):
+    """exp(i angle K) for a random Hermitian K with entries of order one."""
+    w, u = np.linalg.eigh(oracles.random_hermitian(rng, d))
+    return (u * np.exp(1j * angle * w)) @ oracles.dag(u)
+
+
+class TestWarmStart:
+    def test_perturbed_basis_matches_cold_up_to_dim_12(self, rng):
+        for d in [*range(2, 13), 32]:
+            m = oracles.random_hermitian(rng, d, scale=10.0 / 3.0)
+            h = HermitianMatrix(m)
+            cold = hermitian_eig(h)
+            warm = hermitian_eig(h, basis=cold.eigenvectors @ rotation(rng, d, 1e-3))
+            want = np.linalg.eigvalsh(m)
+            scale = max(1.0, max_abs(m))
+            for spec in (cold, warm):
+                assert max_abs(spec.eigenvalues - want) <= 1e-10 * scale
+                assert max_abs(reconstruct(spec) - h.matrix) <= 1e-10 * scale
+                u = spec.eigenvectors
+                assert max_abs(oracles.dag(u) @ u - np.eye(d)) <= 1e-10
+            assert max_abs(warm.eigenvalues - cold.eigenvalues) <= 1e-10 * scale
+
+    def test_far_basis_still_converges(self, rng):
+        m = oracles.random_hermitian(rng, 8, scale=2.0)
+        h = HermitianMatrix(m)
+        spec = hermitian_eig(h, basis=oracles.random_unitary(rng, 8))
+        scale = max(1.0, max_abs(m))
+        assert max_abs(spec.eigenvalues - np.linalg.eigvalsh(m)) <= 1e-10 * scale
+        assert max_abs(reconstruct(spec) - h.matrix) <= 1e-10 * scale
+
+    def test_diagonal_input_ignores_the_basis(self, rng):
+        h = HermitianMatrix(np.diag([0.5, -1.0, 0.5, 2.0, 0.0]))
+        cold = hermitian_eig(h)
+        warm = hermitian_eig(h, basis=oracles.random_unitary(rng, 5))
+        assert np.array_equal(warm.eigenvalues, cold.eigenvalues)
+        assert np.array_equal(warm.eigenvectors, cold.eigenvectors)
+
+    def test_ties_follow_the_start_basis(self):
+        # a Hadamard basis is unitary in floating point, so B^dag M B is
+        # exactly diag(1, 1, 2, 2) and both pairs tie exactly
+        had = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1],
+                              [1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex)
+        h = HermitianMatrix((had * np.array([1.0, 1.0, 2.0, 2.0])) @ had.T)
+        for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
+            spec = hermitian_eig(h, basis=had[:, order])
+            assert np.array_equal(spec.eigenvalues, np.array([1.0, 1.0, 2.0, 2.0]))
+            # columns come back in the start order, phased to a positive first entry
+            assert np.array_equal(spec.eigenvectors, had[:, order] * had[0, order] * 2.0)
+
+    def test_long_chain_of_warm_starts_stays_unitary(self, rng):
+        # each call starts from the eigenvectors of the previous one, as along
+        # a trajectory; without re-projecting the start basis onto the unitary
+        # group, the round-off of every call would accumulate in it
+        d = 8
+        lam = np.linspace(0.05, 0.2, d)
+        u0 = oracles.random_unitary(rng, d)
+        w, k = np.linalg.eigh(oracles.random_hermitian(rng, d))
+        basis = None
+        worst = 0.0
+        for step in range(2000):
+            u = (k * np.exp(1e-3j * step * w)) @ oracles.dag(k) @ u0
+            spec = hermitian_eig(HermitianMatrix((u * lam) @ oracles.dag(u)), basis=basis)
+            basis = spec.eigenvectors
+            worst = max(worst, max_abs(oracles.dag(basis) @ basis - np.eye(d)))
+        assert worst <= 1e-13
+
+
 class TestRoundRobinSchedule:
     @pytest.mark.parametrize("d", range(2, 10))
     def test_every_pair_exactly_once_per_sweep(self, d):
@@ -242,8 +309,8 @@ class TestRoundRobinSchedule:
 class TestAccuracyNearRankThreshold:
     """Eigenvalues of ill-conditioned density matrices against 50 digits."""
 
-    @pytest.mark.parametrize("lam_min", [1e-12, 1e-9, 1e-6, 1e-2])
-    def test_within_backward_stable_bound(self, lam_min):
+    @staticmethod
+    def check(lam_min, warm):
         mp = pytest.importorskip("mpmath")
         d = 8
         eps = np.finfo(float).eps
@@ -254,13 +321,23 @@ class TestAccuracyNearRankThreshold:
             lam = lam / lam.sum()
             u = oracles.random_unitary(rng, d)
             h = HermitianMatrix((u * lam) @ oracles.dag(u))
+            # warm: start from the eigenvectors of a state one small step away
+            basis = u @ rotation(rng, d, 1e-3) if warm else None
             with mp.workdps(50):
                 exact = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in h.matrix])
                 ref = sorted(mp.eighe(exact, eigvals_only=True))
                 norm2 = float(ref[-1])
-                got = hermitian_eig(h).eigenvalues
+                got = hermitian_eig(h, basis=basis).eigenvalues
                 errors = [float(abs(mp.mpf(float(g)) - r)) for g, r in zip(got, ref)]
             assert max(errors) <= 8 * d * eps * norm2
+
+    @pytest.mark.parametrize("lam_min", [1e-12, 1e-9, 1e-6, 1e-2])
+    def test_within_backward_stable_bound(self, lam_min):
+        self.check(lam_min, warm=False)
+
+    @pytest.mark.parametrize("lam_min", [1e-12, 1e-9, 1e-6, 1e-2])
+    def test_warm_start_within_backward_stable_bound(self, lam_min):
+        self.check(lam_min, warm=True)
 
 
 class TestMatrixFunction:
