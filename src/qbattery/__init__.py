@@ -12,9 +12,8 @@ from .audit import (ClaimInstance, ClaimVerdict, EigenstateAuditReport, Ensemble
                     bundled_witnesses, claim_falsifier, eigenstate_audit, epsilon_sweep,
                     evaluate_instance, reevaluate_witness)
 from .config import InitialState, RunConfig, TimeGrid, parse_config, serialize_config
-from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, Trajectory, dissipator,
-                       liouvillian, propagate, regularize, thermal_state,
-                       von_neumann_entropy)
+from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, dissipator, liouvillian,
+                       propagate, regularize, thermal_state, von_neumann_entropy)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DimensionError,
                      DomainError, ParameterError, PropagationError, QBatteryError,
                      RankDeficientError, ScenarioError, ValidationError)
@@ -62,7 +61,6 @@ __all__ = [
     "ThetaReport",
     "TimeGrid",
     "ToleranceConfig",
-    "Trajectory",
     "ValidationError",
     "VanishingConditionReport",
     "bundled_witnesses",

@@ -6,10 +6,10 @@
     qbattery check  --config cfg.json --out report.json [--seed N] [--tol ...]
 
 Exit codes: 0 success (audit and check exit 0 whatever the verdicts say),
-2 configuration problem, 3 numeric failure.  `run` writes the CSV rows
-incrementally, so a numeric failure mid-trajectory leaves the completed
-prefix on disk.  JSON reports carry no timestamps; identical inputs give
-byte-identical outputs.
+2 configuration problem, 3 numeric failure.  `run` writes each CSV row as
+soon as the next state arrives, so a numeric failure mid-trajectory leaves
+the completed prefix on disk.  JSON reports carry no timestamps; identical
+inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .config import RunConfig, config_to_dict, parse_config
 from .dynamics import DensityMatrix, propagate, regularize, thermal_state, von_neumann_entropy
 from .errors import ConfigError, ParameterError, PropagationError, QBatteryError
 from .free_energy import (BatteryContext, compute_theta_report, free_energy_operator,
-                          mean_free_energy, power_analytic)
+                          power_analytic, power_fd)
 from .linalg import hermitian_eig
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -105,6 +105,25 @@ def _csv_cell(value: float | None) -> str:
     return "" if value is None else f"{float(value):.17g}"
 
 
+def _with_neighbours(stream):
+    """Yield (previous, item, next) over `stream`, None past either end.
+
+    An item is yielded once its successor has arrived.  When the stream
+    raises PropagationError, the last item that arrived is yielded with no
+    successor before the error is re-raised.
+    """
+    previous = current = None
+    try:
+        for item in stream:
+            if current is not None:
+                yield previous, current, item
+            previous, current = current, item
+    except PropagationError:
+        yield previous, current, None
+        raise
+    yield previous, current, None
+
+
 def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     ctx = BatteryContext(cfg.beta, cfg.model)
     rho0 = _initial_state(cfg, tol)
@@ -114,13 +133,8 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
             "a full-rank state (add initial_state.epsilon or use audit mode)",
             path="initial_state")
     grid = cfg.time.grid()
-
-    pending: PropagationError | None = None
-    try:
-        traj = propagate(cfg.model, rho0, grid, tol=tol)
-    except PropagationError as exc:
-        traj = exc.partial
-        pending = exc
+    states = propagate(cfg.model, rho0, grid, tol=tol)
+    step = float(grid[1] - grid[0]) if grid.size > 1 else None
 
     m = len(cfg.model.channels)
     columns = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd"]
@@ -128,32 +142,27 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     columns.extend(["trace_defect", "min_eig"])
     header = ",".join(columns)
     h_mat = cfg.model.hamiltonian.matrix
-    n = len(traj.times)
     basis = None   # the previous row's deltaF eigenbasis warm-starts the next
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for i in range(n):
-            state = traj.states[i]
+        for i, (before, (state, trace_defect), after) in enumerate(_with_neighbours(states)):
             energy = float(np.real(np.trace(state.matrix @ h_mat)))
             entropy = von_neumann_entropy(state)
             decomp = free_energy_operator(state, ctx, basis=basis, tol=tol)
             basis = decomp.basis
             p_an = power_analytic(state, ctx, decomp=decomp, tol=tol)
             p_fd = None
-            if 1 <= i <= n - 2:
-                p_fd = (mean_free_energy(traj.states[i + 1], ctx)
-                        - mean_free_energy(traj.states[i - 1], ctx)) / (2.0 * traj.step)
+            if before is not None and after is not None:
+                p_fd = power_fd(before[0], after[0], step, ctx)
             thetas = compute_theta_report(decomp, state, cfg.model, tol=tol)
             cells = [
-                _csv_cell(traj.times[i]), _csv_cell(energy), _csv_cell(entropy),
+                _csv_cell(grid[i]), _csv_cell(energy), _csv_cell(entropy),
                 _csv_cell(decomp.mean), _csv_cell(p_an), _csv_cell(p_fd),
             ]
             cells.extend(_csv_cell(ch.theta_operator) for ch in thetas.channels)
-            cells.append(_csv_cell(traj.trace_defects[i]))
-            cells.append(_csv_cell(traj.min_eigenvalues[i]))
+            cells.append(_csv_cell(trace_defect))
+            cells.append(_csv_cell(state.min_eigenvalue))
             fh.write(",".join(cells) + "\n")
-    if pending is not None:
-        raise pending
     return EXIT_OK
 
 

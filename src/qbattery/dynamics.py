@@ -4,15 +4,18 @@ The master equation used throughout is the diagonal GKSL form
 
     drho/dt = -i [H, rho] + sum_j gamma_j ( L_j rho L_j^dag - {L_j^dag L_j, rho}/2 )
 
-with hbar = k_B = 1.  States are never renormalized during propagation; the
-per-step defects (trace, hermiticity, smallest eigenvalue) are recorded on the
-trajectory and checked against the propagation tolerances, and a breach aborts
-with the partial trajectory attached to the error.
+with hbar = k_B = 1.  States are never renormalized during propagation.
+`propagate` streams the trajectory one state at a time: each state is
+checked against the propagation tolerances (trace, hermiticity, smallest
+eigenvalue) before it is yielded, and a breach raises PropagationError.  The
+trajectory prefix is whatever the consumer took before the raise; nothing
+else keeps it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +30,6 @@ __all__ = [
     "DensityMatrix",
     "JumpChannel",
     "LindbladModel",
-    "Trajectory",
     "von_neumann_entropy",
     "dissipator",
     "liouvillian",
@@ -210,34 +212,6 @@ def liouvillian(model: LindbladModel, rho: DensityMatrix, *,
     return out
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Propagated states with per-step integrity diagnostics."""
-
-    times: np.ndarray
-    states: tuple[DensityMatrix, ...]
-    trace_defects: np.ndarray
-    hermiticity_defects: np.ndarray
-    min_eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or times.size != len(self.states):
-            raise DimensionError("trajectory arrays must have matching lengths")
-        if times.size > 1 and np.any(np.diff(times) <= 0):
-            raise ValidationError("trajectory times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def step(self) -> float:
-        if len(self.times) < 2:
-            raise ParameterError("trajectory has no step")
-        return float(self.times[1] - self.times[0])
-
-
 def _uniform_grid(t_grid) -> np.ndarray:
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)):
@@ -253,34 +227,36 @@ def _uniform_grid(t_grid) -> np.ndarray:
 
 
 def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
-              tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Trajectory:
-    """Classical fixed-step RK4 on the matrix master equation.
+              tol: ToleranceConfig = DEFAULT_TOLERANCES
+              ) -> Iterator[tuple[DensityMatrix, float]]:
+    """Classical fixed-step RK4 on the matrix master equation, as a stream.
 
-    The grid must be uniform and ascending; the default scenario step is
-    1e-3.  Each accepted step is revalidated with the propagation tolerances
-    (trace defect <= propagation_trace, smallest eigenvalue >=
-    -propagation_psd, hermiticity within propagation_hermiticity); a breach
-    raises PropagationError carrying the step index, the defects, and the
-    partial trajectory.  No renormalization is applied at any point.  The
-    eigendecomposition behind each revalidation starts from the previous
-    state's eigenvectors, which differ from the new ones by O(h).
+    The state dimension and the grid (uniform and ascending; the default
+    scenario step is 1e-3) are checked when `propagate` is called.  The
+    returned iterator yields (state, trace defect) per grid point: first
+    (rho0, rho0.trace_defect), then each RK4 state with its raw |tr y - 1|.
+    Each step is revalidated with the propagation tolerances (trace defect <=
+    propagation_trace, smallest eigenvalue >= -propagation_psd, hermiticity
+    within propagation_hermiticity) before it is yielded; a breach raises
+    PropagationError carrying the step index and the defects, after exactly
+    `step_index` states have been yielded.  No renormalization is applied at
+    any point.  The eigendecomposition behind each revalidation starts from
+    the previous state's eigenvectors, which differ from the new ones by O(h).
     """
     if rho0.dim != model.dim:
         raise DimensionError(f"state dimension {rho0.dim} vs model {model.dim}")
-    grid = _uniform_grid(t_grid)
-    states = [rho0]
-    trace_defects = [rho0.trace_defect]
-    herm_defects = [rho0.hermiticity_defect]
-    min_eigs = [rho0.min_eigenvalue]
+    return _rk4_states(model, rho0, _uniform_grid(t_grid), tol)
 
+
+def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
+                tol: ToleranceConfig) -> Iterator[tuple[DensityMatrix, float]]:
+    yield state, state.trace_defect
     if grid.size == 1:
-        return Trajectory(grid, tuple(states), np.array(trace_defects),
-                          np.array(herm_defects), np.array(min_eigs))
-
+        return
     h = float(grid[1] - grid[0])
     ham = model.hamiltonian.matrix
     terms = _generator_terms(model)
-    y = np.array(rho0.matrix, dtype=complex)
+    y = np.array(state.matrix, dtype=complex)
 
     for i in range(1, grid.size):
         k1 = _generator_matrix(ham, terms, y)
@@ -290,28 +266,18 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         raw_trace = abs(complex(np.trace(y)) - 1.0)
-        raw_herm = max_abs(y - dagger(y))
         try:
             state = DensityMatrix(y, tol=tol,
                                   trace_tol=tol.propagation_trace,
                                   psd_tol=tol.propagation_psd,
                                   herm_tol=tol.propagation_hermiticity,
-                                  basis=states[-1].spectrum.eigenvectors)
+                                  basis=state.spectrum.eigenvectors)
         except ValidationError as exc:
-            partial = Trajectory(grid[:i], tuple(states), np.array(trace_defects),
-                                 np.array(herm_defects), np.array(min_eigs))
-            min_eig = _best_effort_min_eig(y, tol)
             raise PropagationError(
                 f"step {i} (t = {grid[i]:g}): {exc}",
                 step_index=i, trace_defect=raw_trace,
-                min_eigenvalue=min_eig, partial=partial) from exc
-        states.append(state)
-        trace_defects.append(raw_trace)
-        herm_defects.append(raw_herm)
-        min_eigs.append(state.min_eigenvalue)
-
-    return Trajectory(grid, tuple(states), np.array(trace_defects),
-                      np.array(herm_defects), np.array(min_eigs))
+                min_eigenvalue=_best_effort_min_eig(y, tol)) from exc
+        yield state, raw_trace
 
 
 def _best_effort_min_eig(y: np.ndarray, tol: ToleranceConfig) -> float | None:

@@ -48,17 +48,18 @@ class ConsistencyError(QBatteryError):
 class PropagationError(QBatteryError):
     """A propagated state violated the propagation tolerances.
 
-    Carries the step index, the offending defects, and the partial trajectory
-    accumulated before the breach (may be None when unavailable).
+    Carries the step index and the offending defects (the smallest eigenvalue
+    may be None when it could not be computed).  There is no trajectory
+    payload: the states before the breach are the ones the consumer of the
+    propagation stream already took.
     """
 
     def __init__(self, message, step_index=None, trace_defect=None,
-                 min_eigenvalue=None, partial=None):
+                 min_eigenvalue=None):
         super().__init__(message)
         self.step_index = step_index
         self.trace_defect = trace_defect
         self.min_eigenvalue = min_eigenvalue
-        self.partial = partial
 
 
 class ScenarioError(QBatteryError):

@@ -150,6 +150,13 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
     return _build_decomposition(f_op, mean_from_trace, rho, tol, basis)
 
 
+def _eigen_index(k0: int, dim: int) -> int:
+    """k0 as an index into an ascending spectrum of length `dim`."""
+    if not 0 <= int(k0) < dim:
+        raise ParameterError(f"k0 must lie in [0, {dim}), got {k0!r}")
+    return int(k0)
+
+
 def eigenstate_decomposition(ctx: BatteryContext, k0: int, *,
                              tol: ToleranceConfig = DEFAULT_TOLERANCES
                              ) -> tuple[FreeEnergyDecomposition, DensityMatrix]:
@@ -160,9 +167,7 @@ def eigenstate_decomposition(ctx: BatteryContext, k0: int, *,
     k0 indexes the ascending spectrum of H.
     """
     eig = hermitian_eig(ctx.model.hamiltonian, tol=tol)
-    if not 0 <= int(k0) < ctx.dim:
-        raise ParameterError(f"k0 must lie in [0, {ctx.dim}), got {k0!r}")
-    k0 = int(k0)
+    k0 = _eigen_index(k0, ctx.dim)
     mean = float(eig.eigenvalues[k0])
     rho = DensityMatrix.pure(eig.eigenvectors[:, k0], tol=tol)
     decomp = _build_decomposition(ctx.model.hamiltonian, mean, rho, tol)
@@ -194,19 +199,15 @@ def power_analytic(rho: DensityMatrix, ctx: BatteryContext, *,
     return float(value.real)
 
 
-def power_fd(traj, ctx: BatteryContext, index: int, *,
-             tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Central difference of <F> along a trajectory, second order in the step."""
-    n = len(traj.states)
-    if n < 3:
-        raise ParameterError("trajectory needs at least three points for a central difference")
-    if not 1 <= int(index) <= n - 2:
-        raise ParameterError(f"index must lie in [1, {n - 2}], got {index!r}")
-    index = int(index)
-    h = traj.step
-    forward = mean_free_energy(traj.states[index + 1], ctx)
-    backward = mean_free_energy(traj.states[index - 1], ctx)
-    return (forward - backward) / (2.0 * h)
+def power_fd(before: DensityMatrix, after: DensityMatrix, step: float,
+             ctx: BatteryContext) -> float:
+    """Central difference of <F> between the trajectory states one `step`
+    before and one `step` after a point; second order in the step."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ParameterError(f"step must be finite and positive, got {step!r}")
+    forward = mean_free_energy(after, ctx)
+    backward = mean_free_energy(before, ctx)
+    return (forward - backward) / (2.0 * step)
 
 
 def components_in_basis(matrix, basis) -> np.ndarray:
@@ -270,9 +271,7 @@ def theta_eigenstate(k0: int, w, l_components) -> float:
     l_c = as_square_matrix(l_components, "operator components")
     if l_c.shape != (w.size, w.size):
         raise DimensionError("component array must match the length of w")
-    if not 0 <= int(k0) < w.size:
-        raise ParameterError(f"k0 must lie in [0, {w.size}), got {k0!r}")
-    k0 = int(k0)
+    k0 = _eigen_index(k0, w.size)
     row = l_c[k0, :]
     return float(np.sum(np.abs(row) ** 2 * (w - w[k0]) ** 2))
 
@@ -314,17 +313,17 @@ def compute_theta_report(decomp: FreeEnergyDecomposition, rho: DensityMatrix,
 
 
 def _eigenstate_power_forms(k0: int, ctx: BatteryContext, *,
-                            spectrum: Spectrum | None = None,
+                            spectrum: Spectrum | None = None, label: str | None = None,
                             tol: ToleranceConfig = DEFAULT_TOLERANCES
                             ) -> tuple[float, float, Spectrum]:
     """Both eigenstate power forms plus the H spectrum they were built from.
 
-    Pass `spectrum` to reuse a cached decomposition of H.
+    The two forms must agree within power_agreement * max(1, |trace form|);
+    otherwise ConsistencyError names both values, prefixed by `label` when
+    given.  Pass `spectrum` to reuse a cached decomposition of H.
     """
     eig = hermitian_eig(ctx.model.hamiltonian, tol=tol) if spectrum is None else spectrum
-    if not 0 <= int(k0) < ctx.dim:
-        raise ParameterError(f"k0 must lie in [0, {ctx.dim}), got {k0!r}")
-    k0 = int(k0)
+    k0 = _eigen_index(k0, ctx.dim)
     vec = eig.eigenvectors[:, k0]
     projector = np.outer(vec, np.conj(vec))
     h = ctx.model.hamiltonian.matrix
@@ -337,6 +336,11 @@ def _eigenstate_power_forms(k0: int, ctx: BatteryContext, *,
         l_c = components_in_basis(ch.operator, eig.eigenvectors)
         col = l_c[:, k0]
         index_form += ch.rate * float(np.sum(np.abs(col) ** 2 * (w - w[k0])))
+    if abs(trace_form - index_form) > tol.power_agreement * max(1.0, abs(trace_form)):
+        prefix = "" if label is None else f"{label}: "
+        raise ConsistencyError(
+            f"{prefix}eigenstate power forms disagree: "
+            f"trace {trace_form!r} vs index {index_form!r}")
     return trace_form, index_form, eig
 
 
@@ -349,10 +353,7 @@ def power_eigenstate(k0: int, ctx: BatteryContext, *,
     differs from theta_eigenstate (column k0 of L rather than row k0).  The
     two evaluations must agree within tolerance; the trace form is returned.
     """
-    trace_form, index_form, _ = _eigenstate_power_forms(k0, ctx, tol=tol)
-    if abs(trace_form - index_form) > tol.power_agreement * max(1.0, abs(trace_form)):
-        raise ConsistencyError(
-            f"eigenstate power forms disagree: trace {trace_form!r} vs index {index_form!r}")
+    trace_form, _, _ = _eigenstate_power_forms(k0, ctx, tol=tol)
     return trace_form
 
 
@@ -387,9 +388,7 @@ def vanishing_condition(ctx: BatteryContext, k0: int, *,
     Pass `spectrum` to reuse a cached decomposition of H.
     """
     eig = hermitian_eig(ctx.model.hamiltonian, tol=tol) if spectrum is None else spectrum
-    if not 0 <= int(k0) < ctx.dim:
-        raise ParameterError(f"k0 must lie in [0, {ctx.dim}), got {k0!r}")
-    k0 = int(k0)
+    k0 = _eigen_index(k0, ctx.dim)
     h = ctx.model.hamiltonian.matrix
     w = eig.eigenvalues
     u = eig.eigenvectors

@@ -128,15 +128,15 @@ def test_acceptance_6_integrator_order_and_defects(record):
     rho0 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
 
     grid = np.linspace(0.0, 5.0, 5001)
-    traj = propagate(model, rho0, grid)
-    pops = np.array([s.matrix[1, 1].real for s in traj.states])
+    states, trace_defects = zip(*propagate(model, rho0, grid))
+    pops = np.array([s.matrix[1, 1].real for s in states])
     pop_err = float(np.max(np.abs(pops - np.exp(-grid))))
-    defect = float(np.max(np.abs(traj.trace_defects)))
+    defect = float(np.max(np.abs(trace_defects)))
 
     def end_error(step):
         n = round(5.0 / step)
         t = np.linspace(0.0, 5.0, n + 1)
-        final = propagate(model, rho0, t).states[-1]
+        *_, (final, _) = propagate(model, rho0, t)
         return abs(final.matrix[1, 1].real - math.exp(-5.0))
 
     ratio = end_error(0.1) / end_error(0.05)

@@ -138,6 +138,17 @@ class TestEpsilonSweep:
             assert abs(row.entropy_rate) <= 1e-9
         assert abs(report.fit_slope) <= 1e-9
 
+    def test_unstable_step_probe_fails_on_every_rung(self):
+        # RK4 is unstable at gamma h = 100: the probe step must actually run
+        # and record the negativity it produces on every rung
+        spec = ScenarioSpec(model=qubit_model(SIGMA_MINUS, rate=100.0), beta=1.0, k0=1,
+                            epsilon_list=(1e-1, 1e-2, 1e-3), step=1.0, horizon=1.0)
+        report = epsilon_sweep(spec)
+        assert len(report.rows) == 3
+        for row in report.rows:
+            assert row.step_error is not None
+            assert "smallest eigenvalue" in row.step_error
+
     def test_empty_list_rejected(self):
         spec = ScenarioSpec(model=qubit_model(SIGMA_PLUS), beta=1.0, k0=0)
         with pytest.raises(ParameterError):

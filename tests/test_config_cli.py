@@ -220,6 +220,23 @@ class TestRunCommand:
         assert lines[0].startswith("t,energy")
         assert len(lines) >= 2  # header plus the rows that stayed valid
 
+    def test_positivity_breach_mid_trajectory(self, tmp_path, capsys):
+        # RK4 is unstable at gamma h = 3.125; the state turns negative at step 5
+        channel = [{"rate": 100.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}]
+        start = {"kind": "eigenstate", "k0": 0, "epsilon": 0.2}
+        grid = {"t0": 0.0, "step": 0.03125, "horizon": 0.5}
+        cfg = tmp_path / "breach.json"
+        cfg.write_text(config_text(channels=channel, initial_state=start, time=grid,
+                                   epsilons=None))
+        out = tmp_path / "breach.csv"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert "step 5" in capsys.readouterr().err
+        rows = read_csv(out)
+        assert len(rows) == 5
+        assert all(rows[i]["power_fd"] != "" for i in (1, 2, 3))
+        assert rows[0]["power_fd"] == "" and rows[4]["power_fd"] == ""
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv")])

@@ -158,46 +158,54 @@ class TestPropagate:
     def test_zero_generator_constant(self):
         model = LindbladModel(HermitianMatrix(np.zeros((2, 2))))
         rho0 = DensityMatrix(np.diag([0.25, 0.75]))
-        traj = propagate(model, rho0, np.linspace(0.0, 1.0, 11))
-        for state in traj.states:
+        states = [s for s, _ in propagate(model, rho0, np.linspace(0.0, 1.0, 11))]
+        assert len(states) == 11
+        for state in states:
             assert max_abs(state.matrix - rho0.matrix) == 0.0
 
     def test_exponential_decay(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        traj = propagate(decay_model(), DensityMatrix(EXCITED), grid)
+        states, trace_defects = zip(*propagate(decay_model(), DensityMatrix(EXCITED), grid))
         for i in (0, 100, 500, 1000):
-            want = math.exp(-traj.times[i])
-            assert traj.states[i].matrix[1, 1].real == pytest.approx(want, abs=1e-6)
-        assert max(traj.trace_defects) <= 1e-8
-        assert max(traj.hermiticity_defects) <= 1e-10
+            want = math.exp(-grid[i])
+            assert states[i].matrix[1, 1].real == pytest.approx(want, abs=1e-6)
+        assert max(trace_defects) <= 1e-8
+        assert max(s.hermiticity_defect for s in states) <= 1e-10
 
     def test_grid_offset_allowed(self):
         grid = 2.0 + np.linspace(0.0, 0.1, 11)
-        traj = propagate(decay_model(), DensityMatrix(EXCITED), grid)
-        assert traj.times[0] == 2.0
-        assert traj.states[-1].matrix[1, 1].real == pytest.approx(math.exp(-0.1), abs=1e-8)
+        states = [s for s, _ in propagate(decay_model(), DensityMatrix(EXCITED), grid)]
+        assert grid[0] == 2.0 and len(states) == grid.size
+        assert states[-1].matrix[1, 1].real == pytest.approx(math.exp(-0.1), abs=1e-8)
 
     def test_unitary_only_entropy_constant(self, rng):
         h = HermitianMatrix(np.array([[0.0, 0.5], [0.5, 1.0]]))
         model = LindbladModel(h)
         rho0 = regularize(DensityMatrix(GROUND), 0.2)
-        traj = propagate(model, rho0, np.linspace(0.0, 0.5, 501))
-        s0 = von_neumann_entropy(traj.states[0])
-        drift = max(abs(von_neumann_entropy(s) - s0) for s in traj.states[::50])
+        states = [s for s, _ in propagate(model, rho0, np.linspace(0.0, 0.5, 501))]
+        s0 = von_neumann_entropy(states[0])
+        drift = max(abs(von_neumann_entropy(s) - s0) for s in states[::50])
         assert drift <= 1e-8
 
     def test_blowup_reports_step_and_partial(self):
         grid = np.linspace(0.0, 5.0, 6)
+        yielded = []
         with pytest.raises(PropagationError) as exc:
-            propagate(decay_model(rate=100.0), DensityMatrix(EXCITED), grid)
+            yielded.extend(propagate(decay_model(rate=100.0), DensityMatrix(EXCITED), grid))
         err = exc.value
         assert err.step_index >= 1
-        assert len(err.partial.states) == err.step_index
+        assert len(yielded) == err.step_index
         assert err.min_eigenvalue < -1e-8 or err.trace_defect > 1e-8
 
     def test_non_uniform_grid_rejected(self):
         with pytest.raises(ParameterError):
             propagate(decay_model(), DensityMatrix(EXCITED), [0.0, 0.1, 0.3])
+
+    def test_stream_starts_with_the_initial_state(self):
+        rho0 = DensityMatrix(EXCITED)
+        stream = propagate(decay_model(), rho0, [0.0])
+        assert next(stream) == (rho0, rho0.trace_defect)
+        assert next(stream, None) is None
 
     def test_descending_grid_rejected(self):
         with pytest.raises(ParameterError):

@@ -89,11 +89,11 @@ class TestFreeEnergyOperator:
         model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, d)),
                               (JumpChannel(0.5, oracles.random_ginibre(rng, d)),))
         ctx = BatteryContext(1.0, model)
-        traj = propagate(model, DensityMatrix(oracles.random_density(rng, d)),
-                         np.linspace(0.0, 2e-3, 3))
-        previous = free_energy_operator(traj.states[1], ctx)
-        warm = free_energy_operator(traj.states[2], ctx, basis=previous.basis)
-        cold = free_energy_operator(traj.states[2], ctx)
+        states = [s for s, _ in propagate(model, DensityMatrix(oracles.random_density(rng, d)),
+                                          np.linspace(0.0, 2e-3, 3))]
+        previous = free_energy_operator(states[1], ctx)
+        warm = free_energy_operator(states[2], ctx, basis=previous.basis)
+        cold = free_energy_operator(states[2], ctx)
         assert max_abs(warm.w - cold.w) <= 1e-12 * max(1.0, max_abs(cold.w))
         assert max_abs((warm.basis * warm.w) @ oracles.dag(warm.basis)
                        - warm.delta_f.matrix) <= 1e-12
@@ -141,10 +141,11 @@ class TestPower:
     def test_matches_finite_difference_inside_trajectory(self):
         ctx = qubit_ctx(SIGMA_PLUS)
         rho0 = regularize(GROUND, 1e-3)
-        traj = propagate(ctx.model, rho0, np.linspace(0.0, 1.0, 1001))
+        grid = np.linspace(0.0, 1.0, 1001)
+        states = [s for s, _ in propagate(ctx.model, rho0, grid)]
         i = 500
-        p_an = power_analytic(traj.states[i], ctx)
-        p_fd = power_fd(traj, ctx, i)
+        p_an = power_analytic(states[i], ctx)
+        p_fd = power_fd(states[i - 1], states[i + 1], grid[1] - grid[0], ctx)
         assert abs(p_an - p_fd) <= 1e-5
 
     def test_fd_error_quarters_when_step_halves(self):
@@ -152,9 +153,11 @@ class TestPower:
         rho0 = regularize(GROUND, 1e-3)
         errors = []
         for n in (251, 501):  # h = 2e-3 then 1e-3 over [0, 0.5]
-            traj = propagate(ctx.model, rho0, np.linspace(0.0, 0.5, n))
+            grid = np.linspace(0.0, 0.5, n)
+            states = [s for s, _ in propagate(ctx.model, rho0, grid)]
             i = (n - 1) // 2  # t = 0.25
-            errors.append(abs(power_fd(traj, ctx, i) - power_analytic(traj.states[i], ctx)))
+            p_fd = power_fd(states[i - 1], states[i + 1], grid[1] - grid[0], ctx)
+            errors.append(abs(p_fd - power_analytic(states[i], ctx)))
         ratio = errors[0] / errors[1]
         assert 3.0 < ratio < 5.0
 
@@ -162,24 +165,25 @@ class TestPower:
         model = LindbladModel(HermitianMatrix(np.zeros((2, 2))))
         ctx = BatteryContext(1.0, model)
         rho0 = DensityMatrix(np.diag([0.25, 0.75]))
-        traj = propagate(model, rho0, np.linspace(0.0, 0.1, 11))
-        assert power_fd(traj, ctx, 5) == 0.0
+        grid = np.linspace(0.0, 0.1, 11)
+        states = [s for s, _ in propagate(model, rho0, grid)]
+        assert power_fd(states[4], states[6], grid[1] - grid[0], ctx) == 0.0
 
     def test_fd_unitary_precession(self):
         h = HermitianMatrix(np.diag([0.0, 1.0]))
         ctx = BatteryContext(1.0, LindbladModel(h))
         plus = DensityMatrix.pure([1.0, 1.0])
         rho0 = regularize(plus, 0.1)
-        traj = propagate(ctx.model, rho0, np.linspace(0.0, 1.0, 1001))
-        assert abs(power_fd(traj, ctx, 500)) <= 1e-8
+        grid = np.linspace(0.0, 1.0, 1001)
+        states = [s for s, _ in propagate(ctx.model, rho0, grid)]
+        assert abs(power_fd(states[499], states[501], grid[1] - grid[0], ctx)) <= 1e-8
 
-    def test_fd_index_validation(self):
-        model = LindbladModel(H2)
-        ctx = BatteryContext(1.0, model)
-        traj = propagate(model, DensityMatrix.maximally_mixed(2), np.linspace(0.0, 0.1, 11))
-        for bad in (0, 10, -1):
+    def test_fd_step_validation(self):
+        ctx = BatteryContext(1.0, LindbladModel(H2))
+        rho = DensityMatrix.maximally_mixed(2)
+        for bad in (0.0, -0.01, math.inf, math.nan):
             with pytest.raises(ParameterError):
-                power_fd(traj, ctx, bad)
+                power_fd(rho, rho, bad, ctx)
 
 
 class TestThetaOperatorForm:
