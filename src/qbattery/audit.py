@@ -39,8 +39,8 @@ from .dynamics import (DensityMatrix, JumpChannel, LindbladModel,
                        propagate, regularize)
 from .errors import ParameterError, PropagationError, ScenarioError
 from .free_energy import (BatteryContext, _eigen_index, _eigenstate_power_forms,
-                          components_in_basis, free_energy_operator,
-                          power_analytic, theta_eigenstate, vanishing_condition)
+                          free_energy_operator, power_analytic, theta_eigenstate,
+                          vanishing_condition)
 from .jsonio import model_from_json, model_to_json
 from .linalg import (HermitianMatrix, Spectrum, dagger, hermitian_eig, matrix_function,
                      max_abs)
@@ -78,15 +78,13 @@ VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One audited scenario: model, inverse temperature, eigenstate index,
-    regularization ladder, and integration grid."""
+    regularization ladder, and the step of the sweep's RK4 probe."""
 
     model: LindbladModel
     beta: float
     k0: int
     epsilon_list: tuple[float, ...] = ()
     step: float = 1e-3
-    horizon: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not (isinstance(self.beta, (int, float)) and math.isfinite(float(self.beta))
@@ -103,12 +101,6 @@ class ScenarioSpec:
         object.__setattr__(self, "epsilon_list", eps)
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ParameterError("step must be finite and positive")
-        if not (self.horizon >= self.step):
-            raise ParameterError("horizon must be at least one step")
-        object.__setattr__(self, "seed", int(self.seed))
-
-    def context(self, rank_threshold: float = 1e-12) -> BatteryContext:
-        return BatteryContext(self.beta, self.model, rank_threshold)
 
 
 def _claim_scale(model: LindbladModel) -> float:
@@ -165,12 +157,15 @@ class ClaimInstance:
     power_index: float
     condition_holds: bool
 
+    def classes(self, tol: ToleranceConfig) -> tuple[str, str, str]:
+        """Class of "all row Thetas vanish", of "all column Thetas vanish",
+        and of the power: each ZERO, NONZERO or STRADDLE."""
+        row_all = _all_zero_status([_classify(t, self.scale, tol) for t in self.theta_values])
+        col_all = _all_zero_status([_classify(t, self.scale, tol) for t in self.theta_transposed])
+        return row_all, col_all, _classify(self.power_trace, self.scale, tol)
+
     def outcomes(self, tol: ToleranceConfig) -> dict[str, str]:
-        row = [_classify(t, self.scale, tol) for t in self.theta_values]
-        col = [_classify(t, self.scale, tol) for t in self.theta_transposed]
-        p_cls = _classify(self.power_trace, self.scale, tol)
-        row_all = _all_zero_status(row)
-        col_all = _all_zero_status(col)
+        row_all, col_all, p_cls = self.classes(tol)
         return {
             "C1": _implication_outcome(row_all, p_cls),
             "C2": _implication_outcome(p_cls, row_all),
@@ -201,20 +196,15 @@ def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
     vanishing condition for one instance.  Pass `spectrum` to reuse a cached
     decomposition of H."""
     ctx = BatteryContext(beta, model)
-    trace_form, index_form, eig = _eigenstate_power_forms(k0, ctx, spectrum=spectrum,
-                                                          label=label, tol=tol)
+    trace_form, index_form, eig, components = _eigenstate_power_forms(
+        k0, ctx, spectrum=spectrum, label=label, tol=tol)
     w = eig.eigenvalues
-    thetas = []
-    thetas_t = []
-    for ch in model.channels:
-        l_c = components_in_basis(ch.operator, eig.eigenvectors)
-        thetas.append(theta_eigenstate(k0, w, l_c))
-        thetas_t.append(theta_eigenstate(k0, w, l_c.T))  # column k0 of L
     condition = vanishing_condition(ctx, k0, spectrum=eig, tol=tol)
     return ClaimInstance(
         label=label, model=model, k0=int(k0), beta=float(beta),
         scale=_claim_scale(model),
-        theta_values=tuple(thetas), theta_transposed=tuple(thetas_t),
+        theta_values=tuple(theta_eigenstate(k0, w, l_c) for l_c in components),
+        theta_transposed=tuple(theta_eigenstate(k0, w, l_c.T) for l_c in components),
         power_trace=trace_form, power_index=index_form,
         condition_holds=condition.holds)
 
@@ -272,14 +262,15 @@ class ClaimVerdict:
         }
 
 
-def _claim_rows(instances, tol: ToleranceConfig) -> tuple[ClaimVerdict, ...]:
+def _claim_rows(evaluated) -> tuple[ClaimVerdict, ...]:
+    """One verdict per claim over (instance, outcomes) pairs."""
     rows = []
     for claim_id in CLAIM_IDS:
         counts = {"instances": 0, "supporting": 0, "vacuous": 0,
                   "counterexamples": 0, "inconclusive": 0}
         witness = None
-        for inst in instances:
-            outcome = inst.outcomes(tol)[claim_id]
+        for inst, outcomes in evaluated:
+            outcome = outcomes[claim_id]
             counts["instances"] += 1
             key = outcome if outcome in ("supporting", "vacuous", "inconclusive") \
                 else "counterexamples"
@@ -322,9 +313,7 @@ def eigenstate_audit(spec: ScenarioSpec, *,
     rate = _generator_matrix(h, _generator_terms(spec.model), projector)
     energy_rate = float(np.real(np.trace(rate @ h)))
 
-    row_all = _all_zero_status(
-        [_classify(t, instance.scale, tol) for t in instance.theta_values])
-    p_cls = _classify(instance.power_trace, instance.scale, tol)
+    row_all, _, p_cls = instance.classes(tol)
     if row_all == NONZERO and p_cls == NONZERO:
         verdict = VERDICT_REFUTED
     elif row_all == ZERO and p_cls == ZERO:
@@ -346,7 +335,7 @@ def eigenstate_audit(spec: ScenarioSpec, *,
         scale=instance.scale,
         verdict=verdict,
         condition_holds=instance.condition_holds,
-        claims=_claim_rows([instance], tol))
+        claims=_claim_rows([(instance, instance.outcomes(tol))]))
 
 
 @dataclass(frozen=True)
@@ -407,8 +396,8 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     """
     if not spec.epsilon_list:
         raise ParameterError("epsilon_sweep needs a non-empty epsilon_list")
-    ctx = spec.context()
-    trace_form, _, spectrum = _eigenstate_power_forms(spec.k0, ctx, tol=tol)
+    ctx = BatteryContext(spec.beta, spec.model)
+    trace_form, _, spectrum, _ = _eigenstate_power_forms(spec.k0, ctx, tol=tol)
     rho0 = DensityMatrix.pure(spectrum.eigenvectors[:, spec.k0], tol=tol)
     h = spec.model.hamiltonian.matrix
 
@@ -556,22 +545,19 @@ def claim_falsifier(ensemble: EnsembleSpec, *,
         instances.append(evaluate_instance(model, k0, ensemble.beta,
                                            f"trial:{trial}", tol=tol))
 
-    claims = _claim_rows(instances, tol)
+    evaluated = [(inst, inst.outcomes(tol)) for inst in instances]
     counterexamples = []
-    seen = set()
-    for inst in instances:
-        outcomes = inst.outcomes(tol)
+    for inst, outcomes in evaluated:
         violated = sorted(cid for cid, out in outcomes.items() if out == "counterexample")
-        if violated and inst.label not in seen:
+        if violated:
             record = inst.to_record()
             record["violates"] = violated
             counterexamples.append(record)
-            seen.add(inst.label)
     return FalsifierReport(
         seed=ensemble.seed, trials=ensemble.trials,
         dim_min=ensemble.dim_min, dim_max=ensemble.dim_max,
         include_bundled=ensemble.include_bundled,
-        claims=claims, counterexamples=tuple(counterexamples))
+        claims=_claim_rows(evaluated), counterexamples=tuple(counterexamples))
 
 
 def reevaluate_witness(record: dict, *,
@@ -582,6 +568,6 @@ def reevaluate_witness(record: dict, *,
     recorded values for the record to count as reproducible; callers assert
     that, this function just recomputes.
     """
-    model = model_from_json(record, path=record.get("label", "witness"))
+    model = model_from_json(record, path=record.get("label", "witness"), tol=tol)
     return evaluate_instance(model, int(record["k0"]), float(record["beta"]),
                              record.get("label", "witness"), tol=tol)

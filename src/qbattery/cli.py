@@ -25,7 +25,7 @@ from . import __version__
 from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit, epsilon_sweep
 from .config import RunConfig, config_to_dict, parse_config
 from .dynamics import DensityMatrix, propagate, regularize, thermal_state, von_neumann_entropy
-from .errors import ConfigError, ParameterError, PropagationError, QBatteryError
+from .errors import ConfigError, ParameterError, PropagationError, QBatteryError, ValidationError
 from .free_energy import (BatteryContext, compute_theta_report, free_energy_operator,
                           power_analytic, power_fd)
 from .linalg import hermitian_eig
@@ -96,8 +96,8 @@ def _initial_state(cfg: RunConfig, tol: ToleranceConfig) -> DensityMatrix:
         return rho
     try:
         return DensityMatrix(st.matrix, tol=tol)
-    except QBatteryError as exc:
-        raise ConfigError(f"initial_state.matrix is not a valid density matrix: {exc}",
+    except ValidationError as exc:
+        raise ConfigError(f"not a valid density matrix: {exc}",
                           path="initial_state.matrix") from None
 
 
@@ -180,7 +180,7 @@ def _write_report(out_path: str, mode: str, seed: int, cfg: RunConfig, report: d
 
 
 def audit_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig) -> int:
-    spec = ScenarioSpec(model=cfg.model, beta=cfg.beta, k0=cfg.k0, seed=seed)
+    spec = ScenarioSpec(model=cfg.model, beta=cfg.beta, k0=cfg.k0)
     report = eigenstate_audit(spec, tol=tol)
     _write_report(out_path, "audit", seed, cfg, report.to_dict())
     return EXIT_OK
@@ -188,9 +188,8 @@ def audit_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig
 
 def sweep_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig) -> int:
     step = cfg.time.step if cfg.time is not None else 1e-3
-    horizon = cfg.time.horizon if cfg.time is not None else 1.0
     spec = ScenarioSpec(model=cfg.model, beta=cfg.beta, k0=cfg.k0,
-                        epsilon_list=cfg.epsilons, step=step, horizon=horizon, seed=seed)
+                        epsilon_list=cfg.epsilons, step=step)
     report = epsilon_sweep(spec, tol=tol)
     _write_report(out_path, "sweep", seed, cfg, report.to_dict())
     return EXIT_OK
@@ -205,7 +204,6 @@ def check_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig
 
 
 _COMMANDS = {
-    "run": run_command,
     "audit": audit_command,
     "sweep": sweep_command,
     "check": check_command,

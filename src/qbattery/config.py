@@ -6,7 +6,7 @@ Top-level keys (mode decides which are required):
                     dimension (instances are drawn with 2 <= d <= dim)
     beta            inverse temperature, finite > 0, default 1.0
     hamiltonian     dim x dim complex matrix, row-major, entries are numbers
-                    or [re, im] pairs; must be Hermitian
+                    or [re, im] pairs; Hermitian to tol.hermiticity
     channels        list of {"rate": r >= 0, "matrix": dim x dim}; may be
                     empty or absent for unitary-only models
     initial_state   {"kind": "eigenstate", "k0": k, "epsilon": e?}
@@ -36,7 +36,6 @@ import numpy as np
 from .dynamics import LindbladModel
 from .errors import ConfigError
 from .jsonio import matrix_from_json, matrix_to_json, model_from_json
-from .linalg import dagger, max_abs
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -220,16 +219,10 @@ def parse_config(text: str, mode: str | None = None, *,
     if "hamiltonian" in data or "channels" in data:
         if "hamiltonian" not in data:
             raise ConfigError("channels without a hamiltonian", path="hamiltonian")
-        h = matrix_from_json(data["hamiltonian"], "hamiltonian", dim=dim)
-        defect = max_abs(h - dagger(h))
-        if defect > tol.config_hermiticity * max(1.0, max_abs(h)):
-            raise ConfigError(
-                f"hamiltonian is not Hermitian: max defect {defect:.3e}",
-                path="hamiltonian")
         model = model_from_json({"dim": dim,
                                  "hamiltonian": data["hamiltonian"],
                                  "channels": data.get("channels", [])},
-                                path="")
+                                path="", tol=tol)
 
     initial_state = None
     if "initial_state" in data:

@@ -315,8 +315,9 @@ def compute_theta_report(decomp: FreeEnergyDecomposition, rho: DensityMatrix,
 def _eigenstate_power_forms(k0: int, ctx: BatteryContext, *,
                             spectrum: Spectrum | None = None, label: str | None = None,
                             tol: ToleranceConfig = DEFAULT_TOLERANCES
-                            ) -> tuple[float, float, Spectrum]:
-    """Both eigenstate power forms plus the H spectrum they were built from.
+                            ) -> tuple[float, float, Spectrum, tuple[np.ndarray, ...]]:
+    """Both eigenstate power forms, the H spectrum they were built from, and
+    each channel's components in that eigenbasis.
 
     The two forms must agree within power_agreement * max(1, |trace form|);
     otherwise ConsistencyError names both values, prefixed by `label` when
@@ -330,10 +331,12 @@ def _eigenstate_power_forms(k0: int, ctx: BatteryContext, *,
     w = eig.eigenvalues
     trace_form = 0.0
     index_form = 0.0
+    components = []
     for ch in ctx.model.channels:
         d_mat = _dissipator_matrix(ch.operator, projector)
         trace_form += ch.rate * float(np.real(np.trace(d_mat @ h)))
         l_c = components_in_basis(ch.operator, eig.eigenvectors)
+        components.append(l_c)
         col = l_c[:, k0]
         index_form += ch.rate * float(np.sum(np.abs(col) ** 2 * (w - w[k0])))
     if abs(trace_form - index_form) > tol.power_agreement * max(1.0, abs(trace_form)):
@@ -341,7 +344,7 @@ def _eigenstate_power_forms(k0: int, ctx: BatteryContext, *,
         raise ConsistencyError(
             f"{prefix}eigenstate power forms disagree: "
             f"trace {trace_form!r} vs index {index_form!r}")
-    return trace_form, index_form, eig
+    return trace_form, index_form, eig, tuple(components)
 
 
 def power_eigenstate(k0: int, ctx: BatteryContext, *,
@@ -353,7 +356,7 @@ def power_eigenstate(k0: int, ctx: BatteryContext, *,
     differs from theta_eigenstate (column k0 of L rather than row k0).  The
     two evaluations must agree within tolerance; the trace form is returned.
     """
-    trace_form, _, _ = _eigenstate_power_forms(k0, ctx, tol=tol)
+    trace_form, _, _, _ = _eigenstate_power_forms(k0, ctx, tol=tol)
     return trace_form
 
 
@@ -362,16 +365,15 @@ class VanishingConditionReport:
     """Structural condition claimed equivalent to "all Theta_j vanish".
 
     The condition: H = w_k0 |k0><k0|, or every L_j acts as a scalar on each
-    eigenvector of H with nonzero eigenvalue.  `theta_values` carries the
-    independently computed eigenstate Thetas so callers can test the claimed
-    equivalence instead of assuming it.
+    eigenvector of H with nonzero eigenvalue.  The report carries no Theta:
+    callers test the claimed equivalence against Thetas they compute
+    themselves (see audit.evaluate_instance).
     """
 
     holds: bool
     projector_hamiltonian: bool
     trivial_action: bool
     per_channel_trivial: tuple[bool, ...]
-    theta_values: tuple[float, ...]
     k0: int
 
 
@@ -413,13 +415,9 @@ def vanishing_condition(ctx: BatteryContext, k0: int, *,
         per_channel.append(trivial)
     trivial_action = all(per_channel) if per_channel else True
 
-    thetas = tuple(
-        theta_eigenstate(k0, w, components_in_basis(ch.operator, u))
-        for ch in ctx.model.channels)
     return VanishingConditionReport(
         holds=bool(projector_hamiltonian or trivial_action),
         projector_hamiltonian=bool(projector_hamiltonian),
         trivial_action=bool(trivial_action),
         per_channel_trivial=tuple(bool(x) for x in per_channel),
-        theta_values=thetas,
         k0=k0)

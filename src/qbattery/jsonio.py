@@ -13,8 +13,9 @@ import numbers
 import numpy as np
 
 from .dynamics import JumpChannel, LindbladModel
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .linalg import HermitianMatrix
+from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
     "complex_to_pair",
@@ -86,11 +87,17 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def model_from_json(data: dict, path: str = "model") -> LindbladModel:
+def model_from_json(data: dict, path: str = "model", *,
+                    tol: ToleranceConfig = DEFAULT_TOLERANCES) -> LindbladModel:
+    """Rebuild a model; H failing tol.hermiticity is a ConfigError at its path."""
     if "dim" not in data or "hamiltonian" not in data:
         raise ConfigError("model needs dim and hamiltonian", path=path)
     dim = int(data["dim"])
-    ham = HermitianMatrix(matrix_from_json(data["hamiltonian"], _join(path, "hamiltonian"), dim))
+    h_path = _join(path, "hamiltonian")
+    try:
+        ham = HermitianMatrix(matrix_from_json(data["hamiltonian"], h_path, dim), tol=tol)
+    except ValidationError as exc:
+        raise ConfigError(str(exc), path=h_path) from None
     channels = []
     for j, ch in enumerate(data.get("channels", ())):
         ch_path = _join(path, f"channels[{j}]")

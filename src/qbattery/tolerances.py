@@ -4,12 +4,17 @@ Every invariant check in the package reads its threshold from a
 ToleranceConfig instance so that the command line can override any of them
 with repeated ``--tol NAME=VALUE`` flags.  Defaults are chosen for dense
 double-precision matrices at desk scale (dimension up to a few dozen).
+Each field must be finite and >= 0 (claim_band >= 1; int fields an int), or
+ParameterError names it.  Zero is legal: the guard it feeds then always fires.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,16 @@ class ToleranceConfig:
     claim_zero: float = 1e-10            # x claim scale: |value| below this counts as zero
     claim_band: float = 10.0             # straddle band multiplier for inconclusive calls
 
-    # config parsing
-    config_hermiticity: float = 1e-10    # Hamiltonian defect rejected at parse time
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            is_int = field.type in ("int", int)
+            minimum = 1 if field.name == "claim_band" else 0
+            if (isinstance(value, bool) or not isinstance(value, int if is_int else (int, float))
+                    or not math.isfinite(value) or value < minimum):
+                kind = "an int" if is_int else "a finite number"
+                raise ParameterError(
+                    f"tolerance {field.name} must be {kind} >= {minimum}, got {value!r}")
 
     def replace(self, **overrides) -> "ToleranceConfig":
         return dataclasses.replace(self, **overrides)

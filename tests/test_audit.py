@@ -142,7 +142,7 @@ class TestEpsilonSweep:
         # RK4 is unstable at gamma h = 100: the probe step must actually run
         # and record the negativity it produces on every rung
         spec = ScenarioSpec(model=qubit_model(SIGMA_MINUS, rate=100.0), beta=1.0, k0=1,
-                            epsilon_list=(1e-1, 1e-2, 1e-3), step=1.0, horizon=1.0)
+                            epsilon_list=(1e-1, 1e-2, 1e-3), step=1.0)
         report = epsilon_sweep(spec)
         assert len(report.rows) == 3
         for row in report.rows:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from qbattery.cli import main, parse_tol_overrides
 from qbattery.config import config_to_dict, parse_config, serialize_config
 from qbattery.errors import ConfigError
+from qbattery.tolerances import ToleranceConfig
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -237,6 +239,32 @@ class TestRunCommand:
         assert all(rows[i]["power_fd"] != "" for i in (1, 2, 3))
         assert rows[0]["power_fd"] == "" and rows[4]["power_fd"] == ""
 
+    def matrix_start_run(self, tmp_path, matrix, *tol):
+        cfg = tmp_path / "matrix_start.json"
+        cfg.write_text(json.dumps({
+            "dim": 3,
+            "hamiltonian": [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+            "initial_state": {"kind": "matrix", "matrix": matrix},
+            "time": {"t0": 0.0, "step": 0.01, "horizon": 0.02}}))
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+        for pair in tol:
+            argv.extend(["--tol", pair])
+        return main(argv)
+
+    def test_solver_failure_on_a_matrix_start_is_numeric(self, tmp_path, capsys):
+        # a valid state whose eigensolve needs more than one Jacobi sweep
+        rho = [[0.5, 0.1, 0.1], [0.1, 0.3, 0.1], [0.1, 0.1, 0.2]]
+        code = self.matrix_start_run(tmp_path, rho, "jacobi_max_sweeps=1")
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numeric failure:")
+
+    def test_invalid_matrix_start_names_its_path_once(self, tmp_path, capsys):
+        rho = [[1.5, 0.0, 0.0], [0.0, -0.25, 0.0], [0.0, 0.0, -0.25]]
+        assert self.matrix_start_run(tmp_path, rho) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("initial_state.matrix") == 1
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x.csv")])
@@ -302,6 +330,30 @@ class TestReportCommands:
                      "--out", str(tmp_path / "x.json"), "--tol", "bogus=1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    # every field, so a new tolerance cannot skip validation; config_hermiticity
+    # is no longer a field and must be rejected as unknown
+    @pytest.mark.parametrize("pair", [
+        f"{f.name}={value}" for f in dataclasses.fields(ToleranceConfig)
+        for value in ("-1", "nan")] + ["claim_band=0.5", "config_hermiticity=1e-9"])
+    def test_invalid_tol_exits_2(self, tmp_path, capsys, pair):
+        code = main(["audit", "--config", str(SCENARIOS / "qubit_sigma_x.json"),
+                     "--out", str(tmp_path / "x.json"), "--tol", pair])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert pair.partition("=")[0] in err
+
+    def test_hamiltonian_defect_follows_the_hermiticity_tolerance(self, tmp_path, capsys):
+        # a defect of 1e-11 lies above the default hermiticity bound of 1e-12
+        cfg = tmp_path / "defect.json"
+        cfg.write_text(config_text(hamiltonian=[[0.0, 1e-11], [0.0, 1.0]]))
+        argv = ["audit", "--config", str(cfg), "--out", str(tmp_path / "x.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("hamiltonian") == 1
+        assert main(argv + ["--tol", "hermiticity=1e-9"]) == 0
 
 
 def test_module_entry_point(tmp_path):

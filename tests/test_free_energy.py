@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import density_matrices
+from qbattery.audit import evaluate_instance
 from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, propagate,
                                regularize, thermal_state)
 from qbattery.errors import ParameterError, RankDeficientError
@@ -329,14 +330,17 @@ class TestVanishingCondition:
         assert report.holds and report.trivial_action
 
     def test_sigma_x_false_with_nonzero_theta(self):
-        report = vanishing_condition(qubit_ctx(SIGMA_X), 0)
+        ctx = qubit_ctx(SIGMA_X)
+        report = vanishing_condition(ctx, 0)
         assert not report.holds
-        assert report.theta_values[0] == pytest.approx(1.0, abs=1e-14)
+        theta = evaluate_instance(ctx.model, 0, ctx.beta, "sigma_x").theta_values[0]
+        assert theta == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal_channel_true_with_zero_theta(self):
-        report = vanishing_condition(qubit_ctx(np.diag([2.0, 5.0])), 0)
+        ctx = qubit_ctx(np.diag([2.0, 5.0]))
+        report = vanishing_condition(ctx, 0)
         assert report.holds and report.trivial_action
-        assert report.theta_values[0] == 0.0
+        assert evaluate_instance(ctx.model, 0, ctx.beta, "diagonal").theta_values[0] == 0.0
 
     def test_cached_spectrum_gives_the_same_report(self, rng):
         model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 4)),
@@ -348,6 +352,8 @@ class TestVanishingCondition:
     def test_projector_hamiltonian_holds_despite_nonzero_theta(self):
         # H = 1 * |1><1| exactly, yet the raising channel has unit fluctuation:
         # the instance on which the claimed equivalence breaks
-        report = vanishing_condition(qubit_ctx(SIGMA_PLUS), 1)
+        ctx = qubit_ctx(SIGMA_PLUS)
+        report = vanishing_condition(ctx, 1)
         assert report.holds and report.projector_hamiltonian
-        assert report.theta_values[0] == pytest.approx(1.0, abs=1e-14)
+        theta = evaluate_instance(ctx.model, 1, ctx.beta, "projector").theta_values[0]
+        assert theta == pytest.approx(1.0, abs=1e-14)
