@@ -19,9 +19,9 @@ from .errors import (ConfigError, ConsistencyError, ConvergenceError, DimensionE
                      RankDeficientError, ScenarioError, ValidationError)
 from .free_energy import (BatteryContext, ChannelTheta, FreeEnergyDecomposition,
                           ThetaReport, VanishingConditionReport, compute_theta_report,
-                          eigenstate_decomposition, free_energy_operator, mean_free_energy,
-                          power_analytic, power_eigenstate, power_fd, theta_eigenstate,
-                          theta_index_form, theta_operator_form, vanishing_condition)
+                          free_energy_operator, mean_free_energy, power_analytic, power_fd,
+                          theta_eigenstate, theta_index_form, theta_operator_form,
+                          vanishing_condition)
 from .linalg import HermitianMatrix, Spectrum, commutator, hermitian_eig, matrix_function
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -69,7 +69,6 @@ __all__ = [
     "compute_theta_report",
     "dissipator",
     "eigenstate_audit",
-    "eigenstate_decomposition",
     "epsilon_sweep",
     "evaluate_instance",
     "free_energy_operator",
@@ -79,7 +78,6 @@ __all__ = [
     "mean_free_energy",
     "parse_config",
     "power_analytic",
-    "power_eigenstate",
     "power_fd",
     "propagate",
     "regularize",

@@ -42,8 +42,7 @@ from .free_energy import (BatteryContext, _eigen_index, _eigenstate_power_forms,
                           free_energy_operator, power_analytic, theta_eigenstate,
                           vanishing_condition)
 from .jsonio import model_from_json, model_to_json
-from .linalg import (HermitianMatrix, Spectrum, dagger, hermitian_eig, matrix_function,
-                     max_abs)
+from .linalg import HermitianMatrix, Spectrum, dagger, hermitian_eig, max_abs
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -389,8 +388,9 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     """Probe the eigenstate scenario through regularized states.
 
     For each epsilon (descending): rho_eps = (1 - eps)|k0><k0| + eps I/d,
-    P_num = power_analytic(rho_eps), energy_rate = tr(L(rho_eps) H),
-    entropy_rate = -tr(L(rho_eps) ln rho_eps).  One RK4 step is attempted per
+    P_num = tr(L(rho_eps) F), energy_rate = tr(L(rho_eps) H),
+    entropy_rate = -tr(L(rho_eps) ln rho_eps), all from one L(rho_eps) and
+    the ln rho_eps that F was built from.  One RK4 step is attempted per
     rung as a differentiability probe; its failure is recorded on the row
     instead of aborting the sweep.
     """
@@ -406,11 +406,9 @@ def epsilon_sweep(spec: ScenarioSpec, *,
         rho_eps = regularize(rho0, eps, tol=tol)
         rate = liouvillian(spec.model, rho_eps, tol=tol)
         energy_rate = float(np.real(np.trace(rate.matrix @ h)))
-        log_rho = matrix_function(rho_eps.hermitian, math.log,
-                                  spectrum=rho_eps.spectrum, tol=tol)
-        entropy_rate = -float(np.real(np.trace(rate.matrix @ log_rho.matrix)))
-        decomp = free_energy_operator(rho_eps, ctx, log_rho=log_rho, tol=tol)
-        p_num = power_analytic(rho_eps, ctx, decomp=decomp, tol=tol)
+        decomp = free_energy_operator(rho_eps, ctx, tol=tol)
+        entropy_rate = -float(np.real(np.trace(rate.matrix @ decomp.log_rho.matrix)))
+        p_num = power_analytic(rate, decomp, tol=tol)
         step_error = None
         try:
             for _ in propagate(spec.model, rho_eps, [0.0, spec.step], tol=tol):

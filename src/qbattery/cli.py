@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit, epsilon_sweep
 from .config import RunConfig, config_to_dict, parse_config
-from .dynamics import DensityMatrix, propagate, regularize, thermal_state, von_neumann_entropy
+from .dynamics import DensityMatrix, liouvillian, propagate, regularize, thermal_state
 from .errors import ConfigError, ParameterError, PropagationError, QBatteryError, ValidationError
 from .free_energy import (BatteryContext, compute_theta_report, free_energy_operator,
                           power_analytic, power_fd)
@@ -147,16 +147,15 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
         fh.write(header + "\n")
         for i, (before, (state, trace_defect), after) in enumerate(_with_neighbours(states)):
             energy = float(np.real(np.trace(state.matrix @ h_mat)))
-            entropy = von_neumann_entropy(state)
             decomp = free_energy_operator(state, ctx, basis=basis, tol=tol)
             basis = decomp.basis
-            p_an = power_analytic(state, ctx, decomp=decomp, tol=tol)
+            p_an = power_analytic(liouvillian(cfg.model, state, tol=tol), decomp, tol=tol)
             p_fd = None
             if before is not None and after is not None:
                 p_fd = power_fd(before[0], after[0], step, ctx)
             thetas = compute_theta_report(decomp, state, cfg.model, tol=tol)
             cells = [
-                _csv_cell(grid[i]), _csv_cell(energy), _csv_cell(entropy),
+                _csv_cell(grid[i]), _csv_cell(energy), _csv_cell(state.entropy),
                 _csv_cell(decomp.mean), _csv_cell(p_an), _csv_cell(p_fd),
             ]
             cells.extend(_csv_cell(ch.theta_operator) for ch in thetas.channels)
@@ -187,9 +186,9 @@ def audit_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig
 
 
 def sweep_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig) -> int:
-    step = cfg.time.step if cfg.time is not None else 1e-3
+    probe = {} if cfg.time is None else {"step": cfg.time.step}
     spec = ScenarioSpec(model=cfg.model, beta=cfg.beta, k0=cfg.k0,
-                        epsilon_list=cfg.epsilons, step=step)
+                        epsilon_list=cfg.epsilons, **probe)
     report = epsilon_sweep(spec, tol=tol)
     _write_report(out_path, "sweep", seed, cfg, report.to_dict())
     return EXIT_OK

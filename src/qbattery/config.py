@@ -12,8 +12,9 @@ Top-level keys (mode decides which are required):
     initial_state   {"kind": "eigenstate", "k0": k, "epsilon": e?}
                     | {"kind": "matrix", "matrix": [[...]]}
                     | {"kind": "thermal", "beta": b?}
-    time            {"t0": s?, "step": h > 0, "horizon": T >= h}; t0
-                    defaults to 0, T must be an integral multiple of h
+    time            {"t0": s?, "step": h > 0, "horizon": T?}; t0 defaults
+                    to 0; run needs T >= h, an integral multiple of h, while
+                    sweep reads only h and takes any T > 0 or none
     epsilons        strictly descending list in (0, 1) for sweep
     trials          positive int for check
     include_bundled bool for check, default true
@@ -65,7 +66,7 @@ class InitialState:
 @dataclass(frozen=True)
 class TimeGrid:
     step: float
-    horizon: float
+    horizon: float | None
     t0: float = 0.0
 
     def grid(self) -> np.ndarray:
@@ -153,15 +154,23 @@ def _parse_initial_state(data, dim: int, path: str) -> InitialState:
     return InitialState(kind="thermal", beta=beta)
 
 
-def _parse_time(data, path: str) -> TimeGrid:
+def _parse_time(data, path: str, mode: str | None) -> TimeGrid:
+    """The grid of `run`; other modes read only the step, so the horizon is
+    required and checked against it only for `run`."""
     if not isinstance(data, dict):
         raise ConfigError("time must be an object", path=path)
     _require_keys(data, ("t0", "step", "horizon"), path)
-    if "step" not in data or "horizon" not in data:
+    if mode == "run" and ("step" not in data or "horizon" not in data):
         raise ConfigError("time needs both step and horizon", path=path)
+    if "step" not in data:
+        raise ConfigError("time needs a step", path=path)
     t0 = _as_number(data.get("t0", 0.0), f"{path}.t0")
     step = _as_number(data["step"], f"{path}.step", exclusive_min=0.0)
-    horizon = _as_number(data["horizon"], f"{path}.horizon", exclusive_min=0.0)
+    horizon = None
+    if "horizon" in data:
+        horizon = _as_number(data["horizon"], f"{path}.horizon", exclusive_min=0.0)
+    if mode != "run":
+        return TimeGrid(step=step, horizon=horizon, t0=t0)
     if horizon < step:
         raise ConfigError("horizon must be at least one step", path=f"{path}.horizon")
     n = horizon / step
@@ -228,7 +237,7 @@ def parse_config(text: str, mode: str | None = None, *,
     if "initial_state" in data:
         initial_state = _parse_initial_state(data["initial_state"], dim, "initial_state")
 
-    time = _parse_time(data["time"], "time") if "time" in data else None
+    time = _parse_time(data["time"], "time", mode) if "time" in data else None
     epsilons = _parse_epsilons(data["epsilons"], "epsilons") if "epsilons" in data else None
     trials = _as_int(data["trials"], "trials", minimum=1) if "trials" in data else None
     include_bundled = data.get("include_bundled", True)
@@ -281,8 +290,9 @@ def config_to_dict(cfg: RunConfig) -> dict:
             st["beta"] = cfg.initial_state.beta
         out["initial_state"] = st
     if cfg.time is not None:
-        out["time"] = {"t0": cfg.time.t0, "step": cfg.time.step,
-                       "horizon": cfg.time.horizon}
+        out["time"] = {"t0": cfg.time.t0, "step": cfg.time.step}
+        if cfg.time.horizon is not None:
+            out["time"]["horizon"] = cfg.time.horizon
     if cfg.epsilons is not None:
         out["epsilons"] = list(cfg.epsilons)
     if cfg.trials is not None:

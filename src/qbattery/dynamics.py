@@ -43,13 +43,14 @@ class DensityMatrix:
     """Quantum state: Hermitian, unit trace, positive semidefinite.
 
     Construction validates all three invariants.  The eigendecomposition is
-    computed once and cached; the positivity check, entropy, and matrix
-    logarithm all reuse it.  `trace_tol`, `psd_tol` and `herm_tol` override
-    the construction tolerances (the propagator passes its looser ones), and
-    `basis` warm-starts the eigensolver from nearby eigenvectors.
+    computed once and cached; the positivity check, the `entropy` (computed
+    once, here) and the matrix logarithm all reuse it.  `trace_tol`, `psd_tol`
+    and `herm_tol` override the construction tolerances (the propagator passes
+    its looser ones), and `basis` warm-starts the eigensolver from nearby
+    eigenvectors.
     """
 
-    __slots__ = ("hermitian", "matrix", "trace_defect", "_spectrum")
+    __slots__ = ("hermitian", "matrix", "trace_defect", "entropy", "_spectrum")
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                  trace_tol: float | None = None, psd_tol: float | None = None,
@@ -67,6 +68,7 @@ class DensityMatrix:
         if self.min_eigenvalue < -floor:
             raise ValidationError(
                 f"smallest eigenvalue {self.min_eigenvalue:.3e} below -{floor:.3e}")
+        self.entropy = von_neumann_entropy(self)
 
     @property
     def dim(self) -> int:

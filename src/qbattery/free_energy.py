@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DensityMatrix, LindbladModel, _dissipator_matrix,
-                       liouvillian, von_neumann_entropy)
+from .dynamics import DensityMatrix, LindbladModel, _dissipator_matrix
 from .errors import (ConsistencyError, DimensionError, ParameterError,
                      RankDeficientError, ValidationError)
 from .linalg import (HermitianMatrix, Spectrum, abs_sq, as_square_matrix,
@@ -44,7 +43,6 @@ __all__ = [
     "ThetaReport",
     "VanishingConditionReport",
     "free_energy_operator",
-    "eigenstate_decomposition",
     "mean_free_energy",
     "power_analytic",
     "power_fd",
@@ -53,7 +51,6 @@ __all__ = [
     "theta_index_form",
     "theta_eigenstate",
     "compute_theta_report",
-    "power_eigenstate",
     "vanishing_condition",
 ]
 
@@ -81,7 +78,8 @@ class BatteryContext:
 
 @dataclass(frozen=True)
 class FreeEnergyDecomposition:
-    """F, deltaF = F - <F> I, the mean <F>, and the deltaF eigensystem.
+    """F, deltaF = F - <F> I, the mean <F>, the deltaF eigensystem, and the
+    ln(rho) that F was built from.
 
     `w` holds the ascending eigenvalues of deltaF and the columns of `basis`
     the matching eigenvectors.  tr(rho deltaF) = 0 for the state the
@@ -93,40 +91,25 @@ class FreeEnergyDecomposition:
     mean: float
     w: np.ndarray
     basis: np.ndarray
+    log_rho: HermitianMatrix
 
     @property
     def dim(self) -> int:
         return self.f_op.dim
 
 
-def _build_decomposition(f_op: HermitianMatrix, mean: float, rho: DensityMatrix,
-                         tol: ToleranceConfig, basis: np.ndarray | None = None
-                         ) -> FreeEnergyDecomposition:
-    delta = HermitianMatrix(f_op.matrix - mean * np.eye(f_op.dim), tol=tol)
-    zero_mean = abs(complex(np.trace(rho.matrix @ delta.matrix)))
-    if zero_mean > tol.zero_mean:
-        raise ValidationError(f"tr(rho deltaF) = {zero_mean:.3e} is not zero")
-    eig = hermitian_eig(delta, basis=basis, tol=tol)
-    residual = max_abs((eig.eigenvectors * eig.eigenvalues) @ dagger(eig.eigenvectors)
-                       - delta.matrix)
-    if residual > tol.decomposition_residual:
-        raise ValidationError(f"deltaF eigenbasis residual {residual:.3e}")
-    return FreeEnergyDecomposition(f_op, delta, float(mean), eig.eigenvalues,
-                                   eig.eigenvectors)
-
-
 def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
                          basis: np.ndarray | None = None,
-                         log_rho: HermitianMatrix | None = None,
                          tol: ToleranceConfig = DEFAULT_TOLERANCES) -> FreeEnergyDecomposition:
     """F = H + (1/beta) ln(rho) for a full-rank state.
 
-    The mean is computed both as tr(F rho) and as tr(rho H) - S(rho)/beta and
-    cross-checked before deltaF is formed.  A state eigenvalue at or below
+    ln(rho) is lifted from rho.spectrum and kept on the decomposition.  The
+    mean is computed as tr(F rho) and cross-checked against
+    mean_free_energy before deltaF is formed; |tr(rho deltaF)| must stay
+    within zero_mean * max(1, ||F||_max).  A state eigenvalue at or below
     ctx.rank_threshold raises RankDeficientError naming it.  `basis`
     warm-starts the deltaF eigensolver, e.g. from the deltaF eigenvectors of
-    the previous trajectory row; pass `log_rho` to reuse ln(rho) already
-    lifted from rho.spectrum.
+    the previous trajectory row.
     """
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
@@ -136,18 +119,22 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
             f"state is rank deficient for ln(rho): smallest eigenvalue "
             f"{smallest:.3e} <= threshold {ctx.rank_threshold:.3e}",
             smallest_eigenvalue=smallest)
-    if log_rho is None:
-        log_rho = matrix_function(rho.hermitian, math.log, spectrum=rho.spectrum, tol=tol)
+    log_rho = matrix_function(rho.spectrum, math.log, tol=tol)
     f_op = HermitianMatrix(
         ctx.model.hamiltonian.matrix + log_rho.matrix / ctx.beta, tol=tol)
-    mean_from_trace = float(np.real(np.trace(f_op.matrix @ rho.matrix)))
-    mean_from_entropy = float(np.real(np.trace(rho.matrix @ ctx.model.hamiltonian.matrix))) \
-        - von_neumann_entropy(rho) / ctx.beta
-    if abs(mean_from_trace - mean_from_entropy) > tol.mean_crosscheck * max(1.0, abs(mean_from_trace)):
+    mean = float(np.real(np.trace(f_op.matrix @ rho.matrix)))
+    mean_from_entropy = mean_free_energy(rho, ctx)
+    if abs(mean - mean_from_entropy) > tol.mean_crosscheck * max(1.0, abs(mean)):
         raise ConsistencyError(
-            f"<F> disagrees between forms: trace {mean_from_trace!r} "
+            f"<F> disagrees between forms: trace {mean!r} "
             f"vs energy-entropy {mean_from_entropy!r}")
-    return _build_decomposition(f_op, mean_from_trace, rho, tol, basis)
+    delta = HermitianMatrix(f_op.matrix - mean * np.eye(f_op.dim), tol=tol)
+    zero_mean = abs(complex(np.trace(rho.matrix @ delta.matrix)))
+    if zero_mean > tol.zero_mean * max(1.0, max_abs(f_op.matrix)):
+        raise ValidationError(f"tr(rho deltaF) = {zero_mean:.3e} is not zero")
+    eig = hermitian_eig(delta, basis=basis, tol=tol)
+    return FreeEnergyDecomposition(f_op, delta, mean, eig.eigenvalues, eig.eigenvectors,
+                                   log_rho)
 
 
 def _eigen_index(k0: int, dim: int) -> int:
@@ -157,42 +144,23 @@ def _eigen_index(k0: int, dim: int) -> int:
     return int(k0)
 
 
-def eigenstate_decomposition(ctx: BatteryContext, k0: int, *,
-                             tol: ToleranceConfig = DEFAULT_TOLERANCES
-                             ) -> tuple[FreeEnergyDecomposition, DensityMatrix]:
-    """Decomposition at the instant the battery occupies Hamiltonian eigenstate k0.
-
-    At that instant F coincides with H, so <F> = w_k0 and deltaF = H - w_k0 I.
-    Returns the decomposition together with the projector state |k0><k0|.
-    k0 indexes the ascending spectrum of H.
-    """
-    eig = hermitian_eig(ctx.model.hamiltonian, tol=tol)
-    k0 = _eigen_index(k0, ctx.dim)
-    mean = float(eig.eigenvalues[k0])
-    rho = DensityMatrix.pure(eig.eigenvectors[:, k0], tol=tol)
-    decomp = _build_decomposition(ctx.model.hamiltonian, mean, rho, tol)
-    return decomp, rho
-
-
 def mean_free_energy(rho: DensityMatrix, ctx: BatteryContext) -> float:
     """<F> = tr(rho H) - S(rho)/beta; defined for any valid state (0 ln 0 = 0)."""
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
     energy = float(np.real(np.trace(rho.matrix @ ctx.model.hamiltonian.matrix)))
-    return energy - von_neumann_entropy(rho) / ctx.beta
+    return energy - rho.entropy / ctx.beta
 
 
-def power_analytic(rho: DensityMatrix, ctx: BatteryContext, *,
-                   decomp: FreeEnergyDecomposition | None = None,
+def power_analytic(rate: HermitianMatrix, decomp: FreeEnergyDecomposition, *,
                    tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Charging power P = d<F>/dt realized as tr(rho_dot F).
+    """Charging power P = d<F>/dt realized as tr(L(rho) F).
 
-    Exact for the GKSL generator because tr(rho_dot) = 0; requires a
-    full-rank state so that F exists.
+    `rate` is the GKSL right-hand side L(rho) (see liouvillian) at the state
+    `decomp` was built from.  Exact because tr L(rho) = 0.
     """
-    if decomp is None:
-        decomp = free_energy_operator(rho, ctx, tol=tol)
-    rate = liouvillian(ctx.model, rho, tol=tol)
+    if rate.dim != decomp.dim:
+        raise DimensionError(f"rate dimension {rate.dim} vs decomposition {decomp.dim}")
     value = complex(np.trace(rate.matrix @ decomp.f_op.matrix))
     if abs(value.imag) > tol.theta_imag * max(1.0, abs(value)):
         raise ConsistencyError(f"power has imaginary residual {value.imag:.3e}")
@@ -345,19 +313,6 @@ def _eigenstate_power_forms(k0: int, ctx: BatteryContext, *,
             f"{prefix}eigenstate power forms disagree: "
             f"trace {trace_form!r} vs index {index_form!r}")
     return trace_form, index_form, eig, tuple(components)
-
-
-def power_eigenstate(k0: int, ctx: BatteryContext, *,
-                     tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Charging power when the battery occupies Hamiltonian eigenstate k0.
-
-    Evaluated as sum_j gamma_j tr(D_j[|k0><k0|] H) and as the index sum
-    sum_j gamma_j sum_i |L_j^{i k0}|^2 (w_i - w_k0); note the index order
-    differs from theta_eigenstate (column k0 of L rather than row k0).  The
-    two evaluations must agree within tolerance; the trace form is returned.
-    """
-    trace_form, _, _, _ = _eigenstate_power_forms(k0, ctx, tol=tol)
-    return trace_form
 
 
 @dataclass(frozen=True)

@@ -287,18 +287,16 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     return Spectrum(eigenvalues, vectors)
 
 
-def matrix_function(m: HermitianMatrix, f: Callable[[float], float], *,
-                    spectrum: Spectrum | None = None,
+def matrix_function(spectrum: Spectrum, f: Callable[[float], float], *,
                     tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
-    """Lift the real scalar function f to m through its eigendecomposition.
+    """Lift the real scalar function f to a matrix through its eigendecomposition.
 
-    f is evaluated on each eigenvalue; a raised ValueError / OverflowError /
-    ZeroDivisionError or a non-finite result becomes DomainError reporting the
-    offending eigenvalue.  Pass `spectrum` to reuse a cached decomposition.
+    f is evaluated on each eigenvalue of `spectrum`; a raised ValueError /
+    OverflowError / ZeroDivisionError or a non-finite result becomes
+    DomainError reporting the offending eigenvalue.
     """
-    eig = hermitian_eig(m, tol=tol) if spectrum is None else spectrum
-    mapped = np.empty(eig.dim, dtype=float)
-    for i, lam in enumerate(eig.eigenvalues):
+    mapped = np.empty(spectrum.dim, dtype=float)
+    for i, lam in enumerate(spectrum.eigenvalues):
         try:
             value = f(float(lam))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -306,7 +304,7 @@ def matrix_function(m: HermitianMatrix, f: Callable[[float], float], *,
         if not math.isfinite(value):
             raise DomainError(f"f({lam!r}) = {value!r} is not finite", eigenvalue=float(lam))
         mapped[i] = value
-    out = (eig.eigenvectors * mapped) @ dagger(eig.eigenvectors)
+    out = (spectrum.eigenvectors * mapped) @ dagger(spectrum.eigenvectors)
     return HermitianMatrix(out, tol=tol)
 
 

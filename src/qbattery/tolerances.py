@@ -37,8 +37,7 @@ class ToleranceConfig:
 
     # free-energy bookkeeping
     mean_crosscheck: float = 1e-9       # x max(1, |<F>|) agreement of the two mean forms
-    decomposition_residual: float = 1e-9
-    zero_mean: float = 1e-9             # |tr(rho deltaF)|
+    zero_mean: float = 1e-9             # x max(1, ||F||_max) bound on |tr(rho deltaF)|
     theta_imag: float = 1e-10           # x max(1, |Theta|) imaginary residual
     theta_psd_slack: float = 1e-10      # x max(1, |Theta|) allowed negativity
     theta_discrepancy: float = 1e-9     # x max(1, Theta_operator) operator vs index form

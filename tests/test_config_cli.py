@@ -102,6 +102,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=missing):
             parse_config(config_text(**overrides), mode)
 
+    @pytest.mark.parametrize("mode", ["audit", "sweep"])
+    def test_horizon_is_checked_only_for_run(self, mode):
+        # sweep reads only the step of its RK4 probe; audit reads neither
+        text = config_text(time={"step": 0.3, "horizon": 1.0}, epsilons=[1e-2])
+        assert parse_config(text, mode).time.step == 0.3
+        bare = parse_config(config_text(time={"step": 0.3}, epsilons=[1e-2]), mode)
+        assert bare.time.horizon is None
+        with pytest.raises(ConfigError, match="time needs both step and horizon"):
+            parse_config(config_text(time={"step": 0.3}), "run")
+
     def test_check_needs_trials(self):
         with pytest.raises(ConfigError, match="trials"):
             parse_config(json.dumps({"dim": 4}), "check")
@@ -239,6 +249,53 @@ class TestRunCommand:
         assert all(rows[i]["power_fd"] != "" for i in (1, 2, 3))
         assert rows[0]["power_fd"] == "" and rows[4]["power_fd"] == ""
 
+    def high_temperature_run(self, tmp_path, beta, *tol):
+        cfg = tmp_path / "hot.json"
+        cfg.write_text(config_text(beta=beta, time={"t0": 0.0, "step": 0.01, "horizon": 1.0}))
+        out = tmp_path / "hot.csv"
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+        for pair in tol:
+            argv.extend(["--tol", pair])
+        return main(argv), out
+
+    def test_high_temperature_run_completes(self, tmp_path):
+        # F = H + 1e7 ln(rho): tr(rho deltaF) carries the rounding of entries
+        # near 1e8, which the zero_mean bound scaled by max(1, ||F||_max) absorbs
+        code, out = self.high_temperature_run(tmp_path, 1e-7)
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 101
+        power = [float(r["power_analytic"]) for r in rows]
+        assert all(math.isfinite(p) for p in power)
+        for i in range(1, 100):
+            # the central difference misses by h^2 P''/6, a sixth of the second difference
+            window = [abs(power[j + 1] - 2.0 * power[j] + power[j - 1])
+                      for j in (i - 1, i, i + 1) if 1 <= j <= 99]
+            bound = 0.25 * max(window) + 1e-8 * max(1.0, abs(power[i]))
+            assert abs(float(rows[i]["power_fd"]) - power[i]) <= bound
+
+    def test_zero_mean_guard_still_fires(self, tmp_path, capsys):
+        code, out = self.high_temperature_run(tmp_path, 1e-7, "zero_mean=0")
+        assert code == 3
+        assert "tr(rho deltaF)" in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 1  # the header only
+
+    @pytest.mark.parametrize("mode", ["run", "sweep"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_subnormal_beta_is_caught_by_the_finiteness_scan(self, tmp_path, capsys, mode):
+        # ln(rho)/beta overflows; only HermitianMatrix(F) stands between it and the output
+        cfg = tmp_path / "cold.json"
+        cfg.write_text(config_text(beta=1e-310, epsilons=[1e-2, 1e-3]))
+        out = tmp_path / "cold.out"
+        code = main([mode, "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "numeric failure: hermitian matrix: non-finite entries\n"
+        if mode == "run":
+            assert len(out.read_text().splitlines()) == 1  # the header only
+        else:
+            assert not out.exists()
+
     def matrix_start_run(self, tmp_path, matrix, *tol):
         cfg = tmp_path / "matrix_start.json"
         cfg.write_text(json.dumps({
@@ -302,6 +359,20 @@ class TestReportCommands:
         assert len(report["rows"]) == 7
         assert report["rows"][0]["epsilon"] == 0.01
 
+    def test_sweep_ignores_the_horizon(self, tmp_path):
+        reports = []
+        for name, grid in (("multiple", {"step": 0.25, "horizon": 1.0}),
+                           ("fraction", {"step": 0.25, "horizon": 0.3}),
+                           ("none", {"step": 0.25})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(config_text(time=grid, epsilons=[1e-2, 1e-3]))
+            out = tmp_path / f"{name}.out.json"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            data = json.loads(out.read_text())
+            assert data["config"]["time"] == dict(grid, t0=0.0)
+            reports.append(data["report"])
+        assert reports[0] == reports[1] == reports[2]
+
     def test_check_deterministic(self, tmp_path):
         cfg = tmp_path / "check.json"
         cfg.write_text(json.dumps({"dim": 4, "trials": 10, "include_bundled": True}))
@@ -332,10 +403,11 @@ class TestReportCommands:
         assert capsys.readouterr().err.startswith("error:")
 
     # every field, so a new tolerance cannot skip validation; config_hermiticity
-    # is no longer a field and must be rejected as unknown
+    # and decomposition_residual are no longer fields and must be rejected as unknown
     @pytest.mark.parametrize("pair", [
         f"{f.name}={value}" for f in dataclasses.fields(ToleranceConfig)
-        for value in ("-1", "nan")] + ["claim_band=0.5", "config_hermiticity=1e-9"])
+        for value in ("-1", "nan")] + ["claim_band=0.5", "config_hermiticity=1e-9",
+                                       "decomposition_residual=1e-9"])
     def test_invalid_tol_exits_2(self, tmp_path, capsys, pair):
         code = main(["audit", "--config", str(SCENARIOS / "qubit_sigma_x.json"),
                      "--out", str(tmp_path / "x.json"), "--tol", pair])

@@ -7,15 +7,14 @@ from hypothesis import given, settings
 import oracles
 from conftest import density_matrices
 from qbattery.audit import evaluate_instance
-from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, propagate,
-                               regularize, thermal_state)
+from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, liouvillian,
+                               propagate, regularize, thermal_state)
 from qbattery.errors import ParameterError, RankDeficientError
-from qbattery.free_energy import (BatteryContext, compute_theta_report,
-                                  eigenstate_decomposition, free_energy_operator,
+from qbattery.free_energy import (BatteryContext, FreeEnergyDecomposition,
+                                  compute_theta_report, free_energy_operator,
                                   components_in_basis, mean_free_energy, power_analytic,
-                                  power_eigenstate, power_fd, theta_eigenstate,
-                                  theta_index_form, theta_operator_form,
-                                  vanishing_condition)
+                                  power_fd, theta_eigenstate, theta_index_form,
+                                  theta_operator_form, vanishing_condition)
 from qbattery.linalg import HermitianMatrix, hermitian_eig, matrix_function, max_abs
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
@@ -30,6 +29,16 @@ LN2 = math.log(2.0)
 def qubit_ctx(channel=None, rate=1.0, beta=1.0):
     channels = () if channel is None else (JumpChannel(rate, channel),)
     return BatteryContext(beta, LindbladModel(H2, channels))
+
+
+def power_at(rho, ctx):
+    """tr(L(rho) F) through the two objects every caller builds."""
+    return power_analytic(liouvillian(ctx.model, rho), free_energy_operator(rho, ctx))
+
+
+def eigenstate_power(k0, ctx):
+    """Trace-form eigenstate power; evaluate_instance checks it against the index form."""
+    return evaluate_instance(ctx.model, k0, ctx.beta, "eigenstate").power_trace
 
 
 class TestFreeEnergyOperator:
@@ -75,14 +84,15 @@ class TestFreeEnergyOperator:
         want = oracles.free_energy_matrix(rho_m, h_m, beta)
         assert max_abs(decomp.f_op.matrix - want) <= 1e-9
 
-    def test_reused_log_rho_gives_the_same_decomposition(self, rng):
+    def test_keeps_the_log_rho_it_lifts(self, rng):
         rho = DensityMatrix(oracles.random_density(rng, 4))
-        ctx = BatteryContext(0.8, LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 4))))
-        log_rho = matrix_function(rho.hermitian, math.log, spectrum=rho.spectrum)
-        a = free_energy_operator(rho, ctx, log_rho=log_rho)
-        b = free_energy_operator(rho, ctx)
-        assert np.array_equal(a.f_op.matrix, b.f_op.matrix)
-        assert np.array_equal(a.w, b.w) and np.array_equal(a.basis, b.basis)
+        h = HermitianMatrix(oracles.random_hermitian(rng, 4))
+        decomp = free_energy_operator(rho, BatteryContext(0.8, LindbladModel(h)))
+        log_rho = matrix_function(rho.spectrum, math.log)
+        assert np.array_equal(decomp.log_rho.matrix, log_rho.matrix)
+        assert max_abs(decomp.log_rho.matrix - oracles.log_psd(rho.matrix)) <= 1e-10
+        want = HermitianMatrix(h.matrix + log_rho.matrix / 0.8).matrix
+        assert np.array_equal(decomp.f_op.matrix, want)
 
     def test_warm_start_from_a_nearby_state(self, rng):
         # the deltaF basis of one trajectory row warm-starts the next row's
@@ -102,10 +112,8 @@ class TestFreeEnergyOperator:
 
 class TestMeanFreeEnergy:
     def test_eigenstate_gives_bare_energy(self):
-        ctx = qubit_ctx()
-        decomp, rho = eigenstate_decomposition(ctx, 1)
-        assert decomp.mean == 1.0
-        assert mean_free_energy(rho, ctx) == pytest.approx(1.0, abs=1e-14)
+        rho = DensityMatrix(np.diag([0.0, 1.0]))
+        assert mean_free_energy(rho, qubit_ctx()) == pytest.approx(1.0, abs=1e-14)
 
     def test_maximally_mixed_literal(self):
         got = mean_free_energy(DensityMatrix.maximally_mixed(2), qubit_ctx())
@@ -127,17 +135,17 @@ class TestPower:
     def test_unitary_only_commuting_state(self):
         ctx = qubit_ctx()
         rho = thermal_state(H2, 1.0)
-        assert abs(power_analytic(rho, ctx)) <= 1e-10
+        assert abs(power_at(rho, ctx)) <= 1e-10
 
     def test_unitary_only_any_state(self, rng):
         h = HermitianMatrix(oracles.random_hermitian(rng, 3))
         ctx = BatteryContext(1.0, LindbladModel(h))
         rho = DensityMatrix(oracles.random_density(rng, 3))
-        assert abs(power_analytic(rho, ctx)) <= 1e-9
+        assert abs(power_at(rho, ctx)) <= 1e-9
 
     def test_pure_state_rejected(self):
         with pytest.raises(RankDeficientError):
-            power_analytic(GROUND, qubit_ctx(SIGMA_PLUS))
+            power_at(GROUND, qubit_ctx(SIGMA_PLUS))
 
     def test_matches_finite_difference_inside_trajectory(self):
         ctx = qubit_ctx(SIGMA_PLUS)
@@ -145,7 +153,7 @@ class TestPower:
         grid = np.linspace(0.0, 1.0, 1001)
         states = [s for s, _ in propagate(ctx.model, rho0, grid)]
         i = 500
-        p_an = power_analytic(states[i], ctx)
+        p_an = power_at(states[i], ctx)
         p_fd = power_fd(states[i - 1], states[i + 1], grid[1] - grid[0], ctx)
         assert abs(p_an - p_fd) <= 1e-5
 
@@ -158,7 +166,7 @@ class TestPower:
             states = [s for s, _ in propagate(ctx.model, rho0, grid)]
             i = (n - 1) // 2  # t = 0.25
             p_fd = power_fd(states[i - 1], states[i + 1], grid[1] - grid[0], ctx)
-            errors.append(abs(p_fd - power_analytic(states[i], ctx)))
+            errors.append(abs(p_fd - power_at(states[i], ctx)))
         ratio = errors[0] / errors[1]
         assert 3.0 < ratio < 5.0
 
@@ -202,9 +210,12 @@ class TestThetaOperatorForm:
         assert theta_operator_form(decomp, rho, np.diag([2.0, 1.0 + 3.0j])) == 0.0
 
     def test_eigenstate_qubit_literal(self):
-        # deltaF = diag(0,1) - 0*I at k0 = 0; [deltaF, sigma_minus] has unit weight
-        decomp, rho = eigenstate_decomposition(qubit_ctx(), 0)
-        assert theta_operator_form(decomp, rho, SIGMA_MINUS) == pytest.approx(1.0, abs=1e-14)
+        # deltaF = diag(0,1) - 0*I at k0 = 0; [deltaF, sigma_minus] has unit weight.
+        # ln(rho) does not exist at a pure state: the closed forms take F = H
+        # there, and so does this hand-built decomposition (log_rho unused)
+        decomp = FreeEnergyDecomposition(H2, H2, 0.0, np.array([0.0, 1.0]), np.eye(2),
+                                         HermitianMatrix(np.zeros((2, 2))))
+        assert theta_operator_form(decomp, GROUND, SIGMA_MINUS) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestThetaIndexForm:
@@ -302,13 +313,13 @@ class TestThetaReport:
 
 class TestPowerEigenstate:
     def test_sigma_x_refutation_value(self):
-        assert power_eigenstate(0, qubit_ctx(SIGMA_X)) == pytest.approx(1.0, abs=1e-14)
+        assert eigenstate_power(0, qubit_ctx(SIGMA_X)) == pytest.approx(1.0, abs=1e-14)
 
     def test_dark_state_zero(self):
-        assert power_eigenstate(0, qubit_ctx(SIGMA_MINUS)) == pytest.approx(0.0, abs=1e-14)
+        assert eigenstate_power(0, qubit_ctx(SIGMA_MINUS)) == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal_channels_zero(self):
-        assert power_eigenstate(0, qubit_ctx(np.diag([1.0, 2.0]))) == pytest.approx(0.0, abs=1e-14)
+        assert eigenstate_power(0, qubit_ctx(np.diag([1.0, 2.0]))) == pytest.approx(0.0, abs=1e-14)
 
     def test_forms_agree_on_random_models(self, rng):
         # the trace/index agreement is asserted inside; exercise many draws
@@ -318,7 +329,7 @@ class TestPowerEigenstate:
                 HermitianMatrix(oracles.random_hermitian(rng, d)),
                 (JumpChannel(float(1.0 - rng.random()), oracles.random_ginibre(rng, d)),))
             k0 = int(rng.integers(0, d))
-            value = power_eigenstate(k0, BatteryContext(1.0, model))
+            value = eigenstate_power(k0, BatteryContext(1.0, model))
             assert math.isfinite(value)
 
 
