@@ -11,7 +11,7 @@ from .audit import (ClaimInstance, ClaimVerdict, EigenstateAuditReport, Ensemble
                     EpsilonRow, EpsilonSweepReport, FalsifierReport, ScenarioSpec,
                     bundled_witnesses, claim_falsifier, eigenstate_audit, epsilon_sweep,
                     evaluate_instance, reevaluate_witness)
-from .config import InitialState, RunConfig, TimeGrid, parse_config, serialize_config
+from .config import InitialState, RunConfig, TimeGrid, parse_config
 from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, dissipator, liouvillian,
                        propagate, regularize, thermal_state, von_neumann_entropy)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DimensionError,
@@ -82,7 +82,6 @@ __all__ = [
     "propagate",
     "regularize",
     "reevaluate_witness",
-    "serialize_config",
     "theta_eigenstate",
     "theta_index_form",
     "theta_operator_form",

@@ -223,23 +223,7 @@ class EigenstateAuditReport:
     scale: float
     verdict: str
     condition_holds: bool
-    claims: tuple["ClaimVerdict", ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "k0": self.k0,
-            "eigenvalues": list(self.eigenvalues),
-            "theta_values": list(self.theta_values),
-            "theta_transposed": list(self.theta_transposed),
-            "power_trace": self.power_trace,
-            "power_index": self.power_index,
-            "power": self.power,
-            "energy_rate_numeric": self.energy_rate_numeric,
-            "scale": self.scale,
-            "verdict": self.verdict,
-            "condition_holds": self.condition_holds,
-            "claim_verdicts": [c.to_dict() for c in self.claims],
-        }
+    claim_verdicts: tuple["ClaimVerdict", ...]
 
 
 @dataclass(frozen=True)
@@ -251,14 +235,6 @@ class ClaimVerdict:
     status: str
     witness: dict | None
     counts: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "status": self.status,
-            "witness": self.witness,
-            "counts": dict(self.counts),
-        }
 
 
 def _claim_rows(evaluated) -> tuple[ClaimVerdict, ...]:
@@ -334,7 +310,7 @@ def eigenstate_audit(spec: ScenarioSpec, *,
         scale=instance.scale,
         verdict=verdict,
         condition_holds=instance.condition_holds,
-        claims=_claim_rows([(instance, instance.outcomes(tol))]))
+        claim_verdicts=_claim_rows([(instance, instance.outcomes(tol))]))
 
 
 @dataclass(frozen=True)
@@ -346,15 +322,6 @@ class EpsilonRow:
     energy_rate: float
     entropy_rate: float
     step_error: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "power_analytic": self.power_analytic,
-            "energy_rate": self.energy_rate,
-            "entropy_rate": self.entropy_rate,
-            "step_error": self.step_error,
-        }
 
 
 @dataclass(frozen=True)
@@ -372,15 +339,6 @@ class EpsilonSweepReport:
     rows: tuple[EpsilonRow, ...]
     fit_intercept: float | None
     fit_slope: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "k0": self.k0,
-            "power_reference": self.power_reference,
-            "rows": [r.to_dict() for r in self.rows],
-            "fit_intercept": self.fit_intercept,
-            "fit_slope": self.fit_slope,
-        }
 
 
 def epsilon_sweep(spec: ScenarioSpec, *,
@@ -461,19 +419,8 @@ class FalsifierReport:
     dim_min: int
     dim_max: int
     include_bundled: bool
-    claims: tuple[ClaimVerdict, ...]
+    claim_verdicts: tuple[ClaimVerdict, ...]
     counterexamples: tuple[dict, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "dim_min": self.dim_min,
-            "dim_max": self.dim_max,
-            "include_bundled": self.include_bundled,
-            "claim_verdicts": [c.to_dict() for c in self.claims],
-            "counterexamples": list(self.counterexamples),
-        }
 
 
 def _qubit(hamiltonian, channel_matrix, rate=1.0) -> LindbladModel:
@@ -555,7 +502,7 @@ def claim_falsifier(ensemble: EnsembleSpec, *,
         seed=ensemble.seed, trials=ensemble.trials,
         dim_min=ensemble.dim_min, dim_max=ensemble.dim_max,
         include_bundled=ensemble.include_bundled,
-        claims=_claim_rows(evaluated), counterexamples=tuple(counterexamples))
+        claim_verdicts=_claim_rows(evaluated), counterexamples=tuple(counterexamples))
 
 
 def reevaluate_witness(record: dict, *,

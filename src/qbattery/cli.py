@@ -8,8 +8,9 @@
 Exit codes: 0 success (audit and check exit 0 whatever the verdicts say),
 2 configuration problem, 3 numeric failure.  `run` writes each CSV row as
 soon as the next state arrives, so a numeric failure mid-trajectory leaves
-the completed prefix on disk.  JSON reports carry no timestamps; identical
-inputs give byte-identical outputs.
+the completed prefix on disk.  A JSON report holds the fields of its report
+dataclass under their names, in declaration order.  Reports carry no
+timestamps; identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -165,13 +166,23 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     return EXIT_OK
 
 
-def _write_report(out_path: str, mode: str, seed: int, cfg: RunConfig, report: dict) -> None:
+def _encode(value):
+    """JSON-ready form of a report: a dataclass becomes {field: value} in
+    field order, a tuple becomes a list, and anything else passes through."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _write_report(out_path: str, mode: str, seed: int, cfg: RunConfig, report) -> None:
     payload = {
         "tool": {"name": "qbattery", "version": __version__},
         "mode": mode,
         "seed": seed,
         "config": config_to_dict(cfg),
-        "report": report,
+        "report": _encode(report),
     }
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
@@ -180,8 +191,7 @@ def _write_report(out_path: str, mode: str, seed: int, cfg: RunConfig, report: d
 
 def audit_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig) -> int:
     spec = ScenarioSpec(model=cfg.model, beta=cfg.beta, k0=cfg.k0)
-    report = eigenstate_audit(spec, tol=tol)
-    _write_report(out_path, "audit", seed, cfg, report.to_dict())
+    _write_report(out_path, "audit", seed, cfg, eigenstate_audit(spec, tol=tol))
     return EXIT_OK
 
 
@@ -189,16 +199,14 @@ def sweep_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig
     probe = {} if cfg.time is None else {"step": cfg.time.step}
     spec = ScenarioSpec(model=cfg.model, beta=cfg.beta, k0=cfg.k0,
                         epsilon_list=cfg.epsilons, **probe)
-    report = epsilon_sweep(spec, tol=tol)
-    _write_report(out_path, "sweep", seed, cfg, report.to_dict())
+    _write_report(out_path, "sweep", seed, cfg, epsilon_sweep(spec, tol=tol))
     return EXIT_OK
 
 
 def check_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig) -> int:
     ensemble = EnsembleSpec(seed=seed, trials=cfg.trials, dim_min=2, dim_max=cfg.dim,
                             beta=cfg.beta, include_bundled=cfg.include_bundled)
-    report = claim_falsifier(ensemble, tol=tol)
-    _write_report(out_path, "check", seed, cfg, report.to_dict())
+    _write_report(out_path, "check", seed, cfg, claim_falsifier(ensemble, tol=tol))
     return EXIT_OK
 
 

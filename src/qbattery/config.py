@@ -22,8 +22,9 @@ Top-level keys (mode decides which are required):
 initial_state.epsilon regularizes the eigenstate projector, (1-e) P + e I/d,
 so run mode can take the matrix logarithm; thermal's beta defaults to the
 top-level beta.  Unknown keys anywhere are rejected with the offending JSON
-path.  Serialization is canonical: fixed key order, complex entries always
-as [re, im] pairs, so parse -> serialize -> parse is byte-stable.
+path.  config_to_dict is canonical: fixed key order, complex entries always
+as [re, im] pairs, so parse -> config_to_dict -> json.dumps -> parse is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "config_to_dict",
-    "serialize_config",
     "MODES",
 ]
 
@@ -76,7 +76,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str | None
+    mode: str
     dim: int
     beta: float
     model: LindbladModel | None
@@ -154,7 +154,7 @@ def _parse_initial_state(data, dim: int, path: str) -> InitialState:
     return InitialState(kind="thermal", beta=beta)
 
 
-def _parse_time(data, path: str, mode: str | None) -> TimeGrid:
+def _parse_time(data, path: str, mode: str) -> TimeGrid:
     """The grid of `run`; other modes read only the step, so the horizon is
     required and checked against it only for `run`."""
     if not isinstance(data, dict):
@@ -202,14 +202,13 @@ _TOP_KEYS = ("dim", "beta", "hamiltonian", "channels", "initial_state", "time",
              "epsilons", "trials", "include_bundled")
 
 
-def parse_config(text: str, mode: str | None = None, *,
+def parse_config(text: str, mode: str, *,
                  tol: ToleranceConfig = DEFAULT_TOLERANCES) -> RunConfig:
-    """Parse and validate a JSON config for the given mode.
+    """Parse and validate a JSON config for `mode`, one of MODES.
 
-    mode=None validates only structure, not per-mode requiredness.
     Raises ConfigError with a JSON path for every rejection.
     """
-    if mode is not None and mode not in MODES:
+    if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     try:
         data = json.loads(text)
@@ -299,7 +298,3 @@ def config_to_dict(cfg: RunConfig) -> dict:
         out["trials"] = cfg.trials
     out["include_bundled"] = cfg.include_bundled
     return out
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg)) + "\n"

@@ -51,7 +51,7 @@ class TestEigenstateAudit:
         assert abs(report.power_trace - report.power_index) <= 1e-10
         assert report.energy_rate_numeric == pytest.approx(1.0, abs=1e-12)
         assert report.eigenvalues == (0.0, 1.0)
-        assert {c.claim_id for c in report.claims} == {
+        assert {c.claim_id for c in report.claim_verdicts} == {
             "C1", "C2", "C3", "C1_transposed", "C2_transposed", "C3_transposed"}
 
     def test_dark_state_splits_the_two_index_orders(self):
@@ -61,7 +61,7 @@ class TestEigenstateAudit:
         assert report.theta_transposed == (0.0,)
         assert report.power == pytest.approx(0.0, abs=1e-14)
         assert not report.condition_holds
-        by_id = {c.claim_id: c for c in report.claims}
+        by_id = {c.claim_id: c for c in report.claim_verdicts}
         assert by_id["C2"].status == "violated"
         assert by_id["C3_transposed"].status == "violated"
         assert by_id["C1"].status == "confirmed"
@@ -72,7 +72,7 @@ class TestEigenstateAudit:
         assert report.verdict == "MIXED"
         assert report.theta_values == (0.0,)
         assert report.power == pytest.approx(1.0, abs=1e-12)
-        assert {c.claim_id: c.status for c in report.claims}["C1"] == "violated"
+        assert {c.claim_id: c.status for c in report.claim_verdicts}["C1"] == "violated"
 
     def test_diagonal_channels_consistent(self):
         model = LindbladModel(H2, (JumpChannel(1.0, np.diag([1.0, 2.0])),
@@ -86,7 +86,7 @@ class TestEigenstateAudit:
         a = math.sqrt(3e-10)  # Theta = P = 3e-10, inside (1e-10, 1e-9)
         report = eigenstate_audit(ScenarioSpec(model=qubit_model(a * SIGMA_X), beta=1.0, k0=0))
         assert report.verdict == "INCONCLUSIVE"
-        statuses = {c.claim_id: c.status for c in report.claims}
+        statuses = {c.claim_id: c.status for c in report.claim_verdicts}
         assert statuses["C1"] == "inconclusive"
 
     def test_eigenvector_check_is_active(self):
@@ -163,7 +163,7 @@ class TestClaimFalsifier:
 
     def test_bundled_witnesses_pin_all_six_verdicts(self):
         report = self.run()
-        statuses = {c.claim_id: c.status for c in report.claims}
+        statuses = {c.claim_id: c.status for c in report.claim_verdicts}
         assert statuses == {
             "C1": "violated",
             "C2": "violated",
@@ -172,18 +172,19 @@ class TestClaimFalsifier:
             "C2_transposed": "violated",
             "C3_transposed": "violated",
         }
-        witnesses = {c.claim_id: (c.witness or {}).get("label") for c in report.claims}
+        witnesses = {c.claim_id: (c.witness or {}).get("label")
+                     for c in report.claim_verdicts}
         assert witnesses["C1"] == "bundled:qubit_pump"
         assert witnesses["C2"] == "bundled:qubit_dark_state"
         assert witnesses["C2_transposed"] == "bundled:qutrit_power_cancellation"
 
     def test_deterministic_given_seed(self):
-        assert self.run().to_dict() == self.run().to_dict()
+        assert self.run() == self.run()
 
     def test_seed_changes_the_ensemble(self):
         a = self.run(include_bundled=False)
         b = self.run(include_bundled=False, seed=43)
-        assert a.to_dict() != b.to_dict()
+        assert a != b
 
     def test_counterexamples_reproduce_on_reload(self):
         report = self.run()
@@ -199,7 +200,7 @@ class TestClaimFalsifier:
 
     def test_counts_add_up(self):
         report = self.run(trials=30)
-        for claim in report.claims:
+        for claim in report.claim_verdicts:
             counts = claim.counts
             assert counts["instances"] == 35  # 30 trials + 5 bundled
             assert (counts["supporting"] + counts["vacuous"]
@@ -207,7 +208,7 @@ class TestClaimFalsifier:
 
     def test_bundle_can_be_disabled(self):
         report = self.run(trials=10, include_bundled=False)
-        assert report.claims[0].counts["instances"] == 10
+        assert report.claim_verdicts[0].counts["instances"] == 10
 
     def test_trials_validation(self):
         with pytest.raises(ParameterError):

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
+                            EpsilonSweepReport, FalsifierReport)
 from qbattery.cli import main, parse_tol_overrides
-from qbattery.config import config_to_dict, parse_config, serialize_config
+from qbattery.config import config_to_dict, parse_config
 from qbattery.errors import ConfigError
 from qbattery.tolerances import ToleranceConfig
 
@@ -128,11 +130,10 @@ class TestParseConfig:
 
     def test_roundtrip_is_stable(self):
         cfg = parse_config(config_text(epsilons=[1e-2, 1e-3]), "run")
-        text = serialize_config(cfg)
-        assert text.endswith("\n")
+        text = json.dumps(config_to_dict(cfg))
         again = parse_config(text, "run")
         assert config_to_dict(again) == config_to_dict(cfg)
-        assert serialize_config(again) == text
+        assert json.dumps(config_to_dict(again)) == text
 
     def test_bundled_scenarios_parse(self):
         for name, mode in [("qubit_sigma_x", "run"), ("qubit_dark_state", "audit"),
@@ -386,6 +387,22 @@ class TestReportCommands:
         claims = json.loads(outs[0])["report"]["claim_verdicts"]
         assert {c["claim_id"] for c in claims} == {
             "C1", "C2", "C3", "C1_transposed", "C2_transposed", "C3_transposed"}
+
+    @pytest.mark.parametrize("mode, report_cls, nested, item_cls", [
+        ("audit", EigenstateAuditReport, "claim_verdicts", ClaimVerdict),
+        ("sweep", EpsilonSweepReport, "rows", EpsilonRow),
+        ("check", FalsifierReport, "claim_verdicts", ClaimVerdict),
+    ])
+    def test_report_keys_are_the_dataclass_fields(self, tmp_path, mode, report_cls,
+                                                  nested, item_cls):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(epsilons=[1e-2, 1e-3], trials=3, dim=2))
+        out = tmp_path / "out.json"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert list(report) == [f.name for f in dataclasses.fields(report_cls)]
+        for item in report[nested]:
+            assert list(item) == [f.name for f in dataclasses.fields(item_cls)]
 
     def test_tol_override_reaches_the_solver(self, tmp_path, capsys):
         h = [[0.0, 0.5], [0.5, 1.0]]  # needs at least one Jacobi sweep
