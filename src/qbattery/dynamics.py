@@ -44,30 +44,27 @@ class DensityMatrix:
 
     Construction validates all three invariants.  The eigendecomposition is
     computed once and cached; the positivity check, the `entropy` (computed
-    once, here) and the matrix logarithm all reuse it.  `trace_tol`, `psd_tol`
-    and `herm_tol` override the construction tolerances (the propagator passes
-    its looser ones), and `basis` warm-starts the eigensolver from nearby
-    eigenvectors.
+    once, here) and the matrix logarithm all reuse it.  The checks read
+    tol.hermiticity, tol.density_trace and tol.psd (the propagator passes a
+    copy of `tol` holding its looser ones), and `basis` warm-starts the
+    eigensolver from nearby eigenvectors.
     """
 
     __slots__ = ("hermitian", "matrix", "trace_defect", "entropy", "_spectrum")
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                 trace_tol: float | None = None, psd_tol: float | None = None,
-                 herm_tol: float | None = None, basis: np.ndarray | None = None):
-        self.hermitian = HermitianMatrix(matrix, tol=tol, defect_tol=herm_tol)
+                 basis: np.ndarray | None = None):
+        self.hermitian = HermitianMatrix(matrix, tol=tol)
         self.matrix = self.hermitian.matrix
         trace = complex(np.trace(self.matrix))
         self.trace_defect = abs(trace - 1.0)
-        limit = tol.density_trace if trace_tol is None else trace_tol
-        if self.trace_defect > limit:
-            raise ValidationError(
-                f"trace defect {self.trace_defect:.3e} exceeds tolerance {limit:.3e}")
+        if self.trace_defect > tol.density_trace:
+            raise ValidationError(f"trace defect {self.trace_defect:.3e} exceeds "
+                                  f"tolerance {tol.density_trace:.3e}")
         self._spectrum = hermitian_eig(self.hermitian, basis=basis, tol=tol)
-        floor = tol.psd if psd_tol is None else psd_tol
-        if self.min_eigenvalue < -floor:
+        if self.min_eigenvalue < -tol.psd:
             raise ValidationError(
-                f"smallest eigenvalue {self.min_eigenvalue:.3e} below -{floor:.3e}")
+                f"smallest eigenvalue {self.min_eigenvalue:.3e} below -{tol.psd:.3e}")
         self.entropy = von_neumann_entropy(self)
 
     @property
@@ -239,7 +236,8 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
     (rho0, rho0.trace_defect), then each RK4 state with its raw |tr y - 1|.
     Each step is revalidated with the propagation tolerances (trace defect <=
     propagation_trace, smallest eigenvalue >= -propagation_psd, hermiticity
-    within propagation_hermiticity) before it is yielded; a breach raises
+    defect within propagation_hermiticity * max(1, ||y||_max)) before it is
+    yielded; a breach raises
     PropagationError carrying the step index and the defects, after exactly
     `step_index` states have been yielded.  No renormalization is applied at
     any point.  The eigendecomposition behind each revalidation starts from
@@ -258,6 +256,8 @@ def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
     h = float(grid[1] - grid[0])
     ham = model.hamiltonian.matrix
     terms = _generator_terms(model)
+    step_tol = tol.replace(density_trace=tol.propagation_trace, psd=tol.propagation_psd,
+                           hermiticity=tol.propagation_hermiticity)
     y = np.array(state.matrix, dtype=complex)
 
     for i in range(1, grid.size):
@@ -269,11 +269,7 @@ def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
 
         raw_trace = abs(complex(np.trace(y)) - 1.0)
         try:
-            state = DensityMatrix(y, tol=tol,
-                                  trace_tol=tol.propagation_trace,
-                                  psd_tol=tol.propagation_psd,
-                                  herm_tol=tol.propagation_hermiticity,
-                                  basis=state.spectrum.eigenvectors)
+            state = DensityMatrix(y, tol=step_tol, basis=state.spectrum.eigenvectors)
         except ValidationError as exc:
             raise PropagationError(
                 f"step {i} (t = {grid[i]:g}): {exc}",
@@ -284,7 +280,7 @@ def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
 
 def _best_effort_min_eig(y: np.ndarray, tol: ToleranceConfig) -> float | None:
     try:
-        herm = HermitianMatrix(y, tol=tol, defect_tol=math.inf)
+        herm = HermitianMatrix(0.5 * (y + dagger(y)), tol=tol)  # exactly Hermitian
         return float(hermitian_eig(herm, tol=tol).eigenvalues[0])
     except Exception:  # diagnostics only; never mask the propagation error
         return None

@@ -120,8 +120,13 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
             f"{smallest:.3e} <= threshold {ctx.rank_threshold:.3e}",
             smallest_eigenvalue=smallest)
     log_rho = matrix_function(rho.spectrum, math.log, tol=tol)
-    f_op = HermitianMatrix(
-        ctx.model.hamiltonian.matrix + log_rho.matrix / ctx.beta, tol=tol)
+    # ln(rho)/beta overflows for a small enough beta; HermitianMatrix scans it
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_matrix = ctx.model.hamiltonian.matrix + log_rho.matrix / ctx.beta
+    try:
+        f_op = HermitianMatrix(f_matrix, tol=tol)
+    except ValidationError as exc:
+        raise ValidationError(f"F = H + ln(rho)/beta at beta = {ctx.beta!r}: {exc}") from exc
     mean = float(np.real(np.trace(f_op.matrix @ rho.matrix)))
     mean_from_entropy = mean_free_energy(rho, ctx)
     if abs(mean - mean_from_entropy) > tol.mean_crosscheck * max(1.0, abs(mean)):
@@ -194,7 +199,8 @@ def theta_operator_form(decomp: FreeEnergyDecomposition, rho: DensityMatrix, l, 
     if l.shape[0] != decomp.dim or rho.dim != decomp.dim:
         raise DimensionError("operator, state, and decomposition dimensions differ")
     c = commutator(decomp.delta_f.matrix, l)
-    squared = abs_sq(c, tol=tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # abs_sq scans the product
+        squared = abs_sq(c, tol=tol)
     value = complex(np.trace(rho.matrix @ squared.matrix))
     scale = max(1.0, abs(value))
     if abs(value.imag) > tol.theta_imag * scale:
@@ -270,7 +276,10 @@ def compute_theta_report(decomp: FreeEnergyDecomposition, rho: DensityMatrix,
     entries = []
     for j, ch in enumerate(model.channels):
         l_c = components_in_basis(ch.operator, decomp.basis)
-        t_op = theta_operator_form(decomp, rho, ch.operator, tol=tol)
+        try:
+            t_op = theta_operator_form(decomp, rho, ch.operator, tol=tol)
+        except ValidationError as exc:
+            raise ValidationError(f"Theta of channel {j}, |[deltaF, L]|^2: {exc}") from exc
         t_ix = theta_index_form(decomp.w, rho_c, l_c, tol=tol)
         disc = t_ix - t_op
         if abs(disc) > tol.theta_discrepancy * max(1.0, t_op):

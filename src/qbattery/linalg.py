@@ -95,17 +95,14 @@ class HermitianMatrix:
 
     The pre-symmetrization defect ||M - M^dag||_max is kept on the instance.
     Inputs whose defect exceeds the hermiticity tolerance (scaled by
-    max(1, ||M||_max)) are rejected; `defect_tol` substitutes an absolute
-    bound when given.
+    max(1, ||M||_max)) are rejected.
     """
 
     __slots__ = ("matrix", "defect")
 
-    def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
-                 defect_tol: float | None = None):
+    def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES):
         m = as_square_matrix(matrix, "hermitian matrix")
-        if defect_tol is None:
-            defect_tol = tol.hermiticity * max(1.0, max_abs(m))
+        defect_tol = tol.hermiticity * max(1.0, max_abs(m))
         defect = max_abs(m - dagger(m))
         if defect > defect_tol:
             raise ValidationError(
@@ -154,9 +151,20 @@ def reconstruct(spectrum: Spectrum) -> np.ndarray:
     return (spectrum.eigenvectors * spectrum.eigenvalues) @ dagger(spectrum.eigenvectors)
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
+def _norm_scale(a: np.ndarray) -> float:
+    """A power of two near 1/||A||_max.
+
+    Frobenius norms taken of A times it neither overflow nor underflow, and
+    the scaling is exact, so comparisons between such norms are unchanged.
+    """
+    exponent = math.frexp(max_abs(a))[1]
+    return math.ldexp(1.0, -min(max(exponent, -1023), 1023))
+
+
+def _offdiag_norm(a: np.ndarray, scale: float) -> float:
+    """Off-diagonal Frobenius norm of `a` times `scale`."""
     off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+    return float(np.linalg.norm(off * scale))
 
 
 def _plane_indices(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
@@ -201,7 +209,9 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     to zero and the diagonal to its real part.  Pairs whose entry is exactly zero
     are skipped.  Sweeps run until the off-diagonal Frobenius norm falls below
     jacobi_offdiag * ||M||_F; convergence is quadratic, and exhausting the
-    sweep budget raises ConvergenceError carrying the residual.
+    sweep budget raises ConvergenceError carrying the residual.  Both norms
+    are taken of the matrices times a power of two (see _norm_scale), so the
+    test holds for any finite magnitude of M.
 
     `basis` warm-starts the sweeps from a unitary B close to the eigenvectors,
     such as those of a nearby matrix: unless M is already diagonal to the
@@ -220,23 +230,23 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     a = np.array(m.matrix, dtype=complex)
     eye = np.eye(d, dtype=complex)
     v = eye
-    fro = float(np.linalg.norm(m.matrix))
-    target = tol.jacobi_offdiag * fro
+    scale = _norm_scale(m.matrix)
+    target = tol.jacobi_offdiag * float(np.linalg.norm(m.matrix * scale))
 
-    off = _offdiag_norm(a)
+    off = _offdiag_norm(a, scale)
     if basis is not None and off > target:
         v = basis @ (1.5 * eye - 0.5 * (dagger(basis) @ basis))
         a = dagger(v) @ m.matrix @ v
         a = 0.5 * (a + dagger(a))
-        off = _offdiag_norm(a)
+        off = _offdiag_norm(a, scale)
 
     sweeps = 0
     while off > target:
         if sweeps >= tol.jacobi_max_sweeps:
             raise ConvergenceError(
                 f"Jacobi did not converge in {tol.jacobi_max_sweeps} sweeps: "
-                f"off-diagonal norm {off:.3e} above target {target:.3e}",
-                off_diagonal_norm=off)
+                f"off-diagonal norm {off / scale:.3e} above target {target / scale:.3e}",
+                off_diagonal_norm=off / scale)
         # a subnormal |a_pq| can overflow theta to inf, which gives t = 0
         with np.errstate(over="ignore"):
             for p, q, idx in _round_robin(d):
@@ -264,7 +274,7 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
                 a.reshape(-1)[::d + 1].imag = 0.0
                 v = v @ g
         sweeps += 1
-        off = _offdiag_norm(a)
+        off = _offdiag_norm(a, scale)
 
     values = np.real(np.diag(a)).astype(float)
     order = np.argsort(values, kind="stable")

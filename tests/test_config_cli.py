@@ -282,8 +282,7 @@ class TestRunCommand:
         assert len(out.read_text().splitlines()) == 1  # the header only
 
     @pytest.mark.parametrize("mode", ["run", "sweep"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_beta_is_caught_by_the_finiteness_scan(self, tmp_path, capsys, mode):
         # ln(rho)/beta overflows; only HermitianMatrix(F) stands between it and the output
         cfg = tmp_path / "cold.json"
@@ -291,11 +290,25 @@ class TestRunCommand:
         out = tmp_path / "cold.out"
         code = main([mode, "--config", str(cfg), "--out", str(out)])
         assert code == 3
-        assert capsys.readouterr().err == "numeric failure: hermitian matrix: non-finite entries\n"
+        assert capsys.readouterr().err == (
+            "numeric failure: F = H + ln(rho)/beta at beta = 1e-310: "
+            "hermitian matrix: non-finite entries\n")
         if mode == "run":
             assert len(out.read_text().splitlines()) == 1  # the header only
         else:
             assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_theta_overflow_names_the_channel(self, tmp_path, capsys):
+        # F ~ 1e200 is finite, but |[deltaF, L]|^2 ~ 1e400 is not
+        cfg = tmp_path / "cold.json"
+        cfg.write_text(config_text(beta=1e-200))
+        out = tmp_path / "cold.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: Theta of channel 0, |[deltaF, L]|^2: "
+            "hermitian matrix: non-finite entries\n")
+        assert len(out.read_text().splitlines()) == 1  # the header only
 
     def matrix_start_run(self, tmp_path, matrix, *tol):
         cfg = tmp_path / "matrix_start.json"
@@ -403,6 +416,21 @@ class TestReportCommands:
         assert list(report) == [f.name for f in dataclasses.fields(report_cls)]
         for item in report[nested]:
             assert list(item) == [f.name for f in dataclasses.fields(item_cls)]
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e160])
+    def test_audit_at_extreme_hamiltonian_scale(self, tmp_path, scale):
+        # the Jacobi convergence test used to overflow (exit 3) or underflow
+        # (the unrotated diagonal reported as the spectrum)
+        eigenvalues = []
+        for s in (1.0, scale):
+            h = [[s, [0.5 * s, 0.2 * s]], [[0.5 * s, -0.2 * s], -0.3 * s]]
+            cfg = tmp_path / "scaled.json"
+            cfg.write_text(config_text(hamiltonian=h, channels=[]))
+            out = tmp_path / "scaled.out.json"
+            assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+            eigenvalues.append(json.loads(out.read_text())["report"]["eigenvalues"])
+        for unit, scaled in zip(*eigenvalues):
+            assert abs(scaled - scale * unit) <= 1e-12 * abs(scale * unit)
 
     def test_tol_override_reaches_the_solver(self, tmp_path, capsys):
         h = [[0.0, 0.5], [0.5, 1.0]]  # needs at least one Jacobi sweep

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,17 @@ class TestHermitianEig:
         again = hermitian_eig(HermitianMatrix(m))
         assert np.array_equal(again.eigenvalues, spec.eigenvalues)
         assert np.array_equal(again.eigenvectors, spec.eigenvectors)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e160, 1e300])
+    def test_extreme_magnitudes(self, scale):
+        # ||M||_F used to overflow to inf (no sweep ran) or underflow to 0
+        # (the unrotated diagonal came back as the spectrum)
+        base = np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, -0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = hermitian_eig(HermitianMatrix(scale * base))
+        want = np.linalg.eigvalsh(base) * scale
+        assert np.all(np.abs(spec.eigenvalues - want) <= 1e-12 * np.abs(want))
 
     def test_convergence_budget_exhaustion(self):
         tol = DEFAULT_TOLERANCES.replace(jacobi_max_sweeps=0)
