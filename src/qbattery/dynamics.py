@@ -14,6 +14,7 @@ else keeps it.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -236,16 +237,24 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
     (rho0, rho0.trace_defect), then each RK4 state with its raw |tr y - 1|.
     Each step is revalidated with the propagation tolerances (trace defect <=
     propagation_trace, smallest eigenvalue >= -propagation_psd, hermiticity
-    defect within propagation_hermiticity * max(1, ||y||_max)) before it is
-    yielded; a breach raises
-    PropagationError carrying the step index and the defects, after exactly
-    `step_index` states have been yielded.  No renormalization is applied at
-    any point.  The eigendecomposition behind each revalidation starts from
-    the previous state's eigenvectors, which differ from the new ones by O(h).
+    defect <= propagation_hermiticity * max(1, ||y||_max)) before it is
+    yielded; a breach raises PropagationError carrying the step index and the
+    defects, after exactly `step_index` states have been yielded.  No
+    renormalization is applied at any point.  The eigendecomposition behind
+    each revalidation starts from the previous state's eigenvectors, which
+    differ from the new ones by O(h).
     """
     if rho0.dim != model.dim:
         raise DimensionError(f"state dimension {rho0.dim} vs model {model.dim}")
     return _rk4_states(model, rho0, _uniform_grid(t_grid), tol)
+
+
+@functools.lru_cache(maxsize=8)
+def _step_tolerances(tol: ToleranceConfig) -> ToleranceConfig:
+    """`tol` with the construction bounds of a state replaced by the looser
+    propagation bounds; cached, since a sweep propagates once per rung."""
+    return tol.replace(density_trace=tol.propagation_trace, psd=tol.propagation_psd,
+                       hermiticity=tol.propagation_hermiticity)
 
 
 def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
@@ -256,8 +265,7 @@ def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
     h = float(grid[1] - grid[0])
     ham = model.hamiltonian.matrix
     terms = _generator_terms(model)
-    step_tol = tol.replace(density_trace=tol.propagation_trace, psd=tol.propagation_psd,
-                           hermiticity=tol.propagation_hermiticity)
+    step_tol = _step_tolerances(tol)
     y = np.array(state.matrix, dtype=complex)
 
     for i in range(1, grid.size):

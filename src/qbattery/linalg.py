@@ -151,20 +151,27 @@ def reconstruct(spectrum: Spectrum) -> np.ndarray:
     return (spectrum.eigenvectors * spectrum.eigenvalues) @ dagger(spectrum.eigenvectors)
 
 
-def _norm_scale(a: np.ndarray) -> float:
-    """A power of two near 1/||A||_max.
+def _norm_scale(size: float) -> float:
+    """1 when ||A||_max = `size` lies in (1e-100, 1e100), else a power of two
+    near 1/size.
 
-    Frobenius norms taken of A times it neither overflow nor underflow, and
-    the scaling is exact, so comparisons between such norms are unchanged.
+    The squares in the Frobenius norm of A times it neither overflow nor
+    underflow, and the scaling is exact, so comparisons between norms taken
+    at the same scale are unchanged.
     """
-    exponent = math.frexp(max_abs(a))[1]
-    return math.ldexp(1.0, -min(max(exponent, -1023), 1023))
+    if 1e-100 < size < 1e100:
+        return 1.0
+    return math.ldexp(1.0, -min(max(math.frexp(size)[1], -1023), 1023))
+
+
+def _scaled_norm(a: np.ndarray, scale: float) -> float:
+    """Frobenius norm of `a` times `scale`."""
+    return float(np.linalg.norm(a if scale == 1.0 else a * scale))
 
 
 def _offdiag_norm(a: np.ndarray, scale: float) -> float:
     """Off-diagonal Frobenius norm of `a` times `scale`."""
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off * scale))
+    return _scaled_norm(a - np.diag(np.diag(a)), scale)
 
 
 def _plane_indices(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
@@ -209,9 +216,10 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     to zero and the diagonal to its real part.  Pairs whose entry is exactly zero
     are skipped.  Sweeps run until the off-diagonal Frobenius norm falls below
     jacobi_offdiag * ||M||_F; convergence is quadratic, and exhausting the
-    sweep budget raises ConvergenceError carrying the residual.  Both norms
-    are taken of the matrices times a power of two (see _norm_scale), so the
-    test holds for any finite magnitude of M.
+    sweep budget raises ConvergenceError carrying the residual.  For
+    ||M||_max outside (1e-100, 1e100) both norms are taken of the matrices
+    times a power of two (see _norm_scale), so the test holds for any finite
+    magnitude of M and leaves every other solve bit for bit as it was.
 
     `basis` warm-starts the sweeps from a unitary B close to the eigenvectors,
     such as those of a nearby matrix: unless M is already diagonal to the
@@ -230,8 +238,9 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     a = np.array(m.matrix, dtype=complex)
     eye = np.eye(d, dtype=complex)
     v = eye
-    scale = _norm_scale(m.matrix)
-    target = tol.jacobi_offdiag * float(np.linalg.norm(m.matrix * scale))
+    size = max_abs(m.matrix)
+    scale = _norm_scale(size)
+    target = tol.jacobi_offdiag * _scaled_norm(m.matrix, scale)
 
     off = _offdiag_norm(a, scale)
     if basis is not None and off > target:
@@ -289,7 +298,7 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     if unitarity > tol.unitarity:
         raise ValidationError(f"eigenvector unitarity defect {unitarity:.3e}")
     residual = max_abs((vectors * eigenvalues) @ dagger(vectors) - m.matrix)
-    if residual > tol.reconstruction * max(1.0, max_abs(m.matrix)):
+    if residual > tol.reconstruction * max(1.0, size):
         raise ValidationError(f"eigendecomposition residual {residual:.3e}")
 
     eigenvalues.flags.writeable = False
