@@ -419,8 +419,8 @@ class TestReportCommands:
 
     @pytest.mark.parametrize("scale", [1e-200, 1e160])
     def test_audit_at_extreme_hamiltonian_scale(self, tmp_path, scale):
-        # the Jacobi convergence test used to overflow (exit 3) or underflow
-        # (the unrotated diagonal reported as the spectrum)
+        # the Jacobi convergence norms must neither overflow (exit 3) nor
+        # underflow (the unrotated diagonal passes for the spectrum)
         eigenvalues = []
         for s in (1.0, scale):
             h = [[s, [0.5 * s, 0.2 * s]], [[0.5 * s, -0.2 * s], -0.3 * s]]

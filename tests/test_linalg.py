@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -196,13 +195,12 @@ class TestHermitianEig:
         assert np.array_equal(again.eigenvectors, spec.eigenvectors)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e160, 1e300])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_magnitudes(self, scale):
-        # ||M||_F used to overflow to inf (no sweep ran) or underflow to 0
-        # (the unrotated diagonal came back as the spectrum)
+        # unscaled, ||M||_F overflows to inf (no sweep runs) or underflows to 0
+        # (the unrotated diagonal passes for the spectrum)
         base = np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, -0.3]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            spec = hermitian_eig(HermitianMatrix(scale * base))
+        spec = hermitian_eig(HermitianMatrix(scale * base))
         want = np.linalg.eigvalsh(base) * scale
         assert np.all(np.abs(spec.eigenvalues - want) <= 1e-12 * np.abs(want))
 
