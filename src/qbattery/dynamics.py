@@ -14,7 +14,6 @@ else keeps it.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -249,14 +248,6 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
     return _rk4_states(model, rho0, _uniform_grid(t_grid), tol)
 
 
-@functools.lru_cache(maxsize=8)
-def _step_tolerances(tol: ToleranceConfig) -> ToleranceConfig:
-    """`tol` with the construction bounds of a state replaced by the looser
-    propagation bounds; cached, since a sweep propagates once per rung."""
-    return tol.replace(density_trace=tol.propagation_trace, psd=tol.propagation_psd,
-                       hermiticity=tol.propagation_hermiticity)
-
-
 def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
                 tol: ToleranceConfig) -> Iterator[tuple[DensityMatrix, float]]:
     yield state, state.trace_defect
@@ -265,7 +256,8 @@ def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
     h = float(grid[1] - grid[0])
     ham = model.hamiltonian.matrix
     terms = _generator_terms(model)
-    step_tol = _step_tolerances(tol)
+    step_tol = tol.replace(density_trace=tol.propagation_trace, psd=tol.propagation_psd,
+                           hermiticity=tol.propagation_hermiticity)
     y = np.array(state.matrix, dtype=complex)
 
     for i in range(1, grid.size):

@@ -152,21 +152,18 @@ def reconstruct(spectrum: Spectrum) -> np.ndarray:
 
 
 def _norm_scale(size: float) -> float:
-    """1 when ||A||_max = `size` lies in (1e-100, 1e100), else a power of two
-    near 1/size.
+    """A power of two near 1/size, for ||A||_max = `size` (1 when size is 0).
 
     The squares in the Frobenius norm of A times it neither overflow nor
     underflow, and the scaling is exact, so comparisons between norms taken
     at the same scale are unchanged.
     """
-    if 1e-100 < size < 1e100:
-        return 1.0
     return math.ldexp(1.0, -min(max(math.frexp(size)[1], -1023), 1023))
 
 
 def _scaled_norm(a: np.ndarray, scale: float) -> float:
     """Frobenius norm of `a` times `scale`."""
-    return float(np.linalg.norm(a if scale == 1.0 else a * scale))
+    return float(np.linalg.norm(a * scale))
 
 
 def _offdiag_norm(a: np.ndarray, scale: float) -> float:
@@ -216,10 +213,9 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     to zero and the diagonal to its real part.  Pairs whose entry is exactly zero
     are skipped.  Sweeps run until the off-diagonal Frobenius norm falls below
     jacobi_offdiag * ||M||_F; convergence is quadratic, and exhausting the
-    sweep budget raises ConvergenceError carrying the residual.  For
-    ||M||_max outside (1e-100, 1e100) both norms are taken of the matrices
-    times a power of two (see _norm_scale), so the test holds for any finite
-    magnitude of M and leaves every other solve bit for bit as it was.
+    sweep budget raises ConvergenceError carrying the residual.  Both norms
+    are taken of the matrices times a power of two near 1/||M||_max (see
+    _norm_scale), so the test holds for any finite magnitude of M.
 
     `basis` warm-starts the sweeps from a unitary B close to the eigenvectors,
     such as those of a nearby matrix: unless M is already diagonal to the

@@ -130,5 +130,5 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         for name in sys.argv[1:] or sorted(CASES):
-            produce(name, Path(scratch)).replace(GOLDEN / name)
+            (GOLDEN / name).write_bytes(produce(name, Path(scratch)).read_bytes())
             print(f"wrote {GOLDEN / name}")
