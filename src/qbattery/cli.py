@@ -143,7 +143,9 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     columns.extend(["trace_defect", "min_eig"])
     header = ",".join(columns)
     h_mat = cfg.model.hamiltonian.matrix
-    basis = None   # the previous row's deltaF eigenbasis warm-starts the next
+    # F is diagonal in rho0's eigenbasis when [rho0, H] = 0 (thermal starts);
+    # each later row starts from the previous row's F eigenbasis
+    basis = rho0.spectrum.eigenvectors
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for i, (before, (state, trace_defect), after) in enumerate(_with_neighbours(states)):

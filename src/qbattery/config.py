@@ -37,7 +37,7 @@ import numpy as np
 
 from .dynamics import LindbladModel
 from .errors import ConfigError
-from .jsonio import matrix_from_json, matrix_to_json, model_from_json
+from .jsonio import float_from_json, matrix_from_json, matrix_to_json, model_from_json
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -102,7 +102,7 @@ def _require_keys(obj: dict, allowed, path: str):
 def _as_number(value, path: str, *, minimum=None, exclusive_min=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"expected a number, got {value!r}", path=path)
-    x = float(value)
+    x = float_from_json(value, path)
     if not math.isfinite(x):
         raise ConfigError(f"must be finite, got {value!r}", path=path)
     if minimum is not None and x < minimum:
@@ -212,7 +212,7 @@ def parse_config(text: str, mode: str, *,
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over int's digit limit
         raise ConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("top level must be a JSON object")

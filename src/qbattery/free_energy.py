@@ -82,8 +82,9 @@ class FreeEnergyDecomposition:
     ln(rho) that F was built from.
 
     `w` holds the ascending eigenvalues of deltaF and the columns of `basis`
-    the matching eigenvectors.  tr(rho deltaF) = 0 for the state the
-    decomposition was built from; this is checked at construction.
+    the matching eigenvectors.  They come from the eigendecomposition of F,
+    which deltaF shares, as w = lambda(F) - <F>.  tr(rho deltaF) = 0 for the
+    state the decomposition was built from; this is checked at construction.
     """
 
     f_op: HermitianMatrix
@@ -107,9 +108,14 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
     mean is computed as tr(F rho) and cross-checked against
     mean_free_energy before deltaF is formed; |tr(rho deltaF)| must stay
     within zero_mean * max(1, ||F||_max).  A state eigenvalue at or below
-    ctx.rank_threshold raises RankDeficientError naming it.  `basis`
-    warm-starts the deltaF eigensolver, e.g. from the deltaF eigenvectors of
-    the previous trajectory row.
+    ctx.rank_threshold raises RankDeficientError naming it.
+
+    The eigensolver runs on F, not on deltaF: deltaF carries F's absolute
+    rounding, about eps * ||F||, so its convergence target belongs on F's
+    scale.  Where F is nearly a multiple of I (a thermal state) deltaF is
+    that rounding alone, and Jacobi would spend full sweeps on it.  `basis`
+    warm-starts the solve, e.g. from rho's eigenvectors, in which F is
+    diagonal whenever [rho, H] = 0, or from the previous trajectory row.
     """
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
@@ -137,9 +143,10 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
     zero_mean = abs(complex(np.trace(rho.matrix @ delta.matrix)))
     if zero_mean > tol.zero_mean * max(1.0, max_abs(f_op.matrix)):
         raise ValidationError(f"tr(rho deltaF) = {zero_mean:.3e} is not zero")
-    eig = hermitian_eig(delta, basis=basis, tol=tol)
-    return FreeEnergyDecomposition(f_op, delta, mean, eig.eigenvalues, eig.eigenvectors,
-                                   log_rho)
+    eig = hermitian_eig(f_op, basis=basis, tol=tol)
+    w = eig.eigenvalues - mean
+    w.flags.writeable = False
+    return FreeEnergyDecomposition(f_op, delta, mean, w, eig.eigenvectors, log_rho)
 
 
 def _eigen_index(k0: int, dim: int) -> int:

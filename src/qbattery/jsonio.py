@@ -20,6 +20,7 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 __all__ = [
     "complex_to_pair",
     "matrix_to_json",
+    "float_from_json",
     "entry_from_json",
     "matrix_from_json",
     "model_to_json",
@@ -37,15 +38,43 @@ def matrix_to_json(matrix) -> list:
     return [[complex_to_pair(z) for z in row] for row in arr]
 
 
+def float_from_json(value, path: str) -> float:
+    """float(value) for a JSON number; an integer literal beyond float range
+    is a ConfigError at `path`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError("integer is beyond float range", path=path) from None
+
+
 def entry_from_json(value, path: str) -> complex:
     if isinstance(value, bool):
         raise ConfigError("matrix entry must be a number or [re, im] pair", path=path)
     if isinstance(value, numbers.Real):
-        return complex(float(value), 0.0)
+        return complex(float_from_json(value, path), 0.0)
     if (isinstance(value, list) and len(value) == 2
             and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value)):
-        return complex(float(value[0]), float(value[1]))
+        return complex(float_from_json(value[0], f"{path}[0]"),
+                       float_from_json(value[1], f"{path}[1]"))
     raise ConfigError("matrix entry must be a number or [re, im] pair", path=path)
+
+
+_PLAIN = (int, float)   # exact types: bool, a subclass of int, is not a number here
+
+
+def _row_from_json(row: list, path: str) -> list:
+    """The entries of one row: plain numbers and [re, im] pairs of them are
+    taken as they are, and anything else goes through entry_from_json."""
+    out = []
+    for j, v in enumerate(row):
+        kind = type(v)
+        if kind in _PLAIN:
+            out.append(v)
+        elif kind is list and len(v) == 2 and type(v[0]) in _PLAIN and type(v[1]) in _PLAIN:
+            out.append(complex(v[0], v[1]))
+        else:
+            out.append(entry_from_json(v, f"{path}[{j}]"))
+    return out
 
 
 def matrix_from_json(value, path: str, dim: int | None = None) -> np.ndarray:
@@ -53,15 +82,22 @@ def matrix_from_json(value, path: str, dim: int | None = None) -> np.ndarray:
         raise ConfigError("matrix must be a non-empty list of rows", path=path)
     rows = []
     width = None
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or not row:
-            raise ConfigError("matrix row must be a non-empty list", path=f"{path}[{i}]")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ConfigError("matrix rows have unequal lengths", path=f"{path}[{i}]")
-        rows.append([entry_from_json(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
-    arr = np.array(rows, dtype=complex)
+    try:
+        for i, row in enumerate(value):
+            if not isinstance(row, list) or not row:
+                raise ConfigError("matrix row must be a non-empty list", path=f"{path}[{i}]")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ConfigError("matrix rows have unequal lengths", path=f"{path}[{i}]")
+            rows.append(_row_from_json(row, f"{path}[{i}]"))
+        arr = np.array(rows, dtype=complex)
+    except OverflowError:
+        # an integer beyond float range: entry_from_json names its path
+        for i, row in enumerate(value):
+            for j, v in enumerate(row):
+                entry_from_json(v, f"{path}[{i}][{j}]")
+        raise
     if arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"matrix must be square, got shape {arr.shape}", path=path)
     if dim is not None and arr.shape[0] != dim:
@@ -108,11 +144,11 @@ def model_from_json(data: dict, path: str = "model", *,
                 raise ConfigError(f"unknown key {key!r}", path=f"{ch_path}.{key}")
         if "rate" not in ch or "matrix" not in ch:
             raise ConfigError("channel needs rate and matrix", path=ch_path)
-        rate = ch["rate"]
+        rate, rate_path = ch["rate"], f"{ch_path}.rate"
         if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
-                or not math.isfinite(float(rate)) or float(rate) < 0.0:
+                or not math.isfinite(float_from_json(rate, rate_path)) or rate < 0.0:
             raise ConfigError(f"rate must be a finite number >= 0, got {rate!r}",
-                              path=f"{ch_path}.rate")
+                              path=rate_path)
         channels.append(JumpChannel(float(rate),
                                     matrix_from_json(ch["matrix"], f"{ch_path}.matrix", dim)))
     return LindbladModel(ham, tuple(channels))

@@ -91,7 +91,7 @@ def commutator(a, b) -> np.ndarray:
 
 
 class HermitianMatrix:
-    """Hermitian matrix, symmetrized to (M + M^dag)/2 at construction.
+    """Hermitian matrix, symmetrized to M/2 + M^dag/2 at construction.
 
     The pre-symmetrization defect ||M - M^dag||_max is kept on the instance.
     Inputs whose defect exceeds the hermiticity tolerance (scaled by
@@ -107,7 +107,8 @@ class HermitianMatrix:
         if defect > defect_tol:
             raise ValidationError(
                 f"hermiticity defect {defect:.3e} exceeds tolerance {defect_tol:.3e}")
-        sym = 0.5 * (m + dagger(m))
+        half = 0.5 * m  # halve before adding: M + M^dag overflows above ~9e307
+        sym = half + dagger(half)
         sym.flags.writeable = False
         self.matrix = sym
         self.defect = defect

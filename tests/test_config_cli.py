@@ -81,6 +81,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="dim"):
             parse_config(config_text(dim=True), "run")
 
+    @pytest.mark.parametrize("h, path, message", [
+        ([[True, 0.0], [0.0, 1.0]], "hamiltonian[0][0]",
+         "matrix entry must be a number or [re, im] pair"),
+        ([[0.0, "1"], ["1", 1.0]], "hamiltonian[0][1]",
+         "matrix entry must be a number or [re, im] pair"),
+        ([[0.0, 0.0], [0.0, None]], "hamiltonian[1][1]",
+         "matrix entry must be a number or [re, im] pair"),
+        ([[0.0, [1.0, 0.0, 0.0]], [1.0, 0.0]], "hamiltonian[0][1]",
+         "matrix entry must be a number or [re, im] pair"),
+        ([[0.0, 1.0], [[1.0, False], 0.0]], "hamiltonian[1][0]",
+         "matrix entry must be a number or [re, im] pair"),
+        ([[0.0, 1.0], [1.0]], "hamiltonian[1]", "matrix rows have unequal lengths"),
+        ([[0.0, 1.0], []], "hamiltonian[1]", "matrix row must be a non-empty list"),
+        ([[math.inf, 0.0], [0.0, 1.0]], "hamiltonian", "matrix has non-finite entries"),
+    ])
+    def test_matrix_entry_rejections(self, h, path, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_text(hamiltonian=h), "run")
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_epsilons_must_descend(self):
         with pytest.raises(ConfigError, match="epsilons"):
             parse_config(config_text(epsilons=[1e-4, 1e-2]), "sweep")
@@ -309,6 +330,43 @@ class TestRunCommand:
             "numeric failure: Theta of channel 0, |[deltaF, L]|^2: "
             "hermitian matrix: non-finite entries\n")
         assert len(out.read_text().splitlines()) == 1  # the header only
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_near_overflow_f_reaches_the_theta_guard(self, tmp_path, capsys):
+        # F ~ -1.4e308 is finite; symmetrizing it must not overflow on the way
+        cfg = tmp_path / "cold.json"
+        cfg.write_text(config_text(beta=1e-307))
+        out = tmp_path / "cold.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: Theta of channel 0, |[deltaF, L]|^2: "
+            "hermitian matrix: non-finite entries\n")
+
+    @pytest.mark.parametrize("place, path", [
+        (("hamiltonian", 0, 0), "hamiltonian[0][0]"),
+        (("hamiltonian", 1, 0, 1), "hamiltonian[1][0][1]"),
+        (("beta",), "beta"),
+        (("time", "step"), "time.step"),
+        (("channels", 0, "rate"), "channels[0].rate"),
+    ])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, place, path):
+        data = json.loads(config_text())
+        data["hamiltonian"][1][0] = [0.0, 0.0]  # a pair, for the pair's imaginary part
+        *parents, key = place
+        target = data
+        for step in parents:
+            target = target[step]
+        target[key] = 10 ** 400
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: integer is beyond float range\n"
+
+    def test_integer_over_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(config_text(beta=None).replace("{", '{"beta": 1' + "0" * 5000 + ", ", 1))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON:")
 
     def matrix_start_run(self, tmp_path, matrix, *tol):
         cfg = tmp_path / "matrix_start.json"

@@ -15,7 +15,9 @@ from qbattery.free_energy import (BatteryContext, FreeEnergyDecomposition,
                                   components_in_basis, mean_free_energy, power_analytic,
                                   power_fd, theta_eigenstate, theta_index_form,
                                   theta_operator_form, vanishing_condition)
+from qbattery import linalg
 from qbattery.linalg import HermitianMatrix, hermitian_eig, matrix_function, max_abs
+from qbattery.tolerances import DEFAULT_TOLERANCES
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,7 +62,7 @@ class TestFreeEnergyOperator:
             free_energy_operator(GROUND, qubit_ctx())
         assert exc.value.smallest_eigenvalue <= 1e-12
 
-    @given(density_matrices(2, 5))
+    @given(density_matrices(2, 6))
     @settings(max_examples=30)
     def test_decomposition_invariants(self, rho_m):
         d = rho_m.shape[0]
@@ -74,6 +76,8 @@ class TestFreeEnergyOperator:
         assert abs(np.trace(rho.matrix @ decomp.delta_f.matrix)) <= 1e-9
         assert max_abs(decomp.basis @ np.diag(decomp.w) @ oracles.dag(decomp.basis)
                        - decomp.delta_f.matrix) <= 1e-9
+        want = np.linalg.eigvalsh(decomp.delta_f.matrix)
+        assert max_abs(decomp.w - want) <= 1e-12 * max(1.0, max_abs(decomp.f_op.matrix))
 
     def test_matches_numpy_pipeline(self, rng):
         rho_m = oracles.random_density(rng, 4)
@@ -95,7 +99,7 @@ class TestFreeEnergyOperator:
         assert np.array_equal(decomp.f_op.matrix, want)
 
     def test_warm_start_from_a_nearby_state(self, rng):
-        # the deltaF basis of one trajectory row warm-starts the next row's
+        # the F basis of one trajectory row warm-starts the next row's
         d = 6
         model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, d)),
                               (JumpChannel(0.5, oracles.random_ginibre(rng, d)),))
@@ -108,6 +112,65 @@ class TestFreeEnergyOperator:
         assert max_abs(warm.w - cold.w) <= 1e-12 * max(1.0, max_abs(cold.w))
         assert max_abs((warm.basis * warm.w) @ oracles.dag(warm.basis)
                        - warm.delta_f.matrix) <= 1e-12
+
+
+def thermal_ginibre(seed, d):
+    """A d-level Ginibre model with two channels and its thermal state at
+    beta = 1, built like the benchmark's dense run."""
+    rng = np.random.default_rng(seed)
+    h = HermitianMatrix(oracles.random_hermitian(rng, d))
+    channels = tuple(JumpChannel(0.5, oracles.random_ginibre(rng, d) / math.sqrt(d))
+                     for _ in range(2))
+    return LindbladModel(h, channels), thermal_state(h, 1.0)
+
+
+def trajectory_rows(model, rho0, rows):
+    """(state, decomposition) for the first `rows` rows of a run from rho0,
+    warm-started the way `qbattery run` does it."""
+    ctx = BatteryContext(1.0, model)
+    basis = rho0.spectrum.eigenvectors
+    for state, _ in propagate(model, rho0, np.linspace(0.0, (rows - 1) * 1e-3, rows)):
+        decomp = free_energy_operator(state, ctx, basis=basis)
+        basis = decomp.basis
+        yield state, decomp
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """A list that grows by one per Jacobi sweep: hermitian_eig fetches the
+    round-robin schedule once per sweep."""
+    seen = []
+    schedule = linalg._round_robin
+
+    def counted(d):
+        seen.append(d)
+        return schedule(d)
+
+    monkeypatch.setattr(linalg, "_round_robin", counted)
+    return seen
+
+
+class TestFreeEnergyEigensystem:
+    """w and basis come from F's eigendecomposition, shifted by <F>."""
+
+    @pytest.mark.parametrize("d", [8, 32])
+    def test_thermal_start_needs_no_sweep_from_the_state_basis(self, sweeps, d):
+        # F = H + ln(rho)/beta is a multiple of I plus rounding, diagonal in rho's basis
+        model, rho0 = thermal_ginibre(0, d)
+        before = len(sweeps)
+        free_energy_operator(rho0, BatteryContext(1.0, model),
+                             basis=rho0.spectrum.eigenvectors)
+        assert len(sweeps) == before
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_along_a_thermal_trajectory(self, seed):
+        model, rho0 = thermal_ginibre(seed, 32)
+        for state, decomp in trajectory_rows(model, rho0, 21):
+            want = np.linalg.eigvalsh(decomp.delta_f.matrix)
+            assert max_abs(decomp.w - want) <= 1e-12 * max(1.0, max_abs(decomp.f_op.matrix))
+            for ch in compute_theta_report(decomp, state, model).channels:
+                bound = DEFAULT_TOLERANCES.theta_discrepancy * max(1.0, ch.theta_operator)
+                assert abs(ch.discrepancy) <= bound
 
 
 class TestMeanFreeEnergy:
