@@ -37,12 +37,13 @@ import numpy as np
 from .dynamics import (DensityMatrix, JumpChannel, LindbladModel,
                        _generator_matrix, _generator_terms, liouvillian,
                        propagate, regularize)
-from .errors import ParameterError, PropagationError, ScenarioError
+from .errors import (ParameterError, PropagationError, QBatteryError, ScenarioError,
+                     ValidationError)
 from .free_energy import (BatteryContext, _eigen_index, _eigenstate_power_forms,
                           free_energy_operator, power_analytic, theta_eigenstate,
                           vanishing_condition)
 from .jsonio import model_from_json, model_to_json
-from .linalg import HermitianMatrix, Spectrum, dagger, hermitian_eig, max_abs
+from .linalg import HermitianMatrix, Spectrum, dagger, hermitian_eig, hermitian_eigs, max_abs
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -199,11 +200,17 @@ def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
         k0, ctx, spectrum=spectrum, label=label, tol=tol)
     w = eig.eigenvalues
     condition = vanishing_condition(ctx, k0, spectrum=eig, tol=tol)
+    thetas = []
+    for j, l_c in enumerate(components):
+        try:
+            thetas.append((theta_eigenstate(k0, w, l_c), theta_eigenstate(k0, w, l_c.T)))
+        except ValidationError as exc:
+            raise ValidationError(f"Theta of channel {j}, eigenstate {k0}: {exc}") from exc
     return ClaimInstance(
         label=label, model=model, k0=int(k0), beta=float(beta),
         scale=_claim_scale(model),
-        theta_values=tuple(theta_eigenstate(k0, w, l_c) for l_c in components),
-        theta_transposed=tuple(theta_eigenstate(k0, w, l_c.T) for l_c in components),
+        theta_values=tuple(row for row, _ in thetas),
+        theta_transposed=tuple(col for _, col in thetas),
         power_trace=trace_form, power_index=index_form,
         condition_holds=condition.holds)
 
@@ -286,7 +293,10 @@ def eigenstate_audit(spec: ScenarioSpec, *,
 
     projector = np.outer(vec, np.conj(vec))
     rate = _generator_matrix(h, _generator_terms(spec.model), projector)
-    energy_rate = float(np.real(np.trace(rate @ h)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        energy_rate = float(np.real(np.trace(rate @ h)))
+    if not math.isfinite(energy_rate):
+        raise ValidationError(f"energy rate tr(L(P) H): {energy_rate!r} is not finite")
 
     row_all, _, p_cls = instance.classes(tol)
     if row_all == NONZERO and p_cls == NONZERO:
@@ -478,17 +488,30 @@ def claim_falsifier(ensemble: EnsembleSpec, *,
     then `trials` random instances drawn from a seeded generator.  Every
     counterexample is serialized in full so it can be re-evaluated from the
     report alone.
+
+    All draws come first (none depends on an evaluation); hermitian_eigs
+    solves their Hamiltonians as one stack per dimension, and evaluation runs
+    in draw order, so a failure, the solver's included, stops at the same
+    instance as with single solves.
     """
     rng = np.random.default_rng(ensemble.seed)
+    drawn = [(f"bundled:{name}", model, k0) for name, model, k0 in bundled_witnesses()
+             if ensemble.include_bundled]
+    drawn += [(f"trial:{trial}", *_random_instance(rng, ensemble))
+              for trial in range(ensemble.trials)]
+    spectra = {}
+    # largest stack first: its temporaries come and go before the smaller
+    # stacks' spectra take up the heap, which keeps the peak resident set low
+    for d in sorted({model.dim for _, model, _ in drawn}, reverse=True):
+        members = [i for i, (_, model, _) in enumerate(drawn) if model.dim == d]
+        spectra.update(zip(members, hermitian_eigs(
+            [drawn[i][1].hamiltonian for i in members], tol=tol)))
     instances = []
-    if ensemble.include_bundled:
-        for name, model, k0 in bundled_witnesses():
-            instances.append(evaluate_instance(model, k0, ensemble.beta,
-                                               f"bundled:{name}", tol=tol))
-    for trial in range(ensemble.trials):
-        model, k0 = _random_instance(rng, ensemble)
-        instances.append(evaluate_instance(model, k0, ensemble.beta,
-                                           f"trial:{trial}", tol=tol))
+    for i, (label, model, k0) in enumerate(drawn):
+        if isinstance(spectra[i], QBatteryError):
+            raise spectra[i]
+        instances.append(evaluate_instance(model, k0, ensemble.beta, label,
+                                           spectrum=spectra.pop(i), tol=tol))
 
     evaluated = [(inst, inst.outcomes(tol)) for inst in instances]
     counterexamples = []

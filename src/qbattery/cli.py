@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -178,7 +179,22 @@ def _encode(value):
     return value
 
 
+def _non_finite(value, path: str) -> str | None:
+    """`path = value` of the first non-finite number in a JSON-ready value."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else f"{path} = {value!r}"
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        found = _non_finite(item, f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]")
+        if found:
+            return found
+    return None
+
+
 def _write_report(out_path: str, mode: str, seed: int, cfg: RunConfig, report) -> None:
+    """Serialize before opening the file, so a non-finite value (which JSON
+    cannot hold) leaves no partial report."""
     payload = {
         "tool": {"name": "qbattery", "version": __version__},
         "mode": mode,
@@ -186,9 +202,13 @@ def _write_report(out_path: str, mode: str, seed: int, cfg: RunConfig, report) -
         "config": config_to_dict(cfg),
         "report": _encode(report),
     }
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        found = _non_finite(payload["report"], "report")
+        raise ValidationError(f"{found} is not finite") from None
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def audit_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig) -> int:

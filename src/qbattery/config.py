@@ -3,7 +3,8 @@
 Top-level keys (mode decides which are required):
 
     dim             int >= 2; for check mode this is the maximum ensemble
-                    dimension (instances are drawn with 2 <= d <= dim)
+                    dimension (instances are drawn with 2 <= d <= dim), at
+                    most CHECK_DIM_MAX = 64
     beta            inverse temperature, finite > 0, default 1.0
     hamiltonian     dim x dim complex matrix, row-major, entries are numbers
                     or [re, im] pairs; Hermitian to tol.hermiticity
@@ -47,9 +48,14 @@ __all__ = [
     "parse_config",
     "config_to_dict",
     "MODES",
+    "CHECK_DIM_MAX",
 ]
 
 MODES = ("run", "audit", "sweep", "check")
+
+# the largest ensemble dimension of check, a desk-scale bound: at d = 10**5 one
+# instance would allocate tens of GiB, and past int64 the draw itself fails
+CHECK_DIM_MAX = 64
 
 _STATE_KINDS = ("eigenstate", "matrix", "thermal")
 
@@ -263,6 +269,9 @@ def parse_config(text: str, mode: str, *,
     elif mode == "check":
         if trials is None:
             raise ConfigError("check mode needs trials", path="trials")
+        if dim > CHECK_DIM_MAX:
+            raise ConfigError(f"check mode allows dim <= {CHECK_DIM_MAX}, got {dim}",
+                              path="dim")
 
     return RunConfig(mode=mode, dim=dim, beta=beta, model=model,
                      initial_state=initial_state, time=time,

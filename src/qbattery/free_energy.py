@@ -247,6 +247,7 @@ def theta_eigenstate(k0: int, w, l_components) -> float:
 
     Here w is the spectrum of H (F coincides with H in the eigenstate
     scenario) and L^{k0 i} runs along row k0 of the operator components.
+    A sum that overflows raises ValidationError.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     l_c = as_square_matrix(l_components, "operator components")
@@ -254,7 +255,11 @@ def theta_eigenstate(k0: int, w, l_components) -> float:
         raise DimensionError("component array must match the length of w")
     k0 = _eigen_index(k0, w.size)
     row = l_c[k0, :]
-    return float(np.sum(np.abs(row) ** 2 * (w - w[k0]) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        value = float(np.sum(np.abs(row) ** 2 * (w - w[k0]) ** 2))
+    if not math.isfinite(value):
+        raise ValidationError(f"closed form {value!r} is not finite")
+    return value
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ accuracy on small eigenvalues (Demmel & Veselic, SIAM J. Matrix Anal. Appl.
 of a run flat; the tie and phase conventions do not depend on the ordering.
 Along a trajectory the solver is warm-started from the eigenvectors of the
 previous state, which leaves a nearly diagonal matrix that converges in a few
-sweeps; exact ties then follow the order of that start basis.
+sweeps; exact ties then follow the order of that start basis.  Many cold solves
+of one dimension run as one stack (hermitian_eigs), with the same spectra.
 
 Matrices are plain complex numpy arrays.  HermitianMatrix and Spectrum wrap
 them where extra guarantees have to travel with the data: the symmetrization
@@ -30,7 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, DomainError, ValidationError
+from .errors import (ConvergenceError, DimensionError, DomainError, QBatteryError,
+                     ValidationError)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "HermitianMatrix",
     "Spectrum",
     "hermitian_eig",
+    "hermitian_eigs",
     "matrix_function",
     "reconstruct",
 ]
@@ -152,24 +155,36 @@ def reconstruct(spectrum: Spectrum) -> np.ndarray:
     return (spectrum.eigenvectors * spectrum.eigenvalues) @ dagger(spectrum.eigenvectors)
 
 
-def _norm_scale(size: float) -> float:
-    """A power of two near 1/size, for ||A||_max = `size` (1 when size is 0).
+def _scaled_norm(a: np.ndarray, scale):
+    """Frobenius norms of the matrices a (..., d, d), each times its `scale`,
+    reduced over the last two axes: a matrix gets the same bits alone as in a stack."""
+    x = a * scale[..., None, None]
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
 
-    The squares in the Frobenius norm of A times it neither overflow nor
-    underflow, and the scaling is exact, so comparisons between norms taken
-    at the same scale are unchanged.
+
+def _offdiag_norm(a: np.ndarray, scale):
+    """Off-diagonal Frobenius norms of the matrices a (..., d, d) times `scale`."""
+    return _scaled_norm(a * (1.0 - np.eye(a.shape[-1])), scale)
+
+
+def _convergence_target(m: np.ndarray, tol: ToleranceConfig):
+    """||M||_max, a power of two near its inverse (1 for M = 0), and the
+    off-diagonal target jacobi_offdiag * ||M||_F, for each matrix in m (..., d, d).
+
+    Norms are taken of the matrices times that power of two: their squares
+    neither overflow nor underflow, and the scaling is exact, so comparisons
+    between norms taken at the same scale are unchanged.
     """
-    return math.ldexp(1.0, -min(max(math.frexp(size)[1], -1023), 1023))
+    size = np.abs(m).max(axis=(-2, -1))
+    scale = np.ldexp(1.0, -np.minimum(np.maximum(np.frexp(size)[1], -1023), 1023))
+    return size, scale, tol.jacobi_offdiag * _scaled_norm(m, scale)
 
 
-def _scaled_norm(a: np.ndarray, scale: float) -> float:
-    """Frobenius norm of `a` times `scale`."""
-    return float(np.linalg.norm(a * scale))
-
-
-def _offdiag_norm(a: np.ndarray, scale: float) -> float:
-    """Off-diagonal Frobenius norm of `a` times `scale`."""
-    return _scaled_norm(a - np.diag(np.diag(a)), scale)
+def _not_converged(off, target, scale, tol: ToleranceConfig) -> ConvergenceError:
+    return ConvergenceError(
+        f"Jacobi did not converge in {tol.jacobi_max_sweeps} sweeps: "
+        f"off-diagonal norm {off / scale:.3e} above target {target / scale:.3e}",
+        off_diagonal_norm=float(off / scale))
 
 
 def _plane_indices(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
@@ -203,6 +218,46 @@ def _round_robin(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return tuple(rounds)
 
 
+def _rotation_blocks(apq: np.ndarray, r: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Entries (c, s, -s e, c e) at (p, p), (p, q), (q, p), (q, q) of the
+    rotations that annihilate the entries apq = a_pq, stacked on a new first
+    axis; r = |apq| > 0, e = conj(apq) / r and diff = a_qq - a_pp.  Callers
+    ignore overflow: a subnormal r can overflow theta to inf, which gives t = 0.
+    """
+    phase = np.conj(apq) / r
+    theta = diff / (2.0 * r)
+    t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+    t[diff == 0.0] = 1.0
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    return np.concatenate((c, s, -s * phase, c * phase)).reshape((4,) + c.shape)
+
+
+def _finish(a: np.ndarray, v: np.ndarray, m: np.ndarray, size: float,
+            tol: ToleranceConfig) -> Spectrum:
+    """The sorted, phased and checked spectrum of M = m from the converged
+    sweeps a = V^dag M V, v = V."""
+    values = a.real.diagonal()
+    order = np.argsort(values, kind="stable")
+    eigenvalues = values[order]
+    vectors = v[:, order]
+
+    # fix phases: largest-magnitude component real positive, lowest index wins ties
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(m.shape[0])]
+    vectors *= np.conj(pivots) / np.abs(pivots)
+
+    unitarity = max_abs(dagger(vectors) @ vectors - np.eye(m.shape[0]))
+    if unitarity > tol.unitarity:
+        raise ValidationError(f"eigenvector unitarity defect {unitarity:.3e}")
+    residual = max_abs((vectors * eigenvalues) @ dagger(vectors) - m)
+    if residual > tol.reconstruction * max(1.0, size):
+        raise ValidationError(f"eigendecomposition residual {residual:.3e}")
+
+    eigenvalues.flags.writeable = False
+    vectors.flags.writeable = False
+    return Spectrum(eigenvalues, vectors)
+
+
 def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Spectrum:
     """Eigendecomposition by Jacobi rotations in round-robin order.
@@ -216,7 +271,7 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     jacobi_offdiag * ||M||_F; convergence is quadratic, and exhausting the
     sweep budget raises ConvergenceError carrying the residual.  Both norms
     are taken of the matrices times a power of two near 1/||M||_max (see
-    _norm_scale), so the test holds for any finite magnitude of M.
+    _convergence_target), so the test holds for any finite magnitude of M.
 
     `basis` warm-starts the sweeps from a unitary B close to the eigenvectors,
     such as those of a nearby matrix: unless M is already diagonal to the
@@ -235,9 +290,7 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     a = np.array(m.matrix, dtype=complex)
     eye = np.eye(d, dtype=complex)
     v = eye
-    size = max_abs(m.matrix)
-    scale = _norm_scale(size)
-    target = tol.jacobi_offdiag * _scaled_norm(m.matrix, scale)
+    size, scale, target = _convergence_target(m.matrix, tol)
 
     off = _offdiag_norm(a, scale)
     if basis is not None and off > target:
@@ -249,11 +302,7 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     sweeps = 0
     while off > target:
         if sweeps >= tol.jacobi_max_sweeps:
-            raise ConvergenceError(
-                f"Jacobi did not converge in {tol.jacobi_max_sweeps} sweeps: "
-                f"off-diagonal norm {off / scale:.3e} above target {target / scale:.3e}",
-                off_diagonal_norm=off / scale)
-        # a subnormal |a_pq| can overflow theta to inf, which gives t = 0
+            raise _not_converged(off, target, scale, tol)
         with np.errstate(over="ignore"):
             for p, q, idx in _round_robin(d):
                 apq = a[p, q]
@@ -264,17 +313,10 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
                         continue
                     p, q, apq, r = p[live], q[live], apq[live], r[live]
                     idx = _plane_indices(p, q, d)
-                phase = np.conj(apq) / r
                 diag = a.real.diagonal()
-                diff = diag[q] - diag[p]
-                theta = diff / (2.0 * r)
-                t = np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
-                t[diff == 0.0] = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
                 # G is the identity except for the 2 x 2 block of each live pair
                 g = eye.copy()
-                g.put(idx, np.concatenate((c, s, -s * phase, c * phase)))
+                g.put(idx, _rotation_blocks(apq, r, diag[q] - diag[p]))
                 a = np.conj(g.T) @ a @ g
                 a.put(idx[p.size:3 * p.size], 0.0)
                 a.reshape(-1)[::d + 1].imag = 0.0
@@ -282,25 +324,61 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
         sweeps += 1
         off = _offdiag_norm(a, scale)
 
-    values = np.real(np.diag(a)).astype(float)
-    order = np.argsort(values, kind="stable")
-    eigenvalues = values[order]
-    vectors = v[:, order]
+    return _finish(a, v, m.matrix, size, tol)
 
-    # fix phases: largest-magnitude component real positive, lowest index wins ties
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(d)]
-    vectors *= np.conj(pivots) / np.abs(pivots)
 
-    unitarity = max_abs(dagger(vectors) @ vectors - eye)
-    if unitarity > tol.unitarity:
-        raise ValidationError(f"eigenvector unitarity defect {unitarity:.3e}")
-    residual = max_abs((vectors * eigenvalues) @ dagger(vectors) - m.matrix)
-    if residual > tol.reconstruction * max(1.0, size):
-        raise ValidationError(f"eigendecomposition residual {residual:.3e}")
+def hermitian_eigs(matrices, *, tol: ToleranceConfig = DEFAULT_TOLERANCES
+                   ) -> tuple[Spectrum | QBatteryError, ...]:
+    """hermitian_eig, cold, of many matrices of one dimension, as one (n, d, d) stack.
 
-    eigenvalues.flags.writeable = False
-    vectors.flags.writeable = False
-    return Spectrum(eigenvalues, vectors)
+    Each round rotates every unfinished matrix at once, with one stacked product;
+    a dead pair (entry exactly zero) gets an identity block, a matrix with no
+    live pair is left as it was, and a converged matrix leaves the stack.  So
+    each gets hermitian_eig's Spectrum bit for bit, or in its place the error
+    hermitian_eig raises for it."""
+    mats = [h.matrix for h in matrices]
+    a = np.stack(mats)
+    n, d, _ = a.shape
+    size, scale, target = _convergence_target(a, tol)
+    v = np.broadcast_to(np.eye(d, dtype=complex), a.shape).copy()
+    ids, out, sweeps = np.arange(n), [None] * n, 0
+    while True:
+        off = _offdiag_norm(a, scale[ids])
+        done = ~(off > target[ids])
+        for j, i in zip(np.flatnonzero(done), ids[done]):
+            try:
+                out[i] = _finish(a[j], v[j], mats[i], size[i], tol)
+            except ValidationError as exc:
+                out[i] = exc
+        a, v, ids, off = a[~done], v[~done], ids[~done], off[~done]
+        if not ids.size or sweeps >= tol.jacobi_max_sweeps:
+            for i, off_i in zip(ids, off):
+                out[i] = _not_converged(off_i, target[i], scale[i], tol)
+            return tuple(out)
+        with np.errstate(over="ignore"):
+            for p, q, idx in _round_robin(d):
+                apq = a[:, p, q]
+                r = np.abs(apq)
+                live = r != 0.0
+                rotated = live.any(axis=1)[:, None, None]
+                if not rotated.any():
+                    continue
+                blocks = np.zeros((4,) + r.shape, dtype=complex)
+                blocks[0] = blocks[3] = 1.0
+                diff = (a[:, q, q] - a[:, p, p]).real
+                blocks[:, live] = _rotation_blocks(apq[live], r[live], diff[live])
+                g = np.tile(np.eye(d, dtype=complex).ravel(), (ids.size, 1))
+                g[:, idx] = blocks.transpose(1, 0, 2).reshape(ids.size, -1)
+                g = g.reshape(-1, d, d)
+                np.copyto(v, v @ g, where=rotated)
+                rotated_a = np.conj(g.swapaxes(1, 2)) @ a @ g
+                flat = rotated_a.reshape(ids.size, -1)
+                annihilated = idx[p.size:3 * p.size]
+                flat[:, annihilated] = np.where(np.tile(live, 2), 0.0, flat[:, annihilated])
+                flat[:, ::d + 1].imag = 0.0
+                np.copyto(a, rotated_a, where=rotated)
+                del g, rotated_a, flat  # before the next round allocates its own
+        sweeps += 1
 
 
 def matrix_function(spectrum: Spectrum, f: Callable[[float], float], *,

@@ -1,14 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from qbattery.audit import (EnsembleSpec, ScenarioSpec, bundled_witnesses, claim_falsifier,
-                            eigenstate_audit, epsilon_sweep, evaluate_instance,
-                            reevaluate_witness)
+from qbattery import audit
+from qbattery.audit import (EnsembleSpec, FalsifierReport, ScenarioSpec, bundled_witnesses,
+                            claim_falsifier, eigenstate_audit, epsilon_sweep,
+                            evaluate_instance, reevaluate_witness)
+from qbattery.cli import _encode
 from qbattery.dynamics import JumpChannel, LindbladModel
-from qbattery.errors import ParameterError, ScenarioError
+from qbattery.errors import ConvergenceError, ParameterError, ScenarioError
 from qbattery.linalg import HermitianMatrix, hermitian_eig
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
@@ -226,6 +229,51 @@ class TestClaimFalsifier:
             inst = evaluate_instance(LindbladModel(h, channels), int(rng.integers(0, d)),
                                      1.0, "diag")
             assert inst.outcomes(DEFAULT_TOLERANCES)["C1"] == "supporting"
+
+    @staticmethod
+    def solved_one_by_one(ens: EnsembleSpec, tol) -> FalsifierReport:
+        """The falsifier as a loop of single solves: each instance drawn, then
+        evaluated with its own hermitian_eig inside evaluate_instance."""
+        rng = np.random.default_rng(ens.seed)
+        instances = [evaluate_instance(model, k0, ens.beta, f"bundled:{name}", tol=tol)
+                     for name, model, k0 in bundled_witnesses()]
+        for trial in range(ens.trials):
+            model, k0 = audit._random_instance(rng, ens)
+            instances.append(evaluate_instance(model, k0, ens.beta, f"trial:{trial}", tol=tol))
+        evaluated = [(inst, inst.outcomes(tol)) for inst in instances]
+        counterexamples = []
+        for inst, outcomes in evaluated:
+            violated = sorted(c for c, out in outcomes.items() if out == "counterexample")
+            if violated:
+                counterexamples.append(dict(inst.to_record(), violates=violated))
+        return FalsifierReport(ens.seed, ens.trials, ens.dim_min, ens.dim_max, True,
+                               audit._claim_rows(evaluated), tuple(counterexamples))
+
+    @pytest.mark.parametrize("seed, dim_max", [(0, 6), (3, 6), (11, 9), (12, 2)])
+    def test_stacked_solves_give_the_single_solve_report(self, seed, dim_max):
+        # with claim_zero = 1e6 every value counts as zero, so nearly every
+        # instance refutes C3 and its full record, Thetas and powers, lands
+        # in the report in draw order
+        tol = DEFAULT_TOLERANCES.replace(claim_zero=1e6)
+        ens = EnsembleSpec(seed=seed, trials=60, dim_max=dim_max)
+        got = _encode(claim_falsifier(ens, tol=tol))
+        want = _encode(self.solved_one_by_one(ens, tol))
+        assert len(got["counterexamples"]) == len(want["counterexamples"]) > 40
+        # record by record, as JSON text: equal down to the sign of a zero
+        for got_record, want_record in zip(got.pop("counterexamples"),
+                                           want.pop("counterexamples")):
+            assert json.dumps(got_record) == json.dumps(want_record)
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("sweeps", [1, 3, 4])
+    def test_a_solver_failure_stops_at_the_same_instance(self, sweeps):
+        tol = DEFAULT_TOLERANCES.replace(jacobi_max_sweeps=sweeps)
+        ens = EnsembleSpec(seed=5, trials=200, dim_max=6)
+        with pytest.raises(ConvergenceError) as want:
+            self.solved_one_by_one(ens, tol)
+        with pytest.raises(ConvergenceError) as got:
+            claim_falsifier(ens, tol=tol)
+        assert str(got.value) == str(want.value)
 
     def test_bundled_list_shape(self):
         names = [name for name, _, _ in bundled_witnesses()]

@@ -11,7 +11,7 @@ import pytest
 from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
                             EpsilonSweepReport, FalsifierReport)
 from qbattery.cli import main, parse_tol_overrides
-from qbattery.config import config_to_dict, parse_config
+from qbattery.config import CHECK_DIM_MAX, config_to_dict, parse_config
 from qbattery.errors import ConfigError
 from qbattery.tolerances import ToleranceConfig
 
@@ -138,6 +138,13 @@ class TestParseConfig:
     def test_check_needs_trials(self):
         with pytest.raises(ConfigError, match="trials"):
             parse_config(json.dumps({"dim": 4}), "check")
+
+    @pytest.mark.parametrize("dim", [CHECK_DIM_MAX + 1, 10**30])
+    def test_check_dim_is_bounded(self, dim):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps({"dim": dim, "trials": 1}), "check")
+        assert exc.value.path == "dim"
+        assert str(exc.value) == f"dim: check mode allows dim <= 64, got {dim}"
 
     def test_audit_needs_an_eigenstate_start(self):
         text = config_text(initial_state={"kind": "thermal"})
@@ -489,6 +496,70 @@ class TestReportCommands:
             eigenvalues.append(json.loads(out.read_text())["report"]["eigenvalues"])
         for unit, scaled in zip(*eigenvalues):
             assert abs(scaled - scale * unit) <= 1e-12 * abs(scale * unit)
+
+    @pytest.mark.parametrize("dim, code", [(CHECK_DIM_MAX, 0), (CHECK_DIM_MAX + 1, 2),
+                                           (10**30, 2)])
+    def test_check_at_the_dim_limit(self, tmp_path, capsys, dim, code):
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"dim": dim, "trials": 1, "include_bundled": False}))
+        out = tmp_path / "wide.out.json"
+        # seed 3 draws its one instance at d = 64
+        assert main(["check", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == code
+        if code == 0:
+            assert json.loads(out.read_text())["report"]["dim_max"] == CHECK_DIM_MAX
+        else:
+            assert capsys.readouterr().err == (
+                f"error: dim: check mode allows dim <= 64, got {dim}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("sweeps, line", [
+        (1, "Jacobi did not converge in 1 sweeps: "
+            "off-diagonal norm 1.374e+00 above target 3.319e-13"),
+        (3, "Jacobi did not converge in 3 sweeps: "
+            "off-diagonal norm 6.608e-03 above target 3.319e-13"),
+    ])
+    def test_check_solver_failure_names_the_first_instance(self, tmp_path, capsys,
+                                                           sweeps, line):
+        # the benchmark's check config: the stacked solve must fail where the
+        # instance-by-instance solve did, with the same message
+        cfg = tmp_path / "ensemble.json"
+        cfg.write_text(json.dumps({"dim": 6, "beta": 1.0, "trials": 400,
+                                   "include_bundled": True}))
+        out = tmp_path / "check.json"
+        assert main(["check", "--config", str(cfg), "--out", str(out),
+                     "--tol", f"jacobi_max_sweeps={sweeps}"]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {line}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale, channels, line", [
+        (1e160, True, "Theta of channel 0, eigenstate 0: closed form inf is not finite"),
+        (1e300, True, "Theta of channel 0, eigenstate 0: closed form inf is not finite"),
+        (1e300, False, "energy rate tr(L(P) H): nan is not finite"),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_audit_non_finite_value_is_numeric(self, tmp_path, capsys, scale, channels,
+                                               line):
+        s = scale
+        h = [[s, [0.5 * s, 0.2 * s]], [[0.5 * s, -0.2 * s], -0.3 * s]]
+        cfg = tmp_path / "huge.json"
+        lowering = [{"rate": 1.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}]  # |0><1|
+        cfg.write_text(config_text(hamiltonian=h, channels=lowering if channels else []))
+        out = tmp_path / "huge.out.json"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {line}\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the RK4 probe overflows
+    def test_non_finite_report_value_is_named_and_not_written(self, tmp_path, capsys):
+        s = 1e300
+        h = [[s, [0.5 * s, 0.2 * s]], [[0.5 * s, -0.2 * s], -0.3 * s]]
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(config_text(hamiltonian=h, epsilons=[1e-2, 1e-3]))
+        out = tmp_path / "huge.out.json"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: report.rows[0].power_analytic = nan is not finite\n")
+        assert not out.exists()
 
     def test_tol_override_reaches_the_solver(self, tmp_path, capsys):
         h = [[0.0, 0.5], [0.5, 1.0]]  # needs at least one Jacobi sweep

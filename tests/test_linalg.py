@@ -9,8 +9,8 @@ import oracles
 from conftest import complex_square_matrices, hermitian_matrices
 from qbattery.errors import ConvergenceError, DimensionError, DomainError, ValidationError
 from qbattery.linalg import (HermitianMatrix, _round_robin, abs_sq, as_square_matrix,
-                             commutator, hermitian_eig, matrix_function, max_abs,
-                             reconstruct)
+                             commutator, hermitian_eig, hermitian_eigs, matrix_function,
+                             max_abs, reconstruct)
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -221,6 +221,71 @@ class TestHermitianEig:
         scale = max(1.0, max_abs(h.matrix))
         assert max_abs(oracles.dag(u) @ u - np.eye(d)) <= 1e-10
         assert max_abs(reconstruct(spec) - h.matrix) <= 1e-10 * scale
+
+
+def stack_cases(rng, d):
+    """Matrices that take different paths through a Jacobi solve at dimension d."""
+    dense = oracles.random_hermitian(rng, d, scale=2.0)
+    # block-diagonal: most pairs are exactly zero and some rounds have no live pair
+    block = np.zeros((d, d), dtype=complex)
+    blocks = ([0, 3], [1, 4, 5], [2]) if d == 6 else (list(range(0, d, 2)), list(range(1, d, 2)))
+    for idx in blocks:
+        block[np.ix_(idx, idx)] = oracles.random_hermitian(rng, len(idx))
+    u = oracles.random_unitary(rng, d)
+    degenerate = (u * np.resize([1.0, 1.0, 2.0, 2.0], d)) @ oracles.dag(u)
+    # -0.0 everywhere but one live pair: the signs of zeros survive the solve
+    signed_zeros = np.full((d, d), -0.0, dtype=complex)
+    signed_zeros[np.diag_indices(d)] = np.resize([1.0, -0.0, -2.0], d)
+    signed_zeros[0, d - 1], signed_zeros[d - 1, 0] = -0.2 - 0.5j, -0.2 + 0.5j
+    return [dense, np.diag(rng.standard_normal(d)).astype(complex), block, degenerate,
+            1e-200 * dense, 1e160 * oracles.random_hermitian(rng, d), signed_zeros,
+            oracles.random_hermitian(rng, d)]
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays, signs of zeros included."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestHermitianEigs:
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_stack_is_bit_identical_to_single_solves(self, rng, d):
+        hs = [HermitianMatrix(m) for m in stack_cases(rng, d)]
+        stacked = hermitian_eigs(hs)
+        assert len(stacked) == len(hs)
+        for h, got in zip(hs, stacked):
+            want = hermitian_eig(h)
+            assert same_bits(got.eigenvalues, want.eigenvalues)
+            assert same_bits(got.eigenvectors, want.eigenvectors)
+            assert not got.eigenvalues.flags.writeable
+            assert not got.eigenvectors.flags.writeable
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 2, 3])
+    def test_failures_are_held_per_matrix(self, rng, sweeps):
+        tol = DEFAULT_TOLERANCES.replace(jacobi_max_sweeps=sweeps)
+        hs = [HermitianMatrix(m) for m in stack_cases(rng, 5)]
+        failed = 0
+        for h, got in zip(hs, hermitian_eigs(hs, tol=tol)):
+            try:
+                want = hermitian_eig(h, tol=tol)
+            except ConvergenceError as exc:
+                failed += 1
+                assert isinstance(got, ConvergenceError)
+                assert str(got) == str(exc)
+                assert got.off_diagonal_norm == exc.off_diagonal_norm
+            else:
+                assert same_bits(got.eigenvectors, want.eigenvectors)
+        assert 0 < failed < len(hs)
+
+    def test_guard_failures_are_held_per_matrix(self, rng):
+        # a diagonal matrix has exactly unitary permutation eigenvectors
+        tol = DEFAULT_TOLERANCES.replace(unitarity=0.0)
+        hs = [HermitianMatrix(m) for m in stack_cases(rng, 4)[:2]]
+        got = hermitian_eigs(hs, tol=tol)
+        with pytest.raises(ValidationError) as exc:
+            hermitian_eig(hs[0], tol=tol)
+        assert isinstance(got[0], ValidationError) and str(got[0]) == str(exc.value)
+        assert same_bits(got[1].eigenvectors, hermitian_eig(hs[1], tol=tol).eigenvectors)
 
 
 def rotation(rng, d, angle):
