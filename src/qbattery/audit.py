@@ -292,9 +292,10 @@ def eigenstate_audit(spec: ScenarioSpec, *,
                                  spectrum=spectrum, tol=tol)
 
     projector = np.outer(vec, np.conj(vec))
-    rate = _generator_matrix(h, _generator_terms(spec.model), projector)
+    # L without -i[H, P]: tr(-i[H, P] H) is 0, but its rounding is of order eps ||H||^2
+    dissipation = _generator_matrix(np.zeros_like(h), _generator_terms(spec.model), projector)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        energy_rate = float(np.real(np.trace(rate @ h)))
+        energy_rate = float((dissipation @ h).trace().real)
     if not math.isfinite(energy_rate):
         raise ValidationError(f"energy rate tr(L(P) H): {energy_rate!r} is not finite")
 
@@ -413,11 +414,9 @@ class EnsembleSpec:
             raise ParameterError("trials must be at least 1")
         if not 2 <= int(self.dim_min) <= int(self.dim_max):
             raise ParameterError("need 2 <= dim_min <= dim_max")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "dim_min", int(self.dim_min))
-        object.__setattr__(self, "dim_max", int(self.dim_max))
-        object.__setattr__(self, "beta", float(self.beta))
+        for name, cast in (("seed", int), ("trials", int), ("dim_min", int),
+                           ("dim_max", int), ("beta", float)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -433,7 +432,7 @@ class FalsifierReport:
     counterexamples: tuple[dict, ...]
 
 
-def _qubit(hamiltonian, channel_matrix, rate=1.0) -> LindbladModel:
+def _one_channel(hamiltonian, channel_matrix, rate=1.0) -> LindbladModel:
     return LindbladModel(HermitianMatrix(np.array(hamiltonian, dtype=complex)),
                          (JumpChannel(rate, np.array(channel_matrix, dtype=complex)),))
 
@@ -454,13 +453,11 @@ def bundled_witnesses() -> tuple[tuple[str, LindbladModel, int], ...]:
     # opposite energy steps, so the power cancels while the squared weights add
     cancel = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     return (
-        ("qubit_sigma_x", _qubit(h2, sigma_x), 0),
-        ("qubit_dark_state", _qubit(h2, sigma_minus), 0),
-        ("qubit_pump", _qubit(h2, sigma_plus), 0),
-        ("qubit_projector_hamiltonian", _qubit(h2, sigma_plus), 1),
-        ("qutrit_power_cancellation",
-         LindbladModel(HermitianMatrix(np.array(h3, dtype=complex)),
-                       (JumpChannel(1.0, np.array(cancel, dtype=complex)),)), 1),
+        ("qubit_sigma_x", _one_channel(h2, sigma_x), 0),
+        ("qubit_dark_state", _one_channel(h2, sigma_minus), 0),
+        ("qubit_pump", _one_channel(h2, sigma_plus), 0),
+        ("qubit_projector_hamiltonian", _one_channel(h2, sigma_plus), 1),
+        ("qutrit_power_cancellation", _one_channel(h3, cancel), 1),
     )
 
 

@@ -21,8 +21,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit, epsilon_sweep
 from .config import RunConfig, config_to_dict, parse_config
@@ -138,34 +136,25 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     states = propagate(cfg.model, rho0, grid, tol=tol)
     step = float(grid[1] - grid[0]) if grid.size > 1 else None
 
-    m = len(cfg.model.channels)
-    columns = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd"]
-    columns.extend(f"theta_{j + 1}" for j in range(m))
-    columns.extend(["trace_defect", "min_eig"])
-    header = ",".join(columns)
-    h_mat = cfg.model.hamiltonian.matrix
+    columns = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd",
+               *(f"theta_{j + 1}" for j in range(len(cfg.model.channels))),
+               "trace_defect", "min_eig"]
     # F is diagonal in rho0's eigenbasis when [rho0, H] = 0 (thermal starts);
     # each later row starts from the previous row's F eigenbasis
     basis = rho0.spectrum.eigenvectors
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+        fh.write(",".join(columns) + "\n")
         for i, (before, (state, trace_defect), after) in enumerate(_with_neighbours(states)):
-            energy = float(np.real(np.trace(state.matrix @ h_mat)))
             decomp = free_energy_operator(state, ctx, basis=basis, tol=tol)
             basis = decomp.basis
             p_an = power_analytic(liouvillian(cfg.model, state, tol=tol), decomp, tol=tol)
-            p_fd = None
-            if before is not None and after is not None:
-                p_fd = power_fd(before[0], after[0], step, ctx)
+            p_fd = None if before is None or after is None else \
+                power_fd(before[0], after[0], step, ctx)
             thetas = compute_theta_report(decomp, state, cfg.model, tol=tol)
-            cells = [
-                _csv_cell(grid[i]), _csv_cell(energy), _csv_cell(state.entropy),
-                _csv_cell(decomp.mean), _csv_cell(p_an), _csv_cell(p_fd),
-            ]
-            cells.extend(_csv_cell(ch.theta_operator) for ch in thetas.channels)
-            cells.append(_csv_cell(trace_defect))
-            cells.append(_csv_cell(state.min_eigenvalue))
-            fh.write(",".join(cells) + "\n")
+            row = [grid[i], state.energy(cfg.model.hamiltonian), state.entropy, decomp.mean,
+                   p_an, p_fd, *(ch.theta_operator for ch in thetas.channels),
+                   trace_defect, state.min_eigenvalue]
+            fh.write(",".join(_csv_cell(value) for value in row) + "\n")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DimensionError, ConsistencyError, ParameterError,
                      PropagationError, ValidationError)
-from .linalg import (HermitianMatrix, Spectrum, as_square_matrix, dagger,
+from .linalg import (HermitianMatrix, Spectrum, _checked_square, as_square_matrix, dagger,
                      hermitian_eig, max_abs)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -44,20 +44,19 @@ class DensityMatrix:
 
     Construction validates all three invariants.  The eigendecomposition is
     computed once and cached; the positivity check, the `entropy` (computed
-    once, here) and the matrix logarithm all reuse it.  The checks read
-    tol.hermiticity, tol.density_trace and tol.psd (the propagator passes a
-    copy of `tol` holding its looser ones), and `basis` warm-starts the
-    eigensolver from nearby eigenvectors.
+    once, here) and the matrix logarithm all reuse it, as calls of `energy`
+    reuse tr(rho H).  The checks read tol.hermiticity, tol.density_trace and
+    tol.psd (the propagator passes a copy of `tol` holding its looser ones),
+    and `basis` warm-starts the eigensolver from nearby eigenvectors.
     """
 
-    __slots__ = ("hermitian", "matrix", "trace_defect", "entropy", "_spectrum")
+    __slots__ = ("hermitian", "matrix", "trace_defect", "entropy", "_spectrum", "_energy")
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                  basis: np.ndarray | None = None):
         self.hermitian = HermitianMatrix(matrix, tol=tol)
         self.matrix = self.hermitian.matrix
-        trace = complex(np.trace(self.matrix))
-        self.trace_defect = abs(trace - 1.0)
+        self.trace_defect = abs(complex(self.matrix.trace()) - 1.0)
         if self.trace_defect > tol.density_trace:
             raise ValidationError(f"trace defect {self.trace_defect:.3e} exceeds "
                                   f"tolerance {tol.density_trace:.3e}")
@@ -66,6 +65,13 @@ class DensityMatrix:
             raise ValidationError(
                 f"smallest eigenvalue {self.min_eigenvalue:.3e} below -{tol.psd:.3e}")
         self.entropy = von_neumann_entropy(self)
+        self._energy = (None, 0.0)
+
+    def energy(self, hamiltonian: HermitianMatrix) -> float:
+        """tr(rho H), formed on the first call for this `hamiltonian` object."""
+        if self._energy[0] is not hamiltonian:
+            self._energy = (hamiltonian, float((self.matrix @ hamiltonian.matrix).trace().real))
+        return self._energy[1]
 
     @property
     def dim(self) -> int:
@@ -185,14 +191,14 @@ def _generator_matrix(h: np.ndarray, terms, rho: np.ndarray) -> np.ndarray:
 
 
 def _check_traceless(matrix: np.ndarray, what: str, tol: ToleranceConfig) -> None:
-    defect = abs(complex(np.trace(matrix)))
+    defect = abs(complex(matrix.trace()))
     if defect > tol.generator_trace * max(1.0, max_abs(matrix)):
         raise ConsistencyError(f"{what} trace defect {defect:.3e}")
 
 
 def dissipator(l, rho: DensityMatrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
     """D[rho] = L rho L^dag - {L^dag L, rho}/2, Hermitian and traceless."""
-    l = as_square_matrix(l, "jump operator")
+    l = _checked_square(l, "jump operator")
     if l.shape[0] != rho.dim:
         raise DimensionError(f"jump operator dimension {l.shape[0]} vs state {rho.dim}")
     out = HermitianMatrix(_dissipator_matrix(l, rho.matrix), tol=tol)
@@ -258,16 +264,17 @@ def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
     terms = _generator_terms(model)
     step_tol = tol.replace(density_trace=tol.propagation_trace, psd=tol.propagation_psd,
                            hermiticity=tol.propagation_hermiticity)
-    y = np.array(state.matrix, dtype=complex)
+    y = state.matrix
 
     for i in range(1, grid.size):
-        k1 = _generator_matrix(ham, terms, y)
-        k2 = _generator_matrix(ham, terms, y + 0.5 * h * k1)
-        k3 = _generator_matrix(ham, terms, y + 0.5 * h * k2)
-        k4 = _generator_matrix(ham, terms, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        with np.errstate(over="ignore", invalid="ignore"):  # DensityMatrix names inf/nan
+            k1 = _generator_matrix(ham, terms, y)
+            k2 = _generator_matrix(ham, terms, y + 0.5 * h * k1)
+            k3 = _generator_matrix(ham, terms, y + 0.5 * h * k2)
+            k4 = _generator_matrix(ham, terms, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        raw_trace = abs(complex(np.trace(y)) - 1.0)
+        raw_trace = abs(complex(y.trace()) - 1.0)
         try:
             state = DensityMatrix(y, tol=step_tol, basis=state.spectrum.eigenvectors)
         except ValidationError as exc:

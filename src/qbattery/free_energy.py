@@ -32,8 +32,8 @@ import numpy as np
 from .dynamics import DensityMatrix, LindbladModel, _dissipator_matrix
 from .errors import (ConsistencyError, DimensionError, ParameterError,
                      RankDeficientError, ValidationError)
-from .linalg import (HermitianMatrix, Spectrum, abs_sq, as_square_matrix,
-                     commutator, dagger, hermitian_eig, matrix_function, max_abs)
+from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _require_finite,
+                     abs_sq, dagger, hermitian_eig, matrix_function, max_abs)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -133,14 +133,15 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
         f_op = HermitianMatrix(f_matrix, tol=tol)
     except ValidationError as exc:
         raise ValidationError(f"F = H + ln(rho)/beta at beta = {ctx.beta!r}: {exc}") from exc
-    mean = float(np.real(np.trace(f_op.matrix @ rho.matrix)))
-    mean_from_entropy = mean_free_energy(rho, ctx)
+    mean = float((f_op.matrix @ rho.matrix).trace().real)
+    # mean_free_energy's arithmetic, on the tr(rho H) the state keeps
+    mean_from_entropy = rho.energy(ctx.model.hamiltonian) - rho.entropy / ctx.beta
     if abs(mean - mean_from_entropy) > tol.mean_crosscheck * max(1.0, abs(mean)):
         raise ConsistencyError(
             f"<F> disagrees between forms: trace {mean!r} "
             f"vs energy-entropy {mean_from_entropy!r}")
-    delta = HermitianMatrix(f_op.matrix - mean * np.eye(f_op.dim), tol=tol)
-    zero_mean = abs(complex(np.trace(rho.matrix @ delta.matrix)))
+    delta = HermitianMatrix(f_op.matrix - mean * _constants(f_op.dim)[0], tol=tol)
+    zero_mean = abs(complex((rho.matrix @ delta.matrix).trace()))
     if zero_mean > tol.zero_mean * max(1.0, max_abs(f_op.matrix)):
         raise ValidationError(f"tr(rho deltaF) = {zero_mean:.3e} is not zero")
     eig = hermitian_eig(f_op, basis=basis, tol=tol)
@@ -160,8 +161,7 @@ def mean_free_energy(rho: DensityMatrix, ctx: BatteryContext) -> float:
     """<F> = tr(rho H) - S(rho)/beta; defined for any valid state (0 ln 0 = 0)."""
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
-    energy = float(np.real(np.trace(rho.matrix @ ctx.model.hamiltonian.matrix)))
-    return energy - rho.entropy / ctx.beta
+    return rho.energy(ctx.model.hamiltonian) - rho.entropy / ctx.beta
 
 
 def power_analytic(rate: HermitianMatrix, decomp: FreeEnergyDecomposition, *,
@@ -173,7 +173,7 @@ def power_analytic(rate: HermitianMatrix, decomp: FreeEnergyDecomposition, *,
     """
     if rate.dim != decomp.dim:
         raise DimensionError(f"rate dimension {rate.dim} vs decomposition {decomp.dim}")
-    value = complex(np.trace(rate.matrix @ decomp.f_op.matrix))
+    value = complex((rate.matrix @ decomp.f_op.matrix).trace())
     if abs(value.imag) > tol.theta_imag * max(1.0, abs(value)):
         raise ConsistencyError(f"power has imaginary residual {value.imag:.3e}")
     return float(value.real)
@@ -185,15 +185,13 @@ def power_fd(before: DensityMatrix, after: DensityMatrix, step: float,
     before and one `step` after a point; second order in the step."""
     if not (math.isfinite(step) and step > 0.0):
         raise ParameterError(f"step must be finite and positive, got {step!r}")
-    forward = mean_free_energy(after, ctx)
-    backward = mean_free_energy(before, ctx)
-    return (forward - backward) / (2.0 * step)
+    return (mean_free_energy(after, ctx) - mean_free_energy(before, ctx)) / (2.0 * step)
 
 
 def components_in_basis(matrix, basis) -> np.ndarray:
     """Matrix elements A^{ik} = <i|A|k> in the given orthonormal column basis."""
-    a = as_square_matrix(matrix, "matrix")
-    u = as_square_matrix(basis, "basis")
+    a = _checked_square(matrix, "matrix")
+    u = _checked_square(basis, "basis")
     if a.shape != u.shape:
         raise DimensionError(f"matrix {a.shape} vs basis {u.shape}")
     return dagger(u) @ a @ u
@@ -202,13 +200,13 @@ def components_in_basis(matrix, basis) -> np.ndarray:
 def theta_operator_form(decomp: FreeEnergyDecomposition, rho: DensityMatrix, l, *,
                         tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Theta = tr(rho |[deltaF, L]|^2); real and nonnegative up to tolerance."""
-    l = as_square_matrix(l, "jump operator")
+    l = _checked_square(l, "jump operator")
     if l.shape[0] != decomp.dim or rho.dim != decomp.dim:
         raise DimensionError("operator, state, and decomposition dimensions differ")
-    c = commutator(decomp.delta_f.matrix, l)
-    with np.errstate(over="ignore", invalid="ignore"):  # abs_sq scans the product
+    with np.errstate(over="ignore", invalid="ignore"):  # both products are scanned
+        c = _require_finite(decomp.delta_f.matrix @ l - l @ decomp.delta_f.matrix, "commutator")
         squared = abs_sq(c, tol=tol)
-    value = complex(np.trace(rho.matrix @ squared.matrix))
+    value = complex((rho.matrix @ squared.matrix).trace())
     scale = max(1.0, abs(value))
     if abs(value.imag) > tol.theta_imag * scale:
         raise ConsistencyError(f"Theta has imaginary residual {value.imag:.3e}")
@@ -230,13 +228,13 @@ def theta_index_form(w, rho_components, l_components, *,
     which is how it is evaluated.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
-    rho_c = as_square_matrix(rho_components, "rho components")
-    l_c = as_square_matrix(l_components, "operator components")
+    rho_c = _checked_square(rho_components, "rho components")
+    l_c = _checked_square(l_components, "operator components")
     d = w.size
     if rho_c.shape != (d, d) or l_c.shape != (d, d):
         raise DimensionError("component arrays must match the length of w")
     weighted = l_c * (w[None, :] - w[:, None])
-    total = complex(np.sum(np.conj(weighted) * (rho_c @ weighted)))
+    total = complex((weighted.conj() * (rho_c @ weighted)).sum())
     if abs(total.imag) > tol.theta_imag * max(1.0, abs(total)):
         raise ConsistencyError(f"index-form Theta has imaginary residual {total.imag:.3e}")
     return float(total.real)
@@ -250,7 +248,7 @@ def theta_eigenstate(k0: int, w, l_components) -> float:
     A sum that overflows raises ValidationError.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
-    l_c = as_square_matrix(l_components, "operator components")
+    l_c = _checked_square(l_components, "operator components")
     if l_c.shape != (w.size, w.size):
         raise DimensionError("component array must match the length of w")
     k0 = _eigen_index(k0, w.size)
@@ -284,10 +282,11 @@ def compute_theta_report(decomp: FreeEnergyDecomposition, rho: DensityMatrix,
     The two evaluations must agree within theta_discrepancy * max(1, Theta);
     a larger gap raises ConsistencyError instead of being reported.
     """
-    rho_c = components_in_basis(rho.matrix, decomp.basis)
+    u, u_dag = decomp.basis, dagger(decomp.basis)  # rho, L and U were checked when built
+    rho_c = u_dag @ rho.matrix @ u
     entries = []
     for j, ch in enumerate(model.channels):
-        l_c = components_in_basis(ch.operator, decomp.basis)
+        l_c = u_dag @ ch.operator @ u
         try:
             t_op = theta_operator_form(decomp, rho, ch.operator, tol=tol)
         except ValidationError as exc:
@@ -318,8 +317,7 @@ def _eigenstate_power_forms(k0: int, ctx: BatteryContext, *,
     projector = np.outer(vec, np.conj(vec))
     h = ctx.model.hamiltonian.matrix
     w = eig.eigenvalues
-    trace_form = 0.0
-    index_form = 0.0
+    trace_form = index_form = 0.0
     components = []
     for ch in ctx.model.channels:
         d_mat = _dissipator_matrix(ch.operator, projector)

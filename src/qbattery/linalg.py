@@ -60,36 +60,37 @@ def max_abs(a) -> float:
     arr = np.asarray(a)
     if arr.size == 0:
         return 0.0
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max())
 
 
-def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Return a finite square complex array (d >= 1), copied."""
-    arr = np.array(a, dtype=complex, copy=True)
+def _checked_square(a, name: str) -> np.ndarray:
+    """`a` as a finite square complex array (d >= 1), not copied: for readers."""
+    arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionError(
             f"{name}: expected a square d x d array with d >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name}: non-finite entries")
     return arr
 
 
-def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
+def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Return a finite square complex array (d >= 1), copied."""
+    return _checked_square(a, name).copy()
 
 
 def _require_finite(a: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{context}: non-finite entries in result")
     return a
 
 
 def commutator(a, b) -> np.ndarray:
     """[A, B] = AB - BA."""
-    a = as_square_matrix(a, "a")
-    b = as_square_matrix(b, "b")
-    _require_same_dim(a, b)
+    a = _checked_square(a, "a")
+    b = _checked_square(b, "b")
+    if a.shape != b.shape:
+        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return _require_finite(a @ b - b @ a, "commutator")
 
 
@@ -98,20 +99,20 @@ class HermitianMatrix:
 
     The pre-symmetrization defect ||M - M^dag||_max is kept on the instance.
     Inputs whose defect exceeds the hermiticity tolerance (scaled by
-    max(1, ||M||_max)) are rejected.
+    max(1, ||M||_max)) are rejected.  M is only read, never copied or kept.
     """
 
     __slots__ = ("matrix", "defect")
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES):
-        m = as_square_matrix(matrix, "hermitian matrix")
-        defect_tol = tol.hermiticity * max(1.0, max_abs(m))
-        defect = max_abs(m - dagger(m))
+        m = _checked_square(matrix, "hermitian matrix")
+        defect_tol = tol.hermiticity * max(1.0, float(np.abs(m).max()))
+        defect = float(np.abs(m - m.T.conj()).max())
         if defect > defect_tol:
             raise ValidationError(
                 f"hermiticity defect {defect:.3e} exceeds tolerance {defect_tol:.3e}")
         half = 0.5 * m  # halve before adding: M + M^dag overflows above ~9e307
-        sym = half + dagger(half)
+        sym = half + half.T.conj()
         sym.flags.writeable = False
         self.matrix = sym
         self.defect = defect
@@ -164,7 +165,16 @@ def _scaled_norm(a: np.ndarray, scale):
 
 def _offdiag_norm(a: np.ndarray, scale):
     """Off-diagonal Frobenius norms of the matrices a (..., d, d) times `scale`."""
-    return _scaled_norm(a * (1.0 - np.eye(a.shape[-1])), scale)
+    return _scaled_norm(a * _constants(a.shape[-1])[1], scale)
+
+
+@functools.lru_cache(maxsize=64)
+def _constants(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only complex identity, off-diagonal mask 1 - I and arange(d)."""
+    out = (np.eye(d, dtype=complex), 1.0 - np.eye(d), np.arange(d))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _convergence_target(m: np.ndarray, tol: ToleranceConfig):
@@ -243,10 +253,10 @@ def _finish(a: np.ndarray, v: np.ndarray, m: np.ndarray, size: float,
     vectors = v[:, order]
 
     # fix phases: largest-magnitude component real positive, lowest index wins ties
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(m.shape[0])]
+    pivots = vectors[np.abs(vectors).argmax(axis=0), _constants(m.shape[0])[2]]
     vectors *= np.conj(pivots) / np.abs(pivots)
 
-    unitarity = max_abs(dagger(vectors) @ vectors - np.eye(m.shape[0]))
+    unitarity = max_abs(dagger(vectors) @ vectors - _constants(m.shape[0])[0])
     if unitarity > tol.unitarity:
         raise ValidationError(f"eigenvector unitarity defect {unitarity:.3e}")
     residual = max_abs((vectors * eigenvalues) @ dagger(vectors) - m)
@@ -287,9 +297,8 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     Unitarity and reconstruction against M are verified before returning.
     """
     d = m.dim
-    a = np.array(m.matrix, dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    v = eye
+    a = m.matrix  # read only: the first rotation or warm start replaces it
+    v = eye = _constants(d)[0]
     size, scale, target = _convergence_target(m.matrix, tol)
 
     off = _offdiag_norm(a, scale)
@@ -340,7 +349,7 @@ def hermitian_eigs(matrices, *, tol: ToleranceConfig = DEFAULT_TOLERANCES
     a = np.stack(mats)
     n, d, _ = a.shape
     size, scale, target = _convergence_target(a, tol)
-    v = np.broadcast_to(np.eye(d, dtype=complex), a.shape).copy()
+    v = np.broadcast_to(_constants(d)[0], a.shape).copy()
     ids, out, sweeps = np.arange(n), [None] * n, 0
     while True:
         off = _offdiag_norm(a, scale[ids])
@@ -367,7 +376,7 @@ def hermitian_eigs(matrices, *, tol: ToleranceConfig = DEFAULT_TOLERANCES
                 blocks[0] = blocks[3] = 1.0
                 diff = (a[:, q, q] - a[:, p, p]).real
                 blocks[:, live] = _rotation_blocks(apq[live], r[live], diff[live])
-                g = np.tile(np.eye(d, dtype=complex).ravel(), (ids.size, 1))
+                g = np.tile(_constants(d)[0].ravel(), (ids.size, 1))
                 g[:, idx] = blocks.transpose(1, 0, 2).reshape(ids.size, -1)
                 g = g.reshape(-1, d, d)
                 np.copyto(v, v @ g, where=rotated)
@@ -409,5 +418,5 @@ def abs_sq(a, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
     negative eigenvalue beyond rounding, and expectations built on it (Theta)
     check their own sign.
     """
-    a = as_square_matrix(a, "a")
+    a = _checked_square(a, "a")
     return HermitianMatrix(a @ dagger(a), tol=tol)

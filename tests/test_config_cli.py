@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from qbattery import cli, dynamics, free_energy, linalg
 from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
                             EpsilonSweepReport, FalsifierReport)
 from qbattery.cli import main, parse_tol_overrides
@@ -215,6 +217,37 @@ class TestRunCommand:
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_row_path_checks_each_array_once(self, tmp_path, monkeypatch):
+        # a 20-step qubit_sigma_x run: arrays checked where they were built are
+        # not copied and re-checked per row, and tr(rho H) is formed once per state
+        data = json.loads((SCENARIOS / "qubit_sigma_x.json").read_text())
+        data["time"]["horizon"] = 20 * data["time"]["step"]
+        cfg = parse_config(json.dumps(data), "run")
+        copies = []
+
+        def counted(a, name="matrix"):
+            copies.append(name)
+            return original_copy(a, name)
+
+        original_copy = linalg.as_square_matrix
+        for module in (linalg, dynamics, free_energy, cli):
+            if getattr(module, "as_square_matrix", None) is original_copy:
+                monkeypatch.setattr(module, "as_square_matrix", counted)
+        formed = []
+
+        def energy(state, hamiltonian):
+            if state._energy is None or state._energy[0] is not hamiltonian:
+                formed.append(state)
+            return original_energy(state, hamiltonian)
+
+        original_energy = dynamics.DensityMatrix.energy
+        monkeypatch.setattr(dynamics.DensityMatrix, "energy", energy)
+        out = tmp_path / "row.csv"
+        assert cli.run_command(cfg, str(out), ToleranceConfig()) == 0
+        assert len(out.read_text().splitlines()) == 22  # header and 21 rows
+        assert copies == []
+        assert len(formed) == len({id(state) for state in formed}) == 21
+
     def test_decay_matches_exponential(self, tmp_path):
         channel = [{"rate": 1.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}]
         start = {"kind": "eigenstate", "k0": 1, "epsilon": 1e-6}
@@ -308,6 +341,26 @@ class TestRunCommand:
         assert code == 3
         assert "tr(rho deltaF)" in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 1  # the header only
+
+    @pytest.mark.parametrize("mode, code", [("run", 3), ("sweep", 0)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rk4_overflow_is_named_without_numpy_warnings(self, tmp_path, capsys, mode, code):
+        s = 1e100
+        h = [[s, [0.5 * s, 0.2 * s]], [[0.5 * s, -0.2 * s], -0.3 * s]]
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(config_text(
+            hamiltonian=h, channels=[{"rate": 1.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}],
+            initial_state={"kind": "eigenstate", "k0": 0, "epsilon": 1e-3},
+            epsilons=[1e-2, 1e-3]))
+        out = tmp_path / "huge.out"
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == code
+        failure = "step 1 (t = 0.001): hermitian matrix: non-finite entries"
+        if mode == "run":
+            assert capsys.readouterr().err == f"numeric failure: {failure}\n"
+        else:
+            assert capsys.readouterr().err == ""
+            rows = json.loads(out.read_text())["report"]["rows"]
+            assert [row["step_error"] for row in rows] == [failure] * 2
 
     @pytest.mark.parametrize("mode", ["run", "sweep"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -534,7 +587,6 @@ class TestReportCommands:
     @pytest.mark.parametrize("scale, channels, line", [
         (1e160, True, "Theta of channel 0, eigenstate 0: closed form inf is not finite"),
         (1e300, True, "Theta of channel 0, eigenstate 0: closed form inf is not finite"),
-        (1e300, False, "energy rate tr(L(P) H): nan is not finite"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_audit_non_finite_value_is_numeric(self, tmp_path, capsys, scale, channels,
@@ -549,7 +601,25 @@ class TestReportCommands:
         assert capsys.readouterr().err == f"numeric failure: {line}\n"
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the RK4 probe overflows
+    @pytest.mark.parametrize("scale, channels", [
+        (1.0, True), (1e50, True), (1e150, True), (1e300, False)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_energy_rate_drops_the_hamiltonian_term(self, tmp_path, scale, channels):
+        # tr(-i[H, P] H) is 0 identically; with it, the rate read 4.31e281 against
+        # a power of 1.32e150 at s = 1e150, and nan at s = 1e300
+        s = scale
+        h = [[s, [0.5 * s, 0.2 * s]], [[0.5 * s, -0.2 * s], -0.3 * s]]
+        cfg = tmp_path / "huge.json"
+        lowering = [{"rate": 1.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}]  # |0><1|
+        cfg.write_text(config_text(hamiltonian=h, channels=lowering if channels else []))
+        out = tmp_path / "huge.out.json"
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        bound = ToleranceConfig().power_agreement * max(1.0, abs(report["power_trace"]))
+        assert abs(report["energy_rate_numeric"] - report["power_trace"]) <= bound
+        assert (report["power_trace"] != 0.0) == channels
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sweep's rate traces overflow
     def test_non_finite_report_value_is_named_and_not_written(self, tmp_path, capsys):
         s = 1e300
         h = [[s, [0.5 * s, 0.2 * s]], [[0.5 * s, -0.2 * s], -0.3 * s]]
@@ -560,6 +630,60 @@ class TestReportCommands:
         assert capsys.readouterr().err == (
             "numeric failure: report.rows[0].power_analytic = nan is not finite\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("family, scale, mode, code, line", [
+        ("hamiltonian", 1e100, "run", 3,
+         "numeric failure: step 1 (t = 0.001): hermitian matrix: non-finite entries"),
+        ("hamiltonian", 1e100, "audit", 0, ""),
+        ("hamiltonian", 1e100, "sweep", 0, ""),
+        ("hamiltonian", 1e200, "run", 3, "numeric failure: Theta of channel 0, "
+         "|[deltaF, L]|^2: hermitian matrix: non-finite entries"),
+        ("hamiltonian", 1e200, "audit", 3, "numeric failure: Theta of channel 0, "
+         "eigenstate 0: closed form inf is not finite"),
+        ("hamiltonian", 1e200, "sweep", 3,
+         "numeric failure: report.rows[0].power_analytic = nan is not finite"),
+        ("hamiltonian", 1e300, "run", 3, "numeric failure: Theta of channel 0, "
+         "|[deltaF, L]|^2: hermitian matrix: non-finite entries"),
+        ("hamiltonian", 1e300, "audit", 3, "numeric failure: Theta of channel 0, "
+         "eigenstate 0: closed form inf is not finite"),
+        ("hamiltonian", 1e300, "sweep", 3,
+         "numeric failure: report.rows[0].power_analytic = nan is not finite"),
+        ("hamiltonian", 1.7e308, "run", 2, "error: pure state vector must be nonzero and finite"),
+        ("hamiltonian", 1.7e308, "audit", 3, "numeric failure: basis: non-finite entries"),
+        ("hamiltonian", 1.7e308, "sweep", 3, "numeric failure: basis: non-finite entries"),
+        ("channel", 1e100, "run", 3,
+         "numeric failure: step 1 (t = 0.001): hermitian matrix: non-finite entries"),
+        ("channel", 1e100, "audit", 0, ""),
+        ("channel", 1e100, "sweep", 0, ""),
+        ("channel", 1e200, "run", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1e200, "audit", 3, "numeric failure: Theta of channel 0, "
+         "eigenstate 0: closed form nan is not finite"),
+        ("channel", 1e200, "sweep", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1e300, "run", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1e300, "audit", 3, "numeric failure: Theta of channel 0, "
+         "eigenstate 0: closed form nan is not finite"),
+        ("channel", 1e300, "sweep", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1.7e308, "run", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1.7e308, "audit", 3, "numeric failure: Theta of channel 0, "
+         "eigenstate 0: closed form nan is not finite"),
+        ("channel", 1.7e308, "sweep", 3, "numeric failure: hermitian matrix: non-finite entries"),
+    ])
+    def test_extreme_inputs_keep_their_exits(self, tmp_path, capsys, family, scale, mode,
+                                             code, line):
+        # scales the Hamiltonian s [[1, .5+.2j], [.5-.2j, -.3]] or the channel s |0><1|;
+        # pins each mode's exit code and final stderr line
+        s_h, s_l = (scale, 1.0) if family == "hamiltonian" else (1.0, scale)
+        h = [[s_h, [0.5 * s_h, 0.2 * s_h]], [[0.5 * s_h, -0.2 * s_h], -0.3 * s_h]]
+        cfg = tmp_path / "extreme.json"
+        cfg.write_text(config_text(
+            hamiltonian=h, channels=[{"rate": 1.0, "matrix": [[0.0, s_l], [0.0, 0.0]]}],
+            initial_state={"kind": "eigenstate", "k0": 0, "epsilon": 1e-3},
+            time={"t0": 0.0, "step": 0.001, "horizon": 0.01}, epsilons=[1e-2, 1e-3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # this pins exits, not warnings
+            assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert (lines[-1] if lines else "") == line
 
     def test_tol_override_reaches_the_solver(self, tmp_path, capsys):
         h = [[0.0, 0.5], [0.5, 1.0]]  # needs at least one Jacobi sweep

@@ -197,6 +197,15 @@ class TestPropagate:
         assert len(yielded) == err.step_index
         assert err.min_eigenvalue < -1e-8 or err.trace_defect > 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_stages_are_named_without_warnings(self):
+        # ||H|| = 1e100 overflows the RK4 stages of the first step
+        h = HermitianMatrix(1e100 * np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, -0.3]]))
+        model = LindbladModel(h, (JumpChannel(1.0, SIGMA_MINUS),))
+        with pytest.raises(PropagationError, match="non-finite entries") as exc:
+            list(propagate(model, DensityMatrix(np.diag([0.9, 0.1])), [0.0, 1e-3]))
+        assert exc.value.step_index == 1
+
     def test_non_uniform_grid_rejected(self):
         with pytest.raises(ParameterError):
             propagate(decay_model(), DensityMatrix(EXCITED), [0.0, 0.1, 0.3])
