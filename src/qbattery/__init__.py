@@ -20,8 +20,7 @@ from .errors import (ConfigError, ConsistencyError, ConvergenceError, DimensionE
 from .free_energy import (BatteryContext, ChannelTheta, FreeEnergyDecomposition,
                           ThetaReport, VanishingConditionReport, compute_theta_report,
                           free_energy_operator, mean_free_energy, power_analytic, power_fd,
-                          theta_eigenstate, theta_index_form, theta_operator_form,
-                          vanishing_condition)
+                          theta_index_form, theta_operator_form, vanishing_condition)
 from .linalg import HermitianMatrix, Spectrum, commutator, hermitian_eig, matrix_function
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -82,7 +81,6 @@ __all__ = [
     "propagate",
     "regularize",
     "reevaluate_witness",
-    "theta_eigenstate",
     "theta_index_form",
     "theta_operator_form",
     "thermal_state",

@@ -34,13 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DensityMatrix, JumpChannel, LindbladModel,
+from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _dissipator_matrix,
                        _generator_matrix, _generator_terms, liouvillian,
                        propagate, regularize)
-from .errors import (ParameterError, PropagationError, QBatteryError, ScenarioError,
-                     ValidationError)
-from .free_energy import (BatteryContext, _eigen_index, _eigenstate_power_forms,
-                          free_energy_operator, power_analytic, theta_eigenstate,
+from .errors import (ConsistencyError, ParameterError, PropagationError, QBatteryError,
+                     ScenarioError, ValidationError)
+from .free_energy import (BatteryContext, free_energy_operator, power_analytic,
                           vanishing_condition)
 from .jsonio import model_from_json, model_to_json
 from .linalg import HermitianMatrix, Spectrum, dagger, hermitian_eig, hermitian_eigs, max_abs
@@ -73,6 +72,13 @@ VERDICT_REFUTED = "HYPOTHESIS_REFUTED"
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_MIXED = "MIXED"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
+
+
+def _eigen_index(k0: int, dim: int) -> int:
+    """k0 as an index into an ascending spectrum of length `dim`."""
+    if not 0 <= int(k0) < dim:
+        raise ParameterError(f"k0 must lie in [0, {dim}), got {k0!r}")
+    return int(k0)
 
 
 @dataclass(frozen=True)
@@ -189,29 +195,66 @@ class ClaimInstance:
         return record
 
 
+def _eigenstate_power(model: LindbladModel, spectrum: Spectrum, k0: int, components,
+                      label: str | None, tol: ToleranceConfig) -> tuple[float, float]:
+    """Charging power at the eigenstate |k0><k0| of H in trace form,
+    sum_j gamma_j tr(D_j[|k0><k0|] H), and in index form,
+    sum_j gamma_j sum_i |L_j^{i k0}|^2 (w_i - w_k0), from the components U^dag L_j U.
+
+    The trace form stays in the original basis: it is the independent
+    cross-check.  The two must agree within power_agreement * max(1, |trace
+    form|); otherwise ConsistencyError names both values, prefixed by `label`
+    when given.
+    """
+    vec = spectrum.eigenvectors[:, k0]
+    projector = np.outer(vec, np.conj(vec))
+    h = model.hamiltonian.matrix
+    w = spectrum.eigenvalues
+    trace_form = index_form = 0.0
+    for ch, l_c in zip(model.channels, components):
+        d_mat = _dissipator_matrix(ch.operator, projector)
+        trace_form += ch.rate * float(np.real(np.trace(d_mat @ h)))
+        index_form += ch.rate * float(np.sum(np.abs(l_c[:, k0]) ** 2 * (w - w[k0])))
+    if abs(trace_form - index_form) > tol.power_agreement * max(1.0, abs(trace_form)):
+        prefix = "" if label is None else f"{label}: "
+        raise ConsistencyError(
+            f"{prefix}eigenstate power forms disagree: "
+            f"trace {trace_form!r} vs index {index_form!r}")
+    return trace_form, index_form
+
+
 def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
                       spectrum: Spectrum | None = None,
                       tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ClaimInstance:
     """Closed-form Theta (both index orders), power (both forms), and the
-    vanishing condition for one instance.  Pass `spectrum` to reuse a cached
-    decomposition of H."""
-    ctx = BatteryContext(beta, model)
-    trace_form, index_form, eig, components = _eigenstate_power_forms(
-        k0, ctx, spectrum=spectrum, label=label, tol=tol)
-    w = eig.eigenvalues
-    condition = vanishing_condition(ctx, k0, spectrum=eig, tol=tol)
-    thetas = []
-    for j, l_c in enumerate(components):
-        try:
-            thetas.append((theta_eigenstate(k0, w, l_c), theta_eigenstate(k0, w, l_c.T)))
-        except ValidationError as exc:
-            raise ValidationError(f"Theta of channel {j}, eigenstate {k0}: {exc}") from exc
+    vanishing condition for one instance, in one pass: one decomposition
+    H = U diag(w) U^dag (pass `spectrum` to reuse a cached one) and one basis
+    change U^dag L_j U per channel, which every closed form reads.
+
+    At rho = |k0><k0|, F coincides with H, and Theta_j reduces to
+    sum_i |L_j^{k0 i}|^2 (w_i - w_k0)^2 along row k0 (the row order) or
+    column k0 (the column order).  A sum that overflows raises
+    ValidationError.
+    """
+    beta = BatteryContext(beta, model).beta
+    eig = hermitian_eig(model.hamiltonian, tol=tol) if spectrum is None else spectrum
+    k0 = _eigen_index(k0, model.dim)
+    u, u_dag, w = eig.eigenvectors, dagger(eig.eigenvectors), eig.eigenvalues
+    components = [u_dag @ ch.operator @ u for ch in model.channels]  # L and U were checked
+    power_trace, power_index = _eigenstate_power(model, eig, k0, components, label, tol)
+    condition = vanishing_condition(model, k0, eig, components, tol=tol)
+    thetas = []  # row order, column order, per channel
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for j, l_c in enumerate(components):
+            for line in (l_c[k0, :], l_c[:, k0]):
+                thetas.append(float(np.sum(np.abs(line) ** 2 * (w - w[k0]) ** 2)))
+                if not math.isfinite(thetas[-1]):
+                    raise ValidationError(f"Theta of channel {j}, eigenstate {k0}: "
+                                          f"closed form {thetas[-1]!r} is not finite")
     return ClaimInstance(
-        label=label, model=model, k0=int(k0), beta=float(beta),
-        scale=_claim_scale(model),
-        theta_values=tuple(row for row, _ in thetas),
-        theta_transposed=tuple(col for _, col in thetas),
-        power_trace=trace_form, power_index=index_form,
+        label=label, model=model, k0=k0, beta=beta, scale=_claim_scale(model),
+        theta_values=tuple(thetas[0::2]), theta_transposed=tuple(thetas[1::2]),
+        power_trace=power_trace, power_index=power_index,
         condition_holds=condition.holds)
 
 
@@ -357,23 +400,29 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     """Probe the eigenstate scenario through regularized states.
 
     For each epsilon (descending): rho_eps = (1 - eps)|k0><k0| + eps I/d,
-    P_num = tr(L(rho_eps) F), energy_rate = tr(L(rho_eps) H),
-    entropy_rate = -tr(L(rho_eps) ln rho_eps), all from one L(rho_eps) and
-    the ln rho_eps that F was built from.  One RK4 step is attempted per
+    P_num = tr(D(rho_eps) F), energy_rate = tr(D(rho_eps) H),
+    entropy_rate = -tr(D(rho_eps) ln rho_eps), all from one D(rho_eps), the
+    generator without its Hamiltonian term (whose contribution to each is 0),
+    and the ln rho_eps that F was built from.  One RK4 step is attempted per
     rung as a differentiability probe; its failure is recorded on the row
     instead of aborting the sweep.
     """
     if not spec.epsilon_list:
         raise ParameterError("epsilon_sweep needs a non-empty epsilon_list")
     ctx = BatteryContext(spec.beta, spec.model)
-    trace_form, _, spectrum, _ = _eigenstate_power_forms(spec.k0, ctx, tol=tol)
-    rho0 = DensityMatrix.pure(spectrum.eigenvectors[:, spec.k0], tol=tol)
+    spectrum = hermitian_eig(spec.model.hamiltonian, tol=tol)
+    u = spectrum.eigenvectors
+    components = [dagger(u) @ ch.operator @ u for ch in spec.model.channels]
+    trace_form, _ = _eigenstate_power(spec.model, spectrum, spec.k0, components, None, tol)
+    rho0 = DensityMatrix.pure(u[:, spec.k0], tol=tol)
     h = spec.model.hamiltonian.matrix
+    # tr(-i[H, rho_eps] X) is 0 for X = H, F and ln rho_eps, but its rounding is not
+    dissipative = LindbladModel(HermitianMatrix(np.zeros_like(h)), spec.model.channels)
 
     rows = []
     for eps in spec.epsilon_list:
         rho_eps = regularize(rho0, eps, tol=tol)
-        rate = liouvillian(spec.model, rho_eps, tol=tol)
+        rate = liouvillian(dissipative, rho_eps, tol=tol)
         energy_rate = float(np.real(np.trace(rate.matrix @ h)))
         decomp = free_energy_operator(rho_eps, ctx, tol=tol)
         entropy_rate = -float(np.real(np.trace(rate.matrix @ decomp.log_rho.matrix)))

@@ -11,15 +11,15 @@ and the per-channel commutator fluctuation
 
     Theta_j = < |[deltaF, L_j]|^2 >,  |A|^2 = A A^dag,
 
-evaluated three ways: as an operator expectation, as an explicit index sum in
-the deltaF eigenbasis, and in the closed form that applies when the state is
-an eigenstate of the Hamiltonian.  The eigenstate charging power likewise has
-a trace form and an index form; the pair is always cross-checked.
+evaluated two ways, cross-checked: as an operator expectation and as an
+explicit index sum in the deltaF eigenbasis.  The closed forms that apply
+when the state is an eigenstate of the Hamiltonian, and the structural
+vanishing condition they are tested against, are read in one pass per
+instance by audit.evaluate_instance.
 
-Index conventions: for a basis {|i>}, A^{ik} = <i|A|k> = components[i, k].
-In the eigenstate closed forms, w is the spectrum of H (F coincides with H at
-that instant); everywhere else w is the spectrum of deltaF.  All the sums are
-invariant under a common shift of w.
+Index conventions: for a basis {|i>}, A^{ik} = <i|A|k> = components[i, k];
+w is the spectrum of deltaF, and the index sums are invariant under a common
+shift of w.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, LindbladModel, _dissipator_matrix
+from .dynamics import DensityMatrix, LindbladModel
 from .errors import (ConsistencyError, DimensionError, ParameterError,
                      RankDeficientError, ValidationError)
 from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _require_finite,
@@ -46,10 +46,8 @@ __all__ = [
     "mean_free_energy",
     "power_analytic",
     "power_fd",
-    "components_in_basis",
     "theta_operator_form",
     "theta_index_form",
-    "theta_eigenstate",
     "compute_theta_report",
     "vanishing_condition",
 ]
@@ -150,13 +148,6 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
     return FreeEnergyDecomposition(f_op, delta, mean, w, eig.eigenvectors, log_rho)
 
 
-def _eigen_index(k0: int, dim: int) -> int:
-    """k0 as an index into an ascending spectrum of length `dim`."""
-    if not 0 <= int(k0) < dim:
-        raise ParameterError(f"k0 must lie in [0, {dim}), got {k0!r}")
-    return int(k0)
-
-
 def mean_free_energy(rho: DensityMatrix, ctx: BatteryContext) -> float:
     """<F> = tr(rho H) - S(rho)/beta; defined for any valid state (0 ln 0 = 0)."""
     if rho.dim != ctx.dim:
@@ -186,15 +177,6 @@ def power_fd(before: DensityMatrix, after: DensityMatrix, step: float,
     if not (math.isfinite(step) and step > 0.0):
         raise ParameterError(f"step must be finite and positive, got {step!r}")
     return (mean_free_energy(after, ctx) - mean_free_energy(before, ctx)) / (2.0 * step)
-
-
-def components_in_basis(matrix, basis) -> np.ndarray:
-    """Matrix elements A^{ik} = <i|A|k> in the given orthonormal column basis."""
-    a = _checked_square(matrix, "matrix")
-    u = _checked_square(basis, "basis")
-    if a.shape != u.shape:
-        raise DimensionError(f"matrix {a.shape} vs basis {u.shape}")
-    return dagger(u) @ a @ u
 
 
 def theta_operator_form(decomp: FreeEnergyDecomposition, rho: DensityMatrix, l, *,
@@ -240,26 +222,6 @@ def theta_index_form(w, rho_components, l_components, *,
     return float(total.real)
 
 
-def theta_eigenstate(k0: int, w, l_components) -> float:
-    """Closed form for rho = |k0><k0|: sum_i |L^{k0 i}|^2 (w_i - w_k0)^2.
-
-    Here w is the spectrum of H (F coincides with H in the eigenstate
-    scenario) and L^{k0 i} runs along row k0 of the operator components.
-    A sum that overflows raises ValidationError.
-    """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    l_c = _checked_square(l_components, "operator components")
-    if l_c.shape != (w.size, w.size):
-        raise DimensionError("component array must match the length of w")
-    k0 = _eigen_index(k0, w.size)
-    row = l_c[k0, :]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        value = float(np.sum(np.abs(row) ** 2 * (w - w[k0]) ** 2))
-    if not math.isfinite(value):
-        raise ValidationError(f"closed form {value!r} is not finite")
-    return value
-
-
 @dataclass(frozen=True)
 class ChannelTheta:
     """Theta for one channel in both forms; discrepancy = index - operator."""
@@ -300,40 +262,6 @@ def compute_theta_report(decomp: FreeEnergyDecomposition, rho: DensityMatrix,
     return ThetaReport(tuple(entries))
 
 
-def _eigenstate_power_forms(k0: int, ctx: BatteryContext, *,
-                            spectrum: Spectrum | None = None, label: str | None = None,
-                            tol: ToleranceConfig = DEFAULT_TOLERANCES
-                            ) -> tuple[float, float, Spectrum, tuple[np.ndarray, ...]]:
-    """Both eigenstate power forms, the H spectrum they were built from, and
-    each channel's components in that eigenbasis.
-
-    The two forms must agree within power_agreement * max(1, |trace form|);
-    otherwise ConsistencyError names both values, prefixed by `label` when
-    given.  Pass `spectrum` to reuse a cached decomposition of H.
-    """
-    eig = hermitian_eig(ctx.model.hamiltonian, tol=tol) if spectrum is None else spectrum
-    k0 = _eigen_index(k0, ctx.dim)
-    vec = eig.eigenvectors[:, k0]
-    projector = np.outer(vec, np.conj(vec))
-    h = ctx.model.hamiltonian.matrix
-    w = eig.eigenvalues
-    trace_form = index_form = 0.0
-    components = []
-    for ch in ctx.model.channels:
-        d_mat = _dissipator_matrix(ch.operator, projector)
-        trace_form += ch.rate * float(np.real(np.trace(d_mat @ h)))
-        l_c = components_in_basis(ch.operator, eig.eigenvectors)
-        components.append(l_c)
-        col = l_c[:, k0]
-        index_form += ch.rate * float(np.sum(np.abs(col) ** 2 * (w - w[k0])))
-    if abs(trace_form - index_form) > tol.power_agreement * max(1.0, abs(trace_form)):
-        prefix = "" if label is None else f"{label}: "
-        raise ConsistencyError(
-            f"{prefix}eigenstate power forms disagree: "
-            f"trace {trace_form!r} vs index {index_form!r}")
-    return trace_form, index_form, eig, tuple(components)
-
-
 @dataclass(frozen=True)
 class VanishingConditionReport:
     """Structural condition claimed equivalent to "all Theta_j vanish".
@@ -351,47 +279,37 @@ class VanishingConditionReport:
     k0: int
 
 
-def vanishing_condition(ctx: BatteryContext, k0: int, *,
-                        spectrum: Spectrum | None = None,
+def vanishing_condition(model: LindbladModel, k0: int, spectrum: Spectrum, components, *,
                         tol: ToleranceConfig = DEFAULT_TOLERANCES) -> VanishingConditionReport:
-    """Evaluate the structural vanishing condition at eigenstate k0.
+    """The structural vanishing condition at eigenstate k0 of H = U diag(w) U^dag.
 
-    "Acts trivially" is read as scalar action: L|v> must lie in span{|v>}
-    (within predicate_zero) for every eigenvector |v> of H whose eigenvalue
-    is nonzero at the same tolerance.  With degenerate nonzero eigenvalues
-    this reading depends on the eigenbasis the solver picked; the report is
-    therefore evidence about one deterministic basis, not a basis-free proof.
-    Pass `spectrum` to reuse a cached decomposition of H.
+    `spectrum` holds w and U, k0 indexes w, and `components` holds each
+    channel's U^dag L_j U (see audit.evaluate_instance).  "Acts trivially" is
+    read as scalar action: L|v> must lie in span{|v>} within predicate_zero for
+    every eigenvector |v> = U|i> whose eigenvalue is nonzero at that tolerance.
+    Off its diagonal, column i of U^dag L U is U^dag (L|v> - <v|L|v> |v>), so
+    the residual is that column's norm.  With degenerate nonzero eigenvalues
+    the reading depends on the basis the solver picked: the report is evidence
+    about one deterministic basis, not a basis-free proof.
     """
-    eig = hermitian_eig(ctx.model.hamiltonian, tol=tol) if spectrum is None else spectrum
-    k0 = _eigen_index(k0, ctx.dim)
-    h = ctx.model.hamiltonian.matrix
-    w = eig.eigenvalues
-    u = eig.eigenvectors
+    h = model.hamiltonian.matrix
+    w, u = spectrum.eigenvalues, spectrum.eigenvectors
     scale = max(1.0, max_abs(h))
 
     pivot = np.outer(u[:, k0], np.conj(u[:, k0])) * w[k0]
     projector_hamiltonian = max_abs(h - pivot) <= tol.predicate_zero * scale
 
-    nonzero = [i for i in range(ctx.dim) if abs(w[i]) > tol.predicate_zero * scale]
-    per_channel = []
-    for ch in ctx.model.channels:
-        op_scale = max(1.0, max_abs(ch.operator))
-        trivial = True
-        for i in nonzero:
-            v = u[:, i]
-            image = ch.operator @ v
-            overlap = complex(np.vdot(v, image))
-            residual = float(np.linalg.norm(image - overlap * v))
-            if residual > tol.predicate_zero * op_scale:
-                trivial = False
-                break
-        per_channel.append(trivial)
-    trivial_action = all(per_channel) if per_channel else True
+    nonzero = np.abs(w) > tol.predicate_zero * scale
+    off_diagonal = _constants(model.dim)[1]
+    per_channel = tuple(
+        not np.any(np.linalg.norm((l_c * off_diagonal)[:, nonzero], axis=0)
+                   > tol.predicate_zero * max(1.0, max_abs(ch.operator)))
+        for ch, l_c in zip(model.channels, components))
+    trivial_action = all(per_channel)
 
     return VanishingConditionReport(
         holds=bool(projector_hamiltonian or trivial_action),
         projector_hamiltonian=bool(projector_hamiltonian),
-        trivial_action=bool(trivial_action),
-        per_channel_trivial=tuple(bool(x) for x in per_channel),
+        trivial_action=trivial_action,
+        per_channel_trivial=per_channel,
         k0=k0)

@@ -251,6 +251,10 @@ def _finish(a: np.ndarray, v: np.ndarray, m: np.ndarray, size: float,
     order = np.argsort(values, kind="stable")
     eigenvalues = values[order]
     vectors = v[:, order]
+    # rotations that overflow leave inf or nan on the diagonal; the sort puts
+    # nan and inf last and -inf first, so the two ends show any of them
+    if not (math.isfinite(eigenvalues[0]) and math.isfinite(eigenvalues[-1])):
+        raise ValidationError("eigendecomposition has non-finite entries")
 
     # fix phases: largest-magnitude component real positive, lowest index wins ties
     pivots = vectors[np.abs(vectors).argmax(axis=0), _constants(m.shape[0])[2]]
@@ -312,7 +316,7 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     while off > target:
         if sweeps >= tol.jacobi_max_sweeps:
             raise _not_converged(off, target, scale, tol)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # _finish checks the result
             for p, q, idx in _round_robin(d):
                 apq = a[p, q]
                 r = np.abs(apq)
@@ -364,7 +368,7 @@ def hermitian_eigs(matrices, *, tol: ToleranceConfig = DEFAULT_TOLERANCES
             for i, off_i in zip(ids, off):
                 out[i] = _not_converged(off_i, target[i], scale[i], tol)
             return tuple(out)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # _finish checks the result
             for p, q, idx in _round_robin(d):
                 apq = a[:, p, q]
                 r = np.abs(apq)

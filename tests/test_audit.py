@@ -152,6 +152,22 @@ class TestEpsilonSweep:
             assert row.step_error is not None
             assert "smallest eigenvalue" in row.step_error
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rates_scale_with_the_hamiltonian(self):
+        # tr(-i[H, rho_eps] X) is 0 for X = H, F, ln rho_eps; with its rounding kept,
+        # P read nan at s = 1e200 and the entropy rate 9.76e81 at s = 1e100
+        h = np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, -0.3]])
+        rows = {}
+        for s in (1.0, 1e100, 1e200, 1e300):
+            spec = ScenarioSpec(model=LindbladModel(HermitianMatrix(s * h),
+                                                    (JumpChannel(1.0, SIGMA_MINUS),)),
+                                beta=1.0, k0=0, epsilon_list=(1e-2, 1e-3))
+            rows[s] = epsilon_sweep(spec).rows
+        for s, scaled in rows.items():
+            for unit, row in zip(rows[1.0], scaled):
+                assert row.energy_rate / s == pytest.approx(unit.energy_rate, rel=1e-9)
+                assert row.entropy_rate == pytest.approx(unit.entropy_rate, rel=1e-9)
+
     def test_empty_list_rejected(self):
         spec = ScenarioSpec(model=qubit_model(SIGMA_PLUS), beta=1.0, k0=0)
         with pytest.raises(ParameterError):

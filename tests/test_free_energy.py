@@ -6,17 +6,16 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import density_matrices
-from qbattery.audit import evaluate_instance
+from qbattery.audit import bundled_witnesses, evaluate_instance
 from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, liouvillian,
                                propagate, regularize, thermal_state)
 from qbattery.errors import ParameterError, RankDeficientError
 from qbattery.free_energy import (BatteryContext, FreeEnergyDecomposition,
                                   compute_theta_report, free_energy_operator,
-                                  components_in_basis, mean_free_energy, power_analytic,
-                                  power_fd, theta_eigenstate, theta_index_form,
-                                  theta_operator_form, vanishing_condition)
+                                  mean_free_energy, power_analytic, power_fd,
+                                  theta_index_form, theta_operator_form, vanishing_condition)
 from qbattery import linalg
-from qbattery.linalg import HermitianMatrix, hermitian_eig, matrix_function, max_abs
+from qbattery.linalg import HermitianMatrix, dagger, hermitian_eig, matrix_function, max_abs
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
@@ -36,6 +35,23 @@ def qubit_ctx(channel=None, rate=1.0, beta=1.0):
 def power_at(rho, ctx):
     """tr(L(rho) F) through the two objects every caller builds."""
     return power_analytic(liouvillian(ctx.model, rho), free_energy_operator(rho, ctx))
+
+
+def condition_at(model, k0):
+    """vanishing_condition on the spectrum and components evaluate_instance builds."""
+    eig = hermitian_eig(model.hamiltonian)
+    u = eig.eigenvectors
+    return vanishing_condition(model, k0, eig, [dagger(u) @ ch.operator @ u
+                                                for ch in model.channels])
+
+
+def closed_form_theta(k0, w, l_c):
+    """Row-order eigenstate Theta of one channel with components l_c over the
+    spectrum w: evaluate_instance on H = diag(w), L = l_c.  For ascending w the
+    solver returns w and U = I exactly, so U^dag L U is l_c itself."""
+    model = LindbladModel(HermitianMatrix(np.diag(np.asarray(w, dtype=float))),
+                          (JumpChannel(1.0, l_c),))
+    return evaluate_instance(model, k0, 1.0, "closed form").theta_values[0]
 
 
 def eigenstate_power(k0, ctx):
@@ -310,8 +326,9 @@ class TestThetaIndexForm:
         l = oracles.random_ginibre(rng, 5)
         decomp = free_energy_operator(rho, ctx)
         t_op = theta_operator_form(decomp, rho, l)
-        rho_c = components_in_basis(rho.matrix, decomp.basis)
-        l_c = components_in_basis(l, decomp.basis)
+        u, u_dag = decomp.basis, dagger(decomp.basis)
+        rho_c = u_dag @ rho.matrix @ u
+        l_c = u_dag @ l @ u
         t_ix = theta_index_form(decomp.w, rho_c, l_c)
         assert abs(t_ix - t_op) <= 1e-9 * abs(t_op)
 
@@ -332,13 +349,13 @@ class TestThetaIndexForm:
 class TestThetaEigenstate:
     def test_sigma_x_unit(self):
         l_c = SIGMA_X
-        assert theta_eigenstate(0, [0.0, 1.0], l_c) == 1.0
+        assert closed_form_theta(0, [0.0, 1.0], l_c) == 1.0
 
     def test_raising_operator_zero_row(self):
-        assert theta_eigenstate(0, [0.0, 1.0], SIGMA_PLUS) == 0.0
+        assert closed_form_theta(0, [0.0, 1.0], SIGMA_PLUS) == 0.0
 
     def test_diagonal_operator(self):
-        assert theta_eigenstate(1, [0.0, 1.0], np.diag([3.0, 4.0])) == 0.0
+        assert closed_form_theta(1, [0.0, 1.0], np.diag([3.0, 4.0])) == 0.0
 
     def test_reduces_from_index_form(self, rng):
         for _ in range(25):
@@ -348,13 +365,16 @@ class TestThetaEigenstate:
             k0 = int(rng.integers(0, d))
             proj = np.zeros((d, d), dtype=complex)
             proj[k0, k0] = 1.0
-            got = theta_eigenstate(k0, w, l_c)
+            # the solver sorts w: permute the components with it, and find k0 there
+            order = np.argsort(w, kind="stable")
+            got = closed_form_theta(int(np.flatnonzero(order == k0)[0]), w[order],
+                                    l_c[np.ix_(order, order)])
             want = theta_index_form(w, proj, l_c)
             assert abs(got - want) <= 1e-12
 
     def test_index_validation(self):
         with pytest.raises(ParameterError):
-            theta_eigenstate(5, [0.0, 1.0], SIGMA_X)
+            closed_form_theta(5, [0.0, 1.0], SIGMA_X)
 
 
 class TestThetaReport:
@@ -400,34 +420,83 @@ class TestVanishingCondition:
     def test_zero_hamiltonian_trivially_true(self, rng):
         model = LindbladModel(HermitianMatrix(np.zeros((2, 2))),
                               (JumpChannel(1.0, oracles.random_ginibre(rng, 2)),))
-        report = vanishing_condition(BatteryContext(1.0, model), 0)
+        report = condition_at(model, 0)
         assert report.holds and report.trivial_action
 
     def test_sigma_x_false_with_nonzero_theta(self):
         ctx = qubit_ctx(SIGMA_X)
-        report = vanishing_condition(ctx, 0)
+        report = condition_at(ctx.model, 0)
         assert not report.holds
         theta = evaluate_instance(ctx.model, 0, ctx.beta, "sigma_x").theta_values[0]
         assert theta == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal_channel_true_with_zero_theta(self):
         ctx = qubit_ctx(np.diag([2.0, 5.0]))
-        report = vanishing_condition(ctx, 0)
+        report = condition_at(ctx.model, 0)
         assert report.holds and report.trivial_action
         assert evaluate_instance(ctx.model, 0, ctx.beta, "diagonal").theta_values[0] == 0.0
 
-    def test_cached_spectrum_gives_the_same_report(self, rng):
-        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 4)),
-                              (JumpChannel(0.5, oracles.random_ginibre(rng, 4)),))
-        ctx = BatteryContext(1.0, model)
-        spectrum = hermitian_eig(model.hamiltonian)
-        assert vanishing_condition(ctx, 2, spectrum=spectrum) == vanishing_condition(ctx, 2)
+    @staticmethod
+    def eigenvector_loop(model, k0, tol=DEFAULT_TOLERANCES):
+        """The condition read one eigenvector at a time, each image L|v> formed
+        in the original basis: (projector_hamiltonian, per_channel_trivial)."""
+        eig = hermitian_eig(model.hamiltonian)
+        h, w, u = model.hamiltonian.matrix, eig.eigenvalues, eig.eigenvectors
+        scale = max(1.0, max_abs(h))
+        pivot = np.outer(u[:, k0], np.conj(u[:, k0])) * w[k0]
+        per_channel = []
+        for ch in model.channels:
+            trivial = True
+            for i in range(model.dim):
+                if abs(w[i]) <= tol.predicate_zero * scale:
+                    continue
+                v = u[:, i]
+                image = ch.operator @ v
+                residual = float(np.linalg.norm(image - complex(np.vdot(v, image)) * v))
+                if residual > tol.predicate_zero * max(1.0, max_abs(ch.operator)):
+                    trivial = False
+                    break
+            per_channel.append(trivial)
+        return max_abs(h - pivot) <= tol.predicate_zero * scale, tuple(per_channel)
+
+    def test_matches_the_eigenvector_loop(self, rng):
+        def model(h, *operators):
+            return LindbladModel(HermitianMatrix(h), tuple(JumpChannel(0.7, l) for l in operators))
+
+        d = 4
+        h = oracles.random_hermitian(rng, d)
+        f_of_h = h @ h - 0.5 * h + np.eye(d)  # commutes with H up to rounding
+        g = oracles.random_ginibre(rng, d)
+        v = np.linalg.qr(oracles.random_ginibre(rng, 3))[0]
+        h3, l3 = np.diag([0.0, 1.0, 1.0]), np.diag([0.0, 1.0, 0.0])
+        psi = np.linalg.qr(oracles.random_ginibre(rng, d))[0][:, 0]
+        cases = [(model(h, f_of_h), k0) for k0 in range(d)]
+        # within (1e-12) and beyond (1e-8) the predicate_zero cut of 1e-10
+        cases += [(model(h, f_of_h + 1e-12 * g, f_of_h + 1e-8 * g), 1)]
+        cases += [(model(h3, l3), 0), (model(v @ h3 @ dagger(v), v @ l3 @ dagger(v)), 0)]
+        cases += [(model(2.0 * np.outer(psi, psi.conj()), g), d - 1)]
+        cases += [(m, k0) for _, m, k0 in bundled_witnesses()]
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            cases.append((model(oracles.random_hermitian(rng, n),
+                                *(oracles.random_ginibre(rng, n)
+                                  for _ in range(int(rng.integers(1, 3))))),
+                          int(rng.integers(0, n))))
+        outcomes = set()
+        for m, k0 in cases:
+            report = condition_at(m, k0)
+            projector, per_channel = self.eigenvector_loop(m, k0)
+            assert (report.projector_hamiltonian, report.per_channel_trivial) == \
+                (projector, per_channel)
+            assert report.holds == (projector or all(per_channel))
+            outcomes.update(per_channel)
+        assert outcomes == {True, False}
 
     def test_projector_hamiltonian_holds_despite_nonzero_theta(self):
         # H = 1 * |1><1| exactly, yet the raising channel has unit fluctuation:
         # the instance on which the claimed equivalence breaks
         ctx = qubit_ctx(SIGMA_PLUS)
-        report = vanishing_condition(ctx, 1)
+        report = condition_at(ctx.model, 1)
         assert report.holds and report.projector_hamiltonian
         theta = evaluate_instance(ctx.model, 1, ctx.beta, "projector").theta_values[0]
         assert theta == pytest.approx(1.0, abs=1e-14)

@@ -125,6 +125,17 @@ class TestHermitianEig:
         assert max_abs(spec.eigenvectors[:, 0] - np.array([r, -1j * r])) <= 1e-14
         assert max_abs(spec.eigenvectors[:, 1] - np.array([r, 1j * r])) <= 1e-14
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_rotations_raise(self):
+        # near the float limit the rotations overflow to nan, which the
+        # unitarity and residual guards, comparing nan, would let through
+        h = HermitianMatrix(1.7e308 * np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, -0.3]]))
+        with pytest.raises(ValidationError, match="eigendecomposition has non-finite entries"):
+            hermitian_eig(h)
+        (got,) = hermitian_eigs([h])
+        assert isinstance(got, ValidationError)
+        assert str(got) == "eigendecomposition has non-finite entries"
+
     def test_reconstruction_unitarity_8x8(self, rng):
         m = oracles.random_hermitian(rng, 8, scale=3.0)
         h = HermitianMatrix(m)
