@@ -73,6 +73,8 @@ VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_MIXED = "MIXED"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 
+_BLOCK = 16  # instances per evaluation stack in claim_falsifier: bounds its temporaries
+
 
 def _eigen_index(k0: int, dim: int) -> int:
     """k0 as an index into an ascending spectrum of length `dim`."""
@@ -107,12 +109,6 @@ class ScenarioSpec:
         object.__setattr__(self, "epsilon_list", eps)
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ParameterError("step must be finite and positive")
-
-
-def _claim_scale(model: LindbladModel) -> float:
-    channel_scale = max((ch.rate * max_abs(ch.operator) ** 2 for ch in model.channels),
-                        default=0.0)
-    return max(1.0, max_abs(model.hamiltonian.matrix), channel_scale)
 
 
 def _classify(value: float, scale: float, tol: ToleranceConfig) -> str:
@@ -182,80 +178,103 @@ class ClaimInstance:
         }
 
     def to_record(self) -> dict:
-        record = {"label": self.label, "beta": self.beta, "k0": self.k0}
-        record.update(model_to_json(self.model))
-        record.update({
-            "scale": self.scale,
-            "theta_values": list(self.theta_values),
-            "theta_transposed": list(self.theta_transposed),
-            "power_trace": self.power_trace,
-            "power_index": self.power_index,
-            "condition_holds": self.condition_holds,
-        })
-        return record
+        return {"label": self.label, "beta": self.beta, "k0": self.k0,
+                **model_to_json(self.model), "scale": self.scale,
+                "theta_values": list(self.theta_values),
+                "theta_transposed": list(self.theta_transposed),
+                "power_trace": self.power_trace, "power_index": self.power_index,
+                "condition_holds": self.condition_holds}
 
 
-def _eigenstate_power(model: LindbladModel, spectrum: Spectrum, k0: int, components,
-                      label: str | None, tol: ToleranceConfig) -> tuple[float, float]:
-    """Charging power at the eigenstate |k0><k0| of H in trace form,
-    sum_j gamma_j tr(D_j[|k0><k0|] H), and in index form,
-    sum_j gamma_j sum_i |L_j^{i k0}|^2 (w_i - w_k0), from the components U^dag L_j U.
+def _evaluate(drawn, spectra, beta: float, tol: ToleranceConfig, *,
+              check_thetas: bool = True) -> list[ClaimInstance | QBatteryError]:
+    """evaluate_instance for instances (label, model, k0) of one dimension,
+    with the spectra H = U diag(w) U^dag of their Hamiltonians, as one stack
+    of (instance, channel) pairs.  One stacked product forms every U^dag L_j U,
+    from which the index-form power, Theta in both orders and the vanishing
+    condition are read; the trace-form power tr(D_j[|k0><k0|] H), the
+    independent cross-check, stays in the original basis.  Sums run over the
+    last axis and channels are added in Python, as for one instance, so every
+    value is bit for bit that of a loop over instances.
 
-    The trace form stays in the original basis: it is the independent
-    cross-check.  The two must agree within power_agreement * max(1, |trace
-    form|); otherwise ConsistencyError names both values, prefixed by `label`
-    when given.
+    A failure takes the place of its instance, so that a caller can raise the
+    earliest in its own order: a spectrum that is an error, else the first of
+    a power-form gap beyond power_agreement * max(1, |trace form|), a Theta
+    that overflowed (unless `check_thetas` is false) and a non-finite power.
     """
-    vec = spectrum.eigenvectors[:, k0]
-    projector = np.outer(vec, np.conj(vec))
-    h = model.hamiltonian.matrix
-    w = spectrum.eigenvalues
-    trace_form = index_form = 0.0
-    for ch, l_c in zip(model.channels, components):
-        d_mat = _dissipator_matrix(ch.operator, projector)
-        trace_form += ch.rate * float(np.real(np.trace(d_mat @ h)))
-        index_form += ch.rate * float(np.sum(np.abs(l_c[:, k0]) ** 2 * (w - w[k0])))
-    if abs(trace_form - index_form) > tol.power_agreement * max(1.0, abs(trace_form)):
-        prefix = "" if label is None else f"{label}: "
-        raise ConsistencyError(
-            f"{prefix}eigenstate power forms disagree: "
-            f"trace {trace_form!r} vs index {index_form!r}")
-    return trace_form, index_form
+    out: list = list(spectra)
+    solved = [i for i, s in enumerate(spectra) if not isinstance(s, QBatteryError)]
+    if not solved:
+        return out
+    models, k0 = [drawn[i][1] for i in solved], np.array([drawn[i][2] for i in solved])
+    n, d = len(models), models[0].dim
+    counts = [len(model.channels) for model in models]
+    owner, pair = np.repeat(np.arange(n), counts), np.arange(sum(counts))
+    rates = np.array([ch.rate for model in models for ch in model.channels])
+    ops = np.array([ch.operator for model in models for ch in model.channels],
+                   dtype=complex).reshape(-1, d, d)
+    h = np.array([model.hamiltonian.matrix for model in models])
+    w = np.array([spectra[i].eigenvalues for i in solved])
+    u = np.array([spectra[i].eigenvectors for i in solved])
+    vec, k0_p, u_p, w_p = u[np.arange(n), :, k0], k0[owner], u[owner], w[owner]
+    projectors = vec[:, :, None] * np.conj(vec)[:, None, :]  # |k0><k0| of each instance
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        components = dagger(u_p) @ ops @ u_p  # L and U were checked
+        h_max, operator_max = (np.abs(x).max(axis=(1, 2)) for x in (h, ops))
+        traces = rates * (_dissipator_matrix(ops, projectors[owner]) @ h[owner]).trace(
+            axis1=1, axis2=2).real
+        shift = w_p - w_p[pair, k0_p][:, None]
+        row, col = (np.abs(c) ** 2 for c in (components[pair, k0_p], components[pair, :, k0_p]))
+        indices, shift = rates * (col * shift).sum(axis=-1), shift ** 2
+        rows, cols = ((x * shift).sum(axis=-1).tolist() for x in (row, col))
+        holds = vanishing_condition(h, w, k0, projectors, components, owner, operator_max,
+                                    tol=tol).holds.tolist()
+    traces, indices, rates = traces.tolist(), indices.tolist(), rates.tolist()
+    operator_max, stop = operator_max.tolist(), 0
+    for j, (i, h_max) in enumerate(zip(solved, h_max.tolist())):
+        (label, model, k0_j), (start, stop) = drawn[i], (stop, stop + counts[j])
+        trace_form = index_form = 0.0
+        for p in range(start, stop):
+            trace_form += traces[p]
+            index_form += indices[p]
+        gap, bound = abs(trace_form - index_form), tol.power_agreement * max(1.0, abs(trace_form))
+        overflowed = next(((p - start, t) for p in range(start, stop) for t in (rows[p], cols[p])
+                           if not math.isfinite(t)), None) if check_thetas else None
+        if gap > bound or (overflowed is None and not (gap <= bound and math.isfinite(gap))):
+            out[i] = ConsistencyError(
+                f"{'' if label is None else label + ': '}eigenstate power forms disagree: "
+                f"trace {trace_form!r} vs index {index_form!r}")
+        elif overflowed is not None:
+            out[i] = ValidationError(f"Theta of channel {overflowed[0]}, eigenstate {k0_j}: "
+                                     f"closed form {overflowed[1]!r} is not finite")
+        else:
+            channel_scale = max((rate * l_max ** 2 for rate, l_max in
+                                 zip(rates[start:stop], operator_max[start:stop])), default=0.0)
+            out[i] = ClaimInstance(
+                label=label, model=model, k0=k0_j, beta=beta, scale=max(1.0, h_max, channel_scale),
+                theta_values=tuple(rows[start:stop]), theta_transposed=tuple(cols[start:stop]),
+                power_trace=trace_form, power_index=index_form, condition_holds=holds[j])
+    return out
 
 
 def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
                       spectrum: Spectrum | None = None,
                       tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ClaimInstance:
     """Closed-form Theta (both index orders), power (both forms), and the
-    vanishing condition for one instance, in one pass: one decomposition
-    H = U diag(w) U^dag (pass `spectrum` to reuse a cached one) and one basis
-    change U^dag L_j U per channel, which every closed form reads.
+    vanishing condition for one instance: the one-instance case of _evaluate,
+    from H = U diag(w) U^dag (pass `spectrum` to reuse a cached one).
 
-    At rho = |k0><k0|, F coincides with H, and Theta_j reduces to
-    sum_i |L_j^{k0 i}|^2 (w_i - w_k0)^2 along row k0 (the row order) or
-    column k0 (the column order).  A sum that overflows raises
-    ValidationError.
+    At rho = |k0><k0|, F coincides with H, and Theta_j reduces to sum_i
+    |L_j^{k0 i}|^2 (w_i - w_k0)^2 along row k0 (the row order) or column k0
+    (the column order).  A sum that overflows raises ValidationError; power
+    forms that disagree or are not finite raise ConsistencyError.
     """
     beta = BatteryContext(beta, model).beta
     eig = hermitian_eig(model.hamiltonian, tol=tol) if spectrum is None else spectrum
-    k0 = _eigen_index(k0, model.dim)
-    u, u_dag, w = eig.eigenvectors, dagger(eig.eigenvectors), eig.eigenvalues
-    components = [u_dag @ ch.operator @ u for ch in model.channels]  # L and U were checked
-    power_trace, power_index = _eigenstate_power(model, eig, k0, components, label, tol)
-    condition = vanishing_condition(model, k0, eig, components, tol=tol)
-    thetas = []  # row order, column order, per channel
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for j, l_c in enumerate(components):
-            for line in (l_c[k0, :], l_c[:, k0]):
-                thetas.append(float(np.sum(np.abs(line) ** 2 * (w - w[k0]) ** 2)))
-                if not math.isfinite(thetas[-1]):
-                    raise ValidationError(f"Theta of channel {j}, eigenstate {k0}: "
-                                          f"closed form {thetas[-1]!r} is not finite")
-    return ClaimInstance(
-        label=label, model=model, k0=k0, beta=beta, scale=_claim_scale(model),
-        theta_values=tuple(thetas[0::2]), theta_transposed=tuple(thetas[1::2]),
-        power_trace=power_trace, power_index=power_index,
-        condition_holds=condition.holds)
+    result, = _evaluate([(label, model, _eigen_index(k0, model.dim))], [eig], beta, tol)
+    if isinstance(result, QBatteryError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -297,17 +316,11 @@ def _claim_rows(evaluated) -> tuple[ClaimVerdict, ...]:
         for inst, outcomes in evaluated:
             outcome = outcomes[claim_id]
             counts["instances"] += 1
-            key = outcome if outcome in ("supporting", "vacuous", "inconclusive") \
-                else "counterexamples"
-            counts[key] += 1
+            counts["counterexamples" if outcome == "counterexample" else outcome] += 1
             if outcome == "counterexample" and witness is None:
                 witness = inst.to_record()
-        if counts["counterexamples"] > 0:
-            status = "violated"
-        elif counts["inconclusive"] > 0:
-            status = "inconclusive"
-        else:
-            status = "confirmed"
+        status = ("violated" if counts["counterexamples"] else
+                  "inconclusive" if counts["inconclusive"] else "confirmed")
         rows.append(ClaimVerdict(claim_id, status, witness, counts))
     return tuple(rows)
 
@@ -411,10 +424,11 @@ def epsilon_sweep(spec: ScenarioSpec, *,
         raise ParameterError("epsilon_sweep needs a non-empty epsilon_list")
     ctx = BatteryContext(spec.beta, spec.model)
     spectrum = hermitian_eig(spec.model.hamiltonian, tol=tol)
-    u = spectrum.eigenvectors
-    components = [dagger(u) @ ch.operator @ u for ch in spec.model.channels]
-    trace_form, _ = _eigenstate_power(spec.model, spectrum, spec.k0, components, None, tol)
-    rho0 = DensityMatrix.pure(u[:, spec.k0], tol=tol)
+    reference, = _evaluate([(None, spec.model, spec.k0)], [spectrum], ctx.beta, tol,
+                           check_thetas=False)
+    if isinstance(reference, QBatteryError):
+        raise reference
+    rho0 = DensityMatrix.pure(spectrum.eigenvectors[:, spec.k0], tol=tol)
     h = spec.model.hamiltonian.matrix
     # tr(-i[H, rho_eps] X) is 0 for X = H, F and ln rho_eps, but its rounding is not
     dissipative = LindbladModel(HermitianMatrix(np.zeros_like(h)), spec.model.channels)
@@ -443,7 +457,7 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     else:
         fit = (None, None)
     return EpsilonSweepReport(
-        k0=spec.k0, power_reference=trace_form, rows=tuple(rows),
+        k0=spec.k0, power_reference=reference.power_trace, rows=tuple(rows),
         fit_intercept=fit[0], fit_slope=fit[1])
 
 
@@ -535,38 +549,37 @@ def claim_falsifier(ensemble: EnsembleSpec, *,
     counterexample is serialized in full so it can be re-evaluated from the
     report alone.
 
-    All draws come first (none depends on an evaluation); hermitian_eigs
-    solves their Hamiltonians as one stack per dimension, and evaluation runs
-    in draw order, so a failure, the solver's included, stops at the same
-    instance as with single solves.
+    All draws come first (none depends on an evaluation).  Then, one dimension
+    at a time and largest first, the Hamiltonians are solved as one stack and
+    evaluated in blocks, which keeps the peak resident set low.  The earliest
+    failure in draw order, the solver's included, is raised: the same
+    instance and message as with single solves.
     """
     rng = np.random.default_rng(ensemble.seed)
     drawn = [(f"bundled:{name}", model, k0) for name, model, k0 in bundled_witnesses()
              if ensemble.include_bundled]
     drawn += [(f"trial:{trial}", *_random_instance(rng, ensemble))
               for trial in range(ensemble.trials)]
-    spectra = {}
-    # largest stack first: its temporaries come and go before the smaller
-    # stacks' spectra take up the heap, which keeps the peak resident set low
+    beta = BatteryContext(ensemble.beta, drawn[0][1]).beta
+    instances = [None] * len(drawn)
     for d in sorted({model.dim for _, model, _ in drawn}, reverse=True):
         members = [i for i, (_, model, _) in enumerate(drawn) if model.dim == d]
-        spectra.update(zip(members, hermitian_eigs(
-            [drawn[i][1].hamiltonian for i in members], tol=tol)))
-    instances = []
-    for i, (label, model, k0) in enumerate(drawn):
-        if isinstance(spectra[i], QBatteryError):
-            raise spectra[i]
-        instances.append(evaluate_instance(model, k0, ensemble.beta, label,
-                                           spectrum=spectra.pop(i), tol=tol))
+        spectra = hermitian_eigs([drawn[i][1].hamiltonian for i in members], tol=tol)
+        for at in range(0, len(members), _BLOCK):
+            block = members[at:at + _BLOCK]
+            results = _evaluate([drawn[i] for i in block], spectra[at:at + _BLOCK], beta, tol)
+            for i, result in zip(block, results):
+                instances[i] = result
+    failure = next((r for r in instances if isinstance(r, QBatteryError)), None)
+    if failure is not None:
+        raise failure
 
     evaluated = [(inst, inst.outcomes(tol)) for inst in instances]
     counterexamples = []
     for inst, outcomes in evaluated:
         violated = sorted(cid for cid, out in outcomes.items() if out == "counterexample")
         if violated:
-            record = inst.to_record()
-            record["violates"] = violated
-            counterexamples.append(record)
+            counterexamples.append(dict(inst.to_record(), violates=violated))
     return FalsifierReport(
         seed=ensemble.seed, trials=ensemble.trials,
         dim_min=ensemble.dim_min, dim_max=ensemble.dim_max,

@@ -14,8 +14,8 @@ and the per-channel commutator fluctuation
 evaluated two ways, cross-checked: as an operator expectation and as an
 explicit index sum in the deltaF eigenbasis.  The closed forms that apply
 when the state is an eigenstate of the Hamiltonian, and the structural
-vanishing condition they are tested against, are read in one pass per
-instance by audit.evaluate_instance.
+vanishing condition they are tested against, are read for a stack of
+instances by audit (audit.evaluate_instance is its one-instance case).
 
 Index conventions: for a basis {|i>}, A^{ik} = <i|A|k> = components[i, k];
 w is the spectrum of deltaF, and the index sums are invariant under a common
@@ -32,8 +32,8 @@ import numpy as np
 from .dynamics import DensityMatrix, LindbladModel
 from .errors import (ConsistencyError, DimensionError, ParameterError,
                      RankDeficientError, ValidationError)
-from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _require_finite,
-                     abs_sq, dagger, hermitian_eig, matrix_function, max_abs)
+from .linalg import (HermitianMatrix, _checked_square, _constants, _require_finite, abs_sq,
+                     dagger, hermitian_eig, matrix_function, max_abs)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -264,52 +264,39 @@ def compute_theta_report(decomp: FreeEnergyDecomposition, rho: DensityMatrix,
 
 @dataclass(frozen=True)
 class VanishingConditionReport:
-    """Structural condition claimed equivalent to "all Theta_j vanish".
+    """Structural condition claimed equivalent to "all Theta_j vanish": H = w_k0
+    |k0><k0|, or every L_j acts as a scalar on each eigenvector of H with nonzero
+    eigenvalue.  One entry per instance of a stack (`per_channel_trivial`: per
+    pair).  It carries no Theta: callers test the equivalence with their own."""
 
-    The condition: H = w_k0 |k0><k0|, or every L_j acts as a scalar on each
-    eigenvector of H with nonzero eigenvalue.  The report carries no Theta:
-    callers test the claimed equivalence against Thetas they compute
-    themselves (see audit.evaluate_instance).
-    """
-
-    holds: bool
-    projector_hamiltonian: bool
-    trivial_action: bool
-    per_channel_trivial: tuple[bool, ...]
-    k0: int
+    holds: np.ndarray
+    projector_hamiltonian: np.ndarray
+    trivial_action: np.ndarray
+    per_channel_trivial: np.ndarray
 
 
-def vanishing_condition(model: LindbladModel, k0: int, spectrum: Spectrum, components, *,
+def vanishing_condition(h, w, k0, projectors, components, owner, operator_max, *,
                         tol: ToleranceConfig = DEFAULT_TOLERANCES) -> VanishingConditionReport:
-    """The structural vanishing condition at eigenstate k0 of H = U diag(w) U^dag.
+    """The structural vanishing condition of n instances of one dimension.
 
-    `spectrum` holds w and U, k0 indexes w, and `components` holds each
-    channel's U^dag L_j U (see audit.evaluate_instance).  "Acts trivially" is
-    read as scalar action: L|v> must lie in span{|v>} within predicate_zero for
-    every eigenvector |v> = U|i> whose eigenvalue is nonzero at that tolerance.
-    Off its diagonal, column i of U^dag L U is U^dag (L|v> - <v|L|v> |v>), so
-    the residual is that column's norm.  With degenerate nonzero eigenvalues
-    the reading depends on the basis the solver picked: the report is evidence
-    about one deterministic basis, not a basis-free proof.
+    Instance i is eigenstate k0[i] of h[i] = U diag(w[i]) U^dag, with
+    projectors[i] = U|k0><k0|U^dag; pair p, a channel of instance owner[p], has
+    components[p] = U^dag L_p U and operator_max[p] = ||L_p||_max.  "Acts
+    trivially" is read as scalar action: L|v> must lie in span{|v>} within
+    predicate_zero for every eigenvector |v> = U|i> whose eigenvalue is nonzero
+    at that tolerance.  Off its diagonal, column i of U^dag L U is
+    U^dag (L|v> - <v|L|v> |v>), so the residual is that column's norm.  With
+    degenerate nonzero eigenvalues the reading depends on the basis the solver
+    picked: evidence about one deterministic basis, not a basis-free proof.
     """
-    h = model.hamiltonian.matrix
-    w, u = spectrum.eigenvalues, spectrum.eigenvectors
-    scale = max(1.0, max_abs(h))
-
-    pivot = np.outer(u[:, k0], np.conj(u[:, k0])) * w[k0]
-    projector_hamiltonian = max_abs(h - pivot) <= tol.predicate_zero * scale
-
-    nonzero = np.abs(w) > tol.predicate_zero * scale
-    off_diagonal = _constants(model.dim)[1]
-    per_channel = tuple(
-        not np.any(np.linalg.norm((l_c * off_diagonal)[:, nonzero], axis=0)
-                   > tol.predicate_zero * max(1.0, max_abs(ch.operator)))
-        for ch, l_c in zip(model.channels, components))
-    trivial_action = all(per_channel)
-
-    return VanishingConditionReport(
-        holds=bool(projector_hamiltonian or trivial_action),
-        projector_hamiltonian=bool(projector_hamiltonian),
-        trivial_action=trivial_action,
-        per_channel_trivial=per_channel,
-        k0=k0)
+    n, d = w.shape
+    scale = tol.predicate_zero * np.maximum(1.0, np.abs(h).max(axis=(1, 2)))
+    pivot = projectors * w[np.arange(n), k0][:, None, None]
+    projector_hamiltonian = np.abs(h - pivot).max(axis=(1, 2)) <= scale
+    nonzero = np.abs(w) > scale[:, None]
+    residual = np.linalg.norm(components * _constants(d)[1], axis=-2)
+    cut = tol.predicate_zero * np.maximum(1.0, operator_max)
+    per_channel = ~((residual > cut[:, None]) & nonzero[owner]).any(axis=-1)
+    trivial_action = np.bincount(owner[~per_channel], minlength=n) == 0
+    return VanishingConditionReport(projector_hamiltonian | trivial_action,
+                                    projector_hamiltonian, trivial_action, per_channel)

@@ -51,8 +51,8 @@ __all__ = [
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a).T)
+    """Conjugate transpose, of each matrix of a stack too."""
+    return np.conj(np.asarray(a).swapaxes(-1, -2))
 
 
 def max_abs(a) -> float:

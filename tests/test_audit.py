@@ -11,8 +11,9 @@ from qbattery.audit import (EnsembleSpec, FalsifierReport, ScenarioSpec, bundled
                             evaluate_instance, reevaluate_witness)
 from qbattery.cli import _encode
 from qbattery.dynamics import JumpChannel, LindbladModel
-from qbattery.errors import ConvergenceError, ParameterError, ScenarioError
-from qbattery.linalg import HermitianMatrix, hermitian_eig
+from qbattery.errors import (ConsistencyError, ConvergenceError, ParameterError, QBatteryError,
+                             ScenarioError, ValidationError)
+from qbattery.linalg import HermitianMatrix, hermitian_eig, max_abs
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
@@ -295,3 +296,166 @@ class TestClaimFalsifier:
         names = [name for name, _, _ in bundled_witnesses()]
         assert names == ["qubit_sigma_x", "qubit_dark_state", "qubit_pump",
                          "qubit_projector_hamiltonian", "qutrit_power_cancellation"]
+
+
+def loop_instance(model, k0, beta, label, tol):
+    """The per-instance evaluation the stacked one replaced, kept as an oracle:
+    one channel at a time, each U^dag L_j U and D_j[|k0><k0|] formed on its own."""
+    eig = hermitian_eig(model.hamiltonian, tol=tol)
+    h, w, u = model.hamiltonian.matrix, eig.eigenvalues, eig.eigenvectors
+    components = [np.conj(u.T) @ ch.operator @ u for ch in model.channels]
+    projector = np.outer(u[:, k0], np.conj(u[:, k0]))
+    trace_form = index_form = 0.0
+    for ch, l_c in zip(model.channels, components):
+        l, ldag = ch.operator, np.conj(ch.operator.T)
+        d_mat = l @ projector @ ldag - 0.5 * (ldag @ l @ projector + projector @ (ldag @ l))
+        trace_form += ch.rate * float(np.real(np.trace(d_mat @ h)))
+        index_form += ch.rate * float(np.sum(np.abs(l_c[:, k0]) ** 2 * (w - w[k0])))
+    if abs(trace_form - index_form) > tol.power_agreement * max(1.0, abs(trace_form)):
+        raise ConsistencyError(f"{label}: eigenstate power forms disagree: "
+                               f"trace {trace_form!r} vs index {index_form!r}")
+    # the vanishing condition, one channel at a time over the nonzero levels
+    scale = max(1.0, max_abs(h))
+    pivot = projector * w[k0]
+    nonzero = np.abs(w) > tol.predicate_zero * scale
+    off_diagonal = 1.0 - np.eye(model.dim)
+    per_channel = [not np.any(np.linalg.norm((l_c * off_diagonal)[:, nonzero], axis=0)
+                              > tol.predicate_zero * max(1.0, max_abs(ch.operator)))
+                   for ch, l_c in zip(model.channels, components)]
+    holds = bool(max_abs(h - pivot) <= tol.predicate_zero * scale or all(per_channel))
+    thetas = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, l_c in enumerate(components):
+            for line in (l_c[k0, :], l_c[:, k0]):
+                thetas.append(float(np.sum(np.abs(line) ** 2 * (w - w[k0]) ** 2)))
+                if not math.isfinite(thetas[-1]):
+                    raise ValidationError(f"Theta of channel {j}, eigenstate {k0}: "
+                                          f"closed form {thetas[-1]!r} is not finite")
+    channel_scale = max((ch.rate * max_abs(ch.operator) ** 2 for ch in model.channels),
+                        default=0.0)
+    return audit.ClaimInstance(
+        label=label, model=model, k0=k0, beta=float(beta),
+        scale=max(1.0, max_abs(h), channel_scale),
+        theta_values=tuple(thetas[0::2]), theta_transposed=tuple(thetas[1::2]),
+        power_trace=trace_form, power_index=index_form, condition_holds=holds)
+
+
+def drawn_ensemble(ens):
+    """(label, model, k0) in the falsifier's draw order."""
+    rng = np.random.default_rng(ens.seed)
+    drawn = [(f"bundled:{name}", model, k0) for name, model, k0 in bundled_witnesses()]
+    return drawn + [(f"trial:{t}", *audit._random_instance(rng, ens)) for t in range(ens.trials)]
+
+
+def record_text(inst):
+    """An instance's report record as JSON text: equal down to the sign of a zero."""
+    return json.dumps(_encode(inst.to_record()))
+
+
+class TestStackedEvaluation:
+    TOL = DEFAULT_TOLERANCES.replace(claim_zero=1e6)  # every value counts as zero
+
+    def assert_stacks_match_the_loop(self, entries):
+        """Each dimension of (label, model, k0) entries as one stack, against the loop."""
+        for d in sorted({model.dim for _, model, _ in entries}):
+            group = [entry for entry in entries if entry[1].dim == d]
+            spectra = [hermitian_eig(model.hamiltonian) for _, model, _ in group]
+            for got, (label, model, k0) in zip(audit._evaluate(group, spectra, 1.0, self.TOL),
+                                               group):
+                want = record_text(loop_instance(model, k0, 1.0, label, self.TOL))
+                assert record_text(got) == want
+                assert record_text(evaluate_instance(model, k0, 1.0, label, tol=self.TOL)) == want
+
+    @pytest.mark.parametrize("seed, dim_max", [(0, 2), (3, 6), (11, 9)])
+    def test_every_instance_matches_the_loop(self, seed, dim_max):
+        self.assert_stacks_match_the_loop(
+            drawn_ensemble(EnsembleSpec(seed=seed, trials=120, dim_max=dim_max)))
+
+    @pytest.mark.parametrize("seed, dim_max", [(0, 2), (3, 6), (11, 9)])
+    def test_the_report_matches_the_loop(self, seed, dim_max):
+        ens = EnsembleSpec(seed=seed, trials=120, dim_max=dim_max)
+        want = [loop_instance(model, k0, ens.beta, label, self.TOL)
+                for label, model, k0 in drawn_ensemble(ens)]
+        want = [dict(_encode(inst.to_record()), violates=violated) for inst in want
+                if (violated := sorted(c for c, out in inst.outcomes(self.TOL).items()
+                                       if out == "counterexample"))]
+        got = _encode(claim_falsifier(ens, tol=self.TOL))["counterexamples"]
+        assert len(got) == len(want) > 100
+        for got_record, want_record in zip(got, want):
+            assert json.dumps(got_record) == json.dumps(want_record)
+
+    def test_edge_instances_match_the_loop(self, rng):
+        # zero-rate and zero-channel models, k0 at both ends of the spectrum,
+        # many channels, and the bundled witnesses, evaluated as one stack per dimension
+        cases = list(bundled_witnesses())
+        for d in (2, 3, 5, 8):
+            h = HermitianMatrix(oracles.random_hermitian(rng, d))
+            for k0 in (0, d - 1):
+                n_channels = 1 if d == 2 else 9
+                ginibre = [oracles.random_ginibre(rng, d) for _ in range(n_channels)]
+                rates = [0.0] + [float(1.0 - rng.random()) for _ in ginibre[1:]]
+                cases.append(("random", LindbladModel(h, tuple(map(JumpChannel, rates, ginibre))),
+                              k0))
+                cases.append(("zero_rate", LindbladModel(h, (JumpChannel(0.0, ginibre[0]),)), k0))
+                cases.append(("no_channels", LindbladModel(h, ()), k0))
+        self.assert_stacks_match_the_loop(cases)
+
+
+def overflowing(d, k0, channel):
+    """A model of dimension d whose Theta of `channel` at eigenstate k0 overflows."""
+    h = np.diag(np.arange(d, dtype=float) * 1e200)
+    ops = [np.zeros((d, d), dtype=complex) for _ in range(channel + 1)]
+    ops[channel][k0, (k0 + 1) % d] = 1.0
+    return LindbladModel(HermitianMatrix(h), tuple(JumpChannel(1.0, op) for op in ops)), k0
+
+
+def disagreeing(rng, d):
+    """A random model of dimension d whose two power forms differ in the last bits."""
+    while True:
+        model, k0 = audit._random_instance(rng, EnsembleSpec(seed=0, trials=1, dim_min=d,
+                                                             dim_max=d))
+        inst = evaluate_instance(model, k0, 1.0, "x")
+        if inst.power_trace != inst.power_index:
+            return model, k0
+
+
+def agreeing(d):
+    """A model of dimension d whose power forms agree exactly and whose Thetas are finite."""
+    h = HermitianMatrix(np.diag(np.arange(d, dtype=float)))
+    lowering = np.diag(np.ones(d - 1), 1).astype(complex)
+    return LindbladModel(h, (JumpChannel(1.0, lowering),)), d - 1
+
+
+class TestFailureOrder:
+    """Two failing instances, of dimension 2 and 6: the dimension-6 stack is
+    solved and evaluated first, yet the failure raised is the earlier drawn."""
+
+    def falsify(self, monkeypatch, instances, tol):
+        scripted = iter(instances)
+        monkeypatch.setattr(audit, "_random_instance", lambda rng, ens: next(scripted))
+        ens = EnsembleSpec(seed=0, trials=len(instances), dim_max=6, include_bundled=False)
+        with pytest.raises(QBatteryError) as failure:
+            claim_falsifier(ens, tol=tol)
+        return str(failure.value)
+
+    @staticmethod
+    def message(instance, label, tol):
+        with pytest.raises(QBatteryError) as failure:
+            evaluate_instance(*instance, 1.0, label, tol=tol)
+        return str(failure.value)
+
+    @pytest.mark.parametrize("kind", ["theta_overflow", "power_disagreement"])
+    def test_the_earliest_drawn_failure_is_raised(self, monkeypatch, kind):
+        if kind == "theta_overflow":
+            tol = DEFAULT_TOLERANCES
+            small, large = overflowing(2, 0, 0), overflowing(6, 3, 1)
+        else:
+            tol = DEFAULT_TOLERANCES.replace(power_agreement=0.0)
+            rng = np.random.default_rng(1)
+            small, large = disagreeing(rng, 2), disagreeing(rng, 6)
+        fine = [agreeing(d) for d in (3, 4, 5, 6, 2)]
+        assert self.message(small, "trial:2", tol) != self.message(large, "trial:2", tol)
+        drawn = fine[:2] + [small] + fine[2:3] + [large] + fine[3:]
+        assert self.falsify(monkeypatch, drawn, tol) == self.message(small, "trial:2", tol)
+        drawn = fine[:2] + [large] + fine[2:3] + [small] + fine[3:]
+        assert self.falsify(monkeypatch, drawn, tol) == self.message(large, "trial:2", tol)

@@ -37,6 +37,19 @@ def config_text(**overrides):
     return json.dumps(data)
 
 
+def extreme_config(tmp_path, family, scale):
+    """The Hamiltonian s [[1, .5+.2j], [.5-.2j, -.3]] with channel |0><1|, or the
+    channel s |0><1| with s = 1, at eigenstate 0: a config every mode reads."""
+    s_h, s_l = (scale, 1.0) if family == "hamiltonian" else (1.0, scale)
+    h = [[s_h, [0.5 * s_h, 0.2 * s_h]], [[0.5 * s_h, -0.2 * s_h], -0.3 * s_h]]
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(config_text(
+        hamiltonian=h, channels=[{"rate": 1.0, "matrix": [[0.0, s_l], [0.0, 0.0]]}],
+        initial_state={"kind": "eigenstate", "k0": 0, "epsilon": 1e-3},
+        time={"t0": 0.0, "step": 0.001, "horizon": 0.01}, epsilons=[1e-2, 1e-3]))
+    return cfg
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -665,32 +678,63 @@ class TestReportCommands:
         ("channel", 1e200, "run", 3, "numeric failure: hermitian matrix: non-finite entries"),
         ("channel", 1e200, "audit", 3, "numeric failure: Theta of channel 0, "
          "eigenstate 0: closed form nan is not finite"),
-        ("channel", 1e200, "sweep", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1e200, "sweep", 3,
+         "numeric failure: eigenstate power forms disagree: trace nan vs index nan"),
         ("channel", 1e300, "run", 3, "numeric failure: hermitian matrix: non-finite entries"),
         ("channel", 1e300, "audit", 3, "numeric failure: Theta of channel 0, "
          "eigenstate 0: closed form nan is not finite"),
-        ("channel", 1e300, "sweep", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1e300, "sweep", 3,
+         "numeric failure: eigenstate power forms disagree: trace nan vs index nan"),
         ("channel", 1.7e308, "run", 3, "numeric failure: hermitian matrix: non-finite entries"),
         ("channel", 1.7e308, "audit", 3, "numeric failure: Theta of channel 0, "
          "eigenstate 0: closed form nan is not finite"),
-        ("channel", 1.7e308, "sweep", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1.7e308, "sweep", 3,
+         "numeric failure: eigenstate power forms disagree: trace nan vs index nan"),
     ])
     def test_extreme_inputs_keep_their_exits(self, tmp_path, capsys, family, scale, mode,
                                              code, line):
-        # scales the Hamiltonian s [[1, .5+.2j], [.5-.2j, -.3]] or the channel s |0><1|;
         # pins each mode's exit code and final stderr line
-        s_h, s_l = (scale, 1.0) if family == "hamiltonian" else (1.0, scale)
-        h = [[s_h, [0.5 * s_h, 0.2 * s_h]], [[0.5 * s_h, -0.2 * s_h], -0.3 * s_h]]
-        cfg = tmp_path / "extreme.json"
-        cfg.write_text(config_text(
-            hamiltonian=h, channels=[{"rate": 1.0, "matrix": [[0.0, s_l], [0.0, 0.0]]}],
-            initial_state={"kind": "eigenstate", "k0": 0, "epsilon": 1e-3},
-            time={"t0": 0.0, "step": 0.001, "horizon": 0.01}, epsilons=[1e-2, 1e-3]))
+        cfg = extreme_config(tmp_path, family, scale)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # this pins exits, not warnings
             assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
         lines = capsys.readouterr().err.splitlines()
         assert (lines[-1] if lines else "") == line
+
+    @pytest.mark.parametrize("family, scale, line", [
+        ("hamiltonian", 1e160, "Theta of channel 0, eigenstate 0: closed form inf is not finite"),
+        ("hamiltonian", 1e200, "Theta of channel 0, eigenstate 0: closed form inf is not finite"),
+        ("hamiltonian", 1e300, "Theta of channel 0, eigenstate 0: closed form inf is not finite"),
+        ("hamiltonian", 1.7e308, "eigendecomposition has non-finite entries"),
+        ("channel", 1e160, "Theta of channel 0, eigenstate 0: closed form nan is not finite"),
+        ("channel", 1e200, "Theta of channel 0, eigenstate 0: closed form nan is not finite"),
+        ("channel", 1e300, "Theta of channel 0, eigenstate 0: closed form nan is not finite"),
+        ("channel", 1.7e308, "Theta of channel 0, eigenstate 0: closed form nan is not finite"),
+    ])
+    def test_extreme_audits_raise_no_numpy_warnings(self, tmp_path, capsys, family, scale,
+                                                    line):
+        # the audit rows above, with every RuntimeWarning an error: the instance
+        # evaluation checks its own overflows and names them
+        cfg = extreme_config(tmp_path, family, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {line}\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_non_finite_power_form_fails_the_agreement_check(self, tmp_path, capsys):
+        # L = s |1><2| leaves |0> and its Thetas alone, but L^dag L overflows, so the
+        # trace form is nan; it used to pass the check and stop the claim scale
+        # s^2 with an uncaught OverflowError
+        l = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.4e154], [0.0, 0.0, 0.0]]
+        cfg = tmp_path / "nan_power.json"
+        cfg.write_text(config_text(
+            dim=3, hamiltonian=[[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+            channels=[{"rate": 1.0, "matrix": l}],
+            initial_state={"kind": "eigenstate", "k0": 0, "epsilon": 1e-3}, epsilons=[1e-2]))
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == ("numeric failure: scenario: eigenstate power "
+                                           "forms disagree: trace nan vs index 0.0\n")
 
     def test_tol_override_reaches_the_solver(self, tmp_path, capsys):
         h = [[0.0, 0.5], [0.5, 1.0]]  # needs at least one Jacobi sweep

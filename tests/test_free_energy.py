@@ -38,11 +38,17 @@ def power_at(rho, ctx):
 
 
 def condition_at(model, k0):
-    """vanishing_condition on the spectrum and components evaluate_instance builds."""
+    """vanishing_condition of one instance, on the stacks evaluate_instance builds:
+    (holds, projector_hamiltonian, trivial_action, per_channel_trivial)."""
     eig = hermitian_eig(model.hamiltonian)
-    u = eig.eigenvectors
-    return vanishing_condition(model, k0, eig, [dagger(u) @ ch.operator @ u
-                                                for ch in model.channels])
+    u, owner = eig.eigenvectors, np.zeros(len(model.channels), dtype=int)
+    ops = np.array([ch.operator for ch in model.channels]).reshape(-1, model.dim, model.dim)
+    report = vanishing_condition(
+        model.hamiltonian.matrix[None], eig.eigenvalues[None], np.array([k0]),
+        np.outer(u[:, k0], np.conj(u[:, k0]))[None], dagger(u) @ ops @ u, owner,
+        np.array([max_abs(op) for op in ops]))
+    return (bool(report.holds[0]), bool(report.projector_hamiltonian[0]),
+            bool(report.trivial_action[0]), tuple(report.per_channel_trivial.tolist()))
 
 
 def closed_form_theta(k0, w, l_c):
@@ -420,20 +426,19 @@ class TestVanishingCondition:
     def test_zero_hamiltonian_trivially_true(self, rng):
         model = LindbladModel(HermitianMatrix(np.zeros((2, 2))),
                               (JumpChannel(1.0, oracles.random_ginibre(rng, 2)),))
-        report = condition_at(model, 0)
-        assert report.holds and report.trivial_action
+        holds, _, trivial_action, _ = condition_at(model, 0)
+        assert holds and trivial_action
 
     def test_sigma_x_false_with_nonzero_theta(self):
         ctx = qubit_ctx(SIGMA_X)
-        report = condition_at(ctx.model, 0)
-        assert not report.holds
+        assert not condition_at(ctx.model, 0)[0]
         theta = evaluate_instance(ctx.model, 0, ctx.beta, "sigma_x").theta_values[0]
         assert theta == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal_channel_true_with_zero_theta(self):
         ctx = qubit_ctx(np.diag([2.0, 5.0]))
-        report = condition_at(ctx.model, 0)
-        assert report.holds and report.trivial_action
+        holds, _, trivial_action, _ = condition_at(ctx.model, 0)
+        assert holds and trivial_action
         assert evaluate_instance(ctx.model, 0, ctx.beta, "diagonal").theta_values[0] == 0.0
 
     @staticmethod
@@ -484,11 +489,10 @@ class TestVanishingCondition:
                           int(rng.integers(0, n))))
         outcomes = set()
         for m, k0 in cases:
-            report = condition_at(m, k0)
+            holds, got_projector, _, got_per_channel = condition_at(m, k0)
             projector, per_channel = self.eigenvector_loop(m, k0)
-            assert (report.projector_hamiltonian, report.per_channel_trivial) == \
-                (projector, per_channel)
-            assert report.holds == (projector or all(per_channel))
+            assert (got_projector, got_per_channel) == (projector, per_channel)
+            assert holds == (projector or all(per_channel))
             outcomes.update(per_channel)
         assert outcomes == {True, False}
 
@@ -496,7 +500,7 @@ class TestVanishingCondition:
         # H = 1 * |1><1| exactly, yet the raising channel has unit fluctuation:
         # the instance on which the claimed equivalence breaks
         ctx = qubit_ctx(SIGMA_PLUS)
-        report = condition_at(ctx.model, 1)
-        assert report.holds and report.projector_hamiltonian
+        holds, projector_hamiltonian, _, _ = condition_at(ctx.model, 1)
+        assert holds and projector_hamiltonian
         theta = evaluate_instance(ctx.model, 1, ctx.beta, "projector").theta_values[0]
         assert theta == pytest.approx(1.0, abs=1e-14)
