@@ -12,8 +12,8 @@ from .audit import (ClaimInstance, ClaimVerdict, EigenstateAuditReport, Ensemble
                     bundled_witnesses, claim_falsifier, eigenstate_audit, epsilon_sweep,
                     evaluate_instance, reevaluate_witness)
 from .config import InitialState, RunConfig, TimeGrid, parse_config
-from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, dissipator, liouvillian,
-                       propagate, regularize, thermal_state, von_neumann_entropy)
+from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, liouvillian, propagate,
+                       regularize, thermal_state, von_neumann_entropy)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DimensionError,
                      DomainError, ParameterError, PropagationError, QBatteryError,
                      RankDeficientError, ScenarioError, ValidationError)
@@ -66,7 +66,6 @@ __all__ = [
     "claim_falsifier",
     "commutator",
     "compute_theta_report",
-    "dissipator",
     "eigenstate_audit",
     "epsilon_sweep",
     "evaluate_instance",

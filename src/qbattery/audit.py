@@ -221,8 +221,9 @@ def _evaluate(drawn, spectra, beta: float, tol: ToleranceConfig, *,
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         components = dagger(u_p) @ ops @ u_p  # L and U were checked
         h_max, operator_max = (np.abs(x).max(axis=(1, 2)) for x in (h, ops))
-        traces = rates * (_dissipator_matrix(ops, projectors[owner]) @ h[owner]).trace(
-            axis1=1, axis2=2).real
+        ops_dag = dagger(ops)
+        dissipated = _dissipator_matrix(ops, ops_dag, ops_dag @ ops, projectors[owner])
+        traces = rates * (dissipated @ h[owner]).trace(axis1=1, axis2=2).real
         shift = w_p - w_p[pair, k0_p][:, None]
         row, col = (np.abs(c) ** 2 for c in (components[pair, k0_p], components[pair, :, k0_p]))
         indices, shift = rates * (col * shift).sum(axis=-1), shift ** 2
@@ -349,8 +350,8 @@ def eigenstate_audit(spec: ScenarioSpec, *,
 
     projector = np.outer(vec, np.conj(vec))
     # L without -i[H, P]: tr(-i[H, P] H) is 0, but its rounding is of order eps ||H||^2
-    dissipation = _generator_matrix(np.zeros_like(h), _generator_terms(spec.model), projector)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        dissipation = _generator_matrix(np.zeros_like(h), _generator_terms(spec.model), projector)
         energy_rate = float((dissipation @ h).trace().real)
     if not math.isfinite(energy_rate):
         raise ValidationError(f"energy rate tr(L(P) H): {energy_rate!r} is not finite")
@@ -437,9 +438,10 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     for eps in spec.epsilon_list:
         rho_eps = regularize(rho0, eps, tol=tol)
         rate = liouvillian(dissipative, rho_eps, tol=tol)
-        energy_rate = float(np.real(np.trace(rate.matrix @ h)))
         decomp = free_energy_operator(rho_eps, ctx, tol=tol)
-        entropy_rate = -float(np.real(np.trace(rate.matrix @ decomp.log_rho.matrix)))
+        with np.errstate(over="ignore", invalid="ignore"):  # the report scan names inf/nan
+            energy_rate = float(np.real(np.trace(rate.matrix @ h)))
+            entropy_rate = -float(np.real(np.trace(rate.matrix @ decomp.log_rho.matrix)))
         p_num = power_analytic(rate, decomp, tol=tol)
         step_error = None
         try:

@@ -139,18 +139,21 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     columns = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd",
                *(f"theta_{j + 1}" for j in range(len(cfg.model.channels))),
                "trace_defect", "min_eig"]
-    # F is diagonal in rho0's eigenbasis when [rho0, H] = 0 (thermal starts);
-    # each later row starts from the previous row's F eigenbasis
+    # The index-form Theta reads F's eigensystem, solved on F rather than deltaF
+    # (see compute_theta_report).  F is diagonal in rho0's eigenbasis when
+    # [rho0, H] = 0 (thermal starts); each later row starts from the previous
+    # row's F eigenbasis.
     basis = rho0.spectrum.eigenvectors
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for i, (before, (state, trace_defect), after) in enumerate(_with_neighbours(states)):
-            decomp = free_energy_operator(state, ctx, basis=basis, tol=tol)
-            basis = decomp.basis
+            decomp = free_energy_operator(state, ctx, tol=tol)
+            f_spectrum = hermitian_eig(decomp.f_op, basis=basis, tol=tol)
+            basis = f_spectrum.eigenvectors
             p_an = power_analytic(liouvillian(cfg.model, state, tol=tol), decomp, tol=tol)
             p_fd = None if before is None or after is None else \
                 power_fd(before[0], after[0], step, ctx)
-            thetas = compute_theta_report(decomp, state, cfg.model, tol=tol)
+            thetas = compute_theta_report(decomp, f_spectrum, state, cfg.model, tol=tol)
             row = [grid[i], state.energy(cfg.model.hamiltonian), state.entropy, decomp.mean,
                    p_an, p_fd, *(ch.theta_operator for ch in thetas.channels),
                    trace_defect, state.min_eigenvalue]

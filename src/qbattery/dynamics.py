@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import (DimensionError, ConsistencyError, ParameterError,
                      PropagationError, ValidationError)
-from .linalg import (HermitianMatrix, Spectrum, _checked_square, as_square_matrix, dagger,
-                     hermitian_eig, max_abs)
+from .linalg import HermitianMatrix, Spectrum, as_square_matrix, dagger, hermitian_eig, max_abs
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "JumpChannel",
     "LindbladModel",
     "von_neumann_entropy",
-    "dissipator",
     "liouvillian",
     "propagate",
     "regularize",
@@ -167,9 +165,9 @@ class LindbladModel:
         return self.hamiltonian.dim
 
 
-def _dissipator_matrix(l: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    ldag = dagger(l)
-    ldl = ldag @ l
+def _dissipator_matrix(l: np.ndarray, ldag: np.ndarray, ldl: np.ndarray,
+                       rho: np.ndarray) -> np.ndarray:
+    """D[rho] = L rho L^dag - {L^dag L, rho}/2 from L, L^dag and L^dag L, of stacks too."""
     return l @ rho @ ldag - 0.5 * (ldl @ rho + rho @ ldl)
 
 
@@ -186,23 +184,7 @@ def _generator_terms(model: LindbladModel):
 def _generator_matrix(h: np.ndarray, terms, rho: np.ndarray) -> np.ndarray:
     out = -1j * (h @ rho - rho @ h)
     for rate, l, ldag, ldl in terms:
-        out = out + rate * (l @ rho @ ldag - 0.5 * (ldl @ rho + rho @ ldl))
-    return out
-
-
-def _check_traceless(matrix: np.ndarray, what: str, tol: ToleranceConfig) -> None:
-    defect = abs(complex(matrix.trace()))
-    if defect > tol.generator_trace * max(1.0, max_abs(matrix)):
-        raise ConsistencyError(f"{what} trace defect {defect:.3e}")
-
-
-def dissipator(l, rho: DensityMatrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
-    """D[rho] = L rho L^dag - {L^dag L, rho}/2, Hermitian and traceless."""
-    l = _checked_square(l, "jump operator")
-    if l.shape[0] != rho.dim:
-        raise DimensionError(f"jump operator dimension {l.shape[0]} vs state {rho.dim}")
-    out = HermitianMatrix(_dissipator_matrix(l, rho.matrix), tol=tol)
-    _check_traceless(out.matrix, "dissipator", tol)
+        out = out + rate * _dissipator_matrix(l, ldag, ldl, rho)
     return out
 
 
@@ -211,9 +193,12 @@ def liouvillian(model: LindbladModel, rho: DensityMatrix, *,
     """Full GKSL right-hand side: -i[H, rho] + sum_j gamma_j D_j[rho]."""
     if rho.dim != model.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {model.dim}")
-    raw = _generator_matrix(model.hamiltonian.matrix, _generator_terms(model), rho.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):  # HermitianMatrix names inf/nan
+        raw = _generator_matrix(model.hamiltonian.matrix, _generator_terms(model), rho.matrix)
     out = HermitianMatrix(raw, tol=tol)
-    _check_traceless(out.matrix, "liouvillian", tol)
+    defect = abs(complex(out.matrix.trace()))
+    if defect > tol.generator_trace * max(1.0, max_abs(out.matrix)):
+        raise ConsistencyError(f"liouvillian trace defect {defect:.3e}")
     return out
 
 
@@ -261,7 +246,8 @@ def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
         return
     h = float(grid[1] - grid[0])
     ham = model.hamiltonian.matrix
-    terms = _generator_terms(model)
+    with np.errstate(over="ignore", invalid="ignore"):  # L^dag L too: DensityMatrix names it
+        terms = _generator_terms(model)
     step_tol = tol.replace(density_trace=tol.propagation_trace, psd=tol.propagation_psd,
                            hermiticity=tol.propagation_hermiticity)
     y = state.matrix

@@ -32,8 +32,8 @@ import numpy as np
 from .dynamics import DensityMatrix, LindbladModel
 from .errors import (ConsistencyError, DimensionError, ParameterError,
                      RankDeficientError, ValidationError)
-from .linalg import (HermitianMatrix, _checked_square, _constants, _require_finite, abs_sq,
-                     dagger, hermitian_eig, matrix_function, max_abs)
+from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _require_finite,
+                     abs_sq, dagger, matrix_function, max_abs)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -76,20 +76,14 @@ class BatteryContext:
 
 @dataclass(frozen=True)
 class FreeEnergyDecomposition:
-    """F, deltaF = F - <F> I, the mean <F>, the deltaF eigensystem, and the
-    ln(rho) that F was built from.
-
-    `w` holds the ascending eigenvalues of deltaF and the columns of `basis`
-    the matching eigenvectors.  They come from the eigendecomposition of F,
-    which deltaF shares, as w = lambda(F) - <F>.  tr(rho deltaF) = 0 for the
-    state the decomposition was built from; this is checked at construction.
-    """
+    """F, deltaF = F - <F> I, the mean <F>, and the ln(rho) that F was built
+    from.  tr(rho deltaF) = 0 for the state the decomposition was built from;
+    this is checked at construction.  F is not eigendecomposed here: only the
+    index-form Theta reads its eigensystem (see compute_theta_report)."""
 
     f_op: HermitianMatrix
     delta_f: HermitianMatrix
     mean: float
-    w: np.ndarray
-    basis: np.ndarray
     log_rho: HermitianMatrix
 
     @property
@@ -98,7 +92,6 @@ class FreeEnergyDecomposition:
 
 
 def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
-                         basis: np.ndarray | None = None,
                          tol: ToleranceConfig = DEFAULT_TOLERANCES) -> FreeEnergyDecomposition:
     """F = H + (1/beta) ln(rho) for a full-rank state.
 
@@ -107,13 +100,6 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
     mean_free_energy before deltaF is formed; |tr(rho deltaF)| must stay
     within zero_mean * max(1, ||F||_max).  A state eigenvalue at or below
     ctx.rank_threshold raises RankDeficientError naming it.
-
-    The eigensolver runs on F, not on deltaF: deltaF carries F's absolute
-    rounding, about eps * ||F||, so its convergence target belongs on F's
-    scale.  Where F is nearly a multiple of I (a thermal state) deltaF is
-    that rounding alone, and Jacobi would spend full sweeps on it.  `basis`
-    warm-starts the solve, e.g. from rho's eigenvectors, in which F is
-    diagonal whenever [rho, H] = 0, or from the previous trajectory row.
     """
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
@@ -142,10 +128,7 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
     zero_mean = abs(complex((rho.matrix @ delta.matrix).trace()))
     if zero_mean > tol.zero_mean * max(1.0, max_abs(f_op.matrix)):
         raise ValidationError(f"tr(rho deltaF) = {zero_mean:.3e} is not zero")
-    eig = hermitian_eig(f_op, basis=basis, tol=tol)
-    w = eig.eigenvalues - mean
-    w.flags.writeable = False
-    return FreeEnergyDecomposition(f_op, delta, mean, w, eig.eigenvectors, log_rho)
+    return FreeEnergyDecomposition(f_op, delta, mean, log_rho)
 
 
 def mean_free_energy(rho: DensityMatrix, ctx: BatteryContext) -> float:
@@ -164,7 +147,8 @@ def power_analytic(rate: HermitianMatrix, decomp: FreeEnergyDecomposition, *,
     """
     if rate.dim != decomp.dim:
         raise DimensionError(f"rate dimension {rate.dim} vs decomposition {decomp.dim}")
-    value = complex((rate.matrix @ decomp.f_op.matrix).trace())
+    with np.errstate(over="ignore", invalid="ignore"):  # callers' scans name inf/nan
+        value = complex((rate.matrix @ decomp.f_op.matrix).trace())
     if abs(value.imag) > tol.theta_imag * max(1.0, abs(value)):
         raise ConsistencyError(f"power has imaginary residual {value.imag:.3e}")
     return float(value.real)
@@ -236,15 +220,25 @@ class ThetaReport:
     channels: tuple[ChannelTheta, ...]
 
 
-def compute_theta_report(decomp: FreeEnergyDecomposition, rho: DensityMatrix,
-                         model: LindbladModel, *,
+def compute_theta_report(decomp: FreeEnergyDecomposition, f_spectrum: Spectrum,
+                         rho: DensityMatrix, model: LindbladModel, *,
                          tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ThetaReport:
     """Theta per channel, operator form against index form.
 
-    The two evaluations must agree within theta_discrepancy * max(1, Theta);
-    a larger gap raises ConsistencyError instead of being reported.
+    The index form reads deltaF's eigensystem from `f_spectrum`, the
+    eigendecomposition of decomp.f_op, as w = lambda(F) - <F>: deltaF shares
+    F's eigenvectors.  The solve runs on F, not on deltaF: deltaF carries F's
+    absolute rounding, about eps * ||F||, so its convergence target belongs on
+    F's scale, and where F is nearly a multiple of I (a thermal state) deltaF
+    is that rounding alone, on which Jacobi would spend full sweeps.  The two
+    evaluations must agree within theta_discrepancy * max(1, Theta); a larger
+    gap, from a wrong spectrum too, raises ConsistencyError.
     """
-    u, u_dag = decomp.basis, dagger(decomp.basis)  # rho, L and U were checked when built
+    if f_spectrum.eigenvalues.size != decomp.dim:
+        raise DimensionError(f"spectrum dimension {f_spectrum.eigenvalues.size} "
+                             f"vs decomposition {decomp.dim}")
+    w, u = f_spectrum.eigenvalues - decomp.mean, f_spectrum.eigenvectors
+    u_dag = dagger(u)  # rho, L and U were checked when built
     rho_c = u_dag @ rho.matrix @ u
     entries = []
     for j, ch in enumerate(model.channels):
@@ -253,7 +247,7 @@ def compute_theta_report(decomp: FreeEnergyDecomposition, rho: DensityMatrix,
             t_op = theta_operator_form(decomp, rho, ch.operator, tol=tol)
         except ValidationError as exc:
             raise ValidationError(f"Theta of channel {j}, |[deltaF, L]|^2: {exc}") from exc
-        t_ix = theta_index_form(decomp.w, rho_c, l_c, tol=tol)
+        t_ix = theta_index_form(w, rho_c, l_c, tol=tol)
         disc = t_ix - t_op
         if abs(disc) > tol.theta_discrepancy * max(1.0, t_op):
             raise ConsistencyError(

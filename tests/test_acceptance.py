@@ -23,7 +23,7 @@ from qbattery.dynamics import DensityMatrix, JumpChannel, LindbladModel, propaga
     thermal_state
 from qbattery.free_energy import BatteryContext, compute_theta_report, \
     free_energy_operator, theta_index_form
-from qbattery.linalg import HermitianMatrix
+from qbattery.linalg import HermitianMatrix, hermitian_eig
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -61,7 +61,7 @@ def test_acceptance_1_theta_forms_agree_at_scale(record):
         model = random_model(rng, d, n_channels=int(rng.integers(1, 3)))
         rho = DensityMatrix(oracles.random_density(rng, d))
         decomp = free_energy_operator(rho, BatteryContext(beta, model))
-        report = compute_theta_report(decomp, rho, model)
+        report = compute_theta_report(decomp, hermitian_eig(decomp.f_op), rho, model)
         for entry in report.channels:
             rel = abs(entry.discrepancy) / max(1.0, entry.theta_operator)
             worst = max(worst, rel)
@@ -157,7 +157,7 @@ def test_acceptance_7_thermal_states_are_passive(record):
         rho = thermal_state(model.hamiltonian, 1.0)
         decomp = free_energy_operator(rho, BatteryContext(1.0, model))
         worst_df = max(worst_df, float(np.max(np.abs(decomp.delta_f.matrix))))
-        report = compute_theta_report(decomp, rho, model)
+        report = compute_theta_report(decomp, hermitian_eig(decomp.f_op), rho, model)
         worst_theta = max(worst_theta, *(e.theta_operator for e in report.channels))
     record(7, worst_df <= 1e-9 and worst_theta <= 1e-9,
            f"max ||deltaF|| = {worst_df:.3e}, max Theta = {worst_theta:.3e}")

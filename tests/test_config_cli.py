@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qbattery import cli, dynamics, free_energy, linalg
+from qbattery import audit, cli, dynamics, free_energy, linalg
 from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
                             EpsilonSweepReport, FalsifierReport)
 from qbattery.cli import main, parse_tol_overrides
@@ -48,6 +48,22 @@ def extreme_config(tmp_path, family, scale):
         initial_state={"kind": "eigenstate", "k0": 0, "epsilon": 1e-3},
         time={"t0": 0.0, "step": 0.001, "horizon": 0.01}, epsilons=[1e-2, 1e-3]))
     return cfg
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """A list that grows by one per hermitian_eig call, from any module."""
+    calls = []
+    original = linalg.hermitian_eig
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].dim)
+        return original(*args, **kwargs)
+
+    for module in (linalg, dynamics, free_energy, audit, cli):
+        if getattr(module, "hermitian_eig", None) is original:
+            monkeypatch.setattr(module, "hermitian_eig", counted)
+    return calls
 
 
 def read_csv(path):
@@ -229,6 +245,19 @@ class TestRunCommand:
             assert main(["run", "--config", str(SCENARIOS / "thermal_stationary.json"),
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name, setup", [
+        ("qubit_sigma_x", 2), ("qubit_dark_state", 2), ("qutrit_ladder", 2),
+        ("thermal_stationary", 1)])
+    def test_two_solves_per_row(self, tmp_path, eig_calls, name, setup):
+        # the state's and F's; an eigenstate start also solves H and the pure
+        # state, a thermal start H, and either one's own state is row 0's
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        data["time"]["horizon"] = 10 * data["time"]["step"]
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(eig_calls) == setup + 2 * 11
 
     def test_row_path_checks_each_array_once(self, tmp_path, monkeypatch):
         # a 20-step qubit_sigma_x run: arrays checked where they were built are
@@ -518,6 +547,15 @@ class TestReportCommands:
             reports.append(data["report"])
         assert reports[0] == reports[1] == reports[2]
 
+    @pytest.mark.parametrize("name, rungs", [
+        ("qubit_dark_state", 5), ("qubit_sigma_x", 7), ("qutrit_ladder", 5)])
+    def test_two_solves_per_rung(self, tmp_path, eig_calls, name, rungs):
+        # H and the pure state, then per rung the regularized state and its RK4
+        # probe; no rung reads F's eigensystem, so none solves it
+        assert main(["sweep", "--config", str(SCENARIOS / f"{name}.json"),
+                     "--out", str(tmp_path / "out.json")]) == 0
+        assert len(eig_calls) == 2 + 2 * rungs
+
     def test_check_deterministic(self, tmp_path):
         cfg = tmp_path / "check.json"
         cfg.write_text(json.dumps({"dim": 4, "trials": 10, "include_bundled": True}))
@@ -675,6 +713,10 @@ class TestReportCommands:
          "numeric failure: step 1 (t = 0.001): hermitian matrix: non-finite entries"),
         ("channel", 1e100, "audit", 0, ""),
         ("channel", 1e100, "sweep", 0, ""),
+        ("channel", 1e154, "run", 3, "numeric failure: Theta of channel 0, "
+         "|[deltaF, L]|^2: hermitian matrix: non-finite entries"),
+        ("channel", 1e154, "sweep", 3,
+         "numeric failure: report.rows[0].power_analytic = -inf is not finite"),
         ("channel", 1e200, "run", 3, "numeric failure: hermitian matrix: non-finite entries"),
         ("channel", 1e200, "audit", 3, "numeric failure: Theta of channel 0, "
          "eigenstate 0: closed form nan is not finite"),
@@ -693,10 +735,11 @@ class TestReportCommands:
     ])
     def test_extreme_inputs_keep_their_exits(self, tmp_path, capsys, family, scale, mode,
                                              code, line):
-        # pins each mode's exit code and final stderr line
+        # pins each mode's exit code and final stderr line; every overflow is
+        # named by a check, so numpy warns of none
         cfg = extreme_config(tmp_path, family, scale)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # this pins exits, not warnings
+            warnings.simplefilter("error", RuntimeWarning)
             assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
         lines = capsys.readouterr().err.splitlines()
         assert (lines[-1] if lines else "") == line

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 import oracles
 from conftest import complex_square_matrices, density_matrices
 from qbattery.cli import main
-from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, dissipator,
-                               liouvillian, propagate, regularize, thermal_state,
-                               von_neumann_entropy)
+from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, liouvillian,
+                               propagate, regularize, thermal_state, von_neumann_entropy)
 from qbattery.errors import (DimensionError, ParameterError, PropagationError,
                              ValidationError)
 from qbattery.linalg import HermitianMatrix, hermitian_eig, max_abs
@@ -24,6 +23,14 @@ GROUND = np.diag([1.0, 0.0]).astype(complex)
 
 def decay_model(rate=1.0):
     return LindbladModel(H2, (JumpChannel(rate, SIGMA_MINUS),))
+
+
+def dissipation(l, rho):
+    """D[rho] = L rho L^dag - {L^dag L, rho}/2: the liouvillian of one unit-rate
+    channel with H = 0."""
+    d = np.shape(l)[0]
+    return liouvillian(LindbladModel(HermitianMatrix(np.zeros((d, d))), (JumpChannel(1.0, l),)),
+                       rho)
 
 
 class TestDensityMatrix:
@@ -76,23 +83,23 @@ class TestEntropy:
 
 class TestDissipator:
     def test_decay_from_excited(self):
-        got = dissipator(SIGMA_MINUS, DensityMatrix(EXCITED))
+        got = dissipation(SIGMA_MINUS, DensityMatrix(EXCITED))
         assert max_abs(got.matrix - np.diag([1.0, -1.0])) <= 1e-15
 
     def test_dark_state(self):
-        got = dissipator(SIGMA_MINUS, DensityMatrix(GROUND))
+        got = dissipation(SIGMA_MINUS, DensityMatrix(GROUND))
         assert max_abs(got.matrix) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            dissipator(np.eye(3), DensityMatrix(GROUND))
+            dissipation(np.eye(3), DensityMatrix(GROUND))
 
     @given(complex_square_matrices(2, 5), density_matrices(2, 5))
     @settings(max_examples=40)
     def test_traceless_hermitian(self, l, rho_m):
         if l.shape != rho_m.shape:
             return
-        got = dissipator(l, DensityMatrix(rho_m))
+        got = dissipation(l, DensityMatrix(rho_m))
         assert abs(np.trace(got.matrix)) <= 1e-12 * max(1.0, max_abs(got.matrix))
         assert max_abs(got.matrix - oracles.dag(got.matrix)) == 0.0
 
@@ -101,7 +108,7 @@ class TestDissipator:
             d = int(rng.integers(2, 9))
             l = oracles.random_ginibre(rng, d)
             rho_m = oracles.random_density(rng, d)
-            got = dissipator(l, DensityMatrix(rho_m)).matrix
+            got = dissipation(l, DensityMatrix(rho_m)).matrix
             want = oracles.generator(np.zeros((d, d)), [(1.0, l)], rho_m)
             assert max_abs(got - want) <= 1e-12 * max(1.0, max_abs(want))
 

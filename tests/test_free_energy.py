@@ -9,7 +9,8 @@ from conftest import density_matrices
 from qbattery.audit import bundled_witnesses, evaluate_instance
 from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, liouvillian,
                                propagate, regularize, thermal_state)
-from qbattery.errors import ParameterError, RankDeficientError
+from qbattery.errors import (ConsistencyError, DimensionError, ParameterError,
+                             RankDeficientError)
 from qbattery.free_energy import (BatteryContext, FreeEnergyDecomposition,
                                   compute_theta_report, free_energy_operator,
                                   mean_free_energy, power_analytic, power_fd,
@@ -96,10 +97,12 @@ class TestFreeEnergyOperator:
         eye = np.eye(d)
         assert max_abs(decomp.delta_f.matrix - (decomp.f_op.matrix - decomp.mean * eye)) <= 1e-10
         assert abs(np.trace(rho.matrix @ decomp.delta_f.matrix)) <= 1e-9
-        assert max_abs(decomp.basis @ np.diag(decomp.w) @ oracles.dag(decomp.basis)
-                       - decomp.delta_f.matrix) <= 1e-9
+        # deltaF's eigensystem as compute_theta_report reads it from F's
+        eig = hermitian_eig(decomp.f_op)
+        w, basis = eig.eigenvalues - decomp.mean, eig.eigenvectors
+        assert max_abs(basis @ np.diag(w) @ oracles.dag(basis) - decomp.delta_f.matrix) <= 1e-9
         want = np.linalg.eigvalsh(decomp.delta_f.matrix)
-        assert max_abs(decomp.w - want) <= 1e-12 * max(1.0, max_abs(decomp.f_op.matrix))
+        assert max_abs(w - want) <= 1e-12 * max(1.0, max_abs(decomp.f_op.matrix))
 
     def test_matches_numpy_pipeline(self, rng):
         rho_m = oracles.random_density(rng, 4)
@@ -128,12 +131,14 @@ class TestFreeEnergyOperator:
         ctx = BatteryContext(1.0, model)
         states = [s for s, _ in propagate(model, DensityMatrix(oracles.random_density(rng, d)),
                                           np.linspace(0.0, 2e-3, 3))]
-        previous = free_energy_operator(states[1], ctx)
-        warm = free_energy_operator(states[2], ctx, basis=previous.basis)
-        cold = free_energy_operator(states[2], ctx)
-        assert max_abs(warm.w - cold.w) <= 1e-12 * max(1.0, max_abs(cold.w))
-        assert max_abs((warm.basis * warm.w) @ oracles.dag(warm.basis)
-                       - warm.delta_f.matrix) <= 1e-12
+        previous = hermitian_eig(free_energy_operator(states[1], ctx).f_op)
+        decomp = free_energy_operator(states[2], ctx)
+        warm = hermitian_eig(decomp.f_op, basis=previous.eigenvectors)
+        cold = hermitian_eig(decomp.f_op)
+        warm_w, cold_w = (eig.eigenvalues - decomp.mean for eig in (warm, cold))
+        assert max_abs(warm_w - cold_w) <= 1e-12 * max(1.0, max_abs(cold_w))
+        assert max_abs((warm.eigenvectors * warm_w) @ oracles.dag(warm.eigenvectors)
+                       - decomp.delta_f.matrix) <= 1e-12
 
 
 def thermal_ginibre(seed, d):
@@ -147,14 +152,15 @@ def thermal_ginibre(seed, d):
 
 
 def trajectory_rows(model, rho0, rows):
-    """(state, decomposition) for the first `rows` rows of a run from rho0,
-    warm-started the way `qbattery run` does it."""
+    """(state, decomposition, F's spectrum) for the first `rows` rows of a run
+    from rho0, warm-started the way `qbattery run` does it."""
     ctx = BatteryContext(1.0, model)
     basis = rho0.spectrum.eigenvectors
     for state, _ in propagate(model, rho0, np.linspace(0.0, (rows - 1) * 1e-3, rows)):
-        decomp = free_energy_operator(state, ctx, basis=basis)
-        basis = decomp.basis
-        yield state, decomp
+        decomp = free_energy_operator(state, ctx)
+        f_spectrum = hermitian_eig(decomp.f_op, basis=basis)
+        basis = f_spectrum.eigenvectors
+        yield state, decomp, f_spectrum
 
 
 @pytest.fixture
@@ -173,24 +179,25 @@ def sweeps(monkeypatch):
 
 
 class TestFreeEnergyEigensystem:
-    """w and basis come from F's eigendecomposition, shifted by <F>."""
+    """deltaF's spectrum is F's, shifted by <F>, with F's eigenvectors."""
 
     @pytest.mark.parametrize("d", [8, 32])
     def test_thermal_start_needs_no_sweep_from_the_state_basis(self, sweeps, d):
         # F = H + ln(rho)/beta is a multiple of I plus rounding, diagonal in rho's basis
         model, rho0 = thermal_ginibre(0, d)
+        decomp = free_energy_operator(rho0, BatteryContext(1.0, model))
         before = len(sweeps)
-        free_energy_operator(rho0, BatteryContext(1.0, model),
-                             basis=rho0.spectrum.eigenvectors)
+        hermitian_eig(decomp.f_op, basis=rho0.spectrum.eigenvectors)
         assert len(sweeps) == before
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_along_a_thermal_trajectory(self, seed):
         model, rho0 = thermal_ginibre(seed, 32)
-        for state, decomp in trajectory_rows(model, rho0, 21):
+        for state, decomp, f_spectrum in trajectory_rows(model, rho0, 21):
             want = np.linalg.eigvalsh(decomp.delta_f.matrix)
-            assert max_abs(decomp.w - want) <= 1e-12 * max(1.0, max_abs(decomp.f_op.matrix))
-            for ch in compute_theta_report(decomp, state, model).channels:
+            w = f_spectrum.eigenvalues - decomp.mean
+            assert max_abs(w - want) <= 1e-12 * max(1.0, max_abs(decomp.f_op.matrix))
+            for ch in compute_theta_report(decomp, f_spectrum, state, model).channels:
                 bound = DEFAULT_TOLERANCES.theta_discrepancy * max(1.0, ch.theta_operator)
                 assert abs(ch.discrepancy) <= bound
 
@@ -298,8 +305,7 @@ class TestThetaOperatorForm:
         # deltaF = diag(0,1) - 0*I at k0 = 0; [deltaF, sigma_minus] has unit weight.
         # ln(rho) does not exist at a pure state: the closed forms take F = H
         # there, and so does this hand-built decomposition (log_rho unused)
-        decomp = FreeEnergyDecomposition(H2, H2, 0.0, np.array([0.0, 1.0]), np.eye(2),
-                                         HermitianMatrix(np.zeros((2, 2))))
+        decomp = FreeEnergyDecomposition(H2, H2, 0.0, HermitianMatrix(np.zeros((2, 2))))
         assert theta_operator_form(decomp, GROUND, SIGMA_MINUS) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -332,10 +338,11 @@ class TestThetaIndexForm:
         l = oracles.random_ginibre(rng, 5)
         decomp = free_energy_operator(rho, ctx)
         t_op = theta_operator_form(decomp, rho, l)
-        u, u_dag = decomp.basis, dagger(decomp.basis)
+        eig = hermitian_eig(decomp.f_op)
+        u, u_dag = eig.eigenvectors, dagger(eig.eigenvectors)
         rho_c = u_dag @ rho.matrix @ u
         l_c = u_dag @ l @ u
-        t_ix = theta_index_form(decomp.w, rho_c, l_c)
+        t_ix = theta_index_form(eig.eigenvalues - decomp.mean, rho_c, l_c)
         assert abs(t_ix - t_op) <= 1e-9 * abs(t_op)
 
     def test_full_pipeline_against_numpy(self, rng):
@@ -393,11 +400,29 @@ class TestThetaReport:
         ctx = BatteryContext(1.0, model)
         rho = DensityMatrix(oracles.random_density(rng, d))
         decomp = free_energy_operator(rho, ctx)
-        report = compute_theta_report(decomp, rho, model)
+        report = compute_theta_report(decomp, hermitian_eig(decomp.f_op), rho, model)
         assert len(report.channels) == 2
         for entry in report.channels:
             assert entry.theta_operator >= -1e-10
             assert abs(entry.discrepancy) <= 1e-9 * max(1.0, entry.theta_operator)
+
+    def test_the_spectrum_of_h_is_caught(self, rng):
+        # the index form trusts the spectrum it is handed; the operator form
+        # does not read it, so a spectrum other than F's shows as a discrepancy
+        d = 4
+        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, d)),
+                              (JumpChannel(0.8, oracles.random_ginibre(rng, d)),))
+        rho = DensityMatrix(oracles.random_density(rng, d))
+        decomp = free_energy_operator(rho, BatteryContext(1.0, model))
+        with pytest.raises(ConsistencyError, match="channel 0: Theta forms disagree"):
+            compute_theta_report(decomp, hermitian_eig(model.hamiltonian), rho, model)
+
+    def test_a_spectrum_of_another_dimension_is_rejected(self):
+        model = qubit_ctx(SIGMA_MINUS).model
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
+        decomp = free_energy_operator(rho, BatteryContext(1.0, model))
+        with pytest.raises(DimensionError, match="spectrum dimension 3 vs decomposition 2"):
+            compute_theta_report(decomp, hermitian_eig(HermitianMatrix(np.eye(3))), rho, model)
 
 
 class TestPowerEigenstate:
