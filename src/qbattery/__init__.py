@@ -21,7 +21,7 @@ from .free_energy import (BatteryContext, ChannelTheta, FreeEnergyDecomposition,
                           ThetaReport, VanishingConditionReport, compute_theta_report,
                           free_energy_operator, mean_free_energy, power_analytic, power_fd,
                           theta_index_form, theta_operator_form, vanishing_condition)
-from .linalg import HermitianMatrix, Spectrum, commutator, hermitian_eig, matrix_function
+from .linalg import HermitianMatrix, Spectrum, hermitian_eig, matrix_function
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "VanishingConditionReport",
     "bundled_witnesses",
     "claim_falsifier",
-    "commutator",
     "compute_theta_report",
     "eigenstate_audit",
     "epsilon_sweep",

@@ -35,14 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _dissipator_matrix,
-                       _generator_matrix, _generator_terms, liouvillian,
+                       _finite_positive, _generator_matrix, _generator_terms, liouvillian,
                        propagate, regularize)
 from .errors import (ConsistencyError, ParameterError, PropagationError, QBatteryError,
                      ScenarioError, ValidationError)
 from .free_energy import (BatteryContext, free_energy_operator, power_analytic,
                           vanishing_condition)
 from .jsonio import model_from_json, model_to_json
-from .linalg import HermitianMatrix, Spectrum, dagger, hermitian_eig, hermitian_eigs, max_abs
+from .linalg import HermitianMatrix, dagger, hermitian_eig, hermitian_eigs, max_abs
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -95,10 +95,7 @@ class ScenarioSpec:
     step: float = 1e-3
 
     def __post_init__(self):
-        if not (isinstance(self.beta, (int, float)) and math.isfinite(float(self.beta))
-                and float(self.beta) > 0.0):
-            raise ParameterError(f"beta must be finite and positive, got {self.beta!r}")
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", _finite_positive(self.beta, "beta"))
         object.__setattr__(self, "k0", _eigen_index(self.k0, self.model.dim))
         eps = tuple(float(e) for e in self.epsilon_list)
         for e in eps:
@@ -107,8 +104,7 @@ class ScenarioSpec:
         if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
             raise ParameterError("epsilon_list must be strictly descending")
         object.__setattr__(self, "epsilon_list", eps)
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise ParameterError("step must be finite and positive")
+        object.__setattr__(self, "step", _finite_positive(self.step, "step"))
 
 
 def _classify(value: float, scale: float, tol: ToleranceConfig) -> str:
@@ -258,24 +254,29 @@ def _evaluate(drawn, spectra, beta: float, tol: ToleranceConfig, *,
     return out
 
 
+def _evaluate_one(label, model: LindbladModel, k0: int, spectrum, beta: float,
+                  tol: ToleranceConfig, *, check_thetas: bool = True) -> ClaimInstance:
+    """_evaluate for one instance, with its checked k0 and beta; raises its failure."""
+    result, = _evaluate([(label, model, k0)], [spectrum], beta, tol, check_thetas=check_thetas)
+    if isinstance(result, QBatteryError):
+        raise result
+    return result
+
+
 def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
-                      spectrum: Spectrum | None = None,
                       tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ClaimInstance:
     """Closed-form Theta (both index orders), power (both forms), and the
     vanishing condition for one instance: the one-instance case of _evaluate,
-    from H = U diag(w) U^dag (pass `spectrum` to reuse a cached one).
+    from H = U diag(w) U^dag.
 
     At rho = |k0><k0|, F coincides with H, and Theta_j reduces to sum_i
     |L_j^{k0 i}|^2 (w_i - w_k0)^2 along row k0 (the row order) or column k0
     (the column order).  A sum that overflows raises ValidationError; power
     forms that disagree or are not finite raise ConsistencyError.
     """
-    beta = BatteryContext(beta, model).beta
-    eig = hermitian_eig(model.hamiltonian, tol=tol) if spectrum is None else spectrum
-    result, = _evaluate([(label, model, _eigen_index(k0, model.dim))], [eig], beta, tol)
-    if isinstance(result, QBatteryError):
-        raise result
-    return result
+    beta = _finite_positive(beta, "beta")
+    spectrum = hermitian_eig(model.hamiltonian, tol=tol)
+    return _evaluate_one(label, model, _eigen_index(k0, model.dim), spectrum, beta, tol)
 
 
 @dataclass(frozen=True)
@@ -345,8 +346,7 @@ def eigenstate_audit(spec: ScenarioSpec, *,
         raise ScenarioError(
             f"index {spec.k0} is not an eigenvector of H: residual {residual:.3e}")
 
-    instance = evaluate_instance(spec.model, spec.k0, spec.beta, "scenario",
-                                 spectrum=spectrum, tol=tol)
+    instance = _evaluate_one("scenario", spec.model, spec.k0, spectrum, spec.beta, tol)
 
     projector = np.outer(vec, np.conj(vec))
     # L without -i[H, P]: tr(-i[H, P] H) is 0, but its rounding is of order eps ||H||^2
@@ -425,10 +425,8 @@ def epsilon_sweep(spec: ScenarioSpec, *,
         raise ParameterError("epsilon_sweep needs a non-empty epsilon_list")
     ctx = BatteryContext(spec.beta, spec.model)
     spectrum = hermitian_eig(spec.model.hamiltonian, tol=tol)
-    reference, = _evaluate([(None, spec.model, spec.k0)], [spectrum], ctx.beta, tol,
-                           check_thetas=False)
-    if isinstance(reference, QBatteryError):
-        raise reference
+    reference = _evaluate_one(None, spec.model, spec.k0, spectrum, ctx.beta, tol,
+                              check_thetas=False)
     rho0 = DensityMatrix.pure(spectrum.eigenvectors[:, spec.k0], tol=tol)
     h = spec.model.hamiltonian.matrix
     # tr(-i[H, rho_eps] X) is 0 for X = H, F and ln rho_eps, but its rounding is not
@@ -479,9 +477,9 @@ class EnsembleSpec:
             raise ParameterError("trials must be at least 1")
         if not 2 <= int(self.dim_min) <= int(self.dim_max):
             raise ParameterError("need 2 <= dim_min <= dim_max")
-        for name, cast in (("seed", int), ("trials", int), ("dim_min", int),
-                           ("dim_max", int), ("beta", float)):
-            object.__setattr__(self, name, cast(getattr(self, name)))
+        for name in ("seed", "trials", "dim_min", "dim_max"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "beta", _finite_positive(self.beta, "beta"))
 
 
 @dataclass(frozen=True)
@@ -562,14 +560,14 @@ def claim_falsifier(ensemble: EnsembleSpec, *,
              if ensemble.include_bundled]
     drawn += [(f"trial:{trial}", *_random_instance(rng, ensemble))
               for trial in range(ensemble.trials)]
-    beta = BatteryContext(ensemble.beta, drawn[0][1]).beta
     instances = [None] * len(drawn)
     for d in sorted({model.dim for _, model, _ in drawn}, reverse=True):
         members = [i for i, (_, model, _) in enumerate(drawn) if model.dim == d]
         spectra = hermitian_eigs([drawn[i][1].hamiltonian for i in members], tol=tol)
         for at in range(0, len(members), _BLOCK):
             block = members[at:at + _BLOCK]
-            results = _evaluate([drawn[i] for i in block], spectra[at:at + _BLOCK], beta, tol)
+            results = _evaluate([drawn[i] for i in block], spectra[at:at + _BLOCK],
+                                ensemble.beta, tol)
             for i, result in zip(block, results):
                 instances[i] = result
     failure = next((r for r in instances if isinstance(r, QBatteryError)), None)

@@ -26,8 +26,8 @@ from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit
 from .config import RunConfig, config_to_dict, parse_config
 from .dynamics import DensityMatrix, liouvillian, propagate, regularize, thermal_state
 from .errors import ConfigError, ParameterError, PropagationError, QBatteryError, ValidationError
-from .free_energy import (BatteryContext, compute_theta_report, free_energy_operator,
-                          power_analytic, power_fd)
+from .free_energy import (RANK_THRESHOLD, BatteryContext, compute_theta_report,
+                          free_energy_operator, power_analytic, power_fd)
 from .linalg import hermitian_eig
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -127,7 +127,7 @@ def _with_neighbours(stream):
 def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     ctx = BatteryContext(cfg.beta, cfg.model)
     rho0 = _initial_state(cfg, tol)
-    if rho0.min_eigenvalue <= ctx.rank_threshold:
+    if rho0.min_eigenvalue <= RANK_THRESHOLD:
         raise ConfigError(
             "initial state is rank deficient; the free-energy operator needs "
             "a full-rank state (add initial_state.epsilon or use audit mode)",

@@ -31,14 +31,13 @@ byte-stable.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import LindbladModel
 from .errors import ConfigError
-from .jsonio import float_from_json, matrix_from_json, matrix_to_json, model_from_json
+from .jsonio import _as_number, _require_keys, matrix_from_json, matrix_to_json, model_from_json
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -97,25 +96,6 @@ class RunConfig:
         if self.initial_state is not None and self.initial_state.kind == "eigenstate":
             return self.initial_state.k0
         return None
-
-
-def _require_keys(obj: dict, allowed, path: str):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}", path=f"{path}.{key}" if path else key)
-
-
-def _as_number(value, path: str, *, minimum=None, exclusive_min=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", path=path)
-    x = float_from_json(value, path)
-    if not math.isfinite(x):
-        raise ConfigError(f"must be finite, got {value!r}", path=path)
-    if minimum is not None and x < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value!r}", path=path)
-    if exclusive_min is not None and x <= exclusive_min:
-        raise ConfigError(f"must be > {exclusive_min}, got {value!r}", path=path)
-    return x
 
 
 def _as_int(value, path: str, *, minimum=None) -> int:

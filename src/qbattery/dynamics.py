@@ -15,6 +15,7 @@ else keeps it.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -116,6 +117,15 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     lam = np.clip(rho.spectrum.eigenvalues, 0.0, 1.0)
     positive = lam[lam > 0.0]
     return float(-np.sum(positive * np.log(positive)))
+
+
+def _finite_positive(value, name: str) -> float:
+    """`value` as a float if it is a finite positive int or float (bool is not a
+    number here), else ParameterError naming it."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and 0.0 < value <= sys.float_info.max:
+        return float(value)
+    raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -298,11 +308,10 @@ def thermal_state(hamiltonian, beta: float, *,
     """
     ham = hamiltonian if isinstance(hamiltonian, HermitianMatrix) \
         else HermitianMatrix(hamiltonian, tol=tol)
-    if not (isinstance(beta, (int, float)) and math.isfinite(float(beta)) and float(beta) > 0.0):
-        raise ParameterError(f"beta must be finite and positive, got {beta!r}")
+    beta = _finite_positive(beta, "beta")
     eig = hermitian_eig(ham, tol=tol)
     # shift by the ground energy to keep the exponentials bounded
-    weights = np.exp(-float(beta) * (eig.eigenvalues - eig.eigenvalues[0]))
+    weights = np.exp(-beta * (eig.eigenvalues - eig.eigenvalues[0]))
     weights = weights / weights.sum()
     matrix = (eig.eigenvectors * weights) @ dagger(eig.eigenvectors)
     return DensityMatrix(matrix, tol=tol, basis=eig.eigenvectors)

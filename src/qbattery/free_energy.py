@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, LindbladModel
-from .errors import (ConsistencyError, DimensionError, ParameterError,
-                     RankDeficientError, ValidationError)
+from .dynamics import DensityMatrix, LindbladModel, _finite_positive
+from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
 from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _require_finite,
                      abs_sq, dagger, matrix_function, max_abs)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
@@ -53,21 +52,19 @@ __all__ = [
 ]
 
 
+# ln(rho) needs a full-rank state: a state eigenvalue at or below this is rank deficient
+RANK_THRESHOLD = 1e-12
+
+
 @dataclass(frozen=True)
 class BatteryContext:
-    """Inverse temperature, model, and the full-rank threshold for ln(rho)."""
+    """Inverse temperature and model."""
 
     beta: float
     model: LindbladModel
-    rank_threshold: float = 1e-12
 
     def __post_init__(self):
-        if not (isinstance(self.beta, (int, float)) and math.isfinite(float(self.beta))
-                and float(self.beta) > 0.0):
-            raise ParameterError(f"beta must be finite and positive, got {self.beta!r}")
-        object.__setattr__(self, "beta", float(self.beta))
-        if not (self.rank_threshold > 0.0 and math.isfinite(self.rank_threshold)):
-            raise ParameterError("rank_threshold must be finite and positive")
+        object.__setattr__(self, "beta", _finite_positive(self.beta, "beta"))
 
     @property
     def dim(self) -> int:
@@ -99,15 +96,15 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
     mean is computed as tr(F rho) and cross-checked against
     mean_free_energy before deltaF is formed; |tr(rho deltaF)| must stay
     within zero_mean * max(1, ||F||_max).  A state eigenvalue at or below
-    ctx.rank_threshold raises RankDeficientError naming it.
+    RANK_THRESHOLD raises RankDeficientError naming it.
     """
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
     smallest = float(rho.spectrum.eigenvalues[0])
-    if smallest <= ctx.rank_threshold:
+    if smallest <= RANK_THRESHOLD:
         raise RankDeficientError(
             f"state is rank deficient for ln(rho): smallest eigenvalue "
-            f"{smallest:.3e} <= threshold {ctx.rank_threshold:.3e}",
+            f"{smallest:.3e} <= threshold {RANK_THRESHOLD:.3e}",
             smallest_eigenvalue=smallest)
     log_rho = matrix_function(rho.spectrum, math.log, tol=tol)
     # ln(rho)/beta overflows for a small enough beta; HermitianMatrix scans it
@@ -158,8 +155,7 @@ def power_fd(before: DensityMatrix, after: DensityMatrix, step: float,
              ctx: BatteryContext) -> float:
     """Central difference of <F> between the trajectory states one `step`
     before and one `step` after a point; second order in the step."""
-    if not (math.isfinite(step) and step > 0.0):
-        raise ParameterError(f"step must be finite and positive, got {step!r}")
+    step = _finite_positive(step, "step")
     return (mean_free_energy(after, ctx) - mean_free_energy(before, ctx)) / (2.0 * step)
 
 

@@ -47,6 +47,29 @@ def float_from_json(value, path: str) -> float:
         raise ConfigError("integer is beyond float range", path=path) from None
 
 
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _require_keys(obj: dict, allowed, path: str):
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r}", path=_join(path, key))
+
+
+def _as_number(value, path: str, *, minimum=None, exclusive_min=None) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}", path=path)
+    x = float_from_json(value, path)
+    if not math.isfinite(x):
+        raise ConfigError(f"must be finite, got {value!r}", path=path)
+    if minimum is not None and x < minimum:
+        raise ConfigError(f"must be >= {minimum}, got {value!r}", path=path)
+    if exclusive_min is not None and x <= exclusive_min:
+        raise ConfigError(f"must be > {exclusive_min}, got {value!r}", path=path)
+    return x
+
+
 def entry_from_json(value, path: str) -> complex:
     if isinstance(value, bool):
         raise ConfigError("matrix entry must be a number or [re, im] pair", path=path)
@@ -77,7 +100,7 @@ def _row_from_json(row: list, path: str) -> list:
     return out
 
 
-def matrix_from_json(value, path: str, dim: int | None = None) -> np.ndarray:
+def matrix_from_json(value, path: str, dim: int) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ConfigError("matrix must be a non-empty list of rows", path=path)
     rows = []
@@ -100,7 +123,7 @@ def matrix_from_json(value, path: str, dim: int | None = None) -> np.ndarray:
         raise
     if arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"matrix must be square, got shape {arr.shape}", path=path)
-    if dim is not None and arr.shape[0] != dim:
+    if arr.shape[0] != dim:
         raise ConfigError(f"matrix must be {dim} x {dim}, got {arr.shape[0]} x {arr.shape[0]}",
                           path=path)
     if not np.all(np.isfinite(arr)):
@@ -119,10 +142,6 @@ def model_to_json(model: LindbladModel) -> dict:
     }
 
 
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
 def model_from_json(data: dict, path: str = "model", *,
                     tol: ToleranceConfig = DEFAULT_TOLERANCES) -> LindbladModel:
     """Rebuild a model; H failing tol.hermiticity is a ConfigError at its path."""
@@ -139,16 +158,9 @@ def model_from_json(data: dict, path: str = "model", *,
         ch_path = _join(path, f"channels[{j}]")
         if not isinstance(ch, dict):
             raise ConfigError("channel must be an object", path=ch_path)
-        for key in ch:
-            if key not in ("rate", "matrix"):
-                raise ConfigError(f"unknown key {key!r}", path=f"{ch_path}.{key}")
+        _require_keys(ch, ("rate", "matrix"), ch_path)
         if "rate" not in ch or "matrix" not in ch:
             raise ConfigError("channel needs rate and matrix", path=ch_path)
-        rate, rate_path = ch["rate"], f"{ch_path}.rate"
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
-                or not math.isfinite(float_from_json(rate, rate_path)) or rate < 0.0:
-            raise ConfigError(f"rate must be a finite number >= 0, got {rate!r}",
-                              path=rate_path)
-        channels.append(JumpChannel(float(rate),
-                                    matrix_from_json(ch["matrix"], f"{ch_path}.matrix", dim)))
+        rate = _as_number(ch["rate"], f"{ch_path}.rate", minimum=0)
+        channels.append(JumpChannel(rate, matrix_from_json(ch["matrix"], f"{ch_path}.matrix", dim)))
     return LindbladModel(ham, tuple(channels))

@@ -1,9 +1,9 @@
 """Dense complex matrix arithmetic and Hermitian spectral calculus.
 
 Everything heavier in the package (states, GKSL generators, free-energy
-diagnostics) sits on the primitives defined here: commutators,
-|A|^2 = A A^dag, a Jacobi eigensolver for Hermitian matrices, and scalar
-functions lifted to matrices through the spectral decomposition.
+diagnostics) sits on the primitives defined here: |A|^2 = A A^dag, a Jacobi
+eigensolver for Hermitian matrices, and scalar functions lifted to matrices
+through the spectral decomposition.
 
 The eigensolver sweeps in Brent-Luk round-robin order (Brent & Luk, SIAM J.
 Sci. Stat. Comput. 6(1), 1985): each round rotates d/2 disjoint pairs at
@@ -39,7 +39,6 @@ __all__ = [
     "dagger",
     "max_abs",
     "as_square_matrix",
-    "commutator",
     "abs_sq",
     "HermitianMatrix",
     "Spectrum",
@@ -85,15 +84,6 @@ def _require_finite(a: np.ndarray, context: str) -> np.ndarray:
     return a
 
 
-def commutator(a, b) -> np.ndarray:
-    """[A, B] = AB - BA."""
-    a = _checked_square(a, "a")
-    b = _checked_square(b, "b")
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _require_finite(a @ b - b @ a, "commutator")
-
-
 class HermitianMatrix:
     """Hermitian matrix, symmetrized to M/2 + M^dag/2 at construction.
 
@@ -132,19 +122,12 @@ class Spectrum:
     `eigenvalues` ascend (exact ties keep the order of the start basis: the
     original diagonal order, or the columns of a warm-start basis) and the
     columns of the unitary `eigenvectors` are the matching eigenvectors, each
-    phased so its largest-magnitude component is real positive.
+    phased so its largest-magnitude component is real positive.  Its one
+    constructor, the solver's _finish, sorts, phases and checks it.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        vec = np.asarray(self.eigenvectors, dtype=complex)
-        if lam.ndim != 1 or vec.shape != (lam.size, lam.size):
-            raise DimensionError("spectrum shape mismatch")
-        if lam.size > 1 and np.any(np.diff(lam) < 0):
-            raise ValidationError("eigenvalues are not ascending")
 
     @property
     def dim(self) -> int:

@@ -42,7 +42,7 @@ class ToleranceConfig:
     theta_psd_slack: float = 1e-10      # x max(1, |Theta|) allowed negativity
     theta_discrepancy: float = 1e-9     # x max(1, Theta_operator) operator vs index form
     power_agreement: float = 1e-10      # x max(1, |P|) trace form vs index form
-    generator_trace: float = 1e-12      # |tr D[rho]| and |tr L(rho)|
+    generator_trace: float = 1e-12      # x max(1, ||L(rho)||_max) bound on |tr L(rho)|
 
     # audit predicates
     eigenvector_residual: float = 1e-10  # x max(1, ||H||_max) scenario eigenvector check

@@ -100,11 +100,23 @@ class TestEigenstateAudit:
         with pytest.raises(ScenarioError):
             eigenstate_audit(ScenarioSpec(model=model, beta=1.0, k0=0), tol=tol)
 
-    def test_cached_spectrum_gives_the_same_instance(self, rng):
-        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 4)),
-                              (JumpChannel(0.5, oracles.random_ginibre(rng, 4)),))
-        cached = evaluate_instance(model, 1, 1.0, "x", spectrum=hermitian_eig(model.hamiltonian))
-        assert cached.to_record() == evaluate_instance(model, 1, 1.0, "x").to_record()
+    def test_audit_instance_and_sweep_reference_agree(self, rng):
+        # the three single-instance readers share one evaluation: equal bits
+        for _ in range(12):
+            d, n = int(rng.integers(3, 7)), int(rng.integers(1, 4))
+            model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, d)), tuple(
+                JumpChannel(float(rng.uniform(0.1, 2.0)), oracles.random_ginibre(rng, d))
+                for _ in range(n)))
+            k0 = int(rng.integers(0, d))
+            spec = ScenarioSpec(model=model, beta=0.7, k0=k0, epsilon_list=(1e-2,))
+            report = eigenstate_audit(spec)
+            record = evaluate_instance(model, k0, 0.7, "x").to_record()
+            fields = ("theta_values", "theta_transposed", "power_trace", "power_index",
+                      "scale", "condition_holds")
+            got = {f: getattr(report, f) for f in fields}
+            assert json.dumps(got) == json.dumps({f: record[f] for f in fields})
+            assert repr(report.power) == repr(record["power_trace"])
+            assert repr(epsilon_sweep(spec).power_reference) == repr(record["power_trace"])
 
 
 class TestEpsilonSweep:

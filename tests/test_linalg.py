@@ -9,43 +9,14 @@ import oracles
 from conftest import complex_square_matrices, hermitian_matrices
 from qbattery.errors import ConvergenceError, DimensionError, DomainError, ValidationError
 from qbattery.linalg import (HermitianMatrix, _round_robin, abs_sq, as_square_matrix,
-                             commutator, hermitian_eig, hermitian_eigs, matrix_function,
-                             max_abs, reconstruct)
+                             hermitian_eig, hermitian_eigs, matrix_function, max_abs,
+                             reconstruct)
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 H2 = np.diag([0.0, 1.0]).astype(complex)
-
-
-class TestCommutator:
-    def test_number_operator_raises(self):
-        # [diag(0,1), |1><0|] = |1><0|, worked out entrywise
-        assert np.array_equal(commutator(H2, SIGMA_PLUS), SIGMA_PLUS)
-
-    def test_self_commutation_is_zero(self, rng):
-        a = oracles.random_ginibre(rng, 4)
-        assert max_abs(commutator(a, a)) == 0.0
-
-    def test_diagonal_weight_identity(self, rng):
-        # [diag(w), L] entry (i, k) is (w_i - w_k) L_ik
-        w = rng.uniform(-2.0, 2.0, size=4)
-        l = oracles.random_ginibre(rng, 4)
-        got = commutator(np.diag(w).astype(complex), l)
-        for i in range(4):
-            for k in range(4):
-                assert got[i, k] == pytest.approx((w[i] - w[k]) * l[i, k], abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            commutator(np.eye(2), np.eye(3))
-
-    @given(complex_square_matrices(2, 4), complex_square_matrices(2, 4))
-    def test_antisymmetry(self, a, b):
-        if a.shape != b.shape:
-            return
-        assert max_abs(commutator(a, b) + commutator(b, a)) <= 1e-12
 
 
 class TestAbsSq:
