@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _dissipator_matrix,
-                       _finite_positive, _generator_matrix, _generator_terms, liouvillian,
-                       propagate, regularize)
+                       _finite_positive, _generator_matrix, _generator_terms, _integer,
+                       _open_unit, liouvillian, propagate, regularize)
 from .errors import (ConsistencyError, ParameterError, PropagationError, QBatteryError,
                      ScenarioError, ValidationError)
 from .free_energy import (BatteryContext, free_energy_operator, power_analytic,
@@ -78,9 +78,10 @@ _BLOCK = 16  # instances per evaluation stack in claim_falsifier: bounds its tem
 
 def _eigen_index(k0: int, dim: int) -> int:
     """k0 as an index into an ascending spectrum of length `dim`."""
-    if not 0 <= int(k0) < dim:
+    k0 = _integer(k0, "k0")
+    if not 0 <= k0 < dim:
         raise ParameterError(f"k0 must lie in [0, {dim}), got {k0!r}")
-    return int(k0)
+    return k0
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,7 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "beta", _finite_positive(self.beta, "beta"))
         object.__setattr__(self, "k0", _eigen_index(self.k0, self.model.dim))
-        eps = tuple(float(e) for e in self.epsilon_list)
-        for e in eps:
-            if not 0.0 < e < 1.0:
-                raise ParameterError(f"epsilon {e!r} must lie strictly inside (0, 1)")
+        eps = tuple(_open_unit(e, f"epsilon_list[{i}]") for i, e in enumerate(self.epsilon_list))
         if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
             raise ParameterError("epsilon_list must be strictly descending")
         object.__setattr__(self, "epsilon_list", eps)
@@ -473,12 +471,14 @@ class EnsembleSpec:
     include_bundled: bool = True
 
     def __post_init__(self):
-        if int(self.trials) < 1:
-            raise ParameterError("trials must be at least 1")
-        if not 2 <= int(self.dim_min) <= int(self.dim_max):
-            raise ParameterError("need 2 <= dim_min <= dim_max")
         for name in ("seed", "trials", "dim_min", "dim_max"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        if self.trials < 1:
+            raise ParameterError("trials must be at least 1")
+        if not 2 <= self.dim_min <= self.dim_max:
+            raise ParameterError("need 2 <= dim_min <= dim_max")
         object.__setattr__(self, "beta", _finite_positive(self.beta, "beta"))
 
 
@@ -560,9 +560,10 @@ def claim_falsifier(ensemble: EnsembleSpec, *,
              if ensemble.include_bundled]
     drawn += [(f"trial:{trial}", *_random_instance(rng, ensemble))
               for trial in range(ensemble.trials)]
-    instances = [None] * len(drawn)
-    for d in sorted({model.dim for _, model, _ in drawn}, reverse=True):
-        members = [i for i, (_, model, _) in enumerate(drawn) if model.dim == d]
+    instances, by_dim = [None] * len(drawn), {}
+    for i, (_, model, _) in enumerate(drawn):
+        by_dim.setdefault(model.dim, []).append(i)
+    for _, members in sorted(by_dim.items(), reverse=True):
         spectra = hermitian_eigs([drawn[i][1].hamiltonian for i in members], tol=tol)
         for at in range(0, len(members), _BLOCK):
             block = members[at:at + _BLOCK]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -55,6 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                        help="override one tolerance, repeatable")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call: parsing leaves it unchanged."""
+    return build_parser()
 
 
 def parse_tol_overrides(pairs) -> ToleranceConfig:
@@ -232,8 +239,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol = parse_tol_overrides(args.tol)
         cfg = _read_config(args.config, args.mode, tol)

@@ -128,6 +128,22 @@ def _finite_positive(value, name: str) -> float:
     raise ParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _integer(value, name: str) -> int:
+    """`value` as an int if it is a Python or numpy integer (bool is not a
+    number here), else ParameterError naming it."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _open_unit(value, name: str) -> float:
+    """`value` as a float if it is an int or float strictly inside (0, 1), else
+    ParameterError naming it."""
+    if isinstance(value, (int, float)) and 0.0 < value < 1.0:
+        return float(value)
+    raise ParameterError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+
+
 @dataclass(frozen=True)
 class JumpChannel:
     """Dissipative channel: rate gamma >= 0 (units 1/time) and jump operator L."""
@@ -292,9 +308,7 @@ def _best_effort_min_eig(y: np.ndarray, tol: ToleranceConfig) -> float | None:
 def regularize(rho: DensityMatrix, eps: float, *,
                tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DensityMatrix:
     """Convex mix with the maximally mixed state: (1 - eps) rho + eps I/d."""
-    if not (isinstance(eps, (int, float)) and 0.0 < float(eps) < 1.0):
-        raise ParameterError(f"eps must lie strictly inside (0, 1), got {eps!r}")
-    eps = float(eps)
+    eps = _open_unit(eps, "eps")
     mixed = (1.0 - eps) * rho.matrix + (eps / rho.dim) * np.eye(rho.dim)
     return DensityMatrix(mixed, tol=tol)
 

@@ -323,35 +323,69 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     return _finish(a, v, m.matrix, size, tol)
 
 
+def _finish_stack(a: np.ndarray, v: np.ndarray, m: np.ndarray, size: np.ndarray,
+                  tol: ToleranceConfig) -> list[Spectrum | ValidationError]:
+    """_finish of each matrix of the stacks a, v, m (k, d, d), with the sizes
+    ||M||_max: the same Spectrum bit for bit, or the ValidationError _finish
+    raises for it, from the same guards in the same order.  The guards are
+    taken of every matrix; those of a matrix that failed an earlier one are
+    not read, and their overflow is ignored."""
+    values = np.diagonal(a.real, axis1=-2, axis2=-1)
+    order = np.argsort(values, axis=-1, kind="stable")
+    eigenvalues = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(v, order[:, None, :], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pivots = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=-2)[:, None, :], axis=-2)
+        vectors *= np.conj(pivots) / np.abs(pivots)
+        finite = np.isfinite(eigenvalues).all(axis=-1).tolist()
+        unitarity = np.abs(dagger(vectors) @ vectors - _constants(m.shape[-1])[0]
+                           ).max(axis=(-2, -1)).tolist()
+        residual = np.abs((vectors * eigenvalues[:, None, :]) @ dagger(vectors) - m
+                          ).max(axis=(-2, -1)).tolist()
+    bound = (tol.reconstruction * np.maximum(1.0, size)).tolist()
+    eigenvalues.flags.writeable = False
+    vectors.flags.writeable = False
+    out = []
+    for j, (ok, defect, res, cap) in enumerate(zip(finite, unitarity, residual, bound)):
+        if not ok:
+            out.append(ValidationError("eigendecomposition has non-finite entries"))
+        elif defect > tol.unitarity:
+            out.append(ValidationError(f"eigenvector unitarity defect {defect:.3e}"))
+        elif res > cap:
+            out.append(ValidationError(f"eigendecomposition residual {res:.3e}"))
+        else:
+            out.append(Spectrum(eigenvalues[j], vectors[j]))
+    return out
+
+
 def hermitian_eigs(matrices, *, tol: ToleranceConfig = DEFAULT_TOLERANCES
                    ) -> tuple[Spectrum | QBatteryError, ...]:
     """hermitian_eig, cold, of many matrices of one dimension, as one (n, d, d) stack.
 
     Each round rotates every unfinished matrix at once, with one stacked product;
     a dead pair (entry exactly zero) gets an identity block, a matrix with no
-    live pair is left as it was, and a converged matrix leaves the stack.  So
-    each gets hermitian_eig's Spectrum bit for bit, or in its place the error
+    live pair is left as it was, and the matrices that converge in a sweep
+    leave the stack and are finished together (_finish_stack).  So each gets
+    hermitian_eig's Spectrum bit for bit, or in its place the error
     hermitian_eig raises for it."""
-    mats = [h.matrix for h in matrices]
-    a = np.stack(mats)
-    n, d, _ = a.shape
-    size, scale, target = _convergence_target(a, tol)
-    v = np.broadcast_to(_constants(d)[0], a.shape).copy()
+    m = np.stack([h.matrix for h in matrices])
+    n, d, _ = m.shape
+    size, scale, target = _convergence_target(m, tol)
+    a, v = m.copy(), np.broadcast_to(_constants(d)[0], m.shape).copy()
     ids, out, sweeps = np.arange(n), [None] * n, 0
     while True:
         off = _offdiag_norm(a, scale[ids])
         done = ~(off > target[ids])
-        for j, i in zip(np.flatnonzero(done), ids[done]):
-            try:
-                out[i] = _finish(a[j], v[j], mats[i], size[i], tol)
-            except ValidationError as exc:
-                out[i] = exc
+        finished = ids[done]
+        for i, result in zip(finished.tolist(),
+                             _finish_stack(a[done], v[done], m[finished], size[finished], tol)):
+            out[i] = result
         a, v, ids, off = a[~done], v[~done], ids[~done], off[~done]
         if not ids.size or sweeps >= tol.jacobi_max_sweeps:
             for i, off_i in zip(ids, off):
                 out[i] = _not_converged(off_i, target[i], scale[i], tol)
             return tuple(out)
-        with np.errstate(over="ignore", invalid="ignore"):  # _finish checks the result
+        with np.errstate(over="ignore", invalid="ignore"):  # _finish_stack checks the result
             for p, q, idx in _round_robin(d):
                 apq = a[:, p, q]
                 r = np.abs(apq)

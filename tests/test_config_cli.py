@@ -570,6 +570,13 @@ class TestReportCommands:
         assert {c["claim_id"] for c in claims} == {
             "C1", "C2", "C3", "C1_transposed", "C2_transposed", "C3_transposed"}
 
+    def test_check_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["check", "--config", str(SCENARIOS / "ensemble_check.json"),
+                     "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode, report_cls, nested, item_cls", [
         ("audit", EigenstateAuditReport, "claim_verdicts", ClaimVerdict),
         ("sweep", EpsilonSweepReport, "rows", EpsilonRow),
@@ -818,6 +825,20 @@ class TestReportCommands:
         assert err.startswith("error:")
         assert err.count("hamiltonian") == 1
         assert main(argv + ["--tol", "hermiticity=1e-9"]) == 0
+
+    def test_calls_in_one_process_see_only_their_own_overrides(self, tmp_path, monkeypatch):
+        # main reuses one parser, so nothing of one call's --tol may reach the next
+        seen = []
+        monkeypatch.setattr(cli, "parse_tol_overrides",
+                            lambda pairs: seen.append(list(pairs)) or parse_tol_overrides(pairs))
+        cfg = tmp_path / "defect.json"
+        cfg.write_text(config_text(hamiltonian=[[0.0, 1e-11], [0.0, 1.0]]))
+        argv = ["audit", "--config", str(cfg), "--out", str(tmp_path / "x.json")]
+        two = ["--tol", "hermiticity=1e-9", "--tol", "jacobi_max_sweeps=5"]
+        assert [main(argv + two), main(argv), main(argv + two[:2]), main(argv)] == [0, 2, 0, 2]
+        assert seen == [two[1::2], [], two[1:2], []]
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
 
 
 def test_module_entry_point(tmp_path):

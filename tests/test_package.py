@@ -12,7 +12,8 @@ import pytest
 
 import qbattery
 from qbattery import (BatteryContext, DensityMatrix, EnsembleSpec, HermitianMatrix,
-                      LindbladModel, ParameterError, ScenarioSpec, power_fd, thermal_state)
+                      LindbladModel, ParameterError, ScenarioSpec, evaluate_instance, power_fd,
+                      regularize, thermal_state)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +66,60 @@ def test_scalars_must_be_finite_and_positive(where, value):
     with pytest.raises(ParameterError,
                        match=re.escape(f"{name} must be finite and positive, got {value!r}")):
         build(value)
+
+
+_INTEGERS = {
+    "ScenarioSpec.k0": ("k0", lambda v: ScenarioSpec(model=_MODEL, beta=1.0, k0=v)),
+    "evaluate_instance.k0": ("k0", lambda v: evaluate_instance(_MODEL, v, 1.0, "x")),
+    "EnsembleSpec.seed": ("seed", lambda v: EnsembleSpec(seed=v, trials=1)),
+    "EnsembleSpec.trials": ("trials", lambda v: EnsembleSpec(seed=0, trials=v)),
+    "EnsembleSpec.dim_min": ("dim_min", lambda v: EnsembleSpec(seed=0, trials=1, dim_min=v)),
+    "EnsembleSpec.dim_max": ("dim_max", lambda v: EnsembleSpec(seed=0, trials=1, dim_max=v)),
+}
+
+
+@pytest.mark.parametrize("value", [1.7, 0.9, 1.0, np.float64(1.0), "1", True, np.bool_(True),
+                                   None], ids=repr)
+@pytest.mark.parametrize("where", sorted(_INTEGERS))
+def test_integers_must_be_integers(where, value):
+    name, build = _INTEGERS[where]
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"{name} must be an integer, got {value!r}")):
+        build(value)
+
+
+def test_numpy_integers_are_integers():
+    spec = ScenarioSpec(model=_MODEL, beta=1.0, k0=np.int64(1))
+    ens = EnsembleSpec(seed=np.uint32(7), trials=np.int8(3), dim_min=np.int16(2),
+                       dim_max=np.int64(4))
+    assert type(spec.k0) is int and spec.k0 == 1
+    assert [type(v) for v in (ens.seed, ens.trials, ens.dim_min, ens.dim_max)] == [int] * 4
+    assert (ens.seed, ens.trials, ens.dim_min, ens.dim_max) == (7, 3, 2, 4)
+    assert evaluate_instance(_MODEL, np.int32(1), 1.0, "x").k0 == 1
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ScenarioSpec(model=_MODEL, beta=1.0, k0=2), "k0 must lie in [0, 2), got 2"),
+    (lambda: EnsembleSpec(seed=-1, trials=1), "seed must be >= 0, got -1"),
+    (lambda: EnsembleSpec(seed=0, trials=0), "trials must be at least 1"),
+    (lambda: EnsembleSpec(seed=0, trials=1, dim_min=1), "need 2 <= dim_min <= dim_max"),
+])
+def test_integers_out_of_range(build, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        build()
+
+
+@pytest.mark.parametrize("value", [0, 1, 0.0, 1.0, -0.5, 1.5, math.nan, math.inf, "0.5", True,
+                                   None], ids=repr)
+def test_epsilons_lie_strictly_inside_the_unit_interval(value):
+    # one rule for an epsilon, whether a spec or regularize reads it
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"epsilon_list[1] must lie strictly inside (0, 1), "
+                                       f"got {value!r}")):
+        ScenarioSpec(model=_MODEL, beta=1.0, k0=0, epsilon_list=(0.5, value))
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"eps must lie strictly inside (0, 1), got {value!r}")):
+        regularize(_MIXED, value)
 
 
 def _bench_tracer():
