@@ -3,9 +3,9 @@
 Three instruments:
 
 * eigenstate_audit: for a battery prepared in Hamiltonian eigenstate k0,
-  compute every Theta_j in closed form (both index orders), the charging
-  power in trace and index form, and the numeric energy rate, then classify
-  the scenario (HYPOTHESIS_REFUTED / CONSISTENT / MIXED / INCONCLUSIVE).
+  compute every Theta_j in closed form (both index orders) and the charging
+  power in trace and index form, then classify the scenario
+  (HYPOTHESIS_REFUTED / CONSISTENT / MIXED / INCONCLUSIVE).
 
 * epsilon_sweep: regularize the eigenstate projector with a descending
   epsilon ladder and record, per epsilon, the analytic free-energy power,
@@ -35,15 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _dissipator_matrix,
-                       _finite_positive, _generator_matrix, _generator_terms, _integer,
-                       _open_unit, liouvillian, propagate, regularize)
+                       liouvillian, propagate, regularize)
 from .errors import (ConsistencyError, ParameterError, PropagationError, QBatteryError,
                      ScenarioError, ValidationError)
 from .free_energy import (BatteryContext, free_energy_operator, power_analytic,
                           vanishing_condition)
 from .jsonio import model_from_json, model_to_json
 from .linalg import HermitianMatrix, dagger, hermitian_eig, hermitian_eigs, max_abs
-from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
+from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive, _integer,
+                         _open_unit)
 
 __all__ = [
     "ScenarioSpec",
@@ -288,7 +288,7 @@ class EigenstateAuditReport:
     power_trace: float
     power_index: float
     power: float
-    energy_rate_numeric: float
+    energy_rate_numeric: float  # tr(L(P) H), which is power_trace: tr(-i[H, P] H) = 0
     scale: float
     verdict: str
     condition_holds: bool
@@ -330,8 +330,8 @@ def eigenstate_audit(spec: ScenarioSpec, *,
     """Audit one eigenstate charging scenario.
 
     Verifies |k0> really is an eigenvector of H (to eigenvector_residual),
-    computes Theta in both index orders, the power in both forms, and the
-    numeric energy rate tr(L(rho) H), then classifies the scenario:
+    computes Theta in both index orders and the power in both forms, then
+    classifies the scenario:
     HYPOTHESIS_REFUTED when some Theta_j and |P| are both cleanly nonzero,
     CONSISTENT when all values are cleanly zero, MIXED when the two sides
     disagree about vanishing, INCONCLUSIVE inside the straddle band.
@@ -345,14 +345,6 @@ def eigenstate_audit(spec: ScenarioSpec, *,
             f"index {spec.k0} is not an eigenvector of H: residual {residual:.3e}")
 
     instance = _evaluate_one("scenario", spec.model, spec.k0, spectrum, spec.beta, tol)
-
-    projector = np.outer(vec, np.conj(vec))
-    # L without -i[H, P]: tr(-i[H, P] H) is 0, but its rounding is of order eps ||H||^2
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        dissipation = _generator_matrix(np.zeros_like(h), _generator_terms(spec.model), projector)
-        energy_rate = float((dissipation @ h).trace().real)
-    if not math.isfinite(energy_rate):
-        raise ValidationError(f"energy rate tr(L(P) H): {energy_rate!r} is not finite")
 
     row_all, _, p_cls = instance.classes(tol)
     if row_all == NONZERO and p_cls == NONZERO:
@@ -372,7 +364,7 @@ def eigenstate_audit(spec: ScenarioSpec, *,
         power_trace=instance.power_trace,
         power_index=instance.power_index,
         power=instance.power_trace,
-        energy_rate_numeric=energy_rate,
+        energy_rate_numeric=instance.power_trace,
         scale=instance.scale,
         verdict=verdict,
         condition_holds=instance.condition_holds,
@@ -597,5 +589,5 @@ def reevaluate_witness(record: dict, *,
     that, this function just recomputes.
     """
     model = model_from_json(record, path=record.get("label", "witness"), tol=tol)
-    return evaluate_instance(model, int(record["k0"]), float(record["beta"]),
-                             record.get("label", "witness"), tol=tol)
+    return evaluate_instance(model, record["k0"], record["beta"], record.get("label", "witness"),
+                             tol=tol)

@@ -180,8 +180,8 @@ def _encode(value):
 
 def _non_finite(value, path: str) -> str | None:
     """`path = value` of the first non-finite number in a JSON-ready value."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else f"{path} = {value!r}"
+    if value != value or value in (math.inf, -math.inf):  # nan alone is unequal to itself
+        return f"{path} = {value!r}"
     items = value.items() if isinstance(value, dict) else \
         enumerate(value) if isinstance(value, list) else ()
     for key, item in items:

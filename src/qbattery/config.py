@@ -37,7 +37,8 @@ import numpy as np
 
 from .dynamics import LindbladModel
 from .errors import ConfigError
-from .jsonio import _as_number, _require_keys, matrix_from_json, matrix_to_json, model_from_json
+from .jsonio import (_as_int, _as_number, _require_keys, matrix_from_json, matrix_to_json,
+                     model_from_json)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -98,12 +99,11 @@ class RunConfig:
         return None
 
 
-def _as_int(value, path: str, *, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", path=path)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value!r}", path=path)
-    return int(value)
+def _as_epsilon(value, path: str) -> float:
+    e = _as_number(value, path)
+    if not 0.0 < e < 1.0:
+        raise ConfigError(f"must lie strictly inside (0, 1), got {value!r}", path=path)
+    return e
 
 
 def _parse_initial_state(data, dim: int, path: str) -> InitialState:
@@ -120,12 +120,7 @@ def _parse_initial_state(data, dim: int, path: str) -> InitialState:
         k0 = _as_int(data["k0"], f"{path}.k0", minimum=0)
         if k0 >= dim:
             raise ConfigError(f"k0 must be < dim ({dim}), got {k0}", path=f"{path}.k0")
-        epsilon = None
-        if "epsilon" in data:
-            epsilon = _as_number(data["epsilon"], f"{path}.epsilon")
-            if not 0.0 < epsilon < 1.0:
-                raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon!r}",
-                                  path=f"{path}.epsilon")
+        epsilon = _as_epsilon(data["epsilon"], f"{path}.epsilon") if "epsilon" in data else None
         return InitialState(kind="eigenstate", k0=k0, epsilon=epsilon)
     if kind == "matrix":
         _require_keys(data, ("kind", "matrix"), path)
@@ -134,9 +129,7 @@ def _parse_initial_state(data, dim: int, path: str) -> InitialState:
         m = matrix_from_json(data["matrix"], f"{path}.matrix", dim=dim)
         return InitialState(kind="matrix", matrix=m)
     _require_keys(data, ("kind", "beta"), path)
-    beta = None
-    if "beta" in data:
-        beta = _as_number(data["beta"], f"{path}.beta", exclusive_min=0.0)
+    beta = _as_number(data["beta"], f"{path}.beta", exclusive_min=0.0) if "beta" in data else None
     return InitialState(kind="thermal", beta=beta)
 
 
@@ -170,13 +163,7 @@ def _parse_time(data, path: str, mode: str) -> TimeGrid:
 def _parse_epsilons(data, path: str) -> tuple[float, ...]:
     if not isinstance(data, list) or not data:
         raise ConfigError("epsilons must be a non-empty list", path=path)
-    values = []
-    for i, entry in enumerate(data):
-        e = _as_number(entry, f"{path}[{i}]")
-        if not 0.0 < e < 1.0:
-            raise ConfigError(f"must lie strictly inside (0, 1), got {entry!r}",
-                              path=f"{path}[{i}]")
-        values.append(e)
+    values = [_as_epsilon(entry, f"{path}[{i}]") for i, entry in enumerate(data)]
     for i in range(len(values) - 1):
         if values[i + 1] >= values[i]:
             raise ConfigError("epsilons must be strictly descending",

@@ -14,8 +14,6 @@ else keeps it.
 
 from __future__ import annotations
 
-import math
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -24,7 +22,8 @@ import numpy as np
 from .errors import (DimensionError, ConsistencyError, ParameterError,
                      PropagationError, ValidationError)
 from .linalg import HermitianMatrix, Spectrum, as_square_matrix, dagger, hermitian_eig, max_abs
-from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
+from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_at_least,
+                         _finite_positive, _integer, _open_unit)
 
 __all__ = [
     "DensityMatrix",
@@ -100,6 +99,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> "DensityMatrix":
+        dim = _integer(dim, "dim")
         if dim < 1:
             raise ParameterError("dimension must be positive")
         return cls(np.eye(dim, dtype=complex) / dim, tol=tol)
@@ -119,31 +119,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(positive * np.log(positive)))
 
 
-def _finite_positive(value, name: str) -> float:
-    """`value` as a float if it is a finite positive int or float (bool is not a
-    number here), else ParameterError naming it."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and 0.0 < value <= sys.float_info.max:
-        return float(value)
-    raise ParameterError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _integer(value, name: str) -> int:
-    """`value` as an int if it is a Python or numpy integer (bool is not a
-    number here), else ParameterError naming it."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ParameterError(f"{name} must be an integer, got {value!r}")
-
-
-def _open_unit(value, name: str) -> float:
-    """`value` as a float if it is an int or float strictly inside (0, 1), else
-    ParameterError naming it."""
-    if isinstance(value, (int, float)) and 0.0 < value < 1.0:
-        return float(value)
-    raise ParameterError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-
-
 @dataclass(frozen=True)
 class JumpChannel:
     """Dissipative channel: rate gamma >= 0 (units 1/time) and jump operator L."""
@@ -152,11 +127,7 @@ class JumpChannel:
     operator: np.ndarray
 
     def __post_init__(self):
-        rate = self.rate
-        if not isinstance(rate, (int, float)) or isinstance(rate, bool) \
-                or not math.isfinite(float(rate)) or float(rate) < 0.0:
-            raise ParameterError(f"channel rate must be finite and >= 0, got {rate!r}")
-        object.__setattr__(self, "rate", float(rate))
+        object.__setattr__(self, "rate", _finite_at_least(self.rate, 0, "channel rate"))
         op = as_square_matrix(self.operator, "jump operator")
         op.flags.writeable = False
         object.__setattr__(self, "operator", op)

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, LindbladModel, _finite_positive
+from .dynamics import DensityMatrix, LindbladModel
 from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
 from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _require_finite,
                      abs_sq, dagger, matrix_function, max_abs)
-from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
+from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive
 
 __all__ = [
     "BatteryContext",

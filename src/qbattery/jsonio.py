@@ -8,14 +8,13 @@ nested lists of entries; parsing also accepts bare reals as shorthand for
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .dynamics import JumpChannel, LindbladModel
 from .errors import ConfigError, ValidationError
 from .linalg import HermitianMatrix
-from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
+from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _is_integer, _is_real
 
 __all__ = [
     "complex_to_pair",
@@ -58,7 +57,7 @@ def _require_keys(obj: dict, allowed, path: str):
 
 
 def _as_number(value, path: str, *, minimum=None, exclusive_min=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise ConfigError(f"expected a number, got {value!r}", path=path)
     x = float_from_json(value, path)
     if not math.isfinite(x):
@@ -70,13 +69,18 @@ def _as_number(value, path: str, *, minimum=None, exclusive_min=None) -> float:
     return x
 
 
+def _as_int(value, path: str, *, minimum=None) -> int:
+    if not _is_integer(value):
+        raise ConfigError(f"expected an integer, got {value!r}", path=path)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"must be >= {minimum}, got {value!r}", path=path)
+    return int(value)
+
+
 def entry_from_json(value, path: str) -> complex:
-    if isinstance(value, bool):
-        raise ConfigError("matrix entry must be a number or [re, im] pair", path=path)
-    if isinstance(value, numbers.Real):
+    if _is_real(value):
         return complex(float_from_json(value, path), 0.0)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in value)):
+    if isinstance(value, list) and len(value) == 2 and all(_is_real(x) for x in value):
         return complex(float_from_json(value[0], f"{path}[0]"),
                        float_from_json(value[1], f"{path}[1]"))
     raise ConfigError("matrix entry must be a number or [re, im] pair", path=path)
@@ -147,7 +151,7 @@ def model_from_json(data: dict, path: str = "model", *,
     """Rebuild a model; H failing tol.hermiticity is a ConfigError at its path."""
     if "dim" not in data or "hamiltonian" not in data:
         raise ConfigError("model needs dim and hamiltonian", path=path)
-    dim = int(data["dim"])
+    dim = _as_int(data["dim"], _join(path, "dim"))
     h_path = _join(path, "hamiltonian")
     try:
         ham = HermitianMatrix(matrix_from_json(data["hamiltonian"], h_path, dim), tol=tol)

@@ -367,7 +367,9 @@ def hermitian_eigs(matrices, *, tol: ToleranceConfig = DEFAULT_TOLERANCES
     live pair is left as it was, and the matrices that converge in a sweep
     leave the stack and are finished together (_finish_stack).  So each gets
     hermitian_eig's Spectrum bit for bit, or in its place the error
-    hermitian_eig raises for it."""
+    hermitian_eig raises for it.  No matrices give no results."""
+    if not matrices:
+        return ()
     m = np.stack([h.matrix for h in matrices])
     n, d, _ = m.shape
     size, scale, target = _convergence_target(m, tol)

@@ -288,6 +288,9 @@ class TestHermitianEigs:
                     assert same_bits(got.eigenvectors, want.eigenvectors)
             assert 0 < failed < len(hs), guards
 
+    def test_no_matrices_give_no_results(self):
+        assert hermitian_eigs([]) == ()
+
 
 def rotation(rng, d, angle):
     """exp(i angle K) for a random Hermitian K with entries of order one."""
