@@ -1,6 +1,6 @@
 """JSON configuration schema for the command-line tools.
 
-Top-level keys (mode decides which are required):
+Top-level keys:
 
     dim             int >= 2; for check mode this is the maximum ensemble
                     dimension (instances are drawn with 2 <= d <= dim), at
@@ -14,11 +14,17 @@ Top-level keys (mode decides which are required):
                     | {"kind": "matrix", "matrix": [[...]]}
                     | {"kind": "thermal", "beta": b?}
     time            {"t0": s?, "step": h > 0, "horizon": T?}; t0 defaults
-                    to 0; run needs T >= h, an integral multiple of h, while
-                    sweep reads only h and takes any T > 0 or none
+                    to 0; run needs T >= h, an integral multiple of h of at
+                    most RUN_STEPS_MAX = 10**7 steps, while sweep reads only
+                    h and takes any T > 0 or none
     epsilons        strictly descending list in (0, 1) for sweep
     trials          positive int for check
     include_bundled bool for check, default true
+
+Every mode needs dim; run also needs hamiltonian, initial_state and time
+(with horizon); audit hamiltonian and an eigenstate initial_state; sweep
+those and epsilons; check trials (_NEEDS).  A missing key is named at its
+own path: `time.horizon: missing, needed by run mode`.
 
 initial_state.epsilon regularizes the eigenstate projector, (1-e) P + e I/d,
 so run mode can take the matrix logarithm; thermal's beta defaults to the
@@ -31,33 +37,44 @@ byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dynamics import LindbladModel
 from .errors import ConfigError
 from .jsonio import (_as_int, _as_number, _require_keys, matrix_from_json, matrix_to_json,
-                     model_from_json)
+                     model_from_json, model_to_json)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
-__all__ = [
-    "InitialState",
-    "TimeGrid",
-    "RunConfig",
-    "parse_config",
-    "config_to_dict",
-    "MODES",
-    "CHECK_DIM_MAX",
-]
+__all__ = ["InitialState", "TimeGrid", "RunConfig", "parse_config", "config_to_dict", "MODES",
+           "CHECK_DIM_MAX", "RUN_STEPS_MAX"]
 
-MODES = ("run", "audit", "sweep", "check")
+# the top-level keys each mode needs besides dim, checked after every present value parses
+_NEEDS = {
+    "run": ("hamiltonian", "initial_state", "time"),
+    "audit": ("hamiltonian", "initial_state"),
+    "sweep": ("hamiltonian", "initial_state", "epsilons"),
+    "check": ("trials",),
+}
+MODES = tuple(_NEEDS)
 
 # the largest ensemble dimension of check, a desk-scale bound: at d = 10**5 one
 # instance would allocate tens of GiB, and past int64 the draw itself fails
 CHECK_DIM_MAX = 64
 
-_STATE_KINDS = ("eigenstate", "matrix", "thermal")
+# the most steps of a run grid: run builds the whole grid, and propagation's
+# grid check adds temporaries of its length, so 10**7 steps hold a few hundred
+# MB; at a few thousand rows/s they also take over an hour
+RUN_STEPS_MAX = 10**7
+
+# each initial_state kind: its keys, and the ones it needs
+_STATE_KEYS = {
+    "eigenstate": (("kind", "k0", "epsilon"), ("k0",)),
+    "matrix": (("kind", "matrix"), ("matrix",)),
+    "thermal": (("kind", "beta"), ()),
+}
+_STATE_KINDS = tuple(_STATE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -69,11 +86,11 @@ class InitialState:
     beta: float | None = None
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+@dataclass(frozen=True, kw_only=True)
+class TimeGrid:  # fields in the order config_to_dict echoes them
+    t0: float = 0.0
     step: float
     horizon: float | None
-    t0: float = 0.0
 
     def grid(self) -> np.ndarray:
         n = round(self.horizon / self.step)
@@ -107,67 +124,57 @@ def _as_epsilon(value, path: str) -> float:
 
 
 def _parse_initial_state(data, dim: int, path: str) -> InitialState:
-    if not isinstance(data, dict):
-        raise ConfigError("initial_state must be an object", path=path)
+    _require_keys(data, None, path)
     kind = data.get("kind")
     if kind not in _STATE_KINDS:
-        raise ConfigError(f"kind must be one of {_STATE_KINDS}, got {kind!r}",
-                          path=f"{path}.kind")
+        raise ConfigError(f"kind must be one of {_STATE_KINDS}, got {kind!r}", path=f"{path}.kind")
+    keys, needs = _STATE_KEYS[kind]
+    _require_keys(data, keys, path, needs, f"kind {kind!r}")
     if kind == "eigenstate":
-        _require_keys(data, ("kind", "k0", "epsilon"), path)
-        if "k0" not in data:
-            raise ConfigError("eigenstate state needs k0", path=f"{path}.k0")
         k0 = _as_int(data["k0"], f"{path}.k0", minimum=0)
         if k0 >= dim:
             raise ConfigError(f"k0 must be < dim ({dim}), got {k0}", path=f"{path}.k0")
         epsilon = _as_epsilon(data["epsilon"], f"{path}.epsilon") if "epsilon" in data else None
-        return InitialState(kind="eigenstate", k0=k0, epsilon=epsilon)
+        return InitialState(kind=kind, k0=k0, epsilon=epsilon)
     if kind == "matrix":
-        _require_keys(data, ("kind", "matrix"), path)
-        if "matrix" not in data:
-            raise ConfigError("matrix state needs a matrix", path=f"{path}.matrix")
-        m = matrix_from_json(data["matrix"], f"{path}.matrix", dim=dim)
-        return InitialState(kind="matrix", matrix=m)
-    _require_keys(data, ("kind", "beta"), path)
+        matrix = matrix_from_json(data["matrix"], f"{path}.matrix", dim)
+        return InitialState(kind=kind, matrix=matrix)
     beta = _as_number(data["beta"], f"{path}.beta", exclusive_min=0.0) if "beta" in data else None
-    return InitialState(kind="thermal", beta=beta)
+    return InitialState(kind=kind, beta=beta)
 
 
 def _parse_time(data, path: str, mode: str) -> TimeGrid:
     """The grid of `run`; other modes read only the step, so the horizon is
     required and checked against it only for `run`."""
-    if not isinstance(data, dict):
-        raise ConfigError("time must be an object", path=path)
-    _require_keys(data, ("t0", "step", "horizon"), path)
-    if mode == "run" and ("step" not in data or "horizon" not in data):
-        raise ConfigError("time needs both step and horizon", path=path)
-    if "step" not in data:
-        raise ConfigError("time needs a step", path=path)
+    run = mode == "run"
+    _require_keys(data, ("t0", "step", "horizon"), path, ("step", "horizon") if run else ("step",),
+                  "run mode" if run else "a time grid")
     t0 = _as_number(data.get("t0", 0.0), f"{path}.t0")
     step = _as_number(data["step"], f"{path}.step", exclusive_min=0.0)
     horizon = None
     if "horizon" in data:
         horizon = _as_number(data["horizon"], f"{path}.horizon", exclusive_min=0.0)
-    if mode != "run":
-        return TimeGrid(step=step, horizon=horizon, t0=t0)
+    if not run:
+        return TimeGrid(t0=t0, step=step, horizon=horizon)
     if horizon < step:
         raise ConfigError("horizon must be at least one step", path=f"{path}.horizon")
     n = horizon / step
+    if not n < RUN_STEPS_MAX + 0.5:  # also an n that overflowed to inf
+        raise ConfigError(f"run mode allows at most {RUN_STEPS_MAX} steps, got {horizon}/{step}",
+                          path=f"{path}.horizon")
     if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
-        raise ConfigError(
-            f"horizon must be an integral multiple of step, got {horizon}/{step}",
-            path=f"{path}.horizon")
-    return TimeGrid(step=step, horizon=horizon, t0=t0)
+        raise ConfigError(f"horizon must be an integral multiple of step, got {horizon}/{step}",
+                          path=f"{path}.horizon")
+    return TimeGrid(t0=t0, step=step, horizon=horizon)
 
 
 def _parse_epsilons(data, path: str) -> tuple[float, ...]:
     if not isinstance(data, list) or not data:
         raise ConfigError("epsilons must be a non-empty list", path=path)
     values = [_as_epsilon(entry, f"{path}[{i}]") for i, entry in enumerate(data)]
-    for i in range(len(values) - 1):
-        if values[i + 1] >= values[i]:
-            raise ConfigError("epsilons must be strictly descending",
-                              path=f"{path}[{i + 1}]")
+    for i in range(1, len(values)):
+        if values[i] >= values[i - 1]:
+            raise ConfigError("epsilons must be strictly descending", path=f"{path}[{i}]")
     return tuple(values)
 
 
@@ -177,33 +184,21 @@ _TOP_KEYS = ("dim", "beta", "hamiltonian", "channels", "initial_state", "time",
 
 def parse_config(text: str, mode: str, *,
                  tol: ToleranceConfig = DEFAULT_TOLERANCES) -> RunConfig:
-    """Parse and validate a JSON config for `mode`, one of MODES.
-
-    Raises ConfigError with a JSON path for every rejection.
-    """
+    """Parse and validate a JSON config for `mode`, one of MODES; every
+    rejection is a ConfigError naming its JSON path."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     try:
         data = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over int's digit limit
         raise ConfigError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("top level must be a JSON object")
-    _require_keys(data, _TOP_KEYS, "")
-
-    if "dim" not in data:
-        raise ConfigError("dim is required", path="dim")
+    _require_keys(data, _TOP_KEYS, "", ("dim",), f"{mode} mode")
     dim = _as_int(data["dim"], "dim", minimum=2)
     beta = _as_number(data.get("beta", 1.0), "beta", exclusive_min=0.0)
 
-    model = None
-    if "hamiltonian" in data or "channels" in data:
-        if "hamiltonian" not in data:
-            raise ConfigError("channels without a hamiltonian", path="hamiltonian")
-        model = model_from_json({"dim": dim,
-                                 "hamiltonian": data["hamiltonian"],
-                                 "channels": data.get("channels", [])},
-                                path="", tol=tol)
+    if "channels" in data and "hamiltonian" not in data:
+        raise ConfigError("channels without a hamiltonian", path="hamiltonian")
+    model = model_from_json(data, path="", tol=tol) if "hamiltonian" in data else None
 
     initial_state = None
     if "initial_state" in data:
@@ -214,60 +209,38 @@ def parse_config(text: str, mode: str, *,
     trials = _as_int(data["trials"], "trials", minimum=1) if "trials" in data else None
     include_bundled = data.get("include_bundled", True)
     if not isinstance(include_bundled, bool):
-        raise ConfigError(f"expected a boolean, got {include_bundled!r}",
-                          path="include_bundled")
+        raise ConfigError(f"expected a boolean, got {include_bundled!r}", path="include_bundled")
 
-    if mode == "run":
-        if model is None:
-            raise ConfigError("run mode needs a hamiltonian", path="hamiltonian")
-        if initial_state is None:
-            raise ConfigError("run mode needs an initial_state", path="initial_state")
-        if time is None:
-            raise ConfigError("run mode needs a time grid", path="time")
-    elif mode in ("audit", "sweep"):
-        if model is None:
-            raise ConfigError(f"{mode} mode needs a hamiltonian", path="hamiltonian")
-        if initial_state is None or initial_state.kind != "eigenstate":
-            raise ConfigError(
-                f"{mode} mode needs an eigenstate initial_state with k0",
-                path="initial_state")
-        if mode == "sweep" and epsilons is None:
-            raise ConfigError("sweep mode needs epsilons", path="epsilons")
-    elif mode == "check":
-        if trials is None:
-            raise ConfigError("check mode needs trials", path="trials")
-        if dim > CHECK_DIM_MAX:
-            raise ConfigError(f"check mode allows dim <= {CHECK_DIM_MAX}, got {dim}",
-                              path="dim")
+    _require_keys(data, None, "", _NEEDS[mode], f"{mode} mode")
+    if mode in ("audit", "sweep") and initial_state.kind != "eigenstate":
+        raise ConfigError(f"{mode} mode needs an eigenstate initial_state with k0",
+                          path="initial_state")
+    if mode == "check" and dim > CHECK_DIM_MAX:
+        raise ConfigError(f"check mode allows dim <= {CHECK_DIM_MAX}, got {dim}", path="dim")
 
-    return RunConfig(mode=mode, dim=dim, beta=beta, model=model,
-                     initial_state=initial_state, time=time,
-                     epsilons=epsilons, trials=trials,
-                     include_bundled=include_bundled)
+    return RunConfig(mode=mode, dim=dim, beta=beta, model=model, initial_state=initial_state,
+                     time=time, epsilons=epsilons, trials=trials, include_bundled=include_bundled)
+
+
+def _set_fields(section) -> dict:
+    """A section's set fields in declaration order, matrices as [re, im] pairs."""
+    out = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if value is not None:
+            out[f.name] = matrix_to_json(value) if isinstance(value, np.ndarray) else value
+    return out
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical dict form: fixed key order, matrices as [re, im] pairs."""
     out: dict = {"dim": cfg.dim, "beta": cfg.beta}
     if cfg.model is not None:
-        out["hamiltonian"] = matrix_to_json(cfg.model.hamiltonian.matrix)
-        out["channels"] = [{"rate": ch.rate, "matrix": matrix_to_json(ch.operator)}
-                           for ch in cfg.model.channels]
+        out.update(model_to_json(cfg.model))
     if cfg.initial_state is not None:
-        st: dict = {"kind": cfg.initial_state.kind}
-        if cfg.initial_state.k0 is not None:
-            st["k0"] = cfg.initial_state.k0
-        if cfg.initial_state.epsilon is not None:
-            st["epsilon"] = cfg.initial_state.epsilon
-        if cfg.initial_state.matrix is not None:
-            st["matrix"] = matrix_to_json(cfg.initial_state.matrix)
-        if cfg.initial_state.beta is not None:
-            st["beta"] = cfg.initial_state.beta
-        out["initial_state"] = st
+        out["initial_state"] = _set_fields(cfg.initial_state)
     if cfg.time is not None:
-        out["time"] = {"t0": cfg.time.t0, "step": cfg.time.step}
-        if cfg.time.horizon is not None:
-            out["time"]["horizon"] = cfg.time.horizon
+        out["time"] = _set_fields(cfg.time)
     if cfg.epsilons is not None:
         out["epsilons"] = list(cfg.epsilons)
     if cfg.trials is not None:

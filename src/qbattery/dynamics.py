@@ -14,6 +14,8 @@ else keeps it.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -102,6 +104,8 @@ class DensityMatrix:
         dim = _integer(dim, "dim")
         if dim < 1:
             raise ParameterError("dimension must be positive")
+        if 16 * dim * dim > sys.maxsize:  # numpy cannot size a complex dim x dim array
+            raise ParameterError(f"dim must be at most {math.isqrt(sys.maxsize // 16)}, got {dim}")
         return cls(np.eye(dim, dtype=complex) / dim, tol=tol)
 
     def __repr__(self):  # pragma: no cover

@@ -16,15 +16,8 @@ from .errors import ConfigError, ValidationError
 from .linalg import HermitianMatrix
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _is_integer, _is_real
 
-__all__ = [
-    "complex_to_pair",
-    "matrix_to_json",
-    "float_from_json",
-    "entry_from_json",
-    "matrix_from_json",
-    "model_to_json",
-    "model_from_json",
-]
+__all__ = ["complex_to_pair", "matrix_to_json", "float_from_json", "entry_from_json",
+           "matrix_from_json", "model_to_json", "model_from_json"]
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -50,10 +43,18 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _require_keys(obj: dict, allowed, path: str):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}", path=_join(path, key))
+def _require_keys(obj, allowed, path: str, required=(), needed_by: str = ""):
+    """The one check of a JSON object at `path` ("" at the top level): no key
+    outside `allowed` (None allows any), and every `required` key present."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'top level'} must be a JSON object", path=path or None)
+    if allowed is not None:
+        for key in obj:
+            if key not in allowed:
+                raise ConfigError(f"unknown key {key!r}", path=_join(path, key))
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"missing, needed by {needed_by}", path=_join(path, key))
 
 
 def _as_number(value, path: str, *, minimum=None, exclusive_min=None) -> float:
@@ -148,23 +149,22 @@ def model_to_json(model: LindbladModel) -> dict:
 
 def model_from_json(data: dict, path: str = "model", *,
                     tol: ToleranceConfig = DEFAULT_TOLERANCES) -> LindbladModel:
-    """Rebuild a model; H failing tol.hermiticity is a ConfigError at its path."""
-    if "dim" not in data or "hamiltonian" not in data:
-        raise ConfigError("model needs dim and hamiltonian", path=path)
+    """Rebuild a model from the dim, hamiltonian and channels of `data`; H
+    failing tol.hermiticity is a ConfigError at its path."""
+    _require_keys(data, None, path, ("dim", "hamiltonian"), "a model")
     dim = _as_int(data["dim"], _join(path, "dim"))
     h_path = _join(path, "hamiltonian")
     try:
         ham = HermitianMatrix(matrix_from_json(data["hamiltonian"], h_path, dim), tol=tol)
     except ValidationError as exc:
         raise ConfigError(str(exc), path=h_path) from None
+    listed = data.get("channels", [])
+    if not isinstance(listed, list):
+        raise ConfigError("must be a list of channels", path=_join(path, "channels"))
     channels = []
-    for j, ch in enumerate(data.get("channels", ())):
+    for j, ch in enumerate(listed):
         ch_path = _join(path, f"channels[{j}]")
-        if not isinstance(ch, dict):
-            raise ConfigError("channel must be an object", path=ch_path)
-        _require_keys(ch, ("rate", "matrix"), ch_path)
-        if "rate" not in ch or "matrix" not in ch:
-            raise ConfigError("channel needs rate and matrix", path=ch_path)
+        _require_keys(ch, ("rate", "matrix"), ch_path, ("rate", "matrix"), "a channel")
         rate = _as_number(ch["rate"], f"{ch_path}.rate", minimum=0)
         channels.append(JumpChannel(rate, matrix_from_json(ch["matrix"], f"{ch_path}.matrix", dim)))
     return LindbladModel(ham, tuple(channels))

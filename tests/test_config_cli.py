@@ -11,9 +11,9 @@ import pytest
 
 from qbattery import audit, cli, dynamics, free_energy, linalg
 from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
-                            EpsilonSweepReport, FalsifierReport)
+                            EpsilonSweepReport, FalsifierReport, reevaluate_witness)
 from qbattery.cli import main, parse_tol_overrides
-from qbattery.config import CHECK_DIM_MAX, config_to_dict, parse_config
+from qbattery.config import CHECK_DIM_MAX, RUN_STEPS_MAX, config_to_dict, parse_config
 from qbattery.errors import ConfigError
 from qbattery.tolerances import ToleranceConfig
 
@@ -163,8 +163,9 @@ class TestParseConfig:
         assert parse_config(text, mode).time.step == 0.3
         bare = parse_config(config_text(time={"step": 0.3}, epsilons=[1e-2]), mode)
         assert bare.time.horizon is None
-        with pytest.raises(ConfigError, match="time needs both step and horizon"):
+        with pytest.raises(ConfigError) as exc:
             parse_config(config_text(time={"step": 0.3}), "run")
+        assert str(exc.value) == "time.horizon: missing, needed by run mode"
 
     def test_check_needs_trials(self):
         with pytest.raises(ConfigError, match="trials"):
@@ -187,8 +188,13 @@ class TestParseConfig:
         assert cfg.initial_state.kind == "thermal"
         assert cfg.initial_state.beta is None
 
-    def test_roundtrip_is_stable(self):
-        cfg = parse_config(config_text(epsilons=[1e-2, 1e-3]), "run")
+    @pytest.mark.parametrize("start", [
+        MINIMAL_RUN["initial_state"],
+        {"kind": "matrix", "matrix": [[0.75, [0.1, 0.2]], [[0.1, -0.2], 0.25]]},
+        {"kind": "thermal", "beta": 2.0},
+    ], ids=lambda start: start["kind"])
+    def test_roundtrip_is_stable(self, start):
+        cfg = parse_config(config_text(initial_state=start, epsilons=[1e-2, 1e-3]), "run")
         text = json.dumps(config_to_dict(cfg))
         again = parse_config(text, "run")
         assert config_to_dict(again) == config_to_dict(cfg)
@@ -218,6 +224,135 @@ class TestTolOverrides:
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             parse_tol_overrides(["propagation_trace=abc"])
+
+
+DELETE = object()
+
+
+@pytest.fixture
+def config_errors(monkeypatch):
+    """The ConfigErrors that main caught, in the order they were raised."""
+    caught = []
+    for name in ("parse_tol_overrides", "_read_config"):
+        def recording(*args, _original=getattr(cli, name), **kwargs):
+            try:
+                return _original(*args, **kwargs)
+            except ConfigError as exc:
+                caught.append(exc)
+                raise
+        monkeypatch.setattr(cli, name, recording)
+    return caught
+
+
+class TestRejectionPaths:
+    # MINIMAL_RUN with epsilons and trials, so every mode reads it, and one
+    # place edited: the place () replaces the whole document
+    @pytest.mark.parametrize("argv, place, value, path, message", [
+        ("run", (), [], None, "top level must be a JSON object"),
+        ("run", ("dim",), DELETE, "dim", "missing, needed by run mode"),
+        ("run", ("dim",), 1, "dim", "must be >= 2, got 1"),
+        ("run", ("beta",), "1", "beta", "expected a number, got '1'"),
+        ("run", ("beta",), math.inf, "beta", "must be finite, got inf"),
+        ("run", ("beta",), 0, "beta", "must be > 0.0, got 0"),
+        ("run", ("hamiltonian",), DELETE, "hamiltonian", "channels without a hamiltonian"),
+        ("run", ("hamiltonian",), "H", "hamiltonian", "matrix must be a non-empty list of rows"),
+        ("run", ("hamiltonian",), [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "hamiltonian",
+         "matrix must be square, got shape (2, 3)"),
+        ("run", ("hamiltonian",), [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+         "hamiltonian", "matrix must be 2 x 2, got 3 x 3"),
+        ("run", ("channels", 0), 1.0, "channels[0]", "channels[0] must be a JSON object"),
+        ("run", ("channels", 0, "rate"), DELETE, "channels[0].rate",
+         "missing, needed by a channel"),
+        ("run", ("channels", 0, "matrix"), DELETE, "channels[0].matrix",
+         "missing, needed by a channel"),
+        ("run", ("initial_state",), 3, "initial_state", "initial_state must be a JSON object"),
+        ("run", ("initial_state", "kind"), "pure", "initial_state.kind",
+         "kind must be one of ('eigenstate', 'matrix', 'thermal'), got 'pure'"),
+        ("run", ("initial_state", "k0"), DELETE, "initial_state.k0",
+         "missing, needed by kind 'eigenstate'"),
+        ("run", ("initial_state",), {"kind": "matrix"}, "initial_state.matrix",
+         "missing, needed by kind 'matrix'"),
+        ("run", ("time",), [], "time", "time must be a JSON object"),
+        ("run", ("time", "step"), DELETE, "time.step", "missing, needed by run mode"),
+        ("run", ("time", "horizon"), DELETE, "time.horizon", "missing, needed by run mode"),
+        ("sweep", ("time", "step"), DELETE, "time.step", "missing, needed by a time grid"),
+        ("run", ("time", "horizon"), 0.0005, "time.horizon", "horizon must be at least one step"),
+        ("sweep", ("epsilons",), [], "epsilons", "epsilons must be a non-empty list"),
+        ("check", ("include_bundled",), "yes", "include_bundled", "expected a boolean, got 'yes'"),
+        ("run", ("time",), DELETE, "time", "missing, needed by run mode"),
+        ("run", ("initial_state",), DELETE, "initial_state", "missing, needed by run mode"),
+        ("audit", (), {"dim": 2}, "hamiltonian", "missing, needed by audit mode"),
+        ("audit", ("initial_state",), DELETE, "initial_state", "missing, needed by audit mode"),
+        ("sweep", ("initial_state",), {"kind": "thermal"}, "initial_state",
+         "sweep mode needs an eigenstate initial_state with k0"),
+        ("sweep", ("epsilons",), DELETE, "epsilons", "missing, needed by sweep mode"),
+        ("check", ("trials",), DELETE, "trials", "missing, needed by check mode"),
+        ("run --tol psd", ("beta",), 1.0, None, "--tol expects NAME=VALUE, got 'psd'"),
+    ])
+    def test_each_rejection_names_its_path(self, tmp_path, capsys, config_errors, argv, place,
+                                           value, path, message):
+        data = json.loads(config_text(epsilons=[1e-2], trials=1))
+        if place:
+            *parents, key = place
+            target = data
+            for step in parents:
+                target = target[step]
+            if value is DELETE:
+                del target[key]
+            else:
+                target[key] = value
+        else:
+            data = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([*argv.split(), "--config", str(cfg), "--out", str(out)]) == 2
+        [exc] = config_errors
+        assert exc.path == path
+        assert str(exc) == (message if path is None else f"{path}: {message}")
+        assert capsys.readouterr().err == f"error: {exc}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("channels", [5, None, True, {"rate": 1.0}], ids=repr)
+    def test_channels_must_be_a_list(self, tmp_path, capsys, channels):
+        # a number, null or a boolean used to escape as a bare TypeError
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(MINIMAL_RUN, channels=channels)))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: channels: must be a list of channels\n"
+
+    @pytest.mark.parametrize("step, horizon, got", [
+        (1e-300, 1e300, "1e+300/1e-300"),  # horizon/step overflows to inf
+        (1e-3, 1e9, "1000000000.0/0.001"),  # 10**12 steps, a grid of 7.28 TiB
+        (1e-3, 10000.001, "10000.001/0.001"),  # one step more than RUN_STEPS_MAX
+    ])
+    def test_run_step_count_is_bounded(self, tmp_path, capsys, step, horizon, got):
+        # rejected while parsing, before any grid is built
+        cfg = tmp_path / "long.json"
+        cfg.write_text(config_text(time={"step": step, "horizon": horizon}))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: time.horizon: run mode allows at most {RUN_STEPS_MAX} steps, got {got}\n")
+        assert not out.exists()
+
+    def test_run_step_count_at_the_bound_parses(self):
+        # the grid itself is not built: it would hold 80 MB
+        grid = parse_config(config_text(time={"step": 1e-3, "horizon": 1e4}), "run").time
+        assert round(grid.horizon / grid.step) == RUN_STEPS_MAX
+
+    def test_unknown_mode(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_text(), "walk")
+        assert exc.value.path is None
+        assert str(exc.value) == "mode must be one of ('run', 'audit', 'sweep', 'check'), got 'walk'"
+
+    def test_witness_record_without_dim(self):
+        record = {"label": "w", "hamiltonian": MINIMAL_RUN["hamiltonian"], "k0": 0, "beta": 1.0}
+        with pytest.raises(ConfigError) as exc:
+            reevaluate_witness(record)
+        assert exc.value.path == "w.dim"
+        assert str(exc.value) == "w.dim: missing, needed by a model"
 
 
 class TestRunCommand:

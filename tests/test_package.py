@@ -178,6 +178,10 @@ def test_numpy_integers_are_integers():
     (lambda: ToleranceConfig(jacobi_max_sweeps=-1),
      "tolerance jacobi_max_sweeps must be finite and >= 0, got -1"),
     (lambda: DensityMatrix.maximally_mixed(0), "dimension must be positive"),
+    # 16 d^2 bytes beyond sys.maxsize: numpy cannot size the array, so nothing is allocated
+    (lambda: DensityMatrix.maximally_mixed(10**10),
+     "dim must be at most 759250124, got 10000000000"),
+    (lambda: DensityMatrix.maximally_mixed(_HUGE), f"dim must be at most 759250124, got {_HUGE}"),
 ])
 def test_integers_out_of_range(build, message):
     with pytest.raises(ParameterError, match=re.escape(message)):
