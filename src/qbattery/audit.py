@@ -35,13 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _dissipator_matrix,
-                       liouvillian, propagate, regularize)
+                       _liouvillians, propagate, regularize)
 from .errors import (ConsistencyError, ParameterError, PropagationError, QBatteryError,
                      ScenarioError, ValidationError)
-from .free_energy import (BatteryContext, free_energy_operator, power_analytic,
+from .free_energy import (BatteryContext, _block_rows, _decompose, _powers,
                           vanishing_condition)
 from .jsonio import model_from_json, model_to_json
-from .linalg import HermitianMatrix, dagger, hermitian_eig, hermitian_eigs, max_abs
+from .linalg import (HermitianMatrix, _Rows, _stack, dagger, hermitian_eig, hermitian_eigs,
+                     max_abs)
 from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive, _integer,
                          _open_unit)
 
@@ -409,7 +410,9 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     generator without its Hamiltonian term (whose contribution to each is 0),
     and the ln rho_eps that F was built from.  One RK4 step is attempted per
     rung as a differentiability probe; its failure is recorded on the row
-    instead of aborting the sweep.
+    instead of aborting the sweep.  Rungs are evaluated in blocks of stacked
+    states (_sweep_rungs), with the bits and the first failure of evaluating
+    them one at a time.
     """
     if not spec.epsilon_list:
         raise ParameterError("epsilon_sweep needs a non-empty epsilon_list")
@@ -422,22 +425,9 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     # tr(-i[H, rho_eps] X) is 0 for X = H, F and ln rho_eps, but its rounding is not
     dissipative = LindbladModel(HermitianMatrix(np.zeros_like(h)), spec.model.channels)
 
-    rows = []
-    for eps in spec.epsilon_list:
-        rho_eps = regularize(rho0, eps, tol=tol)
-        rate = liouvillian(dissipative, rho_eps, tol=tol)
-        decomp = free_energy_operator(rho_eps, ctx, tol=tol)
-        with np.errstate(over="ignore", invalid="ignore"):  # the report scan names inf/nan
-            energy_rate = float(np.real(np.trace(rate.matrix @ h)))
-            entropy_rate = -float(np.real(np.trace(rate.matrix @ decomp.log_rho.matrix)))
-        p_num = power_analytic(rate, decomp, tol=tol)
-        step_error = None
-        try:
-            for _ in propagate(spec.model, rho_eps, [0.0, spec.step], tol=tol):
-                pass  # the RK4 step only runs when its state is drawn
-        except PropagationError as exc:
-            step_error = str(exc)
-        rows.append(EpsilonRow(float(eps), p_num, energy_rate, entropy_rate, step_error))
+    rows, size = [], _block_rows(spec.model.dim)
+    for at in range(0, len(spec.epsilon_list), size):
+        rows += _sweep_rungs(spec, spec.epsilon_list[at:at + size], rho0, ctx, dissipative, tol)
 
     if len(rows) >= 2:
         x = np.log([r.epsilon for r in rows])
@@ -449,6 +439,40 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     return EpsilonSweepReport(
         k0=spec.k0, power_reference=reference.power_trace, rows=tuple(rows),
         fit_intercept=fit[0], fit_slope=fit[1])
+
+
+def _sweep_rungs(spec: ScenarioSpec, epsilons, rho0: DensityMatrix, ctx: BatteryContext,
+                 dissipative: LindbladModel, tol: ToleranceConfig) -> list[EpsilonRow]:
+    """epsilon_sweep's rows for a block of rungs: each rho_eps, then L(rho_eps),
+    the decomposition, the rates and the power as stacks (free_energy's core),
+    then each rung's RK4 probe.  The first failure in rung order is raised."""
+    rows, states = _Rows(len(epsilons)), []
+    for i, eps in enumerate(epsilons):
+        try:
+            states.append(regularize(rho0, eps, tol=tol))
+        except QBatteryError as exc:
+            rows.cut(i, exc)
+            break
+    out = []
+    if states:
+        rho = _stack([state.matrix for state in states])
+        rate, _ = _liouvillians(rows, dissipative, rho, tol)
+        log_rho, f_op, _, _ = _decompose(rows, rho, states, ctx, tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # the report scan names inf/nan
+            energy = (rate @ spec.model.hamiltonian.matrix).trace(axis1=1, axis2=2).real
+            entropy = -(rate @ log_rho[0]).trace(axis1=1, axis2=2).real
+        power = _powers(rows, rate, f_op[0], tol)
+        for i in range(rows.n):
+            step_error = None
+            try:
+                for _ in propagate(spec.model, states[i], [0.0, spec.step], tol=tol):
+                    pass  # the RK4 step only runs when its state is drawn
+            except PropagationError as exc:
+                step_error = str(exc)
+            out.append(EpsilonRow(float(epsilons[i]), float(power[i]), float(energy[i]),
+                                  float(entropy[i]), step_error))
+    rows.raise_first()
+    return out
 
 
 @dataclass(frozen=True)
@@ -523,13 +547,15 @@ def _ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
 def _random_instance(rng: np.random.Generator, ens: EnsembleSpec):
     d = int(rng.integers(ens.dim_min, ens.dim_max + 1))
     g = _ginibre(rng, d)
-    ham = HermitianMatrix(0.5 * (g + dagger(g)))
+    # 0.5 (G + G^dag) is exactly Hermitian, so symmetrizing it again gives the same bits
+    h = 0.5 * (g + dagger(g))
+    h.flags.writeable = False
     n_channels = int(rng.integers(1, 4))
     channels = tuple(
-        JumpChannel(float(1.0 - rng.random()), _ginibre(rng, d))  # rate in (0, 1]
+        JumpChannel._trusted(float(1.0 - rng.random()), _ginibre(rng, d))  # rate in (0, 1]
         for _ in range(n_channels))
     k0 = int(rng.integers(0, d))
-    return LindbladModel(ham, channels), k0
+    return LindbladModel._trusted(HermitianMatrix._trusted(h, 0.0), channels), k0
 
 
 def claim_falsifier(ensemble: EnsembleSpec, *,

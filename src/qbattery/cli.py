@@ -6,11 +6,17 @@
     qbattery check  --config cfg.json --out report.json [--seed N] [--tol ...]
 
 Exit codes: 0 success (audit and check exit 0 whatever the verdicts say),
-2 configuration problem, 3 numeric failure.  `run` writes each CSV row as
-soon as the next state arrives, so a numeric failure mid-trajectory leaves
-the completed prefix on disk.  A JSON report holds the fields of its report
-dataclass under their names, in declaration order.  Reports carry no
-timestamps; identical inputs give byte-identical outputs.
+2 configuration problem, 3 numeric failure.  `run` evaluates and writes its
+CSV per block of at most K rows, once the state after the block arrives; K
+comes from a bound on the bytes of one stacked d x d matrix
+(free_energy._block_rows).
+A numeric failure mid-trajectory still leaves every row computed before it
+on disk: the rows before the earliest failing row, whose first failing check
+is the error raised, ahead of a propagation breach later in its block.
+
+A JSON report holds the fields of its report dataclass under their names, in
+declaration order.  Reports carry no timestamps; identical inputs give
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -25,10 +31,9 @@ import sys
 from . import __version__
 from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit, epsilon_sweep
 from .config import RunConfig, config_to_dict, parse_config
-from .dynamics import DensityMatrix, liouvillian, propagate, regularize, thermal_state
+from .dynamics import DensityMatrix, propagate, regularize, thermal_state
 from .errors import ConfigError, ParameterError, PropagationError, QBatteryError, ValidationError
-from .free_energy import (RANK_THRESHOLD, BatteryContext, compute_theta_report,
-                          free_energy_operator, power_analytic, power_fd)
+from .free_energy import RANK_THRESHOLD, BatteryContext, _block_rows, _evaluate_rows, power_fd
 from .linalg import hermitian_eig
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -65,6 +70,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def parse_tol_overrides(pairs) -> ToleranceConfig:
+    """DEFAULT_TOLERANCES with each NAME=VALUE pair applied; DEFAULT_TOLERANCES
+    itself, not a checked copy of it, when there is none."""
+    if not pairs:
+        return DEFAULT_TOLERANCES
     fields = {f.name: f for f in dataclasses.fields(ToleranceConfig)}
     overrides = {}
     for pair in pairs:
@@ -112,23 +121,49 @@ def _csv_cell(value: float | None) -> str:
     return "" if value is None else f"{float(value):.17g}"
 
 
-def _with_neighbours(stream):
-    """Yield (previous, item, next) over `stream`, None past either end.
+def _blocks(stream, size: int):
+    """Yield (previous, block, next) over `stream` in blocks of at most `size`
+    items, with the item before the block and the item after it, None past
+    either end.
 
-    An item is yielded once its successor has arrived.  When the stream
-    raises PropagationError, the last item that arrived is yielded with no
-    successor before the error is re-raised.
+    A block is yielded once the item after it has arrived.  When the stream
+    raises PropagationError, the items that arrived are yielded with no
+    successor before the error is re-raised.  The block list is emptied when
+    the consumer asks for the next one, so its items are not held while the
+    next block arrives.
     """
-    previous = current = None
+    previous, block = None, []
     try:
         for item in stream:
-            if current is not None:
-                yield previous, current, item
-            previous, current = current, item
+            if len(block) == size:
+                yield previous, block, item
+                previous = block[-1]
+                block.clear()
+            block.append(item)
     except PropagationError:
-        yield previous, current, None
+        yield previous, block, None
         raise
-    yield previous, current, None
+    yield previous, block, None
+
+
+def _write_rows(fh, times, previous, block, following, ctx: BatteryContext, step, basis,
+                tol: ToleranceConfig):
+    """Write the CSV rows of a block of (state, trace defect) pairs, at `times`,
+    that pass every check, then raise the first failure, if any.  `previous`
+    and `following` are the pairs around the block (None past either end), for
+    power_fd; `basis` warm-starts the first F solve.  Returns the F eigenbasis
+    of the block's last row."""
+    states = [state for state, _ in block]
+    rows, means, powers, thetas, basis = _evaluate_rows(states, ctx, basis, tol)
+    neighbours = [previous and previous[0], *states, following and following[0]]
+    for i in range(rows.n):
+        before, state, after = neighbours[i:i + 3]
+        p_fd = None if before is None or after is None else power_fd(before, after, step, ctx)
+        row = [times[i], state.energy(ctx.model.hamiltonian), state.entropy, means[i], powers[i],
+               p_fd, *thetas[i], block[i][1], state.min_eigenvalue]
+        fh.write(",".join(_csv_cell(value) for value in row) + "\n")
+    rows.raise_first()
+    return basis
 
 
 def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
@@ -151,20 +186,13 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     # [rho0, H] = 0 (thermal starts); each later row starts from the previous
     # row's F eigenbasis.
     basis = rho0.spectrum.eigenvectors
+    size, index = _block_rows(cfg.model.dim), 0
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for i, (before, (state, trace_defect), after) in enumerate(_with_neighbours(states)):
-            decomp = free_energy_operator(state, ctx, tol=tol)
-            f_spectrum = hermitian_eig(decomp.f_op, basis=basis, tol=tol)
-            basis = f_spectrum.eigenvectors
-            p_an = power_analytic(liouvillian(cfg.model, state, tol=tol), decomp, tol=tol)
-            p_fd = None if before is None or after is None else \
-                power_fd(before[0], after[0], step, ctx)
-            thetas = compute_theta_report(decomp, f_spectrum, state, cfg.model, tol=tol)
-            row = [grid[i], state.energy(cfg.model.hamiltonian), state.entropy, decomp.mean,
-                   p_an, p_fd, *(ch.theta_operator for ch in thetas.channels),
-                   trace_defect, state.min_eigenvalue]
-            fh.write(",".join(_csv_cell(value) for value in row) + "\n")
+        for previous, block, following in _blocks(states, size):
+            basis = _write_rows(fh, grid[index:index + len(block)], previous, block, following,
+                                ctx, step, basis, tol)
+            index += len(block)
     return EXIT_OK
 
 

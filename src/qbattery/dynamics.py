@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import (DimensionError, ConsistencyError, ParameterError,
                      PropagationError, ValidationError)
-from .linalg import HermitianMatrix, Spectrum, as_square_matrix, dagger, hermitian_eig, max_abs
+from .linalg import (HermitianMatrix, Spectrum, _hermitian, _Rows, as_square_matrix, dagger,
+                     hermitian_eig)
 from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_at_least,
                          _finite_positive, _integer, _open_unit)
 
@@ -136,6 +137,16 @@ class JumpChannel:
         op.flags.writeable = False
         object.__setattr__(self, "operator", op)
 
+    @classmethod
+    def _trusted(cls, rate: float, operator: np.ndarray) -> "JumpChannel":
+        """A channel of a float rate >= 0 and a finite square complex array that
+        the caller owns: the array is made read-only, not copied or scanned."""
+        out = object.__new__(cls)
+        operator.flags.writeable = False
+        object.__setattr__(out, "rate", rate)
+        object.__setattr__(out, "operator", operator)
+        return out
+
     @property
     def dim(self) -> int:
         return self.operator.shape[0]
@@ -160,6 +171,15 @@ class LindbladModel:
             if ch.dim != ham.dim:
                 raise DimensionError(
                     f"channel {j} has dimension {ch.dim}, expected {ham.dim}")
+
+    @classmethod
+    def _trusted(cls, hamiltonian: HermitianMatrix,
+                 channels: tuple[JumpChannel, ...]) -> "LindbladModel":
+        """A model of channels that match the dimension (at least 2) of `hamiltonian`."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "hamiltonian", hamiltonian)
+        object.__setattr__(out, "channels", channels)
+        return out
 
     @property
     def dim(self) -> int:
@@ -191,16 +211,26 @@ def _generator_matrix(h: np.ndarray, terms, rho: np.ndarray) -> np.ndarray:
 
 def liouvillian(model: LindbladModel, rho: DensityMatrix, *,
                 tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
-    """Full GKSL right-hand side: -i[H, rho] + sum_j gamma_j D_j[rho]."""
+    """Full GKSL right-hand side: -i[H, rho] + sum_j gamma_j D_j[rho]; the
+    one-state case of _liouvillians."""
     if rho.dim != model.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {model.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):  # HermitianMatrix names inf/nan
-        raw = _generator_matrix(model.hamiltonian.matrix, _generator_terms(model), rho.matrix)
-    out = HermitianMatrix(raw, tol=tol)
-    defect = abs(complex(out.matrix.trace()))
-    if defect > tol.generator_trace * max(1.0, max_abs(out.matrix)):
-        raise ConsistencyError(f"liouvillian trace defect {defect:.3e}")
-    return out
+    out, defect = _Rows.single(_liouvillians, model, rho.matrix[None], tol)
+    return HermitianMatrix._trusted(out[0], float(defect[0]))
+
+
+def _liouvillians(rows: _Rows, model: LindbladModel, rho: np.ndarray, tol: ToleranceConfig):
+    """liouvillian of each state of the stack rho (k, d, d), as _hermitian
+    returns it: the generator's scan, then |tr L(rho)| <= generator_trace *
+    max(1, ||L(rho)||_max).  A failure cuts `rows`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _hermitian names inf/nan
+        out, defect = _hermitian(
+            rows, _generator_matrix(model.hamiltonian.matrix, _generator_terms(model), rho), tol)
+        trace = np.abs(out.trace(axis1=1, axis2=2))
+        bound = tol.generator_trace * np.maximum(1.0, np.abs(out).max(axis=(1, 2)))
+        rows.check(trace > bound,
+                   lambda i: ConsistencyError(f"liouvillian trace defect {trace[i]:.3e}"))
+    return out, defect
 
 
 def _uniform_grid(t_grid) -> np.ndarray:

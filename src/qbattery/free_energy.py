@@ -12,10 +12,21 @@ and the per-channel commutator fluctuation
     Theta_j = < |[deltaF, L_j]|^2 >,  |A|^2 = A A^dag,
 
 evaluated two ways, cross-checked: as an operator expectation and as an
-explicit index sum in the deltaF eigenbasis.  The closed forms that apply
-when the state is an eigenstate of the Hamiltonian, and the structural
-vanishing condition they are tested against, are read for a stack of
-instances by audit (audit.evaluate_instance is its one-instance case).
+explicit index sum in the deltaF eigenbasis.
+
+These are evaluated for a stack of states at once: _evaluate_rows takes a
+block of `run` states through _decompose (ln rho, F, <F> and its
+cross-check, deltaF), F's eigensolves one state at a time, _liouvillians,
+_powers and _thetas (_operator_thetas and _index_thetas), each check cutting
+the block at its first failing row (linalg._Rows); a block of sweep rungs
+goes through _liouvillians, _decompose and _powers (audit._sweep_rungs).
+free_energy_operator, power_analytic, theta_operator_form, theta_index_form
+and compute_theta_report are their one-state cases and give the same bits.
+
+The closed forms that apply when the state is an eigenstate of the
+Hamiltonian, and the structural vanishing condition they are tested against,
+are read for a stack of instances by audit (audit.evaluate_instance is its
+one-instance case).
 
 Index conventions: for a basis {|i>}, A^{ik} = <i|A|k> = components[i, k];
 w is the spectrum of deltaF, and the index sums are invariant under a common
@@ -29,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, LindbladModel
-from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
-from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _require_finite,
-                     abs_sq, dagger, matrix_function, max_abs)
+from .dynamics import DensityMatrix, LindbladModel, _liouvillians
+from .errors import (ConsistencyError, DimensionError, QBatteryError, RankDeficientError,
+                     ValidationError)
+from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _finite, _hermitian,
+                     _lift, _Rows, _stack, dagger, hermitian_eig)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive
 
 __all__ = [
@@ -54,6 +66,18 @@ __all__ = [
 
 # ln(rho) needs a full-rank state: a state eigenvalue at or below this is rank deficient
 RANK_THRESHOLD = 1e-12
+
+# Bytes of one stacked d x d complex matrix in a block of states (`run` rows,
+# `sweep` rungs): a block holds max(1, _BLOCK_BYTES // (16 d^2)) states, 32 at
+# d = 2, 14 at d = 3 and 1 from d = 9.  A block's states and stacks add to the
+# peak resident set: over one row at a time, a qutrit_ladder run grew VmHWM by
+# about 20 KiB more at this bound and 56 KiB more at twice it, which was no faster.
+_BLOCK_BYTES = 2048
+
+
+def _block_rows(dim: int) -> int:
+    """States in a block at dimension `dim`."""
+    return max(1, _BLOCK_BYTES // (16 * dim * dim))
 
 
 @dataclass(frozen=True)
@@ -90,7 +114,8 @@ class FreeEnergyDecomposition:
 
 def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
                          tol: ToleranceConfig = DEFAULT_TOLERANCES) -> FreeEnergyDecomposition:
-    """F = H + (1/beta) ln(rho) for a full-rank state.
+    """F = H + (1/beta) ln(rho) for a full-rank state: the one-state case of
+    _decompose.
 
     ln(rho) is lifted from rho.spectrum and kept on the decomposition.  The
     mean is computed as tr(F rho) and cross-checked against
@@ -100,32 +125,49 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
     """
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
-    smallest = float(rho.spectrum.eigenvalues[0])
-    if smallest <= RANK_THRESHOLD:
-        raise RankDeficientError(
-            f"state is rank deficient for ln(rho): smallest eigenvalue "
-            f"{smallest:.3e} <= threshold {RANK_THRESHOLD:.3e}",
-            smallest_eigenvalue=smallest)
-    log_rho = matrix_function(rho.spectrum, math.log, tol=tol)
-    # ln(rho)/beta overflows for a small enough beta; HermitianMatrix scans it
+    log_rho, f_op, delta, mean = _Rows.single(_decompose, rho.matrix[None], [rho], ctx, tol)
+    return FreeEnergyDecomposition(_first(f_op), _first(delta), float(mean[0]), _first(log_rho))
+
+
+def _first(stacked) -> HermitianMatrix:
+    """The first matrix of a stack as _hermitian returns it."""
+    sym, defect = stacked
+    return HermitianMatrix._trusted(sym[0], float(defect[0]))
+
+
+def _decompose(rows: _Rows, rho: np.ndarray, states, ctx: BatteryContext, tol: ToleranceConfig):
+    """free_energy_operator of each of the states, whose matrices are the stack
+    rho (k, d, d): ln(rho), F and deltaF as _hermitian returns them, and <F>
+    (k,).  A failure cuts `rows`."""
+    hamiltonian, beta = ctx.model.hamiltonian, ctx.beta
+    values = _stack([state.spectrum.eigenvalues for state in states])
+    smallest = values[:, 0]
+    rows.check(smallest <= RANK_THRESHOLD, lambda i: RankDeficientError(
+        f"state is rank deficient for ln(rho): smallest eigenvalue "
+        f"{smallest[i]:.3e} <= threshold {RANK_THRESHOLD:.3e}",
+        smallest_eigenvalue=float(smallest[i])))
+    log_rho = _lift(rows, values, _stack([state.spectrum.eigenvectors for state in states]),
+                    math.log, tol)
+    # mean_free_energy's arithmetic, on the tr(rho H) each state keeps
+    from_entropy = np.array([state.energy(hamiltonian) - state.entropy / beta
+                             for state in states])
+    # ln(rho)/beta overflows for a small enough beta: F's scan names it, and
+    # deltaF's a non-finite <F>; the rest belongs to rows past the cut
     with np.errstate(over="ignore", invalid="ignore"):
-        f_matrix = ctx.model.hamiltonian.matrix + log_rho.matrix / ctx.beta
-    try:
-        f_op = HermitianMatrix(f_matrix, tol=tol)
-    except ValidationError as exc:
-        raise ValidationError(f"F = H + ln(rho)/beta at beta = {ctx.beta!r}: {exc}") from exc
-    mean = float((f_op.matrix @ rho.matrix).trace().real)
-    # mean_free_energy's arithmetic, on the tr(rho H) the state keeps
-    mean_from_entropy = rho.energy(ctx.model.hamiltonian) - rho.entropy / ctx.beta
-    if abs(mean - mean_from_entropy) > tol.mean_crosscheck * max(1.0, abs(mean)):
-        raise ConsistencyError(
-            f"<F> disagrees between forms: trace {mean!r} "
-            f"vs energy-entropy {mean_from_entropy!r}")
-    delta = HermitianMatrix(f_op.matrix - mean * _constants(f_op.dim)[0], tol=tol)
-    zero_mean = abs(complex((rho.matrix @ delta.matrix).trace()))
-    if zero_mean > tol.zero_mean * max(1.0, max_abs(f_op.matrix)):
-        raise ValidationError(f"tr(rho deltaF) = {zero_mean:.3e} is not zero")
-    return FreeEnergyDecomposition(f_op, delta, mean, log_rho)
+        f_op = _hermitian(rows, hamiltonian.matrix + log_rho[0] / beta, tol,
+                          f"F = H + ln(rho)/beta at beta = {beta!r}: ")
+        mean = (f_op[0] @ rho).trace(axis1=1, axis2=2).real
+        rows.check(np.abs(mean - from_entropy) > tol.mean_crosscheck * np.fmax(1.0, np.abs(mean)),
+                   lambda i: ConsistencyError(
+                       f"<F> disagrees between forms: trace {float(mean[i])!r} "
+                       f"vs energy-entropy {float(from_entropy[i])!r}"))
+        delta = _hermitian(rows, f_op[0] - mean[:, None, None] * _constants(rho.shape[-1])[0],
+                           tol)
+        zero_mean = np.abs((rho @ delta[0]).trace(axis1=1, axis2=2))
+        bound = tol.zero_mean * np.maximum(1.0, np.abs(f_op[0]).max(axis=(1, 2)))
+        rows.check(zero_mean > bound, lambda i: ValidationError(
+            f"tr(rho deltaF) = {zero_mean[i]:.3e} is not zero"))
+    return log_rho, f_op, delta, mean
 
 
 def mean_free_energy(rho: DensityMatrix, ctx: BatteryContext) -> float:
@@ -137,18 +179,26 @@ def mean_free_energy(rho: DensityMatrix, ctx: BatteryContext) -> float:
 
 def power_analytic(rate: HermitianMatrix, decomp: FreeEnergyDecomposition, *,
                    tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Charging power P = d<F>/dt realized as tr(L(rho) F).
+    """Charging power P = d<F>/dt realized as tr(L(rho) F); the one-state case
+    of _powers.
 
     `rate` is the GKSL right-hand side L(rho) (see liouvillian) at the state
     `decomp` was built from.  Exact because tr L(rho) = 0.
     """
     if rate.dim != decomp.dim:
         raise DimensionError(f"rate dimension {rate.dim} vs decomposition {decomp.dim}")
+    return float(_Rows.single(_powers, rate.matrix[None], decomp.f_op.matrix[None], tol)[0])
+
+
+def _powers(rows: _Rows, rate: np.ndarray, f_op: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """power_analytic of each pair (L(rho), F) of the stacks rate and f_op:
+    tr(L(rho) F), real to theta_imag * max(1, |P|).  A failure cuts `rows`."""
     with np.errstate(over="ignore", invalid="ignore"):  # callers' scans name inf/nan
-        value = complex((rate.matrix @ decomp.f_op.matrix).trace())
-    if abs(value.imag) > tol.theta_imag * max(1.0, abs(value)):
-        raise ConsistencyError(f"power has imaginary residual {value.imag:.3e}")
-    return float(value.real)
+        value = (rate @ f_op).trace(axis1=1, axis2=2)
+        residual = np.abs(value.imag) > tol.theta_imag * np.fmax(1.0, np.abs(value))
+    rows.check(residual, lambda i: ConsistencyError(
+        f"power has imaginary residual {value[i].imag:.3e}"))
+    return value.real
 
 
 def power_fd(before: DensityMatrix, after: DensityMatrix, step: float,
@@ -161,20 +211,36 @@ def power_fd(before: DensityMatrix, after: DensityMatrix, step: float,
 
 def theta_operator_form(decomp: FreeEnergyDecomposition, rho: DensityMatrix, l, *,
                         tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Theta = tr(rho |[deltaF, L]|^2); real and nonnegative up to tolerance."""
+    """Theta = tr(rho |[deltaF, L]|^2); real and nonnegative up to tolerance.
+    The one-state case of _operator_thetas."""
     l = _checked_square(l, "jump operator")
     if l.shape[0] != decomp.dim or rho.dim != decomp.dim:
         raise DimensionError("operator, state, and decomposition dimensions differ")
+    return float(_Rows.single(_operator_thetas, decomp.delta_f.matrix[None], rho.matrix[None],
+                              l, tol)[0])
+
+
+def _operator_thetas(rows: _Rows, delta: np.ndarray, rho: np.ndarray, l: np.ndarray,
+                     tol: ToleranceConfig, context: str = "") -> np.ndarray:
+    """theta_operator_form of each pair (deltaF, rho) of the stacks delta and
+    rho, for one jump operator l: the commutator C and |C|^2 = C C^dag are
+    scanned (their failures prefixed by `context`), then tr(rho |C|^2) must be
+    real to theta_imag and not below -theta_psd_slack, both times
+    max(1, |Theta|).  A failure cuts `rows`."""
     with np.errstate(over="ignore", invalid="ignore"):  # both products are scanned
-        c = _require_finite(decomp.delta_f.matrix @ l - l @ decomp.delta_f.matrix, "commutator")
-        squared = abs_sq(c, tol=tol)
-    value = complex((rho.matrix @ squared.matrix).trace())
-    scale = max(1.0, abs(value))
-    if abs(value.imag) > tol.theta_imag * scale:
-        raise ConsistencyError(f"Theta has imaginary residual {value.imag:.3e}")
-    if value.real < -tol.theta_psd_slack * scale:
-        raise ConsistencyError(f"Theta = {value.real:.3e} is negative beyond the PSD slack")
-    return float(value.real)
+        c = delta @ l - l @ delta
+        rows.check(~_finite(c), lambda i: ValidationError(
+            f"{context}commutator: non-finite entries in result"))
+        squared, _ = _hermitian(rows, c @ dagger(c), tol, context)
+        value = (rho @ squared).trace(axis1=1, axis2=2)
+        scale = np.fmax(1.0, np.abs(value))
+        residual = np.abs(value.imag) > tol.theta_imag * scale
+        negative = value.real < -tol.theta_psd_slack * scale
+    rows.check(residual, lambda i: ConsistencyError(
+        f"Theta has imaginary residual {value[i].imag:.3e}"))
+    rows.check(negative, lambda i: ConsistencyError(
+        f"Theta = {value[i].real:.3e} is negative beyond the PSD slack"))
+    return value.real
 
 
 def theta_index_form(w, rho_components, l_components, *,
@@ -187,7 +253,7 @@ def theta_index_form(w, rho_components, l_components, *,
     The weight factors as (w_i - w_l)(w_i - w_k), so the sum is invariant
     under a common shift of w and vanishes when w is constant.  With
     W^{ki} = L^{ki} (w_i - w_k) it is sum_{l,i} conj(W^{li}) (rho W)^{li},
-    which is how it is evaluated.
+    which is how it is evaluated.  The one-state case of _index_thetas.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     rho_c = _checked_square(rho_components, "rho components")
@@ -195,11 +261,24 @@ def theta_index_form(w, rho_components, l_components, *,
     d = w.size
     if rho_c.shape != (d, d) or l_c.shape != (d, d):
         raise DimensionError("component arrays must match the length of w")
-    weighted = l_c * (w[None, :] - w[:, None])
-    total = complex((weighted.conj() * (rho_c @ weighted)).sum())
-    if abs(total.imag) > tol.theta_imag * max(1.0, abs(total)):
-        raise ConsistencyError(f"index-form Theta has imaginary residual {total.imag:.3e}")
-    return float(total.real)
+    return float(_Rows.single(_index_thetas, w[None], rho_c[None], l_c[None], tol)[0])
+
+
+def _index_thetas(rows: _Rows, w: np.ndarray, rho_c: np.ndarray, l_c: np.ndarray,
+                  tol: ToleranceConfig) -> np.ndarray:
+    """theta_index_form of each triple (w, rho components, L components) of the
+    stacks (k, d), (k, d, d) and (k, d, d): the components are scanned, then
+    the sum must be real to theta_imag * max(1, |Theta|).  A failure cuts `rows`."""
+    rows.check(~_finite(rho_c), lambda i: ValidationError("rho components: non-finite entries"))
+    rows.check(~_finite(l_c),
+               lambda i: ValidationError("operator components: non-finite entries"))
+    with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
+        weighted = l_c * (w[:, None, :] - w[:, :, None])
+        total = (weighted.conj() * (rho_c @ weighted)).sum(axis=(1, 2))
+        residual = np.abs(total.imag) > tol.theta_imag * np.fmax(1.0, np.abs(total))
+    rows.check(residual, lambda i: ConsistencyError(
+        f"index-form Theta has imaginary residual {total[i].imag:.3e}"))
+    return total.real
 
 
 @dataclass(frozen=True)
@@ -219,7 +298,8 @@ class ThetaReport:
 def compute_theta_report(decomp: FreeEnergyDecomposition, f_spectrum: Spectrum,
                          rho: DensityMatrix, model: LindbladModel, *,
                          tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ThetaReport:
-    """Theta per channel, operator form against index form.
+    """Theta per channel, operator form against index form: the one-state case
+    of _thetas.
 
     The index form reads deltaF's eigensystem from `f_spectrum`, the
     eigendecomposition of decomp.f_op, as w = lambda(F) - <F>: deltaF shares
@@ -233,23 +313,70 @@ def compute_theta_report(decomp: FreeEnergyDecomposition, f_spectrum: Spectrum,
     if f_spectrum.eigenvalues.size != decomp.dim:
         raise DimensionError(f"spectrum dimension {f_spectrum.eigenvalues.size} "
                              f"vs decomposition {decomp.dim}")
-    w, u = f_spectrum.eigenvalues - decomp.mean, f_spectrum.eigenvectors
-    u_dag = dagger(u)  # rho, L and U were checked when built
-    rho_c = u_dag @ rho.matrix @ u
-    entries = []
-    for j, ch in enumerate(model.channels):
-        l_c = u_dag @ ch.operator @ u
+    forms = _Rows.single(_thetas, decomp.delta_f.matrix[None], rho.matrix[None],
+                         (f_spectrum.eigenvalues - decomp.mean)[None],
+                         f_spectrum.eigenvectors[None], model, tol)
+    return ThetaReport(tuple(ChannelTheta(float(t_op[0]), float(t_ix[0]),
+                                          float(t_ix[0] - t_op[0])) for t_op, t_ix in forms))
+
+
+def _thetas(rows: _Rows, delta: np.ndarray, rho: np.ndarray, w: np.ndarray, u: np.ndarray,
+            model: LindbladModel, tol: ToleranceConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """compute_theta_report of each state of a stack, from the stacks deltaF,
+    rho and deltaF's spectra (w, u): per channel of `model`, the operator form,
+    then the index form from the components U^dag rho U and U^dag L U (rho, L
+    and U were checked when built), then their agreement.  Returns (operator,
+    index) forms per channel, each (k,).  A failure cuts `rows`."""
+    u_dag, forms = dagger(u), []
+    # each product is scanned where it is read, or belongs to rows past the cut
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_c = u_dag @ rho @ u
+        for j, ch in enumerate(model.channels):
+            t_op = _operator_thetas(rows, delta, rho, ch.operator, tol,
+                                    f"Theta of channel {j}, |[deltaF, L]|^2: ")
+            t_ix = _index_thetas(rows, w, rho_c, u_dag @ ch.operator @ u, tol)
+            rows.check(np.abs(t_ix - t_op) > tol.theta_discrepancy * np.fmax(1.0, t_op),
+                       lambda i: ConsistencyError(
+                           f"channel {j}: Theta forms disagree: operator {float(t_op[i])!r} "
+                           f"vs index {float(t_ix[i])!r}"))
+            forms.append((t_op, t_ix))
+    return forms
+
+
+def _evaluate_rows(states, ctx: BatteryContext, basis: np.ndarray, tol: ToleranceConfig):
+    """The values of `run` rows for a block of states, stacked: _decompose,
+    then each F's eigensolve, one state at a time and warm-started from the F
+    eigenbasis of the state before (`basis` for the first), then L(rho), the
+    power and both Theta forms (_liouvillians, _powers, _thetas).  Every value
+    has the bits of the one-state functions.
+
+    Returns the _Rows (rows.n rows passed; rows.error is the first failing
+    check of the earliest failing row), <F>, P and the operator-form Theta_j
+    of each passed row as lists, and the F eigenbasis of its last row.
+    """
+    rows = _Rows(len(states))
+    rho = _stack([state.matrix for state in states])
+    _, (f_op, f_defect), delta, mean = _decompose(rows, rho, states, ctx, tol)
+    spectra = []
+    for i in range(rows.n):
         try:
-            t_op = theta_operator_form(decomp, rho, ch.operator, tol=tol)
-        except ValidationError as exc:
-            raise ValidationError(f"Theta of channel {j}, |[deltaF, L]|^2: {exc}") from exc
-        t_ix = theta_index_form(w, rho_c, l_c, tol=tol)
-        disc = t_ix - t_op
-        if abs(disc) > tol.theta_discrepancy * max(1.0, t_op):
-            raise ConsistencyError(
-                f"channel {j}: Theta forms disagree: operator {t_op!r} vs index {t_ix!r}")
-        entries.append(ChannelTheta(t_op, t_ix, disc))
-    return ThetaReport(tuple(entries))
+            spectra.append(hermitian_eig(HermitianMatrix._trusted(f_op[i], float(f_defect[i])),
+                                         basis=basis, tol=tol))
+        except QBatteryError as exc:
+            rows.cut(i, exc)
+            break
+        basis = spectra[-1].eigenvectors
+    n = rows.n
+    if not n:
+        return rows, [], [], [], basis
+    power = _powers(rows, _liouvillians(rows, ctx.model, rho[:n], tol)[0], f_op[:n], tol)
+    del f_op  # the peak resident set grows with the stacks alive at once
+    w = _stack([spectrum.eigenvalues for spectrum in spectra[:n]]) - mean[:n, None]
+    u = _stack([spectrum.eigenvectors for spectrum in spectra[:n]])
+    forms = _thetas(rows, delta[0][:n], rho[:n], w, u, ctx.model, tol)
+    columns = [t_op.tolist() for t_op, _ in forms]
+    thetas = [[column[i] for column in columns] for i in range(rows.n)]
+    return rows, mean[:rows.n].tolist(), power[:rows.n].tolist(), thetas, basis
 
 
 @dataclass(frozen=True)

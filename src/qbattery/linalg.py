@@ -7,10 +7,16 @@ through the spectral decomposition.
 
 The eigensolver sweeps in Brent-Luk round-robin order (Brent & Luk, SIAM J.
 Sci. Stat. Comput. 6(1), 1985): each round rotates d/2 disjoint pairs at
-once, applied as one matrix product.  Jacobi is kept over LAPACK for its
-accuracy on small eigenvalues (Demmel & Veselic, SIAM J. Matrix Anal. Appl.
-13(4), 1992), which ln(rho) needs, and because it keeps the resident memory
-of a run flat; the tie and phase conventions do not depend on the ordering.
+once, applied as one matrix product; the tie and phase conventions do not
+depend on the ordering.  Jacobi is kept over LAPACK for the resident memory
+of a call, which the benchmark bounds, and not for accuracy: against 40-digit
+references on states with smallest eigenvalues down to 1e-12, LAPACK's eigh
+followed by Rayleigh quotients is as accurate (ROADMAP, item 10).  In a
+process that has already run a d x d matmul, a first np.linalg.eigh at
+d = 32 raises the peak resident set by 1620 KiB, 1436 KiB of it OpenBLAS
+code pages and 128 KiB libgfortran; a first eigvalsh adds 976 KiB and a
+first cholesky 364 KiB (2-vCPU Xeon, numpy 2.4 with scipy-openblas 0.3.31).
+Swapping the solver waits on a decision about that bound.
 Along a trajectory the solver is warm-started from the eigenvectors of the
 previous state, which leaves a nearly diagonal matrix that converges in a few
 sweeps; exact ties then follow the order of that start basis.  Many cold solves
@@ -78,10 +84,70 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return _checked_square(a, name).copy()
 
 
-def _require_finite(a: np.ndarray, context: str) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{context}: non-finite entries in result")
-    return a
+class _Rows:
+    """The leading rows [0, n) of a stacked evaluation that passed every check
+    so far, and `error`, the first check that row n failed (None while all k
+    pass).  Applying each row's checks in that row's own order, as cuts, leaves
+    the earliest failing row and its first failing check: what evaluating the
+    rows one by one would raise first.  Values of rows at or past the cut are
+    computed but never read."""
+
+    __slots__ = ("n", "error")
+
+    def __init__(self, k: int):
+        self.n, self.error = k, None
+
+    def cut(self, i: int, error: Exception) -> None:
+        """Row i < n failed with `error`."""
+        self.n, self.error = i, error
+
+    def check(self, bad: np.ndarray, error: Callable[[int], Exception]) -> None:
+        """Cut at the first row i < n where `bad` holds; error(i) is its exception."""
+        if self.n:
+            i = int(bad[:self.n].argmax())  # the first true entry, if there is one
+            if bad[i]:
+                self.cut(i, error(i))
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+    @classmethod
+    def single(cls, core: Callable, *args):
+        """core(rows, *args) on one-row stacks, raising that row's failure."""
+        rows = cls(1)
+        out = core(rows, *args)
+        rows.raise_first()
+        return out
+
+
+def _stack(arrays) -> np.ndarray:
+    """The arrays, of one shape, stacked on a new first axis; one array is viewed,
+    not copied, so a one-row stack allocates nothing."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack m (k, d, d) is finite."""
+    return np.isfinite(m).all(axis=(1, 2))
+
+
+def _hermitian(rows: _Rows, m: np.ndarray, tol: ToleranceConfig, context: str = ""):
+    """HermitianMatrix's checks and symmetrization, with its arithmetic, for
+    each matrix of the stack m (k, d, d): the read-only symmetrized stack and
+    the defects.  A failure, prefixed by `context`, cuts `rows`."""
+    size = np.abs(m).max(axis=(1, 2))  # nan or inf where m is not finite
+    rows.check(~np.isfinite(size),
+               lambda i: ValidationError(f"{context}hermitian matrix: non-finite entries"))
+    bound = tol.hermiticity * np.maximum(1.0, size)
+    with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
+        defect = np.abs(m - dagger(m)).max(axis=(1, 2))
+        rows.check(defect > bound, lambda i: ValidationError(
+            f"{context}hermiticity defect {defect[i]:.3e} exceeds tolerance {bound[i]:.3e}"))
+        half = 0.5 * m
+        sym = half + dagger(half)
+    sym.flags.writeable = False
+    return sym, defect
 
 
 class HermitianMatrix:
@@ -106,6 +172,15 @@ class HermitianMatrix:
         sym.flags.writeable = False
         self.matrix = sym
         self.defect = defect
+
+    @classmethod
+    def _trusted(cls, sym: np.ndarray, defect: float) -> "HermitianMatrix":
+        """A HermitianMatrix of `sym`, already symmetrized and read-only, that
+        recorded `defect`: for arrays the caller has checked and symmetrized."""
+        out = cls.__new__(cls)
+        out.matrix = sym
+        out.defect = defect
+        return out
 
     @property
     def dim(self) -> int:
@@ -421,17 +496,35 @@ def matrix_function(spectrum: Spectrum, f: Callable[[float], float], *,
     OverflowError / ZeroDivisionError or a non-finite result becomes
     DomainError reporting the offending eigenvalue.
     """
-    mapped = np.empty(spectrum.dim, dtype=float)
-    for i, lam in enumerate(spectrum.eigenvalues):
+    lifted, defect = _Rows.single(_lift, spectrum.eigenvalues[None],
+                                  spectrum.eigenvectors[None], f, tol)
+    return HermitianMatrix._trusted(lifted[0], float(defect[0]))
+
+
+def _lift(rows: _Rows, values: np.ndarray, vectors: np.ndarray, f: Callable[[float], float],
+          tol: ToleranceConfig):
+    """matrix_function of each spectrum (values (k, d), vectors (k, d, d)) of a
+    stack: the lifted stack as _hermitian returns it.  A row holding an
+    eigenvalue where f is undefined or not finite cuts `rows` there."""
+    mapped = np.zeros(values.shape)
+    for i in range(rows.n):
         try:
-            value = f(float(lam))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"f({lam!r}) undefined: {exc}", eigenvalue=float(lam)) from exc
-        if not math.isfinite(value):
-            raise DomainError(f"f({lam!r}) = {value!r} is not finite", eigenvalue=float(lam))
-        mapped[i] = value
-    out = (spectrum.eigenvectors * mapped) @ dagger(spectrum.eigenvectors)
-    return HermitianMatrix(out, tol=tol)
+            mapped[i] = [_defined(f, lam) for lam in values[i]]
+        except DomainError as exc:
+            rows.cut(i, exc)
+            break
+    return _hermitian(rows, (vectors * mapped[:, None, :]) @ dagger(vectors), tol)
+
+
+def _defined(f: Callable[[float], float], lam: np.float64) -> float:
+    """f(lam), or DomainError naming the eigenvalue where f is undefined or not finite."""
+    try:
+        value = f(float(lam))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"f({lam!r}) undefined: {exc}", eigenvalue=float(lam)) from exc
+    if not math.isfinite(value):
+        raise DomainError(f"f({lam!r}) = {value!r} is not finite", eigenvalue=float(lam))
+    return value
 
 
 def abs_sq(a, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qbattery import audit, cli, dynamics, free_energy, linalg
@@ -14,10 +15,11 @@ from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
                             EpsilonSweepReport, FalsifierReport, reevaluate_witness)
 from qbattery.cli import main, parse_tol_overrides
 from qbattery.config import CHECK_DIM_MAX, RUN_STEPS_MAX, config_to_dict, parse_config
-from qbattery.errors import ConfigError
-from qbattery.tolerances import ToleranceConfig
+from qbattery.errors import ConfigError, PropagationError
+from qbattery.tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+DEFAULT_BLOCK_BYTES = free_energy._BLOCK_BYTES
 
 MINIMAL_RUN = {
     "dim": 2,
@@ -48,6 +50,29 @@ def extreme_config(tmp_path, family, scale):
         initial_state={"kind": "eigenstate", "k0": 0, "epsilon": 1e-3},
         time={"t0": 0.0, "step": 0.001, "horizon": 0.01}, epsilons=[1e-2, 1e-3]))
     return cfg
+
+
+def block_bytes(dim, rows):
+    """The block byte bound that gives `rows` rows per block at `dim` (None: the default)."""
+    return DEFAULT_BLOCK_BYTES if rows is None else 16 * dim * dim * rows
+
+
+def seeded_config(dim, seed):
+    """A run config: a seeded Ginibre Hamiltonian and two seeded Ginibre channels
+    of rate 0.5, from the thermal state."""
+    rng = np.random.default_rng(seed)
+
+    def ginibre():
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    def pairs(matrix):
+        return [[[z.real, z.imag] for z in row] for row in matrix.tolist()]
+
+    g = ginibre()
+    return dict(json.loads(config_text(dim=dim, epsilons=None)),
+                hamiltonian=pairs(0.5 * (g + g.conj().T)),
+                channels=[{"rate": 0.5, "matrix": pairs(0.5 * ginibre())} for _ in range(2)],
+                initial_state={"kind": "thermal"})
 
 
 @pytest.fixture
@@ -224,6 +249,15 @@ class TestTolOverrides:
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             parse_tol_overrides(["propagation_trace=abc"])
+
+    def test_no_override_is_the_default_itself(self, monkeypatch):
+        # nothing to apply, so no copy of the defaults is built and checked
+        built = []
+        check = ToleranceConfig.__post_init__
+        monkeypatch.setattr(ToleranceConfig, "__post_init__",
+                            lambda tol: built.append(tol) or check(tol))
+        assert parse_tol_overrides([]) is DEFAULT_TOLERANCES
+        assert built == []
 
 
 DELETE = object()
@@ -488,6 +522,68 @@ class TestRunCommand:
         assert all(rows[i]["power_fd"] != "" for i in (1, 2, 3))
         assert rows[0]["power_fd"] == "" and rows[4]["power_fd"] == ""
 
+    def blocked_run(self, tmp_path, monkeypatch, capsys, data, rows_per_block):
+        """Exit code, stderr, CSV bytes and Jacobi sweep count of `run` on the
+        config `data`, with blocks of `rows_per_block` rows (None: the default
+        bound).  A solve fetches the round-robin schedule once per sweep, so
+        the count shows each F solve warm-started from the row before."""
+        monkeypatch.setattr(free_energy, "_BLOCK_BYTES", block_bytes(data["dim"], rows_per_block))
+        sweeps, schedule = [], linalg._round_robin
+        monkeypatch.setattr(linalg, "_round_robin", lambda d: sweeps.append(d) or schedule(d))
+        cfg, out = tmp_path / "blocked.json", tmp_path / "blocked.csv"
+        cfg.write_text(json.dumps(data))
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        return code, capsys.readouterr().err, out.read_bytes(), len(sweeps)
+
+    @pytest.mark.parametrize("name", ["qubit_sigma_x", "qubit_dark_state", "qutrit_ladder",
+                                      "thermal_stationary", "seeded_d4"])
+    def test_block_size_leaves_the_csv_unchanged(self, tmp_path, monkeypatch, capsys, name):
+        # 101 rows: several whole blocks and a partial one at every size
+        data = seeded_config(4, 4) if name == "seeded_d4" else \
+            json.loads((SCENARIOS / f"{name}.json").read_text())
+        data["time"]["horizon"] = 100 * data["time"]["step"]
+        runs = [self.blocked_run(tmp_path, monkeypatch, capsys, data, k) for k in (1, 2, None)]
+        assert runs[0][:2] == (0, "")
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert len(runs[0][2].splitlines()) == 102
+
+    def breach_config(self, epsilon):
+        # RK4 at gamma h = 3.125 multiplies the excited population by 1.645 a
+        # step, from epsilon / 2: the ground population turns negative at step 5
+        return json.loads(config_text(
+            channels=[{"rate": 100.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}],
+            initial_state={"kind": "eigenstate", "k0": 0, "epsilon": epsilon},
+            time={"t0": 0.0, "step": 0.03125, "horizon": 0.5}, epsilons=None))
+
+    @pytest.mark.parametrize("rows_per_block", [2, 3, None])
+    def test_a_breach_inside_a_block_leaves_the_prefix(self, tmp_path, monkeypatch, capsys,
+                                                        rows_per_block):
+        data = self.breach_config(0.2)
+        one = self.blocked_run(tmp_path, monkeypatch, capsys, data, 1)
+        assert self.blocked_run(tmp_path, monkeypatch, capsys, data, rows_per_block) == one
+        assert one[0] == 3 and one[1].startswith("numeric failure: step 5 (t = 0.15625):")
+        rows = read_csv(tmp_path / "blocked.csv")
+        assert len(rows) == 5
+        assert [r["power_fd"] == "" for r in rows] == [True, False, False, False, True]
+
+    @pytest.mark.parametrize("rows_per_block", [2, 3, None])
+    def test_an_evaluation_failure_wins_over_a_later_breach(self, tmp_path, monkeypatch,
+                                                            capsys, rows_per_block):
+        # this epsilon leaves a ground population of 1e-13 at step 4: the state
+        # passes propagation's -1e-8 floor but not ln(rho)'s rank threshold, and
+        # step 5 breaches; row 4 fails first, as it did row by row
+        data = self.breach_config(0.2730003158137723)
+        cfg = parse_config(json.dumps(data), "run")
+        with pytest.raises(PropagationError, match="step 5"):
+            for _ in dynamics.propagate(cfg.model, cli._initial_state(cfg, ToleranceConfig()),
+                                        cfg.time.grid()):
+                pass
+        one = self.blocked_run(tmp_path, monkeypatch, capsys, data, 1)
+        assert self.blocked_run(tmp_path, monkeypatch, capsys, data, rows_per_block) == one
+        assert one[:2] == (3, "numeric failure: state is rank deficient for ln(rho): "
+                              "smallest eigenvalue 9.998e-14 <= threshold 1.000e-12\n")
+        assert len(read_csv(tmp_path / "blocked.csv")) == 4
+
     def high_temperature_run(self, tmp_path, beta, *tol):
         cfg = tmp_path / "hot.json"
         cfg.write_text(config_text(beta=beta, time={"t0": 0.0, "step": 0.01, "horizon": 1.0}))
@@ -681,6 +777,34 @@ class TestReportCommands:
             assert data["config"]["time"] == dict(grid, t0=0.0)
             reports.append(data["report"])
         assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("qubit_dark_state", {}), ("qubit_sigma_x", {}), ("qutrit_ladder", {}),
+        # each rung's RK4 probe breaches with its own smallest eigenvalue
+        ("qubit_sigma_x", {"channels": [{"rate": 10.0, "matrix": [[0.0, 1.0], [1.0, 0.0]]}],
+                           "time": {"t0": 0.0, "step": 0.3}, "epsilons": [0.3, 0.1, 0.01]}),
+        ("qubit_sigma_x", {"epsilons": [1e-2, 1e-3, 1e-13, 1e-14]})])  # rung 2: rank deficient
+    def test_sweep_blocks_keep_the_report(self, tmp_path, monkeypatch, capsys, name, overrides):
+        # rungs are evaluated in blocks as `run` rows are: the report, or the
+        # first failing rung's error, is the same at every block size
+        data = dict(json.loads((SCENARIOS / f"{name}.json").read_text()), **overrides)
+        cfg, out = tmp_path / "sweep.json", tmp_path / "sweep.out.json"
+        cfg.write_text(json.dumps(data))
+        results = []
+        for rungs_per_block in (1, 2, None):
+            monkeypatch.setattr(free_energy, "_BLOCK_BYTES",
+                                block_bytes(data["dim"], rungs_per_block))
+            code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+            results.append((code, capsys.readouterr().err, out.exists() and out.read_bytes()))
+            out.unlink(missing_ok=True)
+        assert results[1] == results[0] and results[2] == results[0]
+        if 1e-13 in data["epsilons"]:
+            assert results[0][:2] == (3, "numeric failure: state is rank deficient for ln(rho): "
+                                         "smallest eigenvalue 5.000e-14 <= threshold 1.000e-12\n")
+            return
+        assert results[0][:2] == (0, "")
+        step_errors = [row["step_error"] for row in json.loads(results[0][2])["report"]["rows"]]
+        assert len(set(step_errors)) == (3 if "time" in overrides else 1)
 
     @pytest.mark.parametrize("name, rungs", [
         ("qubit_dark_state", 5), ("qubit_sigma_x", 7), ("qutrit_ladder", 5)])

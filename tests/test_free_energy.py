@@ -9,15 +9,15 @@ from conftest import density_matrices
 from qbattery.audit import bundled_witnesses, evaluate_instance
 from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, liouvillian,
                                propagate, regularize, thermal_state)
-from qbattery.errors import (ConsistencyError, DimensionError, ParameterError,
-                             RankDeficientError)
-from qbattery.free_energy import (BatteryContext, FreeEnergyDecomposition,
+from qbattery.errors import (ConsistencyError, ConvergenceError, DimensionError, ParameterError,
+                             QBatteryError, RankDeficientError)
+from qbattery.free_energy import (BatteryContext, FreeEnergyDecomposition, _evaluate_rows,
                                   compute_theta_report, free_energy_operator,
                                   mean_free_energy, power_analytic, power_fd,
                                   theta_index_form, theta_operator_form, vanishing_condition)
 from qbattery import linalg
 from qbattery.linalg import HermitianMatrix, dagger, hermitian_eig, matrix_function, max_abs
-from qbattery.tolerances import DEFAULT_TOLERANCES
+from qbattery.tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -423,6 +423,74 @@ class TestThetaReport:
         decomp = free_energy_operator(rho, BatteryContext(1.0, model))
         with pytest.raises(DimensionError, match="spectrum dimension 3 vs decomposition 2"):
             compute_theta_report(decomp, hermitian_eig(HermitianMatrix(np.eye(3))), rho, model)
+
+
+def rows_one_by_one(states, ctx, basis, tol):
+    """Rows evaluated one state at a time by the one-state functions: <F>, P
+    and the operator-form Thetas per row up to the first failure, and that
+    failure (None if every row passed)."""
+    out = []
+    for state in states:
+        try:
+            decomp = free_energy_operator(state, ctx, tol=tol)
+            f_spectrum = hermitian_eig(decomp.f_op, basis=basis, tol=tol)
+            basis = f_spectrum.eigenvectors
+            power = power_analytic(liouvillian(ctx.model, state, tol=tol), decomp, tol=tol)
+            report = compute_theta_report(decomp, f_spectrum, state, ctx.model, tol=tol)
+        except QBatteryError as exc:
+            return out, exc
+        out.append((decomp.mean, power, [ch.theta_operator for ch in report.channels]))
+    return out, None
+
+
+class TestStackedRows:
+    """_evaluate_rows, the stacked evaluation of a block of `run` rows, gives
+    the bits of the one-state functions, and their first failure in row order."""
+
+    def assert_like_one_by_one(self, states, ctx, basis=None, tol=DEFAULT_TOLERANCES):
+        basis = np.eye(ctx.dim, dtype=complex) if basis is None else basis
+        want, error = rows_one_by_one(states, ctx, basis, tol)
+        rows, means, powers, thetas, _ = _evaluate_rows(states, ctx, basis, tol)
+        assert list(zip(means, powers, thetas)) == want
+        assert rows.n == len(want)
+        assert (type(rows.error), str(rows.error)) == (type(error), str(error))
+        return rows.error
+
+    @pytest.mark.parametrize("d, seed", [(2, 0), (4, 1), (9, 2)])
+    def test_a_trajectory_keeps_its_bits(self, d, seed):
+        model, rho0 = thermal_ginibre(seed, d)
+        grid = np.linspace(0.0, 0.015, 16)
+        states = [state for state, _ in propagate(model, rho0, grid)]
+        ctx = BatteryContext(1.0, model)
+        assert self.assert_like_one_by_one(states, ctx, rho0.spectrum.eigenvectors) is None
+
+    def test_a_rank_deficient_row_cuts_the_block(self, rng):
+        # two rows fail the same check: the first of them is named
+        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 3)),
+                              (JumpChannel(0.8, oracles.random_ginibre(rng, 3)),))
+        full = [DensityMatrix(oracles.random_density(rng, 3)) for _ in range(3)]
+        deficient = [DensityMatrix(np.diag([0.6, 0.4 - x, x])) for x in (1e-13, 0.0)]
+        error = self.assert_like_one_by_one(
+            full[:2] + [deficient[0], full[2], deficient[1]], BatteryContext(1.0, model))
+        assert isinstance(error, RankDeficientError) and "1.000e-13" in str(error)
+
+    @pytest.mark.parametrize("override, late", [
+        ({"theta_discrepancy": 0.0}, ConsistencyError),  # the last check of a row
+        ({"jacobi_max_sweeps": 0}, ConvergenceError),    # F's solve, between the stacks
+    ])
+    @pytest.mark.parametrize("deficient_first", [False, True])
+    def test_the_earliest_failing_row_wins(self, rng, override, late, deficient_first):
+        # a full-rank row fails late in its own evaluation, a rank-deficient row
+        # at its first check: the block raises the failure of whichever comes
+        # first, as evaluating row by row did
+        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 3)),
+                              (JumpChannel(0.8, oracles.random_ginibre(rng, 3)),))
+        states = [DensityMatrix(oracles.random_density(rng, 3)),
+                  DensityMatrix(np.diag([0.6, 0.4, 0.0]))]
+        tol = ToleranceConfig(**override)
+        error = self.assert_like_one_by_one(states[::-1] if deficient_first else states,
+                                            BatteryContext(1.0, model), tol=tol)
+        assert isinstance(error, RankDeficientError if deficient_first else late)
 
 
 class TestPowerEigenstate:
