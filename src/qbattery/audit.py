@@ -34,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _dissipator_matrix,
-                       _liouvillians, propagate, regularize)
+from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _block_rows,
+                       _dissipator_matrix, _liouvillians, propagate, regularize)
 from .errors import (ConsistencyError, ParameterError, PropagationError, QBatteryError,
                      ScenarioError, ValidationError)
-from .free_energy import (BatteryContext, _block_rows, _decompose, _powers,
-                          vanishing_condition)
+from .free_energy import BatteryContext, _decompose, _powers, vanishing_condition
 from .jsonio import model_from_json, model_to_json
 from .linalg import (HermitianMatrix, _Rows, _stack, dagger, hermitian_eig, hermitian_eigs,
                      max_abs)

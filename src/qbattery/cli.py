@@ -9,7 +9,9 @@ Exit codes: 0 success (audit and check exit 0 whatever the verdicts say),
 2 configuration problem, 3 numeric failure.  `run` evaluates and writes its
 CSV per block of at most K rows, once the state after the block arrives; K
 comes from a bound on the bytes of one stacked d x d matrix
-(free_energy._block_rows).
+(dynamics._block_rows), and propagation computes its RK4 states in blocks of
+the same K, each checked as one stack and solved as one warm chain (the
+states are exactly Hermitian: the generator is X + X^dag).
 A numeric failure mid-trajectory still leaves every row computed before it
 on disk: the rows before the earliest failing row, whose first failing check
 is the error raised, ahead of a propagation breach later in its block.
@@ -31,9 +33,9 @@ import sys
 from . import __version__
 from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit, epsilon_sweep
 from .config import RunConfig, config_to_dict, parse_config
-from .dynamics import DensityMatrix, propagate, regularize, thermal_state
+from .dynamics import DensityMatrix, _block_rows, propagate, regularize, thermal_state
 from .errors import ConfigError, ParameterError, PropagationError, QBatteryError, ValidationError
-from .free_energy import RANK_THRESHOLD, BatteryContext, _block_rows, _evaluate_rows, power_fd
+from .free_energy import RANK_THRESHOLD, BatteryContext, _evaluate_rows, power_fd
 from .linalg import hermitian_eig
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 

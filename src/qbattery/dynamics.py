@@ -4,16 +4,29 @@ The master equation used throughout is the diagonal GKSL form
 
     drho/dt = -i [H, rho] + sum_j gamma_j ( L_j rho L_j^dag - {L_j^dag L_j, rho}/2 )
 
-with hbar = k_B = 1.  States are never renormalized during propagation.
-`propagate` streams the trajectory one state at a time: each state is
-checked against the propagation tolerances (trace, hermiticity, smallest
-eigenvalue) before it is yielded, and a breach raises PropagationError.  The
+with hbar = k_B = 1, evaluated as L(rho) = X + X^dag with
+
+    X = K rho + 1/2 sum_j gamma_j L_j rho L_j^dag,   K = -iH - 1/2 sum_j gamma_j L_j^dag L_j
+
+(the effective-Hamiltonian form; Breuer & Petruccione, The Theory of Open
+Quantum Systems, OUP 2002).  K and the stacked channels are formed once per
+model, so a generator costs three matrix products at any channel count, and
+its result is exactly Hermitian: so is every RK4 state, whose hermiticity
+defect is exactly 0.
+
+States are never renormalized during propagation.  `propagate` runs RK4 in
+blocks of up to _block_rows(d) states, checks each block as one stack
+against the propagation tolerances (hermiticity, trace, smallest eigenvalue;
+_checked_states, of which DensityMatrix is the one-state case), solving its
+states as one warm chain, and yields the block's states one at a time; a
+breach raises PropagationError once the states before it are yielded.  The
 trajectory prefix is whatever the consumer took before the raise; nothing
 else keeps it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Iterator
@@ -23,8 +36,8 @@ import numpy as np
 
 from .errors import (DimensionError, ConsistencyError, ParameterError,
                      PropagationError, ValidationError)
-from .linalg import (HermitianMatrix, Spectrum, _hermitian, _Rows, as_square_matrix, dagger,
-                     hermitian_eig)
+from .linalg import (HermitianMatrix, Spectrum, _chain, _checked_square, _hermitian, _Rows,
+                     _stack, as_square_matrix, dagger, hermitian_eig, max_abs)
 from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_at_least,
                          _finite_positive, _integer, _open_unit)
 
@@ -40,33 +53,53 @@ __all__ = [
 ]
 
 
+# Bytes of one stacked d x d complex matrix in a block of states (RK4 states,
+# `run` rows, `sweep` rungs): a block holds max(1, _BLOCK_BYTES // (16 d^2))
+# states, 32 at d = 2, 14 at d = 3 and 1 from d = 9.  A block's states and
+# stacks add to the peak resident set: over one row at a time, a qutrit_ladder
+# run grew VmHWM by about 20 KiB more at this bound and 56 KiB more at twice
+# it, which was no faster.  Propagating in blocks of the same size holds one
+# block of states ahead of the rows, about 20 KiB more again.
+_BLOCK_BYTES = 2048
+
+
+def _block_rows(dim: int) -> int:
+    """States in a block at dimension `dim`."""
+    return max(1, _BLOCK_BYTES // (16 * dim * dim))
+
+
 class DensityMatrix:
     """Quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Construction validates all three invariants.  The eigendecomposition is
-    computed once and cached; the positivity check, the `entropy` (computed
-    once, here) and the matrix logarithm all reuse it, as calls of `energy`
-    reuse tr(rho H).  The checks read tol.hermiticity, tol.density_trace and
-    tol.psd (the propagator passes a copy of `tol` holding its looser ones),
-    and `basis` warm-starts the eigensolver from nearby eigenvectors.
+    Construction validates all three invariants: the one-state case of
+    _checked_states.  The eigendecomposition is computed once and cached; the
+    positivity check, the `entropy` (computed once, here) and the matrix
+    logarithm all reuse it, as calls of `energy` reuse tr(rho H).  The checks
+    read tol.hermiticity, tol.density_trace and tol.psd, and `basis`
+    warm-starts the eigensolver from nearby eigenvectors.
     """
 
     __slots__ = ("hermitian", "matrix", "trace_defect", "entropy", "_spectrum", "_energy")
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                  basis: np.ndarray | None = None):
-        self.hermitian = HermitianMatrix(matrix, tol=tol)
-        self.matrix = self.hermitian.matrix
-        self.trace_defect = abs(complex(self.matrix.trace()) - 1.0)
-        if self.trace_defect > tol.density_trace:
-            raise ValidationError(f"trace defect {self.trace_defect:.3e} exceeds "
-                                  f"tolerance {tol.density_trace:.3e}")
-        self._spectrum = hermitian_eig(self.hermitian, basis=basis, tol=tol)
-        if self.min_eigenvalue < -tol.psd:
-            raise ValidationError(
-                f"smallest eigenvalue {self.min_eigenvalue:.3e} below -{tol.psd:.3e}")
-        self.entropy = von_neumann_entropy(self)
+        m = _checked_square(matrix, "hermitian matrix")
+        columns = _Rows.single(_checked_states, m[None], basis, tol,
+                               tol.hermiticity, tol.density_trace, tol.psd)
+        self._set(*(column[0] for column in columns))
+
+    def _set(self, hermitian: HermitianMatrix, trace_defect: float, spectrum: Spectrum,
+             entropy: float) -> None:
+        self.hermitian, self.matrix = hermitian, hermitian.matrix
+        self.trace_defect, self._spectrum, self.entropy = trace_defect, spectrum, entropy
         self._energy = (None, 0.0)
+
+    @classmethod
+    def _trusted(cls, *fields) -> "DensityMatrix":
+        """A state of fields that _checked_states returned for it."""
+        out = cls.__new__(cls)
+        out._set(*fields)
+        return out
 
     def energy(self, hamiltonian: HermitianMatrix) -> float:
         """tr(rho H), formed on the first call for this `hamiltonian` object."""
@@ -92,12 +125,17 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, vector, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> "DensityMatrix":
-        """Projector |v><v| onto the (normalized) vector v."""
+        """Projector |v><v| onto the (normalized) vector v.  v is divided by its
+        largest magnitude before its norm is taken, whose square would
+        otherwise overflow or underflow at extreme scales."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0 or not np.all(np.isfinite(v)):
+        largest = max_abs(v)
+        if not 0.0 < largest < math.inf:  # nan fails it too
             raise ParameterError("pure state vector must be nonzero and finite")
-        v = v / norm
+        # each part divided as a real: complex division multiplies by 1/largest,
+        # which overflows for a subnormal largest
+        v = v.real / largest + (v.imag / largest) * 1j
+        v = v / float(np.linalg.norm(v))
         return cls(np.outer(v, np.conj(v)), tol=tol)
 
     @classmethod
@@ -113,15 +151,46 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, trace_defect={self.trace_defect:.2e})"
 
 
+def _checked_states(rows: _Rows, m: np.ndarray, basis: np.ndarray | None, tol: ToleranceConfig,
+                    hermiticity: float, trace: float, psd: float):
+    """DensityMatrix's checks of each matrix of the stack m (k, d, d), in its
+    order: finite entries and a hermiticity defect within `hermiticity` *
+    max(1, ||M||_max), |tr M - 1| <= `trace`, the eigendecomposition (one
+    warm chain from `basis`), and a smallest eigenvalue >= -`psd`.  Returns,
+    for the rows that passed, the fields of their states as columns: the
+    HermitianMatrix, the trace defect, the Spectrum and the entropy.  A failure
+    cuts `rows`."""
+    sym, defect = _hermitian(rows, m, tol, hermiticity=hermiticity)
+    with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
+        trace_defect = np.abs(sym.trace(axis1=1, axis2=2) - 1.0)
+    rows.check(trace_defect > trace, lambda i: ValidationError(
+        f"trace defect {trace_defect[i]:.3e} exceeds tolerance {trace:.3e}"))
+    spectra = _chain(rows, sym, basis, tol)
+    if not spectra:
+        return [], [], [], []
+    values = _stack([spectrum.eigenvalues for spectrum in spectra])
+    smallest = values[:, 0]
+    rows.check(smallest < -psd, lambda i: ValidationError(
+        f"smallest eigenvalue {smallest[i]:.3e} below -{psd:.3e}"))
+    n = rows.n
+    return ([HermitianMatrix._trusted(sym[i], float(defect[i])) for i in range(n)],
+            trace_defect[:n].tolist(), spectra[:n], _entropies(values[:n]).tolist())
+
+
+def _entropies(values: np.ndarray) -> np.ndarray:
+    """von_neumann_entropy of each spectrum of the stack values (k, d)."""
+    lam = np.minimum(np.maximum(values, 0.0), 1.0)
+    return -(lam * np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)).sum(axis=-1)
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -sum_i lambda_i ln lambda_i in nats, with 0 ln 0 = 0.
+    """S(rho) = -sum_i lambda_i ln lambda_i in nats, with 0 ln 0 = 0, as the
+    state computed it at construction.
 
     Eigenvalues are clipped to [0, 1] first so states carrying allowed
     negativity defects still yield a finite nonnegative entropy.
     """
-    lam = np.clip(rho.spectrum.eigenvalues, 0.0, 1.0)
-    positive = lam[lam > 0.0]
-    return float(-np.sum(positive * np.log(positive)))
+    return rho.entropy
 
 
 @dataclass(frozen=True)
@@ -185,28 +254,45 @@ class LindbladModel:
     def dim(self) -> int:
         return self.hamiltonian.dim
 
+    @functools.cached_property
+    def _generator(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+        """The pieces of _generator_matrix, formed on first use: K = -iH - 1/2
+        sum_j gamma_j L_j^dag L_j and, when a channel has a nonzero rate, the
+        stacks (gamma_j/2) L_j and L_j^dag of those channels (J, d, d)."""
+        active = [ch for ch in self.channels if ch.rate != 0.0]
+        k_op, jumps = -1j * self.hamiltonian.matrix, ()
+        if active:
+            scaled = np.empty((len(active),) + k_op.shape, dtype=complex)
+            daggers = np.empty_like(scaled)
+            with np.errstate(over="ignore", invalid="ignore"):  # the generator's scan names inf/nan
+                for j, ch in enumerate(active):  # one channel at a time: no (J, d, d) temporaries
+                    np.multiply(0.5 * ch.rate, ch.operator, out=scaled[j])
+                    np.conjugate(ch.operator.T, out=daggers[j])
+                    k_op -= daggers[j] @ scaled[j]
+            jumps = (scaled, daggers)
+        for arr in (k_op, *jumps):
+            arr.flags.writeable = False
+        return k_op, jumps or None
+
 
 def _dissipator_matrix(l: np.ndarray, ldag: np.ndarray, ldl: np.ndarray,
                        rho: np.ndarray) -> np.ndarray:
-    """D[rho] = L rho L^dag - {L^dag L, rho}/2 from L, L^dag and L^dag L, of stacks too."""
+    """D[rho] = L rho L^dag - {L^dag L, rho}/2 from L, L^dag and L^dag L, of stacks
+    too: audit's trace-form power (the generator itself is _generator_matrix)."""
     return l @ rho @ ldag - 0.5 * (ldl @ rho + rho @ ldl)
 
 
-def _generator_terms(model: LindbladModel):
-    """Precompute per-channel pieces so the RK4 stages stay cheap."""
-    terms = []
-    for ch in model.channels:
-        if ch.rate != 0.0:
-            ldag = dagger(ch.operator)
-            terms.append((ch.rate, ch.operator, ldag, ldag @ ch.operator))
-    return terms
-
-
-def _generator_matrix(h: np.ndarray, terms, rho: np.ndarray) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    for rate, l, ldag, ldl in terms:
-        out = out + rate * _dissipator_matrix(l, ldag, ldl, rho)
-    return out
+def _generator_matrix(k_op: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:
+    """L(rho) = X + X^dag with X = K rho + 1/2 sum_j gamma_j L_j rho L_j^dag,
+    of a state or a stack of states (k, d, d), from LindbladModel._generator:
+    three matrix products at any channel count, the channels' as stacks.
+    Exactly Hermitian: entry (j, i) is the conjugate of entry (i, j), in
+    floating point too."""
+    x = k_op @ rho
+    if jumps is not None:
+        scaled, daggers = jumps
+        x += (scaled @ rho[..., None, :, :] @ daggers).sum(axis=-3)
+    return x + dagger(x)
 
 
 def liouvillian(model: LindbladModel, rho: DensityMatrix, *,
@@ -224,8 +310,7 @@ def _liouvillians(rows: _Rows, model: LindbladModel, rho: np.ndarray, tol: Toler
     returns it: the generator's scan, then |tr L(rho)| <= generator_trace *
     max(1, ||L(rho)||_max).  A failure cuts `rows`."""
     with np.errstate(over="ignore", invalid="ignore"):  # _hermitian names inf/nan
-        out, defect = _hermitian(
-            rows, _generator_matrix(model.hamiltonian.matrix, _generator_terms(model), rho), tol)
+        out, defect = _hermitian(rows, _generator_matrix(*model._generator, rho), tol)
         trace = np.abs(out.trace(axis1=1, axis2=2))
         bound = tol.generator_trace * np.maximum(1.0, np.abs(out).max(axis=(1, 2)))
         rows.check(trace > bound,
@@ -255,15 +340,18 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
     The state dimension and the grid (uniform and ascending; the default
     scenario step is 1e-3) are checked when `propagate` is called.  The
     returned iterator yields (state, trace defect) per grid point: first
-    (rho0, rho0.trace_defect), then each RK4 state with its raw |tr y - 1|.
-    Each step is revalidated with the propagation tolerances (trace defect <=
-    propagation_trace, smallest eigenvalue >= -propagation_psd, hermiticity
-    defect <= propagation_hermiticity * max(1, ||y||_max)) before it is
-    yielded; a breach raises PropagationError carrying the step index and the
-    defects, after exactly `step_index` states have been yielded.  No
-    renormalization is applied at any point.  The eigendecomposition behind
-    each revalidation starts from the previous state's eigenvectors, which
-    differ from the new ones by O(h).
+    (rho0, rho0.trace_defect), then each RK4 state with its |tr y - 1|.
+    States are computed in blocks of up to _block_rows(d) steps, when the
+    first state of a block is drawn; each block is checked as one stack
+    (_checked_states) with the propagation tolerances: hermiticity defect <=
+    propagation_hermiticity * max(1, ||y||_max), which is exactly 0 for every
+    RK4 state (the generator is X + X^dag), trace defect <= propagation_trace
+    and smallest eigenvalue >= -propagation_psd.  A breach raises
+    PropagationError carrying the step index and the defects, after exactly
+    `step_index` states have been yielded.  No renormalization is applied at
+    any point.  The block's eigendecompositions run as one warm chain, each
+    from the previous state's eigenvectors, which differ from the new ones by
+    O(h).
     """
     if rho0.dim != model.dim:
         raise DimensionError(f"state dimension {rho0.dim} vs model {model.dim}")
@@ -273,33 +361,34 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
 def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
                 tol: ToleranceConfig) -> Iterator[tuple[DensityMatrix, float]]:
     yield state, state.trace_defect
-    if grid.size == 1:
-        return
-    h = float(grid[1] - grid[0])
-    ham = model.hamiltonian.matrix
-    with np.errstate(over="ignore", invalid="ignore"):  # L^dag L too: DensityMatrix names it
-        terms = _generator_terms(model)
-    step_tol = tol.replace(density_trace=tol.propagation_trace, psd=tol.propagation_psd,
-                           hermiticity=tol.propagation_hermiticity)
+    h = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
+    size = _block_rows(model.dim)
+    k_op, jumps = model._generator
     y = state.matrix
 
-    for i in range(1, grid.size):
-        with np.errstate(over="ignore", invalid="ignore"):  # DensityMatrix names inf/nan
-            k1 = _generator_matrix(ham, terms, y)
-            k2 = _generator_matrix(ham, terms, y + 0.5 * h * k1)
-            k3 = _generator_matrix(ham, terms, y + 0.5 * h * k2)
-            k4 = _generator_matrix(ham, terms, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        raw_trace = abs(complex(y.trace()) - 1.0)
-        try:
-            state = DensityMatrix(y, tol=step_tol, basis=state.spectrum.eigenvectors)
-        except ValidationError as exc:
+    for start in range(1, grid.size, size):
+        block = []
+        with np.errstate(over="ignore", invalid="ignore"):  # _checked_states names inf/nan
+            for _ in range(start, min(start + size, grid.size)):
+                k1 = _generator_matrix(k_op, jumps, y)
+                k2 = _generator_matrix(k_op, jumps, y + 0.5 * h * k1)
+                k3 = _generator_matrix(k_op, jumps, y + 0.5 * h * k2)
+                k4 = _generator_matrix(k_op, jumps, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                block.append(y)
+        rows = _Rows(len(block))
+        for fields in zip(*_checked_states(
+                rows, _stack(block), state.spectrum.eigenvectors, tol,
+                tol.propagation_hermiticity, tol.propagation_trace, tol.propagation_psd)):
+            state = DensityMatrix._trusted(*fields)
+            yield state, state.trace_defect
+        if isinstance(rows.error, ValidationError):
+            i, y = start + rows.n, block[rows.n]
             raise PropagationError(
-                f"step {i} (t = {grid[i]:g}): {exc}",
-                step_index=i, trace_defect=raw_trace,
-                min_eigenvalue=_best_effort_min_eig(y, tol)) from exc
-        yield state, raw_trace
+                f"step {i} (t = {grid[i]:g}): {rows.error}",
+                step_index=i, trace_defect=abs(complex(y.trace()) - 1.0),
+                min_eigenvalue=_best_effort_min_eig(y, tol)) from rows.error
+        rows.raise_first()
 
 
 def _best_effort_min_eig(y: np.ndarray, tol: ToleranceConfig) -> float | None:

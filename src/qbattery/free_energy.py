@@ -16,7 +16,7 @@ explicit index sum in the deltaF eigenbasis.
 
 These are evaluated for a stack of states at once: _evaluate_rows takes a
 block of `run` states through _decompose (ln rho, F, <F> and its
-cross-check, deltaF), F's eigensolves one state at a time, _liouvillians,
+cross-check, deltaF), F's eigensolves as one warm chain, _liouvillians,
 _powers and _thetas (_operator_thetas and _index_thetas), each check cutting
 the block at its first failing row (linalg._Rows); a block of sweep rungs
 goes through _liouvillians, _decompose and _powers (audit._sweep_rungs).
@@ -41,10 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DensityMatrix, LindbladModel, _liouvillians
-from .errors import (ConsistencyError, DimensionError, QBatteryError, RankDeficientError,
-                     ValidationError)
-from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _finite, _hermitian,
-                     _lift, _Rows, _stack, dagger, hermitian_eig)
+from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
+from .linalg import (HermitianMatrix, Spectrum, _chain, _checked_square, _constants, _finite,
+                     _hermitian, _lift, _Rows, _stack, dagger)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive
 
 __all__ = [
@@ -66,19 +65,6 @@ __all__ = [
 
 # ln(rho) needs a full-rank state: a state eigenvalue at or below this is rank deficient
 RANK_THRESHOLD = 1e-12
-
-# Bytes of one stacked d x d complex matrix in a block of states (`run` rows,
-# `sweep` rungs): a block holds max(1, _BLOCK_BYTES // (16 d^2)) states, 32 at
-# d = 2, 14 at d = 3 and 1 from d = 9.  A block's states and stacks add to the
-# peak resident set: over one row at a time, a qutrit_ladder run grew VmHWM by
-# about 20 KiB more at this bound and 56 KiB more at twice it, which was no faster.
-_BLOCK_BYTES = 2048
-
-
-def _block_rows(dim: int) -> int:
-    """States in a block at dimension `dim`."""
-    return max(1, _BLOCK_BYTES // (16 * dim * dim))
-
 
 @dataclass(frozen=True)
 class BatteryContext:
@@ -345,10 +331,10 @@ def _thetas(rows: _Rows, delta: np.ndarray, rho: np.ndarray, w: np.ndarray, u: n
 
 def _evaluate_rows(states, ctx: BatteryContext, basis: np.ndarray, tol: ToleranceConfig):
     """The values of `run` rows for a block of states, stacked: _decompose,
-    then each F's eigensolve, one state at a time and warm-started from the F
-    eigenbasis of the state before (`basis` for the first), then L(rho), the
-    power and both Theta forms (_liouvillians, _powers, _thetas).  Every value
-    has the bits of the one-state functions.
+    then F's eigensolves as one warm chain, each from the F eigenbasis of the
+    state before (`basis` for the first), then L(rho), the power and both
+    Theta forms (_liouvillians, _powers, _thetas).  Every value has the bits
+    of the one-state functions.
 
     Returns the _Rows (rows.n rows passed; rows.error is the first failing
     check of the earliest failing row), <F>, P and the operator-form Theta_j
@@ -356,15 +342,9 @@ def _evaluate_rows(states, ctx: BatteryContext, basis: np.ndarray, tol: Toleranc
     """
     rows = _Rows(len(states))
     rho = _stack([state.matrix for state in states])
-    _, (f_op, f_defect), delta, mean = _decompose(rows, rho, states, ctx, tol)
-    spectra = []
-    for i in range(rows.n):
-        try:
-            spectra.append(hermitian_eig(HermitianMatrix._trusted(f_op[i], float(f_defect[i])),
-                                         basis=basis, tol=tol))
-        except QBatteryError as exc:
-            rows.cut(i, exc)
-            break
+    _, (f_op, _), delta, mean = _decompose(rows, rho, states, ctx, tol)
+    spectra = _chain(rows, f_op, basis, tol)
+    if spectra:
         basis = spectra[-1].eigenvectors
     n = rows.n
     if not n:

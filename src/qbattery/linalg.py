@@ -19,8 +19,12 @@ first cholesky 364 KiB (2-vCPU Xeon, numpy 2.4 with scipy-openblas 0.3.31).
 Swapping the solver waits on a decision about that bound.
 Along a trajectory the solver is warm-started from the eigenvectors of the
 previous state, which leaves a nearly diagonal matrix that converges in a few
-sweeps; exact ties then follow the order of that start basis.  Many cold solves
-of one dimension run as one stack (hermitian_eigs), with the same spectra.
+sweeps; exact ties then follow the order of that start basis.  A block of
+such states is solved as one warm chain (hermitian_eig_chain): the sweeps run
+matrix by matrix, each from the sorted, phased eigenvectors of the one before,
+and the convergence targets and the result guards are taken for the whole
+block at once; hermitian_eig is its one-matrix case.  Many cold solves of one
+dimension run as one stack (hermitian_eigs), with the same spectra.
 
 Matrices are plain complex numpy arrays.  HermitianMatrix and Spectrum wrap
 them where extra guarantees have to travel with the data: the symmetrization
@@ -49,6 +53,7 @@ __all__ = [
     "HermitianMatrix",
     "Spectrum",
     "hermitian_eig",
+    "hermitian_eig_chain",
     "hermitian_eigs",
     "matrix_function",
     "reconstruct",
@@ -132,14 +137,16 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return np.isfinite(m).all(axis=(1, 2))
 
 
-def _hermitian(rows: _Rows, m: np.ndarray, tol: ToleranceConfig, context: str = ""):
+def _hermitian(rows: _Rows, m: np.ndarray, tol: ToleranceConfig, context: str = "",
+               hermiticity: float | None = None):
     """HermitianMatrix's checks and symmetrization, with its arithmetic, for
     each matrix of the stack m (k, d, d): the read-only symmetrized stack and
-    the defects.  A failure, prefixed by `context`, cuts `rows`."""
+    the defects.  The defect bound is `hermiticity` (default tol.hermiticity)
+    times max(1, ||M||_max).  A failure, prefixed by `context`, cuts `rows`."""
     size = np.abs(m).max(axis=(1, 2))  # nan or inf where m is not finite
     rows.check(~np.isfinite(size),
                lambda i: ValidationError(f"{context}hermitian matrix: non-finite entries"))
-    bound = tol.hermiticity * np.maximum(1.0, size)
+    bound = (tol.hermiticity if hermiticity is None else hermiticity) * np.maximum(1.0, size)
     with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
         defect = np.abs(m - dagger(m)).max(axis=(1, 2))
         rows.check(defect > bound, lambda i: ValidationError(
@@ -198,7 +205,7 @@ class Spectrum:
     original diagonal order, or the columns of a warm-start basis) and the
     columns of the unitary `eigenvectors` are the matching eigenvectors, each
     phased so its largest-magnitude component is real positive.  Its one
-    constructor, the solver's _finish, sorts, phases and checks it.
+    constructor, the solver's _guarded, checks it once sorted and phased.
     """
 
     eigenvalues: np.ndarray
@@ -301,38 +308,91 @@ def _rotation_blocks(apq: np.ndarray, r: np.ndarray, diff: np.ndarray) -> np.nda
     return np.concatenate((c, s, -s * phase, c * phase)).reshape((4,) + c.shape)
 
 
-def _finish(a: np.ndarray, v: np.ndarray, m: np.ndarray, size: float,
-            tol: ToleranceConfig) -> Spectrum:
-    """The sorted, phased and checked spectrum of M = m from the converged
-    sweeps a = V^dag M V, v = V."""
+def _jacobi(m: np.ndarray, basis: np.ndarray | None, scale, target,
+            tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The converged sweeps a = V^dag M V and v = V of one matrix m, from the
+    start basis `basis` (None: the identity), with the norms taken at `scale`;
+    exhausting the sweep budget raises ConvergenceError.  See hermitian_eig."""
+    d = m.shape[0]
+    a = m  # read only: the first rotation or warm start replaces it
+    v = eye = _constants(d)[0]
+    off = _offdiag_norm(a, scale)
+    if basis is not None and off > target:
+        v = basis @ (1.5 * eye - 0.5 * (dagger(basis) @ basis))
+        a = dagger(v) @ m @ v
+        a = 0.5 * (a + dagger(a))
+        off = _offdiag_norm(a, scale)
+
+    sweeps = 0
+    while off > target:
+        if sweeps >= tol.jacobi_max_sweeps:
+            raise _not_converged(off, target, scale, tol)
+        for p, q, idx in _round_robin(d):
+            apq = a[p, q]
+            r = np.abs(apq)
+            if not r.all():
+                live = r != 0.0
+                if not live.any():
+                    continue
+                p, q, apq, r = p[live], q[live], apq[live], r[live]
+                idx = _plane_indices(p, q, d)
+            diag = a.real.diagonal()
+            # G is the identity except for the 2 x 2 block of each live pair
+            g = eye.copy()
+            g.put(idx, _rotation_blocks(apq, r, diag[q] - diag[p]))
+            a = np.conj(g.T) @ a @ g
+            a.put(idx[p.size:3 * p.size], 0.0)
+            a.reshape(-1)[::d + 1].imag = 0.0
+            v = v @ g
+        sweeps += 1
+        off = _offdiag_norm(a, scale)
+    return a, v
+
+
+def _sorted_phased(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the converged sweeps a, v in ascending order (stable)
+    and the matching columns of v, each phased so that its largest-magnitude
+    component is real positive, the lowest index winning ties."""
     values = a.real.diagonal()
     order = np.argsort(values, kind="stable")
-    eigenvalues = values[order]
     vectors = v[:, order]
-    # rotations that overflow leave inf or nan on the diagonal; the sort puts
-    # nan and inf last and -inf first, so the two ends show any of them
-    if not (math.isfinite(eigenvalues[0]) and math.isfinite(eigenvalues[-1])):
-        raise ValidationError("eigendecomposition has non-finite entries")
-
-    # fix phases: largest-magnitude component real positive, lowest index wins ties
-    pivots = vectors[np.abs(vectors).argmax(axis=0), _constants(m.shape[0])[2]]
+    pivots = vectors[np.abs(vectors).argmax(axis=0), _constants(v.shape[0])[2]]
     vectors *= np.conj(pivots) / np.abs(pivots)
+    return values[order], vectors
 
-    unitarity = max_abs(dagger(vectors) @ vectors - _constants(m.shape[0])[0])
-    if unitarity > tol.unitarity:
-        raise ValidationError(f"eigenvector unitarity defect {unitarity:.3e}")
-    residual = max_abs((vectors * eigenvalues) @ dagger(vectors) - m)
-    if residual > tol.reconstruction * max(1.0, size):
-        raise ValidationError(f"eigendecomposition residual {residual:.3e}")
 
+def _guarded(eigenvalues: np.ndarray, vectors: np.ndarray, m: np.ndarray, size: np.ndarray,
+             tol: ToleranceConfig) -> list[Spectrum | ValidationError]:
+    """The Spectrum of each matrix of the stack m (k, d, d) with the sizes
+    ||M||_max, from its sorted and phased eigenvalues (k, d) and eigenvectors
+    (k, d, d), or the ValidationError of the first guard it fails: finite
+    eigenvalues (rotations that overflow leave inf or nan on the diagonal),
+    then eigenvector unitarity, then the residual against M.  The guards are
+    taken of every matrix; those of a matrix that failed an earlier one are
+    not read, and callers ignore their overflow."""
+    finite = np.logical_and.reduce(np.isfinite(eigenvalues), axis=-1).tolist()
+    adjoint = dagger(vectors)
+    unitarity = np.abs(adjoint @ vectors - _constants(m.shape[-1])[0]).max(axis=(-2, -1)).tolist()
+    residual = np.abs((vectors * eigenvalues[:, None, :]) @ adjoint - m).max(axis=(-2, -1)).tolist()
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
-    return Spectrum(eigenvalues, vectors)
+    out = []
+    for j, (ok, defect, res, s) in enumerate(zip(finite, unitarity, residual, size.tolist())):
+        if not ok:
+            out.append(ValidationError("eigendecomposition has non-finite entries"))
+        elif defect > tol.unitarity:
+            out.append(ValidationError(f"eigenvector unitarity defect {defect:.3e}"))
+        elif res > tol.reconstruction * max(1.0, s):
+            out.append(ValidationError(f"eigendecomposition residual {res:.3e}"))
+        else:
+            out.append(Spectrum(eigenvalues[j], vectors[j]))
+    return out
 
 
 def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Spectrum:
-    """Eigendecomposition by Jacobi rotations in round-robin order.
+    """Eigendecomposition by Jacobi rotations in round-robin order: the
+    one-matrix case of hermitian_eig_chain.
 
     Each sweep visits every pair p < q once, in the rounds of `_round_robin`
     (d - 1 of them, d for odd d).  The pairs of a round are disjoint, so their
@@ -358,53 +418,65 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     phased so that their largest-magnitude component is real positive.
     Unitarity and reconstruction against M are verified before returning.
     """
-    d = m.dim
-    a = m.matrix  # read only: the first rotation or warm start replaces it
-    v = eye = _constants(d)[0]
-    size, scale, target = _convergence_target(m.matrix, tol)
+    (result,) = hermitian_eig_chain(m.matrix[None], basis, tol=tol)
+    if isinstance(result, QBatteryError):
+        raise result
+    return result
 
-    off = _offdiag_norm(a, scale)
-    if basis is not None and off > target:
-        v = basis @ (1.5 * eye - 0.5 * (dagger(basis) @ basis))
-        a = dagger(v) @ m.matrix @ v
-        a = 0.5 * (a + dagger(a))
-        off = _offdiag_norm(a, scale)
 
-    sweeps = 0
-    while off > target:
-        if sweeps >= tol.jacobi_max_sweeps:
-            raise _not_converged(off, target, scale, tol)
-        with np.errstate(over="ignore", invalid="ignore"):  # _finish checks the result
-            for p, q, idx in _round_robin(d):
-                apq = a[p, q]
-                r = np.abs(apq)
-                if not r.all():
-                    live = r != 0.0
-                    if not live.any():
-                        continue
-                    p, q, apq, r = p[live], q[live], apq[live], r[live]
-                    idx = _plane_indices(p, q, d)
-                diag = a.real.diagonal()
-                # G is the identity except for the 2 x 2 block of each live pair
-                g = eye.copy()
-                g.put(idx, _rotation_blocks(apq, r, diag[q] - diag[p]))
-                a = np.conj(g.T) @ a @ g
-                a.put(idx[p.size:3 * p.size], 0.0)
-                a.reshape(-1)[::d + 1].imag = 0.0
-                v = v @ g
-        sweeps += 1
-        off = _offdiag_norm(a, scale)
+def hermitian_eig_chain(matrices: np.ndarray, basis: np.ndarray | None, *,
+                        tol: ToleranceConfig = DEFAULT_TOLERANCES
+                        ) -> tuple[Spectrum | QBatteryError, ...]:
+    """hermitian_eig of each matrix of the stack `matrices` (k, d, d), already
+    Hermitian (a HermitianMatrix's `matrix`), in order: the first warm-started
+    from `basis` (None: cold), each later one from the sorted, phased
+    eigenvectors of the one before it.
 
-    return _finish(a, v, m.matrix, size, tol)
+    So each Spectrum is, bit for bit, the one a loop of hermitian_eig calls
+    passing each result's eigenvectors on would return.  The chain stops at
+    the first matrix that fails: the result holds the spectra before it and,
+    in its place, the error hermitian_eig raises for it.  The convergence
+    targets are taken for the whole stack before the sweeps, and the finite,
+    unitarity and residual guards as one stack after them.
+    """
+    m = np.asarray(matrices)
+    size, scale, target = _convergence_target(m, tol)
+    values, vectors, failure = [], [], ()
+    with np.errstate(over="ignore", invalid="ignore"):  # _guarded checks the result
+        for i in range(m.shape[0]):
+            try:
+                a, v = _jacobi(m[i], basis, scale[i], target[i], tol)
+            except ConvergenceError as exc:
+                failure = (exc,)
+                break
+            w, basis = _sorted_phased(a, v)
+            values.append(w)
+            vectors.append(basis)
+        if not values:
+            return failure
+        n = len(values)
+        out = _guarded(_stack(values), _stack(vectors), m[:n], size[:n], tol)
+    for i, result in enumerate(out):
+        if not isinstance(result, Spectrum):
+            return tuple(out[:i + 1])
+    return tuple(out) + failure
+
+
+def _chain(rows: _Rows, m: np.ndarray, basis: np.ndarray | None,
+           tol: ToleranceConfig) -> list[Spectrum]:
+    """hermitian_eig_chain of the leading rows.n matrices of the stack m: the
+    spectra of the rows that passed.  A failure cuts `rows`."""
+    solved = list(hermitian_eig_chain(m[:rows.n], basis, tol=tol))
+    if solved and not isinstance(solved[-1], Spectrum):
+        rows.cut(len(solved) - 1, solved.pop())
+    return solved
 
 
 def _finish_stack(a: np.ndarray, v: np.ndarray, m: np.ndarray, size: np.ndarray,
                   tol: ToleranceConfig) -> list[Spectrum | ValidationError]:
-    """_finish of each matrix of the stacks a, v, m (k, d, d), with the sizes
-    ||M||_max: the same Spectrum bit for bit, or the ValidationError _finish
-    raises for it, from the same guards in the same order.  The guards are
-    taken of every matrix; those of a matrix that failed an earlier one are
-    not read, and their overflow is ignored."""
+    """_sorted_phased and _guarded of each matrix of the stacks a, v, m (k, d, d),
+    with the sizes ||M||_max: the same Spectrum bit for bit as hermitian_eig's,
+    or the ValidationError it raises."""
     values = np.diagonal(a.real, axis1=-2, axis2=-1)
     order = np.argsort(values, axis=-1, kind="stable")
     eigenvalues = np.take_along_axis(values, order, axis=-1)
@@ -412,25 +484,7 @@ def _finish_stack(a: np.ndarray, v: np.ndarray, m: np.ndarray, size: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         pivots = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=-2)[:, None, :], axis=-2)
         vectors *= np.conj(pivots) / np.abs(pivots)
-        finite = np.isfinite(eigenvalues).all(axis=-1).tolist()
-        unitarity = np.abs(dagger(vectors) @ vectors - _constants(m.shape[-1])[0]
-                           ).max(axis=(-2, -1)).tolist()
-        residual = np.abs((vectors * eigenvalues[:, None, :]) @ dagger(vectors) - m
-                          ).max(axis=(-2, -1)).tolist()
-    bound = (tol.reconstruction * np.maximum(1.0, size)).tolist()
-    eigenvalues.flags.writeable = False
-    vectors.flags.writeable = False
-    out = []
-    for j, (ok, defect, res, cap) in enumerate(zip(finite, unitarity, residual, bound)):
-        if not ok:
-            out.append(ValidationError("eigendecomposition has non-finite entries"))
-        elif defect > tol.unitarity:
-            out.append(ValidationError(f"eigenvector unitarity defect {defect:.3e}"))
-        elif res > cap:
-            out.append(ValidationError(f"eigendecomposition residual {res:.3e}"))
-        else:
-            out.append(Spectrum(eigenvalues[j], vectors[j]))
-    return out
+        return _guarded(eigenvalues, vectors, m, size, tol)
 
 
 def hermitian_eigs(matrices, *, tol: ToleranceConfig = DEFAULT_TOLERANCES

@@ -19,7 +19,7 @@ from qbattery.errors import ConfigError, PropagationError
 from qbattery.tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
-DEFAULT_BLOCK_BYTES = free_energy._BLOCK_BYTES
+DEFAULT_BLOCK_BYTES = dynamics._BLOCK_BYTES
 
 MINIMAL_RUN = {
     "dim": 2,
@@ -77,17 +77,18 @@ def seeded_config(dim, seed):
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """A list that grows by one per hermitian_eig call, from any module."""
+    """A list that grows by one per matrix solved through hermitian_eig or
+    hermitian_eig_chain, from any module: hermitian_eig solves through the chain."""
     calls = []
-    original = linalg.hermitian_eig
+    original = linalg.hermitian_eig_chain
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].dim)
-        return original(*args, **kwargs)
+    def counted(matrices, *args, **kwargs):
+        calls.extend(m.shape[0] for m in matrices)
+        return original(matrices, *args, **kwargs)
 
     for module in (linalg, dynamics, free_energy, audit, cli):
-        if getattr(module, "hermitian_eig", None) is original:
-            monkeypatch.setattr(module, "hermitian_eig", counted)
+        if getattr(module, "hermitian_eig_chain", None) is original:
+            monkeypatch.setattr(module, "hermitian_eig_chain", counted)
     return calls
 
 
@@ -419,7 +420,8 @@ class TestRunCommand:
         ("qubit_sigma_x", 2), ("qubit_dark_state", 2), ("qutrit_ladder", 2),
         ("thermal_stationary", 1)])
     def test_two_solves_per_row(self, tmp_path, eig_calls, name, setup):
-        # the state's and F's; an eigenstate start also solves H and the pure
+        # the state's and F's, each counted where it enters hermitian_eig_chain,
+        # alone or in a block; an eigenstate start also solves H and the pure
         # state, a thermal start H, and either one's own state is row 0's
         data = json.loads((SCENARIOS / f"{name}.json").read_text())
         data["time"]["horizon"] = 10 * data["time"]["step"]
@@ -427,6 +429,22 @@ class TestRunCommand:
         cfg.write_text(json.dumps(data))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
         assert len(eig_calls) == setup + 2 * 11
+
+    @pytest.mark.parametrize("mode", ["run", "sweep"])
+    @pytest.mark.parametrize("tol", [[], ["--tol", "psd=1e-9"]])
+    def test_no_tolerance_config_beyond_the_parsed_one(self, tmp_path, monkeypatch, mode, tol):
+        # propagation reads its tolerances from the parsed config: no copy is
+        # built per propagate call (one per sweep rung), and none without --tol
+        built = []
+        check = ToleranceConfig.__post_init__
+        monkeypatch.setattr(ToleranceConfig, "__post_init__",
+                            lambda config: built.append(config) or check(config))
+        data = json.loads((SCENARIOS / "qubit_sigma_x.json").read_text())
+        data["time"]["horizon"] = 10 * data["time"]["step"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "out"), *tol]) == 0
+        assert len(built) == (1 if tol else 0)
 
     def test_row_path_checks_each_array_once(self, tmp_path, monkeypatch):
         # a 20-step qubit_sigma_x run: arrays checked where they were built are
@@ -524,10 +542,11 @@ class TestRunCommand:
 
     def blocked_run(self, tmp_path, monkeypatch, capsys, data, rows_per_block):
         """Exit code, stderr, CSV bytes and Jacobi sweep count of `run` on the
-        config `data`, with blocks of `rows_per_block` rows (None: the default
-        bound).  A solve fetches the round-robin schedule once per sweep, so
-        the count shows each F solve warm-started from the row before."""
-        monkeypatch.setattr(free_energy, "_BLOCK_BYTES", block_bytes(data["dim"], rows_per_block))
+        config `data`, with blocks of `rows_per_block` rows and of as many RK4
+        states (None: the default bound).  A solve fetches the round-robin
+        schedule once per sweep, so the count shows each state's and each F's
+        solve warm-started from the one before."""
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", block_bytes(data["dim"], rows_per_block))
         sweeps, schedule = [], linalg._round_robin
         monkeypatch.setattr(linalg, "_round_robin", lambda d: sweeps.append(d) or schedule(d))
         cfg, out = tmp_path / "blocked.json", tmp_path / "blocked.csv"
@@ -792,7 +811,7 @@ class TestReportCommands:
         cfg.write_text(json.dumps(data))
         results = []
         for rungs_per_block in (1, 2, None):
-            monkeypatch.setattr(free_energy, "_BLOCK_BYTES",
+            monkeypatch.setattr(dynamics, "_BLOCK_BYTES",
                                 block_bytes(data["dim"], rungs_per_block))
             code = main(["sweep", "--config", str(cfg), "--out", str(out)])
             results.append((code, capsys.readouterr().err, out.exists() and out.read_bytes()))

@@ -1,20 +1,28 @@
 import csv
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import complex_square_matrices, density_matrices
+from conftest import complex_square_matrices, density_matrices, hermitian_matrices
+from qbattery import cli
 from qbattery.cli import main
-from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, liouvillian,
-                               propagate, regularize, thermal_state, von_neumann_entropy)
+from qbattery.config import parse_config
+from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, _generator_matrix,
+                               liouvillian, propagate, regularize, thermal_state,
+                               von_neumann_entropy)
 from qbattery.errors import (DimensionError, ParameterError, PropagationError,
                              ValidationError)
 from qbattery.linalg import HermitianMatrix, hermitian_eig, max_abs
+from qbattery.tolerances import DEFAULT_TOLERANCES
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
@@ -38,6 +46,22 @@ class TestDensityMatrix:
         rho = DensityMatrix.pure([3.0, 4.0])
         assert rho.matrix[0, 0].real == pytest.approx(9.0 / 25.0, abs=1e-15)
         assert abs(np.trace(rho.matrix) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-320])
+    def test_pure_at_extreme_vector_scales(self, scale):
+        # the norm's square would overflow (1e200) or underflow (1e-200, and the
+        # subnormal 1e-320): dividing by the largest magnitude first keeps the bits
+        want = DensityMatrix.pure([1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = DensityMatrix.pure([scale, scale])
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.spectrum.eigenvectors.tobytes() == want.spectrum.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("vector", [[0.0, 0.0], [], [1.0, math.inf], [math.nan, 1.0]])
+    def test_pure_rejects_zero_and_non_finite_vectors(self, vector):
+        with pytest.raises(ParameterError, match="nonzero and finite"):
+            DensityMatrix.pure(vector)
 
     def test_trace_validation(self):
         with pytest.raises(ValidationError):
@@ -145,6 +169,60 @@ class TestLiouvillian:
                               (JumpChannel(0.5, oracles.random_ginibre(rng, d)),))
         got = liouvillian(model, DensityMatrix(rho_m))
         assert abs(np.trace(got.matrix)) <= 1e-12 * max(1.0, max_abs(got.matrix))
+
+
+@st.composite
+def generator_cases(draw):
+    """A Hermitian matrix and a model of its dimension: a Hermitian H and zero
+    to three channels, each of rate 0, 0.3 or 2.5 and a Ginibre operator."""
+    rho = draw(hermitian_matrices(2, 5))
+    d = rho.shape[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.3, 2.5]), max_size=3))
+    channels = [(rate, oracles.random_ginibre(rng, d)) for rate in rates]
+    return rho, oracles.random_hermitian(rng, d), channels
+
+
+class TestGenerator:
+    @given(generator_cases())
+    @settings(max_examples=60)
+    def test_matches_the_oracle_and_is_exactly_hermitian(self, case):
+        # an entry of L rho L^dag is a sum of d^2 products, each at most
+        # ||L||_max^2 ||rho||_max, computed as two dot products of length d: its
+        # rounding is at most about 2 d^3 eps ||L||^2 ||rho||, and so for the other
+        # terms of both forms.  The bound allows 16 d^3 eps times that scale;
+        # 3000 seeded draws reached 0.37 d^3 eps times it.
+        rho, h, channels = case
+        d = rho.shape[0]
+        model = LindbladModel(HermitianMatrix(h), tuple(JumpChannel(r, l) for r, l in channels))
+        got = _generator_matrix(*model._generator, rho)
+        want = oracles.generator(h, channels, rho)
+        scale = (max_abs(h) + sum(r * max_abs(l) ** 2 for r, l in channels)) * max_abs(rho)
+        assert max_abs(got - want) <= 16 * d ** 3 * np.finfo(float).eps * scale
+        assert np.array_equal(got, oracles.dag(got))
+        stack = _generator_matrix(*model._generator, np.array([rho, 0.5 * rho]))
+        assert stack[0].tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("name", ["qubit_sigma_x", "qubit_dark_state", "qutrit_ladder",
+                                      "thermal_stationary", "seeded_d4"])
+    def test_every_rk4_state_is_exactly_hermitian(self, rng, name):
+        if name == "seeded_d4":
+            d = 4
+            model = LindbladModel(
+                HermitianMatrix(oracles.random_hermitian(rng, d)),
+                tuple(JumpChannel(0.5, 0.5 * oracles.random_ginibre(rng, d)) for _ in range(2)))
+            rho0 = DensityMatrix(oracles.random_density(rng, d))
+            grid = np.linspace(0.0, 0.1, 101)
+        else:
+            cfg = parse_config((SCENARIOS / f"{name}.json").read_text(), "run")
+            model, rho0 = cfg.model, cli._initial_state(cfg, DEFAULT_TOLERANCES)
+            grid = cfg.time.grid()[:101]
+        pairs = list(propagate(model, rho0, grid))
+        assert len(pairs) == grid.size
+        for state, trace_defect in pairs[1:]:
+            assert state.hermiticity_defect == 0.0
+            assert np.array_equal(state.matrix, oracles.dag(state.matrix))
+            assert trace_defect == state.trace_defect == abs(complex(state.matrix.trace()) - 1.0)
 
 
 class TestModelValidation:

@@ -9,9 +9,10 @@ import oracles
 from conftest import complex_square_matrices, hermitian_matrices
 from qbattery import linalg
 from qbattery.errors import ConvergenceError, DimensionError, DomainError, ValidationError
+from qbattery.dynamics import DensityMatrix, JumpChannel, LindbladModel, propagate
 from qbattery.linalg import (HermitianMatrix, _round_robin, abs_sq, as_square_matrix,
-                             hermitian_eig, hermitian_eigs, matrix_function, max_abs,
-                             reconstruct)
+                             hermitian_eig, hermitian_eig_chain, hermitian_eigs,
+                             matrix_function, max_abs, reconstruct)
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -290,6 +291,62 @@ class TestHermitianEigs:
 
     def test_no_matrices_give_no_results(self):
         assert hermitian_eigs([]) == ()
+
+
+def trajectory_block(rng, d=4, steps=12):
+    """The matrices of `steps` consecutive RK4 states of a seeded d-level model,
+    and the eigenvectors of the state before them."""
+    model = LindbladModel(
+        HermitianMatrix(oracles.random_hermitian(rng, d)),
+        tuple(JumpChannel(0.5, 0.5 * oracles.random_ginibre(rng, d)) for _ in range(2)))
+    states = [s for s, _ in propagate(model, DensityMatrix(oracles.random_density(rng, d)),
+                                      np.linspace(0.0, steps * 1e-2, steps + 1))]
+    return np.array([s.matrix for s in states[1:]]), states[0].spectrum.eigenvectors
+
+
+def looped(matrices, basis, tol=DEFAULT_TOLERANCES):
+    """hermitian_eig of each matrix, warm-started from the result before, up to
+    the first error, which ends the list in its place."""
+    out = []
+    for m in matrices:
+        try:
+            out.append(hermitian_eig(HermitianMatrix(m), basis=basis, tol=tol))
+        except (ConvergenceError, ValidationError) as exc:
+            return out + [exc]
+        basis = out[-1].eigenvectors
+    return out
+
+
+class TestHermitianEigChain:
+    def test_chain_is_bit_identical_to_a_loop_of_single_solves(self, rng):
+        matrices, basis = trajectory_block(rng)
+        chained = hermitian_eig_chain(matrices, basis)
+        assert len(chained) == len(matrices)
+        for got, want in zip(chained, looped(matrices, basis)):
+            assert same_bits(got.eigenvalues, want.eigenvalues)
+            assert same_bits(got.eigenvectors, want.eigenvectors)
+            assert not got.eigenvalues.flags.writeable
+            assert not got.eigenvectors.flags.writeable
+
+    # two diagonal matrices pass with the identity as eigenvectors and no sweep;
+    # the dense one after them needs several sweeps and rotations, and fails
+    @pytest.mark.parametrize("guard, error", [({"jacobi_max_sweeps": 1}, ConvergenceError),
+                                              ({"unitarity": 1e-300}, ValidationError)])
+    def test_a_middle_failure_ends_the_chain_as_the_loop_ends(self, rng, guard, error):
+        tol = DEFAULT_TOLERANCES.replace(**guard)
+        d = 4
+        dense = oracles.random_hermitian(rng, d)
+        matrices = np.array([np.diag([0.1, 0.2, 0.3, 0.4]), np.diag([0.4, 0.3, 0.2, 0.1]),
+                             dense, dense + 1e-3 * np.eye(d)]).astype(complex)
+        chained, want = hermitian_eig_chain(matrices, None, tol=tol), looped(matrices, None, tol)
+        assert len(chained) == len(want) == 3
+        assert isinstance(chained[2], error) and type(chained[2]) is type(want[2])
+        assert str(chained[2]) == str(want[2])
+        for got, expected in zip(chained[:2], want[:2]):
+            assert same_bits(got.eigenvectors, expected.eigenvectors)
+
+    def test_no_matrices_give_no_results(self):
+        assert hermitian_eig_chain(np.zeros((0, 3, 3), dtype=complex), None) == ()
 
 
 def rotation(rng, d, angle):
