@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _block_rows,
-                       _dissipator_matrix, _liouvillians, propagate, regularize)
-from .errors import (ConsistencyError, ParameterError, PropagationError, QBatteryError,
-                     ScenarioError, ValidationError)
+from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _block_rows, _checked_states,
+                       _dissipator_matrix, _liouvillians, propagate)
+from .errors import (ConsistencyError, ParameterError, PropagationError, ScenarioError,
+                     ValidationError)
 from .free_energy import BatteryContext, _decompose, _powers, vanishing_condition
 from .jsonio import model_from_json, model_to_json
 from .linalg import (HermitianMatrix, _Rows, _stack, dagger, hermitian_eig, hermitian_eigs,
@@ -180,36 +180,35 @@ class ClaimInstance:
                 "condition_holds": self.condition_holds}
 
 
-def _evaluate(drawn, spectra, beta: float, tol: ToleranceConfig, *,
-              check_thetas: bool = True) -> list[ClaimInstance | QBatteryError]:
-    """evaluate_instance for instances (label, model, k0) of one dimension,
-    with the spectra H = U diag(w) U^dag of their Hamiltonians, as one stack
-    of (instance, channel) pairs.  One stacked product forms every U^dag L_j U,
-    from which the index-form power, Theta in both orders and the vanishing
-    condition are read; the trace-form power tr(D_j[|k0><k0|] H), the
+def _evaluate(rows: _Rows, drawn, spectra, beta: float, tol: ToleranceConfig, *,
+              check_thetas: bool = True) -> list[ClaimInstance]:
+    """evaluate_instance for the leading rows.n instances (label, model, k0) of
+    one dimension, with the spectra H = U diag(w) U^dag of their Hamiltonians,
+    as one stack of (instance, channel) pairs.  One stacked product forms every
+    U^dag L_j U, from which the index-form power, Theta in both orders and the
+    vanishing condition are read; the trace-form power tr(D_j[|k0><k0|] H), the
     independent cross-check, stays in the original basis.  Sums run over the
     last axis and channels are added in Python, as for one instance, so every
     value is bit for bit that of a loop over instances.
 
-    A failure takes the place of its instance, so that a caller can raise the
-    earliest in its own order: a spectrum that is an error, else the first of
-    a power-form gap beyond power_agreement * max(1, |trace form|), a Theta
-    that overflowed (unless `check_thetas` is false) and a non-finite power.
+    The instances are checked in order, each for the first of a power-form gap
+    beyond power_agreement * max(1, |trace form|), a Theta that overflowed
+    (unless `check_thetas` is false) and a non-finite power.  The first
+    failure cuts `rows`; the instances before the cut are returned.
     """
-    out: list = list(spectra)
-    solved = [i for i, s in enumerate(spectra) if not isinstance(s, QBatteryError)]
-    if not solved:
-        return out
-    models, k0 = [drawn[i][1] for i in solved], np.array([drawn[i][2] for i in solved])
-    n, d = len(models), models[0].dim
+    n = rows.n
+    if not n:
+        return []
+    models, k0 = [entry[1] for entry in drawn[:n]], np.array([entry[2] for entry in drawn[:n]])
+    d = models[0].dim
     counts = [len(model.channels) for model in models]
     owner, pair = np.repeat(np.arange(n), counts), np.arange(sum(counts))
     rates = np.array([ch.rate for model in models for ch in model.channels])
     ops = np.array([ch.operator for model in models for ch in model.channels],
                    dtype=complex).reshape(-1, d, d)
     h = np.array([model.hamiltonian.matrix for model in models])
-    w = np.array([spectra[i].eigenvalues for i in solved])
-    u = np.array([spectra[i].eigenvectors for i in solved])
+    w = np.array([spectrum.eigenvalues for spectrum in spectra[:n]])
+    u = np.array([spectrum.eigenvectors for spectrum in spectra[:n]])
     vec, k0_p, u_p, w_p = u[np.arange(n), :, k0], k0[owner], u[owner], w[owner]
     projectors = vec[:, :, None] * np.conj(vec)[:, None, :]  # |k0><k0| of each instance
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -221,44 +220,37 @@ def _evaluate(drawn, spectra, beta: float, tol: ToleranceConfig, *,
         shift = w_p - w_p[pair, k0_p][:, None]
         row, col = (np.abs(c) ** 2 for c in (components[pair, k0_p], components[pair, :, k0_p]))
         indices, shift = rates * (col * shift).sum(axis=-1), shift ** 2
-        rows, cols = ((x * shift).sum(axis=-1).tolist() for x in (row, col))
+        t_rows, t_cols = ((x * shift).sum(axis=-1).tolist() for x in (row, col))
         holds = vanishing_condition(h, w, k0, projectors, components, owner, operator_max,
                                     tol=tol).holds.tolist()
     traces, indices, rates = traces.tolist(), indices.tolist(), rates.tolist()
-    operator_max, stop = operator_max.tolist(), 0
-    for j, (i, h_max) in enumerate(zip(solved, h_max.tolist())):
-        (label, model, k0_j), (start, stop) = drawn[i], (stop, stop + counts[j])
+    operator_max, stop, out = operator_max.tolist(), 0, []
+    for j, h_max_j in enumerate(h_max.tolist()):
+        (label, model, k0_j), (start, stop) = drawn[j], (stop, stop + counts[j])
         trace_form = index_form = 0.0
         for p in range(start, stop):
             trace_form += traces[p]
             index_form += indices[p]
         gap, bound = abs(trace_form - index_form), tol.power_agreement * max(1.0, abs(trace_form))
-        overflowed = next(((p - start, t) for p in range(start, stop) for t in (rows[p], cols[p])
-                           if not math.isfinite(t)), None) if check_thetas else None
+        overflowed = next(((p - start, t) for p in range(start, stop)
+                           for t in (t_rows[p], t_cols[p]) if not math.isfinite(t)),
+                          None) if check_thetas else None
         if gap > bound or (overflowed is None and not (gap <= bound and math.isfinite(gap))):
-            out[i] = ConsistencyError(
+            rows.cut(j, ConsistencyError(
                 f"{'' if label is None else label + ': '}eigenstate power forms disagree: "
-                f"trace {trace_form!r} vs index {index_form!r}")
-        elif overflowed is not None:
-            out[i] = ValidationError(f"Theta of channel {overflowed[0]}, eigenstate {k0_j}: "
-                                     f"closed form {overflowed[1]!r} is not finite")
-        else:
-            channel_scale = max((rate * l_max ** 2 for rate, l_max in
-                                 zip(rates[start:stop], operator_max[start:stop])), default=0.0)
-            out[i] = ClaimInstance(
-                label=label, model=model, k0=k0_j, beta=beta, scale=max(1.0, h_max, channel_scale),
-                theta_values=tuple(rows[start:stop]), theta_transposed=tuple(cols[start:stop]),
-                power_trace=trace_form, power_index=index_form, condition_holds=holds[j])
+                f"trace {trace_form!r} vs index {index_form!r}"))
+            break
+        if overflowed is not None:
+            rows.cut(j, ValidationError(f"Theta of channel {overflowed[0]}, eigenstate {k0_j}: "
+                                        f"closed form {overflowed[1]!r} is not finite"))
+            break
+        channel_scale = max((rate * l_max ** 2 for rate, l_max in
+                             zip(rates[start:stop], operator_max[start:stop])), default=0.0)
+        out.append(ClaimInstance(
+            label=label, model=model, k0=k0_j, beta=beta, scale=max(1.0, h_max_j, channel_scale),
+            theta_values=tuple(t_rows[start:stop]), theta_transposed=tuple(t_cols[start:stop]),
+            power_trace=trace_form, power_index=index_form, condition_holds=holds[j]))
     return out
-
-
-def _evaluate_one(label, model: LindbladModel, k0: int, spectrum, beta: float,
-                  tol: ToleranceConfig, *, check_thetas: bool = True) -> ClaimInstance:
-    """_evaluate for one instance, with its checked k0 and beta; raises its failure."""
-    result, = _evaluate([(label, model, k0)], [spectrum], beta, tol, check_thetas=check_thetas)
-    if isinstance(result, QBatteryError):
-        raise result
-    return result
 
 
 def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
@@ -274,7 +266,8 @@ def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
     """
     beta = _finite_positive(beta, "beta")
     spectrum = hermitian_eig(model.hamiltonian, tol=tol)
-    return _evaluate_one(label, model, _eigen_index(k0, model.dim), spectrum, beta, tol)
+    return _Rows.single(_evaluate, [(label, model, _eigen_index(k0, model.dim))], [spectrum],
+                        beta, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -344,7 +337,8 @@ def eigenstate_audit(spec: ScenarioSpec, *,
         raise ScenarioError(
             f"index {spec.k0} is not an eigenvector of H: residual {residual:.3e}")
 
-    instance = _evaluate_one("scenario", spec.model, spec.k0, spectrum, spec.beta, tol)
+    instance = _Rows.single(_evaluate, [("scenario", spec.model, spec.k0)], [spectrum],
+                            spec.beta, tol)[0]
 
     row_all, _, p_cls = instance.classes(tol)
     if row_all == NONZERO and p_cls == NONZERO:
@@ -410,15 +404,15 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     and the ln rho_eps that F was built from.  One RK4 step is attempted per
     rung as a differentiability probe; its failure is recorded on the row
     instead of aborting the sweep.  Rungs are evaluated in blocks of stacked
-    states (_sweep_rungs), with the bits and the first failure of evaluating
-    them one at a time.
+    states (_sweep_rungs), with the first failure of evaluating them one at a
+    time.
     """
     if not spec.epsilon_list:
         raise ParameterError("epsilon_sweep needs a non-empty epsilon_list")
     ctx = BatteryContext(spec.beta, spec.model)
     spectrum = hermitian_eig(spec.model.hamiltonian, tol=tol)
-    reference = _evaluate_one(None, spec.model, spec.k0, spectrum, ctx.beta, tol,
-                              check_thetas=False)
+    reference = _Rows.single(_evaluate, [(None, spec.model, spec.k0)], [spectrum], ctx.beta,
+                             tol, check_thetas=False)[0]
     rho0 = DensityMatrix.pure(spectrum.eigenvectors[:, spec.k0], tol=tol)
     h = spec.model.hamiltonian.matrix
     # tr(-i[H, rho_eps] X) is 0 for X = H, F and ln rho_eps, but its rounding is not
@@ -442,16 +436,16 @@ def epsilon_sweep(spec: ScenarioSpec, *,
 
 def _sweep_rungs(spec: ScenarioSpec, epsilons, rho0: DensityMatrix, ctx: BatteryContext,
                  dissipative: LindbladModel, tol: ToleranceConfig) -> list[EpsilonRow]:
-    """epsilon_sweep's rows for a block of rungs: each rho_eps, then L(rho_eps),
-    the decomposition, the rates and the power as stacks (free_energy's core),
+    """epsilon_sweep's rows for a block of rungs: every rho_eps, built with
+    regularize's arithmetic and checked as one stack of states (one warm chain
+    from rho0's eigenvectors, which all of them share), then L(rho_eps), the
+    decomposition, the rates and the power as stacks (free_energy's core),
     then each rung's RK4 probe.  The first failure in rung order is raised."""
-    rows, states = _Rows(len(epsilons)), []
-    for i, eps in enumerate(epsilons):
-        try:
-            states.append(regularize(rho0, eps, tol=tol))
-        except QBatteryError as exc:
-            rows.cut(i, exc)
-            break
+    d, eps = rho0.dim, np.array(epsilons)[:, None, None]
+    mixed = (1.0 - eps) * rho0.matrix + (eps / d) * np.eye(d)
+    rows = _Rows(len(epsilons))
+    states = [DensityMatrix._trusted(*fields) for fields in zip(*_checked_states(
+        rows, mixed, rho0.spectrum.eigenvectors, tol, tol.density_trace, tol.psd))]
     out = []
     if states:
         rho = _stack([state.matrix for state in states])
@@ -568,29 +562,36 @@ def claim_falsifier(ensemble: EnsembleSpec, *,
 
     All draws come first (none depends on an evaluation).  Then, one dimension
     at a time and largest first, the Hamiltonians are solved as one stack and
-    evaluated in blocks, which keeps the peak resident set low.  The earliest
-    failure in draw order, the solver's included, is raised: the same
-    instance and message as with single solves.
+    evaluated in blocks, which keeps the peak resident set low; each
+    dimension's first failure, the solver's included, cuts its _Rows.  The cut
+    with the smallest draw index is raised: the same instance and message as
+    with single solves.
     """
     rng = np.random.default_rng(ensemble.seed)
     drawn = [(f"bundled:{name}", model, k0) for name, model, k0 in bundled_witnesses()
              if ensemble.include_bundled]
     drawn += [(f"trial:{trial}", *_random_instance(rng, ensemble))
               for trial in range(ensemble.trials)]
-    instances, by_dim = [None] * len(drawn), {}
+    instances, by_dim, cuts = [None] * len(drawn), {}, []
     for i, (_, model, _) in enumerate(drawn):
         by_dim.setdefault(model.dim, []).append(i)
     for _, members in sorted(by_dim.items(), reverse=True):
-        spectra = hermitian_eigs([drawn[i][1].hamiltonian for i in members], tol=tol)
-        for at in range(0, len(members), _BLOCK):
-            block = members[at:at + _BLOCK]
-            results = _evaluate([drawn[i] for i in block], spectra[at:at + _BLOCK],
-                                ensemble.beta, tol)
-            for i, result in zip(block, results):
-                instances[i] = result
-    failure = next((r for r in instances if isinstance(r, QBatteryError)), None)
-    if failure is not None:
-        raise failure
+        rows = _Rows(len(members))
+        spectra = hermitian_eigs(rows, np.array([drawn[i][1].hamiltonian.matrix for i in members]),
+                                 tol=tol)
+        for at in range(0, rows.n, _BLOCK):
+            block = _Rows(min(_BLOCK, rows.n - at))
+            results = _evaluate(block, [drawn[i] for i in members[at:at + block.n]],
+                                spectra[at:], ensemble.beta, tol)
+            for i, instance in zip(members[at:], results):
+                instances[i] = instance
+            if block.error is not None:
+                rows.cut(at + block.n, block.error)
+                break
+        if rows.error is not None:
+            cuts.append((members[rows.n], rows.error))
+    if cuts:
+        raise min(cuts, key=lambda cut: cut[0])[1]
 
     evaluated = [(inst, inst.outcomes(tol)) for inst in instances]
     counterexamples = []

@@ -176,9 +176,10 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
             "initial state is rank deficient; the free-energy operator needs "
             "a full-rank state (add initial_state.epsilon or use audit mode)",
             path="initial_state")
-    grid = cfg.time.grid()
-    states = propagate(cfg.model, rho0, grid, tol=tol)
-    step = float(grid[1] - grid[0]) if grid.size > 1 else None
+    offsets = cfg.time.offsets()
+    states = propagate(cfg.model, rho0, offsets, tol=tol)
+    step = float(offsets[1] - offsets[0]) if offsets.size > 1 else None
+    times = cfg.time.t0 + offsets
 
     columns = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd",
                *(f"theta_{j + 1}" for j in range(len(cfg.model.channels))),
@@ -192,7 +193,7 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for previous, block, following in _blocks(states, size):
-            basis = _write_rows(fh, grid[index:index + len(block)], previous, block, following,
+            basis = _write_rows(fh, times[index:index + len(block)], previous, block, following,
                                 ctx, step, basis, tol)
             index += len(block)
     return EXIT_OK

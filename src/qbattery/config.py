@@ -92,9 +92,14 @@ class TimeGrid:  # fields in the order config_to_dict echoes them
     step: float
     horizon: float | None
 
-    def grid(self) -> np.ndarray:
+    def offsets(self) -> np.ndarray:
+        """The grid's times less t0: `run` integrates on these, so its rows
+        do not depend on t0."""
         n = round(self.horizon / self.step)
-        return self.t0 + np.linspace(0.0, n * self.step, n + 1)
+        return np.linspace(0.0, n * self.step, n + 1)
+
+    def grid(self) -> np.ndarray:
+        return self.t0 + self.offsets()
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,12 @@ defect is exactly 0.
 
 States are never renormalized during propagation.  `propagate` runs RK4 in
 blocks of up to _block_rows(d) states, checks each block as one stack
-against the propagation tolerances (hermiticity, trace, smallest eigenvalue;
-_checked_states, of which DensityMatrix is the one-state case), solving its
-states as one warm chain, and yields the block's states one at a time; a
-breach raises PropagationError once the states before it are yielded.  The
-trajectory prefix is whatever the consumer took before the raise; nothing
-else keeps it.
+(_checked_states, of which DensityMatrix is the one-state case: the
+construction hermiticity bound, and the propagation bounds on the trace and
+the smallest eigenvalue), solving its states as one warm chain, and yields
+the block's states one at a time; a breach raises PropagationError once the
+states before it are yielded.  The trajectory prefix is whatever the consumer
+took before the raise; nothing else keeps it.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import (DimensionError, ConsistencyError, ParameterError,
                      PropagationError, ValidationError)
-from .linalg import (HermitianMatrix, Spectrum, _chain, _checked_square, _hermitian, _Rows,
-                     _stack, as_square_matrix, dagger, hermitian_eig, max_abs)
+from .linalg import (HermitianMatrix, Spectrum, _checked_square, _hermitian, _Rows, _stack,
+                     as_square_matrix, dagger, hermitian_eig, hermitian_eig_chain, max_abs)
 from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_at_least,
                          _finite_positive, _integer, _open_unit)
 
@@ -84,8 +84,7 @@ class DensityMatrix:
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                  basis: np.ndarray | None = None):
         m = _checked_square(matrix, "hermitian matrix")
-        columns = _Rows.single(_checked_states, m[None], basis, tol,
-                               tol.hermiticity, tol.density_trace, tol.psd)
+        columns = _Rows.single(_checked_states, m[None], basis, tol, tol.density_trace, tol.psd)
         self._set(*(column[0] for column in columns))
 
     def _set(self, hermitian: HermitianMatrix, trace_defect: float, spectrum: Spectrum,
@@ -152,20 +151,20 @@ class DensityMatrix:
 
 
 def _checked_states(rows: _Rows, m: np.ndarray, basis: np.ndarray | None, tol: ToleranceConfig,
-                    hermiticity: float, trace: float, psd: float):
+                    trace: float, psd: float):
     """DensityMatrix's checks of each matrix of the stack m (k, d, d), in its
-    order: finite entries and a hermiticity defect within `hermiticity` *
+    order: finite entries and a hermiticity defect within tol.hermiticity *
     max(1, ||M||_max), |tr M - 1| <= `trace`, the eigendecomposition (one
     warm chain from `basis`), and a smallest eigenvalue >= -`psd`.  Returns,
     for the rows that passed, the fields of their states as columns: the
     HermitianMatrix, the trace defect, the Spectrum and the entropy.  A failure
     cuts `rows`."""
-    sym, defect = _hermitian(rows, m, tol, hermiticity=hermiticity)
+    sym, defect = _hermitian(rows, m, tol)
     with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
         trace_defect = np.abs(sym.trace(axis1=1, axis2=2) - 1.0)
     rows.check(trace_defect > trace, lambda i: ValidationError(
         f"trace defect {trace_defect[i]:.3e} exceeds tolerance {trace:.3e}"))
-    spectra = _chain(rows, sym, basis, tol)
+    spectra = hermitian_eig_chain(rows, sym, basis, tol=tol)
     if not spectra:
         return [], [], [], []
     values = _stack([spectrum.eigenvalues for spectrum in spectra])
@@ -327,7 +326,9 @@ def _uniform_grid(t_grid) -> np.ndarray:
         h = float(diffs[0])
         if h <= 0.0:
             raise ParameterError("time grid must be ascending")
-        if np.any(np.abs(diffs - h) > 1e-12 * max(1.0, abs(h))):
+        # plus a few float spacings of the largest |t|, for the rounding of the times
+        spacing = np.spacing(np.abs(grid).max())
+        if np.any(np.abs(diffs - h) > 1e-12 * max(1.0, abs(h)) + 4.0 * spacing):
             raise ParameterError("time grid steps must be uniform")
     return grid
 
@@ -343,12 +344,11 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
     (rho0, rho0.trace_defect), then each RK4 state with its |tr y - 1|.
     States are computed in blocks of up to _block_rows(d) steps, when the
     first state of a block is drawn; each block is checked as one stack
-    (_checked_states) with the propagation tolerances: hermiticity defect <=
-    propagation_hermiticity * max(1, ||y||_max), which is exactly 0 for every
-    RK4 state (the generator is X + X^dag), trace defect <= propagation_trace
-    and smallest eigenvalue >= -propagation_psd.  A breach raises
-    PropagationError carrying the step index and the defects, after exactly
-    `step_index` states have been yielded.  No renormalization is applied at
+    (_checked_states): hermiticity defect <= hermiticity * max(1, ||y||_max),
+    which holds for every RK4 state, whose defect is exactly 0 (the generator
+    is X + X^dag), trace defect <= propagation_trace and smallest eigenvalue
+    >= -propagation_psd.  A breach raises PropagationError carrying the step
+    index and the defects, after exactly `step_index` states have been yielded.  No renormalization is applied at
     any point.  The block's eigendecompositions run as one warm chain, each
     from the previous state's eigenvectors, which differ from the new ones by
     O(h).
@@ -378,8 +378,8 @@ def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
                 block.append(y)
         rows = _Rows(len(block))
         for fields in zip(*_checked_states(
-                rows, _stack(block), state.spectrum.eigenvectors, tol,
-                tol.propagation_hermiticity, tol.propagation_trace, tol.propagation_psd)):
+                rows, _stack(block), state.spectrum.eigenvectors, tol, tol.propagation_trace,
+                tol.propagation_psd)):
             state = DensityMatrix._trusted(*fields)
             yield state, state.trace_defect
         if isinstance(rows.error, ValidationError):

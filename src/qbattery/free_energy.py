@@ -42,8 +42,8 @@ import numpy as np
 
 from .dynamics import DensityMatrix, LindbladModel, _liouvillians
 from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
-from .linalg import (HermitianMatrix, Spectrum, _chain, _checked_square, _constants, _finite,
-                     _hermitian, _lift, _Rows, _stack, dagger)
+from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _finite, _hermitian,
+                     _lift, _Rows, _stack, dagger, hermitian_eig_chain)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive
 
 __all__ = [
@@ -343,7 +343,7 @@ def _evaluate_rows(states, ctx: BatteryContext, basis: np.ndarray, tol: Toleranc
     rows = _Rows(len(states))
     rho = _stack([state.matrix for state in states])
     _, (f_op, _), delta, mean = _decompose(rows, rho, states, ctx, tol)
-    spectra = _chain(rows, f_op, basis, tol)
+    spectra = hermitian_eig_chain(rows, f_op, basis, tol=tol)
     if spectra:
         basis = spectra[-1].eigenvectors
     n = rows.n

@@ -26,6 +26,13 @@ and the convergence targets and the result guards are taken for the whole
 block at once; hermitian_eig is its one-matrix case.  Many cold solves of one
 dimension run as one stack (hermitian_eigs), with the same spectra.
 
+Every stacked evaluation in the package reports its failure one way, through
+a _Rows: each check cuts it at the first matrix (state, rung, instance) that
+fails, so the cut ends at the earliest failing one and at its first failing
+check, which is what a loop over the matrices would raise; only the results
+before the cut are returned, and a one-matrix function such as hermitian_eig
+or HermitianMatrix is the stack's case _Rows.single, raising that failure.
+
 Matrices are plain complex numpy arrays.  HermitianMatrix and Spectrum wrap
 them where extra guarantees have to travel with the data: the symmetrization
 defect recorded at construction, the ascending eigenvalue order, and the
@@ -41,8 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConvergenceError, DimensionError, DomainError, QBatteryError,
-                     ValidationError)
+from .errors import ConvergenceError, DimensionError, DomainError, ValidationError
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = [
@@ -118,10 +124,10 @@ class _Rows:
             raise self.error
 
     @classmethod
-    def single(cls, core: Callable, *args):
-        """core(rows, *args) on one-row stacks, raising that row's failure."""
+    def single(cls, core: Callable, *args, **kwargs):
+        """core(rows, *args, **kwargs) on one-row stacks, raising that row's failure."""
         rows = cls(1)
-        out = core(rows, *args)
+        out = core(rows, *args, **kwargs)
         rows.raise_first()
         return out
 
@@ -137,21 +143,20 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return np.isfinite(m).all(axis=(1, 2))
 
 
-def _hermitian(rows: _Rows, m: np.ndarray, tol: ToleranceConfig, context: str = "",
-               hermiticity: float | None = None):
-    """HermitianMatrix's checks and symmetrization, with its arithmetic, for
-    each matrix of the stack m (k, d, d): the read-only symmetrized stack and
-    the defects.  The defect bound is `hermiticity` (default tol.hermiticity)
-    times max(1, ||M||_max).  A failure, prefixed by `context`, cuts `rows`."""
+def _hermitian(rows: _Rows, m: np.ndarray, tol: ToleranceConfig, context: str = ""):
+    """HermitianMatrix's checks and symmetrization for each matrix of the stack
+    m (k, d, d): the read-only symmetrized stack and the defects.  The defect
+    bound is tol.hermiticity times max(1, ||M||_max).  A failure, prefixed by
+    `context`, cuts `rows`."""
     size = np.abs(m).max(axis=(1, 2))  # nan or inf where m is not finite
     rows.check(~np.isfinite(size),
                lambda i: ValidationError(f"{context}hermitian matrix: non-finite entries"))
-    bound = (tol.hermiticity if hermiticity is None else hermiticity) * np.maximum(1.0, size)
+    bound = tol.hermiticity * np.maximum(1.0, size)
     with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
         defect = np.abs(m - dagger(m)).max(axis=(1, 2))
         rows.check(defect > bound, lambda i: ValidationError(
             f"{context}hermiticity defect {defect[i]:.3e} exceeds tolerance {bound[i]:.3e}"))
-        half = 0.5 * m
+        half = 0.5 * m  # halve before adding: M + M^dag overflows above ~9e307
         sym = half + dagger(half)
     sym.flags.writeable = False
     return sym, defect
@@ -162,23 +167,16 @@ class HermitianMatrix:
 
     The pre-symmetrization defect ||M - M^dag||_max is kept on the instance.
     Inputs whose defect exceeds the hermiticity tolerance (scaled by
-    max(1, ||M||_max)) are rejected.  M is only read, never copied or kept.
+    max(1, ||M||_max)) are rejected: the one-matrix case of _hermitian.  M is
+    only read, never copied or kept.
     """
 
     __slots__ = ("matrix", "defect")
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES):
         m = _checked_square(matrix, "hermitian matrix")
-        defect_tol = tol.hermiticity * max(1.0, float(np.abs(m).max()))
-        defect = float(np.abs(m - m.T.conj()).max())
-        if defect > defect_tol:
-            raise ValidationError(
-                f"hermiticity defect {defect:.3e} exceeds tolerance {defect_tol:.3e}")
-        half = 0.5 * m  # halve before adding: M + M^dag overflows above ~9e307
-        sym = half + half.T.conj()
-        sym.flags.writeable = False
-        self.matrix = sym
-        self.defect = defect
+        sym, defect = _Rows.single(_hermitian, m[None], tol)
+        self.matrix, self.defect = sym[0], float(defect[0])
 
     @classmethod
     def _trusted(cls, sym: np.ndarray, defect: float) -> "HermitianMatrix":
@@ -361,38 +359,32 @@ def _sorted_phased(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return values[order], vectors
 
 
-def _guarded(eigenvalues: np.ndarray, vectors: np.ndarray, m: np.ndarray, size: np.ndarray,
-             tol: ToleranceConfig) -> list[Spectrum | ValidationError]:
-    """The Spectrum of each matrix of the stack m (k, d, d) with the sizes
-    ||M||_max, from its sorted and phased eigenvalues (k, d) and eigenvectors
-    (k, d, d), or the ValidationError of the first guard it fails: finite
-    eigenvalues (rotations that overflow leave inf or nan on the diagonal),
-    then eigenvector unitarity, then the residual against M.  The guards are
-    taken of every matrix; those of a matrix that failed an earlier one are
-    not read, and callers ignore their overflow."""
-    finite = np.logical_and.reduce(np.isfinite(eigenvalues), axis=-1).tolist()
+def _guarded(rows: _Rows, eigenvalues: np.ndarray, vectors: np.ndarray, m: np.ndarray,
+             size: np.ndarray, tol: ToleranceConfig) -> list[Spectrum]:
+    """The Spectrum of each of the leading rows.n matrices of the stack m
+    (k, d, d) with the sizes ||M||_max, from its sorted and phased eigenvalues
+    (k, d) and eigenvectors (k, d, d), once it passes the guards, in this
+    order: finite eigenvalues (rotations that overflow leave inf or nan on the
+    diagonal), eigenvector unitarity, and the residual against M.  A failure
+    cuts `rows`.  Callers ignore the overflow of rows past the cut."""
+    rows.check(~np.isfinite(eigenvalues).all(axis=-1),
+               lambda i: ValidationError("eigendecomposition has non-finite entries"))
     adjoint = dagger(vectors)
-    unitarity = np.abs(adjoint @ vectors - _constants(m.shape[-1])[0]).max(axis=(-2, -1)).tolist()
-    residual = np.abs((vectors * eigenvalues[:, None, :]) @ adjoint - m).max(axis=(-2, -1)).tolist()
+    unitarity = np.abs(adjoint @ vectors - _constants(m.shape[-1])[0]).max(axis=(-2, -1))
+    rows.check(unitarity > tol.unitarity,
+               lambda i: ValidationError(f"eigenvector unitarity defect {unitarity[i]:.3e}"))
+    residual = np.abs((vectors * eigenvalues[:, None, :]) @ adjoint - m).max(axis=(-2, -1))
+    rows.check(residual > tol.reconstruction * np.maximum(1.0, size),
+               lambda i: ValidationError(f"eigendecomposition residual {residual[i]:.3e}"))
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
-    out = []
-    for j, (ok, defect, res, s) in enumerate(zip(finite, unitarity, residual, size.tolist())):
-        if not ok:
-            out.append(ValidationError("eigendecomposition has non-finite entries"))
-        elif defect > tol.unitarity:
-            out.append(ValidationError(f"eigenvector unitarity defect {defect:.3e}"))
-        elif res > tol.reconstruction * max(1.0, s):
-            out.append(ValidationError(f"eigendecomposition residual {res:.3e}"))
-        else:
-            out.append(Spectrum(eigenvalues[j], vectors[j]))
-    return out
+    return [Spectrum(eigenvalues[i], vectors[i]) for i in range(rows.n)]
 
 
 def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Spectrum:
     """Eigendecomposition by Jacobi rotations in round-robin order: the
-    one-matrix case of hermitian_eig_chain.
+    one-matrix case of hermitian_eig_chain, raising its failure.
 
     Each sweep visits every pair p < q once, in the rounds of `_round_robin`
     (d - 1 of them, d for odd d).  The pairs of a round are disjoint, so their
@@ -418,65 +410,47 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     phased so that their largest-magnitude component is real positive.
     Unitarity and reconstruction against M are verified before returning.
     """
-    (result,) = hermitian_eig_chain(m.matrix[None], basis, tol=tol)
-    if isinstance(result, QBatteryError):
-        raise result
-    return result
+    return _Rows.single(hermitian_eig_chain, m.matrix[None], basis, tol=tol)[0]
 
 
-def hermitian_eig_chain(matrices: np.ndarray, basis: np.ndarray | None, *,
-                        tol: ToleranceConfig = DEFAULT_TOLERANCES
-                        ) -> tuple[Spectrum | QBatteryError, ...]:
-    """hermitian_eig of each matrix of the stack `matrices` (k, d, d), already
-    Hermitian (a HermitianMatrix's `matrix`), in order: the first warm-started
-    from `basis` (None: cold), each later one from the sorted, phased
-    eigenvectors of the one before it.
+def hermitian_eig_chain(rows: _Rows, matrices: np.ndarray, basis: np.ndarray | None, *,
+                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> list[Spectrum]:
+    """hermitian_eig of each of the leading rows.n matrices of the stack
+    `matrices` (k, d, d), already Hermitian (a HermitianMatrix's `matrix`, or
+    _hermitian's stack), in order: the first warm-started from `basis` (None:
+    cold), each later one from the sorted, phased eigenvectors of the one
+    before it.
 
     So each Spectrum is, bit for bit, the one a loop of hermitian_eig calls
-    passing each result's eigenvectors on would return.  The chain stops at
-    the first matrix that fails: the result holds the spectra before it and,
-    in its place, the error hermitian_eig raises for it.  The convergence
-    targets are taken for the whole stack before the sweeps, and the finite,
-    unitarity and residual guards as one stack after them.
+    passing each result's eigenvectors on would return.  The convergence
+    targets are taken for the whole stack before the sweeps, and the guards as
+    one stack after them (_guarded).  The first matrix that fails cuts `rows`,
+    at its first failing check: convergence, then the guards in their order.
+    Returns the spectra before the cut.
     """
-    m = np.asarray(matrices)
+    m = np.asarray(matrices)[:rows.n]
     size, scale, target = _convergence_target(m, tol)
-    values, vectors, failure = [], [], ()
+    values, vectors = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # _guarded checks the result
-        for i in range(m.shape[0]):
+        for i in range(rows.n):
             try:
                 a, v = _jacobi(m[i], basis, scale[i], target[i], tol)
             except ConvergenceError as exc:
-                failure = (exc,)
+                rows.cut(i, exc)
                 break
             w, basis = _sorted_phased(a, v)
             values.append(w)
             vectors.append(basis)
         if not values:
-            return failure
-        n = len(values)
-        out = _guarded(_stack(values), _stack(vectors), m[:n], size[:n], tol)
-    for i, result in enumerate(out):
-        if not isinstance(result, Spectrum):
-            return tuple(out[:i + 1])
-    return tuple(out) + failure
+            return []
+        return _guarded(rows, _stack(values), _stack(vectors), m[:rows.n], size[:rows.n], tol)
 
 
-def _chain(rows: _Rows, m: np.ndarray, basis: np.ndarray | None,
-           tol: ToleranceConfig) -> list[Spectrum]:
-    """hermitian_eig_chain of the leading rows.n matrices of the stack m: the
-    spectra of the rows that passed.  A failure cuts `rows`."""
-    solved = list(hermitian_eig_chain(m[:rows.n], basis, tol=tol))
-    if solved and not isinstance(solved[-1], Spectrum):
-        rows.cut(len(solved) - 1, solved.pop())
-    return solved
-
-
-def _finish_stack(a: np.ndarray, v: np.ndarray, m: np.ndarray, size: np.ndarray,
-                  tol: ToleranceConfig) -> list[Spectrum | ValidationError]:
+def _finish_stack(rows: _Rows, a: np.ndarray, v: np.ndarray, m: np.ndarray, size: np.ndarray,
+                  tol: ToleranceConfig) -> list[Spectrum]:
     """_sorted_phased and _guarded of each matrix of the stacks a, v, m (k, d, d),
     with the sizes ||M||_max: the same Spectrum bit for bit as hermitian_eig's,
-    or the ValidationError it raises."""
+    for the rows before the cut that a failure makes in `rows`."""
     values = np.diagonal(a.real, axis1=-2, axis2=-1)
     order = np.argsort(values, axis=-1, kind="stable")
     eigenvalues = np.take_along_axis(values, order, axis=-1)
@@ -484,23 +458,25 @@ def _finish_stack(a: np.ndarray, v: np.ndarray, m: np.ndarray, size: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         pivots = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=-2)[:, None, :], axis=-2)
         vectors *= np.conj(pivots) / np.abs(pivots)
-        return _guarded(eigenvalues, vectors, m, size, tol)
+        return _guarded(rows, eigenvalues, vectors, m, size, tol)
 
 
-def hermitian_eigs(matrices, *, tol: ToleranceConfig = DEFAULT_TOLERANCES
-                   ) -> tuple[Spectrum | QBatteryError, ...]:
-    """hermitian_eig, cold, of many matrices of one dimension, as one (n, d, d) stack.
+def hermitian_eigs(rows: _Rows, matrices: np.ndarray, *,
+                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> list[Spectrum]:
+    """hermitian_eig, cold, of each of the leading rows.n matrices of the
+    stack `matrices` (k, d, d), already Hermitian, solved together.
 
     Each round rotates every unfinished matrix at once, with one stacked product;
     a dead pair (entry exactly zero) gets an identity block, a matrix with no
     live pair is left as it was, and the matrices that converge in a sweep
     leave the stack and are finished together (_finish_stack).  So each gets
-    hermitian_eig's Spectrum bit for bit, or in its place the error
-    hermitian_eig raises for it.  No matrices give no results."""
-    if not matrices:
-        return ()
-    m = np.stack([h.matrix for h in matrices])
-    n, d, _ = m.shape
+    hermitian_eig's Spectrum bit for bit.  Groups finish out of index order,
+    so a failing group may only move the cut in `rows` earlier, and matrices
+    past the cut leave the stack: the cut ends at the earliest failing matrix,
+    at its first failing check (convergence, then the guards).  Returns the
+    spectra before the cut."""
+    m = np.asarray(matrices)[:rows.n]
+    n, d = m.shape[0], m.shape[-1]
     size, scale, target = _convergence_target(m, tol)
     a, v = m.copy(), np.broadcast_to(_constants(d)[0], m.shape).copy()
     ids, out, sweeps = np.arange(n), [None] * n, 0
@@ -508,14 +484,18 @@ def hermitian_eigs(matrices, *, tol: ToleranceConfig = DEFAULT_TOLERANCES
         off = _offdiag_norm(a, scale[ids])
         done = ~(off > target[ids])
         finished = ids[done]
-        for i, result in zip(finished.tolist(),
-                             _finish_stack(a[done], v[done], m[finished], size[finished], tol)):
-            out[i] = result
-        a, v, ids, off = a[~done], v[~done], ids[~done], off[~done]
+        group = _Rows(finished.size)
+        for i, spectrum in zip(finished.tolist(), _finish_stack(
+                group, a[done], v[done], m[finished], size[finished], tol)):
+            out[i] = spectrum
+        if group.error is not None:
+            rows.cut(int(finished[group.n]), group.error)
+        stay = ~done & (ids < rows.n)
+        a, v, ids, off = a[stay], v[stay], ids[stay], off[stay]
         if not ids.size or sweeps >= tol.jacobi_max_sweeps:
-            for i, off_i in zip(ids, off):
-                out[i] = _not_converged(off_i, target[i], scale[i], tol)
-            return tuple(out)
+            if ids.size:
+                rows.cut(int(ids[0]), _not_converged(off[0], target[ids[0]], scale[ids[0]], tol))
+            return out[:rows.n]
         with np.errstate(over="ignore", invalid="ignore"):  # _finish_stack checks the result
             for p, q, idx in _round_robin(d):
                 apq = a[:, p, q]

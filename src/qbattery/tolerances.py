@@ -79,7 +79,6 @@ class ToleranceConfig:
     # propagation (per-step revalidation; looser than construction)
     propagation_trace: float = 1e-8
     propagation_psd: float = 1e-8
-    propagation_hermiticity: float = 1e-10  # x max(1, ||y||_max), like hermiticity
 
     # free-energy bookkeeping
     mean_crosscheck: float = 1e-9       # x max(1, |<F>|) agreement of the two mean forms

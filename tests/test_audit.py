@@ -10,10 +10,11 @@ from qbattery.audit import (EnsembleSpec, FalsifierReport, ScenarioSpec, bundled
                             claim_falsifier, eigenstate_audit, epsilon_sweep,
                             evaluate_instance, reevaluate_witness)
 from qbattery.cli import _encode
-from qbattery.dynamics import JumpChannel, LindbladModel
+from qbattery.dynamics import DensityMatrix, JumpChannel, LindbladModel, liouvillian, regularize
 from qbattery.errors import (ConsistencyError, ConvergenceError, ParameterError, QBatteryError,
                              ScenarioError, ValidationError)
-from qbattery.linalg import HermitianMatrix, hermitian_eig, max_abs
+from qbattery.linalg import HermitianMatrix, _Rows, hermitian_eig, max_abs
+from qbattery.free_energy import BatteryContext, free_energy_operator, power_analytic
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
@@ -181,6 +182,26 @@ class TestEpsilonSweep:
                 assert row.energy_rate / s == pytest.approx(unit.energy_rate, rel=1e-9)
                 assert row.entropy_rate == pytest.approx(unit.entropy_rate, rel=1e-9)
 
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_stacked_rungs_match_one_state_at_a_time(self, rng, d):
+        # non-diagonal H: the rungs are one warm chain from rho0's eigenvectors,
+        # a regularized state alone is solved cold; both from the same rho_eps
+        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, d)), tuple(
+            JumpChannel(0.5, oracles.random_ginibre(rng, d)) for _ in range(2)))
+        spec = ScenarioSpec(model=model, beta=0.7, k0=1, epsilon_list=self.EPS)
+        report = epsilon_sweep(spec)
+        rho0 = DensityMatrix.pure(hermitian_eig(model.hamiltonian).eigenvectors[:, 1])
+        dissipative = LindbladModel(HermitianMatrix(np.zeros((d, d))), model.channels)
+        assert len(report.rows) == len(self.EPS)
+        for row in report.rows:
+            rho = regularize(rho0, row.epsilon)
+            rate = liouvillian(dissipative, rho)
+            decomp = free_energy_operator(rho, BatteryContext(spec.beta, model))
+            assert row.energy_rate == (rate.matrix @ model.hamiltonian.matrix).trace().real
+            assert row.power_analytic == pytest.approx(power_analytic(rate, decomp), rel=1e-8)
+            assert row.entropy_rate == pytest.approx(
+                -(rate.matrix @ decomp.log_rho.matrix).trace().real, rel=1e-8)
+
     def test_empty_list_rejected(self):
         spec = ScenarioSpec(model=qubit_model(SIGMA_PLUS), beta=1.0, k0=0)
         with pytest.raises(ParameterError):
@@ -304,6 +325,20 @@ class TestClaimFalsifier:
             claim_falsifier(ens, tol=tol)
         assert str(got.value) == str(want.value)
 
+    # each dimension's stack cuts at its own first failure, the solver's guards
+    # or the evaluation's; the one drawn first is raised, whichever dimension
+    # was solved first
+    @pytest.mark.parametrize("guard", [{"power_agreement": 0.0}, {"unitarity": 1e-300},
+                                       {"reconstruction": 1e-18}])
+    def test_an_evaluation_failure_stops_at_the_same_instance(self, guard):
+        tol = DEFAULT_TOLERANCES.replace(**guard)
+        ens = EnsembleSpec(seed=5, trials=200, dim_max=6)
+        with pytest.raises(QBatteryError) as want:
+            self.solved_one_by_one(ens, tol)
+        with pytest.raises(QBatteryError) as got:
+            claim_falsifier(ens, tol=tol)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
     def test_bundled_list_shape(self):
         names = [name for name, _, _ in bundled_witnesses()]
         assert names == ["qubit_sigma_x", "qubit_dark_state", "qubit_pump",
@@ -372,8 +407,10 @@ class TestStackedEvaluation:
         for d in sorted({model.dim for _, model, _ in entries}):
             group = [entry for entry in entries if entry[1].dim == d]
             spectra = [hermitian_eig(model.hamiltonian) for _, model, _ in group]
-            for got, (label, model, k0) in zip(audit._evaluate(group, spectra, 1.0, self.TOL),
-                                               group):
+            rows = _Rows(len(group))
+            stacked = audit._evaluate(rows, group, spectra, 1.0, self.TOL)
+            assert rows.error is None and len(stacked) == len(group)
+            for got, (label, model, k0) in zip(stacked, group):
                 want = record_text(loop_instance(model, k0, 1.0, label, self.TOL))
                 assert record_text(got) == want
                 assert record_text(evaluate_instance(model, k0, 1.0, label, tol=self.TOL)) == want

@@ -78,13 +78,14 @@ def seeded_config(dim, seed):
 @pytest.fixture
 def eig_calls(monkeypatch):
     """A list that grows by one per matrix solved through hermitian_eig or
-    hermitian_eig_chain, from any module: hermitian_eig solves through the chain."""
+    hermitian_eig_chain, from any module: hermitian_eig solves through the chain,
+    which solves the leading rows.n matrices of its stack."""
     calls = []
     original = linalg.hermitian_eig_chain
 
-    def counted(matrices, *args, **kwargs):
-        calls.extend(m.shape[0] for m in matrices)
-        return original(matrices, *args, **kwargs)
+    def counted(rows, matrices, *args, **kwargs):
+        calls.extend(m.shape[0] for m in matrices[:rows.n])
+        return original(rows, matrices, *args, **kwargs)
 
     for module in (linalg, dynamics, free_energy, audit, cli):
         if getattr(module, "hermitian_eig_chain", None) is original:
@@ -415,6 +416,36 @@ class TestRunCommand:
             assert main(["run", "--config", str(SCENARIOS / "thermal_stationary.json"),
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("t0", [0.0, 1e3, 1e6])
+    def test_rows_do_not_depend_on_t0(self, tmp_path, t0):
+        # run integrates on the offsets from t0 and writes t0 + offset in `t`
+        data = json.loads((SCENARIOS / "qutrit_ladder.json").read_text())
+        data["time"]["horizon"] = 100 * data["time"]["step"]
+        outs = []
+        for start in (0.0, t0):
+            cfg, out = tmp_path / f"{start:g}.json", tmp_path / f"{start:g}.csv"
+            cfg.write_text(json.dumps(dict(data, time=dict(data["time"], t0=start))))
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            outs.append(read_csv(out))
+        assert len(outs[1]) == 101
+        for at_zero, row in zip(*outs):
+            assert {**row, "t": None} == {**at_zero, "t": None}
+        times = parse_config(json.dumps(dict(data, time=dict(data["time"], t0=t0))), "run").time
+        assert [row["t"] for row in outs[1]] == [f"{t:.17g}" for t in times.grid()]
+
+    # the times of these grids round at a spacing above 1e-12 of the step
+    @pytest.mark.parametrize("t0, step, horizon", [(1e5, 1e-3, 1.0), (0.0, 1e-2, 1e4)])
+    def test_grids_parse_config_accepts_are_uniform(self, tmp_path, t0, step, horizon):
+        text = config_text(time={"t0": t0, "step": step, "horizon": horizon})
+        cfg = parse_config(text, "run")
+        for times in (cfg.time.grid(), cfg.time.offsets()):
+            dynamics.propagate(cfg.model, dynamics.DensityMatrix.maximally_mixed(2), times)
+        if horizon / step <= 1000:
+            path = tmp_path / "grid.json"
+            path.write_text(text)
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+            assert float(read_csv(tmp_path / "out.csv")[-1]["t"]) == cfg.time.grid()[-1]
 
     @pytest.mark.parametrize("name, setup", [
         ("qubit_sigma_x", 2), ("qubit_dark_state", 2), ("qutrit_ladder", 2),
@@ -1079,12 +1110,14 @@ class TestReportCommands:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    # every field, so a new tolerance cannot skip validation; config_hermiticity
-    # and decomposition_residual are no longer fields and must be rejected as unknown
+    # every field, so a new tolerance cannot skip validation; config_hermiticity,
+    # decomposition_residual and propagation_hermiticity are no longer fields and
+    # must be rejected as unknown
     @pytest.mark.parametrize("pair", [
         f"{f.name}={value}" for f in dataclasses.fields(ToleranceConfig)
         for value in ("-1", "nan")] + ["claim_band=0.5", "config_hermiticity=1e-9",
-                                       "decomposition_residual=1e-9"])
+                                       "decomposition_residual=1e-9",
+                                       "propagation_hermiticity=1e-9"])
     def test_invalid_tol_exits_2(self, tmp_path, capsys, pair):
         code = main(["audit", "--config", str(SCENARIOS / "qubit_sigma_x.json"),
                      "--out", str(tmp_path / "x.json"), "--tol", pair])

@@ -72,6 +72,31 @@ class TestHermitianMatrix:
         with pytest.raises(ValidationError):
             as_square_matrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
+    def test_is_the_one_matrix_case_of_the_stack(self, rng):
+        # matrices near and beyond the defect bound, at several scales: from
+        # every start, the stack's bits, defects and first failure are those
+        # of constructing its matrices one by one
+        ms = [s * (oracles.random_hermitian(rng, 3) + e * oracles.random_ginibre(rng, 3))
+              for s in (1e-3, 1.0, 1e5) for e in (0.0, 1e-13, 1e-11)]
+        for start in range(len(ms)):
+            rows = linalg._Rows(len(ms) - start)
+            sym, defect = linalg._hermitian(rows, np.array(ms[start:]), DEFAULT_TOLERANCES)
+            for i in range(rows.n):
+                h = HermitianMatrix(ms[start + i])
+                assert same_bits(h.matrix, sym[i]) and h.defect == defect[i]
+            if rows.error is not None:
+                with pytest.raises(ValidationError) as single:
+                    HermitianMatrix(ms[start + rows.n])
+                assert str(single.value) == str(rows.error)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entry_modulus_beyond_the_float_range_is_rejected(self):
+        # finite parts whose modulus overflows: ||M||_max, and every norm the
+        # solver takes of M, is infinite
+        a = 1.3e308
+        with pytest.raises(ValidationError, match="hermitian matrix: non-finite entries"):
+            HermitianMatrix(np.array([[a, a + 1j * a], [a - 1j * a, 0.0]]))
+
 
 class TestHermitianEig:
     def test_diagonal_gets_sorted_with_permutation_vectors(self):
@@ -105,9 +130,10 @@ class TestHermitianEig:
         h = HermitianMatrix(1.7e308 * np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, -0.3]]))
         with pytest.raises(ValidationError, match="eigendecomposition has non-finite entries"):
             hermitian_eig(h)
-        (got,) = hermitian_eigs([h])
-        assert isinstance(got, ValidationError)
-        assert str(got) == "eigendecomposition has non-finite entries"
+        rows = linalg._Rows(1)
+        assert hermitian_eigs(rows, h.matrix[None]) == []
+        assert rows.n == 0 and isinstance(rows.error, ValidationError)
+        assert str(rows.error) == "eigendecomposition has non-finite entries"
 
     def test_reconstruction_unitarity_8x8(self, rng):
         m = oracles.random_hermitian(rng, 8, scale=3.0)
@@ -231,6 +257,34 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_cuts_as_single_solves(hs, tol) -> int:
+    """From every start offset, hermitian_eigs of hs[start:] cuts at the first
+    matrix whose single solve raises, with the same type, message and
+    off_diagonal_norm, and every spectrum before the cut has the bits of the
+    single solve.  So each failing matrix is checked as the first failure of
+    its own suffix.  Returns how many of hs fail."""
+    failed = 0
+    for start in range(len(hs)):
+        rows = linalg._Rows(len(hs) - start)
+        got = hermitian_eigs(rows, np.array([h.matrix for h in hs[start:]]), tol=tol)
+        assert len(got) == rows.n
+        for h, spectrum in zip(hs[start:], got):
+            want = hermitian_eig(h, tol=tol)
+            assert same_bits(spectrum.eigenvalues, want.eigenvalues)
+            assert same_bits(spectrum.eigenvectors, want.eigenvectors)
+        if rows.error is None:
+            assert rows.n == len(hs) - start
+            continue
+        failed += rows.n == 0
+        with pytest.raises((ConvergenceError, ValidationError)) as single:
+            hermitian_eig(hs[start + rows.n], tol=tol)
+        assert type(rows.error) is type(single.value)
+        assert str(rows.error) == str(single.value)
+        assert getattr(rows.error, "off_diagonal_norm", None) == \
+            getattr(single.value, "off_diagonal_norm", None)
+    return failed
+
+
 class TestHermitianEigs:
     # from d = 17 numpy's default sort is not stable on the exact ties of signed_zeros
     @pytest.mark.parametrize("d", [*range(2, 10), 17])
@@ -238,10 +292,11 @@ class TestHermitianEigs:
         groups = []
         finish = linalg._finish_stack
         monkeypatch.setattr(linalg, "_finish_stack",
-                            lambda a, *args: groups.append(len(a)) or finish(a, *args))
+                            lambda rows, a, *args: groups.append(len(a)) or finish(rows, a, *args))
         hs = [HermitianMatrix(m) for m in stack_cases(rng, d)]
-        stacked = hermitian_eigs(hs)
-        assert len(stacked) == len(hs)
+        rows = linalg._Rows(len(hs))
+        stacked = hermitian_eigs(rows, np.array([h.matrix for h in hs]))
+        assert rows.error is None and len(stacked) == len(hs)
         # the cases converge after different sweep counts, so in several groups
         assert len(groups) > 1 and sum(groups) == len(hs)
         for h, got in zip(hs, stacked):
@@ -255,18 +310,7 @@ class TestHermitianEigs:
     def test_failures_are_held_per_matrix(self, rng, sweeps):
         tol = DEFAULT_TOLERANCES.replace(jacobi_max_sweeps=sweeps)
         hs = [HermitianMatrix(m) for m in stack_cases(rng, 5)]
-        failed = 0
-        for h, got in zip(hs, hermitian_eigs(hs, tol=tol)):
-            try:
-                want = hermitian_eig(h, tol=tol)
-            except ConvergenceError as exc:
-                failed += 1
-                assert isinstance(got, ConvergenceError)
-                assert str(got) == str(exc)
-                assert got.off_diagonal_norm == exc.off_diagonal_norm
-            else:
-                assert same_bits(got.eigenvectors, want.eigenvectors)
-        assert 0 < failed < len(hs)
+        assert 0 < assert_cuts_as_single_solves(hs, tol) < len(hs)
 
     # a diagonal or zero matrix has exactly unitary permutation eigenvectors and
     # reconstructs exactly; rotations of a matrix near the float limit overflow
@@ -277,20 +321,25 @@ class TestHermitianEigs:
             tol = DEFAULT_TOLERANCES.replace(**guards)
             huge = scale * np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, -0.3]])
             hs = [HermitianMatrix(m) for m in [huge, *stack_cases(rng, 2)]]
-            failed = 0
-            for h, got in zip(hs, hermitian_eigs(hs, tol=tol)):
-                try:
-                    want = hermitian_eig(h, tol=tol)
-                except ValidationError as exc:
-                    failed += 1
-                    assert isinstance(got, ValidationError) and str(got) == str(exc)
-                else:
-                    assert same_bits(got.eigenvalues, want.eigenvalues)
-                    assert same_bits(got.eigenvectors, want.eigenvectors)
-            assert 0 < failed < len(hs), guards
+            assert 0 < assert_cuts_as_single_solves(hs, tol) < len(hs), guards
 
     def test_no_matrices_give_no_results(self):
-        assert hermitian_eigs([]) == ()
+        assert hermitian_eigs(linalg._Rows(0), np.zeros((0, 3, 3), dtype=complex)) == []
+
+    # a NaN matrix past the cut would fail its guards if it were solved
+    @pytest.mark.parametrize("chain", [False, True], ids=["stack", "chain"])
+    def test_only_the_rows_before_the_cut_are_solved(self, rng, chain):
+        hs = [HermitianMatrix(oracles.random_hermitian(rng, 3)) for _ in range(2)]
+        matrices = np.array([h.matrix for h in hs] + [np.full((3, 3), np.nan)] * 2)
+        rows, earlier = linalg._Rows(len(matrices)), ValidationError("an earlier check")
+        rows.cut(2, earlier)
+        if chain:
+            got, want = hermitian_eig_chain(rows, matrices, None), looped(matrices[:2], None)
+        else:
+            got, want = hermitian_eigs(rows, matrices), [hermitian_eig(h) for h in hs]
+        assert rows.n == 2 and rows.error is earlier and len(got) == 2
+        for spectrum, expected in zip(got, want):
+            assert same_bits(spectrum.eigenvectors, expected.eigenvectors)
 
 
 def trajectory_block(rng, d=4, steps=12):
@@ -320,8 +369,9 @@ def looped(matrices, basis, tol=DEFAULT_TOLERANCES):
 class TestHermitianEigChain:
     def test_chain_is_bit_identical_to_a_loop_of_single_solves(self, rng):
         matrices, basis = trajectory_block(rng)
-        chained = hermitian_eig_chain(matrices, basis)
-        assert len(chained) == len(matrices)
+        rows = linalg._Rows(len(matrices))
+        chained = hermitian_eig_chain(rows, matrices, basis)
+        assert rows.error is None and len(chained) == len(matrices)
         for got, want in zip(chained, looped(matrices, basis)):
             assert same_bits(got.eigenvalues, want.eigenvalues)
             assert same_bits(got.eigenvectors, want.eigenvectors)
@@ -338,15 +388,17 @@ class TestHermitianEigChain:
         dense = oracles.random_hermitian(rng, d)
         matrices = np.array([np.diag([0.1, 0.2, 0.3, 0.4]), np.diag([0.4, 0.3, 0.2, 0.1]),
                              dense, dense + 1e-3 * np.eye(d)]).astype(complex)
-        chained, want = hermitian_eig_chain(matrices, None, tol=tol), looped(matrices, None, tol)
-        assert len(chained) == len(want) == 3
-        assert isinstance(chained[2], error) and type(chained[2]) is type(want[2])
-        assert str(chained[2]) == str(want[2])
-        for got, expected in zip(chained[:2], want[:2]):
+        rows = linalg._Rows(len(matrices))
+        chained = hermitian_eig_chain(rows, matrices, None, tol=tol)
+        want = looped(matrices, None, tol)
+        assert len(chained) == rows.n == 2 and len(want) == 3
+        assert isinstance(rows.error, error) and type(rows.error) is type(want[2])
+        assert str(rows.error) == str(want[2])
+        for got, expected in zip(chained, want[:2]):
             assert same_bits(got.eigenvectors, expected.eigenvectors)
 
     def test_no_matrices_give_no_results(self):
-        assert hermitian_eig_chain(np.zeros((0, 3, 3), dtype=complex), None) == ()
+        assert hermitian_eig_chain(linalg._Rows(0), np.zeros((0, 3, 3), dtype=complex), None) == []
 
 
 def rotation(rng, d, angle):
