@@ -40,8 +40,7 @@ from .errors import (ConsistencyError, ParameterError, PropagationError, Scenari
                      ValidationError)
 from .free_energy import BatteryContext, _decompose, _powers, vanishing_condition
 from .jsonio import model_from_json, model_to_json
-from .linalg import (HermitianMatrix, _Rows, _stack, dagger, hermitian_eig, hermitian_eigs,
-                     max_abs)
+from .linalg import HermitianMatrix, _Rows, dagger, hermitian_eig, hermitian_eigs, max_abs
 from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive, _integer,
                          _open_unit)
 
@@ -160,8 +159,11 @@ class ClaimInstance:
         col_all = _all_zero_status([_classify(t, self.scale, tol) for t in self.theta_transposed])
         return row_all, col_all, _classify(self.power_trace, self.scale, tol)
 
-    def outcomes(self, tol: ToleranceConfig) -> dict[str, str]:
-        row_all, col_all, p_cls = self.classes(tol)
+    def outcomes(self, tol: ToleranceConfig, classes: tuple[str, str, str] | None = None
+                 ) -> dict[str, str]:
+        """Each claim's outcome, from this instance's classes(tol); a caller that
+        has them already passes them as `classes`."""
+        row_all, col_all, p_cls = classes or self.classes(tol)
         return {
             "C1": _implication_outcome(row_all, p_cls),
             "C2": _implication_outcome(p_cls, row_all),
@@ -180,16 +182,17 @@ class ClaimInstance:
                 "condition_holds": self.condition_holds}
 
 
-def _evaluate(rows: _Rows, drawn, spectra, beta: float, tol: ToleranceConfig, *,
-              check_thetas: bool = True) -> list[ClaimInstance]:
+def _evaluate(rows: _Rows, drawn, w: np.ndarray, u: np.ndarray, beta: float,
+              tol: ToleranceConfig, *, check_thetas: bool = True) -> list[ClaimInstance]:
     """evaluate_instance for the leading rows.n instances (label, model, k0) of
-    one dimension, with the spectra H = U diag(w) U^dag of their Hamiltonians,
-    as one stack of (instance, channel) pairs.  One stacked product forms every
-    U^dag L_j U, from which the index-form power, Theta in both orders and the
-    vanishing condition are read; the trace-form power tr(D_j[|k0><k0|] H), the
-    independent cross-check, stays in the original basis.  Sums run over the
-    last axis and channels are added in Python, as for one instance, so every
-    value is bit for bit that of a loop over instances.
+    one dimension, from the eigenvalue (k, d) and eigenvector (k, d, d) stacks
+    of their Hamiltonians H = U diag(w) U^dag, as one stack of (instance,
+    channel) pairs.  One stacked product forms every U^dag L_j U, from which
+    the index-form power, Theta in both orders and the vanishing condition are
+    read; the trace-form power tr(D_j[|k0><k0|] H), the independent
+    cross-check, stays in the original basis.  Sums run over the last axis and
+    channels are added in Python, as for one instance, so every value is bit
+    for bit that of a loop over instances.
 
     The instances are checked in order, each for the first of a power-form gap
     beyond power_agreement * max(1, |trace form|), a Theta that overflowed
@@ -206,9 +209,7 @@ def _evaluate(rows: _Rows, drawn, spectra, beta: float, tol: ToleranceConfig, *,
     rates = np.array([ch.rate for model in models for ch in model.channels])
     ops = np.array([ch.operator for model in models for ch in model.channels],
                    dtype=complex).reshape(-1, d, d)
-    h = np.array([model.hamiltonian.matrix for model in models])
-    w = np.array([spectrum.eigenvalues for spectrum in spectra[:n]])
-    u = np.array([spectrum.eigenvectors for spectrum in spectra[:n]])
+    h, w, u = np.array([model.hamiltonian.matrix for model in models]), w[:n], u[:n]
     vec, k0_p, u_p, w_p = u[np.arange(n), :, k0], k0[owner], u[owner], w[owner]
     projectors = vec[:, :, None] * np.conj(vec)[:, None, :]  # |k0><k0| of each instance
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -266,8 +267,8 @@ def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
     """
     beta = _finite_positive(beta, "beta")
     spectrum = hermitian_eig(model.hamiltonian, tol=tol)
-    return _Rows.single(_evaluate, [(label, model, _eigen_index(k0, model.dim))], [spectrum],
-                        beta, tol)[0]
+    return _Rows.single(_evaluate, [(label, model, _eigen_index(k0, model.dim))],
+                        spectrum.eigenvalues[None], spectrum.eigenvectors[None], beta, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -337,10 +338,12 @@ def eigenstate_audit(spec: ScenarioSpec, *,
         raise ScenarioError(
             f"index {spec.k0} is not an eigenvector of H: residual {residual:.3e}")
 
-    instance = _Rows.single(_evaluate, [("scenario", spec.model, spec.k0)], [spectrum],
-                            spec.beta, tol)[0]
+    instance = _Rows.single(_evaluate, [("scenario", spec.model, spec.k0)],
+                            spectrum.eigenvalues[None], spectrum.eigenvectors[None], spec.beta,
+                            tol)[0]
 
-    row_all, _, p_cls = instance.classes(tol)
+    classes = instance.classes(tol)  # one classification for the verdict and the claims
+    row_all, _, p_cls = classes
     if row_all == NONZERO and p_cls == NONZERO:
         verdict = VERDICT_REFUTED
     elif row_all == ZERO and p_cls == ZERO:
@@ -362,7 +365,7 @@ def eigenstate_audit(spec: ScenarioSpec, *,
         scale=instance.scale,
         verdict=verdict,
         condition_holds=instance.condition_holds,
-        claim_verdicts=_claim_rows([(instance, instance.outcomes(tol))]))
+        claim_verdicts=_claim_rows([(instance, instance.outcomes(tol, classes))]))
 
 
 @dataclass(frozen=True)
@@ -411,8 +414,8 @@ def epsilon_sweep(spec: ScenarioSpec, *,
         raise ParameterError("epsilon_sweep needs a non-empty epsilon_list")
     ctx = BatteryContext(spec.beta, spec.model)
     spectrum = hermitian_eig(spec.model.hamiltonian, tol=tol)
-    reference = _Rows.single(_evaluate, [(None, spec.model, spec.k0)], [spectrum], ctx.beta,
-                             tol, check_thetas=False)[0]
+    reference = _Rows.single(_evaluate, [(None, spec.model, spec.k0)], spectrum.eigenvalues[None],
+                             spectrum.eigenvectors[None], ctx.beta, tol, check_thetas=False)[0]
     rho0 = DensityMatrix.pure(spectrum.eigenvectors[:, spec.k0], tol=tol)
     h = spec.model.hamiltonian.matrix
     # tr(-i[H, rho_eps] X) is 0 for X = H, F and ln rho_eps, but its rounding is not
@@ -440,30 +443,31 @@ def _sweep_rungs(spec: ScenarioSpec, epsilons, rho0: DensityMatrix, ctx: Battery
     regularize's arithmetic and checked as one stack of states (one warm chain
     from rho0's eigenvectors, which all of them share), then L(rho_eps), the
     decomposition, the rates and the power as stacks (free_energy's core),
-    then each rung's RK4 probe.  The first failure in rung order is raised."""
-    d, eps = rho0.dim, np.array(epsilons)[:, None, None]
+    then each rung's RK4 probe, the one place a rung becomes a DensityMatrix.
+    The first failure in rung order is raised."""
+    d, eps, h = rho0.dim, np.array(epsilons)[:, None, None], spec.model.hamiltonian.matrix
     mixed = (1.0 - eps) * rho0.matrix + (eps / d) * np.eye(d)
     rows = _Rows(len(epsilons))
-    states = [DensityMatrix._trusted(*fields) for fields in zip(*_checked_states(
-        rows, mixed, rho0.spectrum.eigenvectors, tol, tol.density_trace, tol.psd))]
-    out = []
-    if states:
-        rho = _stack([state.matrix for state in states])
-        rate, _ = _liouvillians(rows, dissipative, rho, tol)
-        log_rho, f_op, _, _ = _decompose(rows, rho, states, ctx, tol)
-        with np.errstate(over="ignore", invalid="ignore"):  # the report scan names inf/nan
-            energy = (rate @ spec.model.hamiltonian.matrix).trace(axis1=1, axis2=2).real
-            entropy = -(rate @ log_rho[0]).trace(axis1=1, axis2=2).real
-        power = _powers(rows, rate, f_op[0], tol)
-        for i in range(rows.n):
-            step_error = None
-            try:
-                for _ in propagate(spec.model, states[i], [0.0, spec.step], tol=tol):
-                    pass  # the RK4 step only runs when its state is drawn
-            except PropagationError as exc:
-                step_error = str(exc)
-            out.append(EpsilonRow(float(epsilons[i]), float(power[i]), float(energy[i]),
-                                  float(entropy[i]), step_error))
+    columns = _checked_states(rows, mixed, rho0.spectrum.eigenvectors, tol, tol.density_trace,
+                              tol.psd)
+    rho, _, _, values, vectors, entropies = columns
+    rate, _ = _liouvillians(rows, dissipative, rho, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # the report scan names inf/nan
+        energy, tr_rho_h = ((x @ h).trace(axis1=1, axis2=2).real for x in (rate, rho))
+        log_rho, f_op, _, _ = _decompose(rows, rho, values, vectors,
+                                         tr_rho_h - entropies / ctx.beta, ctx, tol)
+        entropy = -(rate @ log_rho[0]).trace(axis1=1, axis2=2).real
+    power, out = _powers(rows, rate, f_op[0], tol), []
+    for i in range(rows.n):
+        step_error = None
+        try:
+            for _ in propagate(spec.model, DensityMatrix._trusted(columns, i), [0.0, spec.step],
+                               tol=tol):
+                pass  # the RK4 step only runs when its state is drawn
+        except PropagationError as exc:
+            step_error = str(exc)
+        out.append(EpsilonRow(float(epsilons[i]), float(power[i]), float(energy[i]),
+                              float(entropy[i]), step_error))
     rows.raise_first()
     return out
 
@@ -577,12 +581,12 @@ def claim_falsifier(ensemble: EnsembleSpec, *,
         by_dim.setdefault(model.dim, []).append(i)
     for _, members in sorted(by_dim.items(), reverse=True):
         rows = _Rows(len(members))
-        spectra = hermitian_eigs(rows, np.array([drawn[i][1].hamiltonian.matrix for i in members]),
-                                 tol=tol)
+        w, u = hermitian_eigs(rows, np.array([drawn[i][1].hamiltonian.matrix for i in members]),
+                              tol=tol)
         for at in range(0, rows.n, _BLOCK):
             block = _Rows(min(_BLOCK, rows.n - at))
-            results = _evaluate(block, [drawn[i] for i in members[at:at + block.n]],
-                                spectra[at:], ensemble.beta, tol)
+            results = _evaluate(block, [drawn[i] for i in members[at:at + block.n]], w[at:], u[at:],
+                                ensemble.beta, tol)
             for i, instance in zip(members[at:], results):
                 instances[i] = instance
             if block.error is not None:

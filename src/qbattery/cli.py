@@ -30,6 +30,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit, epsilon_sweep
 from .config import RunConfig, config_to_dict, parse_config
@@ -153,15 +155,20 @@ def _write_rows(fh, times, previous, block, following, ctx: BatteryContext, step
     """Write the CSV rows of a block of (state, trace defect) pairs, at `times`,
     that pass every check, then raise the first failure, if any.  `previous`
     and `following` are the pairs around the block (None past either end), for
-    power_fd; `basis` warm-starts the first F solve.  Returns the F eigenbasis
-    of the block's last row."""
-    states = [state for state, _ in block]
-    rows, means, powers, thetas, basis = _evaluate_rows(states, ctx, basis, tol)
+    power_fd; `basis` warm-starts the first F solve.  The states are stacked
+    once, as _evaluate_rows takes them.  Returns the F eigenbasis of the
+    block's last row."""
+    states, h = [state for state, _ in block], ctx.model.hamiltonian
+    stacks = map(np.array, zip(*((state.matrix, state.spectrum.eigenvalues,
+                                  state.spectrum.eigenvectors,
+                                  state.energy(h) - state.entropy / ctx.beta)  # mean_free_energy
+                                 for state in states)))
+    rows, means, powers, thetas, basis = _evaluate_rows(*stacks, ctx, basis, tol)
     neighbours = [previous and previous[0], *states, following and following[0]]
     for i in range(rows.n):
         before, state, after = neighbours[i:i + 3]
         p_fd = None if before is None or after is None else power_fd(before, after, step, ctx)
-        row = [times[i], state.energy(ctx.model.hamiltonian), state.entropy, means[i], powers[i],
+        row = [times[i], state.energy(h), state.entropy, means[i], powers[i],
                p_fd, *thetas[i], block[i][1], state.min_eigenvalue]
         fh.write(",".join(_csv_cell(value) for value in row) + "\n")
     rows.raise_first()

@@ -19,7 +19,8 @@ blocks of up to _block_rows(d) states, checks each block as one stack
 (_checked_states, of which DensityMatrix is the one-state case: the
 construction hermiticity bound, and the propagation bounds on the trace and
 the smallest eigenvalue), solving its states as one warm chain, and yields
-the block's states one at a time; a breach raises PropagationError once the
+the block's states one at a time, each a DensityMatrix of its row of the
+checked stacks; a breach raises PropagationError once the
 states before it are yielded.  The trajectory prefix is whatever the consumer
 took before the raise; nothing else keeps it.
 """
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import (DimensionError, ConsistencyError, ParameterError,
                      PropagationError, ValidationError)
-from .linalg import (HermitianMatrix, Spectrum, _checked_square, _hermitian, _Rows, _stack,
+from .linalg import (HermitianMatrix, Spectrum, _checked_square, _hermitian, _Rows,
                      as_square_matrix, dagger, hermitian_eig, hermitian_eig_chain, max_abs)
 from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_at_least,
                          _finite_positive, _integer, _open_unit)
@@ -85,19 +86,20 @@ class DensityMatrix:
                  basis: np.ndarray | None = None):
         m = _checked_square(matrix, "hermitian matrix")
         columns = _Rows.single(_checked_states, m[None], basis, tol, tol.density_trace, tol.psd)
-        self._set(*(column[0] for column in columns))
+        self._set(columns, 0)
 
-    def _set(self, hermitian: HermitianMatrix, trace_defect: float, spectrum: Spectrum,
-             entropy: float) -> None:
-        self.hermitian, self.matrix = hermitian, hermitian.matrix
-        self.trace_defect, self._spectrum, self.entropy = trace_defect, spectrum, entropy
+    def _set(self, columns, i: int) -> None:
+        sym, defect, trace_defect, values, vectors, entropy = columns
+        self.hermitian = HermitianMatrix._trusted(sym[i], float(defect[i]))
+        self.matrix, self.trace_defect = sym[i], float(trace_defect[i])
+        self._spectrum, self.entropy = Spectrum(values[i], vectors[i]), float(entropy[i])
         self._energy = (None, 0.0)
 
     @classmethod
-    def _trusted(cls, *fields) -> "DensityMatrix":
-        """A state of fields that _checked_states returned for it."""
+    def _trusted(cls, columns, i: int) -> "DensityMatrix":
+        """The state of row i of the stacks that _checked_states returned."""
         out = cls.__new__(cls)
-        out._set(*fields)
+        out._set(columns, i)
         return out
 
     def energy(self, hamiltonian: HermitianMatrix) -> float:
@@ -156,24 +158,20 @@ def _checked_states(rows: _Rows, m: np.ndarray, basis: np.ndarray | None, tol: T
     order: finite entries and a hermiticity defect within tol.hermiticity *
     max(1, ||M||_max), |tr M - 1| <= `trace`, the eigendecomposition (one
     warm chain from `basis`), and a smallest eigenvalue >= -`psd`.  Returns,
-    for the rows that passed, the fields of their states as columns: the
-    HermitianMatrix, the trace defect, the Spectrum and the entropy.  A failure
-    cuts `rows`."""
+    for the rows that passed, the fields of their states as stacks: the
+    symmetrized matrices and their hermiticity defects, the trace defects, the
+    eigenvalues and eigenvectors, and the entropies.  A failure cuts `rows`."""
     sym, defect = _hermitian(rows, m, tol)
     with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
         trace_defect = np.abs(sym.trace(axis1=1, axis2=2) - 1.0)
     rows.check(trace_defect > trace, lambda i: ValidationError(
         f"trace defect {trace_defect[i]:.3e} exceeds tolerance {trace:.3e}"))
-    spectra = hermitian_eig_chain(rows, sym, basis, tol=tol)
-    if not spectra:
-        return [], [], [], []
-    values = _stack([spectrum.eigenvalues for spectrum in spectra])
+    values, vectors = hermitian_eig_chain(rows, sym, basis, tol=tol)
     smallest = values[:, 0]
     rows.check(smallest < -psd, lambda i: ValidationError(
         f"smallest eigenvalue {smallest[i]:.3e} below -{psd:.3e}"))
     n = rows.n
-    return ([HermitianMatrix._trusted(sym[i], float(defect[i])) for i in range(n)],
-            trace_defect[:n].tolist(), spectra[:n], _entropies(values[:n]).tolist())
+    return sym[:n], defect[:n], trace_defect[:n], values[:n], vectors[:n], _entropies(values[:n])
 
 
 def _entropies(values: np.ndarray) -> np.ndarray:
@@ -367,20 +365,19 @@ def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
     y = state.matrix
 
     for start in range(1, grid.size, size):
-        block = []
+        block = np.empty((min(size, grid.size - start),) + y.shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # _checked_states names inf/nan
-            for _ in range(start, min(start + size, grid.size)):
+            for j in range(len(block)):
                 k1 = _generator_matrix(k_op, jumps, y)
                 k2 = _generator_matrix(k_op, jumps, y + 0.5 * h * k1)
                 k3 = _generator_matrix(k_op, jumps, y + 0.5 * h * k2)
                 k4 = _generator_matrix(k_op, jumps, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                block.append(y)
+                y = block[j] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rows = _Rows(len(block))
-        for fields in zip(*_checked_states(
-                rows, _stack(block), state.spectrum.eigenvectors, tol, tol.propagation_trace,
-                tol.propagation_psd)):
-            state = DensityMatrix._trusted(*fields)
+        columns = _checked_states(rows, block, state.spectrum.eigenvectors, tol,
+                                  tol.propagation_trace, tol.propagation_psd)
+        for i in range(rows.n):
+            state = DensityMatrix._trusted(columns, i)
             yield state, state.trace_defect
         if isinstance(rows.error, ValidationError):
             i, y = start + rows.n, block[rows.n]

@@ -14,8 +14,9 @@ and the per-channel commutator fluctuation
 evaluated two ways, cross-checked: as an operator expectation and as an
 explicit index sum in the deltaF eigenbasis.
 
-These are evaluated for a stack of states at once: _evaluate_rows takes a
-block of `run` states through _decompose (ln rho, F, <F> and its
+These are evaluated for a stack of states at once: _evaluate_rows takes the
+stacks of a block of `run` states (rho, its eigenvalues and eigenvectors,
+tr(rho H) - S/beta) through _decompose (ln rho, F, <F> and its
 cross-check, deltaF), F's eigensolves as one warm chain, _liouvillians,
 _powers and _thetas (_operator_thetas and _index_thetas), each check cutting
 the block at its first failing row (linalg._Rows); a block of sweep rungs
@@ -43,7 +44,7 @@ import numpy as np
 from .dynamics import DensityMatrix, LindbladModel, _liouvillians
 from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
 from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _finite, _hermitian,
-                     _lift, _Rows, _stack, dagger, hermitian_eig_chain)
+                     _lift, _Rows, dagger, hermitian_eig_chain)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive
 
 __all__ = [
@@ -111,7 +112,10 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
     """
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
-    log_rho, f_op, delta, mean = _Rows.single(_decompose, rho.matrix[None], [rho], ctx, tol)
+    spectrum = rho.spectrum
+    log_rho, f_op, delta, mean = _Rows.single(
+        _decompose, rho.matrix[None], spectrum.eigenvalues[None], spectrum.eigenvectors[None],
+        np.array([mean_free_energy(rho, ctx)]), ctx, tol)
     return FreeEnergyDecomposition(_first(f_op), _first(delta), float(mean[0]), _first(log_rho))
 
 
@@ -121,22 +125,19 @@ def _first(stacked) -> HermitianMatrix:
     return HermitianMatrix._trusted(sym[0], float(defect[0]))
 
 
-def _decompose(rows: _Rows, rho: np.ndarray, states, ctx: BatteryContext, tol: ToleranceConfig):
-    """free_energy_operator of each of the states, whose matrices are the stack
-    rho (k, d, d): ln(rho), F and deltaF as _hermitian returns them, and <F>
-    (k,).  A failure cuts `rows`."""
+def _decompose(rows: _Rows, rho: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+               from_entropy: np.ndarray, ctx: BatteryContext, tol: ToleranceConfig):
+    """free_energy_operator of each state of the stack rho (k, d, d), from the
+    stacks of its eigenvalues (k, d) and eigenvectors (k, d, d) and of its
+    mean_free_energy tr(rho H) - S/beta (k,): ln(rho), F and deltaF as
+    _hermitian returns them, and <F> (k,).  A failure cuts `rows`."""
     hamiltonian, beta = ctx.model.hamiltonian, ctx.beta
-    values = _stack([state.spectrum.eigenvalues for state in states])
     smallest = values[:, 0]
     rows.check(smallest <= RANK_THRESHOLD, lambda i: RankDeficientError(
         f"state is rank deficient for ln(rho): smallest eigenvalue "
         f"{smallest[i]:.3e} <= threshold {RANK_THRESHOLD:.3e}",
         smallest_eigenvalue=float(smallest[i])))
-    log_rho = _lift(rows, values, _stack([state.spectrum.eigenvectors for state in states]),
-                    math.log, tol)
-    # mean_free_energy's arithmetic, on the tr(rho H) each state keeps
-    from_entropy = np.array([state.energy(hamiltonian) - state.entropy / beta
-                             for state in states])
+    log_rho = _lift(rows, values, vectors, math.log, tol)
     # ln(rho)/beta overflows for a small enough beta: F's scan names it, and
     # deltaF's a non-finite <F>; the rest belongs to rows past the cut
     with np.errstate(over="ignore", invalid="ignore"):
@@ -329,31 +330,30 @@ def _thetas(rows: _Rows, delta: np.ndarray, rho: np.ndarray, w: np.ndarray, u: n
     return forms
 
 
-def _evaluate_rows(states, ctx: BatteryContext, basis: np.ndarray, tol: ToleranceConfig):
-    """The values of `run` rows for a block of states, stacked: _decompose,
-    then F's eigensolves as one warm chain, each from the F eigenbasis of the
-    state before (`basis` for the first), then L(rho), the power and both
-    Theta forms (_liouvillians, _powers, _thetas).  Every value has the bits
-    of the one-state functions.
+def _evaluate_rows(rho: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+                   from_entropy: np.ndarray, ctx: BatteryContext, basis: np.ndarray,
+                   tol: ToleranceConfig):
+    """The values of `run` rows for a block of states, stacked as _decompose
+    takes them: _decompose, then F's eigensolves as one warm chain, each from
+    the F eigenbasis of the state before (`basis` for the first), then L(rho),
+    the power and both Theta forms (_liouvillians, _powers, _thetas).  Every
+    value has the bits of the one-state functions.
 
     Returns the _Rows (rows.n rows passed; rows.error is the first failing
     check of the earliest failing row), <F>, P and the operator-form Theta_j
     of each passed row as lists, and the F eigenbasis of its last row.
     """
-    rows = _Rows(len(states))
-    rho = _stack([state.matrix for state in states])
-    _, (f_op, _), delta, mean = _decompose(rows, rho, states, ctx, tol)
-    spectra = hermitian_eig_chain(rows, f_op, basis, tol=tol)
-    if spectra:
-        basis = spectra[-1].eigenvectors
+    rows = _Rows(len(rho))
+    _, (f_op, _), delta, mean = _decompose(rows, rho, values, vectors, from_entropy, ctx, tol)
+    w, u = hermitian_eig_chain(rows, f_op, basis, tol=tol)
+    if len(u):
+        basis = u[-1]
     n = rows.n
     if not n:
         return rows, [], [], [], basis
     power = _powers(rows, _liouvillians(rows, ctx.model, rho[:n], tol)[0], f_op[:n], tol)
     del f_op  # the peak resident set grows with the stacks alive at once
-    w = _stack([spectrum.eigenvalues for spectrum in spectra[:n]]) - mean[:n, None]
-    u = _stack([spectrum.eigenvectors for spectrum in spectra[:n]])
-    forms = _thetas(rows, delta[0][:n], rho[:n], w, u, ctx.model, tol)
+    forms = _thetas(rows, delta[0][:n], rho[:n], w[:n] - mean[:n, None], u[:n], ctx.model, tol)
     columns = [t_op.tolist() for t_op, _ in forms]
     thetas = [[column[i] for column in columns] for i in range(rows.n)]
     return rows, mean[:rows.n].tolist(), power[:rows.n].tolist(), thetas, basis

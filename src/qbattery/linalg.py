@@ -23,8 +23,11 @@ sweeps; exact ties then follow the order of that start basis.  A block of
 such states is solved as one warm chain (hermitian_eig_chain): the sweeps run
 matrix by matrix, each from the sorted, phased eigenvectors of the one before,
 and the convergence targets and the result guards are taken for the whole
-block at once; hermitian_eig is its one-matrix case.  Many cold solves of one
-dimension run as one stack (hermitian_eigs), with the same spectra.
+block at once; hermitian_eig is its one-matrix case, and the one solver that
+wraps its result in a Spectrum: the stacked solvers return read-only
+eigenvalue (k, d) and eigenvector (k, d, d) stacks.  Many cold solves of one
+dimension run as one stack (hermitian_eigs), with the same bits: each matrix
+is parked as it converges, and all are sorted, phased and guarded in one pass.
 
 Every stacked evaluation in the package reports its failure one way, through
 a _Rows: each check cuts it at the first matrix (state, rung, instance) that
@@ -132,12 +135,6 @@ class _Rows:
         return out
 
 
-def _stack(arrays) -> np.ndarray:
-    """The arrays, of one shape, stacked on a new first axis; one array is viewed,
-    not copied, so a one-row stack allocates nothing."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
 def _finite(m: np.ndarray) -> np.ndarray:
     """Whether each matrix of the stack m (k, d, d) is finite."""
     return np.isfinite(m).all(axis=(1, 2))
@@ -149,8 +146,9 @@ def _hermitian(rows: _Rows, m: np.ndarray, tol: ToleranceConfig, context: str = 
     bound is tol.hermiticity times max(1, ||M||_max).  A failure, prefixed by
     `context`, cuts `rows`."""
     size = np.abs(m).max(axis=(1, 2))  # nan or inf where m is not finite
-    rows.check(~np.isfinite(size),
-               lambda i: ValidationError(f"{context}hermitian matrix: non-finite entries"))
+    rows.check(~np.isfinite(size), lambda i: ValidationError(
+        f"{context}hermitian matrix: " + ("non-finite entries" if not np.isfinite(m[i]).all()
+                                          else "an entry's modulus is beyond the float range")))
     bound = tol.hermiticity * np.maximum(1.0, size)
     with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
         defect = np.abs(m - dagger(m)).max(axis=(1, 2))
@@ -202,8 +200,9 @@ class Spectrum:
     `eigenvalues` ascend (exact ties keep the order of the start basis: the
     original diagonal order, or the columns of a warm-start basis) and the
     columns of the unitary `eigenvectors` are the matching eigenvectors, each
-    phased so its largest-magnitude component is real positive.  Its one
-    constructor, the solver's _guarded, checks it once sorted and phased.
+    phased so its largest-magnitude component is real positive.  It wraps a
+    row of the solver's stacks once _guarded has checked them: in
+    hermitian_eig, and for a state's spectrum in DensityMatrix.
     """
 
     eigenvalues: np.ndarray
@@ -360,13 +359,13 @@ def _sorted_phased(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _guarded(rows: _Rows, eigenvalues: np.ndarray, vectors: np.ndarray, m: np.ndarray,
-             size: np.ndarray, tol: ToleranceConfig) -> list[Spectrum]:
-    """The Spectrum of each of the leading rows.n matrices of the stack m
-    (k, d, d) with the sizes ||M||_max, from its sorted and phased eigenvalues
-    (k, d) and eigenvectors (k, d, d), once it passes the guards, in this
-    order: finite eigenvalues (rotations that overflow leave inf or nan on the
-    diagonal), eigenvector unitarity, and the residual against M.  A failure
-    cuts `rows`.  Callers ignore the overflow of rows past the cut."""
+             size: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted and phased eigenvalues (k, d) and eigenvectors (k, d, d) of
+    the matrices of the stack m (k, d, d), with the sizes ||M||_max, as
+    read-only stacks of the rows before the cut, once they pass the guards, in
+    this order: finite eigenvalues (rotations that overflow leave inf or nan on
+    the diagonal), eigenvector unitarity, and the residual against M.  A
+    failure cuts `rows`.  Callers ignore the overflow of rows past the cut."""
     rows.check(~np.isfinite(eigenvalues).all(axis=-1),
                lambda i: ValidationError("eigendecomposition has non-finite entries"))
     adjoint = dagger(vectors)
@@ -376,15 +375,17 @@ def _guarded(rows: _Rows, eigenvalues: np.ndarray, vectors: np.ndarray, m: np.nd
     residual = np.abs((vectors * eigenvalues[:, None, :]) @ adjoint - m).max(axis=(-2, -1))
     rows.check(residual > tol.reconstruction * np.maximum(1.0, size),
                lambda i: ValidationError(f"eigendecomposition residual {residual[i]:.3e}"))
+    eigenvalues, vectors = eigenvalues[:rows.n], vectors[:rows.n]
     eigenvalues.flags.writeable = False
     vectors.flags.writeable = False
-    return [Spectrum(eigenvalues[i], vectors[i]) for i in range(rows.n)]
+    return eigenvalues, vectors
 
 
 def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Spectrum:
     """Eigendecomposition by Jacobi rotations in round-robin order: the
-    one-matrix case of hermitian_eig_chain, raising its failure.
+    one-matrix case of hermitian_eig_chain, raising its failure, and the one
+    solver that returns a Spectrum.
 
     Each sweep visits every pair p < q once, in the rounds of `_round_robin`
     (d - 1 of them, d for odd d).  The pairs of a round are disjoint, so their
@@ -410,27 +411,29 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     phased so that their largest-magnitude component is real positive.
     Unitarity and reconstruction against M are verified before returning.
     """
-    return _Rows.single(hermitian_eig_chain, m.matrix[None], basis, tol=tol)[0]
+    values, vectors = _Rows.single(hermitian_eig_chain, m.matrix[None], basis, tol=tol)
+    return Spectrum(values[0], vectors[0])
 
 
 def hermitian_eig_chain(rows: _Rows, matrices: np.ndarray, basis: np.ndarray | None, *,
-                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> list[Spectrum]:
+                        tol: ToleranceConfig = DEFAULT_TOLERANCES
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """hermitian_eig of each of the leading rows.n matrices of the stack
     `matrices` (k, d, d), already Hermitian (a HermitianMatrix's `matrix`, or
     _hermitian's stack), in order: the first warm-started from `basis` (None:
     cold), each later one from the sorted, phased eigenvectors of the one
     before it.
 
-    So each Spectrum is, bit for bit, the one a loop of hermitian_eig calls
+    So each row is, bit for bit, the Spectrum a loop of hermitian_eig calls
     passing each result's eigenvectors on would return.  The convergence
     targets are taken for the whole stack before the sweeps, and the guards as
     one stack after them (_guarded).  The first matrix that fails cuts `rows`,
     at its first failing check: convergence, then the guards in their order.
-    Returns the spectra before the cut.
+    Returns _guarded's eigenvalue and eigenvector stacks of the rows before the cut.
     """
     m = np.asarray(matrices)[:rows.n]
     size, scale, target = _convergence_target(m, tol)
-    values, vectors = [], []
+    values, vectors = np.empty(m.shape[:2]), np.empty_like(m)
     with np.errstate(over="ignore", invalid="ignore"):  # _guarded checks the result
         for i in range(rows.n):
             try:
@@ -438,65 +441,42 @@ def hermitian_eig_chain(rows: _Rows, matrices: np.ndarray, basis: np.ndarray | N
             except ConvergenceError as exc:
                 rows.cut(i, exc)
                 break
-            w, basis = _sorted_phased(a, v)
-            values.append(w)
-            vectors.append(basis)
-        if not values:
-            return []
-        return _guarded(rows, _stack(values), _stack(vectors), m[:rows.n], size[:rows.n], tol)
-
-
-def _finish_stack(rows: _Rows, a: np.ndarray, v: np.ndarray, m: np.ndarray, size: np.ndarray,
-                  tol: ToleranceConfig) -> list[Spectrum]:
-    """_sorted_phased and _guarded of each matrix of the stacks a, v, m (k, d, d),
-    with the sizes ||M||_max: the same Spectrum bit for bit as hermitian_eig's,
-    for the rows before the cut that a failure makes in `rows`."""
-    values = np.diagonal(a.real, axis1=-2, axis2=-1)
-    order = np.argsort(values, axis=-1, kind="stable")
-    eigenvalues = np.take_along_axis(values, order, axis=-1)
-    vectors = np.take_along_axis(v, order[:, None, :], axis=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pivots = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=-2)[:, None, :], axis=-2)
-        vectors *= np.conj(pivots) / np.abs(pivots)
-        return _guarded(rows, eigenvalues, vectors, m, size, tol)
+            values[i], vectors[i] = _sorted_phased(a, v)
+            basis = vectors[i]
+        n = rows.n
+        return _guarded(rows, values[:n], vectors[:n], m[:n], size[:n], tol)
 
 
 def hermitian_eigs(rows: _Rows, matrices: np.ndarray, *,
-                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> list[Spectrum]:
+                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, np.ndarray]:
     """hermitian_eig, cold, of each of the leading rows.n matrices of the
     stack `matrices` (k, d, d), already Hermitian, solved together.
 
-    Each round rotates every unfinished matrix at once, with one stacked product;
-    a dead pair (entry exactly zero) gets an identity block, a matrix with no
-    live pair is left as it was, and the matrices that converge in a sweep
-    leave the stack and are finished together (_finish_stack).  So each gets
-    hermitian_eig's Spectrum bit for bit.  Groups finish out of index order,
-    so a failing group may only move the cut in `rows` earlier, and matrices
-    past the cut leave the stack: the cut ends at the earliest failing matrix,
-    at its first failing check (convergence, then the guards).  Returns the
-    spectra before the cut."""
+    Each round rotates every unconverged matrix at once, with one stacked
+    product; a dead pair (entry exactly zero) gets an identity block, and a
+    matrix with no live pair is left as it was.  A matrix that converges in a
+    sweep is parked and leaves the stack; after the sweeps every parked matrix
+    is sorted, phased and guarded in one pass, with hermitian_eig's
+    conventions applied row by row, so each row gets its Spectrum bit for bit.
+    The first matrix still unconverged at the sweep budget cuts `rows`, and
+    the guards may then only move the cut earlier: the cut ends at the earliest
+    failing matrix, at its first failing check (convergence, then the guards).
+    Returns _guarded's eigenvalue and eigenvector stacks of the rows before the cut."""
     m = np.asarray(matrices)[:rows.n]
     n, d = m.shape[0], m.shape[-1]
     size, scale, target = _convergence_target(m, tol)
     a, v = m.copy(), np.broadcast_to(_constants(d)[0], m.shape).copy()
-    ids, out, sweeps = np.arange(n), [None] * n, 0
-    while True:
-        off = _offdiag_norm(a, scale[ids])
-        done = ~(off > target[ids])
-        finished = ids[done]
-        group = _Rows(finished.size)
-        for i, spectrum in zip(finished.tolist(), _finish_stack(
-                group, a[done], v[done], m[finished], size[finished], tol)):
-            out[i] = spectrum
-        if group.error is not None:
-            rows.cut(int(finished[group.n]), group.error)
-        stay = ~done & (ids < rows.n)
-        a, v, ids, off = a[stay], v[stay], ids[stay], off[stay]
-        if not ids.size or sweeps >= tol.jacobi_max_sweeps:
-            if ids.size:
-                rows.cut(int(ids[0]), _not_converged(off[0], target[ids[0]], scale[ids[0]], tol))
-            return out[:rows.n]
-        with np.errstate(over="ignore", invalid="ignore"):  # _finish_stack checks the result
+    values, vectors = np.empty((n, d)), np.empty_like(v)
+    ids, sweeps = np.arange(n), 0
+    with np.errstate(over="ignore", invalid="ignore"):  # _guarded checks the result
+        while True:
+            off = _offdiag_norm(a, scale[ids])
+            done = ~(off > target[ids])
+            values[ids[done]] = np.diagonal(a.real, axis1=1, axis2=2)[done]
+            vectors[ids[done]] = v[done]
+            a, v, ids, off = a[~done], v[~done], ids[~done], off[~done]
+            if not ids.size or sweeps >= tol.jacobi_max_sweeps:
+                break
             for p, q, idx in _round_robin(d):
                 apq = a[:, p, q]
                 r = np.abs(apq)
@@ -519,7 +499,16 @@ def hermitian_eigs(rows: _Rows, matrices: np.ndarray, *,
                 flat[:, ::d + 1].imag = 0.0
                 np.copyto(a, rotated_a, where=rotated)
                 del g, rotated_a, flat  # before the next round allocates its own
-        sweeps += 1
+            sweeps += 1
+        if ids.size:
+            rows.cut(int(ids[0]), _not_converged(off[0], target[ids[0]], scale[ids[0]], tol))
+        # _sorted_phased, row by row
+        order = np.argsort(values[:rows.n], axis=-1, kind="stable")
+        values = np.take_along_axis(values[:rows.n], order, axis=-1)
+        vectors = np.take_along_axis(vectors[:rows.n], order[:, None, :], axis=-1)
+        pivots = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=-2)[:, None, :], axis=-2)
+        vectors *= np.conj(pivots) / np.abs(pivots)
+        return _guarded(rows, values, vectors, m[:rows.n], size[:rows.n], tol)
 
 
 def matrix_function(spectrum: Spectrum, f: Callable[[float], float], *,

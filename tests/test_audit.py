@@ -59,6 +59,17 @@ class TestEigenstateAudit:
         assert {c.claim_id for c in report.claim_verdicts} == {
             "C1", "C2", "C3", "C1_transposed", "C2_transposed", "C3_transposed"}
 
+    def test_one_classification_per_audit(self, monkeypatch):
+        # the verdict and the claim rows read the same classes
+        calls = []
+        classes = audit.ClaimInstance.classes
+        monkeypatch.setattr(audit.ClaimInstance, "classes",
+                            lambda instance, tol: calls.append(tol) or classes(instance, tol))
+        for channel in (SIGMA_X, SIGMA_MINUS, SIGMA_PLUS):
+            calls.clear()
+            eigenstate_audit(ScenarioSpec(model=qubit_model(channel), beta=1.0, k0=0))
+            assert len(calls) == 1
+
     def test_dark_state_splits_the_two_index_orders(self):
         report = eigenstate_audit(ScenarioSpec(model=qubit_model(SIGMA_MINUS), beta=1.0, k0=0))
         assert report.verdict == "MIXED"
@@ -407,8 +418,10 @@ class TestStackedEvaluation:
         for d in sorted({model.dim for _, model, _ in entries}):
             group = [entry for entry in entries if entry[1].dim == d]
             spectra = [hermitian_eig(model.hamiltonian) for _, model, _ in group]
+            w = np.array([spectrum.eigenvalues for spectrum in spectra])
+            u = np.array([spectrum.eigenvectors for spectrum in spectra])
             rows = _Rows(len(group))
-            stacked = audit._evaluate(rows, group, spectra, 1.0, self.TOL)
+            stacked = audit._evaluate(rows, group, w, u, 1.0, self.TOL)
             assert rows.error is None and len(stacked) == len(group)
             for got, (label, model, k0) in zip(stacked, group):
                 want = record_text(loop_instance(model, k0, 1.0, label, self.TOL))

@@ -357,6 +357,18 @@ class TestRejectionPaths:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "error: channels: must be a list of channels\n"
 
+    def test_an_overflowing_modulus_is_named(self, tmp_path, capsys):
+        # finite entries whose modulus |a + ia| overflows: the Hamiltonian is
+        # rejected for that, not for non-finite entries it does not have
+        a = 1.3e308
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config_text(hamiltonian=[[a, [a, a]], [[a, -a], 0.0]],
+                                   initial_state={"kind": "eigenstate", "k0": 0}))
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: hamiltonian: hermitian matrix: an entry's modulus is beyond the float range\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("step, horizon, got", [
         (1e-300, 1e300, "1e+300/1e-300"),  # horizon/step overflows to inf
         (1e-3, 1e9, "1000000000.0/0.001"),  # 10**12 steps, a grid of 7.28 TiB

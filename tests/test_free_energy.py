@@ -450,7 +450,11 @@ class TestStackedRows:
     def assert_like_one_by_one(self, states, ctx, basis=None, tol=DEFAULT_TOLERANCES):
         basis = np.eye(ctx.dim, dtype=complex) if basis is None else basis
         want, error = rows_one_by_one(states, ctx, basis, tol)
-        rows, means, powers, thetas, _ = _evaluate_rows(states, ctx, basis, tol)
+        stacks = [np.array([state.matrix for state in states]),
+                  np.array([state.spectrum.eigenvalues for state in states]),
+                  np.array([state.spectrum.eigenvectors for state in states]),
+                  np.array([mean_free_energy(state, ctx) for state in states])]
+        rows, means, powers, thetas, _ = _evaluate_rows(*stacks, ctx, basis, tol)
         assert list(zip(means, powers, thetas)) == want
         assert rows.n == len(want)
         assert (type(rows.error), str(rows.error)) == (type(error), str(error))

@@ -94,8 +94,11 @@ class TestHermitianMatrix:
         # finite parts whose modulus overflows: ||M||_max, and every norm the
         # solver takes of M, is infinite
         a = 1.3e308
-        with pytest.raises(ValidationError, match="hermitian matrix: non-finite entries"):
+        with pytest.raises(ValidationError, match="hermitian matrix: an entry's modulus is "
+                                                  "beyond the float range"):
             HermitianMatrix(np.array([[a, a + 1j * a], [a - 1j * a, 0.0]]))
+        with pytest.raises(ValidationError, match="hermitian matrix: non-finite entries"):
+            HermitianMatrix(np.array([[a, np.inf], [np.inf, 0.0]]))
 
 
 class TestHermitianEig:
@@ -131,7 +134,8 @@ class TestHermitianEig:
         with pytest.raises(ValidationError, match="eigendecomposition has non-finite entries"):
             hermitian_eig(h)
         rows = linalg._Rows(1)
-        assert hermitian_eigs(rows, h.matrix[None]) == []
+        values, vectors = hermitian_eigs(rows, h.matrix[None])
+        assert values.shape == (0, 2) and vectors.shape == (0, 2, 2)
         assert rows.n == 0 and isinstance(rows.error, ValidationError)
         assert str(rows.error) == "eigendecomposition has non-finite entries"
 
@@ -266,12 +270,12 @@ def assert_cuts_as_single_solves(hs, tol) -> int:
     failed = 0
     for start in range(len(hs)):
         rows = linalg._Rows(len(hs) - start)
-        got = hermitian_eigs(rows, np.array([h.matrix for h in hs[start:]]), tol=tol)
-        assert len(got) == rows.n
-        for h, spectrum in zip(hs[start:], got):
+        values, vectors = hermitian_eigs(rows, np.array([h.matrix for h in hs[start:]]), tol=tol)
+        assert len(values) == len(vectors) == rows.n
+        for h, got_values, got_vectors in zip(hs[start:], values, vectors):
             want = hermitian_eig(h, tol=tol)
-            assert same_bits(spectrum.eigenvalues, want.eigenvalues)
-            assert same_bits(spectrum.eigenvectors, want.eigenvectors)
+            assert same_bits(got_values, want.eigenvalues)
+            assert same_bits(got_vectors, want.eigenvectors)
         if rows.error is None:
             assert rows.n == len(hs) - start
             continue
@@ -289,22 +293,25 @@ class TestHermitianEigs:
     # from d = 17 numpy's default sort is not stable on the exact ties of signed_zeros
     @pytest.mark.parametrize("d", [*range(2, 10), 17])
     def test_stack_is_bit_identical_to_single_solves(self, rng, d, monkeypatch):
-        groups = []
-        finish = linalg._finish_stack
-        monkeypatch.setattr(linalg, "_finish_stack",
-                            lambda rows, a, *args: groups.append(len(a)) or finish(rows, a, *args))
         hs = [HermitianMatrix(m) for m in stack_cases(rng, d)]
+        # solved singly, the cases need different sweep counts (one schedule
+        # fetch per sweep), so the stack parks them after different sweeps
+        fetches = []
+        schedule = linalg._round_robin
+        monkeypatch.setattr(linalg, "_round_robin", lambda n: fetches.append(n) or schedule(n))
+        singles, sweeps = [], []
+        for h in hs:
+            fetched = len(fetches)
+            singles.append(hermitian_eig(h))
+            sweeps.append(len(fetches) - fetched)
+        assert len(set(sweeps)) > 1
         rows = linalg._Rows(len(hs))
-        stacked = hermitian_eigs(rows, np.array([h.matrix for h in hs]))
-        assert rows.error is None and len(stacked) == len(hs)
-        # the cases converge after different sweep counts, so in several groups
-        assert len(groups) > 1 and sum(groups) == len(hs)
-        for h, got in zip(hs, stacked):
-            want = hermitian_eig(h)
-            assert same_bits(got.eigenvalues, want.eigenvalues)
-            assert same_bits(got.eigenvectors, want.eigenvectors)
-            assert not got.eigenvalues.flags.writeable
-            assert not got.eigenvectors.flags.writeable
+        values, vectors = hermitian_eigs(rows, np.array([h.matrix for h in hs]))
+        assert rows.error is None and len(values) == len(vectors) == len(hs)
+        assert not values.flags.writeable and not vectors.flags.writeable
+        for want, got_values, got_vectors in zip(singles, values, vectors):
+            assert same_bits(got_values, want.eigenvalues)
+            assert same_bits(got_vectors, want.eigenvectors)
 
     @pytest.mark.parametrize("sweeps", [0, 1, 2, 3])
     def test_failures_are_held_per_matrix(self, rng, sweeps):
@@ -323,8 +330,29 @@ class TestHermitianEigs:
             hs = [HermitianMatrix(m) for m in [huge, *stack_cases(rng, 2)]]
             assert 0 < assert_cuts_as_single_solves(hs, tol) < len(hs), guards
 
+    # a guard failure (rotations that overflow, on the 2 x 2 block of the
+    # 1.7e308 matrix) and a budget failure (a dense matrix, two sweeps) in one
+    # stack, in both orders: the cut is at the first of them
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mixed_failures_cut_as_single_solves(self, rng):
+        tol = DEFAULT_TOLERANCES.replace(jacobi_max_sweeps=2)
+        huge = np.zeros((4, 4), dtype=complex)
+        huge[:2, :2] = 1.7e308 * np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, -0.3]])
+        huge, slow = HermitianMatrix(huge), HermitianMatrix(oracles.random_hermitian(rng, 4))
+        with pytest.raises(ValidationError, match="eigendecomposition has non-finite entries"):
+            hermitian_eig(huge, tol=tol)
+        with pytest.raises(ConvergenceError):
+            hermitian_eig(slow, tol=tol)
+        blocks = np.zeros((4, 4), dtype=complex)  # one rotation per block: one sweep
+        blocks[:2, :2], blocks[2:, 2:] = 0.5 * SIGMA_X, [[0.2, 0.1j], [-0.1j, 0.4]]
+        fine = [HermitianMatrix(m) for m in (np.diag([0.3, -0.2, 0.1, 0.0]), blocks)]
+        for first, second in [(huge, slow), (slow, huge)]:
+            hs = [fine[0], first, fine[1], second, fine[0]]
+            assert assert_cuts_as_single_solves(hs, tol) == 2
+
     def test_no_matrices_give_no_results(self):
-        assert hermitian_eigs(linalg._Rows(0), np.zeros((0, 3, 3), dtype=complex)) == []
+        values, vectors = hermitian_eigs(linalg._Rows(0), np.zeros((0, 3, 3), dtype=complex))
+        assert values.shape == (0, 3) and vectors.shape == (0, 3, 3)
 
     # a NaN matrix past the cut would fail its guards if it were solved
     @pytest.mark.parametrize("chain", [False, True], ids=["stack", "chain"])
@@ -337,9 +365,9 @@ class TestHermitianEigs:
             got, want = hermitian_eig_chain(rows, matrices, None), looped(matrices[:2], None)
         else:
             got, want = hermitian_eigs(rows, matrices), [hermitian_eig(h) for h in hs]
-        assert rows.n == 2 and rows.error is earlier and len(got) == 2
-        for spectrum, expected in zip(got, want):
-            assert same_bits(spectrum.eigenvectors, expected.eigenvectors)
+        assert rows.n == 2 and rows.error is earlier and len(got[1]) == 2
+        for vectors, expected in zip(got[1], want):
+            assert same_bits(vectors, expected.eigenvectors)
 
 
 def trajectory_block(rng, d=4, steps=12):
@@ -370,13 +398,12 @@ class TestHermitianEigChain:
     def test_chain_is_bit_identical_to_a_loop_of_single_solves(self, rng):
         matrices, basis = trajectory_block(rng)
         rows = linalg._Rows(len(matrices))
-        chained = hermitian_eig_chain(rows, matrices, basis)
-        assert rows.error is None and len(chained) == len(matrices)
-        for got, want in zip(chained, looped(matrices, basis)):
-            assert same_bits(got.eigenvalues, want.eigenvalues)
-            assert same_bits(got.eigenvectors, want.eigenvectors)
-            assert not got.eigenvalues.flags.writeable
-            assert not got.eigenvectors.flags.writeable
+        values, vectors = hermitian_eig_chain(rows, matrices, basis)
+        assert rows.error is None and len(values) == len(vectors) == len(matrices)
+        assert not values.flags.writeable and not vectors.flags.writeable
+        for got_values, got_vectors, want in zip(values, vectors, looped(matrices, basis)):
+            assert same_bits(got_values, want.eigenvalues)
+            assert same_bits(got_vectors, want.eigenvectors)
 
     # two diagonal matrices pass with the identity as eigenvectors and no sweep;
     # the dense one after them needs several sweeps and rotations, and fails
@@ -389,16 +416,18 @@ class TestHermitianEigChain:
         matrices = np.array([np.diag([0.1, 0.2, 0.3, 0.4]), np.diag([0.4, 0.3, 0.2, 0.1]),
                              dense, dense + 1e-3 * np.eye(d)]).astype(complex)
         rows = linalg._Rows(len(matrices))
-        chained = hermitian_eig_chain(rows, matrices, None, tol=tol)
+        values, vectors = hermitian_eig_chain(rows, matrices, None, tol=tol)
         want = looped(matrices, None, tol)
-        assert len(chained) == rows.n == 2 and len(want) == 3
+        assert len(values) == len(vectors) == rows.n == 2 and len(want) == 3
         assert isinstance(rows.error, error) and type(rows.error) is type(want[2])
         assert str(rows.error) == str(want[2])
-        for got, expected in zip(chained, want[:2]):
-            assert same_bits(got.eigenvectors, expected.eigenvectors)
+        for got, expected in zip(vectors, want[:2]):
+            assert same_bits(got, expected.eigenvectors)
 
     def test_no_matrices_give_no_results(self):
-        assert hermitian_eig_chain(linalg._Rows(0), np.zeros((0, 3, 3), dtype=complex), None) == []
+        values, vectors = hermitian_eig_chain(linalg._Rows(0), np.zeros((0, 3, 3), dtype=complex),
+                                              None)
+        assert values.shape == (0, 3) and vectors.shape == (0, 3, 3)
 
 
 def rotation(rng, d, angle):
