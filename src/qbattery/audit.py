@@ -34,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _block_rows, _checked_states,
-                       _dissipator_matrix, _liouvillians, propagate)
-from .errors import (ConsistencyError, ParameterError, PropagationError, ScenarioError,
-                     ValidationError)
+from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _block_rows, _breach,
+                       _checked_states, _dissipator_matrix, _liouvillians, _rk4_step)
+from .errors import ConsistencyError, ParameterError, ScenarioError, ValidationError
 from .free_energy import BatteryContext, _decompose, _powers, vanishing_condition
 from .jsonio import model_from_json, model_to_json
 from .linalg import HermitianMatrix, _Rows, dagger, hermitian_eig, hermitian_eigs, max_abs
@@ -443,33 +442,37 @@ def _sweep_rungs(spec: ScenarioSpec, epsilons, rho0: DensityMatrix, ctx: Battery
     regularize's arithmetic and checked as one stack of states (one warm chain
     from rho0's eigenvectors, which all of them share), then L(rho_eps), the
     decomposition, the rates and the power as stacks (free_energy's core),
-    then each rung's RK4 probe, the one place a rung becomes a DensityMatrix.
-    The first failure in rung order is raised."""
+    then the rungs' RK4 probes, one _rk4_step of the stack checked at the
+    propagation bounds.  A probe's breach is recorded on its rung and the
+    probes after it are checked again; the first other failure in rung order
+    is raised."""
     d, eps, h = rho0.dim, np.array(epsilons)[:, None, None], spec.model.hamiltonian.matrix
     mixed = (1.0 - eps) * rho0.matrix + (eps / d) * np.eye(d)
     rows = _Rows(len(epsilons))
-    columns = _checked_states(rows, mixed, rho0.spectrum.eigenvectors, tol, tol.density_trace,
-                              tol.psd)
-    rho, _, _, values, vectors, entropies = columns
+    rho, _, _, values, vectors, entropies = _checked_states(
+        rows, mixed, rho0.spectrum.eigenvectors, tol, tol.density_trace, tol.psd)
     rate, _ = _liouvillians(rows, dissipative, rho, tol)
-    with np.errstate(over="ignore", invalid="ignore"):  # the report scan names inf/nan
+    with np.errstate(over="ignore", invalid="ignore"):  # the report and probe scans name inf/nan
         energy, tr_rho_h = ((x @ h).trace(axis1=1, axis2=2).real for x in (rate, rho))
         log_rho, f_op, _, _ = _decompose(rows, rho, values, vectors,
                                          tr_rho_h - entropies / ctx.beta, ctx, tol)
         entropy = -(rate @ log_rho[0]).trace(axis1=1, axis2=2).real
-    power, out = _powers(rows, rate, f_op[0], tol), []
-    for i in range(rows.n):
-        step_error = None
-        try:
-            for _ in propagate(spec.model, DensityMatrix._trusted(columns, i), [0.0, spec.step],
-                               tol=tol):
-                pass  # the RK4 step only runs when its state is drawn
-        except PropagationError as exc:
-            step_error = str(exc)
-        out.append(EpsilonRow(float(epsilons[i]), float(power[i]), float(energy[i]),
-                              float(entropy[i]), step_error))
+        probe = _rk4_step(*spec.model._generator, rho[:rows.n], spec.step)
+    power, n = _powers(rows, rate, f_op[0], tol), rows.n
+    step_errors, start = [None] * n, 0
+    while start < n:
+        checked = _Rows(n - start)
+        _checked_states(checked, probe[start:n], vectors[start], tol, tol.propagation_trace,
+                        tol.propagation_psd)
+        if not isinstance(checked.error, ValidationError):
+            checked.raise_first()
+            break
+        i = start + checked.n
+        step_errors[i] = str(_breach(1, spec.step, checked.error, probe[i], tol))
+        start = i + 1
     rows.raise_first()
-    return out
+    return [EpsilonRow(float(epsilons[i]), float(power[i]), float(energy[i]), float(entropy[i]),
+                       step_errors[i]) for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,14 @@
     qbattery check  --config cfg.json --out report.json [--seed N] [--tol ...]
 
 Exit codes: 0 success (audit and check exit 0 whatever the verdicts say),
-2 configuration problem, 3 numeric failure.  `run` evaluates and writes its
-CSV per block of at most K rows, once the state after the block arrives; K
-comes from a bound on the bytes of one stacked d x d matrix
-(dynamics._block_rows), and propagation computes its RK4 states in blocks of
-the same K, each checked as one stack and solved as one warm chain (the
-states are exactly Hermitian: the generator is X + X^dag).
-A numeric failure mid-trajectory still leaves every row computed before it
-on disk: the rows before the earliest failing row, whose first failing check
-is the error raised, ahead of a propagation breach later in its block.
+2 configuration problem, 3 numeric failure.  `run` reads propagation's
+checked blocks of at most K states (dynamics._state_blocks; K bounds the
+bytes of one stacked d x d matrix) and evaluates and writes each block's rows
+as one stack; a block's last row waits for the next block's first <F>, which
+its power_fd reads.  A numeric failure mid-trajectory still leaves every row
+computed before it on disk: the rows before the earliest failing row, whose
+first failing check is the error raised, ahead of a propagation breach later
+in its block.
 
 A JSON report holds the fields of its report dataclass under their names, in
 declaration order.  Reports carry no timestamps; identical inputs give
@@ -35,9 +34,9 @@ import numpy as np
 from . import __version__
 from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit, epsilon_sweep
 from .config import RunConfig, config_to_dict, parse_config
-from .dynamics import DensityMatrix, _block_rows, propagate, regularize, thermal_state
-from .errors import ConfigError, ParameterError, PropagationError, QBatteryError, ValidationError
-from .free_energy import RANK_THRESHOLD, BatteryContext, _evaluate_rows, power_fd
+from .dynamics import DensityMatrix, _state_blocks, regularize, thermal_state
+from .errors import ConfigError, ParameterError, QBatteryError, ValidationError
+from .free_energy import RANK_THRESHOLD, BatteryContext, _evaluate_rows
 from .linalg import hermitian_eig
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -125,56 +124,6 @@ def _csv_cell(value: float | None) -> str:
     return "" if value is None else f"{float(value):.17g}"
 
 
-def _blocks(stream, size: int):
-    """Yield (previous, block, next) over `stream` in blocks of at most `size`
-    items, with the item before the block and the item after it, None past
-    either end.
-
-    A block is yielded once the item after it has arrived.  When the stream
-    raises PropagationError, the items that arrived are yielded with no
-    successor before the error is re-raised.  The block list is emptied when
-    the consumer asks for the next one, so its items are not held while the
-    next block arrives.
-    """
-    previous, block = None, []
-    try:
-        for item in stream:
-            if len(block) == size:
-                yield previous, block, item
-                previous = block[-1]
-                block.clear()
-            block.append(item)
-    except PropagationError:
-        yield previous, block, None
-        raise
-    yield previous, block, None
-
-
-def _write_rows(fh, times, previous, block, following, ctx: BatteryContext, step, basis,
-                tol: ToleranceConfig):
-    """Write the CSV rows of a block of (state, trace defect) pairs, at `times`,
-    that pass every check, then raise the first failure, if any.  `previous`
-    and `following` are the pairs around the block (None past either end), for
-    power_fd; `basis` warm-starts the first F solve.  The states are stacked
-    once, as _evaluate_rows takes them.  Returns the F eigenbasis of the
-    block's last row."""
-    states, h = [state for state, _ in block], ctx.model.hamiltonian
-    stacks = map(np.array, zip(*((state.matrix, state.spectrum.eigenvalues,
-                                  state.spectrum.eigenvectors,
-                                  state.energy(h) - state.entropy / ctx.beta)  # mean_free_energy
-                                 for state in states)))
-    rows, means, powers, thetas, basis = _evaluate_rows(*stacks, ctx, basis, tol)
-    neighbours = [previous and previous[0], *states, following and following[0]]
-    for i in range(rows.n):
-        before, state, after = neighbours[i:i + 3]
-        p_fd = None if before is None or after is None else power_fd(before, after, step, ctx)
-        row = [times[i], state.energy(h), state.entropy, means[i], powers[i],
-               p_fd, *thetas[i], block[i][1], state.min_eigenvalue]
-        fh.write(",".join(_csv_cell(value) for value in row) + "\n")
-    rows.raise_first()
-    return basis
-
-
 def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     ctx = BatteryContext(cfg.beta, cfg.model)
     rho0 = _initial_state(cfg, tol)
@@ -184,9 +133,8 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
             "a full-rank state (add initial_state.epsilon or use audit mode)",
             path="initial_state")
     offsets = cfg.time.offsets()
-    states = propagate(cfg.model, rho0, offsets, tol=tol)
     step = float(offsets[1] - offsets[0]) if offsets.size > 1 else None
-    times = cfg.time.t0 + offsets
+    times, h = (cfg.time.t0 + offsets).tolist(), cfg.model.hamiltonian.matrix
 
     columns = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd",
                *(f"theta_{j + 1}" for j in range(len(cfg.model.channels))),
@@ -196,13 +144,40 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     # [rho0, H] = 0 (thermal starts); each later row starts from the previous
     # row's F eigenbasis.
     basis = rho0.spectrum.eigenvectors
-    size, index = _block_rows(cfg.model.dim), 0
+    index, previous, held = 0, None, None
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        def write(row, before, after):
+            """Write `row`, its power_fd the central difference of <F> around it."""
+            if before is not None and after is not None:
+                row[5] = (after - before) / (2.0 * step)
+            fh.write(",".join(_csv_cell(value) for value in row) + "\n")
+
         fh.write(",".join(columns) + "\n")
-        for previous, block, following in _blocks(states, size):
-            basis = _write_rows(fh, times[index:index + len(block)], previous, block, following,
-                                ctx, step, basis, tol)
-            index += len(block)
+        try:
+            for rho, _, trace_defect, values, vectors, entropy in _state_blocks(
+                    cfg.model, rho0, offsets, tol):
+                # <F> = tr(rho H) - S/beta per state; F's scan names a non-finite one
+                with np.errstate(over="ignore", invalid="ignore"):
+                    energy = (rho @ h).trace(axis1=1, axis2=2).real
+                    mean = energy - entropy / ctx.beta
+                around = [previous, *mean.tolist(), None]
+                if held:
+                    write(*held, around[1])
+                    held = None
+                rows, means, powers, thetas, basis = _evaluate_rows(rho, values, vectors, mean,
+                                                                   ctx, basis, tol)
+                for i in range(rows.n):
+                    row = [times[index + i], energy[i], entropy[i], means[i], powers[i], None,
+                           *thetas[i], trace_defect[i], values[i, 0]]
+                    if i + 1 < len(rho):
+                        write(row, around[i], around[i + 2])
+                    else:  # until the next block's first <F> arrives
+                        held = (row, around[i])
+                rows.raise_first()
+                index, previous = index + len(rho), around[-2]
+        finally:  # no state follows the last row, or the state after it breached
+            if held:
+                write(*held, None)
     return EXIT_OK
 
 

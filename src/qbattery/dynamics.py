@@ -14,15 +14,16 @@ model, so a generator costs three matrix products at any channel count, and
 its result is exactly Hermitian: so is every RK4 state, whose hermiticity
 defect is exactly 0.
 
-States are never renormalized during propagation.  `propagate` runs RK4 in
+States are never renormalized during propagation.  One RK4 step
+(_rk4_step) serves a state and a stack of states.  _state_blocks runs it in
 blocks of up to _block_rows(d) states, checks each block as one stack
 (_checked_states, of which DensityMatrix is the one-state case: the
 construction hermiticity bound, and the propagation bounds on the trace and
 the smallest eigenvalue), solving its states as one warm chain, and yields
-the block's states one at a time, each a DensityMatrix of its row of the
-checked stacks; a breach raises PropagationError once the
-states before it are yielded.  The trajectory prefix is whatever the consumer
-took before the raise; nothing else keeps it.
+the checked stacks; `run` reads them as they come, and `propagate` hands out
+one DensityMatrix per row.  A breach raises PropagationError (_breach) once
+the states before it are yielded.  The trajectory prefix is whatever the
+consumer took before the raise; nothing else keeps it.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ __all__ = [
 # states, 32 at d = 2, 14 at d = 3 and 1 from d = 9.  A block's states and
 # stacks add to the peak resident set: over one row at a time, a qutrit_ladder
 # run grew VmHWM by about 20 KiB more at this bound and 56 KiB more at twice
-# it, which was no faster.  Propagating in blocks of the same size holds one
-# block of states ahead of the rows, about 20 KiB more again.
+# it, which was no faster.
 _BLOCK_BYTES = 2048
 
 
@@ -75,12 +75,12 @@ class DensityMatrix:
     Construction validates all three invariants: the one-state case of
     _checked_states.  The eigendecomposition is computed once and cached; the
     positivity check, the `entropy` (computed once, here) and the matrix
-    logarithm all reuse it, as calls of `energy` reuse tr(rho H).  The checks
-    read tol.hermiticity, tol.density_trace and tol.psd, and `basis`
-    warm-starts the eigensolver from nearby eigenvectors.
+    logarithm all reuse it.  The checks read tol.hermiticity, tol.density_trace
+    and tol.psd, and `basis` warm-starts the eigensolver from nearby
+    eigenvectors.
     """
 
-    __slots__ = ("hermitian", "matrix", "trace_defect", "entropy", "_spectrum", "_energy")
+    __slots__ = ("hermitian", "matrix", "trace_defect", "entropy", "_spectrum")
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                  basis: np.ndarray | None = None):
@@ -93,7 +93,6 @@ class DensityMatrix:
         self.hermitian = HermitianMatrix._trusted(sym[i], float(defect[i]))
         self.matrix, self.trace_defect = sym[i], float(trace_defect[i])
         self._spectrum, self.entropy = Spectrum(values[i], vectors[i]), float(entropy[i])
-        self._energy = (None, 0.0)
 
     @classmethod
     def _trusted(cls, columns, i: int) -> "DensityMatrix":
@@ -103,10 +102,8 @@ class DensityMatrix:
         return out
 
     def energy(self, hamiltonian: HermitianMatrix) -> float:
-        """tr(rho H), formed on the first call for this `hamiltonian` object."""
-        if self._energy[0] is not hamiltonian:
-            self._energy = (hamiltonian, float((self.matrix @ hamiltonian.matrix).trace().real))
-        return self._energy[1]
+        """tr(rho H)."""
+        return float((self.matrix @ hamiltonian.matrix).trace().real)
 
     @property
     def dim(self) -> int:
@@ -336,64 +333,88 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
               ) -> Iterator[tuple[DensityMatrix, float]]:
     """Classical fixed-step RK4 on the matrix master equation, as a stream.
 
-    The state dimension and the grid (uniform and ascending; the default
-    scenario step is 1e-3) are checked when `propagate` is called.  The
-    returned iterator yields (state, trace defect) per grid point: first
-    (rho0, rho0.trace_defect), then each RK4 state with its |tr y - 1|.
-    States are computed in blocks of up to _block_rows(d) steps, when the
-    first state of a block is drawn; each block is checked as one stack
-    (_checked_states): hermiticity defect <= hermiticity * max(1, ||y||_max),
-    which holds for every RK4 state, whose defect is exactly 0 (the generator
-    is X + X^dag), trace defect <= propagation_trace and smallest eigenvalue
-    >= -propagation_psd.  A breach raises PropagationError carrying the step
-    index and the defects, after exactly `step_index` states have been yielded.  No renormalization is applied at
-    any point.  The block's eigendecompositions run as one warm chain, each
-    from the previous state's eigenvectors, which differ from the new ones by
-    O(h).
+    The state dimension and the grid (uniform and ascending) are checked when
+    `propagate` is called.  The returned iterator yields (state, trace defect)
+    per grid point: (rho0, rho0.trace_defect), then each RK4 state, a
+    DensityMatrix of its row of _state_blocks' stacks, with its |tr y - 1|.  A
+    breach raises PropagationError carrying the step index and the defects,
+    after exactly `step_index` states have been yielded.  States are never
+    renormalized.
     """
     if rho0.dim != model.dim:
         raise DimensionError(f"state dimension {rho0.dim} vs model {model.dim}")
-    return _rk4_states(model, rho0, _uniform_grid(t_grid), tol)
+    return _states(rho0, _state_blocks(model, rho0, _uniform_grid(t_grid), tol))
 
 
-def _rk4_states(model: LindbladModel, state: DensityMatrix, grid: np.ndarray,
-                tol: ToleranceConfig) -> Iterator[tuple[DensityMatrix, float]]:
-    yield state, state.trace_defect
-    h = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
-    size = _block_rows(model.dim)
-    k_op, jumps = model._generator
-    y = state.matrix
-
-    for start in range(1, grid.size, size):
-        block = np.empty((min(size, grid.size - start),) + y.shape, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):  # _checked_states names inf/nan
-            for j in range(len(block)):
-                k1 = _generator_matrix(k_op, jumps, y)
-                k2 = _generator_matrix(k_op, jumps, y + 0.5 * h * k1)
-                k3 = _generator_matrix(k_op, jumps, y + 0.5 * h * k2)
-                k4 = _generator_matrix(k_op, jumps, y + h * k3)
-                y = block[j] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rows = _Rows(len(block))
-        columns = _checked_states(rows, block, state.spectrum.eigenvectors, tol,
-                                  tol.propagation_trace, tol.propagation_psd)
-        for i in range(rows.n):
+def _states(rho0: DensityMatrix, blocks) -> Iterator[tuple[DensityMatrix, float]]:
+    """propagate's pairs: rho0, then each state of `blocks` after the first
+    block's first row, which is rho0's."""
+    yield rho0, rho0.trace_defect
+    for b, columns in enumerate(blocks):
+        for i in range(b == 0, len(columns[0])):
             state = DensityMatrix._trusted(columns, i)
             yield state, state.trace_defect
+
+
+def _state_blocks(model: LindbladModel, rho0: DensityMatrix, grid: np.ndarray,
+                  tol: ToleranceConfig) -> Iterator[tuple[np.ndarray, ...]]:
+    """The trajectory from rho0 on the uniform ascending `grid`, in blocks of
+    _checked_states' column stacks: rho0's row and the first K - 1 RK4 states,
+    then K states a block (K = _block_rows(d)).  A block's RK4 states are
+    computed when the block is drawn and checked as one stack: hermiticity
+    defect <= hermiticity * max(1, ||y||_max), which holds for every RK4 state,
+    whose defect is exactly 0 (the generator is X + X^dag), trace defect <=
+    propagation_trace and smallest eigenvalue >= -propagation_psd.  Their
+    eigendecompositions run as one warm chain, each from the eigenvectors of
+    the state before, which differ from the new ones by O(h).  A breach yields
+    the states before it (maybe none), then raises _breach's PropagationError;
+    any other failure raises as it is."""
+    size, (k_op, jumps) = _block_rows(model.dim), model._generator
+    h = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
+    spectrum, y = rho0.spectrum, rho0.matrix
+    lead = (y[None], np.array([rho0.hermiticity_defect]), np.array([rho0.trace_defect]),
+            spectrum.eigenvalues[None], spectrum.eigenvectors[None], np.array([rho0.entropy]))
+    basis = spectrum.eigenvectors
+    for start in range(0, grid.size, size):
+        first = max(start, 1)  # the grid index of the block's first RK4 state
+        block = np.empty((min(start + size, grid.size) - first,) + y.shape, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # _checked_states names inf/nan
+            for j in range(len(block)):
+                y = block[j] = _rk4_step(k_op, jumps, y, h)
+        rows = _Rows(len(block))
+        columns = _checked_states(rows, block, basis, tol, tol.propagation_trace,
+                                  tol.propagation_psd)
+        if start == 0:
+            columns = tuple(map(np.concatenate, zip(lead, columns)))
+        yield columns
         if isinstance(rows.error, ValidationError):
-            i, y = start + rows.n, block[rows.n]
-            raise PropagationError(
-                f"step {i} (t = {grid[i]:g}): {rows.error}",
-                step_index=i, trace_defect=abs(complex(y.trace()) - 1.0),
-                min_eigenvalue=_best_effort_min_eig(y, tol)) from rows.error
+            i = first + rows.n
+            raise _breach(i, grid[i], rows.error, block[rows.n], tol) from rows.error
         rows.raise_first()
+        basis = columns[4][-1]
 
 
-def _best_effort_min_eig(y: np.ndarray, tol: ToleranceConfig) -> float | None:
+def _rk4_step(k_op: np.ndarray, jumps, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of length h, of a state or of each state of a
+    stack y (k, d, d), with the generator of _generator_matrix."""
+    k1 = _generator_matrix(k_op, jumps, y)
+    k2 = _generator_matrix(k_op, jumps, y + 0.5 * h * k1)
+    k3 = _generator_matrix(k_op, jumps, y + 0.5 * h * k2)
+    k4 = _generator_matrix(k_op, jumps, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _breach(i: int, t: float, error: ValidationError, y: np.ndarray,
+            tol: ToleranceConfig) -> PropagationError:
+    """The PropagationError of the RK4 state y, at step i and time t, that
+    failed a propagation check with `error`."""
     try:
         herm = HermitianMatrix(0.5 * (y + dagger(y)), tol=tol)  # exactly Hermitian
-        return float(hermitian_eig(herm, tol=tol).eigenvalues[0])
+        smallest = float(hermitian_eig(herm, tol=tol).eigenvalues[0])
     except Exception:  # diagnostics only; never mask the propagation error
-        return None
+        smallest = None
+    return PropagationError(f"step {i} (t = {t:g}): {error}", step_index=i,
+                            trace_defect=abs(complex(y.trace()) - 1.0), min_eigenvalue=smallest)
 
 
 def regularize(rho: DensityMatrix, eps: float, *,

@@ -52,6 +52,14 @@ def extreme_config(tmp_path, family, scale):
     return cfg
 
 
+# qubit_sigma_x ladders whose RK4 probes breach, by probe step: with one
+# sigma_x channel of rate 10, every rung at step 0.3, and from epsilon = 0.1 at 0.15
+BREACH_LADDERS = {
+    step: {"channels": [{"rate": 10.0, "matrix": [[0.0, 1.0], [1.0, 0.0]]}],
+           "time": {"t0": 0.0, "step": step}, "epsilons": epsilons}
+    for step, epsilons in ((0.3, [0.3, 0.1, 0.01]), (0.15, [0.9, 0.5, 0.3, 0.1, 0.01, 1e-4]))}
+
+
 def block_bytes(dim, rows):
     """The block byte bound that gives `rows` rows per block at `dim` (None: the default)."""
     return DEFAULT_BLOCK_BYTES if rows is None else 16 * dim * dim * rows
@@ -490,12 +498,13 @@ class TestRunCommand:
         assert len(built) == (1 if tol else 0)
 
     def test_row_path_checks_each_array_once(self, tmp_path, monkeypatch):
-        # a 20-step qubit_sigma_x run: arrays checked where they were built are
-        # not copied and re-checked per row, and tr(rho H) is formed once per state
+        # a 70-step qubit_sigma_x run in blocks of 32, 32 and 7 rows: arrays
+        # checked where they were built are not copied and re-checked, no row
+        # becomes a DensityMatrix, and tr(rho H) is one stacked product a block
         data = json.loads((SCENARIOS / "qubit_sigma_x.json").read_text())
-        data["time"]["horizon"] = 20 * data["time"]["step"]
+        data["time"]["horizon"] = 70 * data["time"]["step"]
         cfg = parse_config(json.dumps(data), "run")
-        copies = []
+        copies, states, products = [], [], []
 
         def counted(a, name="matrix"):
             copies.append(name)
@@ -505,20 +514,52 @@ class TestRunCommand:
         for module in (linalg, dynamics, free_energy, cli):
             if getattr(module, "as_square_matrix", None) is original_copy:
                 monkeypatch.setattr(module, "as_square_matrix", counted)
-        formed = []
+        set_state = dynamics.DensityMatrix._set
+        monkeypatch.setattr(dynamics.DensityMatrix, "_set",
+                            lambda state, columns, i: states.append(i) or set_state(state, columns, i))
 
-        def energy(state, hamiltonian):
-            if state._energy is None or state._energy[0] is not hamiltonian:
-                formed.append(state)
-            return original_energy(state, hamiltonian)
+        class Recorded(np.ndarray):
+            """H's matrix: records the shape of each stack it multiplies from the right."""
 
-        original_energy = dynamics.DensityMatrix.energy
-        monkeypatch.setattr(dynamics.DensityMatrix, "energy", energy)
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and isinstance(inputs[1], Recorded):
+                    products.append(np.shape(inputs[0]))
+                plain = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+                return getattr(ufunc, method)(*plain, **kwargs)
+
+        cfg.model.hamiltonian.matrix = cfg.model.hamiltonian.matrix.view(Recorded)
         out = tmp_path / "row.csv"
         assert cli.run_command(cfg, str(out), ToleranceConfig()) == 0
-        assert len(out.read_text().splitlines()) == 22  # header and 21 rows
+        assert len(out.read_text().splitlines()) == 72  # header and 71 rows
         assert copies == []
-        assert len(formed) == len({id(state) for state in formed}) == 21
+        assert len(states) == 2  # the pure eigenstate and its regularization
+        assert [shape for shape in products if len(shape) == 3] == [
+            (32, 2, 2), (32, 2, 2), (7, 2, 2)]
+
+    @pytest.mark.parametrize("name", ["qubit_sigma_x", "qutrit_ladder"])
+    def test_block_columns_match_the_one_state_functions(self, tmp_path, name):
+        # 41 rows, two block boundaries at d = 3: the stacked tr(rho H), entropy,
+        # <F> difference, trace defect and smallest eigenvalue of each row are
+        # the bits of DensityMatrix.energy, power_fd and the state's own fields
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        data["time"]["horizon"] = 40 * data["time"]["step"]
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        parsed = parse_config(json.dumps(data), "run")
+        ctx = free_energy.BatteryContext(parsed.beta, parsed.model)
+        offsets = parsed.time.offsets()
+        states = list(dynamics.propagate(
+            parsed.model, cli._initial_state(parsed, DEFAULT_TOLERANCES), offsets))
+        step = offsets[1] - offsets[0]
+        for i, row in enumerate(read_csv(out)):
+            state, trace_defect = states[i]
+            fd = None if i in (0, len(states) - 1) else free_energy.power_fd(
+                states[i - 1][0], states[i + 1][0], step, ctx)
+            want = [state.energy(parsed.model.hamiltonian), state.entropy, fd, trace_defect,
+                    state.min_eigenvalue]
+            got = [row[key] for key in ("energy", "entropy", "power_fd", "trace_defect", "min_eig")]
+            assert got == [cli._csv_cell(value) for value in want]
 
     def test_decay_matches_exponential(self, tmp_path):
         channel = [{"rate": 1.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}]
@@ -843,9 +884,9 @@ class TestReportCommands:
     @pytest.mark.parametrize("name, overrides", [
         ("qubit_dark_state", {}), ("qubit_sigma_x", {}), ("qutrit_ladder", {}),
         # each rung's RK4 probe breaches with its own smallest eigenvalue
-        ("qubit_sigma_x", {"channels": [{"rate": 10.0, "matrix": [[0.0, 1.0], [1.0, 0.0]]}],
-                           "time": {"t0": 0.0, "step": 0.3}, "epsilons": [0.3, 0.1, 0.01]}),
-        ("qubit_sigma_x", {"epsilons": [1e-2, 1e-3, 1e-13, 1e-14]})])  # rung 2: rank deficient
+        ("qubit_sigma_x", BREACH_LADDERS[0.3]),
+        ("qubit_sigma_x", {"epsilons": [1e-2, 1e-3, 1e-13, 1e-14]}),  # rung 2: rank deficient
+        ("qubit_sigma_x", BREACH_LADDERS[0.15])])  # three probes pass, then three breach
     def test_sweep_blocks_keep_the_report(self, tmp_path, monkeypatch, capsys, name, overrides):
         # rungs are evaluated in blocks as `run` rows are: the report, or the
         # first failing rung's error, is the same at every block size
@@ -866,7 +907,11 @@ class TestReportCommands:
             return
         assert results[0][:2] == (0, "")
         step_errors = [row["step_error"] for row in json.loads(results[0][2])["report"]["rows"]]
-        assert len(set(step_errors)) == (3 if "time" in overrides else 1)
+        breached = [error is not None for error in step_errors]
+        assert len(set(step_errors)) == sum(breached) + (not all(breached))
+        step = overrides.get("time", {}).get("step")
+        assert breached == {0.3: [True] * 3, 0.15: [False] * 3 + [True] * 3}.get(
+            step, [False] * len(step_errors))
 
     @pytest.mark.parametrize("name, rungs", [
         ("qubit_dark_state", 5), ("qubit_sigma_x", 7), ("qutrit_ladder", 5)])
@@ -876,6 +921,49 @@ class TestReportCommands:
         assert main(["sweep", "--config", str(SCENARIOS / f"{name}.json"),
                      "--out", str(tmp_path / "out.json")]) == 0
         assert len(eig_calls) == 2 + 2 * rungs
+
+    @pytest.mark.parametrize("step", sorted(BREACH_LADDERS))
+    def test_stacked_probes_match_one_propagate_per_rung(self, tmp_path, step):
+        # the rungs' probes are one RK4 step of their stack; each rung's
+        # step_error is what its own one-step propagate raises
+        data = dict(json.loads((SCENARIOS / "qubit_sigma_x.json").read_text()),
+                    **BREACH_LADDERS[step])
+        cfg, out = tmp_path / "ladder.json", tmp_path / "ladder.out.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        parsed = parse_config(json.dumps(data), "sweep")
+        k0 = linalg.hermitian_eig(parsed.model.hamiltonian).eigenvectors[:, parsed.k0]
+        expected = []
+        for epsilon in parsed.epsilons:
+            rung = dynamics.regularize(dynamics.DensityMatrix.pure(k0), epsilon)
+            try:
+                for _ in dynamics.propagate(parsed.model, rung, [0.0, step]):
+                    pass
+                expected.append(None)
+            except PropagationError as exc:
+                expected.append(str(exc))
+        rows = json.loads(out.read_text())["report"]["rows"]
+        assert [row["step_error"] for row in rows] == expected
+        assert expected.count(None) == {0.3: 0, 0.15: 3}[step]
+
+    @pytest.mark.parametrize("epsilons", [[1e-2, 1e-3], [1e-2, 1e-13]])
+    def test_a_probe_failure_that_is_no_breach_aborts_the_sweep(self, tmp_path, capsys,
+                                                                  epsilons):
+        # the rungs are diagonal and solve at once, but the channel gives each
+        # probe coherences that one Jacobi sweep cannot remove; rung 0's probe
+        # fails before rung 1, rank deficient in the second ladder, is reached
+        cfg, out = tmp_path / "probe.json", tmp_path / "probe.out.json"
+        cfg.write_text(config_text(
+            dim=3, hamiltonian=[[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]],
+            channels=[{"rate": 1.0, "matrix": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]}],
+            initial_state={"kind": "eigenstate", "k0": 0}, epsilons=epsilons))
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main([*argv, "--tol", "jacobi_max_sweeps=1"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: Jacobi did not converge in 1 sweeps: off-diagonal norm 3.960e-13 "
+            "above target 9.914e-14\n")
+        assert not out.exists()
+        assert main(argv) == (0 if epsilons[1] == 1e-3 else 3)
 
     def test_check_deterministic(self, tmp_path):
         cfg = tmp_path / "check.json"
