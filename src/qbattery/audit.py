@@ -34,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _block_rows, _breach,
+from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _BREACH, _block_rows,
                        _checked_states, _dissipator_matrix, _liouvillians, _rk4_step)
 from .errors import ConsistencyError, ParameterError, ScenarioError, ValidationError
-from .free_energy import BatteryContext, _decompose, _powers, vanishing_condition
+from .free_energy import (BatteryContext, _decompose, _mean_free_energies, _powers,
+                          vanishing_condition)
 from .jsonio import model_from_json, model_to_json
 from .linalg import HermitianMatrix, _Rows, dagger, hermitian_eig, hermitian_eigs, max_abs
 from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive, _integer,
@@ -264,10 +265,17 @@ def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
     (the column order).  A sum that overflows raises ValidationError; power
     forms that disagree or are not finite raise ConsistencyError.
     """
-    beta = _finite_positive(beta, "beta")
+    return _eigen_instance(model, k0, _finite_positive(beta, "beta"), label, tol)[1]
+
+
+def _eigen_instance(model: LindbladModel, k0: int, beta: float, label: str | None,
+                    tol: ToleranceConfig, *, check_thetas: bool = True):
+    """H's spectrum and the ClaimInstance of its eigenstate k0 (_evaluate), from
+    one solve: the one eigenstate-instance path of the audit entry points."""
     spectrum = hermitian_eig(model.hamiltonian, tol=tol)
-    return _Rows.single(_evaluate, [(label, model, _eigen_index(k0, model.dim))],
-                        spectrum.eigenvalues[None], spectrum.eigenvectors[None], beta, tol)[0]
+    return spectrum, _Rows.single(_evaluate, [(label, model, _eigen_index(k0, model.dim))],
+                                  spectrum.eigenvalues[None], spectrum.eigenvectors[None], beta,
+                                  tol, check_thetas=check_thetas)[0]
 
 
 @dataclass(frozen=True)
@@ -330,16 +338,12 @@ def eigenstate_audit(spec: ScenarioSpec, *,
     disagree about vanishing, INCONCLUSIVE inside the straddle band.
     """
     h = spec.model.hamiltonian.matrix
-    spectrum = hermitian_eig(spec.model.hamiltonian, tol=tol)
+    spectrum, instance = _eigen_instance(spec.model, spec.k0, spec.beta, "scenario", tol)
     vec = spectrum.eigenvectors[:, spec.k0]
     residual = max_abs(h @ vec - spectrum.eigenvalues[spec.k0] * vec)
     if residual > tol.eigenvector_residual * max(1.0, max_abs(h)):
         raise ScenarioError(
             f"index {spec.k0} is not an eigenvector of H: residual {residual:.3e}")
-
-    instance = _Rows.single(_evaluate, [("scenario", spec.model, spec.k0)],
-                            spectrum.eigenvalues[None], spectrum.eigenvectors[None], spec.beta,
-                            tol)[0]
 
     classes = instance.classes(tol)  # one classification for the verdict and the claims
     row_all, _, p_cls = classes
@@ -412,9 +416,8 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     if not spec.epsilon_list:
         raise ParameterError("epsilon_sweep needs a non-empty epsilon_list")
     ctx = BatteryContext(spec.beta, spec.model)
-    spectrum = hermitian_eig(spec.model.hamiltonian, tol=tol)
-    reference = _Rows.single(_evaluate, [(None, spec.model, spec.k0)], spectrum.eigenvalues[None],
-                             spectrum.eigenvectors[None], ctx.beta, tol, check_thetas=False)[0]
+    spectrum, reference = _eigen_instance(spec.model, spec.k0, ctx.beta, None, tol,
+                                          check_thetas=False)
     rho0 = DensityMatrix.pure(spectrum.eigenvectors[:, spec.k0], tol=tol)
     h = spec.model.hamiltonian.matrix
     # tr(-i[H, rho_eps] X) is 0 for X = H, F and ln rho_eps, but its rounding is not
@@ -443,19 +446,19 @@ def _sweep_rungs(spec: ScenarioSpec, epsilons, rho0: DensityMatrix, ctx: Battery
     from rho0's eigenvectors, which all of them share), then L(rho_eps), the
     decomposition, the rates and the power as stacks (free_energy's core),
     then the rungs' RK4 probes, one _rk4_step of the stack checked at the
-    propagation bounds.  A probe's breach is recorded on its rung and the
-    probes after it are checked again; the first other failure in rung order
-    is raised."""
+    propagation bounds.  A probe's breach is recorded on its rung as the
+    message a one-step propagate raises (dynamics._BREACH) and the probes after
+    it are checked again; the first other failure in rung order is raised."""
     d, eps, h = rho0.dim, np.array(epsilons)[:, None, None], spec.model.hamiltonian.matrix
     mixed = (1.0 - eps) * rho0.matrix + (eps / d) * np.eye(d)
     rows = _Rows(len(epsilons))
     rho, _, _, values, vectors, entropies = _checked_states(
         rows, mixed, rho0.spectrum.eigenvectors, tol, tol.density_trace, tol.psd)
     rate, _ = _liouvillians(rows, dissipative, rho, tol)
+    _, mean = _mean_free_energies(rho, entropies, ctx)
     with np.errstate(over="ignore", invalid="ignore"):  # the report and probe scans name inf/nan
-        energy, tr_rho_h = ((x @ h).trace(axis1=1, axis2=2).real for x in (rate, rho))
-        log_rho, f_op, _, _ = _decompose(rows, rho, values, vectors,
-                                         tr_rho_h - entropies / ctx.beta, ctx, tol)
+        energy = (rate @ h).trace(axis1=1, axis2=2).real
+        log_rho, f_op, _, _ = _decompose(rows, rho, values, vectors, mean, ctx, tol)
         entropy = -(rate @ log_rho[0]).trace(axis1=1, axis2=2).real
         probe = _rk4_step(*spec.model._generator, rho[:rows.n], spec.step)
     power, n = _powers(rows, rate, f_op[0], tol), rows.n
@@ -468,7 +471,7 @@ def _sweep_rungs(spec: ScenarioSpec, epsilons, rho0: DensityMatrix, ctx: Battery
             checked.raise_first()
             break
         i = start + checked.n
-        step_errors[i] = str(_breach(1, spec.step, checked.error, probe[i], tol))
+        step_errors[i] = _BREACH.format(1, spec.step, checked.error)
         start = i + 1
     rows.raise_first()
     return [EpsilonRow(float(epsilons[i]), float(power[i]), float(energy[i]), float(entropy[i]),

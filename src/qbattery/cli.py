@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: parsing, the `run` CSV writer, the report encoder.
 
     qbattery run    --config cfg.json --out traj.csv   [--tol NAME=VALUE ...]
     qbattery audit  --config cfg.json --out report.json [--seed N] [--tol ...]
@@ -6,14 +6,9 @@
     qbattery check  --config cfg.json --out report.json [--seed N] [--tol ...]
 
 Exit codes: 0 success (audit and check exit 0 whatever the verdicts say),
-2 configuration problem, 3 numeric failure.  `run` reads propagation's
-checked blocks of at most K states (dynamics._state_blocks; K bounds the
-bytes of one stacked d x d matrix) and evaluates and writes each block's rows
-as one stack; a block's last row waits for the next block's first <F>, which
-its power_fd reads.  A numeric failure mid-trajectory still leaves every row
-computed before it on disk: the rows before the earliest failing row, whose
-first failing check is the error raised, ahead of a propagation breach later
-in its block.
+2 configuration problem, 3 numeric failure.  `run` writes the rows of
+free_energy's row stream as they come: a numeric failure mid-trajectory
+leaves every row the stream gave before it on disk.
 
 A JSON report holds the fields of its report dataclass under their names, in
 declaration order.  Reports carry no timestamps; identical inputs give
@@ -29,14 +24,12 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit, epsilon_sweep
 from .config import RunConfig, config_to_dict, parse_config
-from .dynamics import DensityMatrix, _state_blocks, regularize, thermal_state
+from .dynamics import DensityMatrix, regularize, thermal_state
 from .errors import ConfigError, ParameterError, QBatteryError, ValidationError
-from .free_energy import RANK_THRESHOLD, BatteryContext, _evaluate_rows
+from .free_energy import RANK_THRESHOLD, BatteryContext, _run_rows
 from .linalg import hermitian_eig
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -132,52 +125,13 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
             "initial state is rank deficient; the free-energy operator needs "
             "a full-rank state (add initial_state.epsilon or use audit mode)",
             path="initial_state")
-    offsets = cfg.time.offsets()
-    step = float(offsets[1] - offsets[0]) if offsets.size > 1 else None
-    times, h = (cfg.time.t0 + offsets).tolist(), cfg.model.hamiltonian.matrix
-
     columns = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd",
                *(f"theta_{j + 1}" for j in range(len(cfg.model.channels))),
                "trace_defect", "min_eig"]
-    # The index-form Theta reads F's eigensystem, solved on F rather than deltaF
-    # (see compute_theta_report).  F is diagonal in rho0's eigenbasis when
-    # [rho0, H] = 0 (thermal starts); each later row starts from the previous
-    # row's F eigenbasis.
-    basis = rho0.spectrum.eigenvectors
-    index, previous, held = 0, None, None
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        def write(row, before, after):
-            """Write `row`, its power_fd the central difference of <F> around it."""
-            if before is not None and after is not None:
-                row[5] = (after - before) / (2.0 * step)
-            fh.write(",".join(_csv_cell(value) for value in row) + "\n")
-
         fh.write(",".join(columns) + "\n")
-        try:
-            for rho, _, trace_defect, values, vectors, entropy in _state_blocks(
-                    cfg.model, rho0, offsets, tol):
-                # <F> = tr(rho H) - S/beta per state; F's scan names a non-finite one
-                with np.errstate(over="ignore", invalid="ignore"):
-                    energy = (rho @ h).trace(axis1=1, axis2=2).real
-                    mean = energy - entropy / ctx.beta
-                around = [previous, *mean.tolist(), None]
-                if held:
-                    write(*held, around[1])
-                    held = None
-                rows, means, powers, thetas, basis = _evaluate_rows(rho, values, vectors, mean,
-                                                                   ctx, basis, tol)
-                for i in range(rows.n):
-                    row = [times[index + i], energy[i], entropy[i], means[i], powers[i], None,
-                           *thetas[i], trace_defect[i], values[i, 0]]
-                    if i + 1 < len(rho):
-                        write(row, around[i], around[i + 2])
-                    else:  # until the next block's first <F> arrives
-                        held = (row, around[i])
-                rows.raise_first()
-                index, previous = index + len(rho), around[-2]
-        finally:  # no state follows the last row, or the state after it breached
-            if held:
-                write(*held, None)
+        for row, t in zip(_run_rows(ctx, rho0, cfg.time.offsets(), tol), cfg.time.grid().tolist()):
+            fh.write(",".join(_csv_cell(value) for value in (t, *row)) + "\n")
     return EXIT_OK
 
 

@@ -20,10 +20,10 @@ blocks of up to _block_rows(d) states, checks each block as one stack
 (_checked_states, of which DensityMatrix is the one-state case: the
 construction hermiticity bound, and the propagation bounds on the trace and
 the smallest eigenvalue), solving its states as one warm chain, and yields
-the checked stacks; `run` reads them as they come, and `propagate` hands out
-one DensityMatrix per row.  A breach raises PropagationError (_breach) once
-the states before it are yielded.  The trajectory prefix is whatever the
-consumer took before the raise; nothing else keeps it.
+the checked stacks: `run`'s row stream (free_energy._run_rows) reads them as
+they come, and `propagate` hands out one DensityMatrix per row.  A breach
+raises PropagationError (_breach) once the states before it are yielded:
+the trajectory prefix is what the consumer took, and nothing else keeps it.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ __all__ = [
 # run grew VmHWM by about 20 KiB more at this bound and 56 KiB more at twice
 # it, which was no faster.
 _BLOCK_BYTES = 2048
+
+_BREACH = "step {} (t = {:g}): {}"  # a breach's message: step index, time, failed check
 
 
 def _block_rows(dim: int) -> int:
@@ -413,7 +415,7 @@ def _breach(i: int, t: float, error: ValidationError, y: np.ndarray,
         smallest = float(hermitian_eig(herm, tol=tol).eigenvalues[0])
     except Exception:  # diagnostics only; never mask the propagation error
         smallest = None
-    return PropagationError(f"step {i} (t = {t:g}): {error}", step_index=i,
+    return PropagationError(_BREACH.format(i, t, error), step_index=i,
                             trace_defect=abs(complex(y.trace()) - 1.0), min_eigenvalue=smallest)
 
 

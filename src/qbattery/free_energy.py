@@ -14,15 +14,15 @@ and the per-channel commutator fluctuation
 evaluated two ways, cross-checked: as an operator expectation and as an
 explicit index sum in the deltaF eigenbasis.
 
-These are evaluated for a stack of states at once: _evaluate_rows takes the
-stacks of a block of `run` states (rho, its eigenvalues and eigenvectors,
-tr(rho H) - S/beta) through _decompose (ln rho, F, <F> and its
-cross-check, deltaF), F's eigensolves as one warm chain, _liouvillians,
-_powers and _thetas (_operator_thetas and _index_thetas), each check cutting
-the block at its first failing row (linalg._Rows); a block of sweep rungs
-goes through _liouvillians, _decompose and _powers (audit._sweep_rungs).
-free_energy_operator, power_analytic, theta_operator_form, theta_index_form
-and compute_theta_report are their one-state cases and give the same bits.
+These are evaluated for a stack of states at once.  `run`'s rows come from
+one stream, _run_rows, which takes propagation's blocks through
+_evaluate_rows (_decompose, F's eigensolves as one warm chain, _liouvillians,
+_powers, _thetas), each check cutting the block at its first failing row
+(linalg._Rows); sweep rungs go through _liouvillians, _decompose and _powers
+(audit._sweep_rungs); <F> = tr(rho H) - S/beta is formed in
+_mean_free_energies alone.  free_energy_operator, mean_free_energy,
+power_analytic, theta_operator_form, theta_index_form and
+compute_theta_report are their one-state cases and give the same bits.
 
 The closed forms that apply when the state is an eigenstate of the
 Hamiltonian, and the structural vanishing condition they are tested against,
@@ -37,11 +37,12 @@ shift of w.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, LindbladModel, _liouvillians
+from .dynamics import DensityMatrix, LindbladModel, _liouvillians, _state_blocks
 from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
 from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _finite, _hermitian,
                      _lift, _Rows, dagger, hermitian_eig_chain)
@@ -158,10 +159,18 @@ def _decompose(rows: _Rows, rho: np.ndarray, values: np.ndarray, vectors: np.nda
 
 
 def mean_free_energy(rho: DensityMatrix, ctx: BatteryContext) -> float:
-    """<F> = tr(rho H) - S(rho)/beta; defined for any valid state (0 ln 0 = 0)."""
+    """<F> = tr(rho H) - S(rho)/beta of any valid state: _mean_free_energies of one."""
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
-    return rho.energy(ctx.model.hamiltonian) - rho.entropy / ctx.beta
+    return float(_mean_free_energies(rho.matrix[None], np.array([rho.entropy]), ctx)[1][0])
+
+
+def _mean_free_energies(rho: np.ndarray, entropy: np.ndarray, ctx: BatteryContext):
+    """tr(rho H) and <F> = tr(rho H) - S/beta (k,) of the states rho (k, d, d)
+    of entropies `entropy`; a non-finite <F> is named by F's scan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = (rho @ ctx.model.hamiltonian.matrix).trace(axis1=1, axis2=2).real
+        return energy, energy - entropy / ctx.beta
 
 
 def power_analytic(rate: HermitianMatrix, decomp: FreeEnergyDecomposition, *,
@@ -357,6 +366,38 @@ def _evaluate_rows(rho: np.ndarray, values: np.ndarray, vectors: np.ndarray,
     columns = [t_op.tolist() for t_op, _ in forms]
     thetas = [[column[i] for column in columns] for i in range(rows.n)]
     return rows, mean[:rows.n].tolist(), power[:rows.n].tolist(), thetas, basis
+
+
+def _run_rows(ctx: BatteryContext, rho0: DensityMatrix, offsets: np.ndarray,
+              tol: ToleranceConfig) -> Iterator[list]:
+    """`run`'s rows (the values after `t`) from the full-rank rho0 on the
+    uniform ascending `offsets`: propagation's checked blocks through
+    _evaluate_rows, F's warm chain started in rho0's eigenbasis (F's own when
+    [rho0, H] = 0).  A row is held, pending, until the next state's <F>
+    arrives: its power_fd is the central difference of the <F> around it,
+    blank for the first row and a row no state follows.  A failing row or a
+    breach ends the stream: the rows before it come out, then the failure."""
+    step = float(offsets[1] - offsets[0]) if offsets.size > 1 else None
+    basis, before, previous, pending, error = rho0.spectrum.eigenvectors, None, None, None, None
+    try:
+        for rho, _, defect, w, u, entropy in _state_blocks(ctx.model, rho0, offsets, tol):
+            energy, mean = _mean_free_energies(rho, entropy, ctx)
+            rows, means, powers, thetas, basis = _evaluate_rows(rho, w, u, mean, ctx, basis, tol)
+            for i, after in enumerate(mean.tolist()[:rows.n + 1]):  # a failing row's <F> too
+                if pending is not None:
+                    if before is not None:
+                        pending[4] = (after - before) / (2.0 * step)
+                    yield pending
+                pending = None if i == rows.n else [energy[i], entropy[i], means[i], powers[i],
+                                                    None, *thetas[i], defect[i], w[i, 0]]
+                before, previous = previous, after
+            rows.raise_first()
+    except Exception as exc:  # not GeneratorExit, raised at a yield above on close
+        error = exc
+    if pending is not None:
+        yield pending
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)

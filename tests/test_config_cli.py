@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import math
 import subprocess
@@ -538,9 +539,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("name", ["qubit_sigma_x", "qutrit_ladder"])
     def test_block_columns_match_the_one_state_functions(self, tmp_path, name):
-        # 41 rows, two block boundaries at d = 3: the stacked tr(rho H), entropy,
-        # <F> difference, trace defect and smallest eigenvalue of each row are
-        # the bits of DensityMatrix.energy, power_fd and the state's own fields
+        # 41 rows, two block boundaries at d = 3: every cell of each row is the
+        # bits of the one-state functions (DensityMatrix.energy, free_energy_operator,
+        # power_analytic, power_fd, theta_operator_form) or of the state's own fields
         data = json.loads((SCENARIOS / f"{name}.json").read_text())
         data["time"]["horizon"] = 40 * data["time"]["step"]
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
@@ -556,10 +557,13 @@ class TestRunCommand:
             state, trace_defect = states[i]
             fd = None if i in (0, len(states) - 1) else free_energy.power_fd(
                 states[i - 1][0], states[i + 1][0], step, ctx)
-            want = [state.energy(parsed.model.hamiltonian), state.entropy, fd, trace_defect,
-                    state.min_eigenvalue]
-            got = [row[key] for key in ("energy", "entropy", "power_fd", "trace_defect", "min_eig")]
-            assert got == [cli._csv_cell(value) for value in want]
+            decomp = free_energy.free_energy_operator(state, ctx)
+            power = free_energy.power_analytic(dynamics.liouvillian(parsed.model, state), decomp)
+            thetas = [free_energy.theta_operator_form(decomp, state, ch.operator)
+                      for ch in parsed.model.channels]
+            want = [state.energy(parsed.model.hamiltonian), state.entropy, decomp.mean, power, fd,
+                    *thetas, trace_defect, state.min_eigenvalue]
+            assert list(row.values())[1:] == [cli._csv_cell(value) for value in want]
 
     def test_decay_matches_exponential(self, tmp_path):
         channel = [{"rate": 1.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}]
@@ -686,6 +690,34 @@ class TestRunCommand:
         assert one[:2] == (3, "numeric failure: state is rank deficient for ln(rho): "
                               "smallest eigenvalue 9.998e-14 <= threshold 1.000e-12\n")
         assert len(read_csv(tmp_path / "blocked.csv")) == 4
+
+    @pytest.mark.parametrize("case, taken", [
+        ("long", 1), ("long", 31), ("long", 32), ("long", 33), ("long", 70), ("long", 71),
+        ("breach", 4), ("breach", 5)])
+    def test_a_consumer_that_stops_early_closes_the_stream(self, monkeypatch, case, taken):
+        # a 70-step qubit_sigma_x run (blocks of 32, 32 and 7 rows) or the run
+        # that breaches at step 5, left after `taken` rows: inside a block, at
+        # its edge, at the last row and at the row held when the breach came.
+        # Closing the stream, by hand or by collection, raises nothing and
+        # reports nothing to sys.unraisablehook
+        if case == "long":
+            data = json.loads((SCENARIOS / "qubit_sigma_x.json").read_text())
+            data["time"]["horizon"] = 70 * data["time"]["step"]
+        else:
+            data = self.breach_config(0.2)
+        cfg = parse_config(json.dumps(data), "run")
+        ctx = free_energy.BatteryContext(cfg.beta, cfg.model)
+        rho0 = cli._initial_state(cfg, DEFAULT_TOLERANCES)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        for by_hand in (True, False):
+            stream = free_energy._run_rows(ctx, rho0, cfg.time.offsets(), DEFAULT_TOLERANCES)
+            assert len([row for _, row in zip(range(taken), stream)]) == taken
+            if by_hand:
+                stream.close()
+            del stream
+            gc.collect()
+        assert unraisable == []
 
     def high_temperature_run(self, tmp_path, beta, *tol):
         cfg = tmp_path / "hot.json"
@@ -921,6 +953,19 @@ class TestReportCommands:
         assert main(["sweep", "--config", str(SCENARIOS / f"{name}.json"),
                      "--out", str(tmp_path / "out.json")]) == 0
         assert len(eig_calls) == 2 + 2 * rungs
+
+    @pytest.mark.parametrize("step, solves", [(0.3, 11), (0.15, 17)])
+    def test_a_breaching_probe_costs_no_extra_solve(self, tmp_path, eig_calls, step, solves):
+        # H, the pure state and each rung's state, then the probes: all of a
+        # block's, then again those after each breach (3 + 2 + 1 at step 0.3,
+        # 6 + 2 + 1 at 0.15).  A breach's step_error is only its message, so
+        # no best-effort smallest eigenvalue is solved for it
+        data = dict(json.loads((SCENARIOS / "qubit_sigma_x.json").read_text()),
+                    **BREACH_LADDERS[step])
+        cfg = tmp_path / "ladder.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
+        assert len(eig_calls) == solves
 
     @pytest.mark.parametrize("step", sorted(BREACH_LADDERS))
     def test_stacked_probes_match_one_propagate_per_rung(self, tmp_path, step):
