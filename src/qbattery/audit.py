@@ -34,11 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, _BREACH, _block_rows,
-                       _checked_states, _dissipator_matrix, _liouvillians, _rk4_step)
+from .dynamics import DensityMatrix, JumpChannel, LindbladModel, _dissipator_matrix
 from .errors import ConsistencyError, ParameterError, ScenarioError, ValidationError
-from .free_energy import (BatteryContext, _decompose, _mean_free_energies, _powers,
-                          vanishing_condition)
+from .free_energy import BatteryContext, _rung_rows, vanishing_condition
 from .jsonio import model_from_json, model_to_json
 from .linalg import HermitianMatrix, _Rows, dagger, hermitian_eig, hermitian_eigs, max_abs
 from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive, _integer,
@@ -407,11 +405,10 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     P_num = tr(D(rho_eps) F), energy_rate = tr(D(rho_eps) H),
     entropy_rate = -tr(D(rho_eps) ln rho_eps), all from one D(rho_eps), the
     generator without its Hamiltonian term (whose contribution to each is 0),
-    and the ln rho_eps that F was built from.  One RK4 step is attempted per
-    rung as a differentiability probe; its failure is recorded on the row
-    instead of aborting the sweep.  Rungs are evaluated in blocks of stacked
-    states (_sweep_rungs), with the first failure of evaluating them one at a
-    time.
+    and the ln rho_eps that F was built from.  One RK4 step per rung is a
+    differentiability probe whose breach is recorded on the row instead of
+    aborting the sweep.  The rungs come from free_energy._rung_rows, with the
+    first failure of evaluating them one at a time.
     """
     if not spec.epsilon_list:
         raise ParameterError("epsilon_sweep needs a non-empty epsilon_list")
@@ -419,63 +416,15 @@ def epsilon_sweep(spec: ScenarioSpec, *,
     spectrum, reference = _eigen_instance(spec.model, spec.k0, ctx.beta, None, tol,
                                           check_thetas=False)
     rho0 = DensityMatrix.pure(spectrum.eigenvectors[:, spec.k0], tol=tol)
-    h = spec.model.hamiltonian.matrix
-    # tr(-i[H, rho_eps] X) is 0 for X = H, F and ln rho_eps, but its rounding is not
-    dissipative = LindbladModel(HermitianMatrix(np.zeros_like(h)), spec.model.channels)
-
-    rows, size = [], _block_rows(spec.model.dim)
-    for at in range(0, len(spec.epsilon_list), size):
-        rows += _sweep_rungs(spec, spec.epsilon_list[at:at + size], rho0, ctx, dissipative, tol)
-
+    rows = [EpsilonRow(*r) for r in _rung_rows(ctx, rho0, spec.epsilon_list, spec.step, tol)]
+    fit = (None, None)
     if len(rows) >= 2:
-        x = np.log([r.epsilon for r in rows])
-        y = np.array([r.entropy_rate for r in rows])
-        slope, intercept = np.polyfit(x, y, 1)
+        slope, intercept = np.polyfit(np.log([r.epsilon for r in rows]),
+                                      np.array([r.entropy_rate for r in rows]), 1)
         fit = (float(intercept), float(slope))
-    else:
-        fit = (None, None)
     return EpsilonSweepReport(
         k0=spec.k0, power_reference=reference.power_trace, rows=tuple(rows),
         fit_intercept=fit[0], fit_slope=fit[1])
-
-
-def _sweep_rungs(spec: ScenarioSpec, epsilons, rho0: DensityMatrix, ctx: BatteryContext,
-                 dissipative: LindbladModel, tol: ToleranceConfig) -> list[EpsilonRow]:
-    """epsilon_sweep's rows for a block of rungs: every rho_eps, built with
-    regularize's arithmetic and checked as one stack of states (one warm chain
-    from rho0's eigenvectors, which all of them share), then L(rho_eps), the
-    decomposition, the rates and the power as stacks (free_energy's core),
-    then the rungs' RK4 probes, one _rk4_step of the stack checked at the
-    propagation bounds.  A probe's breach is recorded on its rung as the
-    message a one-step propagate raises (dynamics._BREACH) and the probes after
-    it are checked again; the first other failure in rung order is raised."""
-    d, eps, h = rho0.dim, np.array(epsilons)[:, None, None], spec.model.hamiltonian.matrix
-    mixed = (1.0 - eps) * rho0.matrix + (eps / d) * np.eye(d)
-    rows = _Rows(len(epsilons))
-    rho, _, _, values, vectors, entropies = _checked_states(
-        rows, mixed, rho0.spectrum.eigenvectors, tol, tol.density_trace, tol.psd)
-    rate, _ = _liouvillians(rows, dissipative, rho, tol)
-    _, mean = _mean_free_energies(rho, entropies, ctx)
-    with np.errstate(over="ignore", invalid="ignore"):  # the report and probe scans name inf/nan
-        energy = (rate @ h).trace(axis1=1, axis2=2).real
-        log_rho, f_op, _, _ = _decompose(rows, rho, values, vectors, mean, ctx, tol)
-        entropy = -(rate @ log_rho[0]).trace(axis1=1, axis2=2).real
-        probe = _rk4_step(*spec.model._generator, rho[:rows.n], spec.step)
-    power, n = _powers(rows, rate, f_op[0], tol), rows.n
-    step_errors, start = [None] * n, 0
-    while start < n:
-        checked = _Rows(n - start)
-        _checked_states(checked, probe[start:n], vectors[start], tol, tol.propagation_trace,
-                        tol.propagation_psd)
-        if not isinstance(checked.error, ValidationError):
-            checked.raise_first()
-            break
-        i = start + checked.n
-        step_errors[i] = _BREACH.format(1, spec.step, checked.error)
-        start = i + 1
-    rows.raise_first()
-    return [EpsilonRow(float(epsilons[i]), float(power[i]), float(energy[i]), float(entropy[i]),
-                       step_errors[i]) for i in range(n)]
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ the checked stacks: `run`'s row stream (free_energy._run_rows) reads them as
 they come, and `propagate` hands out one DensityMatrix per row.  A breach
 raises PropagationError (_breach) once the states before it are yielded:
 the trajectory prefix is what the consumer took, and nothing else keeps it.
+The sweep's probes (_probe_breaches) take one step from each state of a stack
+and keep each breach's message instead.
 """
 
 from __future__ import annotations
@@ -406,6 +408,31 @@ def _rk4_step(k_op: np.ndarray, jumps, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _probe_breaches(model: LindbladModel, rho: np.ndarray, bases: np.ndarray, h: float,
+                    tol: ToleranceConfig) -> list[str | None]:
+    """One RK4 step of length h from each state of the stack rho (k, d, d), of
+    eigenvectors `bases`, checked at the propagation bounds: per state, None or
+    the message a one-step propagate raises for its breach.  Any other failure
+    raises, the first in stack order."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _checked_states names inf/nan
+        probe = _rk4_step(*model._generator, rho, h)
+    breaches, start, n = [None] * len(rho), 0, len(rho)
+    # a breach cuts the check, so the probes after it are checked again (k(k + 1)/2
+    # solves if all breach); checking each probe alone solves each once, but made
+    # the bundled sweeps, where none breaches, 1.2-1.4x slower
+    while start < n:
+        checked = _Rows(n - start)
+        _checked_states(checked, probe[start:], bases[start], tol, tol.propagation_trace,
+                        tol.propagation_psd)
+        if not isinstance(checked.error, ValidationError):
+            checked.raise_first()
+            break
+        i = start + checked.n
+        breaches[i] = _BREACH.format(1, h, checked.error)
+        start = i + 1
+    return breaches
+
+
 def _breach(i: int, t: float, error: ValidationError, y: np.ndarray,
             tol: ToleranceConfig) -> PropagationError:
     """The PropagationError of the RK4 state y, at step i and time t, that
@@ -422,9 +449,13 @@ def _breach(i: int, t: float, error: ValidationError, y: np.ndarray,
 def regularize(rho: DensityMatrix, eps: float, *,
                tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DensityMatrix:
     """Convex mix with the maximally mixed state: (1 - eps) rho + eps I/d."""
-    eps = _open_unit(eps, "eps")
-    mixed = (1.0 - eps) * rho.matrix + (eps / rho.dim) * np.eye(rho.dim)
-    return DensityMatrix(mixed, tol=tol)
+    return DensityMatrix(_mixed(rho.matrix, _open_unit(eps, "eps")), tol=tol)
+
+
+def _mixed(rho: np.ndarray, eps) -> np.ndarray:
+    """(1 - eps) rho + eps I/d, of one eps or of a stack of them (k, 1, 1)."""
+    d = rho.shape[-1]
+    return (1.0 - eps) * rho + (eps / d) * np.eye(d)
 
 
 def thermal_state(hamiltonian, beta: float, *,

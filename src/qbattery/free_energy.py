@@ -18,11 +18,12 @@ These are evaluated for a stack of states at once.  `run`'s rows come from
 one stream, _run_rows, which takes propagation's blocks through
 _evaluate_rows (_decompose, F's eigensolves as one warm chain, _liouvillians,
 _powers, _thetas), each check cutting the block at its first failing row
-(linalg._Rows); sweep rungs go through _liouvillians, _decompose and _powers
-(audit._sweep_rungs); <F> = tr(rho H) - S/beta is formed in
-_mean_free_energies alone.  free_energy_operator, mean_free_energy,
-power_analytic, theta_operator_form, theta_index_form and
-compute_theta_report are their one-state cases and give the same bits.
+(linalg._Rows); the sweep's rungs come from a second stream beside it,
+_rung_rows (_liouvillians, _decompose, _powers, dynamics._probe_breaches);
+<F> = tr(rho H) - S/beta is formed in _mean_free_energies alone.
+free_energy_operator, mean_free_energy, power_analytic, theta_operator_form,
+theta_index_form and compute_theta_report are their one-state cases and give
+the same bits.
 
 The closed forms that apply when the state is an eigenstate of the
 Hamiltonian, and the structural vanishing condition they are tested against,
@@ -42,10 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, LindbladModel, _liouvillians, _state_blocks
+from .dynamics import (DensityMatrix, LindbladModel, _block_rows, _checked_states,
+                       _liouvillians, _mixed, _probe_breaches, _state_blocks)
 from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
 from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _finite, _hermitian,
-                     _lift, _Rows, dagger, hermitian_eig_chain)
+                     _Rows, dagger, hermitian_eig_chain)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive
 
 __all__ = [
@@ -138,7 +140,10 @@ def _decompose(rows: _Rows, rho: np.ndarray, values: np.ndarray, vectors: np.nda
         f"state is rank deficient for ln(rho): smallest eigenvalue "
         f"{smallest[i]:.3e} <= threshold {RANK_THRESHOLD:.3e}",
         smallest_eigenvalue=float(smallest[i])))
-    log_rho = _lift(rows, values, vectors, math.log, tol)
+    logs = np.zeros(values.shape)
+    for i in range(rows.n):  # every eigenvalue is above the threshold
+        logs[i] = [math.log(lam) for lam in values[i].tolist()]
+    log_rho = _hermitian(rows, (vectors * logs[:, None, :]) @ dagger(vectors), tol)
     # ln(rho)/beta overflows for a small enough beta: F's scan names it, and
     # deltaF's a non-finite <F>; the rest belongs to rows past the cut
     with np.errstate(over="ignore", invalid="ignore"):
@@ -398,6 +403,37 @@ def _run_rows(ctx: BatteryContext, rho0: DensityMatrix, offsets: np.ndarray,
         yield pending
     if error is not None:
         raise error
+
+
+def _rung_rows(ctx: BatteryContext, rho0: DensityMatrix, epsilons, step: float,
+               tol: ToleranceConfig) -> Iterator[tuple]:
+    """The sweep's rungs (epsilon, P, energy rate, entropy rate, step error)
+    from the pure rho0, in blocks of _block_rows(d): a block's
+    rho_eps = (1 - eps) rho0 + eps I/d checked as one stack (one warm chain
+    from rho0's eigenvectors, which they all share), then D(rho_eps) (the
+    generator without H), the decomposition, tr(D H), -tr(D ln rho_eps) and
+    P = tr(D F) as stacks, then the RK4 probes (dynamics._probe_breaches).
+    The first failure that is not a probe's breach raises, in rung order."""
+    h = ctx.model.hamiltonian.matrix
+    # tr(-i[H, rho_eps] X) is 0 for X = H, F and ln rho_eps, but its rounding is not
+    dissipative = LindbladModel(HermitianMatrix(np.zeros_like(h)), ctx.model.channels)
+    size = _block_rows(rho0.dim)
+    for at in range(0, len(epsilons), size):
+        block = epsilons[at:at + size]
+        rows = _Rows(len(block))
+        rho, _, _, values, vectors, entropies = _checked_states(
+            rows, _mixed(rho0.matrix, np.array(block)[:, None, None]),
+            rho0.spectrum.eigenvectors, tol, tol.density_trace, tol.psd)
+        rate, _ = _liouvillians(rows, dissipative, rho, tol)
+        _, mean = _mean_free_energies(rho, entropies, ctx)
+        with np.errstate(over="ignore", invalid="ignore"):  # the report names inf/nan
+            energy = (rate @ h).trace(axis1=1, axis2=2).real
+            log_rho, f_op, _, _ = _decompose(rows, rho, values, vectors, mean, ctx, tol)
+            entropy = -(rate @ log_rho[0]).trace(axis1=1, axis2=2).real
+        power, n = _powers(rows, rate, f_op[0], tol), rows.n
+        step_errors = _probe_breaches(ctx.model, rho[:n], vectors, step, tol)
+        rows.raise_first()
+        yield from zip(block, power.tolist(), energy.tolist(), entropy.tolist(), step_errors)
 
 
 @dataclass(frozen=True)

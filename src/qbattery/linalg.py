@@ -513,41 +513,25 @@ def hermitian_eigs(rows: _Rows, matrices: np.ndarray, *,
 
 def matrix_function(spectrum: Spectrum, f: Callable[[float], float], *,
                     tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
-    """Lift the real scalar function f to a matrix through its eigendecomposition.
+    """Lift the real scalar function f to a matrix through its eigendecomposition:
+    V diag(f(lambda)) V^dag, symmetrized as HermitianMatrix is.
 
     f is evaluated on each eigenvalue of `spectrum`; a raised ValueError /
     OverflowError / ZeroDivisionError or a non-finite result becomes
-    DomainError reporting the offending eigenvalue.
+    DomainError reporting the offending eigenvalue.  (The package's own ln(rho)
+    is lifted for stacks of states in free_energy._decompose, on eigenvalues it
+    has just proved positive.)
     """
-    lifted, defect = _Rows.single(_lift, spectrum.eigenvalues[None],
-                                  spectrum.eigenvectors[None], f, tol)
-    return HermitianMatrix._trusted(lifted[0], float(defect[0]))
-
-
-def _lift(rows: _Rows, values: np.ndarray, vectors: np.ndarray, f: Callable[[float], float],
-          tol: ToleranceConfig):
-    """matrix_function of each spectrum (values (k, d), vectors (k, d, d)) of a
-    stack: the lifted stack as _hermitian returns it.  A row holding an
-    eigenvalue where f is undefined or not finite cuts `rows` there."""
-    mapped = np.zeros(values.shape)
-    for i in range(rows.n):
+    vectors, mapped = spectrum.eigenvectors, []
+    for lam in spectrum.eigenvalues:
         try:
-            mapped[i] = [_defined(f, lam) for lam in values[i]]
-        except DomainError as exc:
-            rows.cut(i, exc)
-            break
-    return _hermitian(rows, (vectors * mapped[:, None, :]) @ dagger(vectors), tol)
-
-
-def _defined(f: Callable[[float], float], lam: np.float64) -> float:
-    """f(lam), or DomainError naming the eigenvalue where f is undefined or not finite."""
-    try:
-        value = f(float(lam))
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"f({lam!r}) undefined: {exc}", eigenvalue=float(lam)) from exc
-    if not math.isfinite(value):
-        raise DomainError(f"f({lam!r}) = {value!r} is not finite", eigenvalue=float(lam))
-    return value
+            value = f(float(lam))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainError(f"f({lam!r}) undefined: {exc}", eigenvalue=float(lam)) from exc
+        if not math.isfinite(value):
+            raise DomainError(f"f({lam!r}) = {value!r} is not finite", eigenvalue=float(lam))
+        mapped.append(value)
+    return HermitianMatrix((vectors * np.array(mapped, dtype=float)) @ dagger(vectors), tol=tol)
 
 
 def abs_sq(a, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:

@@ -15,9 +15,9 @@ from qbattery import cli
 from qbattery.cli import main
 from qbattery.config import parse_config
 from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, _generator_matrix,
-                               liouvillian, propagate, regularize, thermal_state,
-                               von_neumann_entropy)
-from qbattery.errors import (DimensionError, ParameterError, PropagationError,
+                               _probe_breaches, liouvillian, propagate, regularize,
+                               thermal_state, von_neumann_entropy)
+from qbattery.errors import (ConvergenceError, DimensionError, ParameterError, PropagationError,
                              ValidationError)
 from qbattery.linalg import HermitianMatrix, hermitian_eig, max_abs
 from qbattery.tolerances import DEFAULT_TOLERANCES
@@ -304,6 +304,42 @@ class TestPropagate:
     def test_descending_grid_rejected(self):
         with pytest.raises(ParameterError):
             propagate(decay_model(), DensityMatrix(EXCITED), [0.0, -0.1, -0.2])
+
+
+def _probe_stack(model, epsilons):
+    """The regularized ground states of `model` at `epsilons`: the states and
+    their eigenvector stacks."""
+    k0 = hermitian_eig(model.hamiltonian).eigenvectors[:, 0]
+    rungs = [regularize(DensityMatrix.pure(k0), eps) for eps in epsilons]
+    return rungs, np.array([r.matrix for r in rungs]), np.array([r.spectrum.eigenvectors
+                                                                for r in rungs])
+
+
+class TestProbeBreaches:
+    def test_a_probe_after_a_breach_is_checked_again(self):
+        # the step-0.15 ladder of sigma_x at rate 10 breaches at eps = 1e-4 and
+        # 0.01, not at 0.9: the middle probe passes after the first breach
+        model, step = LindbladModel(H2, (JumpChannel(10.0, np.array([[0, 1], [1, 0]])),)), 0.15
+        rungs, rho, bases = _probe_stack(model, [1e-4, 0.9, 0.01])
+        expected = []
+        for rung in rungs:
+            try:
+                list(propagate(model, rung, [0.0, step]))
+                expected.append(None)
+            except PropagationError as exc:
+                expected.append(str(exc))
+        assert [e is None for e in expected] == [False, True, False]
+        assert _probe_breaches(model, rho, bases, step, DEFAULT_TOLERANCES) == expected
+
+    def test_a_failure_that_is_no_breach_raises(self):
+        # one Jacobi sweep cannot remove the coherences the channel gives each probe
+        h = HermitianMatrix(np.diag([0.0, 1.0, 2.0]))
+        model = LindbladModel(h, (JumpChannel(1.0, np.ones((3, 3)) - np.eye(3)),))
+        _, rho, bases = _probe_stack(model, [1e-2, 1e-3])
+        tol = DEFAULT_TOLERANCES.replace(jacobi_max_sweeps=1)
+        with pytest.raises(ConvergenceError, match="did not converge in 1 sweeps"):
+            _probe_breaches(model, rho, bases, 1e-3, tol)
+        assert _probe_breaches(model, rho, bases, 1e-3, DEFAULT_TOLERANCES) == [None, None]
 
 
 def _pairs(matrix):
