@@ -260,20 +260,23 @@ def evaluate_instance(model: LindbladModel, k0: int, beta: float, label: str, *,
 
     At rho = |k0><k0|, F coincides with H, and Theta_j reduces to sum_i
     |L_j^{k0 i}|^2 (w_i - w_k0)^2 along row k0 (the row order) or column k0
-    (the column order).  A sum that overflows raises ValidationError; power
-    forms that disagree or are not finite raise ConsistencyError.
+    (the column order).  beta, then k0, is checked before H is solved.  A sum
+    that overflows raises ValidationError; power forms that disagree or are
+    not finite raise ConsistencyError.
     """
-    return _eigen_instance(model, k0, _finite_positive(beta, "beta"), label, tol)[1]
+    beta = _finite_positive(beta, "beta")
+    return _eigen_instance(model, _eigen_index(k0, model.dim), beta, label, tol)[1]
 
 
 def _eigen_instance(model: LindbladModel, k0: int, beta: float, label: str | None,
                     tol: ToleranceConfig, *, check_thetas: bool = True):
     """H's spectrum and the ClaimInstance of its eigenstate k0 (_evaluate), from
-    one solve: the one eigenstate-instance path of the audit entry points."""
+    one solve: the one eigenstate-instance path of the audit entry points, each
+    of which has range-checked k0 (ScenarioSpec, evaluate_instance)."""
     spectrum = hermitian_eig(model.hamiltonian, tol=tol)
-    return spectrum, _Rows.single(_evaluate, [(label, model, _eigen_index(k0, model.dim))],
-                                  spectrum.eigenvalues[None], spectrum.eigenvectors[None], beta,
-                                  tol, check_thetas=check_thetas)[0]
+    return spectrum, _Rows.single(_evaluate, [(label, model, k0)], spectrum.eigenvalues[None],
+                                  spectrum.eigenvectors[None], beta, tol,
+                                  check_thetas=check_thetas)[0]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import sys
 from . import __version__
 from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit, epsilon_sweep
 from .config import RunConfig, config_to_dict, parse_config
-from .dynamics import DensityMatrix, regularize, thermal_state
+from .dynamics import DensityMatrix, _projector, thermal_state
 from .errors import ConfigError, ParameterError, QBatteryError, ValidationError
 from .free_energy import RANK_THRESHOLD, BatteryContext, _run_rows
 from .linalg import hermitian_eig
@@ -100,12 +100,9 @@ def _initial_state(cfg: RunConfig, tol: ToleranceConfig) -> DensityMatrix:
     if st.kind == "thermal":
         beta = cfg.beta if st.beta is None else st.beta
         return thermal_state(cfg.model.hamiltonian, beta, tol=tol)
-    if st.kind == "eigenstate":
+    if st.kind == "eigenstate":  # one solve for H, one for the (regularized) projector
         eig = hermitian_eig(cfg.model.hamiltonian, tol=tol)
-        rho = DensityMatrix.pure(eig.eigenvectors[:, st.k0], tol=tol)
-        if st.epsilon is not None:
-            rho = regularize(rho, st.epsilon, tol=tol)
-        return rho
+        return DensityMatrix(_projector(eig.eigenvectors[:, st.k0], st.epsilon), tol=tol)
     try:
         return DensityMatrix(st.matrix, tol=tol)
     except ValidationError as exc:

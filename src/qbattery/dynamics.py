@@ -77,14 +77,15 @@ class DensityMatrix:
     """Quantum state: Hermitian, unit trace, positive semidefinite.
 
     Construction validates all three invariants: the one-state case of
-    _checked_states.  The eigendecomposition is computed once and cached; the
-    positivity check, the `entropy` (computed once, here) and the matrix
-    logarithm all reuse it.  The checks read tol.hermiticity, tol.density_trace
-    and tol.psd, and `basis` warm-starts the eigensolver from nearby
-    eigenvectors.
+    _checked_states, whose row of checked stacks the state stores as it is:
+    the symmetrized `matrix`, its `hermiticity_defect` before symmetrization,
+    its `trace_defect`, its `spectrum` (solved once: the positivity check, the
+    entropy and the matrix logarithm all read it) and its `entropy`.  The
+    checks read tol.hermiticity, tol.density_trace and tol.psd, and `basis`
+    warm-starts the eigensolver from nearby eigenvectors.
     """
 
-    __slots__ = ("hermitian", "matrix", "trace_defect", "entropy", "_spectrum")
+    __slots__ = ("matrix", "hermiticity_defect", "trace_defect", "spectrum", "entropy")
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                  basis: np.ndarray | None = None):
@@ -94,9 +95,9 @@ class DensityMatrix:
 
     def _set(self, columns, i: int) -> None:
         sym, defect, trace_defect, values, vectors, entropy = columns
-        self.hermitian = HermitianMatrix._trusted(sym[i], float(defect[i]))
-        self.matrix, self.trace_defect = sym[i], float(trace_defect[i])
-        self._spectrum, self.entropy = Spectrum(values[i], vectors[i]), float(entropy[i])
+        self.matrix, self.hermiticity_defect = sym[i], float(defect[i])
+        self.trace_defect, self.entropy = float(trace_defect[i]), float(entropy[i])
+        self.spectrum = Spectrum(values[i], vectors[i])
 
     @classmethod
     def _trusted(cls, columns, i: int) -> "DensityMatrix":
@@ -114,31 +115,13 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @property
-    def spectrum(self) -> Spectrum:
-        return self._spectrum
-
-    @property
     def min_eigenvalue(self) -> float:
-        return float(self._spectrum.eigenvalues[0])
-
-    @property
-    def hermiticity_defect(self) -> float:
-        return self.hermitian.defect
+        return float(self.spectrum.eigenvalues[0])
 
     @classmethod
     def pure(cls, vector, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> "DensityMatrix":
-        """Projector |v><v| onto the (normalized) vector v.  v is divided by its
-        largest magnitude before its norm is taken, whose square would
-        otherwise overflow or underflow at extreme scales."""
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        largest = max_abs(v)
-        if not 0.0 < largest < math.inf:  # nan fails it too
-            raise ParameterError("pure state vector must be nonzero and finite")
-        # each part divided as a real: complex division multiplies by 1/largest,
-        # which overflows for a subnormal largest
-        v = v.real / largest + (v.imag / largest) * 1j
-        v = v / float(np.linalg.norm(v))
-        return cls(np.outer(v, np.conj(v)), tol=tol)
+        """Projector |v><v| onto the (normalized) vector v (_projector)."""
+        return cls(_projector(vector), tol=tol)
 
     @classmethod
     def maximally_mixed(cls, dim: int, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> "DensityMatrix":
@@ -151,6 +134,23 @@ class DensityMatrix:
 
     def __repr__(self):  # pragma: no cover
         return f"DensityMatrix(dim={self.dim}, trace_defect={self.trace_defect:.2e})"
+
+
+def _projector(vector, eps: float | None = None) -> np.ndarray:
+    """|v><v| of the normalized vector v, as (1 - eps)|v><v| + eps I/d when
+    `eps` (already in (0, 1)) is given.  v is divided by its largest
+    magnitude before its norm is taken, whose square would otherwise overflow
+    or underflow at extreme scales."""
+    v = np.asarray(vector, dtype=complex).reshape(-1)
+    largest = max_abs(v)
+    if not 0.0 < largest < math.inf:  # nan fails it too
+        raise ParameterError("pure state vector must be nonzero and finite")
+    # each part divided as a real: complex division multiplies by 1/largest,
+    # which overflows for a subnormal largest
+    v = v.real / largest + (v.imag / largest) * 1j
+    v = v / float(np.linalg.norm(v))
+    projector = np.outer(v, np.conj(v))
+    return projector if eps is None else _mixed(projector, eps)
 
 
 def _checked_states(rows: _Rows, m: np.ndarray, basis: np.ndarray | None, tol: ToleranceConfig,

@@ -195,10 +195,17 @@ def _powers(rows: _Rows, rate: np.ndarray, f_op: np.ndarray, tol: ToleranceConfi
     """power_analytic of each pair (L(rho), F) of the stacks rate and f_op:
     tr(L(rho) F), real to theta_imag * max(1, |P|).  A failure cuts `rows`."""
     with np.errstate(over="ignore", invalid="ignore"):  # callers' scans name inf/nan
-        value = (rate @ f_op).trace(axis1=1, axis2=2)
+        return _real(rows, (rate @ f_op).trace(axis1=1, axis2=2), tol, "power")
+
+
+def _real(rows: _Rows, value: np.ndarray, tol: ToleranceConfig, name: str) -> np.ndarray:
+    """The real parts of the complex stack `value` (k,), each real to
+    theta_imag * max(1, |value|): the one imaginary-residual check of the
+    powers and both Theta forms.  A residual, named by `name`, cuts `rows`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
         residual = np.abs(value.imag) > tol.theta_imag * np.fmax(1.0, np.abs(value))
     rows.check(residual, lambda i: ConsistencyError(
-        f"power has imaginary residual {value[i].imag:.3e}"))
+        f"{name} has imaginary residual {value[i].imag:.3e}"))
     return value.real
 
 
@@ -234,14 +241,11 @@ def _operator_thetas(rows: _Rows, delta: np.ndarray, rho: np.ndarray, l: np.ndar
             f"{context}commutator: non-finite entries in result"))
         squared, _ = _hermitian(rows, c @ dagger(c), tol, context)
         value = (rho @ squared).trace(axis1=1, axis2=2)
-        scale = np.fmax(1.0, np.abs(value))
-        residual = np.abs(value.imag) > tol.theta_imag * scale
-        negative = value.real < -tol.theta_psd_slack * scale
-    rows.check(residual, lambda i: ConsistencyError(
-        f"Theta has imaginary residual {value[i].imag:.3e}"))
+        theta = _real(rows, value, tol, "Theta")
+        negative = theta < -tol.theta_psd_slack * np.fmax(1.0, np.abs(value))
     rows.check(negative, lambda i: ConsistencyError(
-        f"Theta = {value[i].real:.3e} is negative beyond the PSD slack"))
-    return value.real
+        f"Theta = {theta[i]:.3e} is negative beyond the PSD slack"))
+    return theta
 
 
 def theta_index_form(w, rho_components, l_components, *,
@@ -276,10 +280,7 @@ def _index_thetas(rows: _Rows, w: np.ndarray, rho_c: np.ndarray, l_c: np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
         weighted = l_c * (w[:, None, :] - w[:, :, None])
         total = (weighted.conj() * (rho_c @ weighted)).sum(axis=(1, 2))
-        residual = np.abs(total.imag) > tol.theta_imag * np.fmax(1.0, np.abs(total))
-    rows.check(residual, lambda i: ConsistencyError(
-        f"index-form Theta has imaginary residual {total[i].imag:.3e}"))
-    return total.real
+    return _real(rows, total, tol, "index-form Theta")
 
 
 @dataclass(frozen=True)

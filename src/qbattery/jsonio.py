@@ -14,7 +14,7 @@ import numpy as np
 from .dynamics import JumpChannel, LindbladModel
 from .errors import ConfigError, ValidationError
 from .linalg import HermitianMatrix
-from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _is_integer, _is_real
+from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite, _is_integer, _is_real
 
 __all__ = ["complex_to_pair", "matrix_to_json", "float_from_json", "entry_from_json",
            "matrix_from_json", "model_to_json", "model_from_json"]
@@ -33,10 +33,11 @@ def matrix_to_json(matrix) -> list:
 def float_from_json(value, path: str) -> float:
     """float(value) for a JSON number; an integer literal beyond float range
     is a ConfigError at `path`."""
-    try:
+    if not _is_integer(value):
         return float(value)
-    except OverflowError:
-        raise ConfigError("integer is beyond float range", path=path) from None
+    if math.isnan(x := _finite(value)):  # an int is nan here only beyond float range
+        raise ConfigError("integer is beyond float range", path=path)
+    return x
 
 
 def _join(path: str, key: str) -> str:
@@ -87,18 +88,16 @@ def entry_from_json(value, path: str) -> complex:
     raise ConfigError("matrix entry must be a number or [re, im] pair", path=path)
 
 
-_PLAIN = (int, float)   # exact types: bool, a subclass of int, is not a number here
-
-
 def _row_from_json(row: list, path: str) -> list:
-    """The entries of one row: plain numbers and [re, im] pairs of them are
-    taken as they are, and anything else goes through entry_from_json."""
+    """The entries of one row: floats and [re, im] pairs of floats are taken
+    as they are, and anything else, ints included, goes through
+    entry_from_json, which names the path of an entry it rejects."""
     out = []
     for j, v in enumerate(row):
         kind = type(v)
-        if kind in _PLAIN:
+        if kind is float:
             out.append(v)
-        elif kind is list and len(v) == 2 and type(v[0]) in _PLAIN and type(v[1]) in _PLAIN:
+        elif kind is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float:
             out.append(complex(v[0], v[1]))
         else:
             out.append(entry_from_json(v, f"{path}[{j}]"))
@@ -110,22 +109,15 @@ def matrix_from_json(value, path: str, dim: int) -> np.ndarray:
         raise ConfigError("matrix must be a non-empty list of rows", path=path)
     rows = []
     width = None
-    try:
-        for i, row in enumerate(value):
-            if not isinstance(row, list) or not row:
-                raise ConfigError("matrix row must be a non-empty list", path=f"{path}[{i}]")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ConfigError("matrix rows have unequal lengths", path=f"{path}[{i}]")
-            rows.append(_row_from_json(row, f"{path}[{i}]"))
-        arr = np.array(rows, dtype=complex)
-    except OverflowError:
-        # an integer beyond float range: entry_from_json names its path
-        for i, row in enumerate(value):
-            for j, v in enumerate(row):
-                entry_from_json(v, f"{path}[{i}][{j}]")
-        raise
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or not row:
+            raise ConfigError("matrix row must be a non-empty list", path=f"{path}[{i}]")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ConfigError("matrix rows have unequal lengths", path=f"{path}[{i}]")
+        rows.append(_row_from_json(row, f"{path}[{i}]"))
+    arr = np.array(rows, dtype=complex)
     if arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"matrix must be square, got shape {arr.shape}", path=path)
     if arr.shape[0] != dim:

@@ -469,12 +469,13 @@ class TestRunCommand:
             assert float(read_csv(tmp_path / "out.csv")[-1]["t"]) == cfg.time.grid()[-1]
 
     @pytest.mark.parametrize("name, setup", [
-        ("qubit_sigma_x", 2), ("qubit_dark_state", 2), ("qutrit_ladder", 2),
+        ("qubit_sigma_x", 1), ("qubit_dark_state", 1), ("qutrit_ladder", 1),
         ("thermal_stationary", 1)])
     def test_two_solves_per_row(self, tmp_path, eig_calls, name, setup):
         # the state's and F's, each counted where it enters hermitian_eig_chain,
-        # alone or in a block; an eigenstate start also solves H and the pure
-        # state, a thermal start H, and either one's own state is row 0's
+        # alone or in a block; a start also solves H (a regularized eigenstate
+        # is built from H's eigenvector, not from a solved pure state), and
+        # its own state is row 0's
         data = json.loads((SCENARIOS / f"{name}.json").read_text())
         data["time"]["horizon"] = 10 * data["time"]["step"]
         cfg = tmp_path / f"{name}.json"
@@ -533,7 +534,7 @@ class TestRunCommand:
         assert cli.run_command(cfg, str(out), ToleranceConfig()) == 0
         assert len(out.read_text().splitlines()) == 72  # header and 71 rows
         assert copies == []
-        assert len(states) == 2  # the pure eigenstate and its regularization
+        assert len(states) == 1  # the regularized eigenstate, with no pure state before it
         assert [shape for shape in products if len(shape) == 3] == [
             (32, 2, 2), (32, 2, 2), (7, 2, 2)]
 
@@ -829,6 +830,24 @@ class TestRunCommand:
         cfg.write_text(json.dumps(data))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"error: {path}: integer is beyond float range\n"
+
+    def test_the_first_bad_entry_in_reading_order_is_named(self, tmp_path, capsys):
+        # an entry that is not a float is checked where it is read, so an
+        # overflowing int is named before a string in a later row
+        data = json.loads(config_text())
+        data["hamiltonian"][0][0], data["hamiltonian"][1][1] = 10 ** 400, "x"
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "error: hamiltonian[0][0]: integer is beyond float range\n"
+
+    def test_integer_entries_parse_as_their_floats(self):
+        as_floats = parse_config(config_text(hamiltonian=[[0.0, [0.5, -2.0]], [[0.5, 2.0], 1.0]]),
+                                 "run")
+        as_ints = parse_config(config_text(hamiltonian=[[0, [0.5, -2]], [[0.5, 2], 1]]), "run")
+        np.testing.assert_array_equal(as_ints.model.hamiltonian.matrix,
+                                      as_floats.model.hamiltonian.matrix)
 
     def test_integer_over_the_digit_limit_is_invalid_json(self, tmp_path, capsys):
         cfg = tmp_path / "huge.json"

@@ -359,6 +359,36 @@ class TestThetaIndexForm:
         assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
+class TestImaginaryResidual:
+    """The one imaginary-residual check, through each one-state function it guards."""
+
+    @pytest.fixture
+    def complex_model(self, rng):
+        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 3)),
+                              (JumpChannel(1.0, oracles.random_ginibre(rng, 3)),))
+        rho = DensityMatrix(oracles.random_density(rng, 3))
+        return model, rho, free_energy_operator(rho, BatteryContext(1.0, model))
+
+    def test_power_rounding_breaches_a_zero_tolerance(self, complex_model):
+        model, rho, decomp = complex_model
+        rate = liouvillian(model, rho)
+        power_analytic(rate, decomp)  # its residual is rounding: within the default
+        with pytest.raises(ConsistencyError, match="^power has imaginary residual"):
+            power_analytic(rate, decomp, tol=ToleranceConfig(theta_imag=0.0))
+
+    def test_operator_theta_rounding_breaches_a_zero_tolerance(self, complex_model):
+        model, rho, decomp = complex_model
+        l = model.channels[0].operator
+        theta_operator_form(decomp, rho, l)
+        with pytest.raises(ConsistencyError, match="^Theta has imaginary residual"):
+            theta_operator_form(decomp, rho, l, tol=ToleranceConfig(theta_imag=0.0))
+
+    def test_index_theta_of_non_hermitian_components(self, rng):
+        w = rng.uniform(-2.0, 2.0, size=3)
+        with pytest.raises(ConsistencyError, match="^index-form Theta has imaginary residual"):
+            theta_index_form(w, oracles.random_ginibre(rng, 3), oracles.random_ginibre(rng, 3))
+
+
 class TestThetaEigenstate:
     def test_sigma_x_unit(self):
         l_c = SIGMA_X
