@@ -13,13 +13,13 @@ from .audit import (ClaimInstance, ClaimVerdict, EigenstateAuditReport, Ensemble
                     evaluate_instance, reevaluate_witness)
 from .config import InitialState, RunConfig, TimeGrid, parse_config
 from .dynamics import (DensityMatrix, JumpChannel, LindbladModel, liouvillian, propagate,
-                       regularize, thermal_state, von_neumann_entropy)
+                       thermal_state, von_neumann_entropy)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DimensionError,
                      DomainError, ParameterError, PropagationError, QBatteryError,
                      RankDeficientError, ScenarioError, ValidationError)
 from .free_energy import (BatteryContext, ChannelTheta, FreeEnergyDecomposition,
                           ThetaReport, VanishingConditionReport, compute_theta_report,
-                          free_energy_operator, mean_free_energy, power_analytic, power_fd,
+                          free_energy_operator, mean_free_energy, power_analytic,
                           theta_index_form, theta_operator_form, vanishing_condition)
 from .linalg import HermitianMatrix, Spectrum, hermitian_eig, matrix_function
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
@@ -75,9 +75,7 @@ __all__ = [
     "mean_free_energy",
     "parse_config",
     "power_analytic",
-    "power_fd",
     "propagate",
-    "regularize",
     "reevaluate_witness",
     "theta_index_form",
     "theta_operator_form",

@@ -6,9 +6,9 @@
     qbattery check  --config cfg.json --out report.json [--seed N] [--tol ...]
 
 Exit codes: 0 success (audit and check exit 0 whatever the verdicts say),
-2 configuration problem, 3 numeric failure.  `run` writes the rows of
-free_energy's row stream as they come: a numeric failure mid-trajectory
-leaves every row the stream gave before it on disk.
+2 a bad or unreadable config or an unwritable --out, 3 numeric failure.
+`run` writes the rows of free_energy's row stream as they come: a numeric
+failure mid-trajectory leaves every row the stream gave before it on disk.
 
 A JSON report holds the fields of its report dataclass under their names, in
 declaration order.  Reports carry no timestamps; identical inputs give
@@ -18,6 +18,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -90,7 +91,7 @@ def _read_config(path: str, mode: str, tol: ToleranceConfig) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     return parse_config(text, mode, tol=tol)
 
@@ -110,6 +111,17 @@ def _initial_state(cfg: RunConfig, tol: ToleranceConfig) -> DensityMatrix:
                           path="initial_state.matrix") from None
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """`path` open for writing; an OSError while it is open, written or closed
+    is a ConfigError, and what was written before it stays on disk."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from None
+
+
 def _csv_cell(value: float | None) -> str:
     return "" if value is None else f"{float(value):.17g}"
 
@@ -125,7 +137,7 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
     columns = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd",
                *(f"theta_{j + 1}" for j in range(len(cfg.model.channels))),
                "trace_defect", "min_eig"]
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(out_path) as fh:
         fh.write(",".join(columns) + "\n")
         for row, t in zip(_run_rows(ctx, rho0, cfg.time.offsets(), tol), cfg.time.grid().tolist()):
             fh.write(",".join(_csv_cell(value) for value in (t, *row)) + "\n")
@@ -170,7 +182,7 @@ def _write_report(out_path: str, mode: str, seed: int, cfg: RunConfig, report) -
     except ValueError:
         found = _non_finite(payload["report"], "report")
         raise ValidationError(f"{found} is not finite") from None
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(out_path) as fh:
         fh.write(text + "\n")
 
 

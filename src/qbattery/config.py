@@ -195,7 +195,7 @@ def parse_config(text: str, mode: str, *,
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     try:
         data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over int's digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int digit limit, depth
         raise ConfigError(f"invalid JSON: {exc}") from None
     _require_keys(data, _TOP_KEYS, "", ("dim",), f"{mode} mode")
     dim = _as_int(data["dim"], "dim", minimum=2)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -42,8 +41,7 @@ from .errors import (DimensionError, ConsistencyError, ParameterError,
                      PropagationError, ValidationError)
 from .linalg import (HermitianMatrix, Spectrum, _checked_square, _hermitian, _Rows,
                      as_square_matrix, dagger, hermitian_eig, hermitian_eig_chain, max_abs)
-from .tolerances import (DEFAULT_TOLERANCES, ToleranceConfig, _finite_at_least,
-                         _finite_positive, _integer, _open_unit)
+from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite_at_least, _finite_positive
 
 __all__ = [
     "DensityMatrix",
@@ -52,7 +50,6 @@ __all__ = [
     "von_neumann_entropy",
     "liouvillian",
     "propagate",
-    "regularize",
     "thermal_state",
 ]
 
@@ -106,10 +103,6 @@ class DensityMatrix:
         out._set(columns, i)
         return out
 
-    def energy(self, hamiltonian: HermitianMatrix) -> float:
-        """tr(rho H)."""
-        return float((self.matrix @ hamiltonian.matrix).trace().real)
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -122,15 +115,6 @@ class DensityMatrix:
     def pure(cls, vector, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> "DensityMatrix":
         """Projector |v><v| onto the (normalized) vector v (_projector)."""
         return cls(_projector(vector), tol=tol)
-
-    @classmethod
-    def maximally_mixed(cls, dim: int, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> "DensityMatrix":
-        dim = _integer(dim, "dim")
-        if dim < 1:
-            raise ParameterError("dimension must be positive")
-        if 16 * dim * dim > sys.maxsize:  # numpy cannot size a complex dim x dim array
-            raise ParameterError(f"dim must be at most {math.isqrt(sys.maxsize // 16)}, got {dim}")
-        return cls(np.eye(dim, dtype=complex) / dim, tol=tol)
 
     def __repr__(self):  # pragma: no cover
         return f"DensityMatrix(dim={self.dim}, trace_defect={self.trace_defect:.2e})"
@@ -444,12 +428,6 @@ def _breach(i: int, t: float, error: ValidationError, y: np.ndarray,
         smallest = None
     return PropagationError(_BREACH.format(i, t, error), step_index=i,
                             trace_defect=abs(complex(y.trace()) - 1.0), min_eigenvalue=smallest)
-
-
-def regularize(rho: DensityMatrix, eps: float, *,
-               tol: ToleranceConfig = DEFAULT_TOLERANCES) -> DensityMatrix:
-    """Convex mix with the maximally mixed state: (1 - eps) rho + eps I/d."""
-    return DensityMatrix(_mixed(rho.matrix, _open_unit(eps, "eps")), tol=tol)
 
 
 def _mixed(rho: np.ndarray, eps) -> np.ndarray:

@@ -59,7 +59,6 @@ __all__ = [
     "free_energy_operator",
     "mean_free_energy",
     "power_analytic",
-    "power_fd",
     "theta_operator_form",
     "theta_index_form",
     "compute_theta_report",
@@ -207,14 +206,6 @@ def _real(rows: _Rows, value: np.ndarray, tol: ToleranceConfig, name: str) -> np
     rows.check(residual, lambda i: ConsistencyError(
         f"{name} has imaginary residual {value[i].imag:.3e}"))
     return value.real
-
-
-def power_fd(before: DensityMatrix, after: DensityMatrix, step: float,
-             ctx: BatteryContext) -> float:
-    """Central difference of <F> between the trajectory states one `step`
-    before and one `step` after a point; second order in the step."""
-    step = _finite_positive(step, "step")
-    return (mean_free_energy(after, ctx) - mean_free_energy(before, ctx)) / (2.0 * step)
 
 
 def theta_operator_form(decomp: FreeEnergyDecomposition, rho: DensityMatrix, l, *,

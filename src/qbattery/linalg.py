@@ -65,7 +65,6 @@ __all__ = [
     "hermitian_eig_chain",
     "hermitian_eigs",
     "matrix_function",
-    "reconstruct",
 ]
 
 
@@ -207,15 +206,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-
-def reconstruct(spectrum: Spectrum) -> np.ndarray:
-    """U diag(lambda) U^dag."""
-    return (spectrum.eigenvectors * spectrum.eigenvalues) @ dagger(spectrum.eigenvectors)
 
 
 def _scaled_norm(a: np.ndarray, scale):

@@ -10,7 +10,7 @@ from qbattery.audit import (EnsembleSpec, FalsifierReport, ScenarioSpec, bundled
                             claim_falsifier, eigenstate_audit, epsilon_sweep,
                             evaluate_instance, reevaluate_witness)
 from qbattery.cli import _encode
-from qbattery.dynamics import DensityMatrix, JumpChannel, LindbladModel, liouvillian, regularize
+from qbattery.dynamics import DensityMatrix, JumpChannel, LindbladModel, _mixed, liouvillian
 from qbattery.errors import (ConsistencyError, ConvergenceError, ParameterError, QBatteryError,
                              ScenarioError, ValidationError)
 from qbattery.linalg import HermitianMatrix, _Rows, hermitian_eig, max_abs
@@ -205,7 +205,7 @@ class TestEpsilonSweep:
         dissipative = LindbladModel(HermitianMatrix(np.zeros((d, d))), model.channels)
         assert len(report.rows) == len(self.EPS)
         for row in report.rows:
-            rho = regularize(rho0, row.epsilon)
+            rho = DensityMatrix(_mixed(rho0.matrix, row.epsilon))
             rate = liouvillian(dissipative, rho)
             decomp = free_energy_operator(rho, BatteryContext(spec.beta, model))
             assert row.energy_rate == (rate.matrix @ model.hamiltonian.matrix).trace().real

@@ -15,7 +15,7 @@ from qbattery import audit, cli, dynamics, free_energy, linalg
 from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
                             EpsilonSweepReport, FalsifierReport, reevaluate_witness)
 from qbattery.cli import main, parse_tol_overrides
-from qbattery.config import CHECK_DIM_MAX, RUN_STEPS_MAX, config_to_dict, parse_config
+from qbattery.config import CHECK_DIM_MAX, MODES, RUN_STEPS_MAX, config_to_dict, parse_config
 from qbattery.errors import ConfigError, PropagationError
 from qbattery.tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -461,7 +461,7 @@ class TestRunCommand:
         text = config_text(time={"t0": t0, "step": step, "horizon": horizon})
         cfg = parse_config(text, "run")
         for times in (cfg.time.grid(), cfg.time.offsets()):
-            dynamics.propagate(cfg.model, dynamics.DensityMatrix.maximally_mixed(2), times)
+            dynamics.propagate(cfg.model, dynamics.DensityMatrix(np.eye(2) / 2.0), times)
         if horizon / step <= 1000:
             path = tmp_path / "grid.json"
             path.write_text(text)
@@ -541,8 +541,9 @@ class TestRunCommand:
     @pytest.mark.parametrize("name", ["qubit_sigma_x", "qutrit_ladder"])
     def test_block_columns_match_the_one_state_functions(self, tmp_path, name):
         # 41 rows, two block boundaries at d = 3: every cell of each row is the
-        # bits of the one-state functions (DensityMatrix.energy, free_energy_operator,
-        # power_analytic, power_fd, theta_operator_form) or of the state's own fields
+        # bits of the one-state functions (free_energy_operator, power_analytic,
+        # theta_operator_form), of tr(rho H), of the central difference of <F>, or
+        # of the state's own fields
         data = json.loads((SCENARIOS / f"{name}.json").read_text())
         data["time"]["horizon"] = 40 * data["time"]["step"]
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
@@ -556,13 +557,15 @@ class TestRunCommand:
         step = offsets[1] - offsets[0]
         for i, row in enumerate(read_csv(out)):
             state, trace_defect = states[i]
-            fd = None if i in (0, len(states) - 1) else free_energy.power_fd(
-                states[i - 1][0], states[i + 1][0], step, ctx)
+            fd = None if i in (0, len(states) - 1) else (
+                free_energy.mean_free_energy(states[i + 1][0], ctx)
+                - free_energy.mean_free_energy(states[i - 1][0], ctx)) / (2.0 * step)
             decomp = free_energy.free_energy_operator(state, ctx)
             power = free_energy.power_analytic(dynamics.liouvillian(parsed.model, state), decomp)
             thetas = [free_energy.theta_operator_form(decomp, state, ch.operator)
                       for ch in parsed.model.channels]
-            want = [state.energy(parsed.model.hamiltonian), state.entropy, decomp.mean, power, fd,
+            energy = (state.matrix @ parsed.model.hamiltonian.matrix).trace().real
+            want = [energy, state.entropy, decomp.mean, power, fd,
                     *thetas, trace_defect, state.min_eigenvalue]
             assert list(row.values())[1:] == [cli._csv_cell(value) for value in want]
 
@@ -887,6 +890,38 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_a_config_that_is_not_utf8_cannot_be_read(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe" + config_text().encode())
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {str(cfg)!r}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    def test_nesting_too_deep_to_parse_is_invalid_json(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200000)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("where", [
+        "missing directory", "directory",
+        # opens, then fails to write: ENOSPC
+        pytest.param("full device", marks=pytest.mark.skipif(
+            not Path("/dev/full").exists(), reason="needs a device that is always full"))])
+    def test_an_unwritable_out_is_named(self, tmp_path, capsys, mode, where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config_text(epsilons=[1e-2], trials=1))
+        out = {"missing directory": str(tmp_path / "absent" / "out"), "directory": str(tmp_path),
+               "full device": "/dev/full"}[where]
+        assert main([mode, "--config", str(cfg), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output {out!r}: [Errno ")
+        assert err.count("\n") == 1
+
 
 class TestReportCommands:
     def envelope(self, tmp_path, mode, scenario, seed=0):
@@ -999,7 +1034,8 @@ class TestReportCommands:
         k0 = linalg.hermitian_eig(parsed.model.hamiltonian).eigenvectors[:, parsed.k0]
         expected = []
         for epsilon in parsed.epsilons:
-            rung = dynamics.regularize(dynamics.DensityMatrix.pure(k0), epsilon)
+            pure = dynamics.DensityMatrix.pure(k0).matrix
+            rung = dynamics.DensityMatrix(dynamics._mixed(pure, epsilon))
             try:
                 for _ in dynamics.propagate(parsed.model, rung, [0.0, step]):
                     pass

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -15,9 +16,9 @@ from qbattery import cli
 from qbattery.cli import main
 from qbattery.config import parse_config
 from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, _generator_matrix,
-                               _probe_breaches, liouvillian, propagate, regularize,
-                               thermal_state, von_neumann_entropy)
-from qbattery.errors import (ConvergenceError, DimensionError, ParameterError, PropagationError,
+                               _mixed, _probe_breaches, liouvillian, propagate, thermal_state,
+                               von_neumann_entropy)
+from qbattery.errors import (ConfigError, ConvergenceError, DimensionError, ParameterError, PropagationError,
                              ValidationError)
 from qbattery.linalg import HermitianMatrix, hermitian_eig, max_abs
 from qbattery.tolerances import DEFAULT_TOLERANCES
@@ -82,7 +83,7 @@ class TestEntropy:
         assert von_neumann_entropy(DensityMatrix(GROUND)) == 0.0
 
     def test_maximally_mixed_qubit(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2.0)
         assert von_neumann_entropy(rho) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_three_quarters_split(self):
@@ -266,7 +267,7 @@ class TestPropagate:
     def test_unitary_only_entropy_constant(self, rng):
         h = HermitianMatrix(np.array([[0.0, 0.5], [0.5, 1.0]]))
         model = LindbladModel(h)
-        rho0 = regularize(DensityMatrix(GROUND), 0.2)
+        rho0 = DensityMatrix(_mixed(GROUND, 0.2))
         states = [s for s, _ in propagate(model, rho0, np.linspace(0.0, 0.5, 501))]
         s0 = von_neumann_entropy(states[0])
         drift = max(abs(von_neumann_entropy(s) - s0) for s in states[::50])
@@ -310,7 +311,7 @@ def _probe_stack(model, epsilons):
     """The regularized ground states of `model` at `epsilons`: the states and
     their eigenvector stacks."""
     k0 = hermitian_eig(model.hamiltonian).eigenvectors[:, 0]
-    rungs = [regularize(DensityMatrix.pure(k0), eps) for eps in epsilons]
+    rungs = [DensityMatrix(_mixed(DensityMatrix.pure(k0).matrix, eps)) for eps in epsilons]
     return rungs, np.array([r.matrix for r in rungs]), np.array([r.spectrum.eigenvectors
                                                                 for r in rungs])
 
@@ -389,30 +390,35 @@ class TestRunAgainstOracles:
 
 
 class TestRegularize:
+    # (1 - eps) rho + eps I/d, as the sweep's rungs and a regularized eigenstate start form it
     def test_half_mix(self):
-        got = regularize(DensityMatrix(GROUND), 0.5)
+        got = DensityMatrix(_mixed(GROUND, 0.5))
         assert max_abs(got.matrix - np.diag([0.75, 0.25])) <= 1e-15
 
     def test_maximally_mixed_fixed_point(self):
-        mm = DensityMatrix.maximally_mixed(3)
-        got = regularize(mm, 0.3)
+        mm = DensityMatrix(np.eye(3) / 3.0)
+        got = DensityMatrix(_mixed(mm.matrix, 0.3))
         assert max_abs(got.matrix - mm.matrix) <= 1e-15
 
     def test_linearity_of_distance(self, rng):
         rho = DensityMatrix(oracles.random_density(rng, 3))
         eps = 0.125
-        got = regularize(rho, eps)
+        got = DensityMatrix(_mixed(rho.matrix, eps))
         want = eps * max_abs(np.eye(3) / 3.0 - rho.matrix)
         assert max_abs(got.matrix - rho.matrix) == pytest.approx(want, abs=1e-15)
 
     def test_full_rank_floor(self):
-        got = regularize(DensityMatrix(GROUND), 1e-4)
+        got = DensityMatrix(_mixed(GROUND, 1e-4))
         assert got.min_eigenvalue >= 1e-4 / 2.0 - 1e-15
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0])
     def test_range_validation(self, eps):
-        with pytest.raises(ParameterError):
-            regularize(DensityMatrix(GROUND), eps)
+        # a regularized eigenstate start reads its epsilon from the config
+        data = json.loads((SCENARIOS / "qubit_dark_state.json").read_text())
+        data["initial_state"]["epsilon"] = eps
+        with pytest.raises(ConfigError, match=re.escape(
+                f"initial_state.epsilon: must lie strictly inside (0, 1), got {eps!r}")):
+            parse_config(json.dumps(data), "run")
 
 
 class TestThermalState:

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +10,14 @@ from hypothesis import given, settings
 import oracles
 from conftest import density_matrices
 from qbattery.audit import bundled_witnesses, evaluate_instance
-from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, liouvillian,
-                               propagate, regularize, thermal_state)
-from qbattery.errors import (ConsistencyError, ConvergenceError, DimensionError, ParameterError,
-                             QBatteryError, RankDeficientError)
+from qbattery.config import parse_config
+from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, _mixed, liouvillian,
+                               propagate, thermal_state)
+from qbattery.errors import (ConfigError, ConsistencyError, ConvergenceError, DimensionError,
+                             ParameterError, QBatteryError, RankDeficientError)
 from qbattery.free_energy import (BatteryContext, FreeEnergyDecomposition, _evaluate_rows,
-                                  compute_theta_report, free_energy_operator,
-                                  mean_free_energy, power_analytic, power_fd,
+                                  _run_rows, compute_theta_report, free_energy_operator,
+                                  mean_free_energy, power_analytic,
                                   theta_index_form, theta_operator_form, vanishing_condition)
 from qbattery import linalg
 from qbattery.linalg import HermitianMatrix, dagger, hermitian_eig, matrix_function, max_abs
@@ -24,13 +28,20 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)
 GROUND = DensityMatrix(np.diag([1.0, 0.0]))
+MIXED = DensityMatrix(np.eye(2) / 2.0)
 
 LN2 = math.log(2.0)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def qubit_ctx(channel=None, rate=1.0, beta=1.0):
     channels = () if channel is None else (JumpChannel(rate, channel),)
     return BatteryContext(beta, LindbladModel(H2, channels))
+
+
+def run_powers(ctx, rho0, grid):
+    """(analytic, central-difference) power of each `run` row from rho0 on `grid`."""
+    return [(row[3], row[4]) for row in _run_rows(ctx, rho0, np.asarray(grid), DEFAULT_TOLERANCES)]
 
 
 def power_at(rho, ctx):
@@ -69,7 +80,7 @@ def eigenstate_power(k0, ctx):
 class TestFreeEnergyOperator:
     def test_maximally_mixed_qubit(self):
         ctx = qubit_ctx()
-        decomp = free_energy_operator(DensityMatrix.maximally_mixed(2), ctx)
+        decomp = free_energy_operator(MIXED, ctx)
         want = np.diag([-LN2, 1.0 - LN2])
         assert max_abs(decomp.f_op.matrix - want) <= 1e-14
         assert decomp.mean == pytest.approx(0.5 - LN2, abs=1e-14)
@@ -208,7 +219,7 @@ class TestMeanFreeEnergy:
         assert mean_free_energy(rho, qubit_ctx()) == pytest.approx(1.0, abs=1e-14)
 
     def test_maximally_mixed_literal(self):
-        got = mean_free_energy(DensityMatrix.maximally_mixed(2), qubit_ctx())
+        got = mean_free_energy(MIXED, qubit_ctx())
         assert got == pytest.approx(0.5 - LN2, abs=1e-14)
 
     def test_thermal_literal(self):
@@ -241,24 +252,17 @@ class TestPower:
 
     def test_matches_finite_difference_inside_trajectory(self):
         ctx = qubit_ctx(SIGMA_PLUS)
-        rho0 = regularize(GROUND, 1e-3)
-        grid = np.linspace(0.0, 1.0, 1001)
-        states = [s for s, _ in propagate(ctx.model, rho0, grid)]
-        i = 500
-        p_an = power_at(states[i], ctx)
-        p_fd = power_fd(states[i - 1], states[i + 1], grid[1] - grid[0], ctx)
+        rho0 = DensityMatrix(_mixed(GROUND.matrix, 1e-3))
+        p_an, p_fd = run_powers(ctx, rho0, np.linspace(0.0, 1.0, 1001))[500]
         assert abs(p_an - p_fd) <= 1e-5
 
     def test_fd_error_quarters_when_step_halves(self):
         ctx = qubit_ctx(SIGMA_PLUS)
-        rho0 = regularize(GROUND, 1e-3)
+        rho0 = DensityMatrix(_mixed(GROUND.matrix, 1e-3))
         errors = []
         for n in (251, 501):  # h = 2e-3 then 1e-3 over [0, 0.5]
-            grid = np.linspace(0.0, 0.5, n)
-            states = [s for s, _ in propagate(ctx.model, rho0, grid)]
-            i = (n - 1) // 2  # t = 0.25
-            p_fd = power_fd(states[i - 1], states[i + 1], grid[1] - grid[0], ctx)
-            errors.append(abs(p_fd - power_at(states[i], ctx)))
+            p_an, p_fd = run_powers(ctx, rho0, np.linspace(0.0, 0.5, n))[(n - 1) // 2]  # t = 0.25
+            errors.append(abs(p_fd - p_an))
         ratio = errors[0] / errors[1]
         assert 3.0 < ratio < 5.0
 
@@ -266,25 +270,23 @@ class TestPower:
         model = LindbladModel(HermitianMatrix(np.zeros((2, 2))))
         ctx = BatteryContext(1.0, model)
         rho0 = DensityMatrix(np.diag([0.25, 0.75]))
-        grid = np.linspace(0.0, 0.1, 11)
-        states = [s for s, _ in propagate(model, rho0, grid)]
-        assert power_fd(states[4], states[6], grid[1] - grid[0], ctx) == 0.0
+        assert run_powers(ctx, rho0, np.linspace(0.0, 0.1, 11))[5][1] == 0.0
 
     def test_fd_unitary_precession(self):
         h = HermitianMatrix(np.diag([0.0, 1.0]))
         ctx = BatteryContext(1.0, LindbladModel(h))
         plus = DensityMatrix.pure([1.0, 1.0])
-        rho0 = regularize(plus, 0.1)
-        grid = np.linspace(0.0, 1.0, 1001)
-        states = [s for s, _ in propagate(ctx.model, rho0, grid)]
-        assert abs(power_fd(states[499], states[501], grid[1] - grid[0], ctx)) <= 1e-8
+        rho0 = DensityMatrix(_mixed(plus.matrix, 0.1))
+        assert abs(run_powers(ctx, rho0, np.linspace(0.0, 1.0, 1001))[500][1]) <= 1e-8
 
     def test_fd_step_validation(self):
-        ctx = BatteryContext(1.0, LindbladModel(H2))
-        rho = DensityMatrix.maximally_mixed(2)
-        for bad in (0.0, -0.01, math.inf, math.nan):
-            with pytest.raises(ParameterError):
-                power_fd(rho, rho, bad, ctx)
+        # the central difference of `run` divides by the config's time step
+        data = json.loads((SCENARIOS / "qubit_dark_state.json").read_text())
+        for bad, message in ((0.0, "must be > 0.0"), (-0.01, "must be > 0.0"),
+                             (math.inf, "must be finite"), (math.nan, "must be finite")):
+            data["time"]["step"] = bad
+            with pytest.raises(ConfigError, match=re.escape(f"time.step: {message}")):
+                parse_config(json.dumps(data), "run")
 
 
 class TestThetaOperatorForm:

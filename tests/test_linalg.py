@@ -10,15 +10,20 @@ from conftest import complex_square_matrices, hermitian_matrices
 from qbattery import linalg
 from qbattery.errors import ConvergenceError, DimensionError, DomainError, ValidationError
 from qbattery.dynamics import DensityMatrix, JumpChannel, LindbladModel, propagate
-from qbattery.linalg import (HermitianMatrix, _round_robin, abs_sq, as_square_matrix,
+from qbattery.linalg import (HermitianMatrix, _round_robin, abs_sq, as_square_matrix, dagger,
                              hermitian_eig, hermitian_eig_chain, hermitian_eigs,
-                             matrix_function, max_abs, reconstruct)
+                             matrix_function, max_abs)
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
 H2 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def reconstruct(spec):
+    """U diag(lambda) U^dag of a spectrum."""
+    return (spec.eigenvectors * spec.eigenvalues) @ dagger(spec.eigenvectors)
 
 
 class TestAbsSq:
