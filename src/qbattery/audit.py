@@ -510,7 +510,7 @@ def _random_instance(rng: np.random.Generator, ens: EnsembleSpec):
         JumpChannel._trusted(float(1.0 - rng.random()), _ginibre(rng, d))  # rate in (0, 1]
         for _ in range(n_channels))
     k0 = int(rng.integers(0, d))
-    return LindbladModel._trusted(HermitianMatrix._trusted(h, 0.0), channels), k0
+    return LindbladModel._trusted(HermitianMatrix._trusted(h), channels), k0
 
 
 def claim_falsifier(ensemble: EnsembleSpec, *,

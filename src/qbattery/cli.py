@@ -29,7 +29,7 @@ from . import __version__
 from .audit import EnsembleSpec, ScenarioSpec, claim_falsifier, eigenstate_audit, epsilon_sweep
 from .config import RunConfig, config_to_dict, parse_config
 from .dynamics import DensityMatrix, _projector, thermal_state
-from .errors import ConfigError, ParameterError, QBatteryError, ValidationError
+from .errors import ConfigError, ParameterError, QBatteryError, ValidationError, _shown
 from .free_energy import RANK_THRESHOLD, BatteryContext, _run_rows
 from .linalg import hermitian_eig
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
@@ -76,14 +76,14 @@ def parse_tol_overrides(pairs) -> ToleranceConfig:
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep:
-            raise ConfigError(f"--tol expects NAME=VALUE, got {pair!r}")
+            raise ConfigError(f"--tol expects NAME=VALUE, got {_shown(pair)}")
         if name not in fields:
-            raise ConfigError(f"unknown tolerance {name!r}; known: {sorted(fields)}")
+            raise ConfigError(f"unknown tolerance {_shown(name)}; known: {sorted(fields)}")
         caster = int if fields[name].type in ("int", int) else float
         try:
             overrides[name] = caster(value)
         except ValueError:
-            raise ConfigError(f"--tol {name}: cannot parse {value!r}") from None
+            raise ConfigError(f"--tol {name}: cannot parse {_shown(value)}") from None
     return DEFAULT_TOLERANCES.replace(**overrides)
 
 

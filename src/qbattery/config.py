@@ -18,7 +18,7 @@ Top-level keys:
                     most RUN_STEPS_MAX = 10**7 steps, while sweep reads only
                     h and takes any T > 0 or none
     epsilons        strictly descending list in (0, 1) for sweep
-    trials          positive int for check
+    trials          positive int for check, at most CHECK_TRIALS_MAX = 10**4
     include_bundled bool for check, default true
 
 Every mode needs dim; run also needs hamiltonian, initial_state and time
@@ -42,13 +42,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import LindbladModel
-from .errors import ConfigError
+from .errors import ConfigError, _shown
 from .jsonio import (_as_int, _as_number, _require_keys, matrix_from_json, matrix_to_json,
                      model_from_json, model_to_json)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 __all__ = ["InitialState", "TimeGrid", "RunConfig", "parse_config", "config_to_dict", "MODES",
-           "CHECK_DIM_MAX", "RUN_STEPS_MAX"]
+           "CHECK_DIM_MAX", "CHECK_TRIALS_MAX", "RUN_STEPS_MAX"]
 
 # the top-level keys each mode needs besides dim, checked after every present value parses
 _NEEDS = {
@@ -62,6 +62,12 @@ MODES = tuple(_NEEDS)
 # the largest ensemble dimension of check, a desk-scale bound: at d = 10**5 one
 # instance would allocate tens of GiB, and past int64 the draw itself fails
 CHECK_DIM_MAX = 64
+
+# the most trials of check, which draws every instance before it evaluates
+# any: a draw at d = 64 holds about 194 KiB, and draw dimensions are uniform
+# on [2, dim], so at dim 64 a draw averages about 67 KiB and 10**4 trials hold
+# about 0.65 GB
+CHECK_TRIALS_MAX = 10**4
 
 # the most steps of a run grid: run builds the whole grid, and propagation's
 # grid check adds temporaries of its length, so 10**7 steps hold a few hundred
@@ -104,7 +110,6 @@ class TimeGrid:  # fields in the order config_to_dict echoes them
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str
     dim: int
     beta: float
     model: LindbladModel | None
@@ -124,7 +129,7 @@ class RunConfig:
 def _as_epsilon(value, path: str) -> float:
     e = _as_number(value, path)
     if not 0.0 < e < 1.0:
-        raise ConfigError(f"must lie strictly inside (0, 1), got {value!r}", path=path)
+        raise ConfigError(f"must lie strictly inside (0, 1), got {_shown(value)}", path=path)
     return e
 
 
@@ -132,13 +137,14 @@ def _parse_initial_state(data, dim: int, path: str) -> InitialState:
     _require_keys(data, None, path)
     kind = data.get("kind")
     if kind not in _STATE_KINDS:
-        raise ConfigError(f"kind must be one of {_STATE_KINDS}, got {kind!r}", path=f"{path}.kind")
+        raise ConfigError(f"kind must be one of {_STATE_KINDS}, got {_shown(kind)}",
+                          path=f"{path}.kind")
     keys, needs = _STATE_KEYS[kind]
     _require_keys(data, keys, path, needs, f"kind {kind!r}")
     if kind == "eigenstate":
         k0 = _as_int(data["k0"], f"{path}.k0", minimum=0)
         if k0 >= dim:
-            raise ConfigError(f"k0 must be < dim ({dim}), got {k0}", path=f"{path}.k0")
+            raise ConfigError(f"k0 must be < dim ({dim}), got {_shown(k0)}", path=f"{path}.k0")
         epsilon = _as_epsilon(data["epsilon"], f"{path}.epsilon") if "epsilon" in data else None
         return InitialState(kind=kind, k0=k0, epsilon=epsilon)
     if kind == "matrix":
@@ -214,17 +220,22 @@ def parse_config(text: str, mode: str, *,
     trials = _as_int(data["trials"], "trials", minimum=1) if "trials" in data else None
     include_bundled = data.get("include_bundled", True)
     if not isinstance(include_bundled, bool):
-        raise ConfigError(f"expected a boolean, got {include_bundled!r}", path="include_bundled")
+        raise ConfigError(f"expected a boolean, got {_shown(include_bundled)}",
+                          path="include_bundled")
 
     _require_keys(data, None, "", _NEEDS[mode], f"{mode} mode")
     if mode in ("audit", "sweep") and initial_state.kind != "eigenstate":
         raise ConfigError(f"{mode} mode needs an eigenstate initial_state with k0",
                           path="initial_state")
     if mode == "check" and dim > CHECK_DIM_MAX:
-        raise ConfigError(f"check mode allows dim <= {CHECK_DIM_MAX}, got {dim}", path="dim")
+        raise ConfigError(f"check mode allows dim <= {CHECK_DIM_MAX}, got {_shown(dim)}",
+                          path="dim")
+    if mode == "check" and trials > CHECK_TRIALS_MAX:
+        raise ConfigError(f"check mode allows trials <= {CHECK_TRIALS_MAX}, got {_shown(trials)}",
+                          path="trials")
 
-    return RunConfig(mode=mode, dim=dim, beta=beta, model=model, initial_state=initial_state,
-                     time=time, epsilons=epsilons, trials=trials, include_bundled=include_bundled)
+    return RunConfig(dim=dim, beta=beta, model=model, initial_state=initial_state, time=time,
+                     epsilons=epsilons, trials=trials, include_bundled=include_bundled)
 
 
 def _set_fields(section) -> dict:

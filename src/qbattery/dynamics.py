@@ -75,14 +75,13 @@ class DensityMatrix:
 
     Construction validates all three invariants: the one-state case of
     _checked_states, whose row of checked stacks the state stores as it is:
-    the symmetrized `matrix`, its `hermiticity_defect` before symmetrization,
-    its `trace_defect`, its `spectrum` (solved once: the positivity check, the
-    entropy and the matrix logarithm all read it) and its `entropy`.  The
-    checks read tol.hermiticity, tol.density_trace and tol.psd, and `basis`
-    warm-starts the eigensolver from nearby eigenvectors.
+    the symmetrized `matrix`, its `trace_defect` and its `spectrum` (solved
+    once: the positivity check, the entropy and the matrix logarithm all read
+    it).  The checks read tol.hermiticity, tol.density_trace and tol.psd, and
+    `basis` warm-starts the eigensolver from nearby eigenvectors.
     """
 
-    __slots__ = ("matrix", "hermiticity_defect", "trace_defect", "spectrum", "entropy")
+    __slots__ = ("matrix", "trace_defect", "spectrum")
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES,
                  basis: np.ndarray | None = None):
@@ -91,9 +90,8 @@ class DensityMatrix:
         self._set(columns, 0)
 
     def _set(self, columns, i: int) -> None:
-        sym, defect, trace_defect, values, vectors, entropy = columns
-        self.matrix, self.hermiticity_defect = sym[i], float(defect[i])
-        self.trace_defect, self.entropy = float(trace_defect[i]), float(entropy[i])
+        sym, trace_defect, values, vectors = columns
+        self.matrix, self.trace_defect = sym[i], float(trace_defect[i])
         self.spectrum = Spectrum(values[i], vectors[i])
 
     @classmethod
@@ -144,9 +142,9 @@ def _checked_states(rows: _Rows, m: np.ndarray, basis: np.ndarray | None, tol: T
     max(1, ||M||_max), |tr M - 1| <= `trace`, the eigendecomposition (one
     warm chain from `basis`), and a smallest eigenvalue >= -`psd`.  Returns,
     for the rows that passed, the fields of their states as stacks: the
-    symmetrized matrices and their hermiticity defects, the trace defects, the
-    eigenvalues and eigenvectors, and the entropies.  A failure cuts `rows`."""
-    sym, defect = _hermitian(rows, m, tol)
+    symmetrized matrices, the trace defects, the eigenvalues and the
+    eigenvectors.  A failure cuts `rows`."""
+    sym = _hermitian(rows, m, tol)
     with np.errstate(over="ignore", invalid="ignore"):  # only rows past the cut
         trace_defect = np.abs(sym.trace(axis1=1, axis2=2) - 1.0)
     rows.check(trace_defect > trace, lambda i: ValidationError(
@@ -156,7 +154,7 @@ def _checked_states(rows: _Rows, m: np.ndarray, basis: np.ndarray | None, tol: T
     rows.check(smallest < -psd, lambda i: ValidationError(
         f"smallest eigenvalue {smallest[i]:.3e} below -{psd:.3e}"))
     n = rows.n
-    return sym[:n], defect[:n], trace_defect[:n], values[:n], vectors[:n], _entropies(values[:n])
+    return sym[:n], trace_defect[:n], values[:n], vectors[:n]
 
 
 def _entropies(values: np.ndarray) -> np.ndarray:
@@ -166,13 +164,13 @@ def _entropies(values: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -sum_i lambda_i ln lambda_i in nats, with 0 ln 0 = 0, as the
-    state computed it at construction.
+    """S(rho) = -sum_i lambda_i ln lambda_i in nats, with 0 ln 0 = 0, from
+    rho.spectrum: _entropies of one state.
 
     Eigenvalues are clipped to [0, 1] first so states carrying allowed
     negativity defects still yield a finite nonnegative entropy.
     """
-    return rho.entropy
+    return float(_entropies(rho.spectrum.eigenvalues[None])[0])
 
 
 @dataclass(frozen=True)
@@ -283,8 +281,7 @@ def liouvillian(model: LindbladModel, rho: DensityMatrix, *,
     one-state case of _liouvillians."""
     if rho.dim != model.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {model.dim}")
-    out, defect = _Rows.single(_liouvillians, model, rho.matrix[None], tol)
-    return HermitianMatrix._trusted(out[0], float(defect[0]))
+    return HermitianMatrix._trusted(_Rows.single(_liouvillians, model, rho.matrix[None], tol)[0])
 
 
 def _liouvillians(rows: _Rows, model: LindbladModel, rho: np.ndarray, tol: ToleranceConfig):
@@ -292,12 +289,12 @@ def _liouvillians(rows: _Rows, model: LindbladModel, rho: np.ndarray, tol: Toler
     returns it: the generator's scan, then |tr L(rho)| <= generator_trace *
     max(1, ||L(rho)||_max).  A failure cuts `rows`."""
     with np.errstate(over="ignore", invalid="ignore"):  # _hermitian names inf/nan
-        out, defect = _hermitian(rows, _generator_matrix(*model._generator, rho), tol)
+        out = _hermitian(rows, _generator_matrix(*model._generator, rho), tol)
         trace = np.abs(out.trace(axis1=1, axis2=2))
         bound = tol.generator_trace * np.maximum(1.0, np.abs(out).max(axis=(1, 2)))
         rows.check(trace > bound,
                    lambda i: ConsistencyError(f"liouvillian trace defect {trace[i]:.3e}"))
-    return out, defect
+    return out
 
 
 def _uniform_grid(t_grid) -> np.ndarray:
@@ -360,8 +357,8 @@ def _state_blocks(model: LindbladModel, rho0: DensityMatrix, grid: np.ndarray,
     size, (k_op, jumps) = _block_rows(model.dim), model._generator
     h = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
     spectrum, y = rho0.spectrum, rho0.matrix
-    lead = (y[None], np.array([rho0.hermiticity_defect]), np.array([rho0.trace_defect]),
-            spectrum.eigenvalues[None], spectrum.eigenvectors[None], np.array([rho0.entropy]))
+    lead = (y[None], np.array([rho0.trace_defect]), spectrum.eigenvalues[None],
+            spectrum.eigenvectors[None])
     basis = spectrum.eigenvectors
     for start in range(0, grid.size, size):
         first = max(start, 1)  # the grid index of the block's first RK4 state
@@ -379,7 +376,7 @@ def _state_blocks(model: LindbladModel, rho0: DensityMatrix, grid: np.ndarray,
             i = first + rows.n
             raise _breach(i, grid[i], rows.error, block[rows.n], tol) from rows.error
         rows.raise_first()
-        basis = columns[4][-1]
+        basis = columns[3][-1]
 
 
 def _rk4_step(k_op: np.ndarray, jumps, y: np.ndarray, h: float) -> np.ndarray:

@@ -1,4 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the form in which their
+messages echo an offending value."""
+
+import reprlib
+
+# the longest echo of an offending value in a message
+_SHOWN_MAX = 80
+
+
+def _shown(value, form=repr) -> str:
+    """form(value) (repr, or str for a key in a path) when it is at most
+    _SHOWN_MAX characters long, else reprlib's form of value (the first items
+    of a list, long strings and numbers cut in the middle), itself cut to
+    _SHOWN_MAX: a message echoes a config value, key or --tol argument of any
+    size in one short line."""
+    text = form(value)
+    if len(text) <= _SHOWN_MAX:
+        return text
+    text = reprlib.repr(value)
+    return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX - 3] + "..."
 
 
 class QBatteryError(Exception):

@@ -20,7 +20,7 @@ _evaluate_rows (_decompose, F's eigensolves as one warm chain, _liouvillians,
 _powers, _thetas), each check cutting the block at its first failing row
 (linalg._Rows); the sweep's rungs come from a second stream beside it,
 _rung_rows (_liouvillians, _decompose, _powers, dynamics._probe_breaches);
-<F> = tr(rho H) - S/beta is formed in _mean_free_energies alone.
+S and <F> = tr(rho H) - S/beta are formed in _mean_free_energies alone.
 free_energy_operator, mean_free_energy, power_analytic, theta_operator_form,
 theta_index_form and compute_theta_report are their one-state cases and give
 the same bits.
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DensityMatrix, LindbladModel, _block_rows, _checked_states,
+from .dynamics import (DensityMatrix, LindbladModel, _block_rows, _checked_states, _entropies,
                        _liouvillians, _mixed, _probe_breaches, _state_blocks)
 from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
 from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _finite, _hermitian,
@@ -118,21 +118,17 @@ def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
     log_rho, f_op, delta, mean = _Rows.single(
         _decompose, rho.matrix[None], spectrum.eigenvalues[None], spectrum.eigenvectors[None],
         np.array([mean_free_energy(rho, ctx)]), ctx, tol)
-    return FreeEnergyDecomposition(_first(f_op), _first(delta), float(mean[0]), _first(log_rho))
-
-
-def _first(stacked) -> HermitianMatrix:
-    """The first matrix of a stack as _hermitian returns it."""
-    sym, defect = stacked
-    return HermitianMatrix._trusted(sym[0], float(defect[0]))
+    return FreeEnergyDecomposition(HermitianMatrix._trusted(f_op[0]),
+                                   HermitianMatrix._trusted(delta[0]), float(mean[0]),
+                                   HermitianMatrix._trusted(log_rho[0]))
 
 
 def _decompose(rows: _Rows, rho: np.ndarray, values: np.ndarray, vectors: np.ndarray,
                from_entropy: np.ndarray, ctx: BatteryContext, tol: ToleranceConfig):
     """free_energy_operator of each state of the stack rho (k, d, d), from the
     stacks of its eigenvalues (k, d) and eigenvectors (k, d, d) and of its
-    mean_free_energy tr(rho H) - S/beta (k,): ln(rho), F and deltaF as
-    _hermitian returns them, and <F> (k,).  A failure cuts `rows`."""
+    mean_free_energy tr(rho H) - S/beta (k,): the stacks ln(rho), F and
+    deltaF as _hermitian returns them, and <F> (k,).  A failure cuts `rows`."""
     hamiltonian, beta = ctx.model.hamiltonian, ctx.beta
     smallest = values[:, 0]
     rows.check(smallest <= RANK_THRESHOLD, lambda i: RankDeficientError(
@@ -146,35 +142,37 @@ def _decompose(rows: _Rows, rho: np.ndarray, values: np.ndarray, vectors: np.nda
     # ln(rho)/beta overflows for a small enough beta: F's scan names it, and
     # deltaF's a non-finite <F>; the rest belongs to rows past the cut
     with np.errstate(over="ignore", invalid="ignore"):
-        f_op = _hermitian(rows, hamiltonian.matrix + log_rho[0] / beta, tol,
+        f_op = _hermitian(rows, hamiltonian.matrix + log_rho / beta, tol,
                           f"F = H + ln(rho)/beta at beta = {beta!r}: ")
-        mean = (f_op[0] @ rho).trace(axis1=1, axis2=2).real
+        mean = (f_op @ rho).trace(axis1=1, axis2=2).real
         rows.check(np.abs(mean - from_entropy) > tol.mean_crosscheck * np.fmax(1.0, np.abs(mean)),
                    lambda i: ConsistencyError(
                        f"<F> disagrees between forms: trace {float(mean[i])!r} "
                        f"vs energy-entropy {float(from_entropy[i])!r}"))
-        delta = _hermitian(rows, f_op[0] - mean[:, None, None] * _constants(rho.shape[-1])[0],
-                           tol)
-        zero_mean = np.abs((rho @ delta[0]).trace(axis1=1, axis2=2))
-        bound = tol.zero_mean * np.maximum(1.0, np.abs(f_op[0]).max(axis=(1, 2)))
+        delta = _hermitian(rows, f_op - mean[:, None, None] * _constants(rho.shape[-1])[0], tol)
+        zero_mean = np.abs((rho @ delta).trace(axis1=1, axis2=2))
+        bound = tol.zero_mean * np.maximum(1.0, np.abs(f_op).max(axis=(1, 2)))
         rows.check(zero_mean > bound, lambda i: ValidationError(
             f"tr(rho deltaF) = {zero_mean[i]:.3e} is not zero"))
     return log_rho, f_op, delta, mean
 
 
 def mean_free_energy(rho: DensityMatrix, ctx: BatteryContext) -> float:
-    """<F> = tr(rho H) - S(rho)/beta of any valid state: _mean_free_energies of one."""
+    """<F> = tr(rho H) - S(rho)/beta of any valid state, from rho.spectrum:
+    _mean_free_energies of one."""
     if rho.dim != ctx.dim:
         raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
-    return float(_mean_free_energies(rho.matrix[None], np.array([rho.entropy]), ctx)[1][0])
+    return float(_mean_free_energies(rho.matrix[None], rho.spectrum.eigenvalues[None], ctx)[2][0])
 
 
-def _mean_free_energies(rho: np.ndarray, entropy: np.ndarray, ctx: BatteryContext):
-    """tr(rho H) and <F> = tr(rho H) - S/beta (k,) of the states rho (k, d, d)
-    of entropies `entropy`; a non-finite <F> is named by F's scan."""
+def _mean_free_energies(rho: np.ndarray, values: np.ndarray, ctx: BatteryContext):
+    """tr(rho H), S (dynamics._entropies) and <F> = tr(rho H) - S/beta (k,)
+    of the states rho (k, d, d) of eigenvalues `values` (k, d); a non-finite
+    <F> is named by F's scan."""
+    entropy = _entropies(values)
     with np.errstate(over="ignore", invalid="ignore"):
         energy = (rho @ ctx.model.hamiltonian.matrix).trace(axis1=1, axis2=2).real
-        return energy, energy - entropy / ctx.beta
+        return energy, entropy, energy - entropy / ctx.beta
 
 
 def power_analytic(rate: HermitianMatrix, decomp: FreeEnergyDecomposition, *,
@@ -230,7 +228,7 @@ def _operator_thetas(rows: _Rows, delta: np.ndarray, rho: np.ndarray, l: np.ndar
         c = delta @ l - l @ delta
         rows.check(~_finite(c), lambda i: ValidationError(
             f"{context}commutator: non-finite entries in result"))
-        squared, _ = _hermitian(rows, c @ dagger(c), tol, context)
+        squared = _hermitian(rows, c @ dagger(c), tol, context)
         value = (rho @ squared).trace(axis1=1, axis2=2)
         theta = _real(rows, value, tol, "Theta")
         negative = theta < -tol.theta_psd_slack * np.fmax(1.0, np.abs(value))
@@ -350,16 +348,16 @@ def _evaluate_rows(rho: np.ndarray, values: np.ndarray, vectors: np.ndarray,
     of each passed row as lists, and the F eigenbasis of its last row.
     """
     rows = _Rows(len(rho))
-    _, (f_op, _), delta, mean = _decompose(rows, rho, values, vectors, from_entropy, ctx, tol)
+    _, f_op, delta, mean = _decompose(rows, rho, values, vectors, from_entropy, ctx, tol)
     w, u = hermitian_eig_chain(rows, f_op, basis, tol=tol)
     if len(u):
         basis = u[-1]
     n = rows.n
     if not n:
         return rows, [], [], [], basis
-    power = _powers(rows, _liouvillians(rows, ctx.model, rho[:n], tol)[0], f_op[:n], tol)
+    power = _powers(rows, _liouvillians(rows, ctx.model, rho[:n], tol), f_op[:n], tol)
     del f_op  # the peak resident set grows with the stacks alive at once
-    forms = _thetas(rows, delta[0][:n], rho[:n], w[:n] - mean[:n, None], u[:n], ctx.model, tol)
+    forms = _thetas(rows, delta[:n], rho[:n], w[:n] - mean[:n, None], u[:n], ctx.model, tol)
     columns = [t_op.tolist() for t_op, _ in forms]
     thetas = [[column[i] for column in columns] for i in range(rows.n)]
     return rows, mean[:rows.n].tolist(), power[:rows.n].tolist(), thetas, basis
@@ -377,8 +375,8 @@ def _run_rows(ctx: BatteryContext, rho0: DensityMatrix, offsets: np.ndarray,
     step = float(offsets[1] - offsets[0]) if offsets.size > 1 else None
     basis, before, previous, pending, error = rho0.spectrum.eigenvectors, None, None, None, None
     try:
-        for rho, _, defect, w, u, entropy in _state_blocks(ctx.model, rho0, offsets, tol):
-            energy, mean = _mean_free_energies(rho, entropy, ctx)
+        for rho, defect, w, u in _state_blocks(ctx.model, rho0, offsets, tol):
+            energy, entropy, mean = _mean_free_energies(rho, w, ctx)
             rows, means, powers, thetas, basis = _evaluate_rows(rho, w, u, mean, ctx, basis, tol)
             for i, after in enumerate(mean.tolist()[:rows.n + 1]):  # a failing row's <F> too
                 if pending is not None:
@@ -413,16 +411,16 @@ def _rung_rows(ctx: BatteryContext, rho0: DensityMatrix, epsilons, step: float,
     for at in range(0, len(epsilons), size):
         block = epsilons[at:at + size]
         rows = _Rows(len(block))
-        rho, _, _, values, vectors, entropies = _checked_states(
+        rho, _, values, vectors = _checked_states(
             rows, _mixed(rho0.matrix, np.array(block)[:, None, None]),
             rho0.spectrum.eigenvectors, tol, tol.density_trace, tol.psd)
-        rate, _ = _liouvillians(rows, dissipative, rho, tol)
-        _, mean = _mean_free_energies(rho, entropies, ctx)
+        rate = _liouvillians(rows, dissipative, rho, tol)
+        _, _, mean = _mean_free_energies(rho, values, ctx)
         with np.errstate(over="ignore", invalid="ignore"):  # the report names inf/nan
             energy = (rate @ h).trace(axis1=1, axis2=2).real
             log_rho, f_op, _, _ = _decompose(rows, rho, values, vectors, mean, ctx, tol)
-            entropy = -(rate @ log_rho[0]).trace(axis1=1, axis2=2).real
-        power, n = _powers(rows, rate, f_op[0], tol), rows.n
+            entropy = -(rate @ log_rho).trace(axis1=1, axis2=2).real
+        power, n = _powers(rows, rate, f_op, tol), rows.n
         step_errors = _probe_breaches(ctx.model, rho[:n], vectors, step, tol)
         rows.raise_first()
         yield from zip(block, power.tolist(), energy.tolist(), entropy.tolist(), step_errors)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .dynamics import JumpChannel, LindbladModel
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, _shown
 from .linalg import HermitianMatrix
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite, _is_integer, _is_real
 
@@ -52,7 +52,7 @@ def _require_keys(obj, allowed, path: str, required=(), needed_by: str = ""):
     if allowed is not None:
         for key in obj:
             if key not in allowed:
-                raise ConfigError(f"unknown key {key!r}", path=_join(path, key))
+                raise ConfigError(f"unknown key {_shown(key)}", path=_join(path, _shown(key, str)))
     for key in required:
         if key not in obj:
             raise ConfigError(f"missing, needed by {needed_by}", path=_join(path, key))
@@ -60,22 +60,22 @@ def _require_keys(obj, allowed, path: str, required=(), needed_by: str = ""):
 
 def _as_number(value, path: str, *, minimum=None, exclusive_min=None) -> float:
     if not _is_real(value):
-        raise ConfigError(f"expected a number, got {value!r}", path=path)
+        raise ConfigError(f"expected a number, got {_shown(value)}", path=path)
     x = float_from_json(value, path)
     if not math.isfinite(x):
-        raise ConfigError(f"must be finite, got {value!r}", path=path)
+        raise ConfigError(f"must be finite, got {_shown(value)}", path=path)
     if minimum is not None and x < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value!r}", path=path)
+        raise ConfigError(f"must be >= {minimum}, got {_shown(value)}", path=path)
     if exclusive_min is not None and x <= exclusive_min:
-        raise ConfigError(f"must be > {exclusive_min}, got {value!r}", path=path)
+        raise ConfigError(f"must be > {exclusive_min}, got {_shown(value)}", path=path)
     return x
 
 
 def _as_int(value, path: str, *, minimum=None) -> int:
     if not _is_integer(value):
-        raise ConfigError(f"expected an integer, got {value!r}", path=path)
+        raise ConfigError(f"expected an integer, got {_shown(value)}", path=path)
     if minimum is not None and value < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value!r}", path=path)
+        raise ConfigError(f"must be >= {minimum}, got {_shown(value)}", path=path)
     return int(value)
 
 

@@ -37,9 +37,9 @@ before the cut are returned, and a one-matrix function such as hermitian_eig
 or HermitianMatrix is the stack's case _Rows.single, raising that failure.
 
 Matrices are plain complex numpy arrays.  HermitianMatrix and Spectrum wrap
-them where extra guarantees have to travel with the data: the symmetrization
-defect recorded at construction, the ascending eigenvalue order, and the
-phase convention that makes eigenvectors deterministic.
+them where extra guarantees have to travel with the data: symmetrization
+once the hermiticity defect passed its check, the ascending eigenvalue order,
+and the phase convention that makes eigenvectors deterministic.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ def _finite(m: np.ndarray) -> np.ndarray:
 
 def _hermitian(rows: _Rows, m: np.ndarray, tol: ToleranceConfig, context: str = ""):
     """HermitianMatrix's checks and symmetrization for each matrix of the stack
-    m (k, d, d): the read-only symmetrized stack and the defects.  The defect
-    bound is tol.hermiticity times max(1, ||M||_max).  A failure, prefixed by
-    `context`, cuts `rows`."""
+    m (k, d, d): the read-only symmetrized stack.  The defect ||M - M^dag||_max
+    is bounded by tol.hermiticity times max(1, ||M||_max).  A failure, prefixed
+    by `context`, cuts `rows`."""
     size = np.abs(m).max(axis=(1, 2))  # nan or inf where m is not finite
     rows.check(~np.isfinite(size), lambda i: ValidationError(
         f"{context}hermitian matrix: " + ("non-finite entries" if not np.isfinite(m[i]).all()
@@ -156,32 +156,29 @@ def _hermitian(rows: _Rows, m: np.ndarray, tol: ToleranceConfig, context: str = 
         half = 0.5 * m  # halve before adding: M + M^dag overflows above ~9e307
         sym = half + dagger(half)
     sym.flags.writeable = False
-    return sym, defect
+    return sym
 
 
 class HermitianMatrix:
     """Hermitian matrix, symmetrized to M/2 + M^dag/2 at construction.
 
-    The pre-symmetrization defect ||M - M^dag||_max is kept on the instance.
-    Inputs whose defect exceeds the hermiticity tolerance (scaled by
-    max(1, ||M||_max)) are rejected: the one-matrix case of _hermitian.  M is
-    only read, never copied or kept.
+    Inputs whose defect ||M - M^dag||_max exceeds the hermiticity tolerance
+    (scaled by max(1, ||M||_max)) are rejected: the one-matrix case of
+    _hermitian.  M is only read, never copied or kept.
     """
 
-    __slots__ = ("matrix", "defect")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix, *, tol: ToleranceConfig = DEFAULT_TOLERANCES):
         m = _checked_square(matrix, "hermitian matrix")
-        sym, defect = _Rows.single(_hermitian, m[None], tol)
-        self.matrix, self.defect = sym[0], float(defect[0])
+        self.matrix = _Rows.single(_hermitian, m[None], tol)[0]
 
     @classmethod
-    def _trusted(cls, sym: np.ndarray, defect: float) -> "HermitianMatrix":
-        """A HermitianMatrix of `sym`, already symmetrized and read-only, that
-        recorded `defect`: for arrays the caller has checked and symmetrized."""
+    def _trusted(cls, sym: np.ndarray) -> "HermitianMatrix":
+        """A HermitianMatrix of `sym`, already symmetrized and read-only: for
+        arrays the caller has checked and symmetrized."""
         out = cls.__new__(cls)
         out.matrix = sym
-        out.defect = defect
         return out
 
     @property
@@ -189,7 +186,7 @@ class HermitianMatrix:
         return self.matrix.shape[0]
 
     def __repr__(self):  # pragma: no cover
-        return f"HermitianMatrix(dim={self.dim}, defect={self.defect:.2e})"
+        return f"HermitianMatrix(dim={self.dim})"
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from qbattery import audit, cli, dynamics, free_energy, linalg
 from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
                             EpsilonSweepReport, FalsifierReport, reevaluate_witness)
 from qbattery.cli import main, parse_tol_overrides
-from qbattery.config import CHECK_DIM_MAX, MODES, RUN_STEPS_MAX, config_to_dict, parse_config
+from qbattery.config import (CHECK_DIM_MAX, CHECK_TRIALS_MAX, MODES, RUN_STEPS_MAX,
+                             config_to_dict, parse_config)
 from qbattery.errors import ConfigError, PropagationError
 from qbattery.tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -393,6 +394,45 @@ class TestRejectionPaths:
             f"error: time.horizon: run mode allows at most {RUN_STEPS_MAX} steps, got {got}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials", [CHECK_TRIALS_MAX + 1, 10**9])
+    def test_check_trial_count_is_bounded(self, tmp_path, capsys, monkeypatch, trials):
+        # rejected while parsing, before any instance is drawn: check draws
+        # every instance first, and 10**9 of them would exhaust memory
+        monkeypatch.setattr(audit, "_random_instance", None)  # a draw would raise
+        cfg = tmp_path / "many.json"
+        cfg.write_text(json.dumps({"dim": 2, "trials": trials}))
+        out = tmp_path / "check.json"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: trials: check mode allows trials <= {CHECK_TRIALS_MAX}, got {trials}\n")
+        assert not out.exists()
+
+    def test_check_trial_count_at_the_bound_parses(self):
+        # the bundled ensemble holds 100 trials and the benchmark's 400
+        cfg = parse_config(json.dumps({"dim": CHECK_DIM_MAX, "trials": CHECK_TRIALS_MAX}), "check")
+        assert cfg.trials == CHECK_TRIALS_MAX >= 400
+        assert parse_config((SCENARIOS / "ensemble_check.json").read_text(), "check").trials == 100
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("dim", [0.0] * 200000, "dim"),  # echoed whole, a 1,000,038-byte line
+        ("beta", "x" * 300000, "beta"),
+        ("k" * 100000, 1, None),  # in the path and in the message, a 200,024-byte line
+        ("beta", {c * 40: 0 for c in "abcde"}, "beta"),  # even reprlib's form is long
+    ], ids=["list", "string", "unknown key", "object"])
+    def test_a_long_value_is_echoed_in_a_short_line(self, tmp_path, capsys, config_errors,
+                                                    key, value, path):
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps({"dim": 2, "trials": 1, key: value}))
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        [exc] = config_errors
+        err = capsys.readouterr().err
+        assert err == f"error: {exc}\n" and len(err.encode()) < 300
+        if path is None:  # the key, cut as the message cuts it
+            assert exc.path == str(exc).rpartition("unknown key ")[2]
+            assert exc.path.startswith("'kkkk") and len(exc.path) < 100
+        else:
+            assert exc.path == path
+
     def test_run_step_count_at_the_bound_parses(self):
         # the grid itself is not built: it would hold 80 MB
         grid = parse_config(config_text(time={"step": 1e-3, "horizon": 1e4}), "run").time
@@ -538,13 +578,15 @@ class TestRunCommand:
         assert [shape for shape in products if len(shape) == 3] == [
             (32, 2, 2), (32, 2, 2), (7, 2, 2)]
 
-    @pytest.mark.parametrize("name", ["qubit_sigma_x", "qutrit_ladder"])
+    @pytest.mark.parametrize("name", ["qubit_sigma_x", "qutrit_ladder", "seeded_d8"])
     def test_block_columns_match_the_one_state_functions(self, tmp_path, name):
-        # 41 rows, two block boundaries at d = 3: every cell of each row is the
-        # bits of the one-state functions (free_energy_operator, power_analytic,
-        # theta_operator_form), of tr(rho H), of the central difference of <F>, or
-        # of the state's own fields
-        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        # 41 rows, two block boundaries at d = 3 and two rows a block at d = 8,
+        # where numpy sums a row's 8 entries pairwise: every cell of each row is
+        # the bits of the one-state functions (von_neumann_entropy,
+        # free_energy_operator, power_analytic, theta_operator_form), of
+        # tr(rho H), of the central difference of <F>, or of the state's own fields
+        data = seeded_config(8, 8) if name == "seeded_d8" else \
+            json.loads((SCENARIOS / f"{name}.json").read_text())
         data["time"]["horizon"] = 40 * data["time"]["step"]
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg.write_text(json.dumps(data))
@@ -565,7 +607,7 @@ class TestRunCommand:
             thetas = [free_energy.theta_operator_form(decomp, state, ch.operator)
                       for ch in parsed.model.channels]
             energy = (state.matrix @ parsed.model.hamiltonian.matrix).trace().real
-            want = [energy, state.entropy, decomp.mean, power, fd,
+            want = [energy, dynamics.von_neumann_entropy(state), decomp.mean, power, fd,
                     *thetas, trace_defect, state.min_eigenvalue]
             assert list(row.values())[1:] == [cli._csv_cell(value) for value in want]
 
@@ -1309,6 +1351,15 @@ class TestReportCommands:
                      "--out", str(tmp_path / "x.json"), "--tol", "bogus=1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("pair", ["x" * 100000, "psd=" + "y" * 100000, "z" * 100000 + "=1"],
+                             ids=["no separator", "value", "name"])
+    def test_a_long_tol_is_echoed_in_a_short_line(self, tmp_path, capsys, pair):
+        code = main(["audit", "--config", str(SCENARIOS / "qubit_sigma_x.json"),
+                     "--out", str(tmp_path / "x.json"), "--tol", pair])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 500
 
     # every field, so a new tolerance cannot skip validation; config_hermiticity,
     # decomposition_residual and propagation_hermiticity are no longer fields and

@@ -48,21 +48,25 @@ class TestAbsSq:
 
 
 class TestHermitianMatrix:
-    def test_symmetrizes_and_records_defect(self):
+    def test_symmetrizes_a_small_defect(self):
         m = np.array([[1.0, 0.5 + 1e-14j], [0.5, 2.0]], dtype=complex)
         h = HermitianMatrix(m)
         assert max_abs(h.matrix - oracles.dag(h.matrix)) == 0.0
-        assert 0.0 < h.defect < 1e-13
+        assert same_bits(h.matrix, 0.5 * m + oracles.dag(0.5 * m))
+        assert h.matrix[0, 1] != m[0, 1]
 
     def test_rejects_gross_asymmetry(self):
         with pytest.raises(ValidationError):
             HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_defect_tolerance_scales_with_magnitude(self):
-        # 1e-10 absolute asymmetry is fine on a matrix of norm ~1e3
+        # 1e-10 absolute asymmetry is fine on a matrix of norm ~1e3 (bound
+        # 1e-12 * 1e3), and beyond the bound 1e-12 on a matrix of norm ~1
         m = np.array([[1e3, 1e3 + 1e-10j], [1e3, 1e3]], dtype=complex)
         h = HermitianMatrix(m)
-        assert h.defect <= 1e-9
+        assert same_bits(h.matrix, 0.5 * m + oracles.dag(0.5 * m))
+        with pytest.raises(ValidationError, match="hermiticity defect 1.000e-10 exceeds"):
+            HermitianMatrix(np.array([[1.0, 1.0 + 1e-10j], [1.0, 1.0]], dtype=complex))
 
     def test_stored_array_is_frozen(self):
         h = HermitianMatrix(H2)
@@ -79,16 +83,15 @@ class TestHermitianMatrix:
 
     def test_is_the_one_matrix_case_of_the_stack(self, rng):
         # matrices near and beyond the defect bound, at several scales: from
-        # every start, the stack's bits, defects and first failure are those
-        # of constructing its matrices one by one
+        # every start, the stack's bits and first failure are those of
+        # constructing its matrices one by one
         ms = [s * (oracles.random_hermitian(rng, 3) + e * oracles.random_ginibre(rng, 3))
               for s in (1e-3, 1.0, 1e5) for e in (0.0, 1e-13, 1e-11)]
         for start in range(len(ms)):
             rows = linalg._Rows(len(ms) - start)
-            sym, defect = linalg._hermitian(rows, np.array(ms[start:]), DEFAULT_TOLERANCES)
+            sym = linalg._hermitian(rows, np.array(ms[start:]), DEFAULT_TOLERANCES)
             for i in range(rows.n):
-                h = HermitianMatrix(ms[start + i])
-                assert same_bits(h.matrix, sym[i]) and h.defect == defect[i]
+                assert same_bits(HermitianMatrix(ms[start + i]).matrix, sym[i])
             if rows.error is not None:
                 with pytest.raises(ValidationError) as single:
                     HermitianMatrix(ms[start + rows.n])
