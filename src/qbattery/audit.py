@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DensityMatrix, JumpChannel, LindbladModel, _dissipator_matrix
-from .errors import ConsistencyError, ParameterError, ScenarioError, ValidationError
+from .errors import ConsistencyError, ParameterError, ScenarioError, ValidationError, _shown
 from .free_energy import BatteryContext, _rung_rows, vanishing_condition
 from .jsonio import model_from_json, model_to_json
 from .linalg import HermitianMatrix, _Rows, dagger, hermitian_eig, hermitian_eigs, max_abs
@@ -77,7 +77,7 @@ def _eigen_index(k0: int, dim: int) -> int:
     """k0 as an index into an ascending spectrum of length `dim`."""
     k0 = _integer(k0, "k0")
     if not 0 <= k0 < dim:
-        raise ParameterError(f"k0 must lie in [0, {dim}), got {k0!r}")
+        raise ParameterError(f"k0 must lie in [0, {dim}), got {_shown(k0)}")
     return k0
 
 
@@ -445,7 +445,7 @@ class EnsembleSpec:
         for name in ("seed", "trials", "dim_min", "dim_max"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.seed < 0:  # numpy's generators take no negative seed
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+            raise ParameterError(f"seed must be >= 0, got {_shown(self.seed)}")
         if self.trials < 1:
             raise ParameterError("trials must be at least 1")
         if not 2 <= self.dim_min <= self.dim_max:

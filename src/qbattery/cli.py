@@ -1,14 +1,14 @@
 """Command-line interface: parsing, the `run` CSV writer, the report encoder.
 
-    qbattery run    --config cfg.json --out traj.csv   [--tol NAME=VALUE ...]
+    qbattery run    --config cfg.json --out traj.csv   [--seed N] [--tol NAME=VALUE ...]
     qbattery audit  --config cfg.json --out report.json [--seed N] [--tol ...]
     qbattery sweep  --config cfg.json --out report.json [--seed N] [--tol ...]
     qbattery check  --config cfg.json --out report.json [--seed N] [--tol ...]
 
 Exit codes: 0 success (audit and check exit 0 whatever the verdicts say),
 2 a bad or unreadable config or an unwritable --out, 3 numeric failure.
-`run` writes the rows of free_energy's row stream as they come: a numeric
-failure mid-trajectory leaves every row the stream gave before it on disk.
+`run` ignores --seed, and writes the header and rows of free_energy's row
+stream as they come: a numeric failure leaves every row before it on disk.
 
 A JSON report holds the fields of its report dataclass under their names, in
 declaration order.  Reports carry no timestamps; identical inputs give
@@ -34,14 +34,16 @@ from .free_energy import RANK_THRESHOLD, BatteryContext, _run_rows
 from .linalg import hermitian_eig
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qbattery",
         description="Open quantum battery dynamics and free-energy fluctuation audits.")
@@ -58,12 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                        help="override one tolerance, repeatable")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of `main`, built on its first call: parsing leaves it unchanged."""
-    return build_parser()
 
 
 def parse_tol_overrides(pairs) -> ToleranceConfig:
@@ -126,7 +122,7 @@ def _csv_cell(value: float | None) -> str:
     return "" if value is None else f"{float(value):.17g}"
 
 
-def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
+def run_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig) -> int:
     ctx = BatteryContext(cfg.beta, cfg.model)
     rho0 = _initial_state(cfg, tol)
     if rho0.min_eigenvalue <= RANK_THRESHOLD:
@@ -134,13 +130,11 @@ def run_command(cfg: RunConfig, out_path: str, tol: ToleranceConfig) -> int:
             "initial state is rank deficient; the free-energy operator needs "
             "a full-rank state (add initial_state.epsilon or use audit mode)",
             path="initial_state")
-    columns = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd",
-               *(f"theta_{j + 1}" for j in range(len(cfg.model.channels))),
-               "trace_defect", "min_eig"]
     with _output(out_path) as fh:
-        fh.write(",".join(columns) + "\n")
-        for row, t in zip(_run_rows(ctx, rho0, cfg.time.offsets(), tol), cfg.time.grid().tolist()):
-            fh.write(",".join(_csv_cell(value) for value in (t, *row)) + "\n")
+        rows = _run_rows(ctx, rho0, cfg.time.t0, cfg.time.offsets(), tol)
+        fh.write(",".join(next(rows)) + "\n")
+        for row in rows:
+            fh.write(",".join(_csv_cell(value) for value in row) + "\n")
     return EXIT_OK
 
 
@@ -208,6 +202,7 @@ def check_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig
 
 
 _COMMANDS = {
+    "run": run_command,
     "audit": audit_command,
     "sweep": sweep_command,
     "check": check_command,
@@ -219,8 +214,6 @@ def main(argv=None) -> int:
     try:
         tol = parse_tol_overrides(args.tol)
         cfg = _read_config(args.config, args.mode, tol)
-        if args.mode == "run":
-            return run_command(cfg, args.out, tol)
         return _COMMANDS[args.mode](cfg, args.out, args.seed, tol)
     except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

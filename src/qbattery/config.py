@@ -69,9 +69,9 @@ CHECK_DIM_MAX = 64
 # about 0.65 GB
 CHECK_TRIALS_MAX = 10**4
 
-# the most steps of a run grid: run builds the whole grid, and propagation's
-# grid check adds temporaries of its length, so 10**7 steps hold a few hundred
-# MB; at a few thousand rows/s they also take over an hour
+# the most steps of a run grid: run holds two arrays of its length, the
+# offsets and t0 + offsets, 8 B a step each, so 10**7 steps hold 160 MB; at a
+# few thousand rows/s they also take over an hour
 RUN_STEPS_MAX = 10**7
 
 # each initial_state kind: its keys, and the ones it needs
@@ -99,13 +99,10 @@ class TimeGrid:  # fields in the order config_to_dict echoes them
     horizon: float | None
 
     def offsets(self) -> np.ndarray:
-        """The grid's times less t0: `run` integrates on these, so its rows
-        do not depend on t0."""
+        """The grid's times less t0: `run` integrates on these, so no row but
+        its `t` depends on t0."""
         n = round(self.horizon / self.step)
         return np.linspace(0.0, n * self.step, n + 1)
-
-    def grid(self) -> np.ndarray:
-        return self.t0 + self.offsets()
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,18 @@ model, so a generator costs three matrix products at any channel count, and
 its result is exactly Hermitian: so is every RK4 state, whose hermiticity
 defect is exactly 0.
 
-States are never renormalized during propagation.  One RK4 step
-(_rk4_step) serves a state and a stack of states.  _state_blocks runs it in
-blocks of up to _block_rows(d) states, checks each block as one stack
-(_checked_states, of which DensityMatrix is the one-state case: the
-construction hermiticity bound, and the propagation bounds on the trace and
-the smallest eigenvalue), solving its states as one warm chain, and yields
-the checked stacks: `run`'s row stream (free_energy._run_rows) reads them as
-they come, and `propagate` hands out one DensityMatrix per row.  A breach
-raises PropagationError (_breach) once the states before it are yielded:
-the trajectory prefix is what the consumer took, and nothing else keeps it.
-The sweep's probes (_probe_breaches) take one step from each state of a stack
-and keep each breach's message instead.
+States are never renormalized during propagation.  One RK4 step (_rk4_step)
+serves a state and a stack of states.  _state_blocks runs it at the step its
+caller gives, in blocks of up to _block_rows(d) states, checks each block as
+one stack (_checked_states, of which DensityMatrix is the one-state case: the
+construction hermiticity bound, and the propagation bounds on the trace and the
+smallest eigenvalue), solving its states as one warm chain, and yields the
+checked stacks: `run`'s row stream (free_energy._run_rows) reads them as they
+come, and `propagate` hands out one DensityMatrix per row.  A breach raises
+PropagationError (_breach), naming its step and time, once the states before it
+are yielded: the trajectory prefix is what the consumer took, and nothing else
+keeps it.  The sweep's probes (_probe_breaches) take one step from each state
+of a stack and keep each breach's message instead.
 """
 
 from __future__ import annotations
@@ -297,8 +297,9 @@ def _liouvillians(rows: _Rows, model: LindbladModel, rho: np.ndarray, tol: Toler
     return out
 
 
-def _uniform_grid(t_grid) -> np.ndarray:
-    grid = np.asarray(t_grid, dtype=float)
+def _uniform_grid(t_grid) -> tuple[np.ndarray, float]:
+    """The checked grid and its step (0 for a single time)."""
+    grid, h = np.asarray(t_grid, dtype=float), 0.0
     if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)):
         raise ParameterError("time grid must be a finite 1-d array")
     if grid.size >= 2:
@@ -310,7 +311,7 @@ def _uniform_grid(t_grid) -> np.ndarray:
         spacing = np.spacing(np.abs(grid).max())
         if np.any(np.abs(diffs - h) > 1e-12 * max(1.0, abs(h)) + 4.0 * spacing):
             raise ParameterError("time grid steps must be uniform")
-    return grid
+    return grid, h
 
 
 def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
@@ -328,7 +329,7 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
     """
     if rho0.dim != model.dim:
         raise DimensionError(f"state dimension {rho0.dim} vs model {model.dim}")
-    return _states(rho0, _state_blocks(model, rho0, _uniform_grid(t_grid), tol))
+    return _states(rho0, _state_blocks(model, rho0, *_uniform_grid(t_grid), tol))
 
 
 def _states(rho0: DensityMatrix, blocks) -> Iterator[tuple[DensityMatrix, float]]:
@@ -341,28 +342,28 @@ def _states(rho0: DensityMatrix, blocks) -> Iterator[tuple[DensityMatrix, float]
             yield state, state.trace_defect
 
 
-def _state_blocks(model: LindbladModel, rho0: DensityMatrix, grid: np.ndarray,
+def _state_blocks(model: LindbladModel, rho0: DensityMatrix, times: np.ndarray, h: float,
                   tol: ToleranceConfig) -> Iterator[tuple[np.ndarray, ...]]:
-    """The trajectory from rho0 on the uniform ascending `grid`, in blocks of
-    _checked_states' column stacks: rho0's row and the first K - 1 RK4 states,
-    then K states a block (K = _block_rows(d)).  A block's RK4 states are
-    computed when the block is drawn and checked as one stack: hermiticity
-    defect <= hermiticity * max(1, ||y||_max), which holds for every RK4 state,
-    whose defect is exactly 0 (the generator is X + X^dag), trace defect <=
-    propagation_trace and smallest eigenvalue >= -propagation_psd.  Their
-    eigendecompositions run as one warm chain, each from the eigenvectors of
-    the state before, which differ from the new ones by O(h).  A breach yields
-    the states before it (maybe none), then raises _breach's PropagationError;
-    any other failure raises as it is."""
+    """The trajectory from rho0 at the `times`, in RK4 steps of length h (the
+    caller's: `run` passes its offsets'), in blocks of _checked_states' column
+    stacks: rho0's row and the first K - 1 RK4 states, then K states a block
+    (K = _block_rows(d)).  A block's RK4 states are computed when the block is
+    drawn and checked as one stack: hermiticity defect <= hermiticity *
+    max(1, ||y||_max), which holds for every RK4 state, whose defect is exactly
+    0 (the generator is X + X^dag), trace defect <= propagation_trace and
+    smallest eigenvalue >= -propagation_psd.  Their eigendecompositions run as
+    one warm chain, each from the eigenvectors of the state before, which
+    differ from the new ones by O(h).  A breach yields the states before it
+    (maybe none), then raises _breach's PropagationError, which names its step
+    i and times[i]; any other failure raises as it is."""
     size, (k_op, jumps) = _block_rows(model.dim), model._generator
-    h = float(grid[1] - grid[0]) if grid.size > 1 else 0.0
     spectrum, y = rho0.spectrum, rho0.matrix
     lead = (y[None], np.array([rho0.trace_defect]), spectrum.eigenvalues[None],
             spectrum.eigenvectors[None])
     basis = spectrum.eigenvectors
-    for start in range(0, grid.size, size):
-        first = max(start, 1)  # the grid index of the block's first RK4 state
-        block = np.empty((min(start + size, grid.size) - first,) + y.shape, dtype=complex)
+    for start in range(0, times.size, size):
+        first = max(start, 1)  # the index of the block's first RK4 state
+        block = np.empty((min(start + size, times.size) - first,) + y.shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # _checked_states names inf/nan
             for j in range(len(block)):
                 y = block[j] = _rk4_step(k_op, jumps, y, h)
@@ -374,7 +375,7 @@ def _state_blocks(model: LindbladModel, rho0: DensityMatrix, grid: np.ndarray,
         yield columns
         if isinstance(rows.error, ValidationError):
             i = first + rows.n
-            raise _breach(i, grid[i], rows.error, block[rows.n], tol) from rows.error
+            raise _breach(i, times[i], rows.error, block[rows.n], tol) from rows.error
         rows.raise_first()
         basis = columns[3][-1]
 

@@ -11,8 +11,8 @@ def _shown(value, form=repr) -> str:
     """form(value) (repr, or str for a key in a path) when it is at most
     _SHOWN_MAX characters long, else reprlib's form of value (the first items
     of a list, long strings and numbers cut in the middle), itself cut to
-    _SHOWN_MAX: a message echoes a config value, key or --tol argument of any
-    size in one short line."""
+    _SHOWN_MAX: a message echoes a config value or key, a command-line or
+    library argument of any size in one short line."""
     text = form(value)
     if len(text) <= _SHOWN_MAX:
         return text

@@ -14,8 +14,8 @@ and the per-channel commutator fluctuation
 evaluated two ways, cross-checked: as an operator expectation and as an
 explicit index sum in the deltaF eigenbasis.
 
-These are evaluated for a stack of states at once.  `run`'s rows come from
-one stream, _run_rows, which takes propagation's blocks through
+These are evaluated for a stack of states at once.  `run`'s header and rows
+come from one stream, _run_rows, which takes propagation's blocks through
 _evaluate_rows (_decompose, F's eigensolves as one warm chain, _liouvillians,
 _powers, _thetas), each check cutting the block at its first failing row
 (linalg._Rows); the sweep's rungs come from a second stream beside it,
@@ -363,28 +363,36 @@ def _evaluate_rows(rho: np.ndarray, values: np.ndarray, vectors: np.ndarray,
     return rows, mean[:rows.n].tolist(), power[:rows.n].tolist(), thetas, basis
 
 
-def _run_rows(ctx: BatteryContext, rho0: DensityMatrix, offsets: np.ndarray,
+def _run_rows(ctx: BatteryContext, rho0: DensityMatrix, t0: float, offsets: np.ndarray,
               tol: ToleranceConfig) -> Iterator[list]:
-    """`run`'s rows (the values after `t`) from the full-rank rho0 on the
-    uniform ascending `offsets`: propagation's checked blocks through
-    _evaluate_rows, F's warm chain started in rho0's eigenbasis (F's own when
-    [rho0, H] = 0).  A row is held, pending, until the next state's <F>
-    arrives: its power_fd is the central difference of the <F> around it,
-    blank for the first row and a row no state follows.  A failing row or a
-    breach ends the stream: the rows before it come out, then the failure."""
-    step = float(offsets[1] - offsets[0]) if offsets.size > 1 else None
-    basis, before, previous, pending, error = rho0.spectrum.eigenvectors, None, None, None, None
+    """`run`'s table from the full-rank rho0 on the uniform ascending `offsets`
+    from t0: the header, then rows that start with t = t0 + offset, the time a
+    breach names too.  Propagation's blocks, on the offsets' step (no other
+    cell depends on t0), go through _evaluate_rows, F's warm chain started in
+    rho0's eigenbasis (F's own when [rho0, H] = 0).  A row is held until the
+    next state's <F> arrives: its power_fd is the central difference of the
+    <F> around it, blank for the first row and a row no state follows.  A
+    failing row or a breach is raised after the rows before it come out."""
+    header = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd",
+              *(f"theta_{j + 1}" for j in range(len(ctx.model.channels))),
+              "trace_defect", "min_eig"]
+    yield header
+    fd = header.index("power_fd")
+    step = float(offsets[1] - offsets[0]) if offsets.size > 1 else 0.0
+    times = t0 + offsets
+    t, basis = iter(times), rho0.spectrum.eigenvectors
+    before = previous = pending = error = None
     try:
-        for rho, defect, w, u in _state_blocks(ctx.model, rho0, offsets, tol):
+        for rho, defect, w, u in _state_blocks(ctx.model, rho0, times, step, tol):
             energy, entropy, mean = _mean_free_energies(rho, w, ctx)
             rows, means, powers, thetas, basis = _evaluate_rows(rho, w, u, mean, ctx, basis, tol)
             for i, after in enumerate(mean.tolist()[:rows.n + 1]):  # a failing row's <F> too
                 if pending is not None:
                     if before is not None:
-                        pending[4] = (after - before) / (2.0 * step)
+                        pending[fd] = (after - before) / (2.0 * step)
                     yield pending
-                pending = None if i == rows.n else [energy[i], entropy[i], means[i], powers[i],
-                                                    None, *thetas[i], defect[i], w[i, 0]]
+                pending = None if i == rows.n else [next(t), energy[i], entropy[i], means[i],
+                                                    powers[i], None, *thetas[i], defect[i], w[i, 0]]
                 before, previous = previous, after
             rows.raise_first()
     except Exception as exc:  # not GeneratorExit, raised at a yield above on close

@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, _shown
 
 
 def _is_real(value) -> bool:
@@ -42,25 +42,25 @@ def _finite(value) -> float:
 def _finite_positive(value, name: str) -> float:
     if (x := _finite(value)) > 0.0:
         return x
-    raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+    raise ParameterError(f"{name} must be finite and positive, got {_shown(value)}")
 
 
 def _finite_at_least(value, minimum: int, name: str) -> float:
     if (x := _finite(value)) >= minimum:
         return x
-    raise ParameterError(f"{name} must be finite and >= {minimum}, got {value!r}")
+    raise ParameterError(f"{name} must be finite and >= {minimum}, got {_shown(value)}")
 
 
 def _open_unit(value, name: str) -> float:
     if 0.0 < (x := _finite(value)) < 1.0:
         return x
-    raise ParameterError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+    raise ParameterError(f"{name} must lie strictly inside (0, 1), got {_shown(value)}")
 
 
 def _integer(value, name: str) -> int:
     if _is_integer(value):
         return int(value)
-    raise ParameterError(f"{name} must be an integer, got {value!r}")
+    raise ParameterError(f"{name} must be an integer, got {_shown(value)}")
 
 
 @dataclass(frozen=True)

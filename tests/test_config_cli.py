@@ -115,7 +115,7 @@ class TestParseConfig:
         assert cfg.beta == 1.0
         assert cfg.model.channels[0].rate == 1.0
         assert cfg.k0 == 0
-        assert cfg.time.grid()[-1] == pytest.approx(1.0)
+        assert cfg.time.t0 + cfg.time.offsets()[-1] == pytest.approx(1.0)
 
     def test_complex_entries_as_pairs(self):
         h = [[0.0, [0.0, -1.0]], [[0.0, 1.0], 0.0]]  # sigma_y
@@ -493,20 +493,21 @@ class TestRunCommand:
         for at_zero, row in zip(*outs):
             assert {**row, "t": None} == {**at_zero, "t": None}
         times = parse_config(json.dumps(dict(data, time=dict(data["time"], t0=t0))), "run").time
-        assert [row["t"] for row in outs[1]] == [f"{t:.17g}" for t in times.grid()]
+        assert [row["t"] for row in outs[1]] == [f"{t:.17g}" for t in times.t0 + times.offsets()]
 
     # the times of these grids round at a spacing above 1e-12 of the step
     @pytest.mark.parametrize("t0, step, horizon", [(1e5, 1e-3, 1.0), (0.0, 1e-2, 1e4)])
     def test_grids_parse_config_accepts_are_uniform(self, tmp_path, t0, step, horizon):
         text = config_text(time={"t0": t0, "step": step, "horizon": horizon})
         cfg = parse_config(text, "run")
-        for times in (cfg.time.grid(), cfg.time.offsets()):
+        grid = cfg.time.t0 + cfg.time.offsets()
+        for times in (grid, cfg.time.offsets()):
             dynamics.propagate(cfg.model, dynamics.DensityMatrix(np.eye(2) / 2.0), times)
         if horizon / step <= 1000:
             path = tmp_path / "grid.json"
             path.write_text(text)
             assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
-            assert float(read_csv(tmp_path / "out.csv")[-1]["t"]) == cfg.time.grid()[-1]
+            assert float(read_csv(tmp_path / "out.csv")[-1]["t"]) == grid[-1]
 
     @pytest.mark.parametrize("name, setup", [
         ("qubit_sigma_x", 1), ("qubit_dark_state", 1), ("qutrit_ladder", 1),
@@ -571,7 +572,7 @@ class TestRunCommand:
 
         cfg.model.hamiltonian.matrix = cfg.model.hamiltonian.matrix.view(Recorded)
         out = tmp_path / "row.csv"
-        assert cli.run_command(cfg, str(out), ToleranceConfig()) == 0
+        assert cli.run_command(cfg, str(out), 0, ToleranceConfig()) == 0
         assert len(out.read_text().splitlines()) == 72  # header and 71 rows
         assert copies == []
         assert len(states) == 1  # the regularized eigenstate, with no pure state before it
@@ -719,6 +720,20 @@ class TestRunCommand:
         assert len(rows) == 5
         assert [r["power_fd"] == "" for r in rows] == [True, False, False, False, True]
 
+    def test_a_breach_names_the_time_the_csv_writes(self, tmp_path, capsys):
+        # a thermal qubit decaying at rate 8, step 0.4: RK4 is unstable and
+        # breaches at step 3, whose t is t0 + 3 steps in the message as in the CSV
+        cfg, out = tmp_path / "breach.json", tmp_path / "breach.csv"
+        cfg.write_text(json.dumps({
+            "dim": 2, "hamiltonian": [[0.0, 0.0], [0.0, 1.0]],
+            "channels": [{"rate": 8.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}],
+            "initial_state": {"kind": "thermal"},
+            "time": {"t0": 5.0, "step": 0.4, "horizon": 4.0}}))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: step 3 (t = 6.2): smallest eigenvalue -6.421e-01 below -1.000e-08\n")
+        assert [float(row["t"]) for row in read_csv(out)] == [5.0, 5.4, 5.8]
+
     @pytest.mark.parametrize("rows_per_block", [2, 3, None])
     def test_an_evaluation_failure_wins_over_a_later_breach(self, tmp_path, monkeypatch,
                                                             capsys, rows_per_block):
@@ -729,7 +744,7 @@ class TestRunCommand:
         cfg = parse_config(json.dumps(data), "run")
         with pytest.raises(PropagationError, match="step 5"):
             for _ in dynamics.propagate(cfg.model, cli._initial_state(cfg, ToleranceConfig()),
-                                        cfg.time.grid()):
+                                        cfg.time.t0 + cfg.time.offsets()):
                 pass
         one = self.blocked_run(tmp_path, monkeypatch, capsys, data, 1)
         assert self.blocked_run(tmp_path, monkeypatch, capsys, data, rows_per_block) == one
@@ -757,7 +772,9 @@ class TestRunCommand:
         unraisable = []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
         for by_hand in (True, False):
-            stream = free_energy._run_rows(ctx, rho0, cfg.time.offsets(), DEFAULT_TOLERANCES)
+            stream = free_energy._run_rows(ctx, rho0, cfg.time.t0, cfg.time.offsets(),
+                                           DEFAULT_TOLERANCES)
+            assert next(stream)[0] == "t"  # the header
             assert len([row for _, row in zip(range(taken), stream)]) == taken
             if by_hand:
                 stream.close()
@@ -1361,6 +1378,19 @@ class TestReportCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 500
 
+    # an integer of 4000 digits: float() of it overflows, and the check that
+    # rejects it names its field
+    @pytest.mark.parametrize("flags, field", [
+        (["--tol", "jacobi_max_sweeps=" + "9" * 4000], "tolerance jacobi_max_sweeps"),
+        (["--seed", "-" + "9" * 4000], "seed")], ids=["tol", "seed"])
+    def test_a_long_integer_is_echoed_in_a_short_line(self, tmp_path, capsys, flags, field):
+        code = main(["check", "--config", str(SCENARIOS / "ensemble_check.json"),
+                     "--out", str(tmp_path / "x.json"), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+
     # every field, so a new tolerance cannot skip validation; config_hermiticity,
     # decomposition_residual and propagation_hermiticity are no longer fields and
     # must be rejected as unknown
@@ -1400,7 +1430,6 @@ class TestReportCommands:
         assert [main(argv + two), main(argv), main(argv + two[:2]), main(argv)] == [0, 2, 0, 2]
         assert seen == [two[1::2], [], two[1:2], []]
         assert cli._parser() is cli._parser()
-        assert cli.build_parser() is not cli.build_parser()
 
 
 def test_module_entry_point(tmp_path):

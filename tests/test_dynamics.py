@@ -217,7 +217,7 @@ class TestGenerator:
         else:
             cfg = parse_config((SCENARIOS / f"{name}.json").read_text(), "run")
             model, rho0 = cfg.model, cli._initial_state(cfg, DEFAULT_TOLERANCES)
-            grid = cfg.time.grid()[:101]
+            grid = (cfg.time.t0 + cfg.time.offsets())[:101]
         pairs = list(propagate(model, rho0, grid))
         assert len(pairs) == grid.size
         h = float(grid[1] - grid[0])
@@ -267,6 +267,16 @@ class TestPropagate:
         states = [s for s, _ in propagate(decay_model(), DensityMatrix(EXCITED), grid)]
         assert grid[0] == 2.0 and len(states) == grid.size
         assert states[-1].matrix[1, 1].real == pytest.approx(math.exp(-0.1), abs=1e-8)
+
+    def test_a_breach_names_its_time_on_the_grid(self):
+        # `run`'s breach at t0 = 5: the step is the grid's, the time its entry
+        model = LindbladModel(H2, (JumpChannel(8.0, SIGMA_MINUS),))
+        grid = 5.0 + np.linspace(0.0, 4.0, 11)
+        yielded = []
+        with pytest.raises(PropagationError, match=re.escape("step 3 (t = 6.2): ")) as exc:
+            for state, _ in propagate(model, thermal_state(H2, 1.0), grid):
+                yielded.append(state)
+        assert exc.value.step_index == 3 and len(yielded) == 3
 
     def test_unitary_only_entropy_constant(self, rng):
         h = HermitianMatrix(np.array([[0.0, 0.5], [0.5, 1.0]]))

@@ -41,7 +41,9 @@ def qubit_ctx(channel=None, rate=1.0, beta=1.0):
 
 def run_powers(ctx, rho0, grid):
     """(analytic, central-difference) power of each `run` row from rho0 on `grid`."""
-    return [(row[3], row[4]) for row in _run_rows(ctx, rho0, np.asarray(grid), DEFAULT_TOLERANCES)]
+    header, *rows = _run_rows(ctx, rho0, 0.0, np.asarray(grid), DEFAULT_TOLERANCES)
+    analytic, fd = header.index("power_analytic"), header.index("power_fd")
+    return [(row[analytic], row[fd]) for row in rows]
 
 
 def power_at(rho, ctx):

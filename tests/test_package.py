@@ -17,6 +17,7 @@ import qbattery
 from qbattery import (BatteryContext, EnsembleSpec, HermitianMatrix, JumpChannel, LindbladModel,
                       ParameterError, ScenarioSpec, ToleranceConfig, evaluate_instance,
                       thermal_state)
+from qbattery.errors import _shown
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,26 +28,41 @@ def test_every_export_resolves():
     assert len(set(qbattery.__all__)) == len(qbattery.__all__)
 
 
+def _unused_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each name the module `source` imports but neither reads
+    nor re-exports through __all__; an assignment to anything but a name
+    (`x.y = 1`, `a, b = 1, 2`) is not an __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = next((ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)),
+                    ())
+    return [(name, line) for name, line in imported.items()
+            if name not in used and name not in exported]
+
+
 def test_no_unused_imports():
     # a name a module imports must be read there, or re-exported through __all__
     unused = []
     for path in sorted((ROOT / "src" / "qbattery").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                for alias in node.names:
-                    imported[alias.asname or alias.name] = node.lineno
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        exported = next((ast.literal_eval(node.value) for node in tree.body
-                         if isinstance(node, ast.Assign)
-                         and [t.id for t in node.targets] == ["__all__"]), ())
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
-                   if name not in used and name not in exported]
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _unused_imports(path.read_text(encoding="utf-8"))]
     assert unused == []
+
+
+def test_unused_imports_skip_assignments_to_anything_but_a_name():
+    source = ("import os\nimport reprlib\nfrom math import pi, tau\n"
+              "reprlib.aRepr.maxlong = 10\na, b = 1, 2\n__all__ = ['pi']\n")
+    assert _unused_imports(source) == [("os", 1), ("tau", 3)]
 
 
 # public functions that nothing in the package reads and no per_layer metric measures
@@ -140,7 +156,8 @@ _BOUNDED = {  # where: (name, minimum, build returning the value kept)
 def test_scalars_must_be_finite_and_positive(where, value):
     name, build = _SCALARS[where]
     with pytest.raises(ParameterError,
-                       match=re.escape(f"{name} must be finite and positive, got {value!r}")):
+                       match=re.escape(f"{name} must be finite and positive, "
+                                       f"got {_shown(value)}")):
         build(value)
 
 
@@ -150,7 +167,8 @@ def test_scalars_must_be_finite_and_positive(where, value):
 def test_bounded_scalars_must_be_finite_and_at_least_their_minimum(where, value):
     name, minimum, build = _BOUNDED[where]
     with pytest.raises(ParameterError,
-                       match=re.escape(f"{name} must be finite and >= {minimum}, got {value!r}")):
+                       match=re.escape(f"{name} must be finite and >= {minimum}, "
+                                       f"got {_shown(value)}")):
         build(value)
 
 
@@ -211,12 +229,23 @@ def test_integers_out_of_range(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: evaluate_instance(_MODEL, 10 ** 2000, 1.0, "x"), "k0 must lie in [0, 2), got "),
+    (lambda: EnsembleSpec(seed=-10 ** 2000, trials=1), "seed must be >= 0, got "),
+    (lambda: ToleranceConfig(jacobi_max_sweeps=10 ** 2000),
+     "tolerance jacobi_max_sweeps must be finite and >= 0, got ")], ids=["k0", "seed", "tol"])
+def test_a_huge_argument_is_echoed_in_a_short_message(build, message):
+    with pytest.raises(ParameterError) as exc:
+        build()
+    assert str(exc.value).startswith(message) and len(str(exc.value)) < 200
+
+
 @pytest.mark.parametrize("value", [0, 1, 0.0, 1.0, -0.5, 1.5, math.nan, math.inf, "0.5", True,
                                    None, _HUGE, np.bool_(True), Fraction(1, 10 ** 400)], ids=_id)
 def test_epsilons_lie_strictly_inside_the_unit_interval(value):
     with pytest.raises(ParameterError,
                        match=re.escape(f"epsilon_list[1] must lie strictly inside (0, 1), "
-                                       f"got {value!r}")):
+                                       f"got {_shown(value)}")):
         ScenarioSpec(model=_MODEL, beta=1.0, k0=0, epsilon_list=(0.5, value))
 
 
