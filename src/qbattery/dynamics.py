@@ -11,17 +11,27 @@ with hbar = k_B = 1, evaluated as L(rho) = X + X^dag with
 (the effective-Hamiltonian form; Breuer & Petruccione, The Theory of Open
 Quantum Systems, OUP 2002).  K and the stacked channels are formed once per
 model, so a generator costs three matrix products at any channel count, and
-its result is exactly Hermitian: so is every RK4 state, whose hermiticity
-defect is exactly 0.
+its result is exactly Hermitian: so is every state of the RK4 stages, whose
+hermiticity defect is exactly 0.
 
 States are never renormalized during propagation.  One RK4 step (_rk4_step)
-serves a state and a stack of states.  _state_blocks runs it at the step its
-caller gives, in blocks of up to _block_rows(d) states, checks each block as
-one stack (_checked_states, of which DensityMatrix is the one-state case: the
-construction hermiticity bound, and the propagation bounds on the trace and the
-smallest eigenvalue), solving its states as one warm chain, and yields the
-checked stacks: `run`'s row stream (free_energy._run_rows) reads them as they
-come, and `propagate` hands out one DensityMatrix per row.  A breach raises
+serves a state and a stack of states; it is the one RK4 formula.  L does not
+depend on time, so at small d a step is one real d^2 x d^2 matrix T
+(_step_map): _rk4_step of the d^2 matrices of the unit coordinate vectors,
+where a Hermitian matrix has the real coordinates of _coordinates (the trace,
+the rest of the diagonal, the real and imaginary parts of the upper
+triangle).  When 8 d^4 bytes fit _STEP_MAP_BYTES (d <= 8) and a run has at
+least d^2 steps, its states are stepped as x <- T x and rebuilt from x
+(_from_coordinates), each entry below the diagonal the conjugate of its
+mirror, so each is exactly Hermitian too; T's trace row is e_0, so the trace
+does not drift.  Otherwise each state is _rk4_step of the one before.
+_state_blocks steps at the step its caller gives, in blocks of up to
+_block_rows(d) states (_rk4_blocks), checks each block as one stack
+(_checked_states, of which DensityMatrix is the one-state case: the
+construction hermiticity bound, and the propagation bounds on the trace and
+the smallest eigenvalue), solving its states as one warm chain, and yields
+the checked stacks: `run`'s row stream (free_energy._run_rows) reads them as
+they come, and `propagate` hands out one DensityMatrix per row.  A breach raises
 PropagationError (_breach), naming its step and time, once the states before it
 are yielded: the trajectory prefix is what the consumer took, and nothing else
 keeps it.  The sweep's probes (_probe_breaches) take one step from each state
@@ -32,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +71,12 @@ __all__ = [
 # run grew VmHWM by about 20 KiB more at this bound and 56 KiB more at twice
 # it, which was no faster.
 _BLOCK_BYTES = 2048
+
+# Bytes of the real d^2 x d^2 RK4 step map T (_step_map): a run of at least d^2
+# steps is stepped by T x when 8 d^4 bytes fit here (d <= 8), and by the stages
+# of _rk4_step otherwise.  Below d^2 steps, building T (d^2 states stepped
+# once) costs more than it saves.
+_STEP_MAP_BYTES = 32768
 
 _BREACH = "step {} (t = {:g}): {}"  # a breach's message: step index, time, failed check
 
@@ -348,25 +364,22 @@ def _state_blocks(model: LindbladModel, rho0: DensityMatrix, times: np.ndarray, 
     caller's: `run` passes its offsets'), in blocks of _checked_states' column
     stacks: rho0's row and the first K - 1 RK4 states, then K states a block
     (K = _block_rows(d)).  A block's RK4 states are computed when the block is
-    drawn and checked as one stack: hermiticity defect <= hermiticity *
-    max(1, ||y||_max), which holds for every RK4 state, whose defect is exactly
-    0 (the generator is X + X^dag), trace defect <= propagation_trace and
-    smallest eigenvalue >= -propagation_psd.  Their eigendecompositions run as
-    one warm chain, each from the eigenvectors of the state before, which
-    differ from the new ones by O(h).  A breach yields the states before it
-    (maybe none), then raises _breach's PropagationError, which names its step
-    i and times[i]; any other failure raises as it is."""
-    size, (k_op, jumps) = _block_rows(model.dim), model._generator
-    spectrum, y = rho0.spectrum, rho0.matrix
-    lead = (y[None], np.array([rho0.trace_defect]), spectrum.eigenvalues[None],
+    drawn (_rk4_blocks) and checked as one stack: hermiticity defect <=
+    hermiticity * max(1, ||y||_max), which holds for every RK4 state, whose
+    defect is exactly 0, trace defect <= propagation_trace and smallest
+    eigenvalue >= -propagation_psd.  Their eigendecompositions run as one warm
+    chain, each from the eigenvectors of the state before, which differ from
+    the new ones by O(h).  A breach yields the states before it (maybe none),
+    then raises _breach's PropagationError, which names its step i and
+    times[i]; any other failure raises as it is."""
+    size, spectrum = _block_rows(model.dim), rho0.spectrum
+    lead = (rho0.matrix[None], np.array([rho0.trace_defect]), spectrum.eigenvalues[None],
             spectrum.eigenvectors[None])
     basis = spectrum.eigenvectors
-    for start in range(0, times.size, size):
+    starts = range(0, times.size, size)
+    lengths = (min(start + size, times.size) - max(start, 1) for start in starts)
+    for start, block in zip(starts, _rk4_blocks(model, rho0.matrix, h, times.size - 1, lengths)):
         first = max(start, 1)  # the index of the block's first RK4 state
-        block = np.empty((min(start + size, times.size) - first,) + y.shape, dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):  # _checked_states names inf/nan
-            for j in range(len(block)):
-                y = block[j] = _rk4_step(k_op, jumps, y, h)
         rows = _Rows(len(block))
         columns = _checked_states(rows, block, basis, tol, tol.propagation_trace,
                                   tol.propagation_psd)
@@ -380,6 +393,36 @@ def _state_blocks(model: LindbladModel, rho0: DensityMatrix, times: np.ndarray, 
         basis = columns[3][-1]
 
 
+def _rk4_blocks(model: LindbladModel, y: np.ndarray, h: float, steps: int,
+                lengths: Iterable[int]) -> Iterator[np.ndarray]:
+    """The `steps` RK4 states of step h after the state y, as stacks (n, d, d)
+    of the `lengths` n, each computed when it is drawn.  When the step map T
+    fits _STEP_MAP_BYTES and steps >= d^2, each state's coordinates are T times
+    the coordinates before (the first from y), and the states are rebuilt from
+    them (_from_coordinates): exactly Hermitian, with y's trace to rounding.
+    Otherwise each state is _rk4_step of the one
+    before.  Either way a state depends only on the states before it, not on
+    the lengths."""
+    d, (k_op, jumps) = model.dim, model._generator
+    mapped = 8 * d ** 4 <= _STEP_MAP_BYTES and steps >= d * d
+    if mapped:
+        with np.errstate(over="ignore", invalid="ignore"):  # _checked_states names inf/nan
+            t_map = _step_map(k_op, jumps, h, d)
+        x = _coordinates(y[None])[0]
+    for n in lengths:
+        with np.errstate(over="ignore", invalid="ignore"):  # _checked_states names inf/nan
+            if mapped:
+                xs = np.empty((n, d * d))
+                for j in range(n):
+                    x = xs[j] = t_map @ x
+                block = _from_coordinates(xs)
+            else:
+                block = np.empty((n, d, d), dtype=complex)
+                for j in range(n):
+                    y = block[j] = _rk4_step(k_op, jumps, y, h)
+        yield block
+
+
 def _rk4_step(k_op: np.ndarray, jumps, y: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step of length h, of a state or of each state of a
     stack y (k, d, d), with the generator of _generator_matrix."""
@@ -388,6 +431,60 @@ def _rk4_step(k_op: np.ndarray, jumps, y: np.ndarray, h: float) -> np.ndarray:
     k3 = _generator_matrix(k_op, jumps, y + 0.5 * h * k2)
     k4 = _generator_matrix(k_op, jumps, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _step_map(k_op: np.ndarray, jumps, h: float, d: int) -> np.ndarray:
+    """T, the real (d^2, d^2) matrix of one _rk4_step of length h in the
+    coordinates of _coordinates: column m holds the coordinates of the step of
+    the matrix of coordinates e_m, all d^2 stepped as one stack.  The generator
+    preserves the trace, so T's trace row is set to e_0 exactly: the trace
+    coordinate never drifts."""
+    images = _rk4_step(k_op, jumps, _from_coordinates(np.eye(d * d)), h)
+    t_map = np.ascontiguousarray(_coordinates(images).T)
+    t_map[0] = 0.0
+    t_map[0, 0] = 1.0
+    return t_map
+
+
+@functools.cache
+def _triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the entries of a d x d matrix above its diagonal, row by
+    row, and of their mirror entries below it."""
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    upper = np.array([i * d + j for i, j in pairs], dtype=np.intp)
+    lower = np.array([j * d + i for i, j in pairs], dtype=np.intp)
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
+def _coordinates(m: np.ndarray) -> np.ndarray:
+    """Real coordinates (k, d^2) of each Hermitian matrix of the stack m
+    (k, d, d): the trace, the diagonal after its first entry, then the real and
+    the imaginary parts of the entries above the diagonal, row by row."""
+    k, d = m.shape[:2]
+    diagonal = m.diagonal(axis1=1, axis2=2).real
+    above = m.reshape(k, d * d)[:, _triangle(d)[0]]
+    return np.concatenate((diagonal.sum(axis=1, keepdims=True), diagonal[:, 1:], above.real,
+                           above.imag), axis=1)
+
+
+def _from_coordinates(x: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices (k, d, d) of the coordinates x (k, d^2) of
+    _coordinates: the first diagonal entry is the trace less the rest of the
+    diagonal, and each entry below the diagonal is set to the conjugate of its
+    mirror, so every matrix is exactly Hermitian."""
+    k, d = len(x), math.isqrt(x.shape[1])
+    upper, lower = _triangle(d)
+    re_above, im_above = x[:, d:d + len(upper)], x[:, d + len(upper):]
+    m = np.zeros((k, d * d), dtype=complex)
+    re, im = m.real, m.imag  # views of m
+    re[:, 0] = x[:, 0] - x[:, 1:d].sum(axis=1)
+    re[:, d + 1::d + 1] = x[:, 1:d]
+    re[:, upper] = re_above
+    re[:, lower] = re_above
+    im[:, upper] = im_above
+    im[:, lower] = -im_above
+    return m.reshape(k, d, d)
 
 
 def _probe_breaches(model: LindbladModel, rho: np.ndarray, bases: np.ndarray, h: float,

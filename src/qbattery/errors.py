@@ -1,22 +1,44 @@
 """Exception types shared across the package, and the form in which their
 messages echo an offending value."""
 
+import math
 import reprlib
 
 # the longest echo of an offending value in a message
 _SHOWN_MAX = 80
 
 
+class _Bounded(reprlib.Repr):
+    """reprlib's forms, but an int of more than `maxlong` digits by its sign
+    and digit count, taken from its bit length: past 4300 digits
+    (sys.get_int_max_str_digits) an int has no repr, and reprlib would cut its
+    form from that repr."""
+
+    def repr_int(self, x, level):
+        n = abs(x)
+        if n < 10 ** self.maxlong:
+            return repr(x)
+        digits = int(n.bit_length() * math.log10(2.0)) + 1  # the count, or one more
+        digits -= n < 10 ** (digits - 1)
+        return f"{'a negative' if x < 0 else 'an'} int of {digits} digits"
+
+
+_BOUNDED = _Bounded()
+
+
 def _shown(value, form=repr) -> str:
     """form(value) (repr, or str for a key in a path) when it is at most
-    _SHOWN_MAX characters long, else reprlib's form of value (the first items
-    of a list, long strings and numbers cut in the middle), itself cut to
-    _SHOWN_MAX: a message echoes a config value or key, a command-line or
-    library argument of any size in one short line."""
-    text = form(value)
-    if len(text) <= _SHOWN_MAX:
-        return text
-    text = reprlib.repr(value)
+    _SHOWN_MAX characters long, else _Bounded's form of value (the first items
+    of a list, long strings cut in the middle, an int's digit count), itself
+    cut to _SHOWN_MAX: a message echoes a config value or key, a command-line
+    or library argument of any size in one short line."""
+    try:
+        text = form(value)
+        if len(text) <= _SHOWN_MAX:
+            return text
+    except ValueError:  # an int of more than 4300 digits
+        pass
+    text = _BOUNDED.repr(value)
     return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX - 3] + "..."
 
 

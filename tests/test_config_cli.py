@@ -740,16 +740,22 @@ class TestRunCommand:
         # this epsilon leaves a ground population of 1e-13 at step 4: the state
         # passes propagation's -1e-8 floor but not ln(rho)'s rank threshold, and
         # step 5 breaches; row 4 fails first, as it did row by row
+        # (the population is formed by cancellation, so its digits follow the
+        # rounding of the RK4 path: the message's value is read from state 4)
         data = self.breach_config(0.2730003158137723)
         cfg = parse_config(json.dumps(data), "run")
+        states = []
         with pytest.raises(PropagationError, match="step 5"):
-            for _ in dynamics.propagate(cfg.model, cli._initial_state(cfg, ToleranceConfig()),
-                                        cfg.time.t0 + cfg.time.offsets()):
-                pass
+            for state, _ in dynamics.propagate(cfg.model,
+                                               cli._initial_state(cfg, ToleranceConfig()),
+                                               cfg.time.t0 + cfg.time.offsets()):
+                states.append(state)
+        smallest = states[4].min_eigenvalue
+        assert 0.0 < smallest < 1e-12
         one = self.blocked_run(tmp_path, monkeypatch, capsys, data, 1)
         assert self.blocked_run(tmp_path, monkeypatch, capsys, data, rows_per_block) == one
         assert one[:2] == (3, "numeric failure: state is rank deficient for ln(rho): "
-                              "smallest eigenvalue 9.998e-14 <= threshold 1.000e-12\n")
+                              f"smallest eigenvalue {smallest:.3e} <= threshold 1.000e-12\n")
         assert len(read_csv(tmp_path / "blocked.csv")) == 4
 
     @pytest.mark.parametrize("case, taken", [

@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import complex_square_matrices, density_matrices, hermitian_matrices
-from qbattery import cli
+from qbattery import cli, dynamics
 from qbattery.cli import main
 from qbattery.config import parse_config
-from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, _generator_matrix,
-                               _mixed, _probe_breaches, _rk4_step, liouvillian, propagate,
-                               thermal_state, von_neumann_entropy)
+from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, _coordinates,
+                               _from_coordinates, _generator_matrix, _mixed, _probe_breaches,
+                               _rk4_step, _step_map, liouvillian, propagate, thermal_state,
+                               von_neumann_entropy)
 from qbattery.errors import (ConfigError, ConvergenceError, DimensionError, ParameterError, PropagationError,
                              ValidationError)
 from qbattery.linalg import HermitianMatrix, hermitian_eig, max_abs
@@ -207,6 +209,7 @@ class TestGenerator:
     @pytest.mark.parametrize("name", ["qubit_sigma_x", "qubit_dark_state", "qutrit_ladder",
                                       "thermal_stationary", "seeded_d4"])
     def test_every_rk4_state_is_exactly_hermitian(self, rng, name):
+        # 100 steps at d <= 4: the run is stepped by the step map T
         if name == "seeded_d4":
             d = 4
             model = LindbladModel(
@@ -220,15 +223,104 @@ class TestGenerator:
             grid = (cfg.time.t0 + cfg.time.offsets())[:101]
         pairs = list(propagate(model, rho0, grid))
         assert len(pairs) == grid.size
+        t_map = _step_map(*model._generator, float(grid[1] - grid[0]), model.dim)
+        x = _coordinates(rho0.matrix[None])[0]
+        for state, trace_defect in pairs[1:]:
+            # the rebuild of T x is its own adjoint, and the stored state is that
+            # rebuild, which symmetrization left alone (comparing the symmetrized
+            # matrix with its adjoint would prove nothing): equal entries, so the
+            # same bits but for the sign of a zero imaginary part, which
+            # symmetrization's complex product by 1/2 makes +0
+            x = t_map @ x
+            rebuilt = _from_coordinates(x[None])[0]
+            assert np.array_equal(rebuilt, oracles.dag(rebuilt))
+            assert np.array_equal(rebuilt, state.matrix)
+            assert trace_defect == state.trace_defect == abs(complex(state.matrix.trace()) - 1.0)
+
+    @pytest.mark.parametrize("case", ["d9", "short"])
+    def test_a_stage_path_state_is_its_raw_rk4_step(self, rng, case):
+        # d = 9: T would take 8 d^4 bytes, over _STEP_MAP_BYTES; a 3-step qutrit
+        # run has fewer than d^2 steps.  Each state is the RK4 stages' step
+        if case == "d9":
+            d = 9
+            model = LindbladModel(
+                HermitianMatrix(oracles.random_hermitian(rng, d)),
+                tuple(JumpChannel(0.5, 0.5 * oracles.random_ginibre(rng, d)) for _ in range(2)))
+            rho0, grid = DensityMatrix(oracles.random_density(rng, d)), np.linspace(0.0, 0.01, 11)
+        else:
+            cfg = parse_config((SCENARIOS / "qutrit_ladder.json").read_text(), "run")
+            model, rho0 = cfg.model, cli._initial_state(cfg, DEFAULT_TOLERANCES)
+            grid = (cfg.time.t0 + cfg.time.offsets())[:4]
+        assert 8 * model.dim ** 4 > dynamics._STEP_MAP_BYTES or grid.size - 1 < model.dim ** 2
+        pairs = list(propagate(model, rho0, grid))
+        assert len(pairs) == grid.size
         h = float(grid[1] - grid[0])
         for (before, _), (state, trace_defect) in zip(pairs, pairs[1:]):
             # the raw step from the state before is its own adjoint, bit for bit,
             # so the stored state is that step, which symmetrization left alone
-            # (comparing the symmetrized matrix with its adjoint would prove nothing)
             raw = _rk4_step(*model._generator, before.matrix, h)
             assert np.array_equal(raw, oracles.dag(raw))
             assert raw.tobytes() == state.matrix.tobytes()
             assert trace_defect == state.trace_defect == abs(complex(state.matrix.trace()) - 1.0)
+
+
+@st.composite
+def step_map_cases(draw):
+    """A model at d = 2..6 (a Hermitian H and zero to three channels, each of
+    rate 0, 0.3 or 2.5 and a Ginibre operator), a full-rank start and a step."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.3, 2.5]), max_size=3))
+    model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, d)),
+                          tuple(JumpChannel(r, oracles.random_ginibre(rng, d)) for r in rates))
+    return model, DensityMatrix(oracles.random_density(rng, d)), draw(st.sampled_from([1e-3, 1e-2]))
+
+
+class TestStepMap:
+    @given(step_map_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_the_step_map_follows_the_stages(self, case):
+        # both paths apply the same linear map.  Per step each rounds at about
+        # d^2 eps ||rho|| (an entry of T x is a sum of d^2 products with |T| <~ 1
+        # at these steps, an RK4 stage a few d-term products), and the stable,
+        # dissipative step carries earlier errors on without growth, so after n
+        # steps the paths differ by at most about n d^2 eps.  300 seeded draws of
+        # these cases reached 0.04 n d^2 eps
+        model, rho0, h = case
+        d, grid = model.dim, h * np.arange(101)
+        mapped = [state.matrix for state, _ in propagate(model, rho0, grid)]
+        with mock.patch.object(dynamics, "_STEP_MAP_BYTES", 0):
+            staged = [state.matrix for state, _ in propagate(model, rho0, grid)]
+        assert len(mapped) == len(staged) == grid.size
+        worst = max(max_abs(a - b) for a, b in zip(mapped, staged))
+        assert worst <= grid.size * d * d * np.finfo(float).eps
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_the_trace_does_not_drift(self, rng, d):
+        # T's trace row is e_0, so every state keeps rho0's trace coordinate x_0.
+        # Its first diagonal entry is x_0 less the sum s of the other d - 1, and
+        # its trace adds those d - 1 back: within 2(d - 1) roundings of eps/2 of
+        # x_0, at any step
+        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, d)),
+                              tuple(JumpChannel(0.5, oracles.random_ginibre(rng, d))
+                                    for _ in range(2)))
+        rho0 = DensityMatrix(oracles.random_density(rng, d))
+        defects = [defect for _, defect in propagate(model, rho0, 1e-3 * np.arange(1001))]
+        assert len(defects) == 1001
+        assert max(defects) <= rho0.trace_defect + (d - 1) * np.finfo(float).eps
+
+    def test_the_trace_row_is_exactly_e0(self, rng):
+        # the traces of the stepped basis matrices are 1 and 0 only to rounding
+        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, 3)),
+                              (JumpChannel(0.7, oracles.random_ginibre(rng, 3)),))
+        t_map = _step_map(*model._generator, 0.01, 3)
+        assert t_map[0].tolist() == [1.0] + [0.0] * 8
+
+    def test_coordinates_round_trip(self, rng):
+        m = np.array([oracles.random_hermitian(rng, 4) for _ in range(3)])
+        back = _from_coordinates(_coordinates(m))
+        assert all(np.array_equal(b, oracles.dag(b)) for b in back)
+        assert max_abs(back - m) <= 4 * np.finfo(float).eps * max_abs(m)
 
 
 class TestModelValidation:
@@ -298,12 +390,15 @@ class TestPropagate:
         assert err.min_eigenvalue < -1e-8 or err.trace_defect > 1e-8
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_stages_are_named_without_warnings(self):
-        # ||H|| = 1e100 overflows the RK4 stages of the first step
+    @pytest.mark.parametrize("steps", [1, 10])
+    def test_overflowing_stages_are_named_without_warnings(self, steps):
+        # ||H|| = 1e100 overflows the RK4 stages of the first step, and at 10
+        # steps the stages that build the step map T
         h = HermitianMatrix(1e100 * np.array([[1.0, 0.5 + 0.2j], [0.5 - 0.2j, -0.3]]))
         model = LindbladModel(h, (JumpChannel(1.0, SIGMA_MINUS),))
-        with pytest.raises(PropagationError, match="non-finite entries") as exc:
-            list(propagate(model, DensityMatrix(np.diag([0.9, 0.1])), [0.0, 1e-3]))
+        with pytest.raises(PropagationError, match=re.escape(
+                "step 1 (t = 0.001): hermitian matrix: non-finite entries")) as exc:
+            list(propagate(model, DensityMatrix(np.diag([0.9, 0.1])), 1e-3 * np.arange(steps + 1)))
         assert exc.value.step_index == 1
 
     def test_non_uniform_grid_rejected(self):

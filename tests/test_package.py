@@ -233,7 +233,15 @@ def test_integers_out_of_range(build, message):
     (lambda: evaluate_instance(_MODEL, 10 ** 2000, 1.0, "x"), "k0 must lie in [0, 2), got "),
     (lambda: EnsembleSpec(seed=-10 ** 2000, trials=1), "seed must be >= 0, got "),
     (lambda: ToleranceConfig(jacobi_max_sweeps=10 ** 2000),
-     "tolerance jacobi_max_sweeps must be finite and >= 0, got ")], ids=["k0", "seed", "tol"])
+     "tolerance jacobi_max_sweeps must be finite and >= 0, got "),
+    # past 4300 digits an int has no repr: it is echoed by its digit count
+    (lambda: evaluate_instance(_MODEL, 10 ** 5000, 1.0, "x"),
+     "k0 must lie in [0, 2), got an int of 5001 digits"),
+    (lambda: EnsembleSpec(seed=-10 ** 5000, trials=1),
+     "seed must be >= 0, got a negative int of 5001 digits"),
+    (lambda: ToleranceConfig(jacobi_max_sweeps=10 ** 5000 - 1),
+     "tolerance jacobi_max_sweeps must be finite and >= 0, got an int of 5000 digits")],
+    ids=["k0", "seed", "tol", "k0_5001_digits", "seed_5001_digits", "tol_5000_digits"])
 def test_a_huge_argument_is_echoed_in_a_short_message(build, message):
     with pytest.raises(ParameterError) as exc:
         build()
