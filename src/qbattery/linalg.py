@@ -20,12 +20,12 @@ Swapping the solver waits on a decision about that bound.
 Along a trajectory the solver is warm-started from the eigenvectors of the
 previous state, which leaves a nearly diagonal matrix that converges in a few
 sweeps; exact ties then follow the order of that start basis.  A block of
-such states is solved as one warm chain (hermitian_eig_chain): the sweeps run
-matrix by matrix, each from the sorted, phased eigenvectors of the one before,
-and the convergence targets and the result guards are taken for the whole
-block at once; hermitian_eig is its one-matrix case, and the one solver that
-wraps its result in a Spectrum: the stacked solvers return read-only
-eigenvalue (k, d) and eigenvector (k, d, d) stacks.  Many cold solves of one
+such states is one warm chain (hermitian_eig_chain): a matrix already diagonal
+to its target costs no sweep and no sort of its own, and the others are swept
+one by one, each from the sorted, phased eigenvectors of the one before.
+hermitian_eig is its one-matrix case, and the one solver that wraps its
+result in a Spectrum: the stacked solvers return read-only eigenvalue (k, d)
+and eigenvector (k, d, d) stacks.  Many cold solves of one
 dimension run as one stack (hermitian_eigs), with the same bits: each matrix
 is parked as it converges, and all are sorted, phased and guarded in one pass.
 
@@ -205,16 +205,14 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def _scaled_norm(a: np.ndarray, scale):
-    """Frobenius norms of the matrices a (..., d, d), each times its `scale`,
-    reduced over the last two axes: a matrix gets the same bits alone as in a stack."""
+def _offdiag_norm(a: np.ndarray, scale, full: bool = False):
+    """Off-diagonal Frobenius norms of the matrices a (..., d, d), each times its
+    `scale`, reduced over the last two axes: a matrix gets the same bits alone
+    as in a stack.  With `full`, the full norms come first, as a pair."""
     x = a * scale[..., None, None]
-    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1)))
-
-
-def _offdiag_norm(a: np.ndarray, scale):
-    """Off-diagonal Frobenius norms of the matrices a (..., d, d) times `scale`."""
-    return _scaled_norm(a * _constants(a.shape[-1])[1], scale)
+    squares = (x.conj() * x).real
+    off = np.sqrt(np.add.reduce(squares * _constants(a.shape[-1])[1], axis=(-2, -1)))
+    return (np.sqrt(np.add.reduce(squares, axis=(-2, -1))), off) if full else off
 
 
 @functools.lru_cache(maxsize=64)
@@ -227,8 +225,8 @@ def _constants(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _convergence_target(m: np.ndarray, tol: ToleranceConfig):
-    """||M||_max, a power of two near its inverse (1 for M = 0), and the
-    off-diagonal target jacobi_offdiag * ||M||_F, for each matrix in m (..., d, d).
+    """||M||_max, a power of two near its inverse (1 for M = 0), the target
+    jacobi_offdiag * ||M||_F and _offdiag_norm, for each matrix in m (..., d, d).
 
     Norms are taken of the matrices times that power of two: their squares
     neither overflow nor underflow, and the scaling is exact, so comparisons
@@ -236,7 +234,8 @@ def _convergence_target(m: np.ndarray, tol: ToleranceConfig):
     """
     size = np.abs(m).max(axis=(-2, -1))
     scale = np.ldexp(1.0, -np.minimum(np.maximum(np.frexp(size)[1], -1023), 1023))
-    return size, scale, tol.jacobi_offdiag * _scaled_norm(m, scale)
+    norm, off = _offdiag_norm(m, scale, full=True)
+    return size, scale, tol.jacobi_offdiag * norm, off
 
 
 def _not_converged(off, target, scale, tol: ToleranceConfig) -> ConvergenceError:
@@ -292,16 +291,15 @@ def _rotation_blocks(apq: np.ndarray, r: np.ndarray, diff: np.ndarray) -> np.nda
     return np.concatenate((c, s, -s * phase, c * phase)).reshape((4,) + c.shape)
 
 
-def _jacobi(m: np.ndarray, basis: np.ndarray | None, scale, target,
+def _jacobi(m: np.ndarray, basis: np.ndarray | None, off, scale, target,
             tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The converged sweeps a = V^dag M V and v = V of one matrix m, from the
-    start basis `basis` (None: the identity), with the norms taken at `scale`;
-    exhausting the sweep budget raises ConvergenceError.  See hermitian_eig."""
+    """The converged sweeps a = V^dag M V and v = V of one matrix m above its target (its
+    off-diagonal norm `off`), from the start basis `basis` (None: the identity), with the
+    norms at `scale`; exhausting the sweep budget raises ConvergenceError.  See hermitian_eig."""
     d = m.shape[0]
     a = m  # read only: the first rotation or warm start replaces it
     v = eye = _constants(d)[0]
-    off = _offdiag_norm(a, scale)
-    if basis is not None and off > target:
+    if basis is not None:
         v = basis @ (1.5 * eye - 0.5 * (dagger(basis) @ basis))
         a = dagger(v) @ m @ v
         a = 0.5 * (a + dagger(a))
@@ -343,6 +341,17 @@ def _sorted_phased(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     pivots = vectors[np.abs(vectors).argmax(axis=0), _constants(v.shape[0])[2]]
     vectors *= np.conj(pivots) / np.abs(pivots)
     return values[order], vectors
+
+
+def _sorted_phased_rows(values: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_sorted_phased, bit for bit, of each row of the diagonals `values`
+    (k, d) and eigenvectors v (k, d, d), or one v (1, d, d) for all k rows."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    i, j = np.arange(len(values))[:, None], _constants(v.shape[-1])[2]
+    vectors = v[np.arange(len(v))[:, None, None], j[:, None], order[:, None, :]]
+    pivots = vectors[i, np.abs(vectors).argmax(axis=1), j]
+    vectors *= (np.conj(pivots) / np.abs(pivots))[:, None, :]
+    return values[i, order], vectors
 
 
 def _guarded(rows: _Rows, eigenvalues: np.ndarray, vectors: np.ndarray, m: np.ndarray,
@@ -411,25 +420,31 @@ def hermitian_eig_chain(rows: _Rows, matrices: np.ndarray, basis: np.ndarray | N
     cold), each later one from the sorted, phased eigenvectors of the one
     before it.
 
-    So each row is, bit for bit, the Spectrum a loop of hermitian_eig calls
-    passing each result's eigenvectors on would return.  The convergence
-    targets are taken for the whole stack before the sweeps, and the guards as
-    one stack after them (_guarded).  The first matrix that fails cuts `rows`,
-    at its first failing check: convergence, then the guards in their order.
-    Returns _guarded's eigenvalue and eigenvector stacks of the rows before the cut.
+    So each row is, bit for bit, the Spectrum a loop of hermitian_eig calls passing each
+    result's eigenvectors on would return.  The convergence targets and off-diagonal norms
+    are taken for the whole stack first, the guards as one stack last (_guarded).  A matrix
+    at its target is not swept and keeps the identity, whatever its start, so all such rows
+    are sorted and phased as one stack; only the others loop through _jacobi and
+    _sorted_phased, whose one-matrix form is faster for one row.  The first matrix that
+    fails cuts `rows`, at its first failing check: convergence, then the guards in their
+    order.  Returns _guarded's stacks of the rows before it.
     """
-    m = np.asarray(matrices)[:rows.n]
-    size, scale, target = _convergence_target(m, tol)
-    values, vectors = np.empty(m.shape[:2]), np.empty_like(m)
+    m, d = np.asarray(matrices)[:rows.n], matrices.shape[-1]
+    size, scale, target, off = _convergence_target(m, tol)
+    rotating = (off > target).nonzero()[0].tolist()
+    if len(rotating) < len(m):
+        values, vectors = _sorted_phased_rows(m.real.diagonal(0, 1, 2), _constants(d)[0][None])
+    else:
+        values, vectors = np.empty(m.shape[:2]), np.empty_like(m)
     with np.errstate(over="ignore", invalid="ignore"):  # _guarded checks the result
-        for i in range(rows.n):
+        for i in rotating:
+            start = vectors[i - 1] if i else basis
             try:
-                a, v = _jacobi(m[i], basis, scale[i], target[i], tol)
+                a, v = _jacobi(m[i], start, off[i], scale[i], target[i], tol)
             except ConvergenceError as exc:
                 rows.cut(i, exc)
                 break
             values[i], vectors[i] = _sorted_phased(a, v)
-            basis = vectors[i]
         n = rows.n
         return _guarded(rows, values[:n], vectors[:n], m[:n], size[:n], tol)
 
@@ -451,13 +466,12 @@ def hermitian_eigs(rows: _Rows, matrices: np.ndarray, *,
     Returns _guarded's eigenvalue and eigenvector stacks of the rows before the cut."""
     m = np.asarray(matrices)[:rows.n]
     n, d = m.shape[0], m.shape[-1]
-    size, scale, target = _convergence_target(m, tol)
+    size, scale, target, off = _convergence_target(m, tol)
     a, v = m.copy(), np.broadcast_to(_constants(d)[0], m.shape).copy()
     values, vectors = np.empty((n, d)), np.empty_like(v)
     ids, sweeps = np.arange(n), 0
     with np.errstate(over="ignore", invalid="ignore"):  # _guarded checks the result
         while True:
-            off = _offdiag_norm(a, scale[ids])
             done = ~(off > target[ids])
             values[ids[done]] = np.diagonal(a.real, axis1=1, axis2=2)[done]
             vectors[ids[done]] = v[done]
@@ -487,14 +501,10 @@ def hermitian_eigs(rows: _Rows, matrices: np.ndarray, *,
                 np.copyto(a, rotated_a, where=rotated)
                 del g, rotated_a, flat  # before the next round allocates its own
             sweeps += 1
+            off = _offdiag_norm(a, scale[ids])
         if ids.size:
             rows.cut(int(ids[0]), _not_converged(off[0], target[ids[0]], scale[ids[0]], tol))
-        # _sorted_phased, row by row
-        order = np.argsort(values[:rows.n], axis=-1, kind="stable")
-        values = np.take_along_axis(values[:rows.n], order, axis=-1)
-        vectors = np.take_along_axis(vectors[:rows.n], order[:, None, :], axis=-1)
-        pivots = np.take_along_axis(vectors, np.abs(vectors).argmax(axis=-2)[:, None, :], axis=-2)
-        vectors *= np.conj(pivots) / np.abs(pivots)
+        values, vectors = _sorted_phased_rows(values[:rows.n], vectors[:rows.n])
         return _guarded(rows, values, vectors, m[:rows.n], size[:rows.n], tol)
 
 

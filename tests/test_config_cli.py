@@ -103,6 +103,29 @@ def eig_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def chained(monkeypatch):
+    """The matrices hermitian_eig_chain solves, from any module, and the ones of
+    them it sweeps (linalg._jacobi), as two lists of copies."""
+    solved, swept = [], []
+    original, jacobi = linalg.hermitian_eig_chain, linalg._jacobi
+
+    def counted(rows, matrices, *args, **kwargs):
+        solved.extend(np.array(matrices[:rows.n]))
+        return original(rows, matrices, *args, **kwargs)
+
+    for module in (linalg, dynamics, free_energy, audit, cli):
+        if getattr(module, "hermitian_eig_chain", None) is original:
+            monkeypatch.setattr(module, "hermitian_eig_chain", counted)
+    monkeypatch.setattr(linalg, "_jacobi", lambda m, *args: swept.append(m.copy()) or jacobi(m, *args))
+    return solved, swept
+
+
+def above_target(m, tol=DEFAULT_TOLERANCES) -> bool:
+    """Whether the off-diagonal Frobenius norm of m exceeds jacobi_offdiag * ||m||_F."""
+    return np.linalg.norm(m - np.diag(np.diag(m))) > tol.jacobi_offdiag * np.linalg.norm(m)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -523,6 +546,30 @@ class TestRunCommand:
         cfg.write_text(json.dumps(data))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
         assert len(eig_calls) == setup + 2 * 11
+
+    # rho stays diagonal in H's eigenbasis: no state and no F is swept
+    def test_a_diagonal_run_sweeps_no_matrix(self, tmp_path, chained):
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", str(SCENARIOS / "qutrit_ladder.json"),
+                     "--out", str(out)]) == 0
+        solved, swept = chained
+        assert len(read_csv(out)) == 1001 and len(solved) == 1 + 2 * 1001
+        assert swept == [] and not any(map(above_target, solved))
+
+    # a dense model: each state and each F is swept once, in order, but the
+    # thermal start's F = H + ln(rho)/beta, a multiple of I up to rounding
+    def test_a_dense_run_sweeps_each_rotating_matrix_once(self, tmp_path, chained):
+        data = seeded_config(4, 4)
+        data["time"]["horizon"] = 50 * data["time"]["step"]
+        cfg = tmp_path / "dense.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+        solved, swept = chained
+        rotating = [m for m in solved if above_target(m)]
+        assert len(solved) == 1 + 2 * 51 and len(rotating) == len(solved) - 1
+        (scalar,) = [m for m in solved if not above_target(m)]
+        assert np.abs(scalar - scalar[0, 0] * np.eye(4)).max() < 1e-12
+        assert len(swept) == len(rotating) and all(map(np.array_equal, swept, rotating))
 
     @pytest.mark.parametrize("mode", ["run", "sweep"])
     @pytest.mark.parametrize("tol", [[], ["--tol", "psd=1e-9"]])

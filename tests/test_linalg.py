@@ -437,6 +437,66 @@ class TestHermitianEigChain:
                                               None)
         assert values.shape == (0, 3) and vectors.shape == (0, 3, 3)
 
+    # the diagonal rows are finished in one stacked pass, the dense ones in the
+    # loop: rows 2 and 4 warm-start from a row that took the stacked pass
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_diagonal_and_dense_rows_interleaved_match_the_loop(self, rng, start, monkeypatch):
+        d = 4
+        dense = oracles.random_hermitian(rng, d)
+        matrices = np.array([dense, np.diag([0.3, 0.1, 0.3, 0.2]), dense + 1e-3 * np.eye(d),
+                             np.diag([0.4, 0.3, 0.2, 0.1]),
+                             dense + 1e-3 * oracles.random_hermitian(rng, d)]).astype(complex)
+        basis = oracles.random_unitary(rng, d) if start == "warm" else None
+        want = looped(matrices, basis)
+        swept = []
+        jacobi = linalg._jacobi
+        monkeypatch.setattr(linalg, "_jacobi", lambda m, *a: swept.append(m.copy()) or jacobi(m, *a))
+        rows = linalg._Rows(len(matrices))
+        values, vectors = hermitian_eig_chain(rows, matrices, basis)
+        assert rows.error is None and len(values) == len(matrices)
+        assert len(swept) == 3 and all(map(np.array_equal, swept, matrices[[0, 2, 4]]))
+        for got_values, got_vectors, expected in zip(values, vectors, want):
+            assert same_bits(got_values, expected.eigenvalues)
+            assert same_bits(got_vectors, expected.eigenvectors)
+
+    # row 1 is within its target (off-diagonal 1e-15) but its residual, 1e-15,
+    # fails a 1e-16 reconstruction bound; row 2, dense, runs out of sweeps
+    def test_a_guard_on_a_diagonal_row_cuts_before_a_later_sweep_failure(self, rng):
+        tol = DEFAULT_TOLERANCES.replace(jacobi_max_sweeps=1, reconstruction=1e-16)
+        near = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        near[0, 1], near[1, 0] = 1e-15, 1e-15
+        matrices = np.array([np.diag([0.4, 0.1, 0.3, 0.2]), near,
+                             oracles.random_hermitian(rng, 4)]).astype(complex)
+        rows = linalg._Rows(len(matrices))
+        values, vectors = hermitian_eig_chain(rows, matrices, None, tol=tol)
+        want = looped(matrices, None, tol)
+        assert rows.n == len(values) == len(vectors) == 1 and len(want) == 2
+        assert type(rows.error) is type(want[1]) is ValidationError
+        assert str(rows.error) == str(want[1])
+        assert "residual" in str(rows.error)
+        with pytest.raises(ConvergenceError):
+            hermitian_eig(HermitianMatrix(matrices[2]), tol=tol)
+        assert same_bits(vectors[0], want[0].eigenvectors)
+
+
+class TestSortedPhased:
+    # ties (stable order), a tie in magnitude inside a column (lowest index
+    # pivots) and random phases; the rows form takes one shared v as well
+    def test_rows_form_has_the_bits_of_the_one_matrix_form(self, rng):
+        d = 4
+        values = np.array([[0.3, 0.1, 0.3, 0.2], [0.5, 0.5, 0.5, 0.5], rng.standard_normal(d)])
+        v = np.array([oracles.random_unitary(rng, d), np.eye(d) * np.exp(1j * rng.uniform(0, 6, d)),
+                      np.array([[1, 1, 0, 0], [1j, -1j, 0, 0], [0, 0, 1, 1], [0, 0, -1, 1]])
+                      / np.sqrt(2.0)])
+        for shared in (False, True):
+            stack = v[:1] if shared else v
+            got_values, got_vectors = linalg._sorted_phased_rows(values, stack)
+            for k in range(len(values)):
+                want_values, want_vectors = linalg._sorted_phased(
+                    np.diag(values[k]).astype(complex), stack[0 if shared else k])
+                assert same_bits(got_values[k], want_values)
+                assert same_bits(got_vectors[k], want_vectors)
+
 
 def rotation(rng, d, angle):
     """exp(i angle K) for a random Hermitian K with entries of order one."""
