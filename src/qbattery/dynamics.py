@@ -69,7 +69,10 @@ __all__ = [
 # states, 32 at d = 2, 14 at d = 3 and 1 from d = 9.  A block's states and
 # stacks add to the peak resident set: over one row at a time, a qutrit_ladder
 # run grew VmHWM by about 20 KiB more at this bound and 56 KiB more at twice
-# it, which was no faster.
+# it.  Twice it was no faster when this was measured, while every row still
+# made its own Jacobi call.  Since a warm chain finishes its diagonal rows as
+# one stack, budgets of 4096-32768 bytes have measured 1.3-1.9x faster on the
+# bundled runs (ROADMAP item 21); the value waits for benchmark pairs.
 _BLOCK_BYTES = 2048
 
 # Bytes of the real d^2 x d^2 RK4 step map T (_step_map): a run of at least d^2

@@ -20,14 +20,17 @@ Swapping the solver waits on a decision about that bound.
 Along a trajectory the solver is warm-started from the eigenvectors of the
 previous state, which leaves a nearly diagonal matrix that converges in a few
 sweeps; exact ties then follow the order of that start basis.  A block of
-such states is one warm chain (hermitian_eig_chain): a matrix already diagonal
-to its target costs no sweep and no sort of its own, and the others are swept
-one by one, each from the sorted, phased eigenvectors of the one before.
-hermitian_eig is its one-matrix case, and the one solver that wraps its
-result in a Spectrum: the stacked solvers return read-only eigenvalue (k, d)
-and eigenvector (k, d, d) stacks.  Many cold solves of one
-dimension run as one stack (hermitian_eigs), with the same bits: each matrix
-is parked as it converges, and all are sorted, phased and guarded in one pass.
+such states is one warm chain (hermitian_eig_chain): the whole block is sorted
+and phased as one stack from the identity, which finishes every matrix already
+diagonal to its target, and the others are swept one by one, each from the
+sorted, phased eigenvectors of the one before.  hermitian_eig is its
+one-matrix case, and the one solver that wraps its result in a Spectrum: the
+stacked solvers return read-only eigenvalue (k, d) and eigenvector (k, d, d)
+stacks.  Many cold solves of one dimension run as one stack (hermitian_eigs),
+with the same bits: each matrix is parked as it converges, and all are sorted,
+phased and guarded in one pass.  Every solve ends in the one sort-and-phase
+finish, _sorted_phased_rows, so the chained and stacked solvers differ only in
+how they rotate.
 
 Every stacked evaluation in the package reports its failure one way, through
 a _Rows: each check cuts it at the first matrix (state, rung, instance) that
@@ -331,21 +334,12 @@ def _jacobi(m: np.ndarray, basis: np.ndarray | None, off, scale, target,
     return a, v
 
 
-def _sorted_phased(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of the converged sweeps a, v in ascending order (stable)
-    and the matching columns of v, each phased so that its largest-magnitude
-    component is real positive, the lowest index winning ties."""
-    values = a.real.diagonal()
-    order = np.argsort(values, kind="stable")
-    vectors = v[:, order]
-    pivots = vectors[np.abs(vectors).argmax(axis=0), _constants(v.shape[0])[2]]
-    vectors *= np.conj(pivots) / np.abs(pivots)
-    return values[order], vectors
-
-
 def _sorted_phased_rows(values: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_sorted_phased, bit for bit, of each row of the diagonals `values`
-    (k, d) and eigenvectors v (k, d, d), or one v (1, d, d) for all k rows."""
+    """The finish of every solve: for each row of the converged diagonals
+    `values` (k, d) and eigenvectors v (k, d, d), or one v (1, d, d) for all k
+    rows, the eigenvalues in ascending order (stable) and the matching columns
+    of v, each phased so that its largest-magnitude component is real
+    positive, the lowest index winning ties."""
     order = np.argsort(values, axis=-1, kind="stable")
     i, j = np.arange(len(values))[:, None], _constants(v.shape[-1])[2]
     vectors = v[np.arange(len(v))[:, None, None], j[:, None], order[:, None, :]]
@@ -423,28 +417,26 @@ def hermitian_eig_chain(rows: _Rows, matrices: np.ndarray, basis: np.ndarray | N
     So each row is, bit for bit, the Spectrum a loop of hermitian_eig calls passing each
     result's eigenvectors on would return.  The convergence targets and off-diagonal norms
     are taken for the whole stack first, the guards as one stack last (_guarded).  A matrix
-    at its target is not swept and keeps the identity, whatever its start, so all such rows
-    are sorted and phased as one stack; only the others loop through _jacobi and
-    _sorted_phased, whose one-matrix form is faster for one row.  The first matrix that
-    fails cuts `rows`, at its first failing check: convergence, then the guards in their
-    order.  Returns _guarded's stacks of the rows before it.
+    at its target is not swept and keeps the identity, whatever its start, so the whole
+    stack is first sorted and phased from the identity (_sorted_phased_rows), which
+    finishes those rows.  Each other row then runs _jacobi, and its one-row stack is
+    finished by _sorted_phased_rows in its place.  The first matrix that fails cuts
+    `rows`, at its first failing check: convergence, then the guards in their order.
+    Returns _guarded's stacks of the rows before it.
     """
     m, d = np.asarray(matrices)[:rows.n], matrices.shape[-1]
     size, scale, target, off = _convergence_target(m, tol)
-    rotating = (off > target).nonzero()[0].tolist()
-    if len(rotating) < len(m):
-        values, vectors = _sorted_phased_rows(m.real.diagonal(0, 1, 2), _constants(d)[0][None])
-    else:
-        values, vectors = np.empty(m.shape[:2]), np.empty_like(m)
+    values, vectors = _sorted_phased_rows(m.real.diagonal(0, 1, 2), _constants(d)[0][None])
     with np.errstate(over="ignore", invalid="ignore"):  # _guarded checks the result
-        for i in rotating:
+        for i in (off > target).nonzero()[0].tolist():
             start = vectors[i - 1] if i else basis
             try:
                 a, v = _jacobi(m[i], start, off[i], scale[i], target[i], tol)
             except ConvergenceError as exc:
                 rows.cut(i, exc)
                 break
-            values[i], vectors[i] = _sorted_phased(a, v)
+            values[i:i + 1], vectors[i:i + 1] = _sorted_phased_rows(a.real.diagonal()[None],
+                                                                      v[None])
         n = rows.n
         return _guarded(rows, values[:n], vectors[:n], m[:n], size[:n], tol)
 

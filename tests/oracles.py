@@ -1,4 +1,5 @@
-"""Independent reference implementations used only by the tests.
+"""Independent reference implementations, and the claims' outcome tables
+written out, used only by the tests.
 
 Everything here goes through numpy's own linear algebra (eigh, vectorized
 einsum) rather than the package's hand-rolled solver and loops, so agreement
@@ -53,6 +54,17 @@ def theta_index_einsum(w, rho_c, l_c):
     return float(np.real(np.einsum("lk,ki,li,ikl->", rho_c, l_c, np.conj(l_c), weight)))
 
 
+def sorted_phased(values, v):
+    """The eigensolver's finish for one matrix with diagonal `values` and
+    eigenvectors v: values in stable ascending order, and the matching columns
+    of v, each times conj(pivot)/|pivot|, where its pivot is the lowest-index
+    entry of largest magnitude."""
+    order = np.argsort(values, kind="stable")
+    vectors = v[:, order]
+    pivots = np.array([column[np.abs(column).argmax()] for column in vectors.T])
+    return values[order], vectors * (np.conj(pivots) / np.abs(pivots))
+
+
 def abs_sq_loops(a):
     d = a.shape[0]
     out = np.zeros((d, d), dtype=complex)
@@ -83,3 +95,30 @@ def random_density(rng, d, floor=0.05):
 
 def random_ginibre(rng, d):
     return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
+
+
+# The claims' outcome rules over every pair of classes ("zero", "nonzero",
+# "straddle"), written out.  An implication "premise zero => conclusion zero"
+# is vacuous when its premise is cleanly nonzero, and inconclusive when either
+# side straddles a cut.
+IMPLICATION_OUTCOMES = {
+    ("zero", "zero"): "supporting",
+    ("zero", "nonzero"): "counterexample",
+    ("zero", "straddle"): "inconclusive",
+    ("nonzero", "zero"): "vacuous",
+    ("nonzero", "nonzero"): "vacuous",
+    ("nonzero", "straddle"): "vacuous",
+    ("straddle", "zero"): "inconclusive",
+    ("straddle", "nonzero"): "inconclusive",
+    ("straddle", "straddle"): "inconclusive",
+}
+
+# "condition holds <=> all Thetas vanish", by (condition, class of the Thetas)
+BICONDITIONAL_OUTCOMES = {
+    (True, "zero"): "supporting",
+    (True, "nonzero"): "counterexample",
+    (True, "straddle"): "inconclusive",
+    (False, "zero"): "counterexample",
+    (False, "nonzero"): "supporting",
+    (False, "straddle"): "inconclusive",
+}

@@ -521,3 +521,31 @@ class TestFailureOrder:
         assert self.falsify(monkeypatch, drawn, tol) == self.message(small, "trial:2", tol)
         drawn = fine[:2] + [large] + fine[2:3] + [small] + fine[3:]
         assert self.falsify(monkeypatch, drawn, tol) == self.message(large, "trial:2", tol)
+
+
+class TestOutcomeRules:
+    def test_implication_truth_table(self):
+        classes = (audit.ZERO, audit.NONZERO, audit.STRADDLE)
+        assert {(p, c) for p in classes for c in classes} == set(oracles.IMPLICATION_OUTCOMES)
+        for (premise, conclusion), want in oracles.IMPLICATION_OUTCOMES.items():
+            assert audit._implication_outcome(premise, conclusion) == want, (premise, conclusion)
+
+    def test_biconditional_truth_table(self):
+        classes = (audit.ZERO, audit.NONZERO, audit.STRADDLE)
+        assert {(h, c) for h in (True, False) for c in classes} == set(oracles.BICONDITIONAL_OUTCOMES)
+        for (holds, all_zero), want in oracles.BICONDITIONAL_OUTCOMES.items():
+            assert audit._biconditional_outcome(holds, all_zero) == want, (holds, all_zero)
+
+    # a value exactly on each cut, and one float below and above it: the zero
+    # cut claim_zero * scale is inclusive, and so is the band claim_band * cut
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 2.5e7])
+    def test_classify_on_and_beside_each_cut(self, scale):
+        tol = DEFAULT_TOLERANCES
+        cut = tol.claim_zero * scale
+        band = tol.claim_band * cut
+        for sign in (1.0, -1.0):
+            def classes(x):
+                return [audit._classify(sign * float(y), scale, tol)
+                        for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+            assert classes(cut) == [audit.ZERO, audit.ZERO, audit.STRADDLE]
+            assert classes(band) == [audit.STRADDLE, audit.NONZERO, audit.NONZERO]

@@ -635,3 +635,43 @@ class TestVanishingCondition:
         assert holds and projector_hamiltonian
         theta = evaluate_instance(ctx.model, 1, ctx.beta, "projector").theta_values[0]
         assert theta == pytest.approx(1.0, abs=1e-14)
+
+    @staticmethod
+    def on_cuts(h, w, components, k0=1):
+        """vanishing_condition of one qubit instance with one channel (||L||_max
+        = 1) from raw stacks, with |k0><k0| as its projector."""
+        projector = np.diag([1.0 - k0, float(k0)]).astype(complex)
+        return vanishing_condition(np.asarray(h, dtype=complex)[None], np.array([w], dtype=float),
+                                   np.array([k0]), projector[None],
+                                   np.asarray(components, dtype=complex)[None],
+                                   np.array([0]), np.array([1.0]))
+
+    @staticmethod
+    def beside(x):
+        return np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)
+
+    # each cut is predicate_zero * max(1, .) = 1e-10 here: a defect, eigenvalue
+    # or residual exactly on it counts as zero, one float above it does not
+    def test_projector_hamiltonian_on_and_beside_its_cut(self):
+        cut = DEFAULT_TOLERANCES.predicate_zero * 1.0
+        got = [bool(self.on_cuts([[x, 0.0], [0.0, 1.0]], [0.0, 1.0],
+                                 np.zeros((2, 2))).projector_hamiltonian[0])
+               for x in self.beside(cut)]
+        assert got == [True, True, False]
+
+    def test_a_zero_eigenvalue_on_and_beside_its_cut(self):
+        # column 0 is far from scalar, so it counts only if its eigenvalue is nonzero
+        cut = DEFAULT_TOLERANCES.predicate_zero * 1.0
+        got = [bool(self.on_cuts(np.zeros((2, 2)), [x, 1.0],
+                                 [[0.0, 0.0], [1.0, 0.0]]).per_channel_trivial[0])
+               for x in self.beside(cut)]
+        assert got == [True, True, False]
+
+    def test_a_residual_on_and_beside_its_cut(self):
+        cut = DEFAULT_TOLERANCES.predicate_zero * 1.0
+        got = []
+        for x in self.beside(cut):
+            assert np.linalg.norm([0.0, x]) == x  # the residual is x itself
+            got.append(bool(self.on_cuts(np.zeros((2, 2)), [1.0, 1.0],
+                                         [[0.0, 0.0], [x, 0.0]]).per_channel_trivial[0]))
+        assert got == [True, True, False]

@@ -28,12 +28,12 @@ REL_TOL = 1e-12
 # golden file name -> (mode, scenario, seed)
 CASES = {
     **{f"{mode}_{name}.json": (mode, name, 0)
-       for name in ("qubit_sigma_x", "qubit_dark_state", "qutrit_ladder")
+       for name in ("qubit_sigma_x", "qubit_dark_state", "qutrit_ladder", "qutrit_tilted")
        for mode in ("audit", "sweep")},
     "check_ensemble_check_seed0.json": ("check", "ensemble_check", 0),
     **{f"run_{name}.csv": ("run", name, 0)
        for name in ("qubit_sigma_x", "qubit_dark_state", "qutrit_ladder",
-                    "thermal_stationary")},
+                    "thermal_stationary", "qutrit_tilted")},
 }
 
 
