@@ -132,9 +132,14 @@ def run_command(cfg: RunConfig, out_path: str, seed: int, tol: ToleranceConfig) 
             path="initial_state")
     with _output(out_path) as fh:
         rows = _run_rows(ctx, rho0, cfg.time.t0, cfg.time.offsets(), tol)
-        fh.write(",".join(next(rows)) + "\n")
+        header = next(rows)
+        fh.write(",".join(header) + "\n")
+        line = ",".join(["%.17g"] * len(header)) + "\n"  # _csv_cell of each cell, in one format
         for row in rows:
-            fh.write(",".join(_csv_cell(value) for value in row) + "\n")
+            try:
+                fh.write(line % tuple(row))
+            except TypeError:  # a blank power_fd
+                fh.write(",".join(map(_csv_cell, row)) + "\n")
     return EXIT_OK
 
 

@@ -66,14 +66,16 @@ __all__ = [
 
 # Bytes of one stacked d x d complex matrix in a block of states (RK4 states,
 # `run` rows, `sweep` rungs): a block holds max(1, _BLOCK_BYTES // (16 d^2))
-# states, 32 at d = 2, 14 at d = 3 and 1 from d = 9.  A block's states and
-# stacks add to the peak resident set: over one row at a time, a qutrit_ladder
-# run grew VmHWM by about 20 KiB more at this bound and 56 KiB more at twice
-# it.  Twice it was no faster when this was measured, while every row still
-# made its own Jacobi call.  Since a warm chain finishes its diagonal rows as
-# one stack, budgets of 4096-32768 bytes have measured 1.3-1.9x faster on the
-# bundled runs (ROADMAP item 21); the value waits for benchmark pairs.
-_BLOCK_BYTES = 2048
+# states, 256 at d = 2, 113 at d = 3, 16 at d = 8 and 1 from d = 23.  A warm
+# chain finishes a block's diagonal rows as one stack, so at small d a row
+# mostly pays its block's fixed costs.  Measured over the former 2048 on a
+# 2-vCPU Xeon (numpy 2.4.6, October 2026): bench/run.py's run_bundled read
+# 1.92x the rows/s (BENCH_pr32_block_budget_pairs.json), and a qutrit_ladder
+# run grew VmHWM by 1540 KiB against 1520-1528 KiB, its tracemalloc peak 570
+# KiB against 312 KiB.  32768 grew VmHWM 5.4 % over 2048 and 65536 about 60 %.
+# No chain row and no stepped state depends on the block size, so every
+# artifact keeps its bytes.
+_BLOCK_BYTES = 16384
 
 # Bytes of the real d^2 x d^2 RK4 step map T (_step_map): a run of at least d^2
 # steps is stepped by T x when 8 d^4 bytes fit here (d <= 8), and by the stages

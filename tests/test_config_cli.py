@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbattery import audit, cli, dynamics, free_energy, linalg
 from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
@@ -65,6 +67,26 @@ BREACH_LADDERS = {
 def block_bytes(dim, rows):
     """The block byte bound that gives `rows` rows per block at `dim` (None: the default)."""
     return DEFAULT_BLOCK_BYTES if rows is None else 16 * dim * dim * rows
+
+
+# every kind of float64 a CSV cell can hold: signed zeros, subnormals, the
+# largest finite values, infinities and nan, as Python floats and as np.float64
+CSV_CELLS = st.builds(
+    lambda x, as_numpy: np.float64(x) if as_numpy else x,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+                     math.inf, -math.inf, math.nan]) | st.floats(width=64),
+    st.booleans())
+
+
+@st.composite
+def csv_tables(draw):
+    """A header of 1-12 columns and rows as wide, about half of them with a blank (None) cell."""
+    width = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(CSV_CELLS, min_size=width, max_size=width), max_size=8))
+    for row in rows:
+        if draw(st.booleans()):
+            row[draw(st.integers(0, width - 1))] = None
+    return [f"c{j}" for j in range(width)], rows
 
 
 def seeded_config(dim, seed):
@@ -501,6 +523,24 @@ class TestRunCommand:
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @given(csv_tables())
+    @settings(max_examples=100)
+    def test_one_format_rows_match_the_per_cell_writer(self, tmp_path_factory, table):
+        # run_command writes a row with one "%.17g" format built from the
+        # header, and a row holding None (a blank power_fd) cell by cell: every
+        # line is _csv_cell's, and only the rows holding None call it
+        header, rows = table
+        out = tmp_path_factory.mktemp("writer") / "rows.csv"
+        cfg = parse_config(config_text(), "run")
+        cell, cells = cli._csv_cell, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_run_rows", lambda *args: iter([header, *rows]))
+            mp.setattr(cli, "_csv_cell", lambda value: cells.append(value) or cell(value))
+            assert cli.run_command(cfg, str(out), 0, DEFAULT_TOLERANCES) == 0
+        assert out.read_bytes().decode().split("\n") == [
+            ",".join(header), *(",".join(map(cell, row)) for row in rows), ""]
+        assert cells == [value for row in rows if None in row for value in row]
+
     @pytest.mark.parametrize("t0", [0.0, 1e3, 1e6])
     def test_rows_do_not_depend_on_t0(self, tmp_path, t0):
         # run integrates on the offsets from t0 and writes t0 + offset in `t`
@@ -591,6 +631,7 @@ class TestRunCommand:
         # a 70-step qubit_sigma_x run in blocks of 32, 32 and 7 rows: arrays
         # checked where they were built are not copied and re-checked, no row
         # becomes a DensityMatrix, and tr(rho H) is one stacked product a block
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", block_bytes(2, 32))
         data = json.loads((SCENARIOS / "qubit_sigma_x.json").read_text())
         data["time"]["horizon"] = 70 * data["time"]["step"]
         cfg = parse_config(json.dumps(data), "run")
@@ -626,8 +667,10 @@ class TestRunCommand:
         assert [shape for shape in products if len(shape) == 3] == [
             (32, 2, 2), (32, 2, 2), (7, 2, 2)]
 
-    @pytest.mark.parametrize("name", ["qubit_sigma_x", "qutrit_ladder", "seeded_d8"])
-    def test_block_columns_match_the_one_state_functions(self, tmp_path, name):
+    @pytest.mark.parametrize("name, rows_per_block", [
+        ("qubit_sigma_x", 32), ("qutrit_ladder", 14), ("seeded_d8", 2)])
+    def test_block_columns_match_the_one_state_functions(self, tmp_path, monkeypatch, name,
+                                                         rows_per_block):
         # 41 rows, two block boundaries at d = 3 and two rows a block at d = 8,
         # where numpy sums a row's 8 entries pairwise: every cell of each row is
         # the bits of the one-state functions (von_neumann_entropy,
@@ -635,6 +678,7 @@ class TestRunCommand:
         # tr(rho H), of the central difference of <F>, or of the state's own fields
         data = seeded_config(8, 8) if name == "seeded_d8" else \
             json.loads((SCENARIOS / f"{name}.json").read_text())
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", block_bytes(data["dim"], rows_per_block))
         data["time"]["horizon"] = 40 * data["time"]["step"]
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg.write_text(json.dumps(data))
@@ -748,6 +792,23 @@ class TestRunCommand:
         assert runs[1] == runs[0] and runs[2] == runs[0]
         assert len(runs[0][2].splitlines()) == 102
 
+    @pytest.mark.parametrize("name", ["qubit_sigma_x", "qubit_dark_state", "qutrit_ladder",
+                                      "thermal_stationary", "qutrit_tilted", "seeded_d12"])
+    def test_whole_runs_keep_their_bytes_across_block_sizes(self, tmp_path, monkeypatch,
+                                                            capsys, name):
+        # whole runs (1001 rows, qutrit_tilted's 501, and 61 at d = 12) cross
+        # at least three edges of the default blocks, and write the same bytes,
+        # exit code, stderr and sweeps there, at 32 rows a block and row by row
+        data = seeded_config(12, 12) if name == "seeded_d12" else \
+            json.loads((SCENARIOS / f"{name}.json").read_text())
+        if name == "seeded_d12":
+            data["time"]["horizon"] = 60 * data["time"]["step"]
+        default_rows = dynamics._block_rows(data["dim"])
+        runs = [self.blocked_run(tmp_path, monkeypatch, capsys, data, k) for k in (None, 32, 1)]
+        assert runs[0][:2] == (0, "")
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert len(runs[0][2].splitlines()) - 1 > 3 * default_rows
+
     def breach_config(self, epsilon):
         # RK4 at gamma h = 3.125 multiplies the excited population by 1.645 a
         # step, from epsilon / 2: the ground population turns negative at step 5
@@ -814,6 +875,7 @@ class TestRunCommand:
         # its edge, at the last row and at the row held when the breach came.
         # Closing the stream, by hand or by collection, raises nothing and
         # reports nothing to sys.unraisablehook
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", block_bytes(2, 32))
         if case == "long":
             data = json.loads((SCENARIOS / "qubit_sigma_x.json").read_text())
             data["time"]["horizon"] = 70 * data["time"]["step"]
