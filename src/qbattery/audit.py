@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, JumpChannel, LindbladModel, _dissipator_matrix
+from .dynamics import DensityMatrix, JumpChannel, LindbladModel, _block_rows, _dissipator_matrix
 from .errors import ConsistencyError, ParameterError, ScenarioError, ValidationError, _shown
 from .free_energy import BatteryContext, _rung_rows, vanishing_condition
 from .jsonio import model_from_json, model_to_json
@@ -69,8 +69,6 @@ VERDICT_REFUTED = "HYPOTHESIS_REFUTED"
 VERDICT_CONSISTENT = "CONSISTENT"
 VERDICT_MIXED = "MIXED"
 VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
-
-_BLOCK = 16  # instances per evaluation stack in claim_falsifier: bounds its temporaries
 
 
 def _eigen_index(k0: int, dim: int) -> int:
@@ -524,10 +522,11 @@ def claim_falsifier(ensemble: EnsembleSpec, *,
 
     All draws come first (none depends on an evaluation).  Then, one dimension
     at a time and largest first, the Hamiltonians are solved as one stack and
-    evaluated in blocks, which keeps the peak resident set low; each
-    dimension's first failure, the solver's included, cuts its _Rows.  The cut
-    with the smallest draw index is raised: the same instance and message as
-    with single solves.
+    evaluated in blocks of dynamics._block_rows(d) instances, the rule of
+    `run`'s blocks, which keeps the peak resident set low; each dimension's
+    first failure, the solver's included, cuts its _Rows.  The cut with the
+    smallest draw index is raised: the same instance and message as with
+    single solves.
     """
     rng = np.random.default_rng(ensemble.seed)
     drawn = [(f"bundled:{name}", model, k0) for name, model, k0 in bundled_witnesses()
@@ -537,12 +536,12 @@ def claim_falsifier(ensemble: EnsembleSpec, *,
     instances, by_dim, cuts = [None] * len(drawn), {}, []
     for i, (_, model, _) in enumerate(drawn):
         by_dim.setdefault(model.dim, []).append(i)
-    for _, members in sorted(by_dim.items(), reverse=True):
-        rows = _Rows(len(members))
+    for dim, members in sorted(by_dim.items(), reverse=True):
+        rows, size = _Rows(len(members)), _block_rows(dim)
         w, u = hermitian_eigs(rows, np.array([drawn[i][1].hamiltonian.matrix for i in members]),
                               tol=tol)
-        for at in range(0, rows.n, _BLOCK):
-            block = _Rows(min(_BLOCK, rows.n - at))
+        for at in range(0, rows.n, size):
+            block = _Rows(min(size, rows.n - at))
             results = _evaluate(block, [drawn[i] for i in members[at:at + block.n]], w[at:], u[at:],
                                 ensemble.beta, tol)
             for i, instance in zip(members[at:], results):

@@ -32,10 +32,11 @@ construction hermiticity bound, and the propagation bounds on the trace and
 the smallest eigenvalue), solving its states as one warm chain, and yields
 the checked stacks: `run`'s row stream (free_energy._run_rows) reads them as
 they come, and `propagate` hands out one DensityMatrix per row.  A breach raises
-PropagationError (_breach), naming its step and time, once the states before it
-are yielded: the trajectory prefix is what the consumer took, and nothing else
-keeps it.  The sweep's probes (_probe_breaches) take one step from each state
-of a stack and keep each breach's message instead.
+PropagationError, its message naming the step, the time and the failed check,
+once the states before it are yielded: the trajectory prefix is what the
+consumer took, and nothing else keeps it.  The sweep's probes
+(_probe_breaches) take one step from each state of a stack and keep each
+breach's message instead.
 """
 
 from __future__ import annotations
@@ -64,16 +65,17 @@ __all__ = [
 ]
 
 
-# Bytes of one stacked d x d complex matrix in a block of states (RK4 states,
-# `run` rows, `sweep` rungs): a block holds max(1, _BLOCK_BYTES // (16 d^2))
-# states, 256 at d = 2, 113 at d = 3, 16 at d = 8 and 1 from d = 23.  A warm
-# chain finishes a block's diagonal rows as one stack, so at small d a row
-# mostly pays its block's fixed costs.  Measured over the former 2048 on a
-# 2-vCPU Xeon (numpy 2.4.6, October 2026): bench/run.py's run_bundled read
-# 1.92x the rows/s (BENCH_pr32_block_budget_pairs.json), and a qutrit_ladder
-# run grew VmHWM by 1540 KiB against 1520-1528 KiB, its tracemalloc peak 570
-# KiB against 312 KiB.  32768 grew VmHWM 5.4 % over 2048 and 65536 about 60 %.
-# No chain row and no stepped state depends on the block size, so every
+# Bytes of one stacked d x d complex matrix in a block (RK4 states, `run` rows,
+# `sweep` rungs, `check`'s claim instances): a block holds
+# max(1, _BLOCK_BYTES // (16 d^2)) of them, 256 at d = 2, 113 at d = 3, 28 at
+# d = 6, 16 at d = 8 and 1 from d = 23.  A warm chain finishes a block's
+# diagonal rows as one stack, so at small d a row mostly pays its block's fixed
+# costs.  Measured over the former 2048 on a 2-vCPU Xeon (numpy 2.4.6, October
+# 2026): bench/run.py's run_bundled read 1.92x the rows/s
+# (BENCH_pr32_block_budget_pairs.json), and a qutrit_ladder run grew VmHWM by
+# 1540 KiB against 1520-1528 KiB, its tracemalloc peak 570 KiB against 312 KiB.
+# 32768 grew VmHWM 5.4 % over 2048 and 65536 about 60 %.  No chain row, no
+# stepped state and no claim instance depends on the block size, so every
 # artifact keeps its bytes.
 _BLOCK_BYTES = 16384
 
@@ -344,9 +346,9 @@ def propagate(model: LindbladModel, rho0: DensityMatrix, t_grid, *,
     `propagate` is called.  The returned iterator yields (state, trace defect)
     per grid point: (rho0, rho0.trace_defect), then each RK4 state, a
     DensityMatrix of its row of _state_blocks' stacks, with its |tr y - 1|.  A
-    breach raises PropagationError carrying the step index and the defects,
-    after exactly `step_index` states have been yielded.  States are never
-    renormalized.
+    breach raises PropagationError carrying the step index, its message naming
+    the step, the time and the defect that failed, after exactly `step_index`
+    states have been yielded.  States are never renormalized.
     """
     if rho0.dim != model.dim:
         raise DimensionError(f"state dimension {rho0.dim} vs model {model.dim}")
@@ -375,8 +377,9 @@ def _state_blocks(model: LindbladModel, rho0: DensityMatrix, times: np.ndarray, 
     eigenvalue >= -propagation_psd.  Their eigendecompositions run as one warm
     chain, each from the eigenvectors of the state before, which differ from
     the new ones by O(h).  A breach yields the states before it (maybe none),
-    then raises _breach's PropagationError, which names its step i and
-    times[i]; any other failure raises as it is."""
+    then raises PropagationError with step_index i, its message naming i,
+    times[i] and the failed check, from that check's error: no state is solved
+    again.  Any other failure raises as it is."""
     size, spectrum = _block_rows(model.dim), rho0.spectrum
     lead = (rho0.matrix[None], np.array([rho0.trace_defect]), spectrum.eigenvalues[None],
             spectrum.eigenvectors[None])
@@ -393,7 +396,8 @@ def _state_blocks(model: LindbladModel, rho0: DensityMatrix, times: np.ndarray, 
         yield columns
         if isinstance(rows.error, ValidationError):
             i = first + rows.n
-            raise _breach(i, times[i], rows.error, block[rows.n], tol) from rows.error
+            raise PropagationError(_BREACH.format(i, times[i], rows.error),
+                                   step_index=i) from rows.error
         rows.raise_first()
         basis = columns[3][-1]
 
@@ -515,19 +519,6 @@ def _probe_breaches(model: LindbladModel, rho: np.ndarray, bases: np.ndarray, h:
         breaches[i] = _BREACH.format(1, h, checked.error)
         start = i + 1
     return breaches
-
-
-def _breach(i: int, t: float, error: ValidationError, y: np.ndarray,
-            tol: ToleranceConfig) -> PropagationError:
-    """The PropagationError of the RK4 state y, at step i and time t, that
-    failed a propagation check with `error`."""
-    try:
-        herm = HermitianMatrix(0.5 * (y + dagger(y)), tol=tol)  # exactly Hermitian
-        smallest = float(hermitian_eig(herm, tol=tol).eigenvalues[0])
-    except Exception:  # diagnostics only; never mask the propagation error
-        smallest = None
-    return PropagationError(_BREACH.format(i, t, error), step_index=i,
-                            trace_defect=abs(complex(y.trace()) - 1.0), min_eigenvalue=smallest)
 
 
 def _mixed(rho: np.ndarray, eps) -> np.ndarray:

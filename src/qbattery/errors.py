@@ -1,5 +1,8 @@
 """Exception types shared across the package, and the form in which their
-messages echo an offending value."""
+messages echo an offending value.  An error carries its message, which names
+that value, and only the fields a contract names: PropagationError.step_index
+(the states `propagate` yielded before a breach) and ConfigError.path (the
+offending key)."""
 
 import math
 import reprlib
@@ -57,25 +60,13 @@ class ValidationError(QBatteryError):
 class ConvergenceError(QBatteryError):
     """The iterative eigensolver exhausted its sweep budget."""
 
-    def __init__(self, message, off_diagonal_norm=None):
-        super().__init__(message)
-        self.off_diagonal_norm = off_diagonal_norm
-
 
 class DomainError(QBatteryError):
     """A scalar function was evaluated outside its domain."""
 
-    def __init__(self, message, eigenvalue=None):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
-
 
 class RankDeficientError(QBatteryError):
     """A state eigenvalue sits at or below the rank threshold."""
-
-    def __init__(self, message, smallest_eigenvalue=None):
-        super().__init__(message)
-        self.smallest_eigenvalue = smallest_eigenvalue
 
 
 class ParameterError(QBatteryError):
@@ -89,18 +80,14 @@ class ConsistencyError(QBatteryError):
 class PropagationError(QBatteryError):
     """A propagated state violated the propagation tolerances.
 
-    Carries the step index and the offending defects (the smallest eigenvalue
-    may be None when it could not be computed).  There is no trajectory
-    payload: the states before the breach are the ones the consumer of the
-    propagation stream already took.
+    Carries the step index; the message names the step, its time and the
+    defect that failed.  There is no trajectory payload: the states before the
+    breach are the ones the consumer of the propagation stream already took.
     """
 
-    def __init__(self, message, step_index=None, trace_defect=None,
-                 min_eigenvalue=None):
+    def __init__(self, message, step_index=None):
         super().__init__(message)
         self.step_index = step_index
-        self.trace_defect = trace_defect
-        self.min_eigenvalue = min_eigenvalue
 
 
 class ScenarioError(QBatteryError):

@@ -133,8 +133,7 @@ def _decompose(rows: _Rows, rho: np.ndarray, values: np.ndarray, vectors: np.nda
     smallest = values[:, 0]
     rows.check(smallest <= RANK_THRESHOLD, lambda i: RankDeficientError(
         f"state is rank deficient for ln(rho): smallest eigenvalue "
-        f"{smallest[i]:.3e} <= threshold {RANK_THRESHOLD:.3e}",
-        smallest_eigenvalue=float(smallest[i])))
+        f"{smallest[i]:.3e} <= threshold {RANK_THRESHOLD:.3e}"))
     logs = np.zeros(values.shape)
     for i in range(rows.n):  # every eigenvalue is above the threshold
         logs[i] = [math.log(lam) for lam in values[i].tolist()]

@@ -244,8 +244,7 @@ def _convergence_target(m: np.ndarray, tol: ToleranceConfig):
 def _not_converged(off, target, scale, tol: ToleranceConfig) -> ConvergenceError:
     return ConvergenceError(
         f"Jacobi did not converge in {tol.jacobi_max_sweeps} sweeps: "
-        f"off-diagonal norm {off / scale:.3e} above target {target / scale:.3e}",
-        off_diagonal_norm=float(off / scale))
+        f"off-diagonal norm {off / scale:.3e} above target {target / scale:.3e}")
 
 
 def _plane_indices(p: np.ndarray, q: np.ndarray, d: int) -> np.ndarray:
@@ -384,7 +383,7 @@ def hermitian_eig(m: HermitianMatrix, *, basis: np.ndarray | None = None,
     to zero and the diagonal to its real part.  Pairs whose entry is exactly zero
     are skipped.  Sweeps run until the off-diagonal Frobenius norm falls below
     jacobi_offdiag * ||M||_F; convergence is quadratic, and exhausting the
-    sweep budget raises ConvergenceError carrying the residual.  Both norms
+    sweep budget raises ConvergenceError naming the residual.  Both norms
     are taken of the matrices times a power of two near 1/||M||_max (see
     _convergence_target), so the test holds for any finite magnitude of M.
 
@@ -507,18 +506,18 @@ def matrix_function(spectrum: Spectrum, f: Callable[[float], float], *,
 
     f is evaluated on each eigenvalue of `spectrum`; a raised ValueError /
     OverflowError / ZeroDivisionError or a non-finite result becomes
-    DomainError reporting the offending eigenvalue.  (The package's own ln(rho)
+    DomainError naming the offending eigenvalue.  (The package's own ln(rho)
     is lifted for stacks of states in free_energy._decompose, on eigenvalues it
     has just proved positive.)
     """
     vectors, mapped = spectrum.eigenvectors, []
-    for lam in spectrum.eigenvalues:
+    for lam in spectrum.eigenvalues.tolist():  # floats: a message shows f(0.0)
         try:
-            value = f(float(lam))
+            value = f(lam)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"f({lam!r}) undefined: {exc}", eigenvalue=float(lam)) from exc
+            raise DomainError(f"f({lam!r}) undefined: {exc}") from exc
         if not math.isfinite(value):
-            raise DomainError(f"f({lam!r}) = {value!r} is not finite", eigenvalue=float(lam))
+            raise DomainError(f"f({lam!r}) = {value!r} is not finite")
         mapped.append(value)
     return HermitianMatrix((vectors * np.array(mapped, dtype=float)) @ dagger(vectors), tol=tol)
 

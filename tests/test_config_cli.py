@@ -842,6 +842,33 @@ class TestRunCommand:
             "numeric failure: step 3 (t = 6.2): smallest eigenvalue -6.421e-01 below -1.000e-08\n")
         assert [float(row["t"]) for row in read_csv(out)] == [5.0, 5.4, 5.8]
 
+    def test_a_breach_solves_no_state_again(self, tmp_path, monkeypatch, capsys):
+        # the same run from t0 = 0: the only one-matrix solve is H's, in
+        # thermal_state; the breaching state's spectrum is the failed check's,
+        # and its message is the whole diagnosis
+        solved, original = [], linalg.hermitian_eig
+        for module in (linalg, dynamics, free_energy, audit, cli):
+            if getattr(module, "hermitian_eig", None) is original:
+                monkeypatch.setattr(module, "hermitian_eig", lambda herm, **kwargs: (
+                    solved.append(herm.matrix.copy()) or original(herm, **kwargs)))
+        cfg, out = tmp_path / "breach.json", tmp_path / "breach.csv"
+        cfg.write_text(json.dumps({
+            "dim": 2, "hamiltonian": [[0.0, 0.0], [0.0, 1.0]],
+            "channels": [{"rate": 8.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}],
+            "initial_state": {"kind": "thermal"}, "time": {"step": 0.4, "horizon": 4.0}}))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: step 3 (t = 1.2): smallest eigenvalue -6.421e-01 below -1.000e-08\n")
+        assert len(solved) == 1 and np.array_equal(solved[0], np.diag([0.0, 1.0]))
+        assert out.read_bytes() == (
+            b"t,energy,entropy,free_energy,power_analytic,power_fd,theta_1,trace_defect,min_eig\n"
+            b"0,0.2689414213699951,0.58220310888821791,-0.31326168751822281,0,,0,0,"
+            b"0.2689414213699951\n"
+            b"0.40000000000000002,0.49155320055198581,0.69300447692987754,-0.2014512763778917,"
+            b"-3.7995473208804889,1.103958602815694,0.47466608568988716,0,0.49155320055198581\n"
+            b"0.80000000000000004,0.89842816975554973,0.32852297502121713,0.56990519473433254,"
+            b"-22.855153907117199,,1.0270577958993241,0,0.10157183024445027\n")
+
     @pytest.mark.parametrize("rows_per_block", [2, 3, None])
     def test_an_evaluation_failure_wins_over_a_later_breach(self, tmp_path, monkeypatch,
                                                             capsys, rows_per_block):
@@ -1252,6 +1279,65 @@ class TestReportCommands:
         claims = json.loads(outs[0])["report"]["claim_verdicts"]
         assert {c["claim_id"] for c in claims} == {
             "C1", "C2", "C3", "C1_transposed", "C2_transposed", "C3_transposed"}
+
+    def blocked_check(self, tmp_path, monkeypatch, capsys, cfg, seed, block):
+        """Exit code, stderr and report bytes (None: no report) of `check` on
+        `cfg` at `seed`, with claim stacks of `block` bytes a matrix row, and
+        how many stacks were evaluated."""
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", block)
+        stacks, evaluate = [], audit._evaluate
+        monkeypatch.setattr(audit, "_evaluate", lambda *args, **kwargs: (
+            stacks.append(args[0].n) or evaluate(*args, **kwargs)))
+        out = tmp_path / "check.out.json"
+        out.unlink(missing_ok=True)
+        code = main(["check", "--config", str(cfg), "--out", str(out), "--seed", str(seed)])
+        return (code, capsys.readouterr().err, out.read_bytes() if out.exists() else None), \
+            len(stacks)
+
+    # one instance a stack, the default rule, and every instance of a dimension
+    # d <= 6 in one stack
+    CLAIM_BLOCKS = (1, DEFAULT_BLOCK_BYTES, 16 * 6 * 6 * 1000)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_check_keeps_its_bytes_across_claim_block_sizes(self, tmp_path, monkeypatch,
+                                                            capsys, seed):
+        cfg = SCENARIOS / "ensemble_check.json"
+        runs = [self.blocked_check(tmp_path, monkeypatch, capsys, cfg, seed, block)
+                for block in self.CLAIM_BLOCKS]
+        assert runs[0][0][:2] == (0, "") and runs[0][0][2] is not None
+        assert runs[1][0] == runs[0][0] and runs[2][0] == runs[0][0]
+        assert runs[0][1] > runs[1][1] >= runs[2][1]
+
+    def test_the_earliest_drawn_failure_wins_across_claim_blocks(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # failing instances at d = 2 (drawn first) and d = 6: at the default
+        # rule each sits in its dimension's second stack (28 instances a stack
+        # at d = 6, 256 at d = 2), and d = 6 is evaluated first
+        def overflowing(d, k0, channel):  # Theta of `channel` at eigenstate k0 overflows
+            ops = [np.zeros((d, d), dtype=complex) for _ in range(channel + 1)]
+            ops[channel][k0, (k0 + 1) % d] = 1.0
+            return dynamics.LindbladModel(linalg.HermitianMatrix(np.diag(np.arange(d) * 1e200)),
+                                          tuple(dynamics.JumpChannel(1.0, op) for op in ops)), k0
+
+        def agreeing(d):  # evaluates without a failure
+            lowering = np.diag(np.ones(d - 1), 1).astype(complex)
+            return dynamics.LindbladModel(linalg.HermitianMatrix(np.diag(np.arange(d) * 1.0)),
+                                          (dynamics.JumpChannel(1.0, lowering),)), d - 1
+
+        drawn = [agreeing(6)] * 30 + [agreeing(2)] * 256 + [overflowing(2, 0, 0),
+                                                            overflowing(6, 3, 1), agreeing(3)]
+        cfg = tmp_path / "scripted.json"
+        cfg.write_text(json.dumps({"dim": 6, "trials": len(drawn), "include_bundled": False}))
+        runs = []
+        for block in self.CLAIM_BLOCKS:
+            scripted = iter(drawn)
+            monkeypatch.setattr(audit, "_random_instance", lambda rng, ens: next(scripted))
+            runs.append(self.blocked_check(tmp_path, monkeypatch, capsys, cfg, 0, block))
+        assert runs[0][0] == (3, "numeric failure: Theta of channel 0, eigenstate 0: "
+                                 "closed form inf is not finite\n", None)
+        assert runs[1][0] == runs[0][0] and runs[2][0] == runs[0][0]
+        # the stacks of d = 6, 3 and 2, in that order, up to each failure
+        assert [run[1] for run in runs] == [31 + 1 + 257, 2 + 1 + 2, 1 + 1 + 1]
 
     def test_check_negative_seed_exits_2(self, tmp_path, capsys):
         out = tmp_path / "c.json"

@@ -387,7 +387,11 @@ class TestPropagate:
         err = exc.value
         assert err.step_index >= 1
         assert len(yielded) == err.step_index
-        assert err.min_eigenvalue < -1e-8 or err.trace_defect > 1e-8
+        # the message names the step and the defect that failed
+        smallest, defect = re.fullmatch(
+            rf"step {err.step_index} \(t = \S+\): (?:smallest eigenvalue (\S+) below \S+"
+            r"|trace defect (\S+) exceeds tolerance \S+)", str(err)).groups()
+        assert float(smallest) < -1e-8 if defect is None else float(defect) > 1e-8
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("steps", [1, 10])

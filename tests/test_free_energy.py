@@ -96,7 +96,8 @@ class TestFreeEnergyOperator:
     def test_pure_state_rejected(self):
         with pytest.raises(RankDeficientError) as exc:
             free_energy_operator(GROUND, qubit_ctx())
-        assert exc.value.smallest_eigenvalue <= 1e-12
+        smallest = re.search(r"smallest eigenvalue (\S+) <= threshold", str(exc.value)).group(1)
+        assert float(smallest) <= 1e-12
 
     @given(density_matrices(2, 6))
     @settings(max_examples=30)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,7 +231,8 @@ class TestHermitianEig:
         tol = DEFAULT_TOLERANCES.replace(jacobi_max_sweeps=0)
         with pytest.raises(ConvergenceError) as exc:
             hermitian_eig(HermitianMatrix(SIGMA_X), tol=tol)
-        assert exc.value.off_diagonal_norm > 0.0
+        residual = re.search(r"off-diagonal norm (\S+) above target", str(exc.value)).group(1)
+        assert float(residual) > 0.0
 
     @given(hermitian_matrices(2, 5))
     @settings(max_examples=40)
@@ -271,8 +273,8 @@ def same_bits(a, b) -> bool:
 
 def assert_cuts_as_single_solves(hs, tol) -> int:
     """From every start offset, hermitian_eigs of hs[start:] cuts at the first
-    matrix whose single solve raises, with the same type, message and
-    off_diagonal_norm, and every spectrum before the cut has the bits of the
+    matrix whose single solve raises, with the same type and message (which
+    names the residual), and every spectrum before the cut has the bits of the
     single solve.  So each failing matrix is checked as the first failure of
     its own suffix.  Returns how many of hs fail."""
     failed = 0
@@ -292,8 +294,6 @@ def assert_cuts_as_single_solves(hs, tol) -> int:
             hermitian_eig(hs[start + rows.n], tol=tol)
         assert type(rows.error) is type(single.value)
         assert str(rows.error) == str(single.value)
-        assert getattr(rows.error, "off_diagonal_norm", None) == \
-            getattr(single.value, "off_diagonal_norm", None)
     return failed
 
 
@@ -647,7 +647,8 @@ class TestMatrixFunction:
     def test_log_of_singular_matrix(self):
         with pytest.raises(DomainError) as exc:
             matrix_function(hermitian_eig(HermitianMatrix(np.diag([0.0, 1.0]))), math.log)
-        assert abs(exc.value.eigenvalue) <= 1e-12
+        eigenvalue = re.fullmatch(r"f\((.+)\) undefined: .*", str(exc.value)).group(1)
+        assert abs(float(eigenvalue)) <= 1e-12
 
     @given(hermitian_matrices(2, 4), st.floats(-2.0, 2.0, allow_nan=False))
     @settings(max_examples=40)

@@ -96,6 +96,38 @@ def test_every_public_function_has_a_reader():
     assert unread == []
 
 
+# the fields of an error that a contract names, beside its message
+_ERROR_FIELDS = {"ConfigError": {"path"}, "PropagationError": {"step_index"}}
+
+
+def test_errors_carry_their_message():
+    # an error's message names its offending value; a constructor takes only
+    # the message and the fields a contract names
+    errors = [cls for cls in vars(qbattery.errors).values()
+              if isinstance(cls, type) and issubclass(cls, qbattery.QBatteryError)]
+    assert {cls.__name__ for cls in errors} >= _ERROR_FIELDS.keys()
+    for cls in errors:
+        if "__init__" in vars(cls):
+            params = list(inspect.signature(cls.__init__).parameters)
+            assert params[:2] == ["self", "message"], cls.__name__
+            assert set(params[2:]) <= _ERROR_FIELDS.get(cls.__name__, set()), cls.__name__
+
+
+def test_the_mutation_probe_makes_what_it_lists():
+    # tests/mutation_probe.py runs in its own CI job; here its mutants are only
+    # made: each key is unique, each mutated module parses, and each mutant
+    # the probe lists as equivalent is one it makes
+    import mutation_probe
+    found = mutation_probe.mutants()
+    keys = [key for key, _, _ in found]
+    assert len(keys) == len(set(keys)) > 0
+    assert mutation_probe.EQUIVALENT.keys() <= set(keys)
+    originals = {path: ast.dump(ast.parse((ROOT / path).read_text()))
+                 for path in mutation_probe.TARGETS}
+    for key, path, text in found:
+        assert ast.dump(ast.parse(text)) != originals[path], key
+
+
 def _names_a_number_type(node) -> bool:
     """int, float, np.integer, np.floating or a numbers class, alone or in a tuple."""
     if isinstance(node, ast.Tuple):
