@@ -6,15 +6,14 @@ Each mutant makes one change inside one of TARGETS: it flips one comparison
 one `and`/`or` or `&`/`|`, or drops one `not` or `~`.  The mutated function is
 spliced into a temporary copy of the repository, where
 
-    python -m pytest -x -q tests/test_audit.py tests/test_free_energy.py
+    python -m pytest -x -q --hypothesis-seed=0 tests/test_audit.py tests/test_free_energy.py
 
-runs once per mutant; the mutant is killed when that run fails.  The probe
-exits 1 when a mutant survives that EQUIVALENT does not name, when a mutant
-EQUIVALENT names is killed or no longer exists, or when the unmutated copy
-fails.
+runs once per mutant, with hypothesis's draws fixed so that each verdict
+repeats; the mutant is killed when that run fails.  The probe exits 1 when a
+mutant survives that EQUIVALENT does not name, when a mutant EQUIVALENT names
+is killed or no longer exists, or when the unmutated copy fails.
 
-    python tests/mutation_probe.py          # run every mutant (a few minutes)
-    python tests/mutation_probe.py --list   # print the mutants' keys, run none
+    python tests/mutation_probe.py   # run every mutant (a few minutes)
 
 It uses `ast` and the standard library only.  pytest does not collect it: its
 name does not start with test_.
@@ -22,7 +21,6 @@ name does not start with test_.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import copy
 import os
@@ -57,7 +55,7 @@ _LABELS = {"supporting": "counterexample", "counterexample": "supporting",
            "violated": "confirmed", "confirmed": "violated"}
 _CLASSES = {"ZERO": "STRADDLE", "NONZERO": "STRADDLE", "STRADDLE": "NONZERO"}
 
-# mutants, by key as --list prints it, that no test can kill, and why
+# mutants, by key as a run prints it, that no test can kill, and why
 EQUIVALENT = {}
 
 
@@ -144,19 +142,13 @@ def _fails(repo: Path) -> bool:
     written, so a mutated module is never read from a stale cache."""
     env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                          *TESTS], cwd=repo, env=env, stdout=subprocess.DEVNULL,
-                         stderr=subprocess.DEVNULL)
+                          "--hypothesis-seed=0", *TESTS], cwd=repo, env=env,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return run.returncode != 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
-    parser.add_argument("--list", action="store_true", help="print the mutants' keys and exit")
-    args = parser.parse_args(argv)
+def main() -> int:
     found = mutants()
-    if args.list:
-        print("\n".join(key for key, _, _ in found))
-        return 0
     problems = [f"stale: {key} is listed as equivalent but is no mutant"
                 for key in EQUIVALENT.keys() - {key for key, _, _ in found}]
     with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:

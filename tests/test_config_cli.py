@@ -828,46 +828,38 @@ class TestRunCommand:
         assert len(rows) == 5
         assert [r["power_fd"] == "" for r in rows] == [True, False, False, False, True]
 
-    def test_a_breach_names_the_time_the_csv_writes(self, tmp_path, capsys):
+    def test_a_breach_names_the_time_the_csv_writes(self, tmp_path, monkeypatch, capsys):
         # a thermal qubit decaying at rate 8, step 0.4: RK4 is unstable and
-        # breaches at step 3, whose t is t0 + 3 steps in the message as in the CSV
-        cfg, out = tmp_path / "breach.json", tmp_path / "breach.csv"
-        cfg.write_text(json.dumps({
-            "dim": 2, "hamiltonian": [[0.0, 0.0], [0.0, 1.0]],
-            "channels": [{"rate": 8.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}],
-            "initial_state": {"kind": "thermal"},
-            "time": {"t0": 5.0, "step": 0.4, "horizon": 4.0}}))
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "numeric failure: step 3 (t = 6.2): smallest eigenvalue -6.421e-01 below -1.000e-08\n")
-        assert [float(row["t"]) for row in read_csv(out)] == [5.0, 5.4, 5.8]
-
-    def test_a_breach_solves_no_state_again(self, tmp_path, monkeypatch, capsys):
-        # the same run from t0 = 0: the only one-matrix solve is H's, in
-        # thermal_state; the breaching state's spectrum is the failed check's,
-        # and its message is the whole diagnosis
+        # breaches at step 3, whose t is t0 + 3 steps in the message as in the
+        # CSV.  The only one-matrix solve is H's, in thermal_state: the
+        # breaching state's spectrum is the failed check's, and its message is
+        # the whole diagnosis.
         solved, original = [], linalg.hermitian_eig
         for module in (linalg, dynamics, free_energy, audit, cli):
             if getattr(module, "hermitian_eig", None) is original:
                 monkeypatch.setattr(module, "hermitian_eig", lambda herm, **kwargs: (
                     solved.append(herm.matrix.copy()) or original(herm, **kwargs)))
         cfg, out = tmp_path / "breach.json", tmp_path / "breach.csv"
-        cfg.write_text(json.dumps({
-            "dim": 2, "hamiltonian": [[0.0, 0.0], [0.0, 1.0]],
-            "channels": [{"rate": 8.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}],
-            "initial_state": {"kind": "thermal"}, "time": {"step": 0.4, "horizon": 4.0}}))
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "numeric failure: step 3 (t = 1.2): smallest eigenvalue -6.421e-01 below -1.000e-08\n")
-        assert len(solved) == 1 and np.array_equal(solved[0], np.diag([0.0, 1.0]))
-        assert out.read_bytes() == (
-            b"t,energy,entropy,free_energy,power_analytic,power_fd,theta_1,trace_defect,min_eig\n"
-            b"0,0.2689414213699951,0.58220310888821791,-0.31326168751822281,0,,0,0,"
-            b"0.2689414213699951\n"
-            b"0.40000000000000002,0.49155320055198581,0.69300447692987754,-0.2014512763778917,"
-            b"-3.7995473208804889,1.103958602815694,0.47466608568988716,0,0.49155320055198581\n"
-            b"0.80000000000000004,0.89842816975554973,0.32852297502121713,0.56990519473433254,"
-            b"-22.855153907117199,,1.0270577958993241,0,0.10157183024445027\n")
+        for t0, t3 in ((0.0, "1.2"), (5.0, "6.2")):
+            solved.clear()
+            cfg.write_text(json.dumps({
+                "dim": 2, "hamiltonian": [[0.0, 0.0], [0.0, 1.0]],
+                "channels": [{"rate": 8.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}],
+                "initial_state": {"kind": "thermal"},
+                "time": {"t0": t0, "step": 0.4, "horizon": 4.0}}))
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+            assert capsys.readouterr().err == (f"numeric failure: step 3 (t = {t3}): "
+                                               "smallest eigenvalue -6.421e-01 below -1.000e-08\n")
+            assert len(solved) == 1 and np.array_equal(solved[0], np.diag([0.0, 1.0]))
+            assert [float(row["t"]) for row in read_csv(out)] == [t0, t0 + 0.4, t0 + 0.8]
+            assert [line.partition(b",")[2] for line in out.read_bytes().splitlines()] == [
+                b"energy,entropy,free_energy,power_analytic,power_fd,theta_1,trace_defect,min_eig",
+                b"0.2689414213699951,0.58220310888821791,-0.31326168751822281,0,,0,0,"
+                b"0.2689414213699951",
+                b"0.49155320055198581,0.69300447692987754,-0.2014512763778917,"
+                b"-3.7995473208804889,1.103958602815694,0.47466608568988716,0,0.49155320055198581",
+                b"0.89842816975554973,0.32852297502121713,0.56990519473433254,"
+                b"-22.855153907117199,,1.0270577958993241,0,0.10157183024445027"]
 
     @pytest.mark.parametrize("rows_per_block", [2, 3, None])
     def test_an_evaluation_failure_wins_over_a_later_breach(self, tmp_path, monkeypatch,
