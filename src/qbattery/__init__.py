@@ -18,9 +18,9 @@ from .errors import (ConfigError, ConsistencyError, ConvergenceError, DimensionE
                      DomainError, ParameterError, PropagationError, QBatteryError,
                      RankDeficientError, ScenarioError, ValidationError)
 from .free_energy import (BatteryContext, ChannelTheta, FreeEnergyDecomposition,
-                          ThetaReport, VanishingConditionReport, compute_theta_report,
-                          free_energy_operator, mean_free_energy, power_analytic,
-                          theta_index_form, theta_operator_form, vanishing_condition)
+                          ThetaReport, compute_theta_report, free_energy_operator,
+                          mean_free_energy, power_analytic, theta_index_form,
+                          theta_operator_form, vanishing_condition)
 from .linalg import HermitianMatrix, Spectrum, hermitian_eig, matrix_function
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
@@ -61,7 +61,6 @@ __all__ = [
     "TimeGrid",
     "ToleranceConfig",
     "ValidationError",
-    "VanishingConditionReport",
     "bundled_witnesses",
     "claim_falsifier",
     "compute_theta_report",

@@ -196,8 +196,6 @@ def _evaluate(rows: _Rows, drawn, w: np.ndarray, u: np.ndarray, beta: float,
     failure cuts `rows`; the instances before the cut are returned.
     """
     n = rows.n
-    if not n:
-        return []
     models, k0 = [entry[1] for entry in drawn[:n]], np.array([entry[2] for entry in drawn[:n]])
     d = models[0].dim
     counts = [len(model.channels) for model in models]
@@ -219,7 +217,7 @@ def _evaluate(rows: _Rows, drawn, w: np.ndarray, u: np.ndarray, beta: float,
         indices, shift = rates * (col * shift).sum(axis=-1), shift ** 2
         t_rows, t_cols = ((x * shift).sum(axis=-1).tolist() for x in (row, col))
         holds = vanishing_condition(h, w, k0, projectors, components, owner, operator_max,
-                                    tol=tol).holds.tolist()
+                                    tol=tol).tolist()
     traces, indices, rates = traces.tolist(), indices.tolist(), rates.tolist()
     operator_max, stop, out = operator_max.tolist(), 0, []
     for j, h_max_j in enumerate(h_max.tolist()):

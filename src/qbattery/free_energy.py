@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DensityMatrix, LindbladModel, _block_rows, _checked_states, _entropies,
-                       _liouvillians, _mixed, _probe_breaches, _state_blocks)
+from .dynamics import (_BREACH, DensityMatrix, LindbladModel, _block_rows, _checked_states,
+                       _entropies, _liouvillians, _mixed, _probe_breaches, _state_blocks)
 from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
 from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _finite, _hermitian,
                      _Rows, dagger, hermitian_eig_chain)
@@ -55,7 +55,6 @@ __all__ = [
     "FreeEnergyDecomposition",
     "ChannelTheta",
     "ThetaReport",
-    "VanishingConditionReport",
     "free_energy_operator",
     "mean_free_energy",
     "power_analytic",
@@ -371,7 +370,8 @@ def _run_rows(ctx: BatteryContext, rho0: DensityMatrix, t0: float, offsets: np.n
     rho0's eigenbasis (F's own when [rho0, H] = 0).  A row is held until the
     next state's <F> arrives: its power_fd is the central difference of the
     <F> around it, blank for the first row and a row no state follows.  A
-    failing row or a breach is raised after the rows before it come out."""
+    failing row or a breach is raised after the rows before it come out, a
+    failing row's error as its own type, named by step and t as a breach is."""
     header = ["t", "energy", "entropy", "free_energy", "power_analytic", "power_fd",
               *(f"theta_{j + 1}" for j in range(len(ctx.model.channels))),
               "trace_defect", "min_eig"]
@@ -379,7 +379,7 @@ def _run_rows(ctx: BatteryContext, rho0: DensityMatrix, t0: float, offsets: np.n
     fd = header.index("power_fd")
     step = float(offsets[1] - offsets[0]) if offsets.size > 1 else 0.0
     times = t0 + offsets
-    t, basis = iter(times), rho0.spectrum.eigenvectors
+    t, basis, start = iter(times), rho0.spectrum.eigenvectors, 0
     before = previous = pending = error = None
     try:
         for rho, defect, w, u in _state_blocks(ctx.model, rho0, times, step, tol):
@@ -393,7 +393,10 @@ def _run_rows(ctx: BatteryContext, rho0: DensityMatrix, t0: float, offsets: np.n
                 pending = None if i == rows.n else [next(t), energy[i], entropy[i], means[i],
                                                     powers[i], None, *thetas[i], defect[i], w[i, 0]]
                 before, previous = previous, after
-            rows.raise_first()
+            if rows.error is not None:
+                i = start + rows.n
+                raise type(rows.error)(_BREACH.format(i, times[i], rows.error)) from rows.error
+            start += len(rho)  # the step of the next block's first row
     except Exception as exc:  # not GeneratorExit, raised at a yield above on close
         error = exc
     if pending is not None:
@@ -433,22 +436,12 @@ def _rung_rows(ctx: BatteryContext, rho0: DensityMatrix, epsilons, step: float,
         yield from zip(block, power.tolist(), energy.tolist(), entropy.tolist(), step_errors)
 
 
-@dataclass(frozen=True)
-class VanishingConditionReport:
-    """Structural condition claimed equivalent to "all Theta_j vanish": H = w_k0
-    |k0><k0|, or every L_j acts as a scalar on each eigenvector of H with nonzero
-    eigenvalue.  One entry per instance of a stack (`per_channel_trivial`: per
-    pair).  It carries no Theta: callers test the equivalence with their own."""
-
-    holds: np.ndarray
-    projector_hamiltonian: np.ndarray
-    trivial_action: np.ndarray
-    per_channel_trivial: np.ndarray
-
-
 def vanishing_condition(h, w, k0, projectors, components, owner, operator_max, *,
-                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> VanishingConditionReport:
-    """The structural vanishing condition of n instances of one dimension.
+                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """`holds` (n,), the structural vanishing condition of n instances of one
+    dimension, claimed equivalent to "all Theta_j vanish": H = w_k0 |k0><k0|,
+    or every L_j acts trivially on each eigenvector of H with nonzero
+    eigenvalue.  It reads no Theta: callers test the equivalence with their own.
 
     Instance i is eigenstate k0[i] of h[i] = U diag(w[i]) U^dag, with
     projectors[i] = U|k0><k0|U^dag; pair p, a channel of instance owner[p], has
@@ -469,5 +462,4 @@ def vanishing_condition(h, w, k0, projectors, components, owner, operator_max, *
     cut = tol.predicate_zero * np.maximum(1.0, operator_max)
     per_channel = ~((residual > cut[:, None]) & nonzero[owner]).any(axis=-1)
     trivial_action = np.bincount(owner[~per_channel], minlength=n) == 0
-    return VanishingConditionReport(projector_hamiltonian | trivial_action,
-                                    projector_hamiltonian, trivial_action, per_channel)
+    return projector_hamiltonian | trivial_action

@@ -16,18 +16,13 @@ from .errors import ConfigError, ValidationError, _shown
 from .linalg import HermitianMatrix
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite, _is_integer, _is_real
 
-__all__ = ["complex_to_pair", "matrix_to_json", "float_from_json", "entry_from_json",
-           "matrix_from_json", "model_to_json", "model_from_json"]
-
-
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+__all__ = ["matrix_to_json", "float_from_json", "entry_from_json", "matrix_from_json",
+           "model_to_json", "model_from_json"]
 
 
 def matrix_to_json(matrix) -> list:
     arr = np.asarray(matrix, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in arr]
+    return [[[z.real, z.imag] for z in row] for row in arr.tolist()]
 
 
 def float_from_json(value, path: str) -> float:

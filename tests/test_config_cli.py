@@ -19,7 +19,7 @@ from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
 from qbattery.cli import main, parse_tol_overrides
 from qbattery.config import (CHECK_DIM_MAX, CHECK_TRIALS_MAX, MODES, RUN_STEPS_MAX,
                              config_to_dict, parse_config)
-from qbattery.errors import ConfigError, PropagationError
+from qbattery.errors import ConfigError, ConsistencyError, PropagationError
 from qbattery.tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -264,6 +264,13 @@ class TestParseConfig:
         text = config_text(initial_state={"kind": "thermal"})
         with pytest.raises(ConfigError, match="initial_state"):
             parse_config(text, "audit")
+
+    @pytest.mark.parametrize("start, k0", [
+        (MINIMAL_RUN["initial_state"], 0), ({"kind": "thermal"}, None),
+        ({"kind": "matrix", "matrix": [[0.75, 0.0], [0.0, 0.25]]}, None)],
+        ids=["eigenstate", "thermal", "matrix"])
+    def test_k0_belongs_to_an_eigenstate_start_alone(self, start, k0):
+        assert parse_config(config_text(initial_state=start), "run").k0 == k0
 
     def test_thermal_state_defaults_to_global_beta(self):
         cfg = parse_config(config_text(initial_state={"kind": "thermal"}), "run")
@@ -881,9 +888,32 @@ class TestRunCommand:
         assert 0.0 < smallest < 1e-12
         one = self.blocked_run(tmp_path, monkeypatch, capsys, data, 1)
         assert self.blocked_run(tmp_path, monkeypatch, capsys, data, rows_per_block) == one
-        assert one[:2] == (3, "numeric failure: state is rank deficient for ln(rho): "
-                              f"smallest eigenvalue {smallest:.3e} <= threshold 1.000e-12\n")
+        assert one[:2] == (3, "numeric failure: step 4 (t = 0.125): state is rank deficient "
+                              f"for ln(rho): smallest eigenvalue {smallest:.3e} <= threshold "
+                              "1.000e-12\n")
         assert len(read_csv(tmp_path / "blocked.csv")) == 4
+
+    def test_a_failing_row_names_its_step_and_time(self, tmp_path, capsys):
+        # at mean_crosscheck = 0 the two forms of <F> differ in their last digit
+        # at the first row: the row's ConsistencyError keeps its type (exit 3)
+        # and gains a breach's "step i (t = ...): " prefix
+        out = tmp_path / "run.csv"
+        assert main(["run", "--config", str(SCENARIOS / "qutrit_tilted.json"), "--out", str(out),
+                     "--tol", "mean_crosscheck=0"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: step 0 (t = 0): <F> disagrees between forms: "
+            "trace 1.0351150911968148 vs energy-entropy 1.035115091196815\n")
+        assert read_csv(out) == []
+        # the library raises it chained to the row's own error
+        cfg = parse_config((SCENARIOS / "qutrit_tilted.json").read_text(), "run")
+        tol = ToleranceConfig(mean_crosscheck=0.0)
+        stream = free_energy._run_rows(free_energy.BatteryContext(cfg.beta, cfg.model),
+                                       cli._initial_state(cfg, tol), cfg.time.t0,
+                                       cfg.time.offsets(), tol)
+        with pytest.raises(ConsistencyError) as raised:
+            list(stream)
+        assert type(raised.value.__cause__) is ConsistencyError
+        assert f"step 0 (t = 0): {raised.value.__cause__}" == str(raised.value)
 
     @pytest.mark.parametrize("case, taken", [
         ("long", 1), ("long", 31), ("long", 32), ("long", 33), ("long", 70), ("long", 71),
@@ -977,8 +1007,8 @@ class TestRunCommand:
         code = main([mode, "--config", str(cfg), "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err == (
-            "numeric failure: F = H + ln(rho)/beta at beta = 1e-310: "
-            "hermitian matrix: non-finite entries\n")
+            f"numeric failure: {'step 0 (t = 0): ' if mode == 'run' else ''}"
+            "F = H + ln(rho)/beta at beta = 1e-310: hermitian matrix: non-finite entries\n")
         if mode == "run":
             assert len(out.read_text().splitlines()) == 1  # the header only
         else:
@@ -992,7 +1022,7 @@ class TestRunCommand:
         out = tmp_path / "cold.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "numeric failure: Theta of channel 0, |[deltaF, L]|^2: "
+            "numeric failure: step 0 (t = 0): Theta of channel 0, |[deltaF, L]|^2: "
             "hermitian matrix: non-finite entries\n")
         assert len(out.read_text().splitlines()) == 1  # the header only
 
@@ -1004,7 +1034,7 @@ class TestRunCommand:
         out = tmp_path / "cold.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "numeric failure: Theta of channel 0, |[deltaF, L]|^2: "
+            "numeric failure: step 0 (t = 0): Theta of channel 0, |[deltaF, L]|^2: "
             "hermitian matrix: non-finite entries\n")
 
     @pytest.mark.parametrize("place, path", [
@@ -1461,12 +1491,12 @@ class TestReportCommands:
          "numeric failure: step 1 (t = 0.001): hermitian matrix: non-finite entries"),
         ("hamiltonian", 1e100, "audit", 0, ""),
         ("hamiltonian", 1e100, "sweep", 0, ""),
-        ("hamiltonian", 1e200, "run", 3, "numeric failure: Theta of channel 0, "
+        ("hamiltonian", 1e200, "run", 3, "numeric failure: step 0 (t = 0): Theta of channel 0, "
          "|[deltaF, L]|^2: hermitian matrix: non-finite entries"),
         ("hamiltonian", 1e200, "audit", 3, "numeric failure: Theta of channel 0, "
          "eigenstate 0: closed form inf is not finite"),
         ("hamiltonian", 1e200, "sweep", 0, ""),
-        ("hamiltonian", 1e300, "run", 3, "numeric failure: Theta of channel 0, "
+        ("hamiltonian", 1e300, "run", 3, "numeric failure: step 0 (t = 0): Theta of channel 0, "
          "|[deltaF, L]|^2: hermitian matrix: non-finite entries"),
         ("hamiltonian", 1e300, "audit", 3, "numeric failure: Theta of channel 0, "
          "eigenstate 0: closed form inf is not finite"),
@@ -1481,21 +1511,24 @@ class TestReportCommands:
          "numeric failure: step 1 (t = 0.001): hermitian matrix: non-finite entries"),
         ("channel", 1e100, "audit", 0, ""),
         ("channel", 1e100, "sweep", 0, ""),
-        ("channel", 1e154, "run", 3, "numeric failure: Theta of channel 0, "
+        ("channel", 1e154, "run", 3, "numeric failure: step 0 (t = 0): Theta of channel 0, "
          "|[deltaF, L]|^2: hermitian matrix: non-finite entries"),
         ("channel", 1e154, "sweep", 3,
          "numeric failure: report.rows[0].power_analytic = -inf is not finite"),
-        ("channel", 1e200, "run", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1e200, "run", 3,
+         "numeric failure: step 0 (t = 0): hermitian matrix: non-finite entries"),
         ("channel", 1e200, "audit", 3, "numeric failure: Theta of channel 0, "
          "eigenstate 0: closed form nan is not finite"),
         ("channel", 1e200, "sweep", 3,
          "numeric failure: eigenstate power forms disagree: trace nan vs index nan"),
-        ("channel", 1e300, "run", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1e300, "run", 3,
+         "numeric failure: step 0 (t = 0): hermitian matrix: non-finite entries"),
         ("channel", 1e300, "audit", 3, "numeric failure: Theta of channel 0, "
          "eigenstate 0: closed form nan is not finite"),
         ("channel", 1e300, "sweep", 3,
          "numeric failure: eigenstate power forms disagree: trace nan vs index nan"),
-        ("channel", 1.7e308, "run", 3, "numeric failure: hermitian matrix: non-finite entries"),
+        ("channel", 1.7e308, "run", 3,
+         "numeric failure: step 0 (t = 0): hermitian matrix: non-finite entries"),
         ("channel", 1.7e308, "audit", 3, "numeric failure: Theta of channel 0, "
          "eigenstate 0: closed form nan is not finite"),
         ("channel", 1.7e308, "sweep", 3,

@@ -45,6 +45,10 @@ def dissipation(l, rho):
 
 
 class TestDensityMatrix:
+    def test_repr_names_dimension_and_trace_defect(self):
+        assert repr(DensityMatrix(np.diag([0.25, 0.75]))) == \
+            "DensityMatrix(dim=2, trace_defect=0.00e+00)"
+
     def test_pure_normalizes(self):
         rho = DensityMatrix.pure([3.0, 4.0])
         assert rho.matrix[0, 0].real == pytest.approx(9.0 / 25.0, abs=1e-15)
@@ -336,8 +340,28 @@ class TestModelValidation:
         with pytest.raises(DimensionError):
             LindbladModel(H2, (JumpChannel(1.0, np.eye(3, dtype=complex)),))
 
+    def test_a_raw_hamiltonian_is_checked_as_a_hermitian_matrix(self):
+        model = LindbladModel(np.diag([0.0, 1.0]), (JumpChannel(1.0, SIGMA_MINUS),))
+        assert isinstance(model.hamiltonian, HermitianMatrix)
+        assert model.hamiltonian.matrix.tobytes() == H2.matrix.tobytes()
+        with pytest.raises(ValidationError) as exc:
+            LindbladModel(SIGMA_MINUS)
+        assert str(exc.value) == "hermiticity defect 1.000e+00 exceeds tolerance 1.000e-12"
+
 
 class TestPropagate:
+    def test_a_state_of_another_dimension_is_rejected(self):
+        with pytest.raises(DimensionError) as exc:
+            propagate(decay_model(), DensityMatrix(np.eye(3) / 3.0), [0.0, 0.1])
+        assert str(exc.value) == "state dimension 3 vs model 2"
+
+    @pytest.mark.parametrize("grid", [[], [[0.0, 0.1]], [0.0, math.nan], [0.0, math.inf]],
+                             ids=["empty", "2-d", "nan", "inf"])
+    def test_a_grid_that_is_empty_2d_or_not_finite_is_rejected(self, grid):
+        with pytest.raises(ParameterError) as exc:
+            propagate(decay_model(), DensityMatrix(np.eye(2) / 2.0), grid)
+        assert str(exc.value) == "time grid must be a finite 1-d array"
+
     def test_zero_generator_constant(self):
         model = LindbladModel(HermitianMatrix(np.zeros((2, 2))))
         rho0 = DensityMatrix(np.diag([0.25, 0.75]))
@@ -558,3 +582,10 @@ class TestThermalState:
     def test_beta_validation(self):
         with pytest.raises(ParameterError):
             thermal_state(H2, -1.0)
+
+    def test_a_raw_hamiltonian_gives_the_same_state(self):
+        raw = thermal_state(np.diag([0.0, 1.0]), 1.0)
+        assert raw.matrix.tobytes() == thermal_state(H2, 1.0).matrix.tobytes()
+        with pytest.raises(ValidationError) as exc:
+            thermal_state(SIGMA_MINUS, 1.0, tol=DEFAULT_TOLERANCES.replace(hermiticity=0.5))
+        assert str(exc.value) == "hermiticity defect 1.000e+00 exceeds tolerance 5.000e-01"

@@ -14,7 +14,7 @@ from qbattery.config import parse_config
 from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, _mixed, liouvillian,
                                propagate, thermal_state)
 from qbattery.errors import (ConfigError, ConsistencyError, ConvergenceError, DimensionError,
-                             ParameterError, QBatteryError, RankDeficientError)
+                             ParameterError, QBatteryError, RankDeficientError, ValidationError)
 from qbattery.free_energy import (BatteryContext, FreeEnergyDecomposition, _evaluate_rows,
                                   _run_rows, compute_theta_report, free_energy_operator,
                                   mean_free_energy, power_analytic,
@@ -52,17 +52,15 @@ def power_at(rho, ctx):
 
 
 def condition_at(model, k0):
-    """vanishing_condition of one instance, on the stacks evaluate_instance builds:
-    (holds, projector_hamiltonian, trivial_action, per_channel_trivial)."""
+    """vanishing_condition of one instance, on the stacks evaluate_instance builds."""
     eig = hermitian_eig(model.hamiltonian)
     u, owner = eig.eigenvectors, np.zeros(len(model.channels), dtype=int)
     ops = np.array([ch.operator for ch in model.channels]).reshape(-1, model.dim, model.dim)
-    report = vanishing_condition(
+    holds = vanishing_condition(
         model.hamiltonian.matrix[None], eig.eigenvalues[None], np.array([k0]),
         np.outer(u[:, k0], np.conj(u[:, k0]))[None], dagger(u) @ ops @ u, owner,
         np.array([max_abs(op) for op in ops]))
-    return (bool(report.holds[0]), bool(report.projector_hamiltonian[0]),
-            bool(report.trivial_action[0]), tuple(report.per_channel_trivial.tolist()))
+    return bool(holds[0])
 
 
 def closed_form_theta(k0, w, l_c):
@@ -190,6 +188,50 @@ def sweeps(monkeypatch):
 
     monkeypatch.setattr(linalg, "_round_robin", counted)
     return seen
+
+
+class TestOneStateChecks:
+    """Checks that only the one-state functions make: a stacked caller builds
+    every operand at one dimension, and from one state."""
+
+    def test_operands_of_another_dimension_are_rejected(self):
+        ctx, qutrit = qubit_ctx(SIGMA_X), DensityMatrix(np.eye(3) / 3.0)
+        decomp = free_energy_operator(MIXED, ctx)
+        operands = "operator, state, and decomposition dimensions differ"
+        for call, message in [
+                (lambda: free_energy_operator(qutrit, ctx), "state dimension 3 vs model 2"),
+                (lambda: mean_free_energy(qutrit, ctx), "state dimension 3 vs model 2"),
+                (lambda: power_analytic(HermitianMatrix(np.zeros((3, 3))), decomp),
+                 "rate dimension 3 vs decomposition 2"),
+                (lambda: theta_operator_form(decomp, MIXED, np.eye(3)), operands),
+                (lambda: theta_operator_form(decomp, qutrit, SIGMA_X), operands),
+                (lambda: theta_index_form(np.zeros(3), np.eye(2), np.eye(2)),
+                 "component arrays must match the length of w")]:
+            with pytest.raises(DimensionError) as exc:
+                call()
+            assert str(exc.value) == message
+
+    # deltaF = diag(0.0069, -5.9) here: a thermal state's deltaF would be rounding alone
+    UNEVEN = DensityMatrix(np.diag([0.999, 0.001]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_commutator_that_overflows_is_named(self):
+        # [deltaF, L]'s off-diagonal entries are (0.0069 + 5.9) * 1e308
+        decomp = free_energy_operator(self.UNEVEN, qubit_ctx())
+        with pytest.raises(ValidationError) as exc:
+            theta_operator_form(decomp, self.UNEVEN, 1e308 * SIGMA_X)
+        assert str(exc.value) == "commutator: non-finite entries in result"
+
+    def test_a_theta_negative_beyond_the_psd_slack_is_named(self):
+        # |[deltaF, sigma_minus]|^2 = (deltaF_00 - deltaF_11)^2 |0><0|, read in a
+        # state whose ground population is -5e-11, within the states' psd slack
+        decomp = free_energy_operator(self.UNEVEN, qubit_ctx())
+        rho = DensityMatrix(np.diag([-5e-11, 1.0 + 5e-11]))
+        gap = decomp.delta_f.matrix[0, 0].real - decomp.delta_f.matrix[1, 1].real
+        with pytest.raises(ConsistencyError) as exc:
+            theta_operator_form(decomp, rho, SIGMA_MINUS)
+        assert str(exc.value) == \
+            f"Theta = {gap ** 2 * -5e-11:.3e} is negative beyond the PSD slack"
 
 
 class TestFreeEnergyEigensystem:
@@ -558,19 +600,18 @@ class TestVanishingCondition:
     def test_zero_hamiltonian_trivially_true(self, rng):
         model = LindbladModel(HermitianMatrix(np.zeros((2, 2))),
                               (JumpChannel(1.0, oracles.random_ginibre(rng, 2)),))
-        holds, _, trivial_action, _ = condition_at(model, 0)
-        assert holds and trivial_action
+        assert condition_at(model, 0)
 
     def test_sigma_x_false_with_nonzero_theta(self):
         ctx = qubit_ctx(SIGMA_X)
-        assert not condition_at(ctx.model, 0)[0]
+        assert not condition_at(ctx.model, 0)
         theta = evaluate_instance(ctx.model, 0, ctx.beta, "sigma_x").theta_values[0]
         assert theta == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal_channel_true_with_zero_theta(self):
+        # H = diag(0, 1) is no multiple of |0><0|: the trivial action alone holds
         ctx = qubit_ctx(np.diag([2.0, 5.0]))
-        holds, _, trivial_action, _ = condition_at(ctx.model, 0)
-        assert holds and trivial_action
+        assert condition_at(ctx.model, 0)
         assert evaluate_instance(ctx.model, 0, ctx.beta, "diagonal").theta_values[0] == 0.0
 
     @staticmethod
@@ -619,21 +660,29 @@ class TestVanishingCondition:
                                 *(oracles.random_ginibre(rng, n)
                                   for _ in range(int(rng.integers(1, 3))))),
                           int(rng.integers(0, n))))
-        outcomes = set()
+        deciders = set()
         for m, k0 in cases:
-            holds, got_projector, _, got_per_channel = condition_at(m, k0)
             projector, per_channel = self.eigenvector_loop(m, k0)
-            assert (got_projector, got_per_channel) == (projector, per_channel)
-            assert holds == (projector or all(per_channel))
-            outcomes.update(per_channel)
-        assert outcomes == {True, False}
+            assert condition_at(m, k0) == (projector or all(per_channel))
+            # each channel alone: where H is no projector, its own triviality decides
+            for ch, trivial in zip(m.channels, per_channel):
+                alone = LindbladModel(m.hamiltonian, (ch,))
+                assert condition_at(alone, k0) == (projector or trivial)
+                deciders.add((projector, trivial))
+        # the projector decides with a non-trivial channel; triviality both ways without it
+        assert {(True, False), (False, True), (False, False)} <= deciders
 
     def test_projector_hamiltonian_holds_despite_nonzero_theta(self):
         # H = 1 * |1><1| exactly, yet the raising channel has unit fluctuation:
         # the instance on which the claimed equivalence breaks
         ctx = qubit_ctx(SIGMA_PLUS)
-        holds, projector_hamiltonian, _, _ = condition_at(ctx.model, 1)
-        assert holds and projector_hamiltonian
+        assert condition_at(ctx.model, 1)
+        theta = evaluate_instance(ctx.model, 1, ctx.beta, "projector").theta_values[0]
+        assert theta == pytest.approx(1.0, abs=1e-14)
+        # sigma_x moves |1>, so at k0 = 1 the projector alone holds (at k0 = 0
+        # nothing does: test_sigma_x_false_with_nonzero_theta)
+        ctx = qubit_ctx(SIGMA_X)
+        assert condition_at(ctx.model, 1)
         theta = evaluate_instance(ctx.model, 1, ctx.beta, "projector").theta_values[0]
         assert theta == pytest.approx(1.0, abs=1e-14)
 
@@ -652,27 +701,29 @@ class TestVanishingCondition:
         return np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)
 
     # each cut is predicate_zero * max(1, .) = 1e-10 here: a defect, eigenvalue
-    # or residual exactly on it counts as zero, one float above it does not
+    # or residual exactly on it counts as zero, one float above it does not.
+    # Each instance is built so that the one quantity on its cut decides `holds`
     def test_projector_hamiltonian_on_and_beside_its_cut(self):
+        # column 1 is far from scalar on |1>, of eigenvalue 1: the action is not trivial
         cut = DEFAULT_TOLERANCES.predicate_zero * 1.0
-        got = [bool(self.on_cuts([[x, 0.0], [0.0, 1.0]], [0.0, 1.0],
-                                 np.zeros((2, 2))).projector_hamiltonian[0])
+        got = [bool(self.on_cuts(np.diag([x, 1.0]), [x, 1.0], [[0.0, 1.0], [0.0, 0.0]])[0])
                for x in self.beside(cut)]
         assert got == [True, True, False]
 
     def test_a_zero_eigenvalue_on_and_beside_its_cut(self):
-        # column 0 is far from scalar, so it counts only if its eigenvalue is nonzero
+        # H = diag(x, 1) is no multiple of |0><0|, and column 0 is far from
+        # scalar, so the condition holds only if its eigenvalue x counts as zero
         cut = DEFAULT_TOLERANCES.predicate_zero * 1.0
-        got = [bool(self.on_cuts(np.zeros((2, 2)), [x, 1.0],
-                                 [[0.0, 0.0], [1.0, 0.0]]).per_channel_trivial[0])
+        got = [bool(self.on_cuts(np.diag([x, 1.0]), [x, 1.0], [[0.0, 0.0], [1.0, 0.0]],
+                                 k0=0)[0])
                for x in self.beside(cut)]
         assert got == [True, True, False]
 
     def test_a_residual_on_and_beside_its_cut(self):
+        # H = I is no multiple of |1><1|, and both eigenvalues are nonzero
         cut = DEFAULT_TOLERANCES.predicate_zero * 1.0
         got = []
         for x in self.beside(cut):
             assert np.linalg.norm([0.0, x]) == x  # the residual is x itself
-            got.append(bool(self.on_cuts(np.zeros((2, 2)), [1.0, 1.0],
-                                         [[0.0, 0.0], [x, 0.0]]).per_channel_trivial[0]))
+            got.append(bool(self.on_cuts(np.eye(2), [1.0, 1.0], [[0.0, 0.0], [x, 0.0]])[0]))
         assert got == [True, True, False]

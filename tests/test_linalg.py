@@ -358,6 +358,14 @@ class TestHermitianEigs:
             hs = [fine[0], first, fine[1], second, fine[0]]
             assert assert_cuts_as_single_solves(hs, tol) == 2
 
+    def test_a_round_with_no_live_pair_rotates_nothing(self):
+        # d = 3's first round holds only the pair (0, 1), whose entry is zero here
+        # in the one matrix of the stack: the round is skipped, the solve goes on
+        p, q, _ = linalg._round_robin(3)[0]
+        assert (p.tolist(), q.tolist()) == ([0], [1])
+        m = np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.3j], [0.5, -0.3j, 3.0]])
+        assert assert_cuts_as_single_solves([HermitianMatrix(m)], DEFAULT_TOLERANCES) == 0
+
     def test_no_matrices_give_no_results(self):
         values, vectors = hermitian_eigs(linalg._Rows(0), np.zeros((0, 3, 3), dtype=complex))
         assert values.shape == (0, 3) and vectors.shape == (0, 3, 3)
@@ -643,6 +651,13 @@ class TestMatrixFunction:
         log_h = matrix_function(hermitian_eig(h), math.log)
         back = matrix_function(hermitian_eig(log_h), math.exp)
         assert max_abs(back.matrix - h.matrix) <= 1e-9
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_value_is_a_domain_error(self, value):
+        spectrum = hermitian_eig(HermitianMatrix(np.diag([0.0, 1.0])))
+        with pytest.raises(DomainError) as exc:
+            matrix_function(spectrum, lambda x: value)
+        assert str(exc.value) == f"f(0.0) = {value!r} is not finite"
 
     def test_log_of_singular_matrix(self):
         with pytest.raises(DomainError) as exc:

@@ -128,6 +128,17 @@ def test_the_mutation_probe_makes_what_it_lists():
         assert ast.dump(ast.parse(text)) != originals[path], key
 
 
+def test_every_unreached_line_the_coverage_probe_lists_exists():
+    # tests/coverage_probe.py traces tier-1 in its own CI job; here each line it
+    # lists as unreached is only looked up: an executable line of its module,
+    # listed with a reason
+    import coverage_probe
+    assert coverage_probe.UNREACHED
+    for (module, text), reason in coverage_probe.UNREACHED.items():
+        assert text in coverage_probe.executable_lines(coverage_probe.PACKAGE / module).values()
+        assert reason
+
+
 def _names_a_number_type(node) -> bool:
     """int, float, np.integer, np.floating or a numbers class, alone or in a tuple."""
     if isinstance(node, ast.Tuple):
