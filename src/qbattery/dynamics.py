@@ -12,7 +12,8 @@ with hbar = k_B = 1, evaluated as L(rho) = X + X^dag with
 Quantum Systems, OUP 2002).  K and the stacked channels are formed once per
 model, so a generator costs three matrix products at any channel count, and
 its result is exactly Hermitian: so is every state of the RK4 stages, whose
-hermiticity defect is exactly 0.
+hermiticity defect is exactly 0.  liouvillian (the checked L(rho)) and
+von_neumann_entropy take stacks, as free_energy's rows and rungs hold them.
 
 States are never renormalized during propagation.  One RK4 step (_rk4_step)
 serves a state and a stack of states; it is the one RK4 formula.  L does not
@@ -137,7 +138,7 @@ class DensityMatrix:
         """Projector |v><v| onto the (normalized) vector v (_projector)."""
         return cls(_projector(vector), tol=tol)
 
-    def __repr__(self):  # pragma: no cover
+    def __repr__(self):
         return f"DensityMatrix(dim={self.dim}, trace_defect={self.trace_defect:.2e})"
 
 
@@ -180,20 +181,12 @@ def _checked_states(rows: _Rows, m: np.ndarray, basis: np.ndarray | None, tol: T
     return sym[:n], trace_defect[:n], values[:n], vectors[:n]
 
 
-def _entropies(values: np.ndarray) -> np.ndarray:
-    """von_neumann_entropy of each spectrum of the stack values (k, d)."""
+def von_neumann_entropy(values: np.ndarray) -> np.ndarray:
+    """S = -sum_i lambda_i ln lambda_i in nats (0 ln 0 = 0) of each spectrum of
+    the stack values (k, d), clipped to [0, 1] first: a state carrying allowed
+    negativity defects still has a finite nonnegative entropy."""
     lam = np.minimum(np.maximum(values, 0.0), 1.0)
     return -(lam * np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)).sum(axis=-1)
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -sum_i lambda_i ln lambda_i in nats, with 0 ln 0 = 0, from
-    rho.spectrum: _entropies of one state.
-
-    Eigenvalues are clipped to [0, 1] first so states carrying allowed
-    negativity defects still yield a finite nonnegative entropy.
-    """
-    return float(_entropies(rho.spectrum.eigenvalues[None])[0])
 
 
 @dataclass(frozen=True)
@@ -298,19 +291,11 @@ def _generator_matrix(k_op: np.ndarray, jumps, rho: np.ndarray) -> np.ndarray:
     return x + dagger(x)
 
 
-def liouvillian(model: LindbladModel, rho: DensityMatrix, *,
-                tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
-    """Full GKSL right-hand side: -i[H, rho] + sum_j gamma_j D_j[rho]; the
-    one-state case of _liouvillians."""
-    if rho.dim != model.dim:
-        raise DimensionError(f"state dimension {rho.dim} vs model {model.dim}")
-    return HermitianMatrix._trusted(_Rows.single(_liouvillians, model, rho.matrix[None], tol)[0])
-
-
-def _liouvillians(rows: _Rows, model: LindbladModel, rho: np.ndarray, tol: ToleranceConfig):
-    """liouvillian of each state of the stack rho (k, d, d), as _hermitian
-    returns it: the generator's scan, then |tr L(rho)| <= generator_trace *
-    max(1, ||L(rho)||_max).  A failure cuts `rows`."""
+def liouvillian(rows: _Rows, model: LindbladModel, rho: np.ndarray, tol: ToleranceConfig):
+    """The full GKSL right-hand side -i[H, rho] + sum_j gamma_j D_j[rho] of each
+    state of the stack rho (k, d, d), as _hermitian returns it: the generator's
+    scan, then |tr L(rho)| <= generator_trace * max(1, ||L(rho)||_max).  A
+    failure cuts `rows`."""
     with np.errstate(over="ignore", invalid="ignore"):  # _hermitian names inf/nan
         out = _hermitian(rows, _generator_matrix(*model._generator, rho), tol)
         trace = np.abs(out.trace(axis1=1, axis2=2))
@@ -496,15 +481,16 @@ def _from_coordinates(x: np.ndarray) -> np.ndarray:
     return m.reshape(k, d, d)
 
 
-def _probe_breaches(model: LindbladModel, rho: np.ndarray, bases: np.ndarray, h: float,
-                    tol: ToleranceConfig) -> list[str | None]:
-    """One RK4 step of length h from each state of the stack rho (k, d, d), of
-    eigenvectors `bases`, checked at the propagation bounds: per state, None or
-    the message a one-step propagate raises for its breach.  Any other failure
-    raises, the first in stack order."""
+def _probe_breaches(rows: _Rows, model: LindbladModel, rho: np.ndarray, bases: np.ndarray,
+                    h: float, tol: ToleranceConfig) -> list[str | None]:
+    """One RK4 step of length h from each of the leading rows.n states of the
+    stack rho (k, d, d), of eigenvectors `bases`, checked at the propagation
+    bounds: per state, None or the message a one-step propagate raises for its
+    breach.  The first other failure cuts `rows` at its state."""
+    n = rows.n
     with np.errstate(over="ignore", invalid="ignore"):  # _checked_states names inf/nan
-        probe = _rk4_step(*model._generator, rho, h)
-    breaches, start, n = [None] * len(rho), 0, len(rho)
+        probe = _rk4_step(*model._generator, rho[:n], h)
+    breaches, start = [None] * n, 0
     # a breach cuts the check, so the probes after it are checked again (k(k + 1)/2
     # solves if all breach); checking each probe alone solves each once, but made
     # the bundled sweeps, where none breaches, 1.2-1.4x slower
@@ -513,7 +499,8 @@ def _probe_breaches(model: LindbladModel, rho: np.ndarray, bases: np.ndarray, h:
         _checked_states(checked, probe[start:], bases[start], tol, tol.propagation_trace,
                         tol.propagation_psd)
         if not isinstance(checked.error, ValidationError):
-            checked.raise_first()
+            if checked.error is not None:
+                rows.cut(start + checked.n, checked.error)
             break
         i = start + checked.n
         breaches[i] = _BREACH.format(1, h, checked.error)

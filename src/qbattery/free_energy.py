@@ -14,16 +14,13 @@ and the per-channel commutator fluctuation
 evaluated two ways, cross-checked: as an operator expectation and as an
 explicit index sum in the deltaF eigenbasis.
 
-These are evaluated for a stack of states at once.  `run`'s header and rows
-come from one stream, _run_rows, which takes propagation's blocks through
-_evaluate_rows (_decompose, F's eigensolves as one warm chain, _liouvillians,
-_powers, _thetas), each check cutting the block at its first failing row
-(linalg._Rows); the sweep's rungs come from a second stream beside it,
-_rung_rows (_liouvillians, _decompose, _powers, dynamics._probe_breaches);
-S and <F> = tr(rho H) - S/beta are formed in _mean_free_energies alone.
-free_energy_operator, mean_free_energy, power_analytic, theta_operator_form,
-theta_index_form and compute_theta_report are their one-state cases and give
-the same bits.
+Each is evaluated for a stack of states, cutting a linalg._Rows at the first
+row failing a check.  `run`'s rows come from one stream, _run_rows, which
+takes propagation's blocks through _evaluate_rows (free_energy_operator, F's
+warm eigensolve chain, dynamics.liouvillian, power_analytic and
+compute_theta_report, which holds theta_operator_form against
+theta_index_form); the sweep's rungs come from _rung_rows beside it.  S and
+<F> = tr(rho H) - S/beta are formed in mean_free_energy alone.
 
 The closed forms that apply when the state is an eigenstate of the
 Hamiltonian, and the structural vanishing condition they are tested against,
@@ -44,17 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (_BREACH, DensityMatrix, LindbladModel, _block_rows, _checked_states,
-                       _entropies, _liouvillians, _mixed, _probe_breaches, _state_blocks)
-from .errors import ConsistencyError, DimensionError, RankDeficientError, ValidationError
-from .linalg import (HermitianMatrix, Spectrum, _checked_square, _constants, _finite, _hermitian,
-                     _Rows, dagger, hermitian_eig_chain)
+                       _mixed, _probe_breaches, _state_blocks, liouvillian, von_neumann_entropy)
+from .errors import ConsistencyError, RankDeficientError, ValidationError
+from .linalg import (HermitianMatrix, _constants, _finite, _hermitian, _Rows, abs_sq, dagger,
+                     hermitian_eig_chain, matrix_function)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceConfig, _finite_positive
 
 __all__ = [
     "BatteryContext",
-    "FreeEnergyDecomposition",
-    "ChannelTheta",
-    "ThetaReport",
     "free_energy_operator",
     "mean_free_energy",
     "power_analytic",
@@ -68,6 +62,9 @@ __all__ = [
 # ln(rho) needs a full-rank state: a state eigenvalue at or below this is rank deficient
 RANK_THRESHOLD = 1e-12
 
+_RUNG = "rung {} (epsilon = {:g}): {}"  # a failing rung's message: index, epsilon, failed check
+
+
 @dataclass(frozen=True)
 class BatteryContext:
     """Inverse temperature and model."""
@@ -78,65 +75,24 @@ class BatteryContext:
     def __post_init__(self):
         object.__setattr__(self, "beta", _finite_positive(self.beta, "beta"))
 
-    @property
-    def dim(self) -> int:
-        return self.model.dim
 
-
-@dataclass(frozen=True)
-class FreeEnergyDecomposition:
-    """F, deltaF = F - <F> I, the mean <F>, and the ln(rho) that F was built
-    from.  tr(rho deltaF) = 0 for the state the decomposition was built from;
-    this is checked at construction.  F is not eigendecomposed here: only the
-    index-form Theta reads its eigensystem (see compute_theta_report)."""
-
-    f_op: HermitianMatrix
-    delta_f: HermitianMatrix
-    mean: float
-    log_rho: HermitianMatrix
-
-    @property
-    def dim(self) -> int:
-        return self.f_op.dim
-
-
-def free_energy_operator(rho: DensityMatrix, ctx: BatteryContext, *,
-                         tol: ToleranceConfig = DEFAULT_TOLERANCES) -> FreeEnergyDecomposition:
-    """F = H + (1/beta) ln(rho) for a full-rank state: the one-state case of
-    _decompose.
-
-    ln(rho) is lifted from rho.spectrum and kept on the decomposition.  The
-    mean is computed as tr(F rho) and cross-checked against
-    mean_free_energy before deltaF is formed; |tr(rho deltaF)| must stay
-    within zero_mean * max(1, ||F||_max).  A state eigenvalue at or below
-    RANK_THRESHOLD raises RankDeficientError naming it.
-    """
-    if rho.dim != ctx.dim:
-        raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
-    spectrum = rho.spectrum
-    log_rho, f_op, delta, mean = _Rows.single(
-        _decompose, rho.matrix[None], spectrum.eigenvalues[None], spectrum.eigenvectors[None],
-        np.array([mean_free_energy(rho, ctx)]), ctx, tol)
-    return FreeEnergyDecomposition(HermitianMatrix._trusted(f_op[0]),
-                                   HermitianMatrix._trusted(delta[0]), float(mean[0]),
-                                   HermitianMatrix._trusted(log_rho[0]))
-
-
-def _decompose(rows: _Rows, rho: np.ndarray, values: np.ndarray, vectors: np.ndarray,
-               from_entropy: np.ndarray, ctx: BatteryContext, tol: ToleranceConfig):
-    """free_energy_operator of each state of the stack rho (k, d, d), from the
-    stacks of its eigenvalues (k, d) and eigenvectors (k, d, d) and of its
-    mean_free_energy tr(rho H) - S/beta (k,): the stacks ln(rho), F and
-    deltaF as _hermitian returns them, and <F> (k,).  A failure cuts `rows`."""
+def free_energy_operator(rows: _Rows, rho: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+                         from_entropy: np.ndarray, ctx: BatteryContext, tol: ToleranceConfig):
+    """F = H + (1/beta) ln(rho) of each state of the stack rho (k, d, d), from
+    the stacks of its eigenvalues (k, d) and eigenvectors (k, d, d) and of its
+    mean_free_energy tr(rho H) - S/beta (k,): the stacks ln(rho), F and deltaF
+    as _hermitian returns them, and <F> (k,).  A state eigenvalue at or below
+    RANK_THRESHOLD is rank deficient; ln(rho) is lifted through matrix_function
+    with math.log on eigenvalues that check has passed.  <F> = tr(F rho) must
+    agree with `from_entropy` within mean_crosscheck before deltaF is formed,
+    and |tr(rho deltaF)| stay within zero_mean * max(1, ||F||_max).  A failure
+    cuts `rows`."""
     hamiltonian, beta = ctx.model.hamiltonian, ctx.beta
     smallest = values[:, 0]
     rows.check(smallest <= RANK_THRESHOLD, lambda i: RankDeficientError(
         f"state is rank deficient for ln(rho): smallest eigenvalue "
         f"{smallest[i]:.3e} <= threshold {RANK_THRESHOLD:.3e}"))
-    logs = np.zeros(values.shape)
-    for i in range(rows.n):  # every eigenvalue is above the threshold
-        logs[i] = [math.log(lam) for lam in values[i].tolist()]
-    log_rho = _hermitian(rows, (vectors * logs[:, None, :]) @ dagger(vectors), tol)
+    log_rho = matrix_function(rows, values, vectors, math.log, tol)
     # ln(rho)/beta overflows for a small enough beta: F's scan names it, and
     # deltaF's a non-finite <F>; the rest belongs to rows past the cut
     with np.errstate(over="ignore", invalid="ignore"):
@@ -155,40 +111,22 @@ def _decompose(rows: _Rows, rho: np.ndarray, values: np.ndarray, vectors: np.nda
     return log_rho, f_op, delta, mean
 
 
-def mean_free_energy(rho: DensityMatrix, ctx: BatteryContext) -> float:
-    """<F> = tr(rho H) - S(rho)/beta of any valid state, from rho.spectrum:
-    _mean_free_energies of one."""
-    if rho.dim != ctx.dim:
-        raise DimensionError(f"state dimension {rho.dim} vs model {ctx.dim}")
-    return float(_mean_free_energies(rho.matrix[None], rho.spectrum.eigenvalues[None], ctx)[2][0])
-
-
-def _mean_free_energies(rho: np.ndarray, values: np.ndarray, ctx: BatteryContext):
-    """tr(rho H), S (dynamics._entropies) and <F> = tr(rho H) - S/beta (k,)
-    of the states rho (k, d, d) of eigenvalues `values` (k, d); a non-finite
-    <F> is named by F's scan."""
-    entropy = _entropies(values)
+def mean_free_energy(rho: np.ndarray, values: np.ndarray, ctx: BatteryContext):
+    """tr(rho H), S (dynamics.von_neumann_entropy) and <F> = tr(rho H) - S/beta
+    (k,) of the states rho (k, d, d) of eigenvalues `values` (k, d); a
+    non-finite <F> is named by F's scan."""
+    entropy = von_neumann_entropy(values)
     with np.errstate(over="ignore", invalid="ignore"):
         energy = (rho @ ctx.model.hamiltonian.matrix).trace(axis1=1, axis2=2).real
         return energy, entropy, energy - entropy / ctx.beta
 
 
-def power_analytic(rate: HermitianMatrix, decomp: FreeEnergyDecomposition, *,
-                   tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Charging power P = d<F>/dt realized as tr(L(rho) F); the one-state case
-    of _powers.
-
-    `rate` is the GKSL right-hand side L(rho) (see liouvillian) at the state
-    `decomp` was built from.  Exact because tr L(rho) = 0.
-    """
-    if rate.dim != decomp.dim:
-        raise DimensionError(f"rate dimension {rate.dim} vs decomposition {decomp.dim}")
-    return float(_Rows.single(_powers, rate.matrix[None], decomp.f_op.matrix[None], tol)[0])
-
-
-def _powers(rows: _Rows, rate: np.ndarray, f_op: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """power_analytic of each pair (L(rho), F) of the stacks rate and f_op:
-    tr(L(rho) F), real to theta_imag * max(1, |P|).  A failure cuts `rows`."""
+def power_analytic(rows: _Rows, rate: np.ndarray, f_op: np.ndarray,
+                   tol: ToleranceConfig) -> np.ndarray:
+    """Charging power P = d<F>/dt of each pair (L(rho), F) of the stacks rate
+    and f_op, realized as tr(L(rho) F): exact because tr L(rho) = 0.  `rate` is
+    the GKSL right-hand side (dynamics.liouvillian) at the state F was built
+    from.  P must be real to theta_imag * max(1, |P|); a failure cuts `rows`."""
     with np.errstate(over="ignore", invalid="ignore"):  # callers' scans name inf/nan
         return _real(rows, (rate @ f_op).trace(axis1=1, axis2=2), tol, "power")
 
@@ -204,29 +142,18 @@ def _real(rows: _Rows, value: np.ndarray, tol: ToleranceConfig, name: str) -> np
     return value.real
 
 
-def theta_operator_form(decomp: FreeEnergyDecomposition, rho: DensityMatrix, l, *,
-                        tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Theta = tr(rho |[deltaF, L]|^2); real and nonnegative up to tolerance.
-    The one-state case of _operator_thetas."""
-    l = _checked_square(l, "jump operator")
-    if l.shape[0] != decomp.dim or rho.dim != decomp.dim:
-        raise DimensionError("operator, state, and decomposition dimensions differ")
-    return float(_Rows.single(_operator_thetas, decomp.delta_f.matrix[None], rho.matrix[None],
-                              l, tol)[0])
-
-
-def _operator_thetas(rows: _Rows, delta: np.ndarray, rho: np.ndarray, l: np.ndarray,
-                     tol: ToleranceConfig, context: str = "") -> np.ndarray:
-    """theta_operator_form of each pair (deltaF, rho) of the stacks delta and
-    rho, for one jump operator l: the commutator C and |C|^2 = C C^dag are
-    scanned (their failures prefixed by `context`), then tr(rho |C|^2) must be
-    real to theta_imag and not below -theta_psd_slack, both times
-    max(1, |Theta|).  A failure cuts `rows`."""
+def theta_operator_form(rows: _Rows, delta: np.ndarray, rho: np.ndarray, l: np.ndarray,
+                        tol: ToleranceConfig, context: str = "") -> np.ndarray:
+    """Theta = tr(rho |[deltaF, L]|^2) of each pair (deltaF, rho) of the stacks
+    delta and rho, for one jump operator l: the commutator C and |C|^2 = C C^dag
+    (abs_sq) are scanned (their failures prefixed by `context`), then
+    tr(rho |C|^2) must be real to theta_imag and not below -theta_psd_slack,
+    both times max(1, |Theta|).  A failure cuts `rows`."""
     with np.errstate(over="ignore", invalid="ignore"):  # both products are scanned
         c = delta @ l - l @ delta
         rows.check(~_finite(c), lambda i: ValidationError(
             f"{context}commutator: non-finite entries in result"))
-        squared = _hermitian(rows, c @ dagger(c), tol, context)
+        squared = abs_sq(rows, c, tol, context)
         value = (rho @ squared).trace(axis1=1, axis2=2)
         theta = _real(rows, value, tol, "Theta")
         negative = theta < -tol.theta_psd_slack * np.fmax(1.0, np.abs(value))
@@ -235,9 +162,10 @@ def _operator_thetas(rows: _Rows, delta: np.ndarray, rho: np.ndarray, l: np.ndar
     return theta
 
 
-def theta_index_form(w, rho_components, l_components, *,
-                     tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Explicit index sum for Theta in the deltaF eigenbasis:
+def theta_index_form(rows: _Rows, w: np.ndarray, rho_c: np.ndarray, l_c: np.ndarray,
+                     tol: ToleranceConfig) -> np.ndarray:
+    """Explicit index sum for Theta in the deltaF eigenbasis, of each triple
+    (w, rho components, L components) of the stacks (k, d), (k, d, d), (k, d, d):
 
         sum_{i,k,l} rho_{lk} L^{ki} conj(L^{li})
                     (w_i^2 - w_i w_l - w_k w_i + w_l w_k)
@@ -245,22 +173,9 @@ def theta_index_form(w, rho_components, l_components, *,
     The weight factors as (w_i - w_l)(w_i - w_k), so the sum is invariant
     under a common shift of w and vanishes when w is constant.  With
     W^{ki} = L^{ki} (w_i - w_k) it is sum_{l,i} conj(W^{li}) (rho W)^{li},
-    which is how it is evaluated.  The one-state case of _index_thetas.
+    which is how it is evaluated.  The components are scanned, then the sum
+    must be real to theta_imag * max(1, |Theta|).  A failure cuts `rows`.
     """
-    w = np.asarray(w, dtype=float).reshape(-1)
-    rho_c = _checked_square(rho_components, "rho components")
-    l_c = _checked_square(l_components, "operator components")
-    d = w.size
-    if rho_c.shape != (d, d) or l_c.shape != (d, d):
-        raise DimensionError("component arrays must match the length of w")
-    return float(_Rows.single(_index_thetas, w[None], rho_c[None], l_c[None], tol)[0])
-
-
-def _index_thetas(rows: _Rows, w: np.ndarray, rho_c: np.ndarray, l_c: np.ndarray,
-                  tol: ToleranceConfig) -> np.ndarray:
-    """theta_index_form of each triple (w, rho components, L components) of the
-    stacks (k, d), (k, d, d) and (k, d, d): the components are scanned, then
-    the sum must be real to theta_imag * max(1, |Theta|).  A failure cuts `rows`."""
     rows.check(~_finite(rho_c), lambda i: ValidationError("rho components: non-finite entries"))
     rows.check(~_finite(l_c),
                lambda i: ValidationError("operator components: non-finite entries"))
@@ -270,60 +185,28 @@ def _index_thetas(rows: _Rows, w: np.ndarray, rho_c: np.ndarray, l_c: np.ndarray
     return _real(rows, total, tol, "index-form Theta")
 
 
-@dataclass(frozen=True)
-class ChannelTheta:
-    """Theta for one channel in both forms; discrepancy = index - operator."""
-
-    theta_operator: float
-    theta_index: float
-    discrepancy: float
-
-
-@dataclass(frozen=True)
-class ThetaReport:
-    channels: tuple[ChannelTheta, ...]
-
-
-def compute_theta_report(decomp: FreeEnergyDecomposition, f_spectrum: Spectrum,
-                         rho: DensityMatrix, model: LindbladModel, *,
-                         tol: ToleranceConfig = DEFAULT_TOLERANCES) -> ThetaReport:
-    """Theta per channel, operator form against index form: the one-state case
-    of _thetas.
-
-    The index form reads deltaF's eigensystem from `f_spectrum`, the
-    eigendecomposition of decomp.f_op, as w = lambda(F) - <F>: deltaF shares
-    F's eigenvectors.  The solve runs on F, not on deltaF: deltaF carries F's
-    absolute rounding, about eps * ||F||, so its convergence target belongs on
-    F's scale, and where F is nearly a multiple of I (a thermal state) deltaF
-    is that rounding alone, on which Jacobi would spend full sweeps.  The two
-    evaluations must agree within theta_discrepancy * max(1, Theta); a larger
-    gap, from a wrong spectrum too, raises ConsistencyError.
-    """
-    if f_spectrum.eigenvalues.size != decomp.dim:
-        raise DimensionError(f"spectrum dimension {f_spectrum.eigenvalues.size} "
-                             f"vs decomposition {decomp.dim}")
-    forms = _Rows.single(_thetas, decomp.delta_f.matrix[None], rho.matrix[None],
-                         (f_spectrum.eigenvalues - decomp.mean)[None],
-                         f_spectrum.eigenvectors[None], model, tol)
-    return ThetaReport(tuple(ChannelTheta(float(t_op[0]), float(t_ix[0]),
-                                          float(t_ix[0] - t_op[0])) for t_op, t_ix in forms))
-
-
-def _thetas(rows: _Rows, delta: np.ndarray, rho: np.ndarray, w: np.ndarray, u: np.ndarray,
-            model: LindbladModel, tol: ToleranceConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """compute_theta_report of each state of a stack, from the stacks deltaF,
-    rho and deltaF's spectra (w, u): per channel of `model`, the operator form,
+def compute_theta_report(rows: _Rows, delta: np.ndarray, rho: np.ndarray, w: np.ndarray,
+                         u: np.ndarray, model: LindbladModel,
+                         tol: ToleranceConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Theta per channel of `model` in both forms, of each state of a stack,
+    from the stacks deltaF, rho and deltaF's spectra (w, u): the operator form,
     then the index form from the components U^dag rho U and U^dag L U (rho, L
-    and U were checked when built), then their agreement.  Returns (operator,
-    index) forms per channel, each (k,).  A failure cuts `rows`."""
+    and U were checked when built), which must agree within theta_discrepancy
+    * max(1, Theta).  Returns (operator, index) forms per channel, each (k,).
+    A failure cuts `rows`.
+
+    w is lambda(F) - <F> from F's own solve: deltaF shares F's eigenvectors,
+    but its absolute rounding, about eps * ||F||, is all there is of a thermal
+    state's deltaF, which a solve of its own would sweep in full.  A spectrum
+    other than F's shows as a disagreement."""
     u_dag, forms = dagger(u), []
     # each product is scanned where it is read, or belongs to rows past the cut
     with np.errstate(over="ignore", invalid="ignore"):
         rho_c = u_dag @ rho @ u
         for j, ch in enumerate(model.channels):
-            t_op = _operator_thetas(rows, delta, rho, ch.operator, tol,
-                                    f"Theta of channel {j}, |[deltaF, L]|^2: ")
-            t_ix = _index_thetas(rows, w, rho_c, u_dag @ ch.operator @ u, tol)
+            t_op = theta_operator_form(rows, delta, rho, ch.operator, tol,
+                                       f"Theta of channel {j}, |[deltaF, L]|^2: ")
+            t_ix = theta_index_form(rows, w, rho_c, u_dag @ ch.operator @ u, tol)
             rows.check(np.abs(t_ix - t_op) > tol.theta_discrepancy * np.fmax(1.0, t_op),
                        lambda i: ConsistencyError(
                            f"channel {j}: Theta forms disagree: operator {float(t_op[i])!r} "
@@ -335,27 +218,28 @@ def _thetas(rows: _Rows, delta: np.ndarray, rho: np.ndarray, w: np.ndarray, u: n
 def _evaluate_rows(rho: np.ndarray, values: np.ndarray, vectors: np.ndarray,
                    from_entropy: np.ndarray, ctx: BatteryContext, basis: np.ndarray,
                    tol: ToleranceConfig):
-    """The values of `run` rows for a block of states, stacked as _decompose
-    takes them: _decompose, then F's eigensolves as one warm chain, each from
-    the F eigenbasis of the state before (`basis` for the first), then L(rho),
-    the power and both Theta forms (_liouvillians, _powers, _thetas).  Every
-    value has the bits of the one-state functions.
+    """The values of `run` rows for a block of states, stacked as
+    free_energy_operator takes them: free_energy_operator, then F's eigensolves
+    as one warm chain, each from the F eigenbasis of the state before (`basis`
+    for the first), then L(rho), the power and both Theta forms (liouvillian,
+    power_analytic, compute_theta_report).
 
     Returns the _Rows (rows.n rows passed; rows.error is the first failing
     check of the earliest failing row), <F>, P and the operator-form Theta_j
     of each passed row as lists, and the F eigenbasis of its last row.
     """
     rows = _Rows(len(rho))
-    _, f_op, delta, mean = _decompose(rows, rho, values, vectors, from_entropy, ctx, tol)
+    _, f_op, delta, mean = free_energy_operator(rows, rho, values, vectors, from_entropy, ctx, tol)
     w, u = hermitian_eig_chain(rows, f_op, basis, tol=tol)
     if len(u):
         basis = u[-1]
     n = rows.n
     if not n:
         return rows, [], [], [], basis
-    power = _powers(rows, _liouvillians(rows, ctx.model, rho[:n], tol), f_op[:n], tol)
+    power = power_analytic(rows, liouvillian(rows, ctx.model, rho[:n], tol), f_op[:n], tol)
     del f_op  # the peak resident set grows with the stacks alive at once
-    forms = _thetas(rows, delta[:n], rho[:n], w[:n] - mean[:n, None], u[:n], ctx.model, tol)
+    forms = compute_theta_report(rows, delta[:n], rho[:n], w[:n] - mean[:n, None], u[:n],
+                                 ctx.model, tol)
     columns = [t_op.tolist() for t_op, _ in forms]
     thetas = [[column[i] for column in columns] for i in range(rows.n)]
     return rows, mean[:rows.n].tolist(), power[:rows.n].tolist(), thetas, basis
@@ -383,7 +267,7 @@ def _run_rows(ctx: BatteryContext, rho0: DensityMatrix, t0: float, offsets: np.n
     before = previous = pending = error = None
     try:
         for rho, defect, w, u in _state_blocks(ctx.model, rho0, times, step, tol):
-            energy, entropy, mean = _mean_free_energies(rho, w, ctx)
+            energy, entropy, mean = mean_free_energy(rho, w, ctx)
             rows, means, powers, thetas, basis = _evaluate_rows(rho, w, u, mean, ctx, basis, tol)
             for i, after in enumerate(mean.tolist()[:rows.n + 1]):  # a failing row's <F> too
                 if pending is not None:
@@ -413,7 +297,8 @@ def _rung_rows(ctx: BatteryContext, rho0: DensityMatrix, epsilons, step: float,
     from rho0's eigenvectors, which they all share), then D(rho_eps) (the
     generator without H), the decomposition, tr(D H), -tr(D ln rho_eps) and
     P = tr(D F) as stacks, then the RK4 probes (dynamics._probe_breaches).
-    The first failure that is not a probe's breach raises, in rung order."""
+    The first failure that is not a probe's breach raises, in rung order, as
+    its own type, its message prefixed by _RUNG."""
     h = ctx.model.hamiltonian.matrix
     # tr(-i[H, rho_eps] X) is 0 for X = H, F and ln rho_eps, but its rounding is not
     dissipative = LindbladModel(HermitianMatrix(np.zeros_like(h)), ctx.model.channels)
@@ -424,15 +309,17 @@ def _rung_rows(ctx: BatteryContext, rho0: DensityMatrix, epsilons, step: float,
         rho, _, values, vectors = _checked_states(
             rows, _mixed(rho0.matrix, np.array(block)[:, None, None]),
             rho0.spectrum.eigenvectors, tol, tol.density_trace, tol.psd)
-        rate = _liouvillians(rows, dissipative, rho, tol)
-        _, _, mean = _mean_free_energies(rho, values, ctx)
+        rate = liouvillian(rows, dissipative, rho, tol)
+        _, _, mean = mean_free_energy(rho, values, ctx)
         with np.errstate(over="ignore", invalid="ignore"):  # the report names inf/nan
             energy = (rate @ h).trace(axis1=1, axis2=2).real
-            log_rho, f_op, _, _ = _decompose(rows, rho, values, vectors, mean, ctx, tol)
+            log_rho, f_op, _, _ = free_energy_operator(rows, rho, values, vectors, mean, ctx, tol)
             entropy = -(rate @ log_rho).trace(axis1=1, axis2=2).real
-        power, n = _powers(rows, rate, f_op, tol), rows.n
-        step_errors = _probe_breaches(ctx.model, rho[:n], vectors, step, tol)
-        rows.raise_first()
+        power = power_analytic(rows, rate, f_op, tol)
+        step_errors = _probe_breaches(rows, ctx.model, rho, vectors, step, tol)
+        if rows.error is not None:
+            i = at + rows.n
+            raise type(rows.error)(_RUNG.format(i, epsilons[i], rows.error)) from rows.error
         yield from zip(block, power.tolist(), energy.tolist(), entropy.tolist(), step_errors)
 
 

@@ -1,9 +1,9 @@
 """Dense complex matrix arithmetic and Hermitian spectral calculus.
 
 Everything heavier in the package (states, GKSL generators, free-energy
-diagnostics) sits on the primitives defined here: |A|^2 = A A^dag, a Jacobi
-eigensolver for Hermitian matrices, and scalar functions lifted to matrices
-through the spectral decomposition.
+diagnostics) sits on the primitives defined here: |A|^2 = A A^dag (abs_sq), a
+Jacobi eigensolver for Hermitian matrices, and scalar functions lifted to the
+matrices of a stack through their eigenvalues (matrix_function, for ln(rho)).
 
 The eigensolver sweeps in Brent-Luk round-robin order (Brent & Luk, SIAM J.
 Sci. Stat. Comput. 6(1), 1985): each round rotates d/2 disjoint pairs at
@@ -188,7 +188,7 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __repr__(self):  # pragma: no cover
+    def __repr__(self):
         return f"HermitianMatrix(dim={self.dim})"
 
 
@@ -499,35 +499,35 @@ def hermitian_eigs(rows: _Rows, matrices: np.ndarray, *,
         return _guarded(rows, values, vectors, m[:rows.n], size[:rows.n], tol)
 
 
-def matrix_function(spectrum: Spectrum, f: Callable[[float], float], *,
-                    tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
-    """Lift the real scalar function f to a matrix through its eigendecomposition:
-    V diag(f(lambda)) V^dag, symmetrized as HermitianMatrix is.
+def _lifted(f: Callable[[float], float], lam: float) -> float:
+    """f(lam), finite, or DomainError naming lam."""
+    try:
+        value = f(lam)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"f({lam!r}) undefined: {exc}") from exc
+    if not math.isfinite(value):
+        raise DomainError(f"f({lam!r}) = {value!r} is not finite")
+    return value
 
-    f is evaluated on each eigenvalue of `spectrum`; a raised ValueError /
-    OverflowError / ZeroDivisionError or a non-finite result becomes
-    DomainError naming the offending eigenvalue.  (The package's own ln(rho)
-    is lifted for stacks of states in free_energy._decompose, on eigenvalues it
-    has just proved positive.)
-    """
-    vectors, mapped = spectrum.eigenvectors, []
-    for lam in spectrum.eigenvalues.tolist():  # floats: a message shows f(0.0)
+
+def matrix_function(rows: _Rows, values: np.ndarray, vectors: np.ndarray,
+                    f: Callable[[float], float], tol: ToleranceConfig) -> np.ndarray:
+    """The real scalar function f lifted to each matrix of a stack through its
+    eigenvalues (k, d) and eigenvectors (k, d, d): V diag(f(lambda)) V^dag, as
+    _hermitian returns it.  f is evaluated on each eigenvalue of the leading
+    rows.n matrices, as a float; a DomainError of _lifted cuts `rows`."""
+    mapped = np.zeros(values.shape)
+    for i in range(rows.n):
         try:
-            value = f(lam)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"f({lam!r}) undefined: {exc}") from exc
-        if not math.isfinite(value):
-            raise DomainError(f"f({lam!r}) = {value!r} is not finite")
-        mapped.append(value)
-    return HermitianMatrix((vectors * np.array(mapped, dtype=float)) @ dagger(vectors), tol=tol)
+            mapped[i] = [_lifted(f, lam) for lam in values[i].tolist()]
+        except DomainError as exc:
+            rows.cut(i, exc)
+            break
+    return _hermitian(rows, (vectors * mapped[:, None, :]) @ dagger(vectors), tol)
 
 
-def abs_sq(a, *, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
-    """|A|^2 = A A^dag, positive semidefinite by construction.
-
-    No eigendecomposition is spent on proving it: a Gram product has no
-    negative eigenvalue beyond rounding, and expectations built on it (Theta)
-    check their own sign.
-    """
-    a = _checked_square(a, "a")
-    return HermitianMatrix(a @ dagger(a), tol=tol)
+def abs_sq(rows: _Rows, a: np.ndarray, tol: ToleranceConfig, context: str = "") -> np.ndarray:
+    """|A|^2 = A A^dag of each matrix of the stack a (k, d, d), as _hermitian
+    returns it, a failure prefixed by `context`: positive semidefinite by
+    construction, so no eigensolve proves it (Theta checks its own sign)."""
+    return _hermitian(rows, a @ dagger(a), tol, context)

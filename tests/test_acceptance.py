@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 import oracles
+from one_row import compute_theta_report, free_energy_operator, theta_index_form
 from qbattery.audit import EnsembleSpec, ScenarioSpec, eigenstate_audit, epsilon_sweep, \
     evaluate_instance
 from qbattery.dynamics import DensityMatrix, JumpChannel, LindbladModel, propagate, \
     thermal_state
-from qbattery.free_energy import BatteryContext, compute_theta_report, \
-    free_energy_operator, theta_index_form
+from qbattery.free_energy import BatteryContext
 from qbattery.linalg import HermitianMatrix, hermitian_eig
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -61,10 +61,10 @@ def test_acceptance_1_theta_forms_agree_at_scale(record):
         model = random_model(rng, d, n_channels=int(rng.integers(1, 3)))
         rho = DensityMatrix(oracles.random_density(rng, d))
         decomp = free_energy_operator(rho, BatteryContext(beta, model))
-        report = compute_theta_report(decomp, hermitian_eig(decomp.f_op), rho, model)
-        for entry in report.channels:
-            rel = abs(entry.discrepancy) / max(1.0, entry.theta_operator)
-            worst = max(worst, rel)
+        report = compute_theta_report(decomp, hermitian_eig(HermitianMatrix(decomp.f_op)), rho,
+                                      model)
+        for t_op, t_ix in report:
+            worst = max(worst, abs(t_ix - t_op) / max(1.0, t_op))
     elapsed = time.perf_counter() - start
     record(1, worst <= 1e-9 and elapsed <= 10.0,
            f"max rel diff {worst:.3e}, {elapsed:.2f} s for 200 instances")
@@ -156,9 +156,10 @@ def test_acceptance_7_thermal_states_are_passive(record):
         model = random_model(rng, d, n_channels=int(rng.integers(1, 3)))
         rho = thermal_state(model.hamiltonian, 1.0)
         decomp = free_energy_operator(rho, BatteryContext(1.0, model))
-        worst_df = max(worst_df, float(np.max(np.abs(decomp.delta_f.matrix))))
-        report = compute_theta_report(decomp, hermitian_eig(decomp.f_op), rho, model)
-        worst_theta = max(worst_theta, *(e.theta_operator for e in report.channels))
+        worst_df = max(worst_df, float(np.max(np.abs(decomp.delta_f))))
+        report = compute_theta_report(decomp, hermitian_eig(HermitianMatrix(decomp.f_op)), rho,
+                                      model)
+        worst_theta = max(worst_theta, *(t_op for t_op, _ in report))
     record(7, worst_df <= 1e-9 and worst_theta <= 1e-9,
            f"max ||deltaF|| = {worst_df:.3e}, max Theta = {worst_theta:.3e}")
 

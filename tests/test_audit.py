@@ -10,11 +10,10 @@ from qbattery.audit import (EnsembleSpec, FalsifierReport, ScenarioSpec, bundled
                             claim_falsifier, eigenstate_audit, epsilon_sweep,
                             evaluate_instance, reevaluate_witness)
 from qbattery.cli import _encode
-from qbattery.dynamics import DensityMatrix, JumpChannel, LindbladModel, _mixed, liouvillian
+from qbattery.dynamics import DensityMatrix, JumpChannel, LindbladModel, _mixed
 from qbattery.errors import (ConsistencyError, ConvergenceError, ParameterError, QBatteryError,
                              ScenarioError, ValidationError)
 from qbattery.linalg import HermitianMatrix, _Rows, hermitian_eig, max_abs
-from qbattery.free_energy import BatteryContext, free_energy_operator, power_analytic
 from qbattery.tolerances import DEFAULT_TOLERANCES
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
@@ -195,23 +194,23 @@ class TestEpsilonSweep:
 
     @pytest.mark.parametrize("d", [3, 4, 6])
     def test_stacked_rungs_match_one_state_at_a_time(self, rng, d):
-        # non-diagonal H: the rungs are one warm chain from rho0's eigenvectors,
-        # a regularized state alone is solved cold; both from the same rho_eps
-        model = LindbladModel(HermitianMatrix(oracles.random_hermitian(rng, d)), tuple(
-            JumpChannel(0.5, oracles.random_ginibre(rng, d)) for _ in range(2)))
+        # non-diagonal H: the rungs are one warm chain from rho0's eigenvectors;
+        # each rung's rates against the numpy-only references from the same rho_eps
+        h = oracles.random_hermitian(rng, d)
+        channels = [(0.5, oracles.random_ginibre(rng, d)) for _ in range(2)]
+        model = LindbladModel(HermitianMatrix(h), tuple(JumpChannel(*ch) for ch in channels))
         spec = ScenarioSpec(model=model, beta=0.7, k0=1, epsilon_list=self.EPS)
         report = epsilon_sweep(spec)
         rho0 = DensityMatrix.pure(hermitian_eig(model.hamiltonian).eigenvectors[:, 1])
-        dissipative = LindbladModel(HermitianMatrix(np.zeros((d, d))), model.channels)
         assert len(report.rows) == len(self.EPS)
         for row in report.rows:
-            rho = DensityMatrix(_mixed(rho0.matrix, row.epsilon))
-            rate = liouvillian(dissipative, rho)
-            decomp = free_energy_operator(rho, BatteryContext(spec.beta, model))
-            assert row.energy_rate == (rate.matrix @ model.hamiltonian.matrix).trace().real
-            assert row.power_analytic == pytest.approx(power_analytic(rate, decomp), rel=1e-8)
+            rho = _mixed(rho0.matrix, row.epsilon)
+            rate = oracles.generator(np.zeros((d, d)), channels, rho)
+            f = oracles.free_energy_matrix(rho, h, spec.beta)
+            assert row.energy_rate == pytest.approx((rate @ h).trace().real, rel=1e-12)
+            assert row.power_analytic == pytest.approx((rate @ f).trace().real, rel=1e-8)
             assert row.entropy_rate == pytest.approx(
-                -(rate.matrix @ decomp.log_rho.matrix).trace().real, rel=1e-8)
+                -(rate @ oracles.log_psd(rho)).trace().real, rel=1e-8)
 
     def test_empty_list_rejected(self):
         spec = ScenarioSpec(model=qubit_model(SIGMA_PLUS), beta=1.0, k0=0)

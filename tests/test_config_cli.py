@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qbattery import audit, cli, dynamics, free_energy, linalg
 from qbattery.audit import (ClaimVerdict, EigenstateAuditReport, EpsilonRow,
                             EpsilonSweepReport, FalsifierReport, reevaluate_witness)
@@ -678,11 +679,10 @@ class TestRunCommand:
         ("qubit_sigma_x", 32), ("qutrit_ladder", 14), ("seeded_d8", 2)])
     def test_block_columns_match_the_one_state_functions(self, tmp_path, monkeypatch, name,
                                                          rows_per_block):
-        # 41 rows, two block boundaries at d = 3 and two rows a block at d = 8,
-        # where numpy sums a row's 8 entries pairwise: every cell of each row is
-        # the bits of the one-state functions (von_neumann_entropy,
-        # free_energy_operator, power_analytic, theta_operator_form), of
-        # tr(rho H), of the central difference of <F>, or of the state's own fields
+        # 41 rows, two block boundaries at d = 3 and two rows a block at d = 8:
+        # every cell of each row is the numpy-only reference (oracles) at the
+        # row's state, to the 1e-11 of TestRunAgainstOracles, or the bits of
+        # tr(rho H) or of the state's own fields
         data = seeded_config(8, 8) if name == "seeded_d8" else \
             json.loads((SCENARIOS / f"{name}.json").read_text())
         monkeypatch.setattr(dynamics, "_BLOCK_BYTES", block_bytes(data["dim"], rows_per_block))
@@ -691,24 +691,35 @@ class TestRunCommand:
         cfg.write_text(json.dumps(data))
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         parsed = parse_config(json.dumps(data), "run")
-        ctx = free_energy.BatteryContext(parsed.beta, parsed.model)
+        h, beta = parsed.model.hamiltonian.matrix, parsed.beta
+        channels = [(ch.rate, ch.operator) for ch in parsed.model.channels]
         offsets = parsed.time.offsets()
         states = list(dynamics.propagate(
             parsed.model, cli._initial_state(parsed, DEFAULT_TOLERANCES), offsets))
+        means = [np.trace(oracles.free_energy_matrix(state.matrix, h, beta) @ state.matrix).real
+                 for state, _ in states]
         step = offsets[1] - offsets[0]
+
+        def close(got, want):
+            return abs(float(got) - want) <= 1e-11 * max(1.0, abs(want))
+
         for i, row in enumerate(read_csv(out)):
             state, trace_defect = states[i]
-            fd = None if i in (0, len(states) - 1) else (
-                free_energy.mean_free_energy(states[i + 1][0], ctx)
-                - free_energy.mean_free_energy(states[i - 1][0], ctx)) / (2.0 * step)
-            decomp = free_energy.free_energy_operator(state, ctx)
-            power = free_energy.power_analytic(dynamics.liouvillian(parsed.model, state), decomp)
-            thetas = [free_energy.theta_operator_form(decomp, state, ch.operator)
-                      for ch in parsed.model.channels]
-            energy = (state.matrix @ parsed.model.hamiltonian.matrix).trace().real
-            want = [energy, dynamics.von_neumann_entropy(state), decomp.mean, power, fd,
-                    *thetas, trace_defect, state.min_eigenvalue]
-            assert list(row.values())[1:] == [cli._csv_cell(value) for value in want]
+            rho = state.matrix
+            f = oracles.free_energy_matrix(rho, h, beta)
+            assert row["energy"] == cli._csv_cell((rho @ h).trace().real)
+            assert close(row["entropy"], oracles.entropy(rho))
+            assert close(row["free_energy"], means[i])
+            assert close(row["power_analytic"],
+                         np.trace(oracles.generator(h, channels, rho) @ f).real)
+            if i in (0, len(states) - 1):
+                assert row["power_fd"] == ""
+            else:
+                assert close(row["power_fd"], (means[i + 1] - means[i - 1]) / (2.0 * step))
+            for j, (_, l) in enumerate(channels):
+                assert close(row[f"theta_{j + 1}"], oracles.theta(rho, h, beta, l))
+            assert [row["trace_defect"], row["min_eig"]] == [
+                cli._csv_cell(value) for value in (trace_defect, state.min_eigenvalue)]
 
     def test_decay_matches_exponential(self, tmp_path):
         channel = [{"rate": 1.0, "matrix": [[0.0, 1.0], [0.0, 0.0]]}]
@@ -1007,7 +1018,7 @@ class TestRunCommand:
         code = main([mode, "--config", str(cfg), "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err == (
-            f"numeric failure: {'step 0 (t = 0): ' if mode == 'run' else ''}"
+            f"numeric failure: {'step 0 (t = 0)' if mode == 'run' else 'rung 0 (epsilon = 0.01)'}: "
             "F = H + ln(rho)/beta at beta = 1e-310: hermitian matrix: non-finite entries\n")
         if mode == "run":
             assert len(out.read_text().splitlines()) == 1  # the header only
@@ -1211,8 +1222,9 @@ class TestReportCommands:
             out.unlink(missing_ok=True)
         assert results[1] == results[0] and results[2] == results[0]
         if 1e-13 in data["epsilons"]:
-            assert results[0][:2] == (3, "numeric failure: state is rank deficient for ln(rho): "
-                                         "smallest eigenvalue 5.000e-14 <= threshold 1.000e-12\n")
+            assert results[0][:2] == (3, "numeric failure: rung 2 (epsilon = 1e-13): state is rank "
+                                         "deficient for ln(rho): smallest eigenvalue 5.000e-14 "
+                                         "<= threshold 1.000e-12\n")
             return
         assert results[0][:2] == (0, "")
         step_errors = [row["step_error"] for row in json.loads(results[0][2])["report"]["rows"]]
@@ -1283,10 +1295,30 @@ class TestReportCommands:
         argv = ["sweep", "--config", str(cfg), "--out", str(out)]
         assert main([*argv, "--tol", "jacobi_max_sweeps=1"]) == 3
         assert capsys.readouterr().err == (
-            "numeric failure: Jacobi did not converge in 1 sweeps: off-diagonal norm 3.960e-13 "
-            "above target 9.914e-14\n")
+            "numeric failure: rung 0 (epsilon = 0.01): Jacobi did not converge in 1 sweeps: "
+            "off-diagonal norm 3.960e-13 above target 9.914e-14\n")
         assert not out.exists()
         assert main(argv) == (0 if epsilons[1] == 1e-3 else 3)
+
+    def test_a_failing_rung_names_its_rung_and_epsilon(self, tmp_path, capsys):
+        # at mean_crosscheck = 0 the two forms of <F> differ in their last digit
+        # at rung 2 (rungs 0 and 1 pass): the rung's ConsistencyError keeps its
+        # type (exit 3) and gains a "rung i (epsilon = ...): " prefix
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--config", str(SCENARIOS / "qubit_sigma_x.json"), "--out", str(out),
+                     "--tol", "mean_crosscheck=0"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: rung 2 (epsilon = 0.0001): <F> disagrees between forms: "
+            "trace -0.000495173127605967 vs energy-entropy -0.0004951731276059669\n")
+        assert not out.exists()
+        # the library raises it chained to the rung's own error
+        cfg = parse_config((SCENARIOS / "qubit_sigma_x.json").read_text(), "sweep")
+        spec = audit.ScenarioSpec(model=cfg.model, beta=cfg.beta, k0=cfg.k0,
+                                  epsilon_list=cfg.epsilons, step=cfg.time.step)
+        with pytest.raises(ConsistencyError) as raised:
+            audit.epsilon_sweep(spec, tol=ToleranceConfig(mean_crosscheck=0.0))
+        assert type(raised.value.__cause__) is ConsistencyError
+        assert f"rung 2 (epsilon = 0.0001): {raised.value.__cause__}" == str(raised.value)
 
     def test_check_deterministic(self, tmp_path):
         cfg = tmp_path / "check.json"

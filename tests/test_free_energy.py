@@ -9,18 +9,17 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import density_matrices
+from one_row import (compute_theta_report, free_energy_operator, liouvillian, matrix_function,
+                     mean_free_energy, power_analytic, theta_index_form, theta_operator_form)
 from qbattery.audit import bundled_witnesses, evaluate_instance
 from qbattery.config import parse_config
-from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, _mixed, liouvillian,
-                               propagate, thermal_state)
+from qbattery.dynamics import (DensityMatrix, JumpChannel, LindbladModel, _mixed, propagate,
+                               thermal_state)
 from qbattery.errors import (ConfigError, ConsistencyError, ConvergenceError, DimensionError,
                              ParameterError, QBatteryError, RankDeficientError, ValidationError)
-from qbattery.free_energy import (BatteryContext, FreeEnergyDecomposition, _evaluate_rows,
-                                  _run_rows, compute_theta_report, free_energy_operator,
-                                  mean_free_energy, power_analytic,
-                                  theta_index_form, theta_operator_form, vanishing_condition)
+from qbattery.free_energy import BatteryContext, _evaluate_rows, _run_rows, vanishing_condition
 from qbattery import linalg
-from qbattery.linalg import HermitianMatrix, dagger, hermitian_eig, matrix_function, max_abs
+from qbattery.linalg import HermitianMatrix, dagger, hermitian_eig, max_abs
 from qbattery.tolerances import DEFAULT_TOLERANCES, ToleranceConfig
 
 H2 = HermitianMatrix(np.diag([0.0, 1.0]))
@@ -47,8 +46,8 @@ def run_powers(ctx, rho0, grid):
 
 
 def power_at(rho, ctx):
-    """tr(L(rho) F) through the two objects every caller builds."""
-    return power_analytic(liouvillian(ctx.model, rho), free_energy_operator(rho, ctx))
+    """tr(L(rho) F) through the two stacks every caller builds."""
+    return power_analytic(liouvillian(ctx.model, rho), free_energy_operator(rho, ctx).f_op)
 
 
 def condition_at(model, k0):
@@ -82,13 +81,13 @@ class TestFreeEnergyOperator:
         ctx = qubit_ctx()
         decomp = free_energy_operator(MIXED, ctx)
         want = np.diag([-LN2, 1.0 - LN2])
-        assert max_abs(decomp.f_op.matrix - want) <= 1e-14
+        assert max_abs(decomp.f_op - want) <= 1e-14
         assert decomp.mean == pytest.approx(0.5 - LN2, abs=1e-14)
 
     def test_thermal_state_has_zero_fluctuation(self):
         ctx = qubit_ctx()
         decomp = free_energy_operator(thermal_state(H2, 1.0), ctx)
-        assert max_abs(decomp.delta_f.matrix) <= 1e-10
+        assert max_abs(decomp.delta_f) <= 1e-10
         assert decomp.mean == pytest.approx(-math.log(1.0 + math.exp(-1.0)), abs=1e-12)
 
     def test_pure_state_rejected(self):
@@ -107,14 +106,14 @@ class TestFreeEnergyOperator:
         rho = DensityMatrix(rho_m)
         decomp = free_energy_operator(rho, ctx)
         eye = np.eye(d)
-        assert max_abs(decomp.delta_f.matrix - (decomp.f_op.matrix - decomp.mean * eye)) <= 1e-10
-        assert abs(np.trace(rho.matrix @ decomp.delta_f.matrix)) <= 1e-9
+        assert max_abs(decomp.delta_f - (decomp.f_op - decomp.mean * eye)) <= 1e-10
+        assert abs(np.trace(rho.matrix @ decomp.delta_f)) <= 1e-9
         # deltaF's eigensystem as compute_theta_report reads it from F's
-        eig = hermitian_eig(decomp.f_op)
+        eig = hermitian_eig(HermitianMatrix(decomp.f_op))
         w, basis = eig.eigenvalues - decomp.mean, eig.eigenvectors
-        assert max_abs(basis @ np.diag(w) @ oracles.dag(basis) - decomp.delta_f.matrix) <= 1e-9
-        want = np.linalg.eigvalsh(decomp.delta_f.matrix)
-        assert max_abs(w - want) <= 1e-12 * max(1.0, max_abs(decomp.f_op.matrix))
+        assert max_abs(basis @ np.diag(w) @ oracles.dag(basis) - decomp.delta_f) <= 1e-9
+        want = np.linalg.eigvalsh(decomp.delta_f)
+        assert max_abs(w - want) <= 1e-12 * max(1.0, max_abs(decomp.f_op))
 
     def test_matches_numpy_pipeline(self, rng):
         rho_m = oracles.random_density(rng, 4)
@@ -123,17 +122,17 @@ class TestFreeEnergyOperator:
         ctx = BatteryContext(beta, LindbladModel(HermitianMatrix(h_m)))
         decomp = free_energy_operator(DensityMatrix(rho_m), ctx)
         want = oracles.free_energy_matrix(rho_m, h_m, beta)
-        assert max_abs(decomp.f_op.matrix - want) <= 1e-9
+        assert max_abs(decomp.f_op - want) <= 1e-9
 
     def test_keeps_the_log_rho_it_lifts(self, rng):
         rho = DensityMatrix(oracles.random_density(rng, 4))
         h = HermitianMatrix(oracles.random_hermitian(rng, 4))
         decomp = free_energy_operator(rho, BatteryContext(0.8, LindbladModel(h)))
         log_rho = matrix_function(rho.spectrum, math.log)
-        assert np.array_equal(decomp.log_rho.matrix, log_rho.matrix)
-        assert max_abs(decomp.log_rho.matrix - oracles.log_psd(rho.matrix)) <= 1e-10
-        want = HermitianMatrix(h.matrix + log_rho.matrix / 0.8).matrix
-        assert np.array_equal(decomp.f_op.matrix, want)
+        assert np.array_equal(decomp.log_rho, log_rho)
+        assert max_abs(decomp.log_rho - oracles.log_psd(rho.matrix)) <= 1e-10
+        want = HermitianMatrix(h.matrix + log_rho / 0.8).matrix
+        assert np.array_equal(decomp.f_op, want)
 
     def test_warm_start_from_a_nearby_state(self, rng):
         # the F basis of one trajectory row warm-starts the next row's
@@ -143,14 +142,14 @@ class TestFreeEnergyOperator:
         ctx = BatteryContext(1.0, model)
         states = [s for s, _ in propagate(model, DensityMatrix(oracles.random_density(rng, d)),
                                           np.linspace(0.0, 2e-3, 3))]
-        previous = hermitian_eig(free_energy_operator(states[1], ctx).f_op)
+        previous = hermitian_eig(HermitianMatrix(free_energy_operator(states[1], ctx).f_op))
         decomp = free_energy_operator(states[2], ctx)
-        warm = hermitian_eig(decomp.f_op, basis=previous.eigenvectors)
-        cold = hermitian_eig(decomp.f_op)
+        warm = hermitian_eig(HermitianMatrix(decomp.f_op), basis=previous.eigenvectors)
+        cold = hermitian_eig(HermitianMatrix(decomp.f_op))
         warm_w, cold_w = (eig.eigenvalues - decomp.mean for eig in (warm, cold))
         assert max_abs(warm_w - cold_w) <= 1e-12 * max(1.0, max_abs(cold_w))
         assert max_abs((warm.eigenvectors * warm_w) @ oracles.dag(warm.eigenvectors)
-                       - decomp.delta_f.matrix) <= 1e-12
+                       - decomp.delta_f) <= 1e-12
 
 
 def thermal_ginibre(seed, d):
@@ -170,7 +169,7 @@ def trajectory_rows(model, rho0, rows):
     basis = rho0.spectrum.eigenvectors
     for state, _ in propagate(model, rho0, np.linspace(0.0, (rows - 1) * 1e-3, rows)):
         decomp = free_energy_operator(state, ctx)
-        f_spectrum = hermitian_eig(decomp.f_op, basis=basis)
+        f_spectrum = hermitian_eig(HermitianMatrix(decomp.f_op), basis=basis)
         basis = f_spectrum.eigenvectors
         yield state, decomp, f_spectrum
 
@@ -191,25 +190,15 @@ def sweeps(monkeypatch):
 
 
 class TestOneStateChecks:
-    """Checks that only the one-state functions make: a stacked caller builds
-    every operand at one dimension, and from one state."""
+    """Checks of one state's operands and values: the stacked cores take
+    operands of one dimension, built from one model and its states."""
 
     def test_operands_of_another_dimension_are_rejected(self):
+        # a state meets a model from outside the library only in propagate
         ctx, qutrit = qubit_ctx(SIGMA_X), DensityMatrix(np.eye(3) / 3.0)
-        decomp = free_energy_operator(MIXED, ctx)
-        operands = "operator, state, and decomposition dimensions differ"
-        for call, message in [
-                (lambda: free_energy_operator(qutrit, ctx), "state dimension 3 vs model 2"),
-                (lambda: mean_free_energy(qutrit, ctx), "state dimension 3 vs model 2"),
-                (lambda: power_analytic(HermitianMatrix(np.zeros((3, 3))), decomp),
-                 "rate dimension 3 vs decomposition 2"),
-                (lambda: theta_operator_form(decomp, MIXED, np.eye(3)), operands),
-                (lambda: theta_operator_form(decomp, qutrit, SIGMA_X), operands),
-                (lambda: theta_index_form(np.zeros(3), np.eye(2), np.eye(2)),
-                 "component arrays must match the length of w")]:
-            with pytest.raises(DimensionError) as exc:
-                call()
-            assert str(exc.value) == message
+        with pytest.raises(DimensionError) as exc:
+            propagate(ctx.model, qutrit, [0.0, 0.1])
+        assert str(exc.value) == "state dimension 3 vs model 2"
 
     # deltaF = diag(0.0069, -5.9) here: a thermal state's deltaF would be rounding alone
     UNEVEN = DensityMatrix(np.diag([0.999, 0.001]))
@@ -219,7 +208,7 @@ class TestOneStateChecks:
         # [deltaF, L]'s off-diagonal entries are (0.0069 + 5.9) * 1e308
         decomp = free_energy_operator(self.UNEVEN, qubit_ctx())
         with pytest.raises(ValidationError) as exc:
-            theta_operator_form(decomp, self.UNEVEN, 1e308 * SIGMA_X)
+            theta_operator_form(decomp.delta_f, self.UNEVEN, 1e308 * SIGMA_X)
         assert str(exc.value) == "commutator: non-finite entries in result"
 
     def test_a_theta_negative_beyond_the_psd_slack_is_named(self):
@@ -227,9 +216,9 @@ class TestOneStateChecks:
         # state whose ground population is -5e-11, within the states' psd slack
         decomp = free_energy_operator(self.UNEVEN, qubit_ctx())
         rho = DensityMatrix(np.diag([-5e-11, 1.0 + 5e-11]))
-        gap = decomp.delta_f.matrix[0, 0].real - decomp.delta_f.matrix[1, 1].real
+        gap = decomp.delta_f[0, 0].real - decomp.delta_f[1, 1].real
         with pytest.raises(ConsistencyError) as exc:
-            theta_operator_form(decomp, rho, SIGMA_MINUS)
+            theta_operator_form(decomp.delta_f, rho, SIGMA_MINUS)
         assert str(exc.value) == \
             f"Theta = {gap ** 2 * -5e-11:.3e} is negative beyond the PSD slack"
 
@@ -243,19 +232,19 @@ class TestFreeEnergyEigensystem:
         model, rho0 = thermal_ginibre(0, d)
         decomp = free_energy_operator(rho0, BatteryContext(1.0, model))
         before = len(sweeps)
-        hermitian_eig(decomp.f_op, basis=rho0.spectrum.eigenvectors)
+        hermitian_eig(HermitianMatrix(decomp.f_op), basis=rho0.spectrum.eigenvectors)
         assert len(sweeps) == before
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_along_a_thermal_trajectory(self, seed):
         model, rho0 = thermal_ginibre(seed, 32)
         for state, decomp, f_spectrum in trajectory_rows(model, rho0, 21):
-            want = np.linalg.eigvalsh(decomp.delta_f.matrix)
+            want = np.linalg.eigvalsh(decomp.delta_f)
             w = f_spectrum.eigenvalues - decomp.mean
-            assert max_abs(w - want) <= 1e-12 * max(1.0, max_abs(decomp.f_op.matrix))
-            for ch in compute_theta_report(decomp, f_spectrum, state, model).channels:
-                bound = DEFAULT_TOLERANCES.theta_discrepancy * max(1.0, ch.theta_operator)
-                assert abs(ch.discrepancy) <= bound
+            assert max_abs(w - want) <= 1e-12 * max(1.0, max_abs(decomp.f_op))
+            for t_op, t_ix in compute_theta_report(decomp, f_spectrum, state, model):
+                bound = DEFAULT_TOLERANCES.theta_discrepancy * max(1.0, t_op)
+                assert abs(t_ix - t_op) <= bound
 
 
 class TestMeanFreeEnergy:
@@ -340,20 +329,19 @@ class TestThetaOperatorForm:
         rho = thermal_state(H2, 1.0)
         decomp = free_energy_operator(rho, ctx)
         l = oracles.random_ginibre(rng, 2)
-        assert theta_operator_form(decomp, rho, l) <= 1e-12
+        assert theta_operator_form(decomp.delta_f, rho, l) <= 1e-12
 
     def test_diagonal_operator_commutes(self):
         ctx = qubit_ctx()
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         decomp = free_energy_operator(rho, ctx)
-        assert theta_operator_form(decomp, rho, np.diag([2.0, 1.0 + 3.0j])) == 0.0
+        assert theta_operator_form(decomp.delta_f, rho, np.diag([2.0, 1.0 + 3.0j])) == 0.0
 
     def test_eigenstate_qubit_literal(self):
         # deltaF = diag(0,1) - 0*I at k0 = 0; [deltaF, sigma_minus] has unit weight.
         # ln(rho) does not exist at a pure state: the closed forms take F = H
-        # there, and so does this hand-built decomposition (log_rho unused)
-        decomp = FreeEnergyDecomposition(H2, H2, 0.0, HermitianMatrix(np.zeros((2, 2))))
-        assert theta_operator_form(decomp, GROUND, SIGMA_MINUS) == pytest.approx(1.0, abs=1e-14)
+        # there, and so does this hand-built deltaF
+        assert theta_operator_form(H2.matrix, GROUND, SIGMA_MINUS) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestThetaIndexForm:
@@ -384,8 +372,8 @@ class TestThetaIndexForm:
         rho = DensityMatrix(oracles.random_density(rng, 5))
         l = oracles.random_ginibre(rng, 5)
         decomp = free_energy_operator(rho, ctx)
-        t_op = theta_operator_form(decomp, rho, l)
-        eig = hermitian_eig(decomp.f_op)
+        t_op = theta_operator_form(decomp.delta_f, rho, l)
+        eig = hermitian_eig(HermitianMatrix(decomp.f_op))
         u, u_dag = eig.eigenvectors, dagger(eig.eigenvectors)
         rho_c = u_dag @ rho.matrix @ u
         l_c = u_dag @ l @ u
@@ -401,13 +389,13 @@ class TestThetaIndexForm:
         ctx = BatteryContext(beta, LindbladModel(HermitianMatrix(h_m)))
         rho = DensityMatrix(rho_m)
         decomp = free_energy_operator(rho, ctx)
-        got = theta_operator_form(decomp, rho, l)
+        got = theta_operator_form(decomp.delta_f, rho, l)
         want = oracles.theta(rho_m, h_m, beta, l)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
 
 class TestImaginaryResidual:
-    """The one imaginary-residual check, through each one-state function it guards."""
+    """The one imaginary-residual check, through each one-row core it guards."""
 
     @pytest.fixture
     def complex_model(self, rng):
@@ -419,16 +407,16 @@ class TestImaginaryResidual:
     def test_power_rounding_breaches_a_zero_tolerance(self, complex_model):
         model, rho, decomp = complex_model
         rate = liouvillian(model, rho)
-        power_analytic(rate, decomp)  # its residual is rounding: within the default
+        power_analytic(rate, decomp.f_op)  # its residual is rounding: within the default
         with pytest.raises(ConsistencyError, match="^power has imaginary residual"):
-            power_analytic(rate, decomp, tol=ToleranceConfig(theta_imag=0.0))
+            power_analytic(rate, decomp.f_op, tol=ToleranceConfig(theta_imag=0.0))
 
     def test_operator_theta_rounding_breaches_a_zero_tolerance(self, complex_model):
         model, rho, decomp = complex_model
         l = model.channels[0].operator
-        theta_operator_form(decomp, rho, l)
+        theta_operator_form(decomp.delta_f, rho, l)
         with pytest.raises(ConsistencyError, match="^Theta has imaginary residual"):
-            theta_operator_form(decomp, rho, l, tol=ToleranceConfig(theta_imag=0.0))
+            theta_operator_form(decomp.delta_f, rho, l, tol=ToleranceConfig(theta_imag=0.0))
 
     def test_index_theta_of_non_hermitian_components(self, rng):
         w = rng.uniform(-2.0, 2.0, size=3)
@@ -477,11 +465,12 @@ class TestThetaReport:
         ctx = BatteryContext(1.0, model)
         rho = DensityMatrix(oracles.random_density(rng, d))
         decomp = free_energy_operator(rho, ctx)
-        report = compute_theta_report(decomp, hermitian_eig(decomp.f_op), rho, model)
-        assert len(report.channels) == 2
-        for entry in report.channels:
-            assert entry.theta_operator >= -1e-10
-            assert abs(entry.discrepancy) <= 1e-9 * max(1.0, entry.theta_operator)
+        report = compute_theta_report(decomp, hermitian_eig(HermitianMatrix(decomp.f_op)), rho,
+                                      model)
+        assert len(report) == 2
+        for t_op, t_ix in report:
+            assert t_op >= -1e-10
+            assert abs(t_ix - t_op) <= 1e-9 * max(1.0, t_op)
 
     def test_the_spectrum_of_h_is_caught(self, rng):
         # the index form trusts the spectrum it is handed; the operator form
@@ -495,37 +484,37 @@ class TestThetaReport:
             compute_theta_report(decomp, hermitian_eig(model.hamiltonian), rho, model)
 
     def test_a_spectrum_of_another_dimension_is_rejected(self):
-        model = qubit_ctx(SIGMA_MINUS).model
-        rho = DensityMatrix(np.diag([0.7, 0.3]))
-        decomp = free_energy_operator(rho, BatteryContext(1.0, model))
-        with pytest.raises(DimensionError, match="spectrum dimension 3 vs decomposition 2"):
-            compute_theta_report(decomp, hermitian_eig(HermitianMatrix(np.eye(3))), rho, model)
+        # F's spectrum and the channels have the dimension of the model they
+        # come from: a channel of another dimension is rejected when it is built
+        with pytest.raises(DimensionError, match="^channel 1 has dimension 3, expected 2$"):
+            LindbladModel(H2, (JumpChannel(1.0, SIGMA_MINUS), JumpChannel(1.0, np.eye(3))))
 
 
 def rows_one_by_one(states, ctx, basis, tol):
-    """Rows evaluated one state at a time by the one-state functions: <F>, P
+    """Rows evaluated one state at a time, each core on one-row stacks: <F>, P
     and the operator-form Thetas per row up to the first failure, and that
     failure (None if every row passed)."""
     out = []
     for state in states:
         try:
             decomp = free_energy_operator(state, ctx, tol=tol)
-            f_spectrum = hermitian_eig(decomp.f_op, basis=basis, tol=tol)
+            f_spectrum = hermitian_eig(HermitianMatrix(decomp.f_op), basis=basis, tol=tol)
             basis = f_spectrum.eigenvectors
-            power = power_analytic(liouvillian(ctx.model, state, tol=tol), decomp, tol=tol)
+            power = power_analytic(liouvillian(ctx.model, state, tol=tol), decomp.f_op, tol=tol)
             report = compute_theta_report(decomp, f_spectrum, state, ctx.model, tol=tol)
         except QBatteryError as exc:
             return out, exc
-        out.append((decomp.mean, power, [ch.theta_operator for ch in report.channels]))
+        out.append((decomp.mean, power, [t_op for t_op, _ in report]))
     return out, None
 
 
 class TestStackedRows:
     """_evaluate_rows, the stacked evaluation of a block of `run` rows, gives
-    the bits of the one-state functions, and their first failure in row order."""
+    the bits of its cores on one-row stacks, and their first failure in row
+    order."""
 
     def assert_like_one_by_one(self, states, ctx, basis=None, tol=DEFAULT_TOLERANCES):
-        basis = np.eye(ctx.dim, dtype=complex) if basis is None else basis
+        basis = np.eye(ctx.model.dim, dtype=complex) if basis is None else basis
         want, error = rows_one_by_one(states, ctx, basis, tol)
         stacks = [np.array([state.matrix for state in states]),
                   np.array([state.spectrum.eigenvalues for state in states]),

@@ -15,7 +15,7 @@ import pytest
 
 import qbattery
 from qbattery import (BatteryContext, EnsembleSpec, HermitianMatrix, JumpChannel, LindbladModel,
-                      ParameterError, ScenarioSpec, ToleranceConfig, evaluate_instance,
+                      ParameterError, ScenarioSpec, ToleranceConfig, cli, evaluate_instance,
                       thermal_state)
 from qbattery.errors import _shown
 
@@ -338,3 +338,28 @@ def test_benchmark_layers_resolve():
                 or layer not in spans:
             unresolved.append(entry["name"])
     assert unresolved == []
+
+
+# per_layer layers that no CLI path calls: the tracer's own overhead, and the
+# documented one-state entry points, whose metrics read 0 (ROADMAP item 15)
+_IDLE_LAYERS = {"trace", "dynamics.propagate", "audit.evaluate_instance"}
+
+
+def test_benchmark_layers_are_live(tmp_path):
+    # under bench/tracer.py, a short run, an audit, a sweep and a check call
+    # every other layer BENCHMARK.json's per_layer measures at least once
+    tilted = json.loads((ROOT / "scenarios" / "qutrit_tilted.json").read_text())
+    tilted["time"]["horizon"] = 4 * tilted["time"]["step"]
+    (tmp_path / "tilted.json").write_text(json.dumps(tilted))
+    scenarios = ROOT / "scenarios"
+    commands = [("run", tmp_path / "tilted.json"), ("audit", scenarios / "qubit_sigma_x.json"),
+                ("sweep", scenarios / "qubit_sigma_x.json"),
+                ("check", scenarios / "ensemble_check.json")]
+    tracer = _bench_tracer().Tracer()
+    with tracer:
+        for mode, config in commands:
+            assert cli.main([mode, "--config", str(config), "--out", str(tmp_path / mode)]) == 0
+    calls = {name: entry["calls"] for name, entry in tracer.summary().items()}
+    layers = {entry["name"].rpartition(".")[0] for entry in
+              json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert sorted(layer for layer in layers - _IDLE_LAYERS if not calls.get(layer)) == []
